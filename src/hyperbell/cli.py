@@ -29,8 +29,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from . import bell, lhv, model, qcore, simlab
-from .rng import GENERATOR_ID
+from . import bell, lhv, model, qcore, rng, simlab
 
 STUDIES = ("ideal", "bounds", "simulate", "scaling", "assumptions")
 FORMATS = ("table", "csv", "json")
@@ -129,9 +128,9 @@ def _coerce(key: str, text: str):
     if key == "noise":
         return _parse_choice(key, text, model.NOISE_KINDS)
     if key == "events":
-        return _parse_int(key, text, minimum=1)
+        return _parse_int(key, text, minimum=2, maximum=rng.MAX_EVENTS)
     if key == "seed":
-        return _parse_int(key, text, minimum=0)
+        return _parse_int(key, text, minimum=0, maximum=2**64 - 1)
     if key == "dof":
         return _parse_int(key, text, minimum=1, maximum=bell.MAX_DOF)
     if key == "class":
@@ -370,7 +369,7 @@ def _emit_json(result: StudyResult) -> str:
         "std_err": result.std_err,
         "bound": result.bound,
         "sigmas": result.sigmas,
-        "generator_id": GENERATOR_ID,
+        "generator_id": rng.GENERATOR_ID,
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 

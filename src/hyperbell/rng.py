@@ -12,6 +12,17 @@ Sub-streams (one per measurement setting) are derived as
     derived_seed = mix64(seed XOR ((index + 1) * 0x9E3779B97F4A7C15 mod 2^64))
 
 which is the documented seed/index mix referenced in every report.
+
+Multinomial counts are inverse-CDF counts: an event whose uniform ``u``
+satisfies ``cdf[k-1] <= u < cdf[k]`` lands in cell ``k``.  They are counted
+without materialising the stream: outputs are generated in chunks of
+``CHUNK`` into reused buffers, and for each CDF edge one pass counts the
+outputs at or above it, so ``n_k = #(u >= cdf[k-1]) - #(u >= cdf[k])``.
+The comparison is made on the raw 64-bit outputs, which is exact:
+``u = (x >> 11) * 2^-53 >= c`` holds exactly when
+``x >= ceil(c * 2^53) << 11`` for ``c < 1``, and an edge at or above 1.0 is
+never reached.  The counts are identical to looking each uniform up in the
+CDF one event at a time, so they stay pinned to ``GENERATOR_ID``.
 """
 
 from __future__ import annotations
@@ -20,12 +31,31 @@ import numpy as np
 
 GENERATOR_ID = "splitmix64-invcdf-v1"
 
+# Largest event count per call; memory is bounded by CHUNK, this bounds time.
+MAX_EVENTS = 10**9
+# Stream outputs generated per pass; fixes the buffer size, not the counts.
+CHUNK = 1 << 16
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 
+def _mix(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer applied in place to ``z``; ``tmp`` is scratch of the same shape."""
+    z ^= np.right_shift(z, np.uint64(30), out=tmp)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= np.right_shift(z, np.uint64(27), out=tmp)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= np.right_shift(z, np.uint64(31), out=tmp)
+    return z
+
+
 def mix64(z: int) -> int:
-    """SplitMix64 finalizer on a 64-bit integer."""
+    """SplitMix64 finalizer on a 64-bit integer.
+
+    Scalar twin of ``_mix`` in Python integers: one sub-stream seed is
+    derived per setting, where a one-element array would cost 20x more.
+    """
     z &= _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -41,11 +71,8 @@ def derive_seed(seed: int, index: int) -> int:
 
 def random_uint64(seed: int, n: int) -> np.ndarray:
     """First n outputs of the SplitMix64 stream started at ``seed``."""
-    steps = np.arange(1, n + 1, dtype=np.uint64)
-    states = np.uint64(seed & _MASK64) + np.uint64(_GAMMA) * steps
-    z = (states ^ (states >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    z = np.uint64(seed & _MASK64) + np.uint64(_GAMMA) * np.arange(1, n + 1, dtype=np.uint64)
+    return _mix(z, np.empty_like(z))
 
 
 def random_uniform(seed: int, n: int) -> np.ndarray:
@@ -59,19 +86,44 @@ def multinomial(probs: np.ndarray, n_events: int, seed: int) -> np.ndarray:
     Fully determined by (probs, n_events, seed).  ``probs`` must be
     nonnegative and sum to 1 within 1e-9; the final CDF bin is stretched to
     1.0 so rounding in the cumulative sum cannot produce an out-of-range
-    category.
+    category.  ``n_events`` is at most ``MAX_EVENTS``.
+
+    The stream is consumed in chunks of ``CHUNK`` outputs held in two reused
+    buffers, so memory does not grow with ``n_events``.  Per chunk, one
+    counting pass per distinct CDF edge ``c < 1`` counts the raw outputs
+    ``x >= ceil(c * 2^53) << 11``, which is exactly ``u >= c`` for the
+    uniform ``u`` that ``x`` maps to; cell ``k`` receives
+    ``#(u >= cdf[k-1]) - #(u >= cdf[k])``.  The counts equal those of an
+    event-by-event ``searchsorted(cdf, u, side="right")``.
     """
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("probs must be a nonempty 1-D array")
-    if np.any(p < 0):
+    if not np.all(p >= 0):
         raise ValueError("probs must be nonnegative")
     if abs(p.sum() - 1.0) > 1e-9:
         raise ValueError(f"probs must sum to 1 (got {p.sum()!r})")
-    if n_events < 1:
-        raise ValueError("n_events must be >= 1")
-    cdf = np.cumsum(p)
-    cdf[-1] = 1.0
-    u = random_uniform(seed, n_events)
-    cells = np.searchsorted(cdf, u, side="right")
-    return np.bincount(cells, minlength=p.size).astype(np.int64)
+    if not 1 <= n_events <= MAX_EVENTS:
+        raise ValueError(f"n_events must be in [1, {MAX_EVENTS}] (got {n_events})")
+    edges = np.cumsum(p)[:-1]
+    # Edges ascend, so the reachable ones (< 1.0) are a prefix.
+    thresholds = np.ceil(edges[edges < 1.0] * 2.0**53).astype(np.uint64) << np.uint64(11)
+    # at_or_above[k] = #(u >= cdf[k-1]): every event for k = 0, none at the top.
+    at_or_above = np.zeros(p.size + 1, dtype=np.int64)
+    at_or_above[0] = n_events
+
+    size = min(n_events, CHUNK)
+    steps = np.arange(1, size + 1, dtype=np.uint64)
+    steps *= np.uint64(_GAMMA)
+    x = np.empty(size, dtype=np.uint64)
+    tmp = np.empty(size, dtype=np.uint64)
+    for start in range(0, n_events, CHUNK):
+        m = min(CHUNK, n_events - start)
+        base = np.uint64((seed + _GAMMA * start) & _MASK64)
+        chunk = _mix(np.add(steps[:m], base, out=x[:m]), tmp[:m])
+        previous = None
+        for k, t in enumerate(thresholds, start=1):
+            if t != previous:  # an edge repeats after an empty cell: reuse its count
+                count, previous = np.count_nonzero(chunk >= t), t
+            at_or_above[k] += count
+    return at_or_above[:-1] - at_or_above[1:]

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from hyperbell import cli, lhv, qcore
+from hyperbell import cli, lhv, qcore, rng
 
 JSON_KEYS = {"study", "config", "rows", "beta", "std_err", "bound", "sigmas", "generator_id"}
 
@@ -180,6 +180,21 @@ class TestConfigHandling:
         assert run_cli("simulate", "--events", "0")[0] == 2
         assert run_cli("scaling", "--dof", "9")[0] == 2
         assert run_cli("simulate", "--v-pi", "1.5")[0] == 2
+
+    def test_seed_beyond_64_bits_refused(self):
+        """2**64 would wrap to seed 0 in the generator while the report
+        records the unwrapped value."""
+        code, _, err = run_cli("simulate", "--seed", str(2**64))
+        assert code == 2 and "key 'seed'" in err
+        assert run_cli("simulate", "--seed", str(2**64 - 1), "--events", "100")[0] == 0
+
+    @pytest.mark.parametrize("events", [1, rng.MAX_EVENTS + 1])
+    def test_events_outside_bounds_refused(self, events):
+        """One event cannot be estimated and more than MAX_EVENTS is refused by
+        the sampler; both are configuration errors, not tracebacks."""
+        code, _, err = run_cli("simulate", "--events", str(events))
+        assert code == 2 and "key 'events'" in err
+        assert "Traceback" not in err
 
     def test_noise_none_conflicts_with_explicit_visibility(self):
         code, _, err = run_cli("simulate", "--noise", "none", "--v-pi", "0.9")

@@ -1,9 +1,12 @@
 """Born distributions, sampling, estimators, and the experiment pipeline."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperbell import bell, model, rng, simlab
 from hyperbell.model import NoiseModel, ObservableId, QuantumState
@@ -158,6 +161,118 @@ class TestSample:
     def test_derived_seeds_distinct(self):
         seeds = {rng.derive_seed(0, k) for k in range(56)}
         assert len(seeds) == 56
+
+
+def _reference_multinomial(probs, n_events, seed):
+    """Event-by-event inverse-CDF sampler: one uniform per event, looked up
+    in the CDF.  The chunked counting sampler must reproduce it exactly."""
+    p = np.asarray(probs, dtype=float)
+    cdf = np.cumsum(p)
+    cdf[-1] = 1.0
+    u = rng.random_uniform(seed, n_events)
+    cells = np.searchsorted(cdf, u, side="right")
+    return np.bincount(cells, minlength=p.size)
+
+
+def _assert_matches_reference(probs, n_events, seed):
+    counts = rng.multinomial(probs, n_events, seed)
+    assert counts.dtype == np.int64
+    np.testing.assert_array_equal(counts, _reference_multinomial(probs, n_events, seed))
+
+
+SKEWED = np.array([0.5, 0.0, 0.25, 0.125, 0.0, 0.0, 0.0625, 0.0625])
+
+
+class TestChunkedMultinomial:
+    @pytest.mark.parametrize(
+        "n_events",
+        [1, rng.CHUNK - 1, rng.CHUNK, rng.CHUNK + 1, 3 * rng.CHUNK + 7],
+    )
+    def test_chunk_boundaries(self, n_events):
+        _assert_matches_reference(SKEWED, n_events, seed=5)
+        _assert_matches_reference(np.full(16, 1 / 16), n_events, seed=2**64 - 1)
+
+    @pytest.mark.parametrize(
+        "probs",
+        [
+            [0.0, 0.0, 0.3, 0.0, 0.0, 0.7],
+            [0.3, 0.0, 0.0, 0.0, 0.7, 0.0, 0.0],
+            [0.0, 1.0, 0.0],
+            [1e-12, 0.0, 1.0 - 1e-12],
+        ],
+        ids=["leading", "trailing", "middle-one", "tiny-first"],
+    )
+    def test_zero_cells_and_repeated_edges(self, probs):
+        _assert_matches_reference(probs, rng.CHUNK + 3, seed=8)
+        counts = rng.multinomial(probs, 1000, seed=8)
+        assert np.all(counts[np.asarray(probs) == 0.0] == 0)
+
+    @pytest.mark.parametrize("hot", range(16))
+    def test_one_hot(self, hot):
+        probs = np.zeros(16)
+        probs[hot] = 1.0
+        counts = rng.multinomial(probs, 777, seed=hot)
+        assert counts[hot] == 777 and counts.sum() == 777
+        _assert_matches_reference(probs, 777, seed=hot)
+
+    @pytest.mark.parametrize("excess", [5e-10, -5e-10])
+    def test_sum_off_by_tolerance(self, excess):
+        """cdf[-2] can exceed 1.0; such an edge is unreachable, and the
+        stretched final bin still takes the rest."""
+        uneven = np.array([0.5, 0.5 + excess, 0.0, 0.0])
+        assert (np.cumsum(uneven)[-2] > 1.0) == (excess > 0)
+        _assert_matches_reference(uneven, rng.CHUNK + 11, seed=4)
+        _assert_matches_reference(np.full(16, (1 + excess) / 16), rng.CHUNK + 11, seed=4)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_edges_on_stream_values(self, seed):
+        """CDF edges placed exactly on uniforms the stream produces, and on
+        their floating-point neighbours, fall on the right side.  Outputs
+        whose low 11 bits are zero sit exactly on an integer threshold."""
+        n_events = 20_000
+        x = rng.random_uint64(seed, n_events)
+        u = rng.random_uniform(seed, n_events)
+        on_threshold = u[(x & np.uint64(0x7FF)) == 0][:2]
+        below_half = u[(u >= 0.25) & (u < 0.5)][:2]  # neighbours finer than 2^-53
+        assert on_threshold.size == 2
+        picked = np.concatenate([on_threshold, below_half])
+        edges = np.unique(np.concatenate([
+            np.arange(1, 16) / 16,  # keeps every cell width exactly representable
+            np.nextafter(picked, 0.0), picked, np.nextafter(picked, 1.0),
+        ]))
+        probs = np.diff(np.concatenate([[0.0], edges, [1.0]]))
+        np.testing.assert_array_equal(np.cumsum(probs)[:-1], edges)
+        _assert_matches_reference(probs, n_events, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        weights=st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=1, max_size=16
+        ).filter(lambda w: sum(w) > 0),
+        n_events=st.integers(1, 3 * rng.CHUNK + 7),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_matches_reference_property(self, weights, n_events, seed):
+        probs = np.array(weights) / sum(weights)
+        _assert_matches_reference(probs, n_events, seed)
+
+    def test_memory_flat_in_events(self):
+        probs = np.full(16, 1 / 16)
+        tracemalloc.start()
+        try:
+            rng.multinomial(probs, 4_000_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_out_of_range_input_rejected(self):
+        with pytest.raises(ValueError, match="n_events"):
+            rng.multinomial(np.full(4, 0.25), rng.MAX_EVENTS + 1, seed=0)
+        with pytest.raises(ValueError, match="n_events"):
+            rng.multinomial(np.full(4, 0.25), 0, seed=0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            rng.multinomial([0.5, np.nan, 0.5], 10, seed=0)
 
 
 class TestEstimate:
