@@ -14,9 +14,12 @@ assumptions (element-of-reality context-independence check).
 
 Option precedence: command-line flags override the config file, which
 overrides the defaults.  The config file is flat ``key = value`` text with
-``#`` comments.  All output is byte-deterministic for a fixed config and
-seed.  Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 enumeration guard exceeded.
+``#`` comments; a key repeated in one file, or ``v`` together with ``v_pi``
+or ``v_k`` in one file, is refused.  ``--dof`` ranges over 1..MAX_DOF for
+bounds and scaling; ideal, simulate and assumptions model exactly 2 degrees
+of freedom and refuse any other value.  All output is byte-deterministic
+for a fixed config and seed.  Exit codes: 0 success, 2 configuration error,
+3 numerical failure, 4 enumeration guard exceeded.
 """
 
 from __future__ import annotations
@@ -144,6 +147,13 @@ def _coerce(key: str, text: str):
     raise ConfigError(f"unknown key '{key}'")
 
 
+_VISIBILITY_RIVALS = {"v": ("v_pi", "v_k"), "v_pi": ("v",), "v_k": ("v",)}
+
+# Studies whose state, settings and operators are the two-DOF
+# polarization-path ones; any other --dof would be ignored by them.
+_TWO_DOF_STUDIES = ("ideal", "simulate", "assumptions")
+
+
 def _read_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -151,6 +161,7 @@ def _read_config_file(path: str) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}")
     values = {}
+    first_line = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -160,6 +171,19 @@ def _read_config_file(path: str) -> dict:
         key, _, text = line.partition("=")
         key, text = key.strip(), text.strip()
         values[key] = _coerce(key, text)
+        if key in first_line:
+            raise ConfigError(
+                f"{path}:{lineno}: key '{key}' repeated (first set on line {first_line[key]})"
+            )
+        # The shorthand v and a specific visibility in one file leave the
+        # intended value ambiguous.
+        rival = next((k for k in _VISIBILITY_RIVALS.get(key, ()) if k in first_line), None)
+        if rival is not None:
+            raise ConfigError(
+                f"{path}:{lineno}: key '{key}' conflicts with key '{rival}'"
+                f" on line {first_line[rival]}"
+            )
+        first_line[key] = lineno
     return values
 
 
@@ -178,6 +202,11 @@ def build_config(study: str, file_values: dict, flag_values: dict) -> RunConfig:
                 continue  # the positional argument always wins
             merged[key] = value
             explicit.add(key)
+    if study in _TWO_DOF_STUDIES and merged["dof"] != 2:
+        raise ConfigError(
+            f"key 'dof': study '{study}' models exactly 2 degrees of freedom,"
+            f" got {merged['dof']}"
+        )
     # The default visibilities describe the default white channel; a noise-free
     # run means unit visibility unless the user explicitly contradicts that.
     if merged["noise"] == model.NOISE_NONE:
@@ -540,7 +569,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--v-k", metavar="X", help="path visibility in [0, 1]")
     parser.add_argument("--events", metavar="N", help="events per setting")
     parser.add_argument("--seed", metavar="N", help="master RNG seed")
-    parser.add_argument("--dof", metavar="N", help=f"degrees of freedom, 1..{bell.MAX_DOF}")
+    parser.add_argument("--dof", metavar="N",
+                        help=f"degrees of freedom, 1..{bell.MAX_DOF} for bounds and scaling; "
+                        "the other studies take only 2")
     parser.add_argument("--class", dest="strategy_class", choices=CLASSES,
                         help="restrict the bounds study to one strategy class")
     parser.add_argument("--format", choices=FORMATS)

@@ -213,11 +213,13 @@ def _embed_pair(pol_matrix: np.ndarray, path_matrix: np.ndarray, photon: str) ->
 
 
 def pair_projectors(pol_matrix, path_matrix, photon: str) -> dict:
-    """Joint-outcome projectors for explicit 2x2 dichotomic observables.
+    """Joint-outcome projectors for explicit 2x2 dichotomic observables,
+    embedded in the two-photon space (dim 16).
 
-    No name/side bookkeeping: this is the raw embedding used wherever an
-    observable is measured on the photon that does not own its name (the
-    element-of-reality checks need e.g. A_pi on photon d).
+    No name/side bookkeeping, so an observable can sit on the photon that
+    does not own its name (e.g. A_pi on photon d).  Born probabilities use
+    the unembedded ``local_projectors`` instead; this embedding is the
+    reference they are tested against.
     """
     pm = qcore.as_matrix(pol_matrix)
     km = qcore.as_matrix(path_matrix)
@@ -228,6 +230,25 @@ def pair_projectors(pol_matrix, path_matrix, photon: str) -> dict:
             p_path = (_I2 + t * km) / 2.0
             out[(s, t)] = _embed_pair(p_pol, p_path, photon)
     return out
+
+
+_SIGNS = np.array([1.0, -1.0])
+
+
+def local_projectors(pol_matrix, path_matrix) -> np.ndarray:
+    """A photon's four joint-outcome projectors on its own (pol x path) space.
+
+    Returns a ``(4, 4, 4)`` stack: entry ``2*s + t`` is
+    ``(I + sign_s M_pol)/2 x (I + sign_t M_path)/2`` with signs ordered
+    (+1, -1), polarization first.  The operators are not embedded in the
+    two-photon space; ``simlab.born_distribution`` contracts them with the
+    state directly.
+    """
+    pm = qcore.as_matrix(pol_matrix)
+    km = qcore.as_matrix(path_matrix)
+    pol = (_I2 + _SIGNS[:, None, None] * pm) / 2.0
+    path = (_I2 + _SIGNS[:, None, None] * km) / 2.0
+    return np.einsum("sac,tbd->stabcd", pol, path).reshape(4, 4, 4)
 
 
 def local_setting_operator(pol: ObservableId, path: ObservableId, photon: str) -> LocalObservable:

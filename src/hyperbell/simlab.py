@@ -5,6 +5,13 @@ each photon then has four outcomes (polarization sign, path sign), giving
 16 joint outcome cells per setting.  Outcome cells are ordered u-major
 with per-side order (+,+), (+,-), (-,+), (-,-), polarization sign first.
 
+Born probabilities come from one contraction per setting: each photon's
+four joint-outcome projectors act on its own 4-dim (pol, path) space, the
+density matrix is permuted once into photon-local order, and the 16 cells
+are ``real(A @ R @ B.T)``.  No 16x16 projector is built.  The cells agree
+with the trace over embedded 16x16 projectors to about 1e-16, so sampled
+counts and every output byte are identical to that construction.
+
 Sampling is multinomial on the Born distribution, driven by the seeded
 generator in ``rng`` (identity ``rng.GENERATOR_ID``); every sampled setting
 uses the sub-stream ``rng.derive_seed(seed, stream_index)`` so runs are
@@ -90,25 +97,37 @@ class OutcomeDistribution:
     probs: np.ndarray  # 16 cells, u-major
 
 
+# Axis order that takes rho, reshaped to its eight qubit indices (row
+# pol_u, pol_d, path_u, path_d, then the same for the column), to the layout
+# ((u column, u row), (d column, d row)) with each photon's index
+# (pol, path): the contraction Tr[(P_u x P_d) rho] is then A @ R @ B.T.
+_BORN_AXES = (4, 6, 0, 2, 5, 7, 1, 3)
+
+
 def born_distribution(state: QuantumState, setting: JointSetting) -> OutcomeDistribution:
-    """Joint outcome probabilities Tr[rho P_u P_d] for one setting.
+    """Joint outcome probabilities Tr[rho (P_u x P_d)] for one setting.
+
+    One contraction: each photon's four projectors stay on its own 4-dim
+    (pol, path) space (``model.local_projectors``), rho is permuted once to
+    photon-local order, and all 16 cells are ``real(A @ R @ B.T)`` with A, B
+    the two projector stacks as 4x16 and R the permuted rho as 16x16.  No
+    16x16 projector is built.  The result agrees with the trace over
+    embedded projectors (``model.pair_projectors``) to about 1e-16, and
+    outputs are byte-identical to it.
 
     Probabilities more negative than -1e-12 are an error; smaller negative
     rounding residue is clamped to zero and the distribution renormalized.
     """
     if state.dof_count != 2:
         raise ValueError("joint settings are defined for the two-DOF state")
-    proj_u = model.pair_projectors(
-        model.observable(setting.u_pol), model.observable(setting.u_path), model.PHOTON_U
-    )
-    proj_d = model.pair_projectors(
-        model.observable(setting.d_pol), model.observable(setting.d_path), model.PHOTON_D
-    )
-    probs = np.empty(16, dtype=float)
-    for i, u_out in enumerate(OUTCOME_PAIRS):
-        left = proj_u[u_out] @ state.rho
-        for j, d_out in enumerate(OUTCOME_PAIRS):
-            probs[4 * i + j] = float(np.real(np.trace(proj_d[d_out] @ left)))
+    side_u = model.local_projectors(
+        model.observable(setting.u_pol), model.observable(setting.u_path)
+    ).reshape(4, 16)
+    side_d = model.local_projectors(
+        model.observable(setting.d_pol), model.observable(setting.d_path)
+    ).reshape(4, 16)
+    r = state.rho.reshape((2,) * 8).transpose(_BORN_AXES).reshape(16, 16)
+    probs = np.real(side_u @ r @ side_d.T).ravel()
     lo = float(probs.min())
     if lo < -1e-12:
         raise ValueError(f"Born probability {lo!r} below the clamping tolerance")
@@ -171,6 +190,10 @@ class EstimateResult:
     joint: CorrelationRecord
     pol: CorrelationRecord
     path: CorrelationRecord
+
+    def of_kind(self, kind: str) -> CorrelationRecord:
+        """The single-DOF record of ``kind`` (polarization or path)."""
+        return self.pol if kind == model.POLARIZATION else self.path
 
 
 def estimate(counts, setting: JointSetting) -> EstimateResult:
@@ -290,7 +313,31 @@ class AssumptionReport:
 
 _ASSUMPTION_POL_ROWS = (("A", "A"), ("a", "a"), ("B", "b"), ("b", "B"))
 _ASSUMPTION_PATH_ROWS = (("A", "A"), ("a", "a"), ("B", "B"), ("b", "b"))
-_CONTEXTS = (("A", "B"), ("A", "b"), ("a", "B"), ("a", "b"))
+
+
+def _other_kind(kind: str) -> str:
+    return model.PATH if kind == model.POLARIZATION else model.POLARIZATION
+
+
+def _single_dof_setting(kind: str, u_name: str, d_name: str, context: tuple) -> JointSetting:
+    """Setting that measures (u_name, d_name) on ``kind`` with the other
+    degree of freedom held at the (u, d) names of ``context``."""
+    names = {kind: (u_name, d_name), _other_kind(kind): context}
+    pol_u, pol_d = names[model.POLARIZATION]
+    path_u, path_d = names[model.PATH]
+    return JointSetting(
+        u_pol=ObservableId(pol_u, model.POLARIZATION),
+        u_path=ObservableId(path_u, model.PATH),
+        d_pol=ObservableId(pol_d, model.POLARIZATION),
+        d_path=ObservableId(path_d, model.PATH),
+    )
+
+
+def _sampled_estimate(
+    state: QuantumState, setting: JointSetting, n_events: int, seed: int, stream: int
+) -> EstimateResult:
+    dist = born_distribution(state, setting)
+    return estimate(sample(dist, n_events, rng.derive_seed(seed, stream)), setting)
 
 
 def _marginal_operator(kind: str, u_name: str, d_name: str) -> np.ndarray:
@@ -313,14 +360,13 @@ def assumption_test(
     for every context, so its spread across a row is identically zero; the
     sampled spread is purely statistical.
     """
-    pol_rows = []
-    path_rows = []
+    rows = {model.POLARIZATION: [], model.PATH: []}
     stream = stream_base
-    for kind, row_pairs, sink in (
-        (model.POLARIZATION, _ASSUMPTION_POL_ROWS, pol_rows),
-        (model.PATH, _ASSUMPTION_PATH_ROWS, path_rows),
+    for kind, row_pairs in (
+        (model.POLARIZATION, _ASSUMPTION_POL_ROWS),
+        (model.PATH, _ASSUMPTION_PATH_ROWS),
     ):
-        ctx_kind = model.PATH if kind == model.POLARIZATION else model.POLARIZATION
+        ctx_kind = _other_kind(kind)
         for u_name, d_name in row_pairs:
             analytic = float(
                 np.real(
@@ -330,25 +376,9 @@ def assumption_test(
                 )
             )
             cells = []
-            for cu, cd in _CONTEXTS:
-                if kind == model.POLARIZATION:
-                    setting = JointSetting(
-                        u_pol=ObservableId(u_name, kind),
-                        u_path=ObservableId(cu, ctx_kind),
-                        d_pol=ObservableId(d_name, kind),
-                        d_path=ObservableId(cd, ctx_kind),
-                    )
-                else:
-                    setting = JointSetting(
-                        u_pol=ObservableId(cu, ctx_kind),
-                        u_path=ObservableId(u_name, kind),
-                        d_pol=ObservableId(cd, ctx_kind),
-                        d_path=ObservableId(d_name, kind),
-                    )
-                dist = born_distribution(state, setting)
-                counts = sample(dist, n_events, rng.derive_seed(seed, stream))
-                est = estimate(counts, setting)
-                rec = est.pol if kind == model.POLARIZATION else est.path
+            for cu, cd in _PAIRS:
+                setting = _single_dof_setting(kind, u_name, d_name, (cu, cd))
+                est = _sampled_estimate(state, setting, n_events, seed, stream)
                 ctx_label = (
                     f"{ObservableId(cu, ctx_kind).label} {ObservableId(cd, ctx_kind).label}"
                 )
@@ -356,7 +386,7 @@ def assumption_test(
                     AssumptionCell(
                         setting=setting,
                         context_label=ctx_label,
-                        record=rec,
+                        record=est.of_kind(kind),
                         analytic_E=analytic,
                     )
                 )
@@ -364,14 +394,14 @@ def assumption_test(
             row_label = (
                 f"{ObservableId(u_name, kind).label} {ObservableId(d_name, kind).label}"
             )
-            sink.append(
+            rows[kind].append(
                 AssumptionRow(
                     dof=kind, row_label=row_label, cells=tuple(cells), analytic_E=analytic
                 )
             )
     return AssumptionReport(
-        pol_rows=tuple(pol_rows),
-        path_rows=tuple(path_rows),
+        pol_rows=tuple(rows[model.POLARIZATION]),
+        path_rows=tuple(rows[model.PATH]),
         n_events=n_events,
         seed=seed,
     )
@@ -444,48 +474,34 @@ def run_simulated_experiment(state: QuantumState, n_events: int, seed: int) -> S
     """Full simulated run: assumption checks, per-DOF CHSH, 16 joint settings.
 
     Classical bounds are the element-of-reality ones: 2 per CHSH, 4 for the
-    product.
+    product.  Each CHSH run varies one degree of freedom over the four
+    canonical pairs with the other held at the context (A, B).
     """
     assumptions = assumption_test(state, n_events, seed, stream_base=_STREAM_ASSUMPTIONS)
 
-    joint_records = []
-    for idx, setting in enumerate(bell_test_settings()):
-        dist = born_distribution(state, setting)
-        counts = sample(dist, n_events, rng.derive_seed(seed, _STREAM_JOINT + idx))
-        joint_records.append(estimate(counts, setting).joint)
+    joint_records = [
+        _sampled_estimate(state, setting, n_events, seed, _STREAM_JOINT + idx).joint
+        for idx, setting in enumerate(bell_test_settings())
+    ]
     beta = violation_report(joint_records, bell_mod.canonical_product(2), bound=4.0)
 
-    chsh_pi_records = []
-    for idx, (pu, pd) in enumerate(_PAIRS):
-        setting = JointSetting(
-            u_pol=ObservableId(pu, model.POLARIZATION),
-            u_path=ObservableId("A", model.PATH),
-            d_pol=ObservableId(pd, model.POLARIZATION),
-            d_path=ObservableId("B", model.PATH),
-        )
-        dist = born_distribution(state, setting)
-        counts = sample(dist, n_events, rng.derive_seed(seed, _STREAM_CHSH_PI + idx))
-        chsh_pi_records.append(estimate(counts, setting).pol)
-    beta_pi = violation_report(chsh_pi_records, bell_mod.build_beta_pi(), bound=2.0)
-
-    chsh_k_records = []
-    for idx, (ku, kd) in enumerate(_PAIRS):
-        setting = JointSetting(
-            u_pol=ObservableId("A", model.POLARIZATION),
-            u_path=ObservableId(ku, model.PATH),
-            d_pol=ObservableId("B", model.POLARIZATION),
-            d_path=ObservableId(kd, model.PATH),
-        )
-        dist = born_distribution(state, setting)
-        counts = sample(dist, n_events, rng.derive_seed(seed, _STREAM_CHSH_K + idx))
-        chsh_k_records.append(estimate(counts, setting).path)
-    beta_k = violation_report(chsh_k_records, bell_mod.build_beta_k(), bound=2.0)
+    chsh = {}
+    for kind, stream_base, operator in (
+        (model.POLARIZATION, _STREAM_CHSH_PI, bell_mod.build_beta_pi()),
+        (model.PATH, _STREAM_CHSH_K, bell_mod.build_beta_k()),
+    ):
+        records = []
+        for idx, (u_name, d_name) in enumerate(_PAIRS):
+            setting = _single_dof_setting(kind, u_name, d_name, ("A", "B"))
+            est = _sampled_estimate(state, setting, n_events, seed, stream_base + idx)
+            records.append(est.of_kind(kind))
+        chsh[kind] = violation_report(records, operator, bound=2.0)
 
     return SimulationResult(
         joint_records=tuple(joint_records),
         beta=beta,
-        beta_pi=beta_pi,
-        beta_k=beta_k,
+        beta_pi=chsh[model.POLARIZATION],
+        beta_k=chsh[model.PATH],
         assumptions=assumptions,
         n_events=n_events,
         seed=seed,

@@ -214,6 +214,58 @@ class TestConfigHandling:
         code, _, err = run_cli("simulate", "--config", "/no/such/file.cfg")
         assert code == 2 and "cannot read config" in err
 
+    def test_repeated_config_key_refused(self, tmp_path, capsys):
+        """A repeated key used to be silently last-wins."""
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("seed = 1\n# comment\nevents = 100\nseed = 2\n")
+        assert run_inproc("simulate", "--config", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert "'seed'" in err and "line 1" in err and ":4:" in err
+
+    @pytest.mark.parametrize("specific", ["v_pi", "v_k"])
+    def test_config_shorthand_with_specific_visibility_refused(self, tmp_path, capsys, specific):
+        """In one file, v and v_pi/v_k used to resolve silently to the
+        specific key; the file is now ambiguous and refused."""
+        cfg = tmp_path / "both.cfg"
+        cfg.write_text(f"{specific} = 0.7\nv = 0.9\n")
+        assert run_inproc("simulate", "--config", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert f"'{specific}'" in err and "'v'" in err and "line 1" in err and ":2:" in err
+
+    def test_config_shorthand_overridden_by_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("v = 0.8\nevents = 100\nformat = json\n")
+        assert run_inproc("simulate", "--config", str(cfg), "--v-k", "0.6") == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["config"]["v_pi"], doc["config"]["v_k"]) == (0.8, 0.6)
+
+
+class TestDofScope:
+    """simulate, assumptions and ideal model exactly two degrees of freedom;
+    --dof used to be recorded in the report and otherwise ignored."""
+
+    @pytest.mark.parametrize("study", ["simulate", "assumptions", "ideal"])
+    @pytest.mark.parametrize("dof", ["1", "3"])
+    def test_two_dof_studies_refuse_other_dof(self, study, dof, capsys):
+        assert run_inproc(study, "--dof", dof, "--events", "100") == 2
+        captured = capsys.readouterr()
+        assert "'dof'" in captured.err and captured.out == ""
+
+    def test_dof_from_config_file_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "dof.cfg"
+        cfg.write_text("dof = 3\n")
+        assert run_inproc("ideal", "--config", str(cfg)) == 2
+        assert "'dof'" in capsys.readouterr().err
+
+    def test_explicit_two_accepted(self, capsys):
+        assert run_inproc("ideal", "--dof", "2", "--format", "json") == 0
+        assert json.loads(capsys.readouterr().out)["config"]["dof"] == 2
+
+    @pytest.mark.parametrize("study", ["bounds", "scaling"])
+    def test_enumeration_studies_keep_dof_range(self, study):
+        assert run_inproc(study, "--dof", "1", "--format", "csv") == 0
+        assert run_inproc(study, "--dof", "3", "--format", "csv") == 0
+
 
 class TestOutput:
     def test_out_writes_identical_bytes(self, tmp_path):

@@ -1,0 +1,67 @@
+"""Byte-golden CLI corpus: a fixed set of invocations must keep its stdout.
+
+The digests pin every output byte, so a refactor or speed-up of the Born
+kernel, the sampler or the renderers that changes any reported digit fails
+here.  Sampled studies report correlations computed from integer counts, so
+their bytes move only if a count moves.  To add an entry, run it through
+``cli.main`` and take the sha256 of its stdout; existing entries are never
+re-recorded to make a change pass.
+"""
+
+import hashlib
+
+import pytest
+
+from hyperbell import cli
+
+CORPUS = {
+    "simulate-table": (
+        ["simulate", "--events", "2000", "--seed", "0"],
+        "4158972785abede731e298f0014ef2c2a65e625c23dab4b2bf9ca35f68c4b4a1",
+    ),
+    "simulate-csv": (
+        ["simulate", "--events", "2000", "--seed", "0", "--format", "csv"],
+        "10b527377e8ab4d306d85cc3b80ca923c8d4ff2d4c8c0843a8a83aa52d8e0b9f",
+    ),
+    "simulate-json": (
+        ["simulate", "--events", "2000", "--seed", "0", "--format", "json"],
+        "ad0db543393141b7bd846d0e8e6166cc19e3dadbc002d519b0b44a760a2e4ff3",
+    ),
+    "simulate-dephasing": (
+        ["simulate", "--events", "2000", "--seed", "7", "--noise", "dephasing",
+         "--theta", "0.5", "--phi", "pi/3", "--v-pi", "0.85", "--v-k", "0.95"],
+        "4a0e7ab85f08a36622f0abafdc575e9922fa0b504ace391696ecf0dbbd42ea91",
+    ),
+    "simulate-dephasing-json": (
+        ["simulate", "--events", "3000", "--seed", "11", "--noise", "dephasing",
+         "--theta", "-2.1", "--phi", "0.25pi", "--v-pi", "0.97", "--v-k", "0.81",
+         "--format", "json"],
+        "b5f1e2c9d5f6b0c6df27de50ed32f55bbb27b8b55a49dfe4ad635d2abe2489c7",
+    ),
+    "simulate-none-csv": (
+        ["simulate", "--events", "2000", "--seed", "5", "--noise", "none",
+         "--theta", "2.9", "--format", "csv"],
+        "5cc24a85af8a3a08a90b81c6dac970bd810e88953f22135d5366fb462d2a8c34",
+    ),
+    "assumptions-white": (
+        ["assumptions", "--events", "2000", "--seed", "3", "--noise", "white", "--v", "0.8"],
+        "95bb1c72abcde9ddf3aa5b9538c20af7c9bd5e34ca18dd91d58ae71d83c4136a",
+    ),
+    "assumptions-white-csv": (
+        ["assumptions", "--events", "2000", "--seed", "3", "--noise", "white",
+         "--v-pi", "0.93", "--v-k", "0.88", "--phi", "1.2", "--format", "csv"],
+        "8bff9745e321b9e6a16d6c87e12651ead145165edd29ff67abe3ae02244c046c",
+    ),
+    "ideal-phase": (
+        ["ideal", "--theta", "pi/2", "--phi", "1.0"],
+        "e91e5352b7ad70e96623e2ba878376051fc063472cdd9926cfb5ad316781ae8a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_stdout_digest(name, capsys):
+    argv, digest = CORPUS[name]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

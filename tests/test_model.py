@@ -192,6 +192,31 @@ class TestLocalSettingOperator:
             model.local_setting_operator(A_PI, A_PI, "u")
 
 
+class TestLocalProjectors:
+    @pytest.mark.parametrize("pol,path", [(A_PI, a_K), (b_PI, B_K), (B_K, A_PI)])
+    def test_stack_is_a_complete_projective_measurement(self, pol, path):
+        """Four orthogonal rank-1 projectors on one photon's 4-dim space; the
+        names need not belong to the photon or match their slot's kind."""
+        stack = model.local_projectors(model.observable(pol), model.observable(path))
+        assert stack.shape == (4, 4, 4)
+        np.testing.assert_allclose(stack.sum(axis=0), np.eye(4), atol=1e-15)
+        for i, p in enumerate(stack):
+            np.testing.assert_allclose(p, p.conj().T, atol=1e-15)
+            assert np.trace(p).real == pytest.approx(1.0, abs=1e-15)
+            for j, q in enumerate(stack):
+                np.testing.assert_allclose(p @ q, p if i == j else 0 * p, atol=1e-15)
+
+    def test_entries_are_kron_of_sign_projectors(self):
+        """Entry 2*s + t is (I + s M_pol)/2 x (I + t M_path)/2, signs in
+        order (+1, -1), polarization first: the per-photon factor of
+        ``pair_projectors``."""
+        pm, km = model.observable(B_PI), model.observable(a_K)
+        stack = model.local_projectors(pm, km)
+        for idx, (s, t) in enumerate(((1, 1), (1, -1), (-1, 1), (-1, -1))):
+            expected = np.kron((I2 + s * pm) / 2, (I2 + t * km) / 2)
+            np.testing.assert_array_equal(stack[idx], expected)
+
+
 def _embedded(op4: np.ndarray, block: int) -> np.ndarray:
     eye4 = np.eye(4, dtype=complex)
     return np.kron(op4, eye4) if block == 0 else np.kron(eye4, op4)

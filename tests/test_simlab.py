@@ -103,6 +103,81 @@ class TestBornDistribution:
             simlab.born_distribution(single, _setting("A", "A", "B", "B"))
 
 
+NAMES = ("A", "a", "B", "b")
+ALL_ASSIGNMENTS = tuple(
+    _setting(up, uk, dp, dk) for up in NAMES for uk in NAMES for dp in NAMES for dk in NAMES
+)
+
+
+def _reference_born(state, setting):
+    """Born probabilities from 16x16 embedded joint-outcome projectors,
+    p = Tr[P_d P_u rho] cell by cell: the construction the contraction
+    kernel must reproduce."""
+    proj_u = model.pair_projectors(
+        model.observable(setting.u_pol), model.observable(setting.u_path), model.PHOTON_U
+    )
+    proj_d = model.pair_projectors(
+        model.observable(setting.d_pol), model.observable(setting.d_path), model.PHOTON_D
+    )
+    probs = np.empty(16)
+    for i, u_out in enumerate(simlab.OUTCOME_PAIRS):
+        left = proj_u[u_out] @ state.rho
+        for j, d_out in enumerate(simlab.OUTCOME_PAIRS):
+            probs[4 * i + j] = np.real(np.trace(proj_d[d_out] @ left))
+    return probs
+
+
+class TestBornKernelEquivalence:
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            NoiseModel(model.NOISE_NONE),
+            NoiseModel(model.NOISE_WHITE, 0.83, 0.91),
+            NoiseModel(model.NOISE_DEPHASING, 0.77, 0.94),
+        ],
+        ids=lambda n: n.kind,
+    )
+    def test_matches_embedded_projectors_on_all_assignments(self, noise):
+        """All 4^4 name assignments, including names measured on the photon
+        that does not own them (e.g. A_pi on photon d)."""
+        state = model.apply_noise(model.hyper_state(0.7, -1.3), noise)
+        worst = max(
+            float(np.max(np.abs(
+                simlab.born_distribution(state, setting).probs - _reference_born(state, setting)
+            )))
+            for setting in ALL_ASSIGNMENTS
+        )
+        assert worst <= 1e-15
+
+
+class TestBornInvariantsProperty:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        theta=st.floats(-np.pi, np.pi),
+        phi=st.floats(-np.pi, np.pi),
+        kind=st.sampled_from(model.NOISE_KINDS),
+        v_pi=st.floats(0.0, 1.0),
+        v_k=st.floats(0.0, 1.0),
+    )
+    def test_normalized_nonnegative_no_signaling(self, theta, phi, kind, v_pi, v_k):
+        if kind == model.NOISE_NONE:
+            v_pi = v_k = 1.0
+        state = model.apply_noise(model.hyper_state(theta, phi), NoiseModel(kind, v_pi, v_k))
+        margs = {"u": {}, "d": {}}
+        for setting in ALL_ASSIGNMENTS:
+            dist = simlab.born_distribution(state, setting)
+            assert abs(dist.probs.sum() - 1.0) < 1e-12
+            assert np.all(dist.probs >= 0.0)
+            mu, md = simlab.marginals(dist)
+            margs["u"].setdefault((setting.u_pol, setting.u_path), []).append(mu)
+            margs["d"].setdefault((setting.d_pol, setting.d_path), []).append(md)
+        for side in margs.values():
+            for group in side.values():
+                stack = np.stack(group)
+                assert stack.shape == (16, 4)
+                assert np.max(stack.max(axis=0) - stack.min(axis=0)) < 1e-12
+
+
 class TestNoSignaling:
     @pytest.mark.parametrize(
         "state",
