@@ -34,7 +34,6 @@ from .model import (
     apply_noise,
     basis_conventions,
     hyper_state,
-    local_setting_operator,
     observable,
 )
 from .rng import GENERATOR_ID

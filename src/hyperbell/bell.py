@@ -1,7 +1,8 @@
 """CHSH Bell operators, their tensor products, and the violation scaling law.
 
-A Bell operator is kept both as a dense matrix and as its signed term
-table, one term per joint measurement configuration.  The single-factor
+A Bell operator is kept as a dense matrix, as its signed term table, one
+term per joint measurement configuration, and as its context sign table,
+the Kronecker product of the factors' 2x2 tables.  The single-factor
 operators use the sign patterns
 
     polarization:  -A B + A b + a B + a b
@@ -15,6 +16,7 @@ the experimental configurations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -23,6 +25,8 @@ from . import model, qcore
 from .model import ObservableId, QuantumState
 
 MAX_DOF = 4
+
+_I4 = np.eye(4, dtype=complex)
 
 _SIGNS = {
     model.POLARIZATION: ((-1, 1), (1, 1)),
@@ -48,11 +52,15 @@ class BellTerm:
 
 @dataclass(frozen=True)
 class BellOperator:
+    """``signs[cu, cd]``: sign of the term with u context ``cu`` and d context
+    ``cd`` (bit 1 = alternate name a/b, factor 0 most significant)."""
+
     matrix: np.ndarray
     terms: tuple
     dof_count: int
     factor_labels: tuple
     label: str
+    signs: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -101,6 +109,7 @@ def _build_chsh(kind: str, factor_label: str) -> BellOperator:
         dof_count=1,
         factor_labels=(factor_label,),
         label=f"beta_{factor_label}",
+        signs=np.array(signs, dtype=np.int64),
     )
 
 
@@ -162,6 +171,7 @@ def build_beta_product(factors) -> BellOperator:
         dof_count=len(factors),
         factor_labels=tuple(labels),
         label="(x)".join(f.label for f in factors),
+        signs=reduce(np.kron, (f.signs for f in factors)),
     )
 
 
@@ -205,17 +215,6 @@ def quantum_value(bell: BellOperator, state: QuantumState) -> float:
     return _expect_real(bell.matrix, state)
 
 
-def embed_factor_matrix(factor: BellOperator, slot: int, n_dof: int) -> np.ndarray:
-    """Matrix of a single-DOF operator on one pair slot, identity elsewhere."""
-    if factor.dof_count != 1:
-        raise ValueError("only single degree-of-freedom operators can be embedded")
-    if not 0 <= slot < n_dof <= MAX_DOF:
-        raise ValueError(f"slot {slot} outside the {n_dof}-DOF layout")
-    mats = [np.eye(4, dtype=complex)] * n_dof
-    mats[slot] = factor.matrix
-    return qcore.tensor_all(*mats)
-
-
 @dataclass(frozen=True)
 class IdealPredictions:
     """Exact expectations and spectral radii on a two-DOF pure state."""
@@ -235,8 +234,8 @@ def ideal_predictions(state: QuantumState) -> IdealPredictions:
     b_pi, b_k = build_beta_pi(), build_beta_k()
     product = build_beta_product([b_pi, b_k])
     return IdealPredictions(
-        beta_pi=_expect_real(embed_factor_matrix(b_pi, 0, 2), state),
-        beta_k=_expect_real(embed_factor_matrix(b_k, 1, 2), state),
+        beta_pi=_expect_real(qcore.tensor(b_pi.matrix, _I4), state),
+        beta_k=_expect_real(qcore.tensor(_I4, b_k.matrix), state),
         beta=quantum_value(product, state),
         radius_pi=qcore.spectral_radius(b_pi.matrix),
         radius_k=qcore.spectral_radius(b_k.matrix),

@@ -6,11 +6,17 @@
               [--class factorizable|unrestricted]
               [--format table|csv|json] [--out PATH]
 
-Studies: ideal (exact quantum predictions; noise options do not apply),
-bounds (enumerated classical bounds with witnesses), simulate (sampled
-experiment: assumption tables, per-DOF CHSH, 16 joint settings), scaling
-(quantum/classical ratio versus the number of degrees of freedom),
-assumptions (element-of-reality context-independence check).
+Studies: ideal (exact noise-free quantum predictions), bounds (enumerated
+classical bounds with witnesses), simulate (sampled experiment: assumption
+tables, per-DOF CHSH, 16 joint settings), scaling (quantum/classical ratio
+versus the number of degrees of freedom), assumptions (element-of-reality
+context-independence check).
+
+Each study reads only some keys (``_STUDY_KEYS``): ideal reads theta, phi
+and dof; bounds dof and class; scaling dof; simulate and assumptions all
+but class; every study reads format and out.  Any other key set by a flag
+or the config file is refused with the key named, except ``noise = none``
+for ideal, which states what that study computes.
 
 Option precedence: command-line flags override the config file, which
 overrides the defaults.  The config file is flat ``key = value`` text with
@@ -149,9 +155,19 @@ def _coerce(key: str, text: str):
 
 _VISIBILITY_RIVALS = {"v": ("v_pi", "v_k"), "v_pi": ("v",), "v_k": ("v",)}
 
-# Studies whose state, settings and operators are the two-DOF
-# polarization-path ones; any other --dof would be ignored by them.
-_TWO_DOF_STUDIES = ("ideal", "simulate", "assumptions")
+_SAMPLED_KEYS = ("theta", "phi", "noise", "v", "v_pi", "v_k", "events", "seed", "dof")
+
+# Keys each study reads besides format and out.  Any other key set explicitly
+# would be recorded in the report and otherwise ignored, so it is refused.
+# The studies that read the state phases prepare the two-DOF
+# polarization-path state and take no --dof but 2.
+_STUDY_KEYS = {
+    "ideal": ("theta", "phi", "dof"),
+    "bounds": ("dof", "class"),
+    "scaling": ("dof",),
+    "simulate": _SAMPLED_KEYS,
+    "assumptions": _SAMPLED_KEYS,
+}
 
 
 def _read_config_file(path: str) -> dict:
@@ -190,28 +206,33 @@ def _read_config_file(path: str) -> dict:
 def build_config(study: str, file_values: dict, flag_values: dict) -> RunConfig:
     """Merge defaults < config file < flags, validating every field."""
     merged = dict(_DEFAULTS)
-    explicit = set()
+    given = set()  # keys as written, with the shorthand v not expanded
     for source in (file_values, flag_values):
         source = dict(source)
+        source.pop("study", None)  # the positional argument always wins
+        given.update(source)
         if "v" in source:  # shorthand for both visibilities
             shared = source.pop("v")
             source.setdefault("v_pi", shared)
             source.setdefault("v_k", shared)
-        for key, value in source.items():
-            if key == "study":
-                continue  # the positional argument always wins
-            merged[key] = value
-            explicit.add(key)
-    if study in _TWO_DOF_STUDIES and merged["dof"] != 2:
+        merged.update(source)
+    if "theta" in _STUDY_KEYS[study] and merged["dof"] != 2:
         raise ConfigError(
             f"key 'dof': study '{study}' models exactly 2 degrees of freedom,"
             f" got {merged['dof']}"
         )
+    unread = given - set(_STUDY_KEYS[study]) - {"format", "out"}
+    if study == "ideal" and merged["noise"] == model.NOISE_NONE:
+        unread.discard("noise")  # noise-free is what ideal computes
+    if unread:
+        names = ", ".join(f"'{key}'" for key in sorted(unread))
+        plural = "s" if len(unread) > 1 else ""
+        raise ConfigError(f"key{plural} {names}: not read by study '{study}'")
     # The default visibilities describe the default white channel; a noise-free
     # run means unit visibility unless the user explicitly contradicts that.
     if merged["noise"] == model.NOISE_NONE:
         for key in ("v_pi", "v_k"):
-            if key not in explicit:
+            if key not in given and "v" not in given:
                 merged[key] = 1.0
     try:
         noise = model.NoiseModel(kind=merged["noise"], v_pi=merged["v_pi"], v_k=merged["v_k"])

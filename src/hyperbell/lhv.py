@@ -17,6 +17,11 @@ Assignments are enumerated as integers: slot 0 is the most significant bit
 and bit value 0 means +1, so index 0 is the all-(+1) assignment and the
 reported witness is the lexicographically smallest maximizer in
 (u index, d index) order.
+
+The search weights contexts with the Kronecker sign table
+``BellOperator.signs``; the witness is then replayed term by term through
+``evaluate_strategy``, which reads only the term table, as an independent
+check.  Unrestricted witness tokens are the context labels in context order.
 """
 
 from __future__ import annotations
@@ -75,25 +80,6 @@ def _factor_tokens(bell: BellOperator, photon: str) -> list:
     return tokens
 
 
-def _context_index(ids, alternates: tuple) -> int:
-    """Context number of a local observable tuple, factor 0 most significant."""
-    idx = 0
-    for obs in ids:
-        idx = (idx << 1) | (1 if obs.name in alternates else 0)
-    return idx
-
-
-def _sign_matrix(bell: BellOperator) -> np.ndarray:
-    """T[u_context, d_context] = sign of the term with those contexts."""
-    n_ctx = 2**bell.dof_count
-    t = np.zeros((n_ctx, n_ctx), dtype=np.int64)
-    for term in bell.terms:
-        cu = _context_index(term.u_ids, ("a",))
-        cd = _context_index(term.d_ids, ("b",))
-        t[cu, cd] = term.sign
-    return t
-
-
 def evaluate_strategy(bell: BellOperator, strategy: LhvStrategy) -> int:
     """Classical value of a deterministic assignment; exact integers."""
     total = 0
@@ -145,24 +131,15 @@ def _strategy_from_index(bell: BellOperator, strategy_class: str, photon: str, i
     if strategy_class == FACTORIZABLE:
         tokens = _factor_tokens(bell, photon)
     else:
-        labels = sorted(
-            {(t.u_label if photon == model.PHOTON_U else t.d_label) for t in bell.terms},
-            key=lambda lab: _context_index(_ids_of_label(bell, photon, lab), ("a", "b")),
-        )
-        tokens = labels
+        # Terms run over the factors' terms with factor 0 slowest, so each
+        # side's contexts first appear in context order.
+        tokens = list(dict.fromkeys(
+            t.u_label if photon == model.PHOTON_U else t.d_label for t in bell.terms
+        ))
     n = len(tokens)
     return {
         tok: 1 - 2 * ((index >> (n - 1 - i)) & 1) for i, tok in enumerate(tokens)
     }
-
-
-def _ids_of_label(bell: BellOperator, photon: str, label: str):
-    for t in bell.terms:
-        if photon == model.PHOTON_U and t.u_label == label:
-            return t.u_ids
-        if photon == model.PHOTON_D and t.d_label == label:
-            return t.d_ids
-    raise ValueError(f"unknown context label {label!r}")
 
 
 def max_bound(
@@ -181,7 +158,7 @@ def max_bound(
     """
     if strategy_class not in STRATEGY_CLASSES:
         raise ValueError(f"unknown strategy class {strategy_class!r}")
-    t = _sign_matrix(bell)
+    t = bell.signs
     n_ctx = t.shape[0]
 
     # The signed maximum equals the maximum of |value|: flipping one degree
@@ -270,7 +247,7 @@ def factorizable_chsh_lemma_check(max_dof: int = 3) -> LemmaCheckReport:
 
     chsh = bell_mod.build_beta_pi()
     side = _factorizable_context_values(chsh)
-    values = side @ _sign_matrix(chsh) @ side.T
+    values = side @ chsh.signs @ side.T
     chsh_values = tuple(sorted(set(int(v) for v in values.ravel())))
     rows = tuple(
         LemmaCheckRow(

@@ -191,36 +191,19 @@ def hyper_state(theta: float, phi: float) -> QuantumState:
     return QuantumState.pure(full, dof_count=2)
 
 
-@dataclass(frozen=True)
-class LocalObservable:
-    """A photon's joint polarization-path observable embedded in dim 16.
-
-    ``projectors`` maps each outcome pair (pol, path) in {+1, -1}^2 to its
-    rank-4 projector; the four projectors sum to the identity.
-    """
-
-    photon: str
-    operator: np.ndarray
-    projectors: dict
-
-
-def _embed_pair(pol_matrix: np.ndarray, path_matrix: np.ndarray, photon: str) -> np.ndarray:
-    if photon == PHOTON_U:
-        return qcore.tensor_all(pol_matrix, _I2, path_matrix, _I2)
-    if photon == PHOTON_D:
-        return qcore.tensor_all(_I2, pol_matrix, _I2, path_matrix)
-    raise ValueError(f"unknown photon {photon!r}")
-
-
 def pair_projectors(pol_matrix, path_matrix, photon: str) -> dict:
-    """Joint-outcome projectors for explicit 2x2 dichotomic observables,
-    embedded in the two-photon space (dim 16).
+    """One photon's joint-outcome projectors embedded in the two-photon
+    space (dim 16).
 
-    No name/side bookkeeping, so an observable can sit on the photon that
-    does not own its name (e.g. A_pi on photon d).  Born probabilities use
-    the unembedded ``local_projectors`` instead; this embedding is the
-    reference they are tested against.
+    Maps each outcome pair (pol, path) in {+1, -1}^2 to its rank-4
+    projector; the four sum to the identity.  The observables are explicit
+    2x2 matrices, so one can sit on the photon that does not own its name
+    (e.g. A_pi on photon d).  Born probabilities use the unembedded
+    ``local_projectors`` instead; this embedding is the reference they are
+    tested against.
     """
+    if photon not in PHOTONS:
+        raise ValueError(f"unknown photon {photon!r}")
     pm = qcore.as_matrix(pol_matrix)
     km = qcore.as_matrix(path_matrix)
     out = {}
@@ -228,7 +211,10 @@ def pair_projectors(pol_matrix, path_matrix, photon: str) -> dict:
         p_pol = (_I2 + s * pm) / 2.0
         for t in (+1, -1):
             p_path = (_I2 + t * km) / 2.0
-            out[(s, t)] = _embed_pair(p_pol, p_path, photon)
+            if photon == PHOTON_U:
+                out[(s, t)] = qcore.tensor_all(p_pol, _I2, p_path, _I2)
+            else:
+                out[(s, t)] = qcore.tensor_all(_I2, p_pol, _I2, p_path)
     return out
 
 
@@ -249,30 +235,6 @@ def local_projectors(pol_matrix, path_matrix) -> np.ndarray:
     pol = (_I2 + _SIGNS[:, None, None] * pm) / 2.0
     path = (_I2 + _SIGNS[:, None, None] * km) / 2.0
     return np.einsum("sac,tbd->stabcd", pol, path).reshape(4, 4, 4)
-
-
-def local_setting_operator(pol: ObservableId, path: ObservableId, photon: str) -> LocalObservable:
-    """Embed a photon's (polarization x path) product observable in dim 16.
-
-    The observable names must belong to the requested photon and the kinds
-    must match the argument slots.
-    """
-    if pol.kind != POLARIZATION:
-        raise ValueError(f"{pol.label} is not a polarization observable")
-    if path.kind != PATH:
-        raise ValueError(f"{path.label} is not a path observable")
-    if photon not in PHOTONS:
-        raise ValueError(f"unknown photon {photon!r}")
-    if pol.side != photon or path.side != photon:
-        raise ValueError(
-            f"observables ({pol.label}, {path.label}) do not belong to photon {photon}"
-        )
-    op = _embed_pair(observable(pol), observable(path), photon)
-    return LocalObservable(
-        photon=photon,
-        operator=op,
-        projectors=pair_projectors(observable(pol), observable(path), photon),
-    )
 
 
 NOISE_NONE = "none"

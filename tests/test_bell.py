@@ -128,6 +128,38 @@ class TestProductOperator:
             bell.build_beta_product([bell.canonical_product(2), bell.build_beta_pi()])
 
 
+def _context(ids, alternate: str) -> int:
+    """Context index: bit 1 for the alternate name, factor 0 most significant."""
+    idx = 0
+    for obs in ids:
+        idx = 2 * idx + (obs.name == alternate)
+    return idx
+
+
+SIGN_TABLE_OPERATORS = {
+    **{f"canonical-{n}": lambda n=n: bell.canonical_product(n) for n in range(1, 5)},
+    "k-pi": lambda: bell.build_beta_product([bell.build_beta_k(), bell.build_beta_pi()]),
+    "pi-pi-pi": lambda: bell.build_beta_product([bell.build_beta_pi()] * 3),
+    "k-k": lambda: bell.build_beta_product([bell.build_beta_k()] * 2),
+}
+
+
+class TestSignTable:
+    @pytest.mark.parametrize("name", sorted(SIGN_TABLE_OPERATORS))
+    def test_sign_table_matches_every_term(self, name):
+        """The Kronecker sign table holds each term's sign at its (u, d)
+        contexts, and the 4^N terms fill its cells one each."""
+        op = SIGN_TABLE_OPERATORS[name]()
+        n_ctx = 2**op.dof_count
+        assert op.signs.shape == (n_ctx, n_ctx)
+        cells = set()
+        for term in op.terms:
+            cell = (_context(term.u_ids, "a"), _context(term.d_ids, "b"))
+            assert op.signs[cell] == term.sign
+            cells.add(cell)
+        assert len(cells) == n_ctx * n_ctx
+
+
 class TestQuantumValue:
     def test_maximally_mixed_gives_zero(self):
         op = bell.canonical_product(2)

@@ -267,6 +267,72 @@ class TestDofScope:
         assert run_inproc(study, "--dof", "3", "--format", "csv") == 0
 
 
+class TestUnreadKeys:
+    """An explicitly set key the study never reads used to be recorded in the
+    JSON config and otherwise ignored; it is now refused with the key named."""
+
+    @pytest.mark.parametrize(
+        "argv,key",
+        [
+            (["ideal", "--noise", "dephasing"], "noise"),
+            (["ideal", "--noise", "white"], "noise"),
+            (["ideal", "--v", "0.5"], "v"),
+            (["ideal", "--v-pi", "0.5"], "v_pi"),
+            (["ideal", "--v-k", "0.5"], "v_k"),
+            (["ideal", "--events", "77"], "events"),
+            (["ideal", "--seed", "3"], "seed"),
+            (["ideal", "--class", "factorizable"], "class"),
+            (["bounds", "--events", "9"], "events"),
+            (["bounds", "--noise", "none"], "noise"),
+            (["bounds", "--theta", "1"], "theta"),
+            (["bounds", "--seed", "1"], "seed"),
+            (["scaling", "--class", "unrestricted"], "class"),
+            (["scaling", "--seed", "5"], "seed"),
+            (["scaling", "--theta", "1"], "theta"),
+            (["scaling", "--phi", "1"], "phi"),
+            (["simulate", "--class", "factorizable", "--events", "100"], "class"),
+            (["assumptions", "--class", "unrestricted", "--events", "100"], "class"),
+        ],
+    )
+    def test_unread_flag_refused(self, argv, key, capsys):
+        assert run_inproc(*argv) == 2
+        captured = capsys.readouterr()
+        assert f"'{key}'" in captured.err and captured.out == ""
+
+    def test_every_unread_key_named(self, capsys):
+        argv = ("ideal", "--noise", "dephasing", "--v-pi", "0.5", "--events", "77",
+                "--class", "factorizable", "--format", "json")
+        assert run_inproc(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        for key in ("noise", "v_pi", "events", "class"):
+            assert f"'{key}'" in captured.err
+
+    def test_unread_config_file_key_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("theta = pi\nevents = 77\n")
+        assert run_inproc("ideal", "--config", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert "'events'" in err and "'theta'" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ideal", "--theta", "0.3", "--phi", "1", "--dof", "2", "--noise", "none"],
+            ["bounds", "--dof", "2", "--class", "unrestricted"],
+            ["scaling", "--dof", "3"],
+            ["simulate", "--theta", "1", "--phi", "2", "--noise", "white", "--v", "0.9",
+             "--v-k", "0.8", "--events", "100", "--seed", "4", "--dof", "2"],
+            ["assumptions", "--noise", "dephasing", "--v-pi", "0.9", "--events", "100",
+             "--seed", "4"],
+        ],
+    )
+    def test_read_keys_accepted(self, argv, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert run_inproc(*argv, "--format", "json", "--out", str(out)) == 0
+        assert json.loads(out.read_text())["study"] == argv[0]
+
+
 class TestOutput:
     def test_out_writes_identical_bytes(self, tmp_path):
         target = tmp_path / "report.json"

@@ -1,8 +1,8 @@
 """Byte-golden CLI corpus: a fixed set of invocations must keep its stdout.
 
 The digests pin every output byte, so a refactor or speed-up of the Born
-kernel, the sampler or the renderers that changes any reported digit fails
-here.  Sampled studies report correlations computed from integer counts, so
+kernel, the sign tables, the sampler or the renderers that changes any
+reported digit fails here.  Sampled studies report correlations computed from integer counts, so
 their bytes move only if a count moves.  To add an entry, run it through
 ``cli.main`` and take the sha256 of its stdout; existing entries are never
 re-recorded to make a change pass.
@@ -55,6 +55,24 @@ CORPUS = {
     "ideal-phase": (
         ["ideal", "--theta", "pi/2", "--phi", "1.0"],
         "e91e5352b7ad70e96623e2ba878376051fc063472cdd9926cfb5ad316781ae8a",
+    ),
+    # Full float repr of beta_pi/beta_k, not the table's 6 decimals.
+    "ideal-phase-json": (
+        ["ideal", "--theta", "0.7", "--phi", "-1.3", "--format", "json"],
+        "dec0d126b19968fe55a39efed1eaa39d0b198ac246e51aa720c68bcf03bada2c",
+    ),
+    # Both classes at N = 4: pins the witness token order of each class.
+    "bounds-dof4": (
+        ["bounds", "--dof", "4"],
+        "a6c2bbe4c6dca34e7b46e1c8a5692027a29d3c4830dad4308309e1df768d5b74",
+    ),
+    "bounds-dof3-unrestricted-json": (
+        ["bounds", "--dof", "3", "--class", "unrestricted", "--format", "json"],
+        "75d959e8a27dddb1d401c7a38b4ccc3628a8b3abad6c403cfe978fb9a730dbd6",
+    ),
+    "scaling-dof4-json": (
+        ["scaling", "--dof", "4", "--format", "json"],
+        "096158b9ca22ed6665d454c580305004b481dd33550cc30316665767aec887b4",
     ),
 }
 

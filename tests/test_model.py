@@ -1,4 +1,4 @@
-"""State builder, observables, embeddings, and noise channels."""
+"""State builder, observables, measurement projectors, and noise channels."""
 
 import numpy as np
 import pytest
@@ -154,42 +154,56 @@ class TestObservables:
             assert np.max(np.abs(mx @ my + my @ mx)) < 1e-12, f"{x.label},{y.label}"
 
 
+def _setting_projectors(pol, path, photon):
+    return model.pair_projectors(model.observable(pol), model.observable(path), photon)
+
+
+def _setting_operator(pol, path, photon):
+    """A photon's (pol x path) product observable embedded in dim 16, built
+    with np.kron in the global order (pol_u, pol_d, path_u, path_d)."""
+    slots = [I2, I2, I2, I2]
+    first = 0 if photon == "u" else 1
+    slots[first], slots[first + 2] = model.observable(pol), model.observable(path)
+    out = slots[0]
+    for m in slots[1:]:
+        out = np.kron(out, m)
+    return out
+
+
 class TestLocalSettingOperator:
+    """A photon's local setting operator through its joint-outcome
+    projectors, ``model.pair_projectors``."""
+
     def test_u_and_d_commute(self):
-        u = model.local_setting_operator(A_PI, a_K, "u").operator
-        d = model.local_setting_operator(B_PI, b_K, "d").operator
-        assert np.max(np.abs(u @ d - d @ u)) < 1e-12
+        u = _setting_projectors(A_PI, a_K, "u")
+        d = _setting_projectors(B_PI, b_K, "d")
+        for p in u.values():
+            for q in d.values():
+                assert np.max(np.abs(p @ q - q @ p)) < 1e-12
 
     def test_projectors_sum_to_identity(self):
-        local = model.local_setting_operator(a_PI, A_K, "u")
-        total = sum(local.projectors.values())
-        np.testing.assert_allclose(total, np.eye(16), atol=1e-12)
+        for photon in ("u", "d"):
+            total = sum(_setting_projectors(a_PI, A_K, photon).values())
+            np.testing.assert_allclose(total, np.eye(16), atol=1e-12)
 
     def test_projectors_have_rank_four(self):
-        local = model.local_setting_operator(A_PI, a_K, "u")
-        for p in local.projectors.values():
+        for p in _setting_projectors(A_PI, a_K, "u").values():
             assert np.trace(p).real == pytest.approx(4.0, abs=1e-12)
             np.testing.assert_allclose(p @ p, p, atol=1e-12)
 
     def test_spectral_reconstruction(self):
-        """Sum of outcome-weighted projectors rebuilds the operator."""
-        local = model.local_setting_operator(A_PI, A_K, "u")
-        rebuilt = sum(s * t * p for (s, t), p in local.projectors.items())
-        np.testing.assert_allclose(rebuilt, local.operator, atol=1e-12)
+        """Sum of outcome-weighted projectors rebuilds the embedded operator."""
+        for pol, path, photon in ((A_PI, A_K, "u"), (b_PI, a_K, "d")):
+            projectors = _setting_projectors(pol, path, photon)
+            rebuilt = sum(s * t * p for (s, t), p in projectors.items())
+            expected = _setting_operator(pol, path, photon)
+            np.testing.assert_allclose(rebuilt, expected, atol=1e-12)
 
     def test_eigenvalues_eightfold_degenerate(self):
-        local = model.local_setting_operator(B_PI, B_K, "d")
-        eigs = np.linalg.eigvalsh(local.operator)
+        projectors = _setting_projectors(B_PI, B_K, "d")
+        eigs = np.linalg.eigvalsh(sum(s * t * p for (s, t), p in projectors.items()))
         assert np.sum(np.isclose(eigs, 1.0, atol=1e-9)) == 8
         assert np.sum(np.isclose(eigs, -1.0, atol=1e-9)) == 8
-
-    def test_side_and_kind_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="belong"):
-            model.local_setting_operator(A_PI, A_K, "d")
-        with pytest.raises(ValueError, match="not a polarization"):
-            model.local_setting_operator(A_K, A_K, "u")
-        with pytest.raises(ValueError, match="not a path"):
-            model.local_setting_operator(A_PI, A_PI, "u")
 
 
 class TestLocalProjectors:
