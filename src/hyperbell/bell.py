@@ -67,23 +67,6 @@ class BellOperator:
         return self.matrix.shape[0]
 
 
-def term_operator(term: BellTerm) -> np.ndarray:
-    """Unsigned operator of a term in the global tensor layout."""
-    blocks = [
-        qcore.tensor(model.observable(u), model.observable(d))
-        for u, d in zip(term.u_ids, term.d_ids)
-    ]
-    return qcore.tensor_all(*blocks)
-
-
-def reconstruct(bell: BellOperator) -> np.ndarray:
-    """Signed sum of the term operators (must equal ``bell.matrix``)."""
-    out = np.zeros_like(bell.matrix)
-    for term in bell.terms:
-        out += term.sign * term_operator(term)
-    return out
-
-
 def _build_chsh(kind: str, factor_label: str) -> BellOperator:
     u_ids = tuple(ObservableId(n, kind) for n in model.U_SIDE_NAMES)
     d_ids = tuple(ObservableId(n, kind) for n in model.D_SIDE_NAMES)

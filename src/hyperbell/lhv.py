@@ -22,6 +22,12 @@ The search weights contexts with the Kronecker sign table
 ``BellOperator.signs``; the witness is then replayed term by term through
 ``evaluate_strategy``, which reads only the term table, as an independent
 check.  Unrestricted witness tokens are the context labels in context order.
+
+The unrestricted search never builds all 2^n u assignments: each u is split
+into its first and last halves of slots, whose weight tables (2^(n/2) rows
+each) are added by broadcasting in a small integer dtype.  Because u and -u
+have the same value, only the assignments with slot 0 = +1 are searched;
+that half holds the smallest maximizer.
 """
 
 from __future__ import annotations
@@ -153,8 +159,10 @@ def max_bound(
     indices); for unrestricted-vs-unrestricted the d side is closed in
     exact form per u assignment (the best d matches the sign of every
     nonzero weighted context), which covers all pairs without materializing
-    them.  Deterministic: the witness is the lexicographically smallest
-    maximizer.
+    them, and the u side is searched in split halves over the assignments
+    with slot 0 = +1 (``_unrestricted_search``).  The guard is checked
+    before any table is built.  Deterministic: the witness is the
+    lexicographically smallest maximizer.
     """
     if strategy_class not in STRATEGY_CLASSES:
         raise ValueError(f"unknown strategy class {strategy_class!r}")
@@ -166,21 +174,16 @@ def max_bound(
     # the value, so both signs are always attained.  Maximizing the signed
     # value lets the witness replay to +bound exactly.
     if strategy_class == FACTORIZABLE:
-        side = _factorizable_context_values(bell)
-        n_side = side.shape[0]
+        n_side = 4**bell.dof_count
         _check_guard(n_side * n_side, max_pairs)
+        side = _factorizable_context_values(bell)
         values = side @ t @ side.T
         ui, di = np.unravel_index(int(np.argmax(values)), values.shape)
         bound = int(values[ui, di])
     else:
         n_side = 2**n_ctx
         _check_guard(n_side * n_side, max_pairs)
-        side = _assignment_values(n_ctx)
-        weights = side @ t  # row u: context weights u^T T
-        row_best = np.abs(weights).sum(axis=1)
-        ui = int(np.argmax(row_best))
-        bound = int(row_best[ui])
-        di = _min_matching_sign_index(weights[ui])
+        bound, ui, di = _unrestricted_search(t)
 
     witness = LhvStrategy(
         strategy_class=strategy_class,
@@ -198,6 +201,36 @@ def max_bound(
         strategies_evaluated=n_side * n_side,
         strategy_class=strategy_class,
     )
+
+
+def _unrestricted_search(t: np.ndarray) -> tuple:
+    """``(bound, u index, d index)``: the largest ||u^T t||_1 over u, its
+    smallest maximizing u and the smallest d matching that u's weights.
+
+    ``t`` is a square table with entries in {-1, 0, 1}.  A u assignment
+    splits into its first ceil(n/2) slots (hi) and the rest (lo), so its
+    weight row is ``w_hi[u_hi] + w_lo[u_lo]``; the tables are kept context
+    first, so the sum over contexts runs along whole rows.  Every weight
+    has magnitude at most n and every row value at most n^2, which fixes
+    the smallest dtypes that cannot overflow.  u and -u have the same row
+    value, and the complement of an index with slot 0 = -1 is a smaller
+    index with slot 0 = +1, so the smallest maximizer lies in that half:
+    only it is searched, and C-order argmax over (u_hi, u_lo) returns the
+    smallest u index.
+    """
+    n_ctx = t.shape[0]
+    n_hi = (n_ctx + 1) // 2
+    n_lo = n_ctx - n_hi
+    weight_dtype = np.min_scalar_type(-n_ctx)
+    w_hi = (t[:n_hi].T @ _assignment_values(n_hi)[: 2 ** (n_hi - 1)].T).astype(weight_dtype)
+    w_lo = (t[n_hi:].T @ _assignment_values(n_lo).T).astype(weight_dtype)
+    weights = w_hi[:, :, None] + w_lo[:, None, :]  # [context, u_hi, u_lo]
+    np.abs(weights, out=weights)
+    row_best = weights.sum(axis=0, dtype=np.min_scalar_type(-n_ctx * n_ctx))
+    ui = int(np.argmax(row_best))
+    hi, lo = divmod(ui, 2**n_lo)
+    di = _min_matching_sign_index(w_hi[:, hi] + w_lo[:, lo])
+    return int(row_best[hi, lo]), ui, di
 
 
 def _check_guard(count: int, limit: int) -> None:

@@ -1,9 +1,13 @@
 """Local deterministic strategies: evaluation, exhaustive bounds, witnesses."""
 
+import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hyperbell import bell, lhv
 from hyperbell.lhv import FACTORIZABLE, UNRESTRICTED, LhvStrategy
@@ -172,6 +176,12 @@ class TestMaxBound:
             (FACTORIZABLE, lambda: bell.canonical_product(2)),
             (FACTORIZABLE, lambda: bell.canonical_product(3)),
             (UNRESTRICTED, lambda: bell.canonical_product(2)),
+            *(
+                pytest.param(
+                    UNRESTRICTED, lambda n=n: bell.canonical_product(n), id=f"unrestricted-dof{n}"
+                )
+                for n in (1, 3, 4)
+            ),
         ],
     )
     def test_witness_replays_to_bound(self, cls, op_builder):
@@ -179,8 +189,15 @@ class TestMaxBound:
         res = lhv.max_bound(op, cls)
         assert lhv.evaluate_strategy(op, res.witness) == res.bound
 
+    @pytest.mark.parametrize(
+        "n,bound,pairs", [(1, 2, 2**4), (2, 8, 2**8), (3, 20, 2**16), (4, 64, 2**32)]
+    )
+    def test_unrestricted_bound_per_dof(self, n, bound, pairs):
+        res = lhv.max_bound(bell.canonical_product(n), UNRESTRICTED)
+        assert (res.bound, res.strategies_evaluated) == (bound, pairs)
+
     def test_class_containment(self):
-        for n in (1, 2):
+        for n in (1, 2, 3, 4):
             op = bell.canonical_product(n)
             assert (
                 lhv.max_bound(op, FACTORIZABLE).bound
@@ -201,9 +218,70 @@ class TestMaxBound:
         assert err.value.count == 256
         assert "256" in str(err.value)
 
+    def test_factorizable_guard_refuses_before_building_side_table(self, monkeypatch):
+        def refuse(_bell):
+            raise AssertionError("side table built before the guard check")
+
+        monkeypatch.setattr(lhv, "_factorizable_context_values", refuse)
+        with pytest.raises(lhv.EnumerationGuardError) as err:
+            lhv.max_bound(bell.canonical_product(2), FACTORIZABLE, max_pairs=10)
+        assert err.value.count == 256
+
+    def test_unrestricted_memory_is_small(self):
+        op = bell.canonical_product(4)
+        tracemalloc.start()
+        try:
+            lhv.max_bound(op, UNRESTRICTED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
     def test_unknown_class_rejected(self):
         with pytest.raises(ValueError, match="strategy class"):
             lhv.max_bound(bell.build_beta_pi(), "nonlocal")
+
+
+def _reference_unrestricted(t):
+    """Full search: every u assignment's weight row u^T t, no symmetry used."""
+    weights = lhv._assignment_values(t.shape[0]) @ t
+    row_best = np.abs(weights).sum(axis=1)
+    ui = int(np.argmax(row_best))
+    return int(row_best[ui]), ui, lhv._min_matching_sign_index(weights[ui])
+
+
+_CHSH = {"pi": bell.build_beta_pi, "k": bell.build_beta_k}
+
+
+@st.composite
+def _sign_tables(draw):
+    n_ctx = draw(st.integers(1, 16))
+    return draw(arrays(np.int64, (n_ctx, n_ctx), elements=st.integers(-1, 1)))
+
+
+class TestUnrestrictedSearch:
+    """The split-half search returns the full search's (bound, u index, d index)."""
+
+    @pytest.mark.parametrize(
+        "kinds",
+        [
+            pytest.param(kinds, id="-".join(kinds))
+            for n in range(1, bell.MAX_DOF + 1)
+            for kinds in product(_CHSH, repeat=n)
+        ],
+    )
+    def test_matches_full_search_on_products(self, kinds):
+        op = bell.build_beta_product([_CHSH[k]() for k in kinds])
+        assert lhv._unrestricted_search(op.signs) == _reference_unrestricted(op.signs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_sign_tables())
+    @example(np.zeros((1, 1), dtype=np.int64))
+    @example(np.zeros((16, 16), dtype=np.int64))
+    @example(np.eye(3, dtype=np.int64))
+    @example(np.ones((5, 5), dtype=np.int64))
+    def test_matches_full_search_on_tables(self, t):
+        assert lhv._unrestricted_search(t) == _reference_unrestricted(t)
 
 
 class TestLemmaCheck:
