@@ -1,9 +1,12 @@
 """CHSH Bell operators, their tensor products, and the violation scaling law.
 
-A Bell operator is kept as a dense matrix, as its signed term table, one
-term per joint measurement configuration, and as its context sign table,
-the Kronecker product of the factors' 2x2 tables.  The single-factor
-operators use the sign patterns
+A Bell operator is kept as its Kronecker factors plus its context sign
+table, the Kronecker product of the factors' 2x2 tables; the classical
+bounds read nothing else.  The dense matrix and the 4^N-term table, one
+signed term per joint measurement configuration, are built on first read
+(Van Loan, "The ubiquitous Kronecker product", J. Comput. Appl. Math. 123,
+85-100 (2000): keep the factors, form the product only when needed).
+The two single-factor operators are built once, read-only, with the signs
 
     polarization:  -A B + A b + a B + a b
     path:          +A B - A b + a B + a b
@@ -15,8 +18,9 @@ the experimental configurations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import product
 
 import numpy as np
@@ -32,11 +36,12 @@ _SIGNS = {
     model.POLARIZATION: ((-1, 1), (1, 1)),
     model.PATH: ((1, -1), (1, 1)),
 }
+_BASE_LABELS = {model.POLARIZATION: "pi", model.PATH: "k"}
 
 
-def observable_token(obs: ObservableId, factor_label: str) -> str:
+def observable_token(name: str, factor_label: str) -> str:
     """Display token of an observable inside a specific factor, e.g. A_pi."""
-    return f"{obs.name}_{factor_label}"
+    return f"{name}_{factor_label}"
 
 
 @dataclass(frozen=True)
@@ -52,62 +57,94 @@ class BellTerm:
 
 @dataclass(frozen=True)
 class BellOperator:
-    """``signs[cu, cd]``: sign of the term with u context ``cu`` and d context
-    ``cd`` (bit 1 = alternate name a/b, factor 0 most significant)."""
+    """Kronecker product of single-DOF CHSH operators of ``kinds``, factor 0
+    first.  ``signs[cu, cd]``: sign of the term with u context ``cu`` and d
+    context ``cd`` (bit 1 = alternate name a/b, factor 0 most significant).
+    ``matrix`` and ``terms`` are built on first read."""
 
-    matrix: np.ndarray
-    terms: tuple
-    dof_count: int
-    factor_labels: tuple
-    label: str
+    kinds: tuple
     signs: np.ndarray
 
     @property
+    def dof_count(self) -> int:
+        return len(self.kinds)
+
+    @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return 4**self.dof_count
 
+    @property
+    def factor_labels(self) -> tuple:
+        """Per-factor display labels; a repeated kind is numbered (pi, k, pi2)."""
+        labels = []
+        for f, kind in enumerate(self.kinds):
+            n_prev = self.kinds[:f].count(kind)
+            labels.append(_BASE_LABELS[kind] + (f"{n_prev + 1}" if n_prev else ""))
+        return tuple(labels)
 
-def _build_chsh(kind: str, factor_label: str) -> BellOperator:
-    u_ids = tuple(ObservableId(n, kind) for n in model.U_SIDE_NAMES)
-    d_ids = tuple(ObservableId(n, kind) for n in model.D_SIDE_NAMES)
-    signs = _SIGNS[kind]
-    terms = []
-    matrix = np.zeros((4, 4), dtype=complex)
-    for i, u in enumerate(u_ids):
-        for j, d in enumerate(d_ids):
-            sign = signs[i][j]
+    @property
+    def factors(self) -> tuple:
+        """The shared single-DOF operators, one per factor."""
+        return tuple(_FACTORS[kind] for kind in self.kinds)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        if self.dof_count > 1:
+            return qcore.tensor_all(*(f.matrix for f in self.factors))
+        return sum(
+            t.sign * qcore.tensor(model.observable(*t.u_ids), model.observable(*t.d_ids))
+            for t in self.terms
+        )
+
+    @cached_property
+    def terms(self) -> tuple:
+        """All 4^N terms, factor 0 slowest; per factor in order AB, Ab, aB, ab."""
+        per_factor = [
+            [
+                (ObservableId(u, kind), ObservableId(d, kind), _SIGNS[kind][i][j],
+                 observable_token(u, lab), observable_token(d, lab))
+                for i, u in enumerate(model.U_SIDE_NAMES)
+                for j, d in enumerate(model.D_SIDE_NAMES)
+            ]
+            for kind, lab in zip(self.kinds, self.factor_labels)
+        ]
+        terms = []
+        for combo in product(*per_factor):
+            u_ids, d_ids, signs, u_tokens, d_tokens = zip(*combo)
             terms.append(
                 BellTerm(
-                    u_ids=(u,),
-                    d_ids=(d,),
-                    sign=sign,
-                    u_label=observable_token(u, factor_label),
-                    d_label=observable_token(d, factor_label),
+                    u_ids=u_ids,
+                    d_ids=d_ids,
+                    sign=math.prod(signs),
+                    u_label=" ".join(u_tokens),
+                    d_label=" ".join(d_tokens),
                 )
             )
-            matrix += sign * qcore.tensor(model.observable(u), model.observable(d))
-    return BellOperator(
-        matrix=matrix,
-        terms=tuple(terms),
-        dof_count=1,
-        factor_labels=(factor_label,),
-        label=f"beta_{factor_label}",
-        signs=np.array(signs, dtype=np.int64),
-    )
+        return tuple(terms)
+
+
+def _build_chsh(kind: str) -> BellOperator:
+    op = BellOperator(kinds=(kind,), signs=np.array(_SIGNS[kind], dtype=np.int64))
+    op.signs.setflags(write=False)
+    op.matrix.setflags(write=False)
+    return op
+
+
+_FACTORS = {kind: _build_chsh(kind) for kind in _SIGNS}
 
 
 def build_beta_pi() -> BellOperator:
-    """Polarization CHSH operator, term signs (-, +, +, +)."""
-    return _build_chsh(model.POLARIZATION, "pi")
+    """Polarization CHSH operator, term signs (-, +, +, +); shared, read-only."""
+    return _FACTORS[model.POLARIZATION]
 
 
 def build_beta_k() -> BellOperator:
-    """Path CHSH operator, term signs (+, -, +, +)."""
-    return _build_chsh(model.PATH, "k")
+    """Path CHSH operator, term signs (+, -, +, +); shared, read-only."""
+    return _FACTORS[model.PATH]
 
 
 def build_beta_product(factors) -> BellOperator:
-    """Tensor product of single-DOF CHSH operators with expanded term table.
+    """Tensor product of single-DOF CHSH operators.
 
     Each of the 4^N terms pairs one u local observable (the product of one
     observable per degree of freedom) with one d local observable.  A single
@@ -121,39 +158,8 @@ def build_beta_product(factors) -> BellOperator:
             raise ValueError("factors must be single degree-of-freedom operators")
     if len(factors) == 1:
         return factors[0]
-
-    labels = []
-    for f in factors:
-        base = f.factor_labels[0]
-        n_prev = sum(1 for used in labels if used.rstrip("0123456789") == base)
-        labels.append(base if n_prev == 0 else f"{base}{n_prev + 1}")
-
-    matrix = qcore.tensor_all(*(f.matrix for f in factors))
-    terms = []
-    for combo in product(*(f.terms for f in factors)):
-        sign = 1
-        u_ids, d_ids = [], []
-        for t in combo:
-            sign *= t.sign
-            u_ids.extend(t.u_ids)
-            d_ids.extend(t.d_ids)
-        u_label = " ".join(observable_token(o, lab) for o, lab in zip(u_ids, labels))
-        d_label = " ".join(observable_token(o, lab) for o, lab in zip(d_ids, labels))
-        terms.append(
-            BellTerm(
-                u_ids=tuple(u_ids),
-                d_ids=tuple(d_ids),
-                sign=sign,
-                u_label=u_label,
-                d_label=d_label,
-            )
-        )
     return BellOperator(
-        matrix=matrix,
-        terms=tuple(terms),
-        dof_count=len(factors),
-        factor_labels=tuple(labels),
-        label="(x)".join(f.label for f in factors),
+        kinds=tuple(f.kinds[0] for f in factors),
         signs=reduce(np.kron, (f.signs for f in factors)),
     )
 
@@ -162,8 +168,7 @@ def canonical_product(n_dof: int) -> BellOperator:
     """N-fold product operator, factor kinds cycling polarization, path, ..."""
     if not 1 <= n_dof <= MAX_DOF:
         raise ValueError(f"dof count must lie in [1, {MAX_DOF}], got {n_dof}")
-    factories = (build_beta_pi, build_beta_k)
-    return build_beta_product([factories[i % 2]() for i in range(n_dof)])
+    return build_beta_product(build_beta_k() if i % 2 else build_beta_pi() for i in range(n_dof))
 
 
 def ideal_state(n_dof: int) -> QuantumState:

@@ -20,8 +20,9 @@ for ideal, which states what that study computes.
 
 Option precedence: command-line flags override the config file, which
 overrides the defaults.  The config file is flat ``key = value`` text with
-``#`` comments; a key repeated in one file, or ``v`` together with ``v_pi``
-or ``v_k`` in one file, is refused.  ``--dof`` ranges over 1..MAX_DOF for
+``#`` comments; a key repeated in one file, ``v`` together with ``v_pi``
+or ``v_k`` in one file, or a ``study`` key that differs from the positional
+study is refused.  ``--dof`` ranges over 1..MAX_DOF for
 bounds and scaling; ideal, simulate and assumptions model exactly 2 degrees
 of freedom and refuse any other value.  All output is byte-deterministic
 for a fixed config and seed.  Exit codes: 0 success, 2 configuration error,
@@ -205,11 +206,16 @@ def _read_config_file(path: str) -> dict:
 
 def build_config(study: str, file_values: dict, flag_values: dict) -> RunConfig:
     """Merge defaults < config file < flags, validating every field."""
+    file_study = file_values.get("study", study)
+    if file_study != study:
+        raise ConfigError(
+            f"key 'study': config file names study '{file_study}', command line '{study}'"
+        )
     merged = dict(_DEFAULTS)
     given = set()  # keys as written, with the shorthand v not expanded
     for source in (file_values, flag_values):
         source = dict(source)
-        source.pop("study", None)  # the positional argument always wins
+        source.pop("study", None)  # only ever restates the positional study
         given.update(source)
         if "v" in source:  # shorthand for both visibilities
             shared = source.pop("v")

@@ -19,9 +19,11 @@ reported witness is the lexicographically smallest maximizer in
 (u index, d index) order.
 
 The search weights contexts with the Kronecker sign table
-``BellOperator.signs``; the witness is then replayed term by term through
-``evaluate_strategy``, which reads only the term table, as an independent
-check.  Unrestricted witness tokens are the context labels in context order.
+``BellOperator.signs``; the witness is then replayed by ``evaluate_strategy``
+as an independent check, over an integer term table whose signs are
+products of the factor term signs.  Witness tokens are built from the
+factor labels (a context token joins one observable token per factor),
+never from the operator's term table.
 
 The unrestricted search never builds all 2^n u assignments: each u is split
 into its first and last halves of slots, whose weight tables (2^(n/2) rows
@@ -33,6 +35,7 @@ that half holds the smallest maximizer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -74,33 +77,41 @@ class BoundResult:
     strategy_class: str
 
 
-def _factor_tokens(bell: BellOperator, photon: str) -> list:
-    """Per-slot observable tokens: [f0 primary, f0 alternate, f1 primary, ...]."""
+def _side_tokens(bell: BellOperator, strategy_class: str, photon: str) -> list:
+    """Strategy keys of one side: its 2N slot tokens (factorizable) or its
+    2^N context tokens (unrestricted), in slot or context order."""
     names = model.U_SIDE_NAMES if photon == model.PHOTON_U else model.D_SIDE_NAMES
-    first = bell.terms[0]
-    ids = first.u_ids if photon == model.PHOTON_U else first.d_ids
-    tokens = []
-    for f, lab in enumerate(bell.factor_labels):
-        for name in names:
-            tokens.append(observable_token(model.ObservableId(name, ids[f].kind), lab))
-    return tokens
+    pairs = [[observable_token(name, lab) for name in names] for lab in bell.factor_labels]
+    if strategy_class == FACTORIZABLE:
+        return [tok for pair in pairs for tok in pair]
+    return [" ".join(tokens) for tokens in product(*pairs)]  # factor 0 slowest
+
+
+def _term_table(bell: BellOperator) -> tuple:
+    """``(u bits, d bits, signs)`` of the 4^N terms, factor 0 slowest: bit
+    [t, f] is 1 where term t takes factor f's alternate name, and each sign
+    is the product of the factor term signs (order AB, Ab, aB, ab)."""
+    n = bell.dof_count
+    bits = _bits(np.arange(4**n), 2 * n)  # per factor: u bit, d bit
+    factor_signs = np.array([[t.sign for t in f.terms] for f in bell.factors])
+    cells = 2 * bits[:, 0::2] + bits[:, 1::2]
+    return bits[:, 0::2], bits[:, 1::2], factor_signs[np.arange(n), cells].prod(axis=1)
 
 
 def evaluate_strategy(bell: BellOperator, strategy: LhvStrategy) -> int:
     """Classical value of a deterministic assignment; exact integers."""
-    total = 0
-    for term in bell.terms:
-        if strategy.strategy_class == FACTORIZABLE:
-            u_val = d_val = 1
-            for obs, lab in zip(term.u_ids, bell.factor_labels):
-                u_val *= _lookup(strategy.side_u, observable_token(obs, lab))
-            for obs, lab in zip(term.d_ids, bell.factor_labels):
-                d_val *= _lookup(strategy.side_d, observable_token(obs, lab))
-        else:
-            u_val = _lookup(strategy.side_u, term.u_label)
-            d_val = _lookup(strategy.side_d, term.d_label)
-        total += term.sign * u_val * d_val
-    return total
+    u_bits, d_bits, values = _term_table(bell)
+    for photon, side, bits in (
+        (model.PHOTON_U, strategy.side_u, u_bits),
+        (model.PHOTON_D, strategy.side_d, d_bits),
+    ):
+        tokens = _side_tokens(bell, strategy.strategy_class, photon)
+        vals = np.array([_lookup(side, tok) for tok in tokens], dtype=np.int64)
+        if strategy.strategy_class == FACTORIZABLE:  # product of the slot values
+            values = values * vals[2 * np.arange(bell.dof_count) + bits].prod(axis=1)
+        else:  # the value of the context the bits index
+            values = values * vals[_bits_index(bits)]
+    return int(values.sum())
 
 
 def _lookup(side: dict, token: str) -> int:
@@ -113,39 +124,33 @@ def _lookup(side: dict, token: str) -> int:
     return val
 
 
+def _bits(idx: np.ndarray, width: int) -> np.ndarray:
+    """Binary digits of each index, most significant first: shape (len, width)."""
+    return (idx[:, None] >> (width - 1 - np.arange(width))) & 1
+
+
+def _bits_index(bits: np.ndarray) -> np.ndarray:
+    """Inverse of ``_bits``: the index of each row of binary digits."""
+    return bits @ (1 << np.arange(bits.shape[-1] - 1, -1, -1))
+
+
 def _assignment_values(n_slots: int) -> np.ndarray:
     """All 2^n_slots sign assignments; row = index, slot 0 most significant."""
-    idx = np.arange(2**n_slots, dtype=np.int64)
-    bits = (idx[:, None] >> (n_slots - 1 - np.arange(n_slots))) & 1
-    return (1 - 2 * bits).astype(np.int64)
+    return 1 - 2 * _bits(np.arange(2**n_slots, dtype=np.int64), n_slots)
 
 
 def _factorizable_context_values(bell: BellOperator) -> np.ndarray:
     """Per-context products of every factorizable side assignment."""
     n = bell.dof_count
     vals = _assignment_values(2 * n)  # slots: (factor, primary/alternate)
-    n_ctx = 2**n
-    out = np.ones((vals.shape[0], n_ctx), dtype=np.int64)
-    for ctx in range(n_ctx):
-        for f in range(n):
-            choice = (ctx >> (n - 1 - f)) & 1
-            out[:, ctx] *= vals[:, 2 * f + choice]
-    return out
+    context_slots = 2 * np.arange(n) + _bits(np.arange(2**n), n)  # [context, factor]
+    return vals[:, context_slots].prod(axis=2)
 
 
 def _strategy_from_index(bell: BellOperator, strategy_class: str, photon: str, index: int) -> dict:
-    if strategy_class == FACTORIZABLE:
-        tokens = _factor_tokens(bell, photon)
-    else:
-        # Terms run over the factors' terms with factor 0 slowest, so each
-        # side's contexts first appear in context order.
-        tokens = list(dict.fromkeys(
-            t.u_label if photon == model.PHOTON_U else t.d_label for t in bell.terms
-        ))
+    tokens = _side_tokens(bell, strategy_class, photon)
     n = len(tokens)
-    return {
-        tok: 1 - 2 * ((index >> (n - 1 - i)) & 1) for i, tok in enumerate(tokens)
-    }
+    return {tok: 1 - 2 * ((index >> (n - 1 - i)) & 1) for i, tok in enumerate(tokens)}
 
 
 def max_bound(
@@ -167,22 +172,20 @@ def max_bound(
     if strategy_class not in STRATEGY_CLASSES:
         raise ValueError(f"unknown strategy class {strategy_class!r}")
     t = bell.signs
-    n_ctx = t.shape[0]
+    n_side = 4**bell.dof_count if strategy_class == FACTORIZABLE else 2 ** t.shape[0]
+    if n_side * n_side > max_pairs:
+        raise EnumerationGuardError(n_side * n_side, max_pairs)
 
     # The signed maximum equals the maximum of |value|: flipping one degree
     # of freedom's pair (factorizable) or a whole side (unrestricted) negates
     # the value, so both signs are always attained.  Maximizing the signed
     # value lets the witness replay to +bound exactly.
     if strategy_class == FACTORIZABLE:
-        n_side = 4**bell.dof_count
-        _check_guard(n_side * n_side, max_pairs)
         side = _factorizable_context_values(bell)
         values = side @ t @ side.T
         ui, di = np.unravel_index(int(np.argmax(values)), values.shape)
         bound = int(values[ui, di])
     else:
-        n_side = 2**n_ctx
-        _check_guard(n_side * n_side, max_pairs)
         bound, ui, di = _unrestricted_search(t)
 
     witness = LhvStrategy(
@@ -233,22 +236,13 @@ def _unrestricted_search(t: np.ndarray) -> tuple:
     return int(row_best[hi, lo]), ui, di
 
 
-def _check_guard(count: int, limit: int) -> None:
-    if count > limit:
-        raise EnumerationGuardError(count, limit)
-
-
 def _min_matching_sign_index(weights: np.ndarray) -> int:
     """Smallest assignment index d with d . weights = +||weights||_1.
 
     Equality requires matching the sign of every nonzero weight; zero-weight
     slots are free, so the smallest index puts +1 there.
     """
-    signs = np.sign(weights).astype(np.int64)
-    idx = 0
-    for s in signs:
-        idx = (idx << 1) | (0 if s >= 0 else 1)
-    return idx
+    return int(_bits_index(weights < 0))
 
 
 @dataclass(frozen=True)

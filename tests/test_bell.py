@@ -1,10 +1,14 @@
 """Bell operators, quantum predictions, and the scaling law."""
 
+from functools import reduce
+from itertools import product
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from hyperbell import bell, model, qcore
-from hyperbell.model import NoiseModel, QuantumState
+from hyperbell import bell, lhv, model, qcore
+from hyperbell.model import NoiseModel, ObservableId, QuantumState
 
 SZ = np.diag([1, -1]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -171,6 +175,97 @@ class TestSignTable:
             assert op.signs[cell] == term.sign
             cells.add(cell)
         assert len(cells) == n_ctx * n_ctx
+
+
+def _reference_chsh(kind, label):
+    """The former eager single-DOF build: matrix, terms and sign table."""
+    table = {model.POLARIZATION: ((-1, 1), (1, 1)), model.PATH: ((1, -1), (1, 1))}[kind]
+    terms = []
+    matrix = np.zeros((4, 4), dtype=complex)
+    for i, u in enumerate(ObservableId(n, kind) for n in model.U_SIDE_NAMES):
+        for j, d in enumerate(ObservableId(n, kind) for n in model.D_SIDE_NAMES):
+            terms.append(bell.BellTerm((u,), (d,), table[i][j], f"{u.name}_{label}",
+                                       f"{d.name}_{label}"))
+            matrix += table[i][j] * qcore.tensor(model.observable(u), model.observable(d))
+    return SimpleNamespace(matrix=matrix, terms=tuple(terms), dof_count=1, dim=4,
+                           factor_labels=(label,), signs=np.array(table, dtype=np.int64))
+
+
+def _reference_product(kinds):
+    """The former eager ``build_beta_product`` loop over 4^N string terms."""
+    base = {model.POLARIZATION: "pi", model.PATH: "k"}
+    factors = [_reference_chsh(kind, base[kind]) for kind in kinds]
+    if len(factors) == 1:
+        return factors[0]
+    labels = []
+    for f in factors:
+        b = f.factor_labels[0]
+        n_prev = sum(1 for used in labels if used.rstrip("0123456789") == b)
+        labels.append(b if n_prev == 0 else f"{b}{n_prev + 1}")
+    terms = []
+    for combo in product(*(f.terms for f in factors)):
+        sign, u_ids, d_ids = 1, [], []
+        for t in combo:
+            sign *= t.sign
+            u_ids.extend(t.u_ids)
+            d_ids.extend(t.d_ids)
+        terms.append(bell.BellTerm(
+            tuple(u_ids), tuple(d_ids), sign,
+            " ".join(f"{o.name}_{lab}" for o, lab in zip(u_ids, labels)),
+            " ".join(f"{o.name}_{lab}" for o, lab in zip(d_ids, labels)),
+        ))
+    return SimpleNamespace(
+        matrix=qcore.tensor_all(*(f.matrix for f in factors)),
+        terms=tuple(terms),
+        dof_count=len(factors),
+        dim=4 ** len(factors),
+        factor_labels=tuple(labels),
+        signs=reduce(np.kron, (f.signs for f in factors)),
+    )
+
+
+_KIND_BUILDERS = {model.POLARIZATION: bell.build_beta_pi, model.PATH: bell.build_beta_k}
+ALL_PRODUCTS = [
+    kinds
+    for n in range(1, 5)
+    for kinds in product((model.POLARIZATION, model.PATH), repeat=n)
+]
+
+
+class TestStructuredOperator:
+    @pytest.mark.parametrize("kinds", ALL_PRODUCTS, ids=lambda k: "-".join(k))
+    def test_equals_eager_build(self, kinds):
+        """Lazy matrix and terms are bit-identical to the former eager build."""
+        op = bell.build_beta_product([_KIND_BUILDERS[k]() for k in kinds])
+        ref = _reference_product(kinds)
+        assert (op.dim, op.dof_count) == (ref.dim, ref.dof_count)
+        assert op.factor_labels == ref.factor_labels
+        assert op.signs.dtype == ref.signs.dtype and np.array_equal(op.signs, ref.signs)
+        assert op.matrix.dtype == ref.matrix.dtype and op.matrix.shape == ref.matrix.shape
+        assert np.array_equal(op.matrix, ref.matrix)
+        assert op.matrix.tobytes() == ref.matrix.tobytes()
+        assert op.terms == ref.terms
+        assert all(type(t.sign) is int for t in op.terms)
+
+    @pytest.mark.parametrize("cls", [lhv.FACTORIZABLE, lhv.UNRESTRICTED])
+    def test_bounds_build_neither_matrix_nor_terms(self, cls, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("the dense matrix was built")
+
+        monkeypatch.setattr(qcore, "tensor_all", refuse)
+        op = bell.canonical_product(4)
+        lhv.max_bound(op, cls)
+        assert op.dim == 256 and op.dof_count == 4
+        assert "matrix" not in vars(op) and "terms" not in vars(op)
+
+    def test_shared_factors_are_read_only(self):
+        for build in (bell.build_beta_pi, bell.build_beta_k):
+            assert build() is build()
+            with pytest.raises(ValueError):
+                build().matrix[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                build().signs[0, 0] = 0
+        assert bell.canonical_product(2).factors == (bell.build_beta_pi(), bell.build_beta_k())
 
 
 class TestQuantumValue:

@@ -232,6 +232,17 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert f"'{specific}'" in err and "'v'" in err and "line 1" in err and ":2:" in err
 
+    def test_config_study_must_match_positional(self, tmp_path, capsys):
+        """A differing study key in the file used to be dropped silently, so
+        the run went on as the positional study."""
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text("study = simulate\n")
+        assert run_inproc("ideal", "--config", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert "'study'" in err and "simulate" in err and "ideal" in err
+        cfg.write_text("study = ideal\n")
+        assert run_inproc("ideal", "--config", str(cfg)) == 0
+
     def test_config_shorthand_overridden_by_flag(self, tmp_path, capsys):
         cfg = tmp_path / "shared.cfg"
         cfg.write_text("v = 0.8\nevents = 100\nformat = json\n")

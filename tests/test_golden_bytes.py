@@ -74,6 +74,28 @@ CORPUS = {
         ["scaling", "--dof", "4", "--format", "json"],
         "096158b9ca22ed6665d454c580305004b481dd33550cc30316665767aec887b4",
     ),
+    # Bounds and scaling at the other DOF counts and formats: pin the
+    # witness tokens of a single factor and of the 2- and 3-fold products.
+    "bounds-dof1": (
+        ["bounds", "--dof", "1"],
+        "7f559cb55127c7a960b889a3fbf25e4ec3f182aee774b31f14f389d7d9f5db74",
+    ),
+    "bounds-dof2-csv": (
+        ["bounds", "--dof", "2", "--format", "csv"],
+        "9ccaf3e647f318c2f465c03926ccaf4fabb7b83196fb924de594e7ae1d19bc62",
+    ),
+    "bounds-dof3-factorizable-json": (
+        ["bounds", "--dof", "3", "--class", "factorizable", "--format", "json"],
+        "823fa13a9c7234a9d8384f7d87d139ccca6935abf5cea91207d22ca18ff7c47c",
+    ),
+    "scaling-dof3": (
+        ["scaling", "--dof", "3"],
+        "9a65f67340cad960decb03f7176b6cb9c16f6a855b780c46ea9b33290c4ef6cd",
+    ),
+    "scaling-dof3-csv": (
+        ["scaling", "--dof", "3", "--format", "csv"],
+        "6e9cf1c35c18d0e801bac2354475fd13e5a506e8e9a5043cee007d6ebd918c07",
+    ),
 }
 
 

@@ -1,5 +1,6 @@
 """Local deterministic strategies: evaluation, exhaustive bounds, witnesses."""
 
+import re
 import tracemalloc
 from itertools import product
 
@@ -282,6 +283,82 @@ class TestUnrestrictedSearch:
     @example(np.ones((5, 5), dtype=np.int64))
     def test_matches_full_search_on_tables(self, t):
         assert lhv._unrestricted_search(t) == _reference_unrestricted(t)
+
+
+def _reference_evaluate(op, strategy):
+    """The former string replay: every term's tokens looked up per term."""
+    def lookup(side, token):
+        try:
+            val = side[token]
+        except KeyError:
+            raise ValueError(f"strategy has no assignment for {token!r}") from None
+        if val not in (-1, 1):
+            raise ValueError(f"assignment for {token!r} must be +-1, got {val!r}")
+        return val
+
+    total = 0
+    for term in op.terms:
+        if strategy.strategy_class == FACTORIZABLE:
+            u_val = d_val = 1
+            for obs, lab in zip(term.u_ids, op.factor_labels):
+                u_val *= lookup(strategy.side_u, f"{obs.name}_{lab}")
+            for obs, lab in zip(term.d_ids, op.factor_labels):
+                d_val *= lookup(strategy.side_d, f"{obs.name}_{lab}")
+        else:
+            u_val = lookup(strategy.side_u, term.u_label)
+            d_val = lookup(strategy.side_d, term.d_label)
+        total += term.sign * u_val * d_val
+    return total
+
+
+def _reference_tokens(op, cls, photon):
+    """A side's keys read off the string term table, in first-use order."""
+    labels = [t.u_label if photon == "u" else t.d_label for t in op.terms]
+    if cls == FACTORIZABLE:
+        labels = [tok for label in labels for tok in label.split()]
+    return list(dict.fromkeys(labels))
+
+
+@st.composite
+def _random_strategies(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(_CHSH)), min_size=1, max_size=bell.MAX_DOF))
+    op = bell.build_beta_product([_CHSH[k]() for k in kinds])
+    cls = draw(st.sampled_from([FACTORIZABLE, UNRESTRICTED]))
+    sides = []
+    for photon in ("u", "d"):
+        tokens = _reference_tokens(op, cls, photon)
+        values = draw(st.lists(st.sampled_from([1, -1]), min_size=len(tokens),
+                               max_size=len(tokens)))
+        sides.append(dict(zip(tokens, values)))
+    return op, LhvStrategy(cls, side_u=sides[0], side_d=sides[1]), draw(st.randoms())
+
+
+class TestIntegerReplay:
+    """The integer term table replays every strategy as the string replay did."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_random_strategies())
+    def test_equals_string_replay(self, case):
+        op, strategy, _ = case
+        value = lhv.evaluate_strategy(op, strategy)
+        assert type(value) is int
+        assert value == _reference_evaluate(op, strategy)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_random_strategies(), st.sampled_from([None, 0, 2, -2, 1.5]))
+    def test_bad_assignment_names_token(self, case, bad):
+        """A dropped token (``None``) or a non-+-1 value raises in both
+        replays, naming that token."""
+        op, strategy, rnd = case
+        side = rnd.choice([strategy.side_u, strategy.side_d])
+        token = rnd.choice(sorted(side))
+        if bad is None:
+            del side[token]
+        else:
+            side[token] = bad
+        for replay in (lhv.evaluate_strategy, _reference_evaluate):
+            with pytest.raises(ValueError, match=re.escape(repr(token))):
+                replay(op, strategy)
 
 
 class TestLemmaCheck:
