@@ -55,7 +55,7 @@ class BellTerm:
     d_label: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # ndarray fields: identity equality and hash
 class BellOperator:
     """Kronecker product of single-DOF CHSH operators of ``kinds``, factor 0
     first.  ``signs[cu, cd]``: sign of the term with u context ``cu`` and d

@@ -12,21 +12,27 @@ tables, per-DOF CHSH, 16 joint settings), scaling (quantum/classical ratio
 versus the number of degrees of freedom), assumptions (element-of-reality
 context-independence check).
 
-Each study reads only some keys (``_STUDY_KEYS``): ideal reads theta, phi
-and dof; bounds dof and class; scaling dof; simulate and assumptions all
-but class; every study reads format and out.  Any other key set by a flag
-or the config file is refused with the key named, except ``noise = none``
-for ideal, which states what that study computes.
+``OPTIONS`` has one row per option (key, default, parser, flag metavar and
+help): the ``--flag`` (key with ``-`` for ``_``), the config-file key and
+the default come from it, and flag and file values go through the same
+parser, so a bad value, a choice included, is a config error naming the key.
+``STUDIES`` has one row per study: the keys it reads and its runner.  Ideal
+reads theta, phi and dof; bounds dof and class; scaling dof; simulate and
+assumptions all but class; every study reads format and out.  Any other key
+set by a flag or the config file is refused with the key named, except
+``noise = none`` for ideal, which states what that study computes.  A CSV
+header is the key order of the study's row dicts.
 
 Option precedence: command-line flags override the config file, which
-overrides the defaults.  The config file is flat ``key = value`` text with
-``#`` comments; a key repeated in one file, ``v`` together with ``v_pi``
-or ``v_k`` in one file, or a ``study`` key that differs from the positional
-study is refused.  ``--dof`` ranges over 1..MAX_DOF for
+overrides the defaults.  The config file is flat ``key = value`` UTF-8 text
+with ``#`` comments; a key repeated in one file, ``v`` together with
+``v_pi`` or ``v_k`` in one file, or a ``study`` key that differs from the
+positional study is refused.  ``--dof`` ranges over 1..MAX_DOF for
 bounds and scaling; ideal, simulate and assumptions model exactly 2 degrees
-of freedom and refuse any other value.  All output is byte-deterministic
-for a fixed config and seed.  Exit codes: 0 success, 2 configuration error,
-3 numerical failure, 4 enumeration guard exceeded.
+of freedom and refuse any other value; an empty ``out`` is refused.  All
+output is byte-deterministic for a fixed config and seed.  Exit codes: 0
+success, 2 configuration error, 3 numerical failure, 4 enumeration guard
+exceeded.
 """
 
 from __future__ import annotations
@@ -37,32 +43,17 @@ import io
 import json
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 from . import bell, lhv, model, qcore, rng, simlab
 
-STUDIES = ("ideal", "bounds", "simulate", "scaling", "assumptions")
 FORMATS = ("table", "csv", "json")
-CLASSES = (lhv.FACTORIZABLE, lhv.UNRESTRICTED)
 
 
 class ConfigError(ValueError):
     """Invalid configuration; the message names the offending key."""
-
-
-_DEFAULTS = {
-    "theta": math.pi,
-    "phi": 0.0,
-    "noise": model.NOISE_WHITE,
-    "v_pi": 0.9,
-    "v_k": 0.9,
-    "events": 100_000,
-    "seed": 0,
-    "dof": 2,
-    "class": None,
-    "format": "table",
-    "out": None,
-}
 
 
 @dataclass(frozen=True)
@@ -113,69 +104,85 @@ def _parse_unit(key: str, text: str) -> float:
     return value
 
 
-def _parse_int(key: str, text: str, minimum: int, maximum: int | None = None) -> int:
+def _parse_int(key: str, text: str, minimum: int, maximum: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise ConfigError(f"key '{key}': expected an integer, got {text!r}")
-    if value < minimum or (maximum is not None and value > maximum):
-        hi = f", {maximum}]" if maximum is not None else ", ...)"
-        raise ConfigError(f"key '{key}': value {value} outside [{minimum}{hi}")
+    if not minimum <= value <= maximum:
+        raise ConfigError(f"key '{key}': value {value} outside [{minimum}, {maximum}]")
     return value
 
 
-def _parse_choice(key: str, text: str, choices: tuple) -> str:
+def _parse_choice(key: str, text: str, choices) -> str:
     if text not in choices:
         raise ConfigError(f"key '{key}': expected one of {'/'.join(choices)}, got {text!r}")
     return text
 
 
-def _coerce(key: str, text: str):
-    if key in ("theta", "phi"):
-        return _parse_angle(key, text)
-    if key in ("v", "v_pi", "v_k"):
-        return _parse_unit(key, text)
-    if key == "noise":
-        return _parse_choice(key, text, model.NOISE_KINDS)
-    if key == "events":
-        return _parse_int(key, text, minimum=2, maximum=rng.MAX_EVENTS)
-    if key == "seed":
-        return _parse_int(key, text, minimum=0, maximum=2**64 - 1)
-    if key == "dof":
-        return _parse_int(key, text, minimum=1, maximum=bell.MAX_DOF)
-    if key == "class":
-        return _parse_choice(key, text, CLASSES)
-    if key == "format":
-        return _parse_choice(key, text, FORMATS)
-    if key == "out":
-        return text
+def _parse_path(key: str, text: str) -> str:
+    if not text:
+        raise ConfigError(f"key '{key}': expected a file path, got an empty value")
+    return text
+
+
+def _choice(choices: tuple) -> tuple:
+    """Parser and ``{a,b}`` metavar of an option that takes one of ``choices``."""
+    return partial(_parse_choice, choices=choices), "{" + ",".join(choices) + "}"
+
+
+@dataclass(frozen=True)
+class Option:
+    """One option: ``--key`` on the command line (``_`` spelt ``-``) and
+    ``key`` in the config file.  ``parse(key, text)`` validates either."""
+
+    key: str
+    default: object
+    parse: Callable[[str, str], object]
+    metavar: str
+    help: str | None = None
+
+
+OPTIONS = {
+    option.key: option
+    for option in (
+        Option("theta", math.pi, _parse_angle, "R", "polarization pair phase in radians"),
+        Option("phi", 0.0, _parse_angle, "R", "path pair phase in radians"),
+        Option("noise", model.NOISE_WHITE, *_choice(model.NOISE_KINDS)),
+        Option("v", None, _parse_unit, "X", "set both visibilities at once"),
+        Option("v_pi", 0.9, _parse_unit, "X", "polarization visibility in [0, 1]"),
+        Option("v_k", 0.9, _parse_unit, "X", "path visibility in [0, 1]"),
+        Option("events", 100_000, partial(_parse_int, minimum=2, maximum=rng.MAX_EVENTS),
+               "N", "events per setting"),
+        Option("seed", 0, partial(_parse_int, minimum=0, maximum=2**64 - 1),
+               "N", "master RNG seed"),
+        Option("dof", 2, partial(_parse_int, minimum=1, maximum=bell.MAX_DOF),
+               "N", f"degrees of freedom, 1..{bell.MAX_DOF} for bounds and scaling; "
+               "the other studies take only 2"),
+        Option("class", None, *_choice(lhv.STRATEGY_CLASSES),
+               "restrict the bounds study to one strategy class"),
+        Option("format", "table", *_choice(FORMATS)),
+        Option("out", None, _parse_path, "PATH", "write the report here instead of stdout"),
+    )
+}
+
+
+def _parse_file_value(key: str, text: str):
     if key == "study":
         return _parse_choice(key, text, STUDIES)
-    raise ConfigError(f"unknown key '{key}'")
+    if key not in OPTIONS:
+        raise ConfigError(f"unknown key '{key}'")
+    return OPTIONS[key].parse(key, text)
 
 
 _VISIBILITY_RIVALS = {"v": ("v_pi", "v_k"), "v_pi": ("v",), "v_k": ("v",)}
-
-_SAMPLED_KEYS = ("theta", "phi", "noise", "v", "v_pi", "v_k", "events", "seed", "dof")
-
-# Keys each study reads besides format and out.  Any other key set explicitly
-# would be recorded in the report and otherwise ignored, so it is refused.
-# The studies that read the state phases prepare the two-DOF
-# polarization-path state and take no --dof but 2.
-_STUDY_KEYS = {
-    "ideal": ("theta", "phi", "dof"),
-    "bounds": ("dof", "class"),
-    "scaling": ("dof",),
-    "simulate": _SAMPLED_KEYS,
-    "assumptions": _SAMPLED_KEYS,
-}
 
 
 def _read_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}")
     values = {}
     first_line = {}
@@ -187,7 +194,7 @@ def _read_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
         key, _, text = line.partition("=")
         key, text = key.strip(), text.strip()
-        values[key] = _coerce(key, text)
+        values[key] = _parse_file_value(key, text)
         if key in first_line:
             raise ConfigError(
                 f"{path}:{lineno}: key '{key}' repeated (first set on line {first_line[key]})"
@@ -211,7 +218,7 @@ def build_config(study: str, file_values: dict, flag_values: dict) -> RunConfig:
         raise ConfigError(
             f"key 'study': config file names study '{file_study}', command line '{study}'"
         )
-    merged = dict(_DEFAULTS)
+    merged = {key: option.default for key, option in OPTIONS.items()}
     given = set()  # keys as written, with the shorthand v not expanded
     for source in (file_values, flag_values):
         source = dict(source)
@@ -222,12 +229,13 @@ def build_config(study: str, file_values: dict, flag_values: dict) -> RunConfig:
             source.setdefault("v_pi", shared)
             source.setdefault("v_k", shared)
         merged.update(source)
-    if "theta" in _STUDY_KEYS[study] and merged["dof"] != 2:
+    reads = STUDIES[study].keys
+    if "theta" in reads and merged["dof"] != 2:
         raise ConfigError(
             f"key 'dof': study '{study}' models exactly 2 degrees of freedom,"
             f" got {merged['dof']}"
         )
-    unread = given - set(_STUDY_KEYS[study]) - {"format", "out"}
+    unread = given - set(reads) - {"format", "out"}
     if study == "ideal" and merged["noise"] == model.NOISE_NONE:
         unread.discard("noise")  # noise-free is what ideal computes
     if unread:
@@ -301,7 +309,7 @@ def _witness_text(side: dict) -> str:
 
 def _run_bounds(config: RunConfig) -> StudyResult:
     operator = bell.canonical_product(config.dof)
-    classes = (config.strategy_class,) if config.strategy_class else CLASSES
+    classes = (config.strategy_class,) if config.strategy_class else lhv.STRATEGY_CLASSES
     results = [lhv.max_bound(operator, cls) for cls in classes]
     rows = [
         {
@@ -381,17 +389,30 @@ def _run_assumptions(config: RunConfig) -> StudyResult:
     )
 
 
-_RUNNERS = {
-    "ideal": _run_ideal,
-    "bounds": _run_bounds,
-    "simulate": _run_simulate,
-    "scaling": _run_scaling,
-    "assumptions": _run_assumptions,
+@dataclass(frozen=True)
+class Study:
+    """``keys``: what the study reads besides format and out.  Any other key
+    set explicitly would be recorded in the report and otherwise ignored, so
+    it is refused.  The studies that read the state phases prepare the
+    two-DOF polarization-path state and take no --dof but 2."""
+
+    keys: tuple
+    run: Callable[[RunConfig], StudyResult]
+
+
+_SAMPLED_KEYS = ("theta", "phi", "noise", "v", "v_pi", "v_k", "events", "seed", "dof")
+
+STUDIES = {
+    "ideal": Study(("theta", "phi", "dof"), _run_ideal),
+    "bounds": Study(("dof", "class"), _run_bounds),
+    "simulate": Study(_SAMPLED_KEYS, _run_simulate),
+    "scaling": Study(("dof",), _run_scaling),
+    "assumptions": Study(_SAMPLED_KEYS, _run_assumptions),
 }
 
 
 def run(config: RunConfig) -> StudyResult:
-    return _RUNNERS[config.study](config)
+    return STUDIES[config.study].run(config)
 
 
 # --- rendering ---------------------------------------------------------------
@@ -430,22 +451,11 @@ def _emit_json(result: StudyResult) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-_CSV_COLUMNS = {
-    "ideal": ("quantity", "value"),
-    "bounds": ("strategy_class", "bound", "strategies_evaluated", "witness_u", "witness_d"),
-    "scaling": ("dof", "quantum_value", "classical_bound", "ratio", "bound_source"),
-    "simulate": ("setting_u", "setting_d", "E", "std_err", "n_events"),
-    "assumptions": ("setting_u", "setting_d", "E", "std_err", "n_events"),
-}
-
-
 def _emit_csv(result: StudyResult) -> str:
-    columns = _CSV_COLUMNS[result.study]
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in result.rows:
-        writer.writerow([row[c] for c in columns])
+    writer = csv.DictWriter(buf, fieldnames=list(result.rows[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(result.rows)
     return buf.getvalue()
 
 
@@ -588,42 +598,25 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("study", choices=STUDIES)
     parser.add_argument("--config", metavar="PATH", help="flat key = value config file")
-    parser.add_argument("--theta", metavar="R", help="polarization pair phase in radians")
-    parser.add_argument("--phi", metavar="R", help="path pair phase in radians")
-    parser.add_argument("--noise", choices=model.NOISE_KINDS)
-    parser.add_argument("--v", metavar="X", help="set both visibilities at once")
-    parser.add_argument("--v-pi", metavar="X", help="polarization visibility in [0, 1]")
-    parser.add_argument("--v-k", metavar="X", help="path visibility in [0, 1]")
-    parser.add_argument("--events", metavar="N", help="events per setting")
-    parser.add_argument("--seed", metavar="N", help="master RNG seed")
-    parser.add_argument("--dof", metavar="N",
-                        help=f"degrees of freedom, 1..{bell.MAX_DOF} for bounds and scaling; "
-                        "the other studies take only 2")
-    parser.add_argument("--class", dest="strategy_class", choices=CLASSES,
-                        help="restrict the bounds study to one strategy class")
-    parser.add_argument("--format", choices=FORMATS)
-    parser.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
+    for option in OPTIONS.values():
+        parser.add_argument("--" + option.key.replace("_", "-"), dest=option.key,
+                            metavar=option.metavar, help=option.help)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = vars(_build_parser().parse_args(argv))
     try:
-        file_values = _read_config_file(args.config) if args.config else {}
-        flag_values = {}
-        for key, attr in (
-            ("theta", "theta"), ("phi", "phi"), ("noise", "noise"),
-            ("v", "v"), ("v_pi", "v_pi"), ("v_k", "v_k"), ("events", "events"),
-            ("seed", "seed"), ("dof", "dof"), ("class", "strategy_class"),
-            ("format", "format"), ("out", "out"),
-        ):
-            raw = getattr(args, attr)
-            if raw is not None:
-                flag_values[key] = _coerce(key, raw) if isinstance(raw, str) else raw
-        config = build_config(args.study, file_values, flag_values)
+        file_values = _read_config_file(args["config"]) if args["config"] else {}
+        flag_values = {
+            key: option.parse(key, args[key])
+            for key, option in OPTIONS.items()
+            if args[key] is not None
+        }
+        config = build_config(args["study"], file_values, flag_values)
         result = run(config)
         data = emit(result, config.fmt)
-        if config.out:
+        if config.out is not None:
             with open(config.out, "wb") as fh:
                 fh.write(data)
         else:

@@ -119,7 +119,7 @@ def basis_conventions() -> BasisConventions:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # ndarray fields: identity equality and hash
 class QuantumState:
     """Pure or mixed state over N two-photon degrees of freedom (dim 4^N)."""
 

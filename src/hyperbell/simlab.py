@@ -91,7 +91,7 @@ def bell_test_settings() -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # ndarray fields: identity equality and hash
 class OutcomeDistribution:
     setting: JointSetting
     probs: np.ndarray  # 16 cells, u-major

@@ -267,6 +267,12 @@ class TestStructuredOperator:
                 build().signs[0, 0] = 0
         assert bell.canonical_product(2).factors == (bell.build_beta_pi(), bell.build_beta_k())
 
+    def test_equality_is_identity_and_hashable(self):
+        """Field-wise equality compared the ndarray signs and raised."""
+        op, other = bell.canonical_product(2), bell.canonical_product(2)
+        assert op == op and op != other
+        assert len({op, other, op}) == 2
+
 
 class TestQuantumValue:
     def test_maximally_mixed_gives_zero(self):

@@ -3,12 +3,40 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from hyperbell import cli, lhv, qcore, rng
 
 JSON_KEYS = {"study", "config", "rows", "beta", "std_err", "bound", "sigmas", "generator_id"}
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# The CSV headers README documents, one per study.
+CSV_HEADERS = {
+    "ideal": "quantity,value",
+    "bounds": "strategy_class,bound,strategies_evaluated,witness_u,witness_d",
+    "scaling": "dof,quantum_value,classical_bound,ratio,bound_source",
+    "simulate": "setting_u,setting_d,E,std_err,n_events",
+    "assumptions": "setting_u,setting_d,E,std_err,n_events",
+}
+
+# Per option: a study that reads it and a value other than its default.
+OPTION_SAMPLES = {
+    "theta": ("ideal", "pi/2"),
+    "phi": ("ideal", "-0.5"),
+    "noise": ("simulate", "dephasing"),
+    "v": ("simulate", "0.8"),
+    "v_pi": ("simulate", "0.7"),
+    "v_k": ("assumptions", "0.6"),
+    "events": ("simulate", "50"),
+    "seed": ("simulate", "9"),
+    "dof": ("bounds", "3"),
+    "class": ("bounds", "factorizable"),
+    "format": ("scaling", "json"),
+    "out": ("ideal", None),  # a path under the test's tmp_path
+}
 
 
 def run_cli(*args):
@@ -214,6 +242,14 @@ class TestConfigHandling:
         code, _, err = run_cli("simulate", "--config", "/no/such/file.cfg")
         assert code == 2 and "cannot read config" in err
 
+    def test_config_file_not_utf8_refused(self, tmp_path, capsys):
+        """Undecodable bytes used to escape main as a UnicodeDecodeError."""
+        cfg = tmp_path / "latin.cfg"
+        cfg.write_bytes(b"\xff\xfe = 2\n")
+        assert run_inproc("ideal", "--config", str(cfg)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "cannot read config file" in captured.err
+
     def test_repeated_config_key_refused(self, tmp_path, capsys):
         """A repeated key used to be silently last-wins."""
         cfg = tmp_path / "twice.cfg"
@@ -344,6 +380,63 @@ class TestUnreadKeys:
         assert json.loads(out.read_text())["study"] == argv[0]
 
 
+class TestOptionTable:
+    """Flags, config keys, defaults and parsers all come from ``cli.OPTIONS``."""
+
+    def test_samples_cover_every_option(self):
+        assert set(OPTION_SAMPLES) == set(cli.OPTIONS)
+
+    @pytest.mark.parametrize("key", list(cli.OPTIONS))
+    def test_flag_and_file_give_the_same_run(self, key, tmp_path, capsys):
+        study, text = OPTION_SAMPLES[key]
+        target = tmp_path / "report.json"
+        if key == "out":
+            text = str(target)
+        base = [study]
+        if study in ("simulate", "assumptions") and key != "events":
+            base += ["--events", "40"]
+        if key != "format":
+            base += ["--format", "json"]
+
+        def report(*extra):
+            assert run_inproc(*base, *extra) == 0
+            written = target.read_text() if target.exists() else None
+            target.unlink(missing_ok=True)
+            return capsys.readouterr().out, written
+
+        by_flag = report("--" + key.replace("_", "-"), text)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {text}\n")
+        assert report("--config", str(cfg)) == by_flag
+        assert report() != by_flag  # the option changes the run
+        config = json.loads(by_flag[1] or by_flag[0])["config"]
+        expected = cli.OPTIONS[key].parse(key, text)
+        for name in {"v": ("v_pi", "v_k"), "out": ()}.get(key, (key,)):
+            assert config[name] == expected
+
+    @pytest.mark.parametrize("key,study", [("noise", "simulate"), ("class", "bounds"),
+                                           ("format", "ideal")])
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_bad_choice_names_key(self, key, study, source, tmp_path, capsys):
+        """A bad choice given as a flag used to be an argparse usage error;
+        flag and file now take the same config-error path."""
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = bogus\n")
+        argv = [study, "--" + key, "bogus"] if source == "flag" else [study, "--config", str(cfg)]
+        assert run_inproc(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config error: key '{key}': expected one of" in captured.err
+
+    @pytest.mark.parametrize("study", list(cli.STUDIES))
+    def test_csv_header_is_documented(self, study, capsys):
+        extra = ["--events", "40"] if study in ("simulate", "assumptions") else []
+        assert run_inproc(study, *extra, "--format", "csv") == 0
+        header = capsys.readouterr().out.split("\n", 1)[0]
+        assert header == CSV_HEADERS[study]
+        assert f"`{header}`" in README.read_text()
+
+
 class TestOutput:
     def test_out_writes_identical_bytes(self, tmp_path):
         target = tmp_path / "report.json"
@@ -353,6 +446,16 @@ class TestOutput:
         code2, _, _ = run_cli(*args, "--out", str(target))
         assert code2 == 0
         assert target.read_bytes().decode("utf-8") == stdout
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_empty_out_refused(self, source, tmp_path, capsys):
+        """An empty path used to be ignored: the report went to stdout, exit 0."""
+        cfg = tmp_path / "out.cfg"
+        cfg.write_text("out =\n")
+        argv = ["ideal", "--out", ""] if source == "flag" else ["ideal", "--config", str(cfg)]
+        assert run_inproc(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "key 'out'" in captured.err
 
     def test_unwritable_out_path(self):
         code, _, err = run_cli("ideal", "--out", "/no-such-dir/report.txt")

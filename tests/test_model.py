@@ -123,6 +123,12 @@ class TestQuantumState:
         state = QuantumState.mixed(np.eye(4, dtype=complex) / 4)
         assert state.dof_count == 1 and not state.is_pure
 
+    def test_equality_is_identity_and_hashable(self):
+        """Field-wise equality compared the ndarray fields and raised."""
+        state, other = model.hyper_state(np.pi, 0.0), model.hyper_state(np.pi, 0.0)
+        assert state == state and state != other
+        assert len({state, other, state}) == 2
+
 
 class TestObservables:
     def test_polarization_primary_is_diagonal(self):

@@ -56,6 +56,14 @@ class TestSettings:
 
 
 class TestBornDistribution:
+    def test_equality_is_identity_and_hashable(self):
+        """Field-wise equality compared the ndarray probabilities and raised."""
+        setting = _setting("A", "A", "A", "A")
+        dist = simlab.born_distribution(IDEAL, setting)
+        other = simlab.born_distribution(IDEAL, setting)
+        assert dist == dist and dist != other
+        assert len({dist, other, dist}) == 2
+
     def test_perfect_correlations_on_matched_setting(self):
         """With A_pi and A_k measured on both photons of the source state the
         polarization outcomes always agree, and so do the path outcomes."""
