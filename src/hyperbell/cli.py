@@ -607,7 +607,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = vars(_build_parser().parse_args(argv))
     try:
-        file_values = _read_config_file(args["config"]) if args["config"] else {}
+        file_values = {} if args["config"] is None else _read_config_file(args["config"])
         flag_values = {
             key: option.parse(key, args[key])
             for key, option in OPTIONS.items()

@@ -16,13 +16,25 @@ which is the documented seed/index mix referenced in every report.
 Multinomial counts are inverse-CDF counts: an event whose uniform ``u``
 satisfies ``cdf[k-1] <= u < cdf[k]`` lands in cell ``k``.  They are counted
 without materialising the stream: outputs are generated in chunks of
-``CHUNK`` into reused buffers, and for each CDF edge one pass counts the
-outputs at or above it, so ``n_k = #(u >= cdf[k-1]) - #(u >= cdf[k])``.
+``CHUNK`` into reused buffers, and for each CDF edge the chunk's outputs at
+or above it are counted, so ``n_k = #(u >= cdf[k-1]) - #(u >= cdf[k])``.
 The comparison is made on the raw 64-bit outputs, which is exact:
 ``u = (x >> 11) * 2^-53 >= c`` holds exactly when
 ``x >= ceil(c * 2^53) << 11`` for ``c < 1``, and an edge at or above 1.0 is
-never reached.  The counts are identical to looking each uniform up in the
-CDF one event at a time, so they stay pinned to ``GENERATOR_ID``.
+never reached.
+
+Each chunk is counted with one sort instead of one compare pass per edge.
+The top 32-bit words ``hi(x)`` of the chunk are sorted, and every integer
+threshold ``t`` is looked up by its top word ``hi(t)`` on both sides:
+``left = #(hi(x) < hi(t))`` and ``right = #(hi(x) <= hi(t))``.  Since
+``x >= t`` holds whenever ``hi(x) > hi(t)`` and fails whenever
+``hi(x) < hi(t)``, ``#(x >= t)`` lies between ``m - right`` and
+``m - left``; when ``left == right`` no output shares the threshold's top
+word and the count is ``m - left`` exactly.  Only for an edge that ties
+(about 2^-32 per output per edge) is ``#(x >= t)`` recounted on the full
+64-bit chunk, so the lower words decide.  The counts are therefore
+identical to looking each uniform up in the CDF one event at a time, and
+they stay pinned to ``GENERATOR_ID``.
 """
 
 from __future__ import annotations
@@ -88,13 +100,15 @@ def multinomial(probs: np.ndarray, n_events: int, seed: int) -> np.ndarray:
     1.0 so rounding in the cumulative sum cannot produce an out-of-range
     category.  ``n_events`` is at most ``MAX_EVENTS``.
 
-    The stream is consumed in chunks of ``CHUNK`` outputs held in two reused
-    buffers, so memory does not grow with ``n_events``.  Per chunk, one
-    counting pass per distinct CDF edge ``c < 1`` counts the raw outputs
-    ``x >= ceil(c * 2^53) << 11``, which is exactly ``u >= c`` for the
-    uniform ``u`` that ``x`` maps to; cell ``k`` receives
-    ``#(u >= cdf[k-1]) - #(u >= cdf[k])``.  The counts equal those of an
-    event-by-event ``searchsorted(cdf, u, side="right")``.
+    The stream is consumed in chunks of ``CHUNK`` outputs held in reused
+    buffers, so memory does not grow with ``n_events``.  Per chunk, the top
+    32-bit words of the outputs are sorted once, and each reachable CDF
+    edge ``c < 1``, as the integer threshold ``t = ceil(c * 2^53) << 11``,
+    is counted by a two-sided ``searchsorted`` of its top word; an edge
+    whose top word some output shares is recounted as ``#(x >= t)`` on the
+    64-bit outputs (see the module docstring for why this is exact).  Cell
+    ``k`` receives ``#(u >= cdf[k-1]) - #(u >= cdf[k])``.  The counts equal
+    those of an event-by-event ``searchsorted(cdf, u, side="right")``.
     """
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or p.size == 0:
@@ -108,22 +122,29 @@ def multinomial(probs: np.ndarray, n_events: int, seed: int) -> np.ndarray:
     edges = np.cumsum(p)[:-1]
     # Edges ascend, so the reachable ones (< 1.0) are a prefix.
     thresholds = np.ceil(edges[edges < 1.0] * 2.0**53).astype(np.uint64) << np.uint64(11)
+    thresholds_hi = (thresholds >> np.uint64(32)).astype(np.uint32)
     # at_or_above[k] = #(u >= cdf[k-1]): every event for k = 0, none at the top.
     at_or_above = np.zeros(p.size + 1, dtype=np.int64)
     at_or_above[0] = n_events
+    reached = at_or_above[1 : 1 + thresholds.size]  # a view: counts accumulate in place
 
     size = min(n_events, CHUNK)
     steps = np.arange(1, size + 1, dtype=np.uint64)
     steps *= np.uint64(_GAMMA)
     x = np.empty(size, dtype=np.uint64)
     tmp = np.empty(size, dtype=np.uint64)
+    hi = np.empty(size, dtype=np.uint32)
     for start in range(0, n_events, CHUNK):
         m = min(CHUNK, n_events - start)
         base = np.uint64((seed + _GAMMA * start) & _MASK64)
         chunk = _mix(np.add(steps[:m], base, out=x[:m]), tmp[:m])
-        previous = None
-        for k, t in enumerate(thresholds, start=1):
-            if t != previous:  # an edge repeats after an empty cell: reuse its count
-                count, previous = np.count_nonzero(chunk >= t), t
-            at_or_above[k] += count
+        top = hi[:m]
+        np.copyto(top, np.right_shift(chunk, np.uint64(32), out=tmp[:m]), casting="unsafe")
+        top.sort()
+        left = np.searchsorted(top, thresholds_hi, side="left")
+        counts = m - left
+        # An output shares this edge's top word: its lower word decides.
+        for k in np.flatnonzero(left != np.searchsorted(top, thresholds_hi, side="right")):
+            counts[k] = np.count_nonzero(chunk >= thresholds[k])
+        reached += counts
     return at_or_above[:-1] - at_or_above[1:]

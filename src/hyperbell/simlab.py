@@ -12,6 +12,12 @@ are ``real(A @ R @ B.T)``.  No 16x16 projector is built.  The cells agree
 with the trace over embedded 16x16 projectors to about 1e-16, so sampled
 counts and every output byte are identical to that construction.
 
+Only 16 (polarization name, path name) pairs exist per photon, so their
+projector stacks are a constant table built once at import with
+``model.local_projectors``, bitwise equal to a fresh build and read-only.
+The eight context-free marginal operators of the assumption test are a
+constant read-only table in the same way.
+
 Sampling is multinomial on the Born distribution, driven by the seeded
 generator in ``rng`` (identity ``rng.GENERATOR_ID``); every sampled setting
 uses the sub-stream ``rng.derive_seed(seed, stream_index)`` so runs are
@@ -33,6 +39,13 @@ from .rng import GENERATOR_ID
 OUTCOME_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 _I2 = np.eye(2, dtype=complex)
+_NAMES = model.U_SIDE_NAMES + model.D_SIDE_NAMES
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
 
 # Per-cell outcome weights, flattened u-major: cell = 4*i + j.
 _W_POL = np.array(
@@ -103,15 +116,29 @@ class OutcomeDistribution:
 # (pol, path): the contraction Tr[(P_u x P_d) rho] is then A @ R @ B.T.
 _BORN_AXES = (4, 6, 0, 2, 5, 7, 1, 3)
 
+# One photon's four joint-outcome projectors as a 4x16 stack (rows in
+# ``model.local_projectors`` order), per (polarization name, path name).
+_SIDE_PROJECTORS = {
+    (pol, path): _read_only(
+        model.local_projectors(
+            model.observable(ObservableId(pol, model.POLARIZATION)),
+            model.observable(ObservableId(path, model.PATH)),
+        ).reshape(4, 16)
+    )
+    for pol in _NAMES
+    for path in _NAMES
+}
+
 
 def born_distribution(state: QuantumState, setting: JointSetting) -> OutcomeDistribution:
     """Joint outcome probabilities Tr[rho (P_u x P_d)] for one setting.
 
     One contraction: each photon's four projectors stay on its own 4-dim
-    (pol, path) space (``model.local_projectors``), rho is permuted once to
-    photon-local order, and all 16 cells are ``real(A @ R @ B.T)`` with A, B
-    the two projector stacks as 4x16 and R the permuted rho as 16x16.  No
-    16x16 projector is built.  The result agrees with the trace over
+    (pol, path) space, read as a 4x16 stack from the constant table built
+    with ``model.local_projectors``; rho is permuted once to photon-local
+    order, and all 16 cells are ``real(A @ R @ B.T)`` with A, B the two
+    stacks and R the permuted rho as 16x16.  No projector is built per call
+    and no 16x16 projector at all.  The result agrees with the trace over
     embedded projectors (``model.pair_projectors``) to about 1e-16, and
     outputs are byte-identical to it.
 
@@ -120,12 +147,8 @@ def born_distribution(state: QuantumState, setting: JointSetting) -> OutcomeDist
     """
     if state.dof_count != 2:
         raise ValueError("joint settings are defined for the two-DOF state")
-    side_u = model.local_projectors(
-        model.observable(setting.u_pol), model.observable(setting.u_path)
-    ).reshape(4, 16)
-    side_d = model.local_projectors(
-        model.observable(setting.d_pol), model.observable(setting.d_path)
-    ).reshape(4, 16)
+    side_u = _SIDE_PROJECTORS[setting.u_pol.name, setting.u_path.name]
+    side_d = _SIDE_PROJECTORS[setting.d_pol.name, setting.d_path.name]
     r = state.rho.reshape((2,) * 8).transpose(_BORN_AXES).reshape(16, 16)
     probs = np.real(side_u @ r @ side_d.T).ravel()
     lo = float(probs.min())
@@ -313,6 +336,10 @@ class AssumptionReport:
 
 _ASSUMPTION_POL_ROWS = (("A", "A"), ("a", "a"), ("B", "b"), ("b", "B"))
 _ASSUMPTION_PATH_ROWS = (("A", "A"), ("a", "a"), ("B", "B"), ("b", "b"))
+_ASSUMPTION_ROWS = (
+    (model.POLARIZATION, _ASSUMPTION_POL_ROWS),
+    (model.PATH, _ASSUMPTION_PATH_ROWS),
+)
 
 
 def _other_kind(kind: str) -> str:
@@ -348,6 +375,14 @@ def _marginal_operator(kind: str, u_name: str, d_name: str) -> np.ndarray:
     return qcore.tensor_all(_I2, _I2, u_m, d_m)
 
 
+# The context-free marginal operator of every assumption-test row.
+_MARGINAL_OPERATORS = {
+    (kind, u_name, d_name): _read_only(_marginal_operator(kind, u_name, d_name))
+    for kind, row_pairs in _ASSUMPTION_ROWS
+    for u_name, d_name in row_pairs
+}
+
+
 def assumption_test(
     state: QuantumState, n_events: int, seed: int, stream_base: int = 0
 ) -> AssumptionReport:
@@ -362,16 +397,13 @@ def assumption_test(
     """
     rows = {model.POLARIZATION: [], model.PATH: []}
     stream = stream_base
-    for kind, row_pairs in (
-        (model.POLARIZATION, _ASSUMPTION_POL_ROWS),
-        (model.PATH, _ASSUMPTION_PATH_ROWS),
-    ):
+    for kind, row_pairs in _ASSUMPTION_ROWS:
         ctx_kind = _other_kind(kind)
         for u_name, d_name in row_pairs:
             analytic = float(
                 np.real(
                     qcore.expectation_mixed(
-                        _marginal_operator(kind, u_name, d_name), state.rho
+                        _MARGINAL_OPERATORS[kind, u_name, d_name], state.rho
                     )
                 )
             )

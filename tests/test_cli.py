@@ -242,6 +242,13 @@ class TestConfigHandling:
         code, _, err = run_cli("simulate", "--config", "/no/such/file.cfg")
         assert code == 2 and "cannot read config" in err
 
+    def test_empty_config_path_refused(self, capsys):
+        """An empty --config used to be taken as no config file, and the run
+        went on with the defaults."""
+        assert run_inproc("ideal", "--config", "") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "cannot read config file ''" in captured.err
+
     def test_config_file_not_utf8_refused(self, tmp_path, capsys):
         """Undecodable bytes used to escape main as a UnicodeDecodeError."""
         cfg = tmp_path / "latin.cfg"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperbell import bell, model, rng, simlab
+from hyperbell import bell, model, qcore, rng, simlab
 from hyperbell.model import NoiseModel, ObservableId, QuantumState
 from hyperbell.simlab import JointSetting
 
@@ -339,6 +339,37 @@ class TestChunkedMultinomial:
         probs = np.array(weights) / sum(weights)
         _assert_matches_reference(probs, n_events, seed)
 
+    @pytest.mark.parametrize(
+        "case",
+        ["output-above", "output-equal", "output-below", "zero-low-word", "shared-top-word"],
+    )
+    def test_threshold_shares_an_output_top_word(self, case):
+        """Integer thresholds whose top 32-bit word equals a stream output's
+        top word, so the sorted top words tie and the 64-bit recount decides.
+        ``floor`` is the output with its low 11 bits cleared: the largest
+        threshold at or below it (thresholds are multiples of 2^11)."""
+        n_events, seed = 2 * rng.CHUNK + 5, 11
+        x = [int(v) for v in rng.random_uint64(seed, n_events)]
+        if case == "output-equal":
+            pick = next(v for v in x if v & 0x7FF == 0)
+        else:  # strictly above floor, with room below the next top word
+            pick = next(v for v in x if v & 0x7FF and v & 0xFFFFFFFF < 2**32 - 4096)
+        top, floor = pick >> 32 << 32, pick & ~0x7FF
+        thresholds = {
+            "output-above": [floor],
+            "output-equal": [pick],
+            "output-below": [floor + 0x800],
+            "zero-low-word": [top],
+            "shared-top-word": [top, floor, floor + 0x800, floor + 0x1000],
+        }[case]
+        assert all(t >> 32 == pick >> 32 for t in thresholds)
+        # ceil(c * 2^53) << 11 == t for this edge c; each difference of
+        # neighbouring edges is exact, so the cumulative sum gives them back.
+        edges = np.array([(t >> 11) / 2.0**53 for t in thresholds])
+        probs = np.diff(np.concatenate([[0.0], edges, [1.0]]))
+        np.testing.assert_array_equal(np.cumsum(probs)[:-1], edges)
+        _assert_matches_reference(probs, n_events, seed)
+
     def test_memory_flat_in_events(self):
         probs = np.full(16, 1 / 16)
         tracemalloc.start()
@@ -356,6 +387,81 @@ class TestChunkedMultinomial:
             rng.multinomial(np.full(4, 0.25), 0, seed=0)
         with pytest.raises(ValueError, match="nonnegative"):
             rng.multinomial([0.5, np.nan, 0.5], 10, seed=0)
+
+
+def _fresh_side_projectors(pol, path):
+    return model.local_projectors(
+        model.observable(_obs(pol, model.POLARIZATION)),
+        model.observable(_obs(path, model.PATH)),
+    ).reshape(4, 16)
+
+
+def _fresh_marginal_operator(kind, u_name, d_name):
+    u_m = model.observable(_obs(u_name, kind))
+    d_m = model.observable(_obs(d_name, kind))
+    i2 = np.eye(2, dtype=complex)
+    if kind == model.POLARIZATION:
+        return qcore.tensor_all(u_m, d_m, i2, i2)
+    return qcore.tensor_all(i2, i2, u_m, d_m)
+
+
+NAMES = ("A", "a", "B", "b")
+MARGINAL_ROWS = [
+    (model.POLARIZATION, "A", "A"), (model.POLARIZATION, "a", "a"),
+    (model.POLARIZATION, "B", "b"), (model.POLARIZATION, "b", "B"),
+    (model.PATH, "A", "A"), (model.PATH, "a", "a"),
+    (model.PATH, "B", "B"), (model.PATH, "b", "b"),
+]
+
+
+class TestConstantTables:
+    """The projector stacks and marginal operators are built once at import;
+    every entry must be bitwise what a fresh build gives."""
+
+    @pytest.mark.parametrize("pol", NAMES)
+    @pytest.mark.parametrize("path", NAMES)
+    def test_side_projectors_equal_fresh_build(self, pol, path):
+        entry = simlab._SIDE_PROJECTORS[pol, path]
+        fresh = _fresh_side_projectors(pol, path)
+        assert np.array_equal(entry, fresh)
+        assert entry.tobytes() == fresh.tobytes()
+
+    @pytest.mark.parametrize("kind,u_name,d_name", MARGINAL_ROWS)
+    def test_marginal_operators_equal_fresh_build(self, kind, u_name, d_name):
+        entry = simlab._MARGINAL_OPERATORS[kind, u_name, d_name]
+        fresh = _fresh_marginal_operator(kind, u_name, d_name)
+        assert np.array_equal(entry, fresh)
+        assert entry.tobytes() == fresh.tobytes()
+
+    def test_tables_cover_exactly_the_used_keys(self):
+        assert set(simlab._SIDE_PROJECTORS) == {(p, k) for p in NAMES for k in NAMES}
+        assert set(simlab._MARGINAL_OPERATORS) == set(MARGINAL_ROWS)
+
+    def test_entries_are_read_only(self):
+        tables = (simlab._SIDE_PROJECTORS, simlab._MARGINAL_OPERATORS)
+        for entry in (e for table in tables for e in table.values()):
+            with pytest.raises(ValueError, match="read-only"):
+                entry[0, 0] = 0.0
+
+    def test_born_builds_no_projector(self, monkeypatch):
+        expected = [simlab.born_distribution(NOISY, s).probs for s in simlab.bell_test_settings()]
+
+        def boom(*args, **kwargs):
+            raise AssertionError("local_projectors called per setting")
+
+        monkeypatch.setattr(model, "local_projectors", boom)
+        for setting, probs in zip(simlab.bell_test_settings(), expected):
+            assert simlab.born_distribution(NOISY, setting).probs.tobytes() == probs.tobytes()
+
+    def test_second_assumption_test_builds_no_operator(self, monkeypatch):
+        first = simlab.assumption_test(NOISY, n_events=100, seed=3)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("tensor_all called per assumption test")
+
+        monkeypatch.setattr(qcore, "tensor_all", boom)
+        second = simlab.assumption_test(NOISY, n_events=100, seed=3)
+        assert second == first
 
 
 class TestEstimate:
