@@ -24,10 +24,10 @@ from .lhv import (
     BoundResult,
     LhvStrategy,
     evaluate_strategy,
-    factorizable_chsh_lemma_check,
     max_bound,
 )
 from .model import (
+    JointSetting,
     NoiseModel,
     ObservableId,
     QuantumState,
@@ -39,7 +39,6 @@ from .model import (
 from .rng import GENERATOR_ID
 from .simlab import (
     CorrelationRecord,
-    JointSetting,
     ViolationReport,
     assumption_test,
     bell_test_settings,

@@ -26,9 +26,7 @@ from itertools import product
 import numpy as np
 
 from . import model, qcore
-from .model import ObservableId, QuantumState
-
-MAX_DOF = 4
+from .model import MAX_DOF, JointSetting, ObservableId, QuantumState
 
 _I4 = np.eye(4, dtype=complex)
 
@@ -36,23 +34,13 @@ _SIGNS = {
     model.POLARIZATION: ((-1, 1), (1, 1)),
     model.PATH: ((1, -1), (1, 1)),
 }
-_BASE_LABELS = {model.POLARIZATION: "pi", model.PATH: "k"}
-
-
-def observable_token(name: str, factor_label: str) -> str:
-    """Display token of an observable inside a specific factor, e.g. A_pi."""
-    return f"{name}_{factor_label}"
 
 
 @dataclass(frozen=True)
-class BellTerm:
-    """One signed joint configuration: (u local observable, d local observable)."""
+class BellTerm(JointSetting):
+    """One term of a Bell operator: a joint setting and its sign."""
 
-    u_ids: tuple
-    d_ids: tuple
     sign: int
-    u_label: str
-    d_label: str
 
 
 @dataclass(frozen=True, eq=False)  # ndarray fields: identity equality and hash
@@ -76,11 +64,7 @@ class BellOperator:
     @property
     def factor_labels(self) -> tuple:
         """Per-factor display labels; a repeated kind is numbered (pi, k, pi2)."""
-        labels = []
-        for f, kind in enumerate(self.kinds):
-            n_prev = self.kinds[:f].count(kind)
-            labels.append(_BASE_LABELS[kind] + (f"{n_prev + 1}" if n_prev else ""))
-        return tuple(labels)
+        return model.factor_labels(self.kinds)
 
     @property
     def factors(self) -> tuple:
@@ -101,25 +85,16 @@ class BellOperator:
         """All 4^N terms, factor 0 slowest; per factor in order AB, Ab, aB, ab."""
         per_factor = [
             [
-                (ObservableId(u, kind), ObservableId(d, kind), _SIGNS[kind][i][j],
-                 observable_token(u, lab), observable_token(d, lab))
+                (ObservableId(u, kind), ObservableId(d, kind), _SIGNS[kind][i][j])
                 for i, u in enumerate(model.U_SIDE_NAMES)
                 for j, d in enumerate(model.D_SIDE_NAMES)
             ]
-            for kind, lab in zip(self.kinds, self.factor_labels)
+            for kind in self.kinds
         ]
         terms = []
         for combo in product(*per_factor):
-            u_ids, d_ids, signs, u_tokens, d_tokens = zip(*combo)
-            terms.append(
-                BellTerm(
-                    u_ids=u_ids,
-                    d_ids=d_ids,
-                    sign=math.prod(signs),
-                    u_label=" ".join(u_tokens),
-                    d_label=" ".join(d_tokens),
-                )
-            )
+            u_ids, d_ids, signs = zip(*combo)
+            terms.append(BellTerm(u_ids=u_ids, d_ids=d_ids, sign=math.prod(signs)))
         return tuple(terms)
 
 

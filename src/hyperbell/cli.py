@@ -86,8 +86,11 @@ def _parse_angle(key: str, text: str) -> float:
             if div_s:
                 if not div_s.startswith("/"):
                     raise ValueError
-                value /= float(div_s[1:])
-        if not math.isfinite(value):
+                divisor = float(div_s[1:])
+                if not math.isfinite(divisor):  # pi/inf would pass as 0
+                    raise ValueError
+                value /= divisor
+        if not math.isfinite(value):  # also refuses a non-finite coefficient
             raise ValueError
         return value
     except (ValueError, ZeroDivisionError):
@@ -504,6 +507,11 @@ def _assumption_table_lines(report: simlab.AssumptionReport) -> list:
     return lines
 
 
+def _id_pairs(kind: str, pairs: tuple) -> list:
+    """(u, d) observables of ``kind`` per two-letter name pair such as "aB"."""
+    return [(model.ObservableId(u, kind), model.ObservableId(d, kind)) for u, d in pairs]
+
+
 def _violation_lines(name: str, rep: simlab.ViolationReport) -> list:
     return [
         f"{name}: estimate {_f(rep.beta_estimate)}  |estimate| {_f(abs(rep.beta_estimate))}"
@@ -543,19 +551,16 @@ def _emit_table(result: StudyResult) -> str:
         sim: simlab.SimulationResult = result.payload
         lines += _assumption_table_lines(sim.assumptions)
         by_label = {rec.label: rec for rec in sim.joint_records}
-        pol_rows = [("A_pi", "B_pi"), ("a_pi", "B_pi"), ("A_pi", "b_pi"), ("a_pi", "b_pi")]
-        path_cols = [("A_k", "B_k"), ("A_k", "b_k"), ("a_k", "B_k"), ("a_k", "b_k")]
-        values = [
-            [
-                by_label[(f"{pu} {ku}", f"{pd} {kd}")].E
-                for ku, kd in path_cols
-            ]
-            for pu, pd in pol_rows
-        ]
+        pol_rows = _id_pairs(model.POLARIZATION, ("AB", "aB", "Ab", "ab"))
+        path_cols = _id_pairs(model.PATH, ("AB", "Ab", "aB", "ab"))
+        values = []
+        for pu, pd in pol_rows:
+            settings = [model.JointSetting((pu, ku), (pd, kd)) for ku, kd in path_cols]
+            values.append([by_label[s.u_label, s.d_label].E for s in settings])
         lines += _grid_lines(
             "Joint correlations (rows: polarization pair, columns: path pair)",
-            [f"{ku} {kd}" for ku, kd in path_cols],
-            [f"{pu} {pd}" for pu, pd in pol_rows],
+            [f"{ku.label} {kd.label}" for ku, kd in path_cols],
+            [f"{pu.label} {pd.label}" for pu, pd in pol_rows],
             values,
         )
         lines.append("")

@@ -22,8 +22,8 @@ The search weights contexts with the Kronecker sign table
 ``BellOperator.signs``; the witness is then replayed by ``evaluate_strategy``
 as an independent check, over an integer term table whose signs are
 products of the factor term signs.  Witness tokens are built from the
-factor labels (a context token joins one observable token per factor),
-never from the operator's term table.
+factor labels with the label rule in ``model`` (a context token joins one
+observable token per factor), never from the operator's term table.
 
 The unrestricted search never builds all 2^n u assignments: each u is split
 into its first and last halves of slots, whose weight tables (2^(n/2) rows
@@ -40,7 +40,7 @@ from itertools import product
 import numpy as np
 
 from . import model
-from .bell import BellOperator, observable_token
+from .bell import BellOperator
 
 FACTORIZABLE = "factorizable"
 UNRESTRICTED = "unrestricted"
@@ -81,10 +81,11 @@ def _side_tokens(bell: BellOperator, strategy_class: str, photon: str) -> list:
     """Strategy keys of one side: its 2N slot tokens (factorizable) or its
     2^N context tokens (unrestricted), in slot or context order."""
     names = model.U_SIDE_NAMES if photon == model.PHOTON_U else model.D_SIDE_NAMES
-    pairs = [[observable_token(name, lab) for name in names] for lab in bell.factor_labels]
+    labels = bell.factor_labels
     if strategy_class == FACTORIZABLE:
-        return [tok for pair in pairs for tok in pair]
-    return [" ".join(tokens) for tokens in product(*pairs)]  # factor 0 slowest
+        return [model.side_label((name,), (label,)) for label in labels for name in names]
+    contexts = product(names, repeat=len(labels))  # factor 0 slowest
+    return [model.side_label(context, labels) for context in contexts]
 
 
 def _term_table(bell: BellOperator) -> tuple:
@@ -243,45 +244,3 @@ def _min_matching_sign_index(weights: np.ndarray) -> int:
     slots are free, so the smallest index puts +1 there.
     """
     return int(_bits_index(weights < 0))
-
-
-@dataclass(frozen=True)
-class LemmaCheckRow:
-    dof_count: int
-    bound: int
-    expected: int
-
-
-@dataclass(frozen=True)
-class LemmaCheckReport:
-    chsh_values: tuple
-    rows: tuple
-
-    @property
-    def all_match(self) -> bool:
-        return self.chsh_values == (-2, 2) and all(
-            r.bound == r.expected for r in self.rows
-        )
-
-
-def factorizable_chsh_lemma_check(max_dof: int = 3) -> LemmaCheckReport:
-    """Every factorizable strategy gives CHSH value +-2, hence bound 2^N.
-
-    Enumerates all single-CHSH strategies, then confirms the product bound
-    for N = 1..max_dof by full enumeration.
-    """
-    from . import bell as bell_mod
-
-    chsh = bell_mod.build_beta_pi()
-    side = _factorizable_context_values(chsh)
-    values = side @ chsh.signs @ side.T
-    chsh_values = tuple(sorted(set(int(v) for v in values.ravel())))
-    rows = tuple(
-        LemmaCheckRow(
-            dof_count=n,
-            bound=max_bound(bell_mod.canonical_product(n), FACTORIZABLE).bound,
-            expected=2**n,
-        )
-        for n in range(1, max_dof + 1)
-    )
-    return LemmaCheckReport(chsh_values=chsh_values, rows=rows)

@@ -7,7 +7,11 @@ Conventions (fixed, shared by every module):
 - global tensor order (u-polarization) x (d-polarization) x (u-path) x
   (d-path), first factor slowest, so the full state is literally
   (polarization pair) x (path pair);
-- photon u owns measurement names A and a, photon d owns B and b.
+- photon u owns measurement names A and a, photon d owns B and b;
+- labels: a factor is labelled by its kind, ``pi`` for polarization and
+  ``k`` for path, with a repeated kind numbered from 2 (pi, k, pi2); an
+  observable's token is ``name_label`` (``A_pi``) and a photon's label joins
+  its tokens, factor 0 first, with a space (``A_pi a_k``).
 
 The eight dichotomic observables are stored in their ket-bra form; the
 equivalent Pauli combinations are asserted in tests, not assumed here.
@@ -16,7 +20,8 @@ equivalent Pauli combinations are asserted in tests, not assumed here.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -32,6 +37,8 @@ PHOTONS = (PHOTON_U, PHOTON_D)
 
 U_SIDE_NAMES = ("A", "a")
 D_SIDE_NAMES = ("B", "b")
+
+MAX_DOF = 4  # the most degrees of freedom a joint setting or Bell operator has
 
 _KET = {
     "H": np.array([1, 0], dtype=complex),
@@ -64,6 +71,24 @@ _OBSERVABLES = {
 }
 
 
+_KIND_LABELS = {POLARIZATION: "pi", PATH: "k"}
+
+
+def factor_labels(kinds: tuple) -> tuple:
+    """Label of each factor, factor 0 first: its kind's label, numbered
+    from 2 where the kind repeats (pi, k, pi2)."""
+    labels = []
+    for f, kind in enumerate(kinds):
+        n_prev = kinds[:f].count(kind)
+        labels.append(_KIND_LABELS[kind] + (f"{n_prev + 1}" if n_prev else ""))
+    return tuple(labels)
+
+
+def side_label(names, labels) -> str:
+    """One photon's label: a token ``name_label`` per factor, joined by a space."""
+    return " ".join([f"{name}_{label}" for name, label in zip(names, labels)])
+
+
 @dataclass(frozen=True)
 class ObservableId:
     """One of the eight measurement observables, e.g. A_pi or b_k."""
@@ -84,7 +109,55 @@ class ObservableId:
 
     @property
     def label(self) -> str:
-        return f"{self.name}_{'pi' if self.kind == POLARIZATION else 'k'}"
+        return _OBSERVABLE_LABELS[self.name, self.kind]
+
+
+# Labels built once with the rule: each observable's (a one-factor photon
+# label), and per kinds tuple a photon label template that a setting formats
+# with its observables, factor 0 first ("{0.name}_pi {1.name}_k").
+_OBSERVABLE_LABELS = {
+    (name, kind): side_label((name,), factor_labels((kind,)))
+    for name in U_SIDE_NAMES + D_SIDE_NAMES
+    for kind in KINDS
+}
+_LABEL_TEMPLATES = {
+    kinds: side_label([f"{{{f}.name}}" for f in range(n)], factor_labels(kinds))
+    for n in range(1, MAX_DOF + 1)
+    for kinds in product(KINDS, repeat=n)
+}
+
+
+@dataclass(frozen=True)
+class JointSetting:
+    """One local observable per photon and degree of freedom: ``u_ids[f]``
+    and ``d_ids[f]`` measure factor f, factor 0 first, so both photons
+    measure the same kinds in the same order.  The kinds and the two photon
+    labels are derived from the pair once, at construction."""
+
+    u_ids: tuple
+    d_ids: tuple
+    kinds: tuple = field(init=False, repr=False, compare=False)
+    u_label: str = field(init=False, repr=False, compare=False)
+    d_label: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        kinds = tuple([obs.kind for obs in self.u_ids])
+        if kinds != tuple([obs.kind for obs in self.d_ids]):
+            for u, d in zip(self.u_ids, self.d_ids):
+                if u.kind != d.kind:
+                    raise ValueError(f"{u.label} is not a {d.kind} observable like {d.label}")
+            raise ValueError(
+                f"photon u measures {len(self.u_ids)} degrees of freedom,"
+                f" photon d {len(self.d_ids)}"
+            )
+        template = _LABEL_TEMPLATES.get(kinds)
+        if template is None:
+            raise ValueError(
+                f"a joint setting measures 1 to {MAX_DOF} degrees of freedom, got {len(kinds)}"
+            )
+        object.__setattr__(self, "kinds", kinds)
+        object.__setattr__(self, "u_label", template.format(*self.u_ids))
+        object.__setattr__(self, "d_label", template.format(*self.d_ids))
 
 
 def observable(obs: ObservableId) -> np.ndarray:

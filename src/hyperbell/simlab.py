@@ -1,9 +1,11 @@
 """Simulated experiment: Born probabilities, coincidence sampling, estimators.
 
-A joint setting fixes one polarization and one path observable per photon;
-each photon then has four outcomes (polarization sign, path sign), giving
-16 joint outcome cells per setting.  Outcome cells are ordered u-major
-with per-side order (+,+), (+,-), (-,+), (-,-), polarization sign first.
+A joint setting (``model.JointSetting``) fixes one polarization and one path
+observable per photon, in that order; each photon then has four outcomes
+(polarization sign, path sign), giving 16 joint outcome cells per setting.
+The 16 settings of the Bell test are the terms of ``bell.canonical_product(2)``
+in its term order.  Outcome cells are ordered u-major with per-side order
+(+,+), (+,-), (-,+), (-,-), polarization sign first.
 
 Born probabilities come from one contraction per setting: each photon's
 four joint-outcome projectors act on its own 4-dim (pol, path) space, the
@@ -33,7 +35,7 @@ import numpy as np
 
 from . import bell as bell_mod
 from . import model, qcore, rng
-from .model import ObservableId, QuantumState
+from .model import JointSetting, ObservableId, QuantumState
 from .rng import GENERATOR_ID
 
 OUTCOME_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -56,52 +58,27 @@ _W_PATH = np.array(
 ).ravel()
 _W_JOINT = _W_POL * _W_PATH
 
-
-@dataclass(frozen=True)
-class JointSetting:
-    """One polarization and one path observable per photon."""
-
-    u_pol: ObservableId
-    u_path: ObservableId
-    d_pol: ObservableId
-    d_path: ObservableId
-
-    def __post_init__(self):
-        for obs, kind in (
-            (self.u_pol, model.POLARIZATION),
-            (self.u_path, model.PATH),
-            (self.d_pol, model.POLARIZATION),
-            (self.d_path, model.PATH),
-        ):
-            if obs.kind != kind:
-                raise ValueError(f"{obs.label} is not a {kind} observable")
-
-    @property
-    def u_label(self) -> str:
-        return f"{self.u_pol.label} {self.u_path.label}"
-
-    @property
-    def d_label(self) -> str:
-        return f"{self.d_pol.label} {self.d_path.label}"
-
-
+_POL_PATH = (model.POLARIZATION, model.PATH)
 _PAIRS = (("A", "B"), ("A", "b"), ("a", "B"), ("a", "b"))
 
 
+def _check_pol_path(setting: JointSetting) -> None:
+    """Refuse a setting that is not (polarization, path) on both photons,
+    naming the first observable of the wrong kind."""
+    if setting.kinds != _POL_PATH:
+        for obs, kind in zip(setting.u_ids, _POL_PATH):
+            if obs.kind != kind:
+                raise ValueError(f"{obs.label} is not a {kind} observable")
+        raise ValueError(
+            f"setting ({setting.u_label}, {setting.d_label}) does not measure exactly"
+            " polarization and path"
+        )
+
+
 def bell_test_settings() -> tuple:
-    """The 16 canonical joint settings, in product-operator term order."""
-    out = []
-    for pu, pd in _PAIRS:
-        for ku, kd in _PAIRS:
-            out.append(
-                JointSetting(
-                    u_pol=ObservableId(pu, model.POLARIZATION),
-                    u_path=ObservableId(ku, model.PATH),
-                    d_pol=ObservableId(pd, model.POLARIZATION),
-                    d_path=ObservableId(kd, model.PATH),
-                )
-            )
-    return tuple(out)
+    """The 16 canonical joint settings: the terms of the two-DOF product
+    operator, in its term order."""
+    return bell_mod.canonical_product(2).terms
 
 
 @dataclass(frozen=True, eq=False)  # ndarray fields: identity equality and hash
@@ -147,8 +124,10 @@ def born_distribution(state: QuantumState, setting: JointSetting) -> OutcomeDist
     """
     if state.dof_count != 2:
         raise ValueError("joint settings are defined for the two-DOF state")
-    side_u = _SIDE_PROJECTORS[setting.u_pol.name, setting.u_path.name]
-    side_d = _SIDE_PROJECTORS[setting.d_pol.name, setting.d_path.name]
+    _check_pol_path(setting)
+    (u_pol, u_path), (d_pol, d_path) = setting.u_ids, setting.d_ids
+    side_u = _SIDE_PROJECTORS[u_pol.name, u_path.name]
+    side_d = _SIDE_PROJECTORS[d_pol.name, d_path.name]
     r = state.rho.reshape((2,) * 8).transpose(_BORN_AXES).reshape(16, 16)
     probs = np.real(side_u @ r @ side_d.T).ravel()
     lo = float(probs.min())
@@ -220,10 +199,15 @@ class EstimateResult:
 
 
 def estimate(counts, setting: JointSetting) -> EstimateResult:
-    """Correlation estimates with std_err = sqrt((1 - E^2)/n) from counts."""
-    c = np.asarray(counts, dtype=np.int64)
-    if c.shape != (16,) or np.any(c < 0):
+    """Correlation estimates with std_err = sqrt((1 - E^2)/n) from counts.
+
+    Counts must have an integer dtype: floats, whole or not, are refused
+    rather than truncated."""
+    _check_pol_path(setting)
+    c = np.asarray(counts)
+    if c.shape != (16,) or c.dtype.kind not in "iu" or np.any(c < 0):
         raise ValueError("counts must be 16 nonnegative integers")
+    c = c.astype(np.int64, copy=False)
     n = int(c.sum())
     if n < 2:
         raise ValueError(f"need at least 2 events to estimate, got {n}")
@@ -237,10 +221,11 @@ def estimate(counts, setting: JointSetting) -> EstimateResult:
             n_events=n,
         )
 
+    (u_pol, u_path), (d_pol, d_path) = setting.u_ids, setting.d_ids
     return EstimateResult(
         joint=record(_W_JOINT, (setting.u_label, setting.d_label)),
-        pol=record(_W_POL, (setting.u_pol.label, setting.d_pol.label)),
-        path=record(_W_PATH, (setting.u_path.label, setting.d_path.label)),
+        pol=record(_W_POL, (u_pol.label, d_pol.label)),
+        path=record(_W_PATH, (u_path.label, d_path.label)),
     )
 
 
@@ -350,13 +335,10 @@ def _single_dof_setting(kind: str, u_name: str, d_name: str, context: tuple) -> 
     """Setting that measures (u_name, d_name) on ``kind`` with the other
     degree of freedom held at the (u, d) names of ``context``."""
     names = {kind: (u_name, d_name), _other_kind(kind): context}
-    pol_u, pol_d = names[model.POLARIZATION]
-    path_u, path_d = names[model.PATH]
+    (pol_u, pol_d), (path_u, path_d) = names[model.POLARIZATION], names[model.PATH]
     return JointSetting(
-        u_pol=ObservableId(pol_u, model.POLARIZATION),
-        u_path=ObservableId(path_u, model.PATH),
-        d_pol=ObservableId(pol_d, model.POLARIZATION),
-        d_path=ObservableId(path_d, model.PATH),
+        u_ids=(ObservableId(pol_u, model.POLARIZATION), ObservableId(path_u, model.PATH)),
+        d_ids=(ObservableId(pol_d, model.POLARIZATION), ObservableId(path_d, model.PATH)),
     )
 
 
@@ -511,11 +493,12 @@ def run_simulated_experiment(state: QuantumState, n_events: int, seed: int) -> S
     """
     assumptions = assumption_test(state, n_events, seed, stream_base=_STREAM_ASSUMPTIONS)
 
+    product = bell_mod.canonical_product(2)
     joint_records = [
-        _sampled_estimate(state, setting, n_events, seed, _STREAM_JOINT + idx).joint
-        for idx, setting in enumerate(bell_test_settings())
+        _sampled_estimate(state, term, n_events, seed, _STREAM_JOINT + idx).joint
+        for idx, term in enumerate(product.terms)
     ]
-    beta = violation_report(joint_records, bell_mod.canonical_product(2), bound=4.0)
+    beta = violation_report(joint_records, product, bound=4.0)
 
     chsh = {}
     for kind, stream_base, operator in (

@@ -178,17 +178,19 @@ class TestSignTable:
 
 
 def _reference_chsh(kind, label):
-    """The former eager single-DOF build: matrix, terms and sign table."""
+    """The former eager single-DOF build: matrix, terms, their labels and
+    the sign table."""
     table = {model.POLARIZATION: ((-1, 1), (1, 1)), model.PATH: ((1, -1), (1, 1))}[kind]
-    terms = []
+    terms, labels = [], []
     matrix = np.zeros((4, 4), dtype=complex)
     for i, u in enumerate(ObservableId(n, kind) for n in model.U_SIDE_NAMES):
         for j, d in enumerate(ObservableId(n, kind) for n in model.D_SIDE_NAMES):
-            terms.append(bell.BellTerm((u,), (d,), table[i][j], f"{u.name}_{label}",
-                                       f"{d.name}_{label}"))
+            terms.append(bell.BellTerm((u,), (d,), table[i][j]))
+            labels.append((f"{u.name}_{label}", f"{d.name}_{label}"))
             matrix += table[i][j] * qcore.tensor(model.observable(u), model.observable(d))
-    return SimpleNamespace(matrix=matrix, terms=tuple(terms), dof_count=1, dim=4,
-                           factor_labels=(label,), signs=np.array(table, dtype=np.int64))
+    return SimpleNamespace(matrix=matrix, terms=tuple(terms), labels=labels, dof_count=1,
+                           dim=4, factor_labels=(label,),
+                           signs=np.array(table, dtype=np.int64))
 
 
 def _reference_product(kinds):
@@ -202,21 +204,22 @@ def _reference_product(kinds):
         b = f.factor_labels[0]
         n_prev = sum(1 for used in labels if used.rstrip("0123456789") == b)
         labels.append(b if n_prev == 0 else f"{b}{n_prev + 1}")
-    terms = []
+    terms, term_labels = [], []
     for combo in product(*(f.terms for f in factors)):
         sign, u_ids, d_ids = 1, [], []
         for t in combo:
             sign *= t.sign
             u_ids.extend(t.u_ids)
             d_ids.extend(t.d_ids)
-        terms.append(bell.BellTerm(
-            tuple(u_ids), tuple(d_ids), sign,
+        terms.append(bell.BellTerm(tuple(u_ids), tuple(d_ids), sign))
+        term_labels.append((
             " ".join(f"{o.name}_{lab}" for o, lab in zip(u_ids, labels)),
             " ".join(f"{o.name}_{lab}" for o, lab in zip(d_ids, labels)),
         ))
     return SimpleNamespace(
         matrix=qcore.tensor_all(*(f.matrix for f in factors)),
         terms=tuple(terms),
+        labels=term_labels,
         dof_count=len(factors),
         dim=4 ** len(factors),
         factor_labels=tuple(labels),
@@ -245,6 +248,7 @@ class TestStructuredOperator:
         assert np.array_equal(op.matrix, ref.matrix)
         assert op.matrix.tobytes() == ref.matrix.tobytes()
         assert op.terms == ref.terms
+        assert [(t.u_label, t.d_label) for t in op.terms] == ref.labels
         assert all(type(t.sign) is int for t in op.terms)
 
     @pytest.mark.parametrize("cls", [lhv.FACTORIZABLE, lhv.UNRESTRICTED])

@@ -200,9 +200,10 @@ class TestConfigHandling:
         code, _, err = run_cli("simulate", "--events", "soon")
         assert code == 2
         assert "key 'events'" in err
-        code, _, err = run_cli("ideal", "--theta", "twopie")
-        assert code == 2
-        assert "key 'theta'" in err
+        for bad in ("twopie", "pi/inf", "pi/-inf"):  # an infinite divisor would give 0
+            code, _, err = run_cli("ideal", "--theta", bad)
+            assert code == 2
+            assert "key 'theta'" in err
 
     def test_out_of_range_values(self):
         assert run_cli("simulate", "--events", "0")[0] == 2

@@ -151,6 +151,11 @@ class TestMaxBound:
         assert res.bound == 8
         assert res.strategies_evaluated == 64 * 64
 
+    def test_four_dof_factorizable_bound(self):
+        res = lhv.max_bound(bell.canonical_product(4), FACTORIZABLE)
+        assert res.bound == 16
+        assert res.strategies_evaluated == 256 * 256
+
     def test_product_unrestricted_bound_equals_quantum_value(self):
         """Without the factorization assumption the bound climbs to the
         quantum value 8 and the violation disappears."""
@@ -176,6 +181,9 @@ class TestMaxBound:
             (FACTORIZABLE, bell.build_beta_pi),
             (FACTORIZABLE, lambda: bell.canonical_product(2)),
             (FACTORIZABLE, lambda: bell.canonical_product(3)),
+            pytest.param(
+                FACTORIZABLE, lambda: bell.canonical_product(4), id="factorizable-dof4"
+            ),
             (UNRESTRICTED, lambda: bell.canonical_product(2)),
             *(
                 pytest.param(
@@ -360,14 +368,3 @@ class TestIntegerReplay:
             with pytest.raises(ValueError, match=re.escape(repr(token))):
                 replay(op, strategy)
 
-
-class TestLemmaCheck:
-    def test_per_dof_bounds(self):
-        report = lhv.factorizable_chsh_lemma_check()
-        assert report.chsh_values == (-2, 2)
-        assert [(r.dof_count, r.bound, r.expected) for r in report.rows] == [
-            (1, 2, 2),
-            (2, 4, 4),
-            (3, 8, 8),
-        ]
-        assert report.all_match

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hyperbell import model, qcore
-from hyperbell.model import NoiseModel, ObservableId, QuantumState
+from hyperbell.model import JointSetting, NoiseModel, ObservableId, QuantumState
 
 SZ = np.diag([1, -1]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -69,6 +69,41 @@ class TestConventions:
         np.testing.assert_allclose(pol, [1 / SQRT2, 0, 0, 1 / SQRT2], atol=1e-12)
         path = model.pair_state(model.PATH, 0.0)
         np.testing.assert_allclose(path, [0, 1 / SQRT2, 1 / SQRT2, 0], atol=1e-12)
+
+
+class TestJointSetting:
+    def test_labels_number_repeated_kinds(self):
+        setting = JointSetting((A_PI, a_K, a_PI), (B_PI, b_K, B_PI))
+        assert setting.kinds == (model.POLARIZATION, model.PATH, model.POLARIZATION)
+        assert (setting.u_label, setting.d_label) == ("A_pi a_k a_pi2", "B_pi b_k B_pi2")
+        setting = JointSetting((A_K, a_K, A_PI, a_K), (B_K, B_K, b_PI, b_K))
+        assert setting.u_label == "A_k a_k2 A_pi a_k3"
+        assert setting.d_label == "B_k B_k2 b_pi b_k3"
+
+    def test_equality_and_hash_by_observables(self):
+        first = JointSetting((A_PI, A_K), (B_PI, b_K))
+        second = JointSetting((A_PI, A_K), (B_PI, b_K))
+        assert first == second and hash(first) == hash(second)
+        assert first != JointSetting((A_PI, A_K), (B_PI, B_K))
+
+    @pytest.mark.parametrize(
+        "u_ids,d_ids,match",
+        [
+            ((A_PI,), (B_K,), "A_pi is not a path observable like B_k"),
+            ((A_PI, a_K), (B_PI, b_PI), "a_k is not a polarization observable like b_pi"),
+            ((A_K, A_PI), (B_PI, B_K), "A_k is not a polarization observable like B_pi"),
+            ((A_PI, A_K), (B_PI,), "photon u measures 2 degrees of freedom, photon d 1"),
+        ],
+        ids=["one-dof", "second-factor", "swapped", "lengths"],
+    )
+    def test_different_kinds_at_one_position_refused(self, u_ids, d_ids, match):
+        with pytest.raises(ValueError, match=match):
+            JointSetting(u_ids, d_ids)
+
+    def test_more_factors_than_max_dof_refused(self):
+        JointSetting((A_PI,) * model.MAX_DOF, (B_PI,) * model.MAX_DOF)
+        with pytest.raises(ValueError, match=f"1 to {model.MAX_DOF} degrees of freedom, got 5"):
+            JointSetting((A_PI,) * (model.MAX_DOF + 1), (B_PI,) * (model.MAX_DOF + 1))
 
 
 class TestHyperState:

@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperbell import bell, model, qcore, rng, simlab
-from hyperbell.model import NoiseModel, ObservableId, QuantumState
-from hyperbell.simlab import JointSetting
+from hyperbell.model import JointSetting, NoiseModel, ObservableId, QuantumState
 
 SQRT2 = np.sqrt(2.0)
 
@@ -21,10 +20,8 @@ def _obs(name, kind):
 
 def _setting(up, uk, dp, dk):
     return JointSetting(
-        u_pol=_obs(up, model.POLARIZATION),
-        u_path=_obs(uk, model.PATH),
-        d_pol=_obs(dp, model.POLARIZATION),
-        d_path=_obs(dk, model.PATH),
+        (_obs(up, model.POLARIZATION), _obs(uk, model.PATH)),
+        (_obs(dp, model.POLARIZATION), _obs(dk, model.PATH)),
     )
 
 
@@ -48,11 +45,36 @@ class TestSettings:
     def test_kind_validation(self):
         with pytest.raises(ValueError, match="not a polarization"):
             JointSetting(
-                u_pol=_obs("A", model.PATH),
-                u_path=_obs("A", model.PATH),
-                d_pol=_obs("B", model.POLARIZATION),
-                d_path=_obs("B", model.PATH),
+                (_obs("A", model.PATH), _obs("A", model.PATH)),
+                (_obs("B", model.POLARIZATION), _obs("B", model.PATH)),
             )
+
+    def test_settings_are_the_product_terms(self):
+        """The simulated settings are the operator's own terms, in term order."""
+        settings = simlab.bell_test_settings()
+        assert settings == bell.canonical_product(2).terms
+        assert all(isinstance(s, JointSetting) for s in settings)
+
+    @pytest.mark.parametrize(
+        "kinds",
+        [
+            (model.PATH, model.POLARIZATION),
+            (model.POLARIZATION,),
+            (model.POLARIZATION, model.PATH, model.POLARIZATION),
+        ],
+        ids=["swapped", "one-dof", "three-dof"],
+    )
+    def test_non_pol_path_setting_refused(self, kinds):
+        """Born and the estimator take only (polarization, path) on both
+        photons and name the offending observable."""
+        setting = JointSetting(
+            tuple(_obs("A", k) for k in kinds), tuple(_obs("B", k) for k in kinds)
+        )
+        match = "A_k is not a polarization" if kinds[0] == model.PATH else "exactly polarization"
+        with pytest.raises(ValueError, match=match):
+            simlab.born_distribution(IDEAL, setting)
+        with pytest.raises(ValueError, match=match):
+            simlab.estimate(np.full(16, 10, dtype=int), setting)
 
 
 class TestBornDistribution:
@@ -121,12 +143,8 @@ def _reference_born(state, setting):
     """Born probabilities from 16x16 embedded joint-outcome projectors,
     p = Tr[P_d P_u rho] cell by cell: the construction the contraction
     kernel must reproduce."""
-    proj_u = model.pair_projectors(
-        model.observable(setting.u_pol), model.observable(setting.u_path), model.PHOTON_U
-    )
-    proj_d = model.pair_projectors(
-        model.observable(setting.d_pol), model.observable(setting.d_path), model.PHOTON_D
-    )
+    proj_u = model.pair_projectors(*map(model.observable, setting.u_ids), model.PHOTON_U)
+    proj_d = model.pair_projectors(*map(model.observable, setting.d_ids), model.PHOTON_D)
     probs = np.empty(16)
     for i, u_out in enumerate(simlab.OUTCOME_PAIRS):
         left = proj_u[u_out] @ state.rho
@@ -177,8 +195,8 @@ class TestBornInvariantsProperty:
             assert abs(dist.probs.sum() - 1.0) < 1e-12
             assert np.all(dist.probs >= 0.0)
             mu, md = simlab.marginals(dist)
-            margs["u"].setdefault((setting.u_pol, setting.u_path), []).append(mu)
-            margs["d"].setdefault((setting.d_pol, setting.d_path), []).append(md)
+            margs["u"].setdefault(setting.u_ids, []).append(mu)
+            margs["d"].setdefault(setting.d_ids, []).append(md)
         for side in margs.values():
             for group in side.values():
                 stack = np.stack(group)
@@ -512,6 +530,19 @@ class TestEstimate:
         with pytest.raises(ValueError, match="16 nonnegative"):
             simlab.estimate(np.zeros(4, dtype=int), _setting("A", "A", "B", "B"))
 
+    @pytest.mark.parametrize("counts", [np.full(16, 2.7), np.full(16, 3.0), [1.5] * 16])
+    def test_non_integer_counts_rejected(self, counts):
+        """A cast to integers would truncate: 16 x 2.7 would count 32 events."""
+        with pytest.raises(ValueError, match="16 nonnegative integers"):
+            simlab.estimate(counts, _setting("A", "A", "B", "B"))
+
+    def test_integer_counts_of_any_width_accepted(self):
+        setting = _setting("a", "A", "b", "B")
+        counts = simlab.sample(simlab.born_distribution(NOISY, setting), 5000, seed=4)
+        expected = simlab.estimate(counts, setting)
+        for same in (counts.tolist(), counts.astype(np.uint32), counts.astype(np.int16)):
+            assert simlab.estimate(same, setting) == expected
+
 
 class TestFactorization:
     def test_joint_equals_product_of_marginals_analytically(self):
@@ -540,8 +571,8 @@ class TestViolationReport:
             e = {"joint": joint, "pol": pol, "path": path}[which]
             label = {
                 "joint": (setting.u_label, setting.d_label),
-                "pol": (setting.u_pol.label, setting.d_pol.label),
-                "path": (setting.u_path.label, setting.d_path.label),
+                "pol": (setting.u_ids[0].label, setting.d_ids[0].label),
+                "path": (setting.u_ids[1].label, setting.d_ids[1].label),
             }[which]
             records.append(
                 simlab.CorrelationRecord(label=label, E=e, std_err=0.0, n_events=1)
@@ -560,8 +591,8 @@ class TestViolationReport:
         for setting in simlab.bell_test_settings():
             dist = simlab.born_distribution(IDEAL, setting)
             _, pol, path = simlab.analytic_correlations(dist)
-            pol_records[(setting.u_pol.label, setting.d_pol.label)] = pol
-            path_records[(setting.u_path.label, setting.d_path.label)] = path
+            pol_records[(setting.u_ids[0].label, setting.d_ids[0].label)] = pol
+            path_records[(setting.u_ids[1].label, setting.d_ids[1].label)] = path
         recs = [
             simlab.CorrelationRecord(label=k, E=v, std_err=0.0, n_events=1)
             for k, v in pol_records.items()
