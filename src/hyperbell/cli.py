@@ -25,14 +25,15 @@ header is the key order of the study's row dicts.
 
 Option precedence: command-line flags override the config file, which
 overrides the defaults.  The config file is flat ``key = value`` UTF-8 text
-with ``#`` comments; a key repeated in one file, ``v`` together with
-``v_pi`` or ``v_k`` in one file, or a ``study`` key that differs from the
-positional study is refused.  ``--dof`` ranges over 1..MAX_DOF for
-bounds and scaling; ideal, simulate and assumptions model exactly 2 degrees
-of freedom and refuse any other value; an empty ``out`` is refused.  All
-output is byte-deterministic for a fixed config and seed.  Exit codes: 0
-success, 2 configuration error, 3 numerical failure, 4 enumeration guard
-exceeded.
+with ``#`` comments, at most ``MAX_CONFIG_BYTES`` long; a key repeated in
+one file, a flag repeated on the command line (``--config`` included),
+``v`` together with ``v_pi`` or ``v_k`` in one file, or a ``study`` key
+that differs from the positional study is refused.  ``--dof`` ranges over
+1..MAX_DOF for bounds and scaling; ideal, simulate and assumptions model
+exactly 2 degrees of freedom and refuse any other value; an empty ``out``
+is refused.  All output is byte-deterministic for a fixed config and seed.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure, 4
+enumeration guard exceeded.
 """
 
 from __future__ import annotations
@@ -50,6 +51,9 @@ from functools import partial
 from . import bell, lhv, model, qcore, rng, simlab
 
 FORMATS = ("table", "csv", "json")
+
+# Far above any valid config file, which sets at most a dozen keys.
+MAX_CONFIG_BYTES = 1 << 20
 
 
 class ConfigError(ValueError):
@@ -183,8 +187,13 @@ _VISIBILITY_RIVALS = {"v": ("v_pi", "v_k"), "v_pi": ("v",), "v_k": ("v",)}
 
 def _read_config_file(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_CONFIG_BYTES + 1)
+        if len(data) > MAX_CONFIG_BYTES:
+            raise ConfigError(
+                f"cannot read config file {path!r}: longer than {MAX_CONFIG_BYTES} bytes"
+            )
+        lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}")
     values = {}
@@ -595,6 +604,16 @@ def emit(result: StudyResult, fmt: str) -> bytes:
 
 # --- entry point --------------------------------------------------------------
 
+class _Once(argparse.Action):
+    """Store a flag's value; a repeated flag is refused, like a repeated
+    config-file key, instead of silently keeping the last value."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            raise ConfigError(f"key '{self.dest}': flag {option_string} given more than once")
+        setattr(namespace, self.dest, values)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyperbell",
@@ -602,16 +621,17 @@ def _build_parser() -> argparse.ArgumentParser:
         "classical bounds, simulated statistics, and violation scaling.",
     )
     parser.add_argument("study", choices=STUDIES)
-    parser.add_argument("--config", metavar="PATH", help="flat key = value config file")
+    parser.add_argument("--config", action=_Once, metavar="PATH",
+                        help="flat key = value config file")
     for option in OPTIONS.values():
         parser.add_argument("--" + option.key.replace("_", "-"), dest=option.key,
-                            metavar=option.metavar, help=option.help)
+                            action=_Once, metavar=option.metavar, help=option.help)
     return parser
 
 
 def main(argv=None) -> int:
-    args = vars(_build_parser().parse_args(argv))
     try:
+        args = vars(_build_parser().parse_args(argv))
         file_values = {} if args["config"] is None else _read_config_file(args["config"])
         flag_values = {
             key: option.parse(key, args[key])

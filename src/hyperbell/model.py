@@ -348,36 +348,30 @@ def apply_noise(state: QuantumState, noise: NoiseModel) -> QuantumState:
     if state.dof_count != 2:
         raise ValueError("noise channels are defined for the two-DOF state")
     rho = np.outer(state.vector, state.vector.conj())
-    if noise.kind == NOISE_NONE:
-        return QuantumState.mixed(rho, dof_count=2)
-    if noise.kind == NOISE_WHITE:
-        rho = _white_dof(rho, noise.v_pi, block=0)
-        rho = _white_dof(rho, noise.v_k, block=1)
-    else:
-        rho = _dephase_dof(rho, noise.v_pi, block=0)
-        rho = _dephase_dof(rho, noise.v_k, block=1)
+    if noise.kind != NOISE_NONE:
+        channel = _white_dof if noise.kind == NOISE_WHITE else _dephase_dof
+        for block, v in enumerate((noise.v_pi, noise.v_k)):
+            rho = channel(rho, v, block)
     return QuantumState.mixed(rho, dof_count=2)
+
+
+def _on_block(a: np.ndarray, block: int) -> np.ndarray:
+    """A 4x4 array over one block's (row, column) pair indices, with unit
+    axes for the other block, so it broadcasts against rho as
+    (pol_row, path_row, pol_col, path_col)."""
+    return np.expand_dims(a, (1 - block, 3 - block))
 
 
 def _white_dof(rho: np.ndarray, v: float, block: int) -> np.ndarray:
     """v rho + (1 - v) (I/4 on the block) x (partial trace over the block)."""
     r4 = rho.reshape(4, 4, 4, 4)  # (pol_row, path_row, pol_col, path_col)
-    eye4 = np.eye(4) / 4.0
-    if block == 0:
-        rest = np.trace(r4, axis1=0, axis2=2)
-        mixed = np.kron(eye4, rest)
-    else:
-        rest = np.trace(r4, axis1=1, axis2=3)
-        mixed = np.kron(rest, eye4)
-    return v * rho + (1.0 - v) * mixed
+    rest = np.trace(r4, axis1=block, axis2=block + 2)
+    mixed = _on_block(np.eye(4) / 4.0, block) * _on_block(rest, 1 - block)
+    return v * rho + (1.0 - v) * mixed.reshape(16, 16)
 
 
 def _dephase_dof(rho: np.ndarray, v: float, block: int) -> np.ndarray:
     """Scale entries whose block row/column pair indices differ by v."""
     r4 = rho.reshape(4, 4, 4, 4).copy()
-    same = np.eye(4, dtype=bool)
-    if block == 0:
-        factor = np.where(same[:, None, :, None], 1.0, v)
-    else:
-        factor = np.where(same[None, :, None, :], 1.0, v)
+    factor = np.where(_on_block(np.eye(4, dtype=bool), block), 1.0, v)
     return (r4 * factor).reshape(16, 16)

@@ -20,16 +20,20 @@ projector stacks are a constant table built once at import with
 The eight context-free marginal operators of the assumption test are a
 constant read-only table in the same way.
 
-Sampling is multinomial on the Born distribution, driven by the seeded
-generator in ``rng`` (identity ``rng.GENERATOR_ID``); every sampled setting
-uses the sub-stream ``rng.derive_seed(seed, stream_index)`` so runs are
-reproducible setting by setting.
+A sampled cell is a ``(setting, factor)`` pair: the joint correlation of
+the setting when ``factor`` is None, else the correlation of that one
+degree of freedom.  Sampling is multinomial on the Born distribution,
+driven by the seeded generator in ``rng`` (identity ``rng.GENERATOR_ID``);
+the cells of one run form one ordered list, and cell i draws from the
+sub-stream ``stream_base + i`` of the seed (``rng.derive_seed``), so runs
+are reproducible cell by cell.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -49,14 +53,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# Per-cell outcome weights, flattened u-major: cell = 4*i + j.
-_W_POL = np.array(
-    [[pu * pd for pd, kd in OUTCOME_PAIRS] for pu, ku in OUTCOME_PAIRS], dtype=float
-).ravel()
-_W_PATH = np.array(
-    [[ku * kd for pd, kd in OUTCOME_PAIRS] for pu, ku in OUTCOME_PAIRS], dtype=float
-).ravel()
-_W_JOINT = _W_POL * _W_PATH
+# Outcome weights per factor, flattened u-major (cell = 4*i + j): row f is
+# the product of the two photons' signs on factor f.  The joint weight is
+# the product of the rows.
+_SIGNS = np.array(OUTCOME_PAIRS, dtype=float).T  # (factor, side outcome)
+_WEIGHTS = (_SIGNS[:, :, None] * _SIGNS[:, None, :]).reshape(len(_SIGNS), 16)
+_JOINT_WEIGHTS = _WEIGHTS.prod(axis=0)
 
 _POL_PATH = (model.POLARIZATION, model.PATH)
 _PAIRS = (("A", "B"), ("A", "b"), ("a", "B"), ("a", "b"))
@@ -143,7 +145,7 @@ def born_distribution(state: QuantumState, setting: JointSetting) -> OutcomeDist
 def analytic_correlations(dist: OutcomeDistribution) -> tuple:
     """(joint, polarization, path) correlations of the exact distribution."""
     p = dist.probs
-    return (float(p @ _W_JOINT), float(p @ _W_POL), float(p @ _W_PATH))
+    return tuple(float(p @ w) for w in (_JOINT_WEIGHTS, *_WEIGHTS))
 
 
 def marginals(dist: OutcomeDistribution) -> tuple:
@@ -185,25 +187,21 @@ class CorrelationRecord:
     n_events: int
 
 
-@dataclass(frozen=True)
-class EstimateResult:
-    """Joint correlation plus the two single-DOF marginal correlations."""
+def estimate(counts, setting: JointSetting, factor: int | None = None) -> CorrelationRecord:
+    """Correlation estimate with std_err = sqrt((1 - E^2)/n) from counts.
 
-    joint: CorrelationRecord
-    pol: CorrelationRecord
-    path: CorrelationRecord
-
-    def of_kind(self, kind: str) -> CorrelationRecord:
-        """The single-DOF record of ``kind`` (polarization or path)."""
-        return self.pol if kind == model.POLARIZATION else self.path
-
-
-def estimate(counts, setting: JointSetting) -> EstimateResult:
-    """Correlation estimates with std_err = sqrt((1 - E^2)/n) from counts.
-
-    Counts must have an integer dtype: floats, whole or not, are refused
-    rather than truncated."""
+    ``factor=None`` gives the joint correlation, labelled by the two photon
+    labels; factor f gives that degree of freedom's correlation, labelled
+    ``(u_ids[f].label, d_ids[f].label)``.  Counts must have an integer dtype:
+    floats, whole or not, are refused rather than truncated."""
     _check_pol_path(setting)
+    if factor is None:
+        weights, label = _JOINT_WEIGHTS, (setting.u_label, setting.d_label)
+    elif factor in range(len(setting.kinds)):
+        weights = _WEIGHTS[factor]
+        label = (setting.u_ids[factor].label, setting.d_ids[factor].label)
+    else:
+        raise ValueError(f"factor {factor!r} outside 0..{len(setting.kinds) - 1}")
     c = np.asarray(counts)
     if c.shape != (16,) or c.dtype.kind not in "iu" or np.any(c < 0):
         raise ValueError("counts must be 16 nonnegative integers")
@@ -211,21 +209,12 @@ def estimate(counts, setting: JointSetting) -> EstimateResult:
     n = int(c.sum())
     if n < 2:
         raise ValueError(f"need at least 2 events to estimate, got {n}")
-
-    def record(weights: np.ndarray, label: tuple) -> CorrelationRecord:
-        e = float(weights @ c) / n
-        return CorrelationRecord(
-            label=label,
-            E=e,
-            std_err=math.sqrt(max(0.0, 1.0 - e * e) / n),
-            n_events=n,
-        )
-
-    (u_pol, u_path), (d_pol, d_path) = setting.u_ids, setting.d_ids
-    return EstimateResult(
-        joint=record(_W_JOINT, (setting.u_label, setting.d_label)),
-        pol=record(_W_POL, (u_pol.label, d_pol.label)),
-        path=record(_W_PATH, (u_path.label, d_path.label)),
+    e = float(weights @ c) / n
+    return CorrelationRecord(
+        label=label,
+        E=e,
+        std_err=math.sqrt(max(0.0, 1.0 - e * e) / n),
+        n_events=n,
     )
 
 
@@ -321,32 +310,53 @@ class AssumptionReport:
 
 _ASSUMPTION_POL_ROWS = (("A", "A"), ("a", "a"), ("B", "b"), ("b", "B"))
 _ASSUMPTION_PATH_ROWS = (("A", "A"), ("a", "a"), ("B", "B"), ("b", "b"))
-_ASSUMPTION_ROWS = (
-    (model.POLARIZATION, _ASSUMPTION_POL_ROWS),
-    (model.PATH, _ASSUMPTION_PATH_ROWS),
-)
+# (kind, row name pairs) per factor, factor 0 first.
+_ASSUMPTION_ROWS = tuple(zip(_POL_PATH, (_ASSUMPTION_POL_ROWS, _ASSUMPTION_PATH_ROWS)))
 
 
-def _other_kind(kind: str) -> str:
-    return model.PATH if kind == model.POLARIZATION else model.POLARIZATION
-
-
-def _single_dof_setting(kind: str, u_name: str, d_name: str, context: tuple) -> JointSetting:
-    """Setting that measures (u_name, d_name) on ``kind`` with the other
-    degree of freedom held at the (u, d) names of ``context``."""
-    names = {kind: (u_name, d_name), _other_kind(kind): context}
-    (pol_u, pol_d), (path_u, path_d) = names[model.POLARIZATION], names[model.PATH]
+def _single_dof_setting(factor: int, pair: tuple, context: tuple) -> JointSetting:
+    """Setting that measures the (u, d) names ``pair`` on ``factor`` with the
+    other degree of freedom held at the (u, d) names of ``context``."""
+    pairs = [context] * len(_POL_PATH)
+    pairs[factor] = pair
     return JointSetting(
-        u_ids=(ObservableId(pol_u, model.POLARIZATION), ObservableId(path_u, model.PATH)),
-        d_ids=(ObservableId(pol_d, model.POLARIZATION), ObservableId(path_d, model.PATH)),
+        u_ids=tuple(ObservableId(u, kind) for (u, _), kind in zip(pairs, _POL_PATH)),
+        d_ids=tuple(ObservableId(d, kind) for (_, d), kind in zip(pairs, _POL_PATH)),
     )
 
 
-def _sampled_estimate(
-    state: QuantumState, setting: JointSetting, n_events: int, seed: int, stream: int
-) -> EstimateResult:
-    dist = born_distribution(state, setting)
-    return estimate(sample(dist, n_events, rng.derive_seed(seed, stream)), setting)
+# The sampled cells, each a (setting, factor) pair with factor None for the
+# joint correlation, in sub-stream order.  Sub-stream layout of one
+# simulated experiment (offsets from the seed): 0..15 the sixteen joint
+# settings, 16..19 the polarization CHSH run, 20..23 the path CHSH run,
+# 24..55 the assumption-test cells.  Each CHSH run varies one degree of
+# freedom over the four canonical pairs with the other held at (A, B); the
+# assumption cells run over the rows of each factor, each row under the four
+# contexts of the other factor.
+_RUN_CELLS = tuple((term, None) for term in bell_mod.canonical_product(2).terms) + tuple(
+    (_single_dof_setting(factor, pair, ("A", "B")), factor)
+    for factor in range(len(_POL_PATH))
+    for pair in _PAIRS
+)
+_ASSUMPTION_CELLS = tuple(
+    (_single_dof_setting(factor, pair, context), factor)
+    for factor, (_, row_pairs) in enumerate(_ASSUMPTION_ROWS)
+    for pair in row_pairs
+    for context in _PAIRS
+)
+
+
+def _sample_cells(
+    state: QuantumState, cells: tuple, n_events: int, seed: int, stream_base: int
+) -> list:
+    """One record per (setting, factor) cell, in cell order; cell i is
+    sampled on sub-stream ``stream_base + i`` of ``seed``."""
+    records = []
+    for i, (setting, factor) in enumerate(cells):
+        dist = born_distribution(state, setting)
+        counts = sample(dist, n_events, rng.derive_seed(seed, stream_base + i))
+        records.append(estimate(counts, setting, factor))
+    return records
 
 
 def _marginal_operator(kind: str, u_name: str, d_name: str) -> np.ndarray:
@@ -377,10 +387,11 @@ def assumption_test(
     for every context, so its spread across a row is identically zero; the
     sampled spread is purely statistical.
     """
-    rows = {model.POLARIZATION: [], model.PATH: []}
-    stream = stream_base
-    for kind, row_pairs in _ASSUMPTION_ROWS:
-        ctx_kind = _other_kind(kind)
+    records = _sample_cells(state, _ASSUMPTION_CELLS, n_events, seed, stream_base)
+    sampled = iter(zip(_ASSUMPTION_CELLS, records))
+    rows = ([], [])
+    for factor, (kind, row_pairs) in enumerate(_ASSUMPTION_ROWS):
+        ctx = 1 - factor  # the other degree of freedom
         for u_name, d_name in row_pairs:
             analytic = float(
                 np.real(
@@ -389,33 +400,24 @@ def assumption_test(
                     )
                 )
             )
-            cells = []
-            for cu, cd in _PAIRS:
-                setting = _single_dof_setting(kind, u_name, d_name, (cu, cd))
-                est = _sampled_estimate(state, setting, n_events, seed, stream)
-                ctx_label = (
-                    f"{ObservableId(cu, ctx_kind).label} {ObservableId(cd, ctx_kind).label}"
+            cells = tuple(
+                AssumptionCell(
+                    setting=setting,
+                    context_label=f"{setting.u_ids[ctx].label} {setting.d_ids[ctx].label}",
+                    record=record,
+                    analytic_E=analytic,
                 )
-                cells.append(
-                    AssumptionCell(
-                        setting=setting,
-                        context_label=ctx_label,
-                        record=est.of_kind(kind),
-                        analytic_E=analytic,
-                    )
-                )
-                stream += 1
+                for (setting, _), record in islice(sampled, len(_PAIRS))
+            )
             row_label = (
                 f"{ObservableId(u_name, kind).label} {ObservableId(d_name, kind).label}"
             )
-            rows[kind].append(
-                AssumptionRow(
-                    dof=kind, row_label=row_label, cells=tuple(cells), analytic_E=analytic
-                )
+            rows[factor].append(
+                AssumptionRow(dof=kind, row_label=row_label, cells=cells, analytic_E=analytic)
             )
     return AssumptionReport(
-        pol_rows=tuple(rows[model.POLARIZATION]),
-        path_rows=tuple(rows[model.PATH]),
+        pol_rows=tuple(rows[0]),
+        path_rows=tuple(rows[1]),
         n_events=n_events,
         seed=seed,
     )
@@ -475,15 +477,6 @@ class SimulationResult:
     generator_id: str
 
 
-# Sub-stream layout of one simulated experiment (offsets from the seed):
-# 0..15 the sixteen joint settings, 16..19 the polarization CHSH run,
-# 20..23 the path CHSH run, 24..55 the assumption-test cells.
-_STREAM_JOINT = 0
-_STREAM_CHSH_PI = 16
-_STREAM_CHSH_K = 20
-_STREAM_ASSUMPTIONS = 24
-
-
 def run_simulated_experiment(state: QuantumState, n_events: int, seed: int) -> SimulationResult:
     """Full simulated run: assumption checks, per-DOF CHSH, 16 joint settings.
 
@@ -491,32 +484,13 @@ def run_simulated_experiment(state: QuantumState, n_events: int, seed: int) -> S
     product.  Each CHSH run varies one degree of freedom over the four
     canonical pairs with the other held at the context (A, B).
     """
-    assumptions = assumption_test(state, n_events, seed, stream_base=_STREAM_ASSUMPTIONS)
-
-    product = bell_mod.canonical_product(2)
-    joint_records = [
-        _sampled_estimate(state, term, n_events, seed, _STREAM_JOINT + idx).joint
-        for idx, term in enumerate(product.terms)
-    ]
-    beta = violation_report(joint_records, product, bound=4.0)
-
-    chsh = {}
-    for kind, stream_base, operator in (
-        (model.POLARIZATION, _STREAM_CHSH_PI, bell_mod.build_beta_pi()),
-        (model.PATH, _STREAM_CHSH_K, bell_mod.build_beta_k()),
-    ):
-        records = []
-        for idx, (u_name, d_name) in enumerate(_PAIRS):
-            setting = _single_dof_setting(kind, u_name, d_name, ("A", "B"))
-            est = _sampled_estimate(state, setting, n_events, seed, stream_base + idx)
-            records.append(est.of_kind(kind))
-        chsh[kind] = violation_report(records, operator, bound=2.0)
-
+    assumptions = assumption_test(state, n_events, seed, stream_base=len(_RUN_CELLS))
+    records = _sample_cells(state, _RUN_CELLS, n_events, seed, 0)
     return SimulationResult(
-        joint_records=tuple(joint_records),
-        beta=beta,
-        beta_pi=chsh[model.POLARIZATION],
-        beta_k=chsh[model.PATH],
+        joint_records=tuple(records[:16]),
+        beta=violation_report(records[:16], bell_mod.canonical_product(2), bound=4.0),
+        beta_pi=violation_report(records[16:20], bell_mod.build_beta_pi(), bound=2.0),
+        beta_k=violation_report(records[20:24], bell_mod.build_beta_k(), bound=2.0),
         assumptions=assumptions,
         n_events=n_events,
         seed=seed,

@@ -216,7 +216,7 @@ def test_criterion_7_property_suites():
             counts = simlab.sample(dist, 10**6, simlab.rng.derive_seed(seed, idx))
             est = simlab.estimate(counts, setting)
             analytic = simlab.analytic_correlations(dist)[0]
-            consistent = consistent and abs(est.joint.E - analytic) < 5 * est.joint.std_err
+            consistent = consistent and abs(est.E - analytic) < 5 * est.std_err
     checks["estimator-consistency"] = consistent
 
     # Byte-determinism of CLI output under a fixed seed.

@@ -266,6 +266,34 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert "'seed'" in err and "line 1" in err and ":4:" in err
 
+    @pytest.mark.parametrize(
+        "argv,key",
+        [
+            (["simulate", "--events", "100", "--seed", "1", "--seed", "2"], "seed"),
+            (["bounds", "--dof", "1", "--dof", "3"], "dof"),
+            (["simulate", "--v-pi", "0.8", "--v", "0.9", "--v-pi", "0.7"], "v_pi"),
+            (["ideal", "--config", "a.cfg", "--config", "b.cfg"], "config"),
+        ],
+    )
+    def test_repeated_flag_refused(self, argv, key, capsys):
+        """A repeated flag used to be silently last-wins, and a repeated
+        --config never read the first file."""
+        assert run_inproc(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"'{key}'" in captured.err and "more than once" in captured.err
+
+    def test_config_file_over_the_size_cap_refused(self, tmp_path, capsys):
+        """The file used to be read whole, so an endless one exhausted memory."""
+        cfg = tmp_path / "big.cfg"
+        cfg.write_bytes(b"#" * (cli.MAX_CONFIG_BYTES - 1) + b"\n")
+        assert run_inproc("ideal", "--config", str(cfg)) == 0
+        capsys.readouterr()
+        cfg.write_bytes(b"#" * cli.MAX_CONFIG_BYTES + b"\n")
+        assert run_inproc("ideal", "--config", str(cfg)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "cannot read config file" in captured.err
+        assert f"longer than {cli.MAX_CONFIG_BYTES} bytes" in captured.err
+
     @pytest.mark.parametrize("specific", ["v_pi", "v_k"])
     def test_config_shorthand_with_specific_visibility_refused(self, tmp_path, capsys, specific):
         """In one file, v and v_pi/v_k used to resolve silently to the

@@ -486,32 +486,37 @@ class TestEstimate:
     def test_deterministic_counts_give_unit_correlation(self):
         counts = np.zeros(16, dtype=int)
         counts[0] = 500  # (+,+ | +,+)
-        est = simlab.estimate(counts, _setting("A", "A", "B", "B"))
-        for rec in (est.joint, est.pol, est.path):
+        for factor in (None, 0, 1):
+            rec = simlab.estimate(counts, _setting("A", "A", "B", "B"), factor)
             assert rec.E == 1.0 and rec.std_err == 0.0 and rec.n_events == 500
 
     def test_std_err_formula(self):
         dist = simlab.born_distribution(NOISY, _setting("A", "A", "B", "B"))
         counts = simlab.sample(dist, 10**4, seed=3)
-        est = simlab.estimate(counts, dist.setting)
-        for rec in (est.joint, est.pol, est.path):
+        for factor in (None, 0, 1):
+            rec = simlab.estimate(counts, dist.setting, factor)
             assert rec.std_err == pytest.approx(
                 math.sqrt((1 - rec.E**2) / rec.n_events), abs=1e-12
             )
 
     def test_labels_split_by_degree_of_freedom(self):
-        est = simlab.estimate(
-            np.full(16, 10, dtype=int), _setting("a", "A", "b", "B")
-        )
-        assert est.joint.label == ("a_pi A_k", "b_pi B_k")
-        assert est.pol.label == ("a_pi", "b_pi")
-        assert est.path.label == ("A_k", "B_k")
+        counts = np.full(16, 10, dtype=int)
+        setting = _setting("a", "A", "b", "B")
+        assert simlab.estimate(counts, setting).label == ("a_pi A_k", "b_pi B_k")
+        assert simlab.estimate(counts, setting, 0).label == ("a_pi", "b_pi")
+        assert simlab.estimate(counts, setting, 1).label == ("A_k", "B_k")
+
+    @pytest.mark.parametrize("factor", [-1, 2])
+    def test_factor_outside_setting_refused(self, factor):
+        """A negative factor would otherwise index the path weights from the end."""
+        with pytest.raises(ValueError, match="outside 0..1"):
+            simlab.estimate(np.full(16, 10, dtype=int), _setting("A", "A", "B", "B"), factor)
 
     def test_sampled_joint_matches_analytic_within_five_sigma(self):
         dist = simlab.born_distribution(IDEAL, _setting("A", "A", "B", "B"))
         counts = simlab.sample(dist, 10**5, seed=21)
         est = simlab.estimate(counts, dist.setting)
-        assert abs(est.joint.E - 0.5) < 5 * est.joint.std_err
+        assert abs(est.E - 0.5) < 5 * est.std_err
 
     def test_white_noise_marginal_is_visibility(self):
         """Same-observable polarization correlation equals v_pi = 0.9 under
@@ -559,7 +564,7 @@ class TestFactorization:
         counts = simlab.sample(dist, 10**5, seed=5)
         est = simlab.estimate(counts, setting)
         joint_a, pol_a, path_a = simlab.analytic_correlations(dist)
-        assert abs(est.joint.E - joint_a) < 5 * est.joint.std_err
+        assert abs(est.E - joint_a) < 5 * est.std_err
 
 
 class TestViolationReport:
@@ -726,7 +731,55 @@ class TestAssumptionTest:
         assert e0 != e24
 
 
+# The 56 sampled cells of one simulated run in sub-stream order, rebuilt from
+# literal names (u pol, u path, d pol, d path), each with the factor it
+# estimates (None: the joint correlation).
+PRODUCT_TERMS = [
+    "AABB", "AABb", "AaBB", "AaBb", "AAbB", "AAbb", "AabB", "Aabb",
+    "aABB", "aABb", "aaBB", "aaBb", "aAbB", "aAbb", "aabB", "aabb",
+]
+CHSH_PAIRS = ["AB", "Ab", "aB", "ab"]
+ASSUMPTION_POL_ROWS = ["AA", "aa", "Bb", "bB"]
+ASSUMPTION_PATH_ROWS = ["AA", "aa", "BB", "bb"]
+
+
+def _stream_layout():
+    cells = [(_setting(*names), None) for names in PRODUCT_TERMS]  # 0..15
+    cells += [(_setting(p[0], "A", p[1], "B"), 0) for p in CHSH_PAIRS]  # 16..19
+    cells += [(_setting("A", p[0], "B", p[1]), 1) for p in CHSH_PAIRS]  # 20..23
+    for row in ASSUMPTION_POL_ROWS:  # 24..39
+        cells += [(_setting(row[0], c[0], row[1], c[1]), 0) for c in CHSH_PAIRS]
+    for row in ASSUMPTION_PATH_ROWS:  # 40..55
+        cells += [(_setting(c[0], row[0], c[1], row[1]), 1) for c in CHSH_PAIRS]
+    return cells
+
+
 class TestSimulatedExperiment:
+    def test_cell_tables_follow_the_stream_layout(self):
+        layout = [(s.u_label, s.d_label, f) for s, f in _stream_layout()]
+        cells = simlab._RUN_CELLS + simlab._ASSUMPTION_CELLS
+        assert [(s.u_label, s.d_label, f) for s, f in cells] == layout
+
+    def test_every_cell_replays_alone_on_its_sub_stream(self):
+        """Cell i of one run is sampled on derive_seed(seed, i) and nothing else."""
+        seed, n = 2024, 500
+        layout = _stream_layout()
+        expected = []
+        for i, (setting, factor) in enumerate(layout):
+            dist = simlab.born_distribution(NOISY, setting)
+            counts = simlab.sample(dist, n, rng.derive_seed(seed, i))
+            expected.append(simlab.estimate(counts, setting, factor))
+        result = simlab.run_simulated_experiment(NOISY, n_events=n, seed=seed)
+        assert list(result.joint_records) == expected[:16]
+        for rep, records, op in (
+            (result.beta_pi, expected[16:20], bell.build_beta_pi()),
+            (result.beta_k, expected[20:24], bell.build_beta_k()),
+        ):
+            assert rep.beta_estimate == simlab.violation_report(records, op, 2.0).beta_estimate
+        cells = [c for row in result.assumptions.rows for c in row.cells]
+        assert [c.record for c in cells] == expected[24:]
+        assert [c.setting for c in cells] == [s for s, _ in layout[24:]]
+
     def test_noisy_run_recovers_scaled_violations(self):
         result = simlab.run_simulated_experiment(NOISY, n_events=10**4, seed=5)
         assert len(result.joint_records) == 16
