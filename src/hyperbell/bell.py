@@ -140,23 +140,19 @@ def build_beta_product(factors) -> BellOperator:
 
 
 def canonical_product(n_dof: int) -> BellOperator:
-    """N-fold product operator, factor kinds cycling polarization, path, ..."""
+    """N-fold product operator of the factor kinds ``model.canonical_kinds``."""
     if not 1 <= n_dof <= MAX_DOF:
         raise ValueError(f"dof count must lie in [1, {MAX_DOF}], got {n_dof}")
-    return build_beta_product(build_beta_k() if i % 2 else build_beta_pi() for i in range(n_dof))
+    return build_beta_product(_FACTORS[kind] for kind in model.canonical_kinds(n_dof))
 
 
 def ideal_state(n_dof: int) -> QuantumState:
-    """Maximally violating pure state for canonical_product(n_dof)."""
+    """Maximally violating pure state for canonical_product(n_dof): phase pi
+    on the polarization pairs, 0 on the path pairs."""
     if not 1 <= n_dof <= MAX_DOF:
         raise ValueError(f"dof count must lie in [1, {MAX_DOF}], got {n_dof}")
-    vec = np.ones(1, dtype=complex)
-    for i in range(n_dof):
-        if i % 2 == 0:
-            vec = np.kron(vec, model.pair_state(model.POLARIZATION, np.pi))
-        else:
-            vec = np.kron(vec, model.pair_state(model.PATH, 0.0))
-    return QuantumState.pure(vec, dof_count=n_dof)
+    kinds = model.canonical_kinds(n_dof)
+    return model.product_state(kinds, [np.pi if k == model.POLARIZATION else 0.0 for k in kinds])
 
 
 def _expect_real(matrix: np.ndarray, state: QuantumState) -> float:
@@ -225,8 +221,6 @@ def scaling_report(n_dof: int, bound_source: str = ANALYTIC) -> ScalingReport:
     The classical bound is either the analytic product bound 2^N for the
     factorizable class, or the exhaustively enumerated one.
     """
-    if not 1 <= n_dof <= MAX_DOF:
-        raise ValueError(f"dof count must lie in [1, {MAX_DOF}], got {n_dof}")
     op = canonical_product(n_dof)
     q = abs(quantum_value(op, ideal_state(n_dof)))
     if bound_source == ANALYTIC:

@@ -493,10 +493,8 @@ def _grid_lines(title, col_labels, row_labels, values, extra_cols=None) -> list:
 
 def _assumption_table_lines(report: simlab.AssumptionReport) -> list:
     lines = []
-    for name, rows in (
-        ("polarization correlations under path contexts", report.pol_rows),
-        ("path correlations under polarization contexts", report.path_rows),
-    ):
+    for f, rows in enumerate(report.factor_rows):
+        contexts = " and ".join(r[0].dof for g, r in enumerate(report.factor_rows) if g != f)
         col_labels = [cell.context_label for cell in rows[0].cells]
         values = [[cell.record.E for cell in row.cells] for row in rows]
         extra = [
@@ -506,7 +504,8 @@ def _assumption_table_lines(report: simlab.AssumptionReport) -> list:
             ("analytic", lambda i, rs=rows: rs[i].analytic_E),
         ]
         lines += _grid_lines(
-            f"Assumption check: {name} (sampled E per cell)",
+            f"Assumption check: {rows[0].dof} correlations under {contexts} contexts"
+            " (sampled E per cell)",
             col_labels,
             [row.row_label for row in rows],
             values,
@@ -573,8 +572,9 @@ def _emit_table(result: StudyResult) -> str:
             values,
         )
         lines.append("")
-        lines += _violation_lines("beta_pi", sim.beta_pi)
-        lines += _violation_lines("beta_k", sim.beta_k)
+        kinds = model.canonical_kinds(len(sim.chsh))
+        for label, rep in zip(model.factor_labels(kinds), sim.chsh):
+            lines += _violation_lines(f"beta_{label}", rep)
         lines += _violation_lines("beta", sim.beta)
         lines.append("")
         lines.append(f"events per setting: {sim.n_events}   seed: {sim.seed}   "

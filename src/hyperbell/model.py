@@ -4,9 +4,10 @@ Conventions (fixed, shared by every module):
 
 - kets |H> = (1, 0), |V> = (0, 1) for polarization; |l> = (1, 0),
   |r> = (0, 1) for the two path modes;
-- global tensor order (u-polarization) x (d-polarization) x (u-path) x
-  (d-path), first factor slowest, so the full state is literally
-  (polarization pair) x (path pair);
+- global tensor order factor by factor, first factor slowest, photon u
+  before photon d within a factor; the canonical factors alternate
+  polarization, path, ... (``canonical_kinds``), so the two-DOF state is
+  literally (polarization pair) x (path pair);
 - photon u owns measurement names A and a, photon d owns B and b;
 - labels: a factor is labelled by its kind, ``pi`` for polarization and
   ``k`` for path, with a repeated kind numbered from 2 (pi, k, pi2); an
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -72,6 +74,12 @@ _OBSERVABLES = {
 
 
 _KIND_LABELS = {POLARIZATION: "pi", PATH: "k"}
+
+
+def canonical_kinds(n: int) -> tuple:
+    """Factor kinds of the canonical N-DOF experiment, factor 0 first:
+    polarization, path, polarization, ..."""
+    return tuple([PATH if f % 2 else POLARIZATION for f in range(n)])
 
 
 def factor_labels(kinds: tuple) -> tuple:
@@ -252,6 +260,11 @@ def pair_state(kind: str, phase: float) -> np.ndarray:
     return v / _SQRT2
 
 
+def product_state(kinds: tuple, phases: tuple) -> QuantumState:
+    """Tensor product of ``pair_state(kinds[f], phases[f])``, factor 0 first."""
+    return QuantumState.pure(reduce(np.kron, map(pair_state, kinds, phases)), len(kinds))
+
+
 def hyper_state(theta: float, phi: float) -> QuantumState:
     """Hyper-entangled pure state (|HH> + e^{i theta}|VV>) x (|lr> + e^{i phi}|rl>) / 2.
 
@@ -260,8 +273,7 @@ def hyper_state(theta: float, phi: float) -> QuantumState:
     """
     if not (np.isfinite(theta) and np.isfinite(phi)):
         raise ValueError("phases must be finite")
-    full = np.kron(pair_state(POLARIZATION, theta), pair_state(PATH, phi))
-    return QuantumState.pure(full, dof_count=2)
+    return product_state((POLARIZATION, PATH), (theta, phi))
 
 
 def pair_projectors(pol_matrix, path_matrix, photon: str) -> dict:
@@ -271,9 +283,8 @@ def pair_projectors(pol_matrix, path_matrix, photon: str) -> dict:
     Maps each outcome pair (pol, path) in {+1, -1}^2 to its rank-4
     projector; the four sum to the identity.  The observables are explicit
     2x2 matrices, so one can sit on the photon that does not own its name
-    (e.g. A_pi on photon d).  Born probabilities use the unembedded
-    ``local_projectors`` instead; this embedding is the reference they are
-    tested against.
+    (e.g. A_pi on photon d).  Born probabilities never build it; this
+    embedding is the reference they are tested against.
     """
     if photon not in PHOTONS:
         raise ValueError(f"unknown photon {photon!r}")
@@ -289,25 +300,6 @@ def pair_projectors(pol_matrix, path_matrix, photon: str) -> dict:
             else:
                 out[(s, t)] = qcore.tensor_all(_I2, p_pol, _I2, p_path)
     return out
-
-
-_SIGNS = np.array([1.0, -1.0])
-
-
-def local_projectors(pol_matrix, path_matrix) -> np.ndarray:
-    """A photon's four joint-outcome projectors on its own (pol x path) space.
-
-    Returns a ``(4, 4, 4)`` stack: entry ``2*s + t`` is
-    ``(I + sign_s M_pol)/2 x (I + sign_t M_path)/2`` with signs ordered
-    (+1, -1), polarization first.  The operators are not embedded in the
-    two-photon space; ``simlab.born_distribution`` contracts them with the
-    state directly.
-    """
-    pm = qcore.as_matrix(pol_matrix)
-    km = qcore.as_matrix(path_matrix)
-    pol = (_I2 + _SIGNS[:, None, None] * pm) / 2.0
-    path = (_I2 + _SIGNS[:, None, None] * km) / 2.0
-    return np.einsum("sac,tbd->stabcd", pol, path).reshape(4, 4, 4)
 
 
 NOISE_NONE = "none"
@@ -342,36 +334,37 @@ class NoiseModel:
 
 
 def apply_noise(state: QuantumState, noise: NoiseModel) -> QuantumState:
-    """Apply the noise channel to a pure dim-16 state; returns a mixed state."""
+    """Apply the noise channel to a pure N-DOF state, block by block: v_pi on
+    polarization factors and v_k on path factors (``canonical_kinds``).
+    Returns a mixed state."""
     if not state.is_pure:
         raise ValueError("apply_noise expects a pure input state")
-    if state.dof_count != 2:
-        raise ValueError("noise channels are defined for the two-DOF state")
+    n = state.dof_count
     rho = np.outer(state.vector, state.vector.conj())
     if noise.kind != NOISE_NONE:
         channel = _white_dof if noise.kind == NOISE_WHITE else _dephase_dof
-        for block, v in enumerate((noise.v_pi, noise.v_k)):
-            rho = channel(rho, v, block)
-    return QuantumState.mixed(rho, dof_count=2)
+        for block, kind in enumerate(canonical_kinds(n)):
+            rho = channel(rho, noise.v_pi if kind == POLARIZATION else noise.v_k, block, n)
+    return QuantumState.mixed(rho, dof_count=n)
 
 
-def _on_block(a: np.ndarray, block: int) -> np.ndarray:
+def _on_block(a: np.ndarray, block: int, n: int) -> np.ndarray:
     """A 4x4 array over one block's (row, column) pair indices, with unit
-    axes for the other block, so it broadcasts against rho as
-    (pol_row, path_row, pol_col, path_col)."""
-    return np.expand_dims(a, (1 - block, 3 - block))
+    axes for the other blocks, so it broadcasts against rho reshaped to
+    (4,) * 2n: the n row blocks, then the n column blocks."""
+    shape = [1] * (2 * n)
+    shape[block] = shape[block + n] = 4
+    return a.reshape(shape)
 
 
-def _white_dof(rho: np.ndarray, v: float, block: int) -> np.ndarray:
+def _white_dof(rho: np.ndarray, v: float, block: int, n: int) -> np.ndarray:
     """v rho + (1 - v) (I/4 on the block) x (partial trace over the block)."""
-    r4 = rho.reshape(4, 4, 4, 4)  # (pol_row, path_row, pol_col, path_col)
-    rest = np.trace(r4, axis1=block, axis2=block + 2)
-    mixed = _on_block(np.eye(4) / 4.0, block) * _on_block(rest, 1 - block)
-    return v * rho + (1.0 - v) * mixed.reshape(16, 16)
+    rest = np.trace(rho.reshape((4,) * (2 * n)), axis1=block, axis2=block + n)
+    mixed = _on_block(np.eye(4) / 4.0, block, n) * np.expand_dims(rest, (block, block + n))
+    return v * rho + (1.0 - v) * mixed.reshape(rho.shape)
 
 
-def _dephase_dof(rho: np.ndarray, v: float, block: int) -> np.ndarray:
+def _dephase_dof(rho: np.ndarray, v: float, block: int, n: int) -> np.ndarray:
     """Scale entries whose block row/column pair indices differ by v."""
-    r4 = rho.reshape(4, 4, 4, 4).copy()
-    factor = np.where(_on_block(np.eye(4, dtype=bool), block), 1.0, v)
-    return (r4 * factor).reshape(16, 16)
+    factor = np.where(_on_block(np.eye(4, dtype=bool), block, n), 1.0, v)
+    return (rho.reshape((4,) * (2 * n)) * factor).reshape(rho.shape)

@@ -1,24 +1,17 @@
 """Simulated experiment: Born probabilities, coincidence sampling, estimators.
 
-A joint setting (``model.JointSetting``) fixes one polarization and one path
-observable per photon, in that order; each photon then has four outcomes
-(polarization sign, path sign), giving 16 joint outcome cells per setting.
-The 16 settings of the Bell test are the terms of ``bell.canonical_product(2)``
-in its term order.  Outcome cells are ordered u-major with per-side order
-(+,+), (+,-), (-,+), (-,-), polarization sign first.
+A joint setting (``model.JointSetting``) fixes one observable per photon and
+degree of freedom, of the kinds ``model.canonical_kinds(N)``.  Each photon
+has 2^N outcomes, one sign per factor in ``product((1, -1), repeat=N)``
+order, so a setting has 4^N outcome cells, ordered u-major.  The 4^N
+settings of the Bell test are the terms of ``bell.canonical_product(N)``.
 
 Born probabilities come from one contraction per setting: each photon's
-four joint-outcome projectors act on its own 4-dim (pol, path) space, the
-density matrix is permuted once into photon-local order, and the 16 cells
-are ``real(A @ R @ B.T)``.  No 16x16 projector is built.  The cells agree
-with the trace over embedded 16x16 projectors to about 1e-16, so sampled
-counts and every output byte are identical to that construction.
-
-Only 16 (polarization name, path name) pairs exist per photon, so their
-projector stacks are a constant table built once at import with
-``model.local_projectors``, bitwise equal to a fresh build and read-only.
-The eight context-free marginal operators of the assumption test are a
-constant read-only table in the same way.
+2^N joint-outcome projectors act on its own 2^N-dim space, the density
+matrix is permuted once into photon-local order, and the cells are
+``real(A @ R @ B.T)``.  They agree with the trace over embedded projectors
+to about 1e-16, and sampled counts and every output byte are identical to
+that construction.  Every table of one N is built once (``_Layout``).
 
 A sampled cell is a ``(setting, factor)`` pair: the joint correlation of
 the setting when ``factor`` is None, else the correlation of that one
@@ -33,7 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from functools import cache, reduce
+from itertools import islice, product
 
 import numpy as np
 
@@ -42,10 +36,13 @@ from . import model, qcore, rng
 from .model import JointSetting, ObservableId, QuantumState
 from .rng import GENERATOR_ID
 
-OUTCOME_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-
 _I2 = np.eye(2, dtype=complex)
-_NAMES = model.U_SIDE_NAMES + model.D_SIDE_NAMES
+_PAIRS = (("A", "B"), ("A", "b"), ("a", "B"), ("a", "b"))
+# The (u, d) name pairs each kind predicts: the rows of the assumption test.
+_ASSUMPTION_ROWS = {
+    model.POLARIZATION: (("A", "A"), ("a", "a"), ("B", "b"), ("b", "B")),
+    model.PATH: (("A", "A"), ("a", "a"), ("B", "B"), ("b", "b")),
+}
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -53,85 +50,145 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# Outcome weights per factor, flattened u-major (cell = 4*i + j): row f is
-# the product of the two photons' signs on factor f.  The joint weight is
-# the product of the rows.
-_SIGNS = np.array(OUTCOME_PAIRS, dtype=float).T  # (factor, side outcome)
-_WEIGHTS = (_SIGNS[:, :, None] * _SIGNS[:, None, :]).reshape(len(_SIGNS), 16)
-_JOINT_WEIGHTS = _WEIGHTS.prod(axis=0)
-
-_POL_PATH = (model.POLARIZATION, model.PATH)
-_PAIRS = (("A", "B"), ("A", "b"), ("a", "B"), ("a", "b"))
+# Each observable's two outcome projectors (I + M)/2, (I - M)/2 as a (2, 2, 2) stack.
+_OUTCOME_PROJECTORS = {
+    obs: _read_only((_I2 + np.array([1.0, -1.0])[:, None, None] * model.observable(obs)) / 2.0)
+    for kind in model.KINDS
+    for obs in model.observable_ids(kind)
+}
 
 
-def _check_pol_path(setting: JointSetting) -> None:
-    """Refuse a setting that is not (polarization, path) on both photons,
-    naming the first observable of the wrong kind."""
-    if setting.kinds != _POL_PATH:
-        for obs, kind in zip(setting.u_ids, _POL_PATH):
-            if obs.kind != kind:
-                raise ValueError(f"{obs.label} is not a {kind} observable")
-        raise ValueError(
-            f"setting ({setting.u_label}, {setting.d_label}) does not measure exactly"
-            " polarization and path"
+@cache
+def _side_projectors(ids: tuple) -> np.ndarray:
+    """One photon's 2^N outcome projectors on its own 2^N-dim space, as a
+    2^N x 4^N stack: the Kronecker product of the (I +- M)/2 pairs of its
+    observables, factor 0 slowest.  The names need not belong to the photon."""
+    stack = reduce(_kron_stack, [_OUTCOME_PROJECTORS[obs] for obs in ids])
+    return _read_only(stack.reshape(len(stack), -1))
+
+
+def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two square projector stacks on every axis.
+    einsum, not np.kron: its zeros are all +0.0, where np.kron keeps the
+    -0.0 of a product like 0.5 * -0.0."""
+    return np.einsum("sac,tbd->stabcd", a, b).reshape((len(a) * len(b),) * 3)
+
+
+def _marginal_operator(n: int, f: int, kind: str, u_name: str, d_name: str) -> np.ndarray:
+    """The (u, d) observables of ``kind`` on factor f, identity elsewhere."""
+    slots = [_I2] * (2 * n)
+    slots[2 * f] = model.observable(ObservableId(u_name, kind))
+    slots[2 * f + 1] = model.observable(ObservableId(d_name, kind))
+    return _read_only(qcore.tensor_all(*slots))
+
+
+class _Layout:
+    """The tables of the canonical N-DOF experiment, built from N alone;
+    ``_layout(n)`` builds each N once.
+
+    The cells are (setting, factor) pairs in sub-stream order.  A run's
+    cells from offset 0: the product terms in term order, then factor by
+    factor its 4 CHSH cells (the canonical pairs, the other factors held at
+    (A, B)).  The assumption cells from ``stream_base``: factor by factor,
+    each row of its kind under the 4^(N-1) contexts of the other factors
+    (other factors in order, the first slowest).  At N = 2 that is 0..15,
+    16..19, 20..23 and 24..55.
+    """
+
+    def __init__(self, n: int):
+        self.operator = bell_mod.canonical_product(n)
+        self.kinds = self.operator.kinds
+        self.labels = model.factor_labels(self.kinds)
+        # rho's 4N qubit indices, row then column, each factor by factor with
+        # photon u first, go to (u columns, u rows, d columns, d rows), factor
+        # 0 first, so that Tr[(P_u x P_d) rho] is A @ R @ B.T.
+        self.born_axes = tuple(
+            base + 2 * f + side for side in (0, 1) for base in (2 * n, 0) for f in range(n)
         )
+        # Row f: the product of the two photons' signs on factor f, over the
+        # cells u-major, each side in ``product((1, -1), repeat=N)`` order.
+        signs = np.array(list(product((1, -1), repeat=n)), dtype=float).T
+        self.weights = _read_only((signs[:, :, None] * signs[:, None, :]).reshape(n, -1))
+        self.joint_weights = _read_only(self.weights.prod(axis=0))
+        # Per factor, the context-free marginal operator of each assumption row.
+        self.marginals = tuple(
+            tuple(_marginal_operator(n, f, kind, u, d) for u, d in _ASSUMPTION_ROWS[kind])
+            for f, kind in enumerate(self.kinds)
+        )
+        self.run_cells = tuple((term, None) for term in self.operator.terms) + tuple(
+            self._cell(f, pair, [("A", "B")] * (n - 1)) for f in range(n) for pair in _PAIRS
+        )
+        self.assumption_cells = tuple(
+            self._cell(f, pair, context)
+            for f, kind in enumerate(self.kinds)
+            for pair in _ASSUMPTION_ROWS[kind]
+            for context in product(_PAIRS, repeat=n - 1)
+        )
+
+    def _cell(self, f: int, pair: tuple, context) -> tuple:
+        """The cell of factor f measuring the (u, d) names ``pair``, with the
+        other factors at the name pairs of ``context``, in order."""
+        names = list(context)
+        names.insert(f, pair)
+        u_names, d_names = zip(*names)
+        ids = (tuple(map(ObservableId, side, self.kinds)) for side in (u_names, d_names))
+        return JointSetting(*ids), f
+
+
+_layout = cache(_Layout)
+
+
+def _layout_of(setting: JointSetting) -> _Layout:
+    """The layout of the setting's DOF count.  A setting whose kinds are not
+    ``canonical_kinds(N)`` is refused, naming its first observable of the
+    wrong kind."""
+    layout = _layout(len(setting.kinds))
+    if setting.kinds != layout.kinds:
+        obs, kind = next((o, k) for o, k in zip(setting.u_ids, layout.kinds) if o.kind != k)
+        raise ValueError(f"{obs.label} is not a {kind} observable")
+    return layout
+
+
+def _factor_label(setting: JointSetting, factors, labels) -> tuple:
+    """(u, d) labels of the setting's observables on ``factors`` alone, the
+    token of ``factors[i]`` carrying the factor label ``labels[i]`` (a_pi2)."""
+    return tuple(
+        model.side_label([ids[f].name for f in factors], labels)
+        for ids in (setting.u_ids, setting.d_ids)
+    )
 
 
 def bell_test_settings() -> tuple:
     """The 16 canonical joint settings: the terms of the two-DOF product
     operator, in its term order."""
-    return bell_mod.canonical_product(2).terms
+    return _layout(2).operator.terms
 
 
 @dataclass(frozen=True, eq=False)  # ndarray fields: identity equality and hash
 class OutcomeDistribution:
     setting: JointSetting
-    probs: np.ndarray  # 16 cells, u-major
-
-
-# Axis order that takes rho, reshaped to its eight qubit indices (row
-# pol_u, pol_d, path_u, path_d, then the same for the column), to the layout
-# ((u column, u row), (d column, d row)) with each photon's index
-# (pol, path): the contraction Tr[(P_u x P_d) rho] is then A @ R @ B.T.
-_BORN_AXES = (4, 6, 0, 2, 5, 7, 1, 3)
-
-# One photon's four joint-outcome projectors as a 4x16 stack (rows in
-# ``model.local_projectors`` order), per (polarization name, path name).
-_SIDE_PROJECTORS = {
-    (pol, path): _read_only(
-        model.local_projectors(
-            model.observable(ObservableId(pol, model.POLARIZATION)),
-            model.observable(ObservableId(path, model.PATH)),
-        ).reshape(4, 16)
-    )
-    for pol in _NAMES
-    for path in _NAMES
-}
+    probs: np.ndarray  # 4^N cells, u-major
 
 
 def born_distribution(state: QuantumState, setting: JointSetting) -> OutcomeDistribution:
     """Joint outcome probabilities Tr[rho (P_u x P_d)] for one setting.
 
-    One contraction: each photon's four projectors stay on its own 4-dim
-    (pol, path) space, read as a 4x16 stack from the constant table built
-    with ``model.local_projectors``; rho is permuted once to photon-local
-    order, and all 16 cells are ``real(A @ R @ B.T)`` with A, B the two
-    stacks and R the permuted rho as 16x16.  No projector is built per call
-    and no 16x16 projector at all.  The result agrees with the trace over
-    embedded projectors (``model.pair_projectors``) to about 1e-16, and
-    outputs are byte-identical to it.
+    A and B are the two photons' 2^N x 4^N projector stacks, built once per
+    observables tuple, and R is rho permuted to photon-local order; the
+    reference is the trace over ``model.pair_projectors``.
 
     Probabilities more negative than -1e-12 are an error; smaller negative
     rounding residue is clamped to zero and the distribution renormalized.
     """
-    if state.dof_count != 2:
-        raise ValueError("joint settings are defined for the two-DOF state")
-    _check_pol_path(setting)
-    (u_pol, u_path), (d_pol, d_path) = setting.u_ids, setting.d_ids
-    side_u = _SIDE_PROJECTORS[u_pol.name, u_path.name]
-    side_d = _SIDE_PROJECTORS[d_pol.name, d_path.name]
-    r = state.rho.reshape((2,) * 8).transpose(_BORN_AXES).reshape(16, 16)
-    probs = np.real(side_u @ r @ side_d.T).ravel()
+    layout = _layout_of(setting)
+    if state.dof_count != len(layout.kinds):
+        raise ValueError(
+            f"the setting measures {len(layout.kinds)} degrees of freedom,"
+            f" the state has {state.dof_count}"
+        )
+    qubits = (2,) * len(layout.born_axes)
+    r = state.rho.reshape(qubits).transpose(layout.born_axes).reshape(state.rho.shape)
+    probs = np.real(_side_projectors(setting.u_ids) @ r @ _side_projectors(setting.d_ids).T).ravel()
     lo = float(probs.min())
     if lo < -1e-12:
         raise ValueError(f"Born probability {lo!r} below the clamping tolerance")
@@ -143,39 +200,34 @@ def born_distribution(state: QuantumState, setting: JointSetting) -> OutcomeDist
 
 
 def analytic_correlations(dist: OutcomeDistribution) -> tuple:
-    """(joint, polarization, path) correlations of the exact distribution."""
-    p = dist.probs
-    return tuple(float(p @ w) for w in (_JOINT_WEIGHTS, *_WEIGHTS))
+    """The joint correlation of the exact distribution, then each factor's."""
+    layout = _layout(len(dist.setting.kinds))
+    return tuple(float(dist.probs @ w) for w in (layout.joint_weights, *layout.weights))
 
 
 def marginals(dist: OutcomeDistribution) -> tuple:
-    """(u-side, d-side) outcome marginals, each a length-4 array."""
-    grid = dist.probs.reshape(4, 4)
+    """(u-side, d-side) outcome marginals, each of length 2^N."""
+    grid = dist.probs.reshape(2 ** len(dist.setting.kinds), -1)
     return grid.sum(axis=1), grid.sum(axis=0)
 
 
 def signaling_deviation(state: QuantumState) -> float:
     """Largest marginal shift of one side under the other side's setting.
 
-    Scans the 16 canonical settings grouped by each side's local setting;
-    quantum states keep this at floating-point rounding scale.
+    Scans the canonical settings (the terms of ``canonical_product(N)``)
+    grouped by each side's local setting; quantum states keep this at
+    floating-point rounding scale.
     """
-    u_groups: dict = {}
-    d_groups: dict = {}
-    for setting in bell_test_settings():
-        mu, md = marginals(born_distribution(state, setting))
-        u_groups.setdefault(setting.u_label, []).append(mu)
-        d_groups.setdefault(setting.d_label, []).append(md)
-    worst = 0.0
-    for groups in (u_groups, d_groups):
-        for margs in groups.values():
-            stack = np.stack(margs)
-            worst = max(worst, float(np.max(stack.max(axis=0) - stack.min(axis=0))))
-    return worst
+    groups: dict = {}  # (photon, its local setting) -> its marginals
+    for setting in _layout(state.dof_count).operator.terms:
+        margs = marginals(born_distribution(state, setting))
+        for key, marg in zip((("u", setting.u_label), ("d", setting.d_label)), margs):
+            groups.setdefault(key, []).append(marg)
+    return max(float(np.ptp(np.stack(margs), axis=0).max()) for margs in groups.values())
 
 
 def sample(dist: OutcomeDistribution, n_events: int, seed: int) -> np.ndarray:
-    """Multinomial counts over the 16 cells; determined by (dist, n, seed)."""
+    """Multinomial counts over the cells; determined by (dist, n, seed)."""
     return rng.multinomial(dist.probs, n_events, seed)
 
 
@@ -191,20 +243,21 @@ def estimate(counts, setting: JointSetting, factor: int | None = None) -> Correl
     """Correlation estimate with std_err = sqrt((1 - E^2)/n) from counts.
 
     ``factor=None`` gives the joint correlation, labelled by the two photon
-    labels; factor f gives that degree of freedom's correlation, labelled
-    ``(u_ids[f].label, d_ids[f].label)``.  Counts must have an integer dtype:
-    floats, whole or not, are refused rather than truncated."""
-    _check_pol_path(setting)
+    labels; factor f gives that degree of freedom's correlation, labelled by
+    the two photons' tokens on factor f alone with its numbered label
+    (``a_pi2``).  Counts must have an integer dtype: floats, whole or not,
+    are refused rather than truncated."""
+    layout = _layout_of(setting)
     if factor is None:
-        weights, label = _JOINT_WEIGHTS, (setting.u_label, setting.d_label)
-    elif factor in range(len(setting.kinds)):
-        weights = _WEIGHTS[factor]
-        label = (setting.u_ids[factor].label, setting.d_ids[factor].label)
+        weights, label = layout.joint_weights, (setting.u_label, setting.d_label)
+    elif factor in range(len(layout.kinds)):
+        weights = layout.weights[factor]
+        label = _factor_label(setting, (factor,), (layout.labels[factor],))
     else:
-        raise ValueError(f"factor {factor!r} outside 0..{len(setting.kinds) - 1}")
+        raise ValueError(f"factor {factor!r} outside 0..{len(layout.kinds) - 1}")
     c = np.asarray(counts)
-    if c.shape != (16,) or c.dtype.kind not in "iu" or np.any(c < 0):
-        raise ValueError("counts must be 16 nonnegative integers")
+    if c.shape != weights.shape or c.dtype.kind not in "iu" or np.any(c < 0):
+        raise ValueError(f"counts must be {weights.size} nonnegative integers")
     c = c.astype(np.int64, copy=False)
     n = int(c.sum())
     if n < 2:
@@ -234,24 +287,30 @@ class ViolationReport:
     sigmas: float
 
 
-def violation_report(records, bell: bell_mod.BellOperator, bound: float) -> ViolationReport:
+def violation_report(
+    records, bell: bell_mod.BellOperator, bound: float, labels: tuple | None = None
+) -> ViolationReport:
     """Combine per-setting correlations into a Bell-operator estimate.
 
     ``records`` must match the operator's term list bijectively by
-    (u label, d label).
+    (u label, d label).  ``labels`` are the factor labels the records carry,
+    by default the operator's own; factor 2 of a three-DOF run carries
+    ``pi2`` where its CHSH operator alone says ``pi``.
     """
+    labels = bell.factor_labels if labels is None else labels
+    keys = [_factor_label(t, range(len(labels)), labels) for t in bell.terms]
     by_label = {}
     for rec in records:
         if rec.label in by_label:
             raise ValueError(f"duplicate record for setting {rec.label}")
         by_label[rec.label] = rec
-    term_labels = {(t.u_label, t.d_label) for t in bell.terms}
+    term_labels = set(keys)
     if set(by_label) != term_labels:
         missing = sorted(term_labels - set(by_label))
         extra = sorted(set(by_label) - term_labels)
         raise ValueError(f"record/term mismatch: missing {missing}, extra {extra}")
-    beta = sum(t.sign * by_label[(t.u_label, t.d_label)].E for t in bell.terms)
-    var = sum(by_label[(t.u_label, t.d_label)].std_err ** 2 for t in bell.terms)
+    beta = sum(t.sign * by_label[key].E for t, key in zip(bell.terms, keys))
+    var = sum(by_label[key].std_err ** 2 for key in keys)
     std = math.sqrt(var)
     return ViolationReport(
         beta_estimate=float(beta),
@@ -298,52 +357,13 @@ class AssumptionRow:
 
 @dataclass(frozen=True)
 class AssumptionReport:
-    pol_rows: tuple
-    path_rows: tuple
+    factor_rows: tuple  # one tuple of rows per factor, factor 0 first
     n_events: int
     seed: int
 
     @property
     def rows(self) -> tuple:
-        return self.pol_rows + self.path_rows
-
-
-_ASSUMPTION_POL_ROWS = (("A", "A"), ("a", "a"), ("B", "b"), ("b", "B"))
-_ASSUMPTION_PATH_ROWS = (("A", "A"), ("a", "a"), ("B", "B"), ("b", "b"))
-# (kind, row name pairs) per factor, factor 0 first.
-_ASSUMPTION_ROWS = tuple(zip(_POL_PATH, (_ASSUMPTION_POL_ROWS, _ASSUMPTION_PATH_ROWS)))
-
-
-def _single_dof_setting(factor: int, pair: tuple, context: tuple) -> JointSetting:
-    """Setting that measures the (u, d) names ``pair`` on ``factor`` with the
-    other degree of freedom held at the (u, d) names of ``context``."""
-    pairs = [context] * len(_POL_PATH)
-    pairs[factor] = pair
-    return JointSetting(
-        u_ids=tuple(ObservableId(u, kind) for (u, _), kind in zip(pairs, _POL_PATH)),
-        d_ids=tuple(ObservableId(d, kind) for (_, d), kind in zip(pairs, _POL_PATH)),
-    )
-
-
-# The sampled cells, each a (setting, factor) pair with factor None for the
-# joint correlation, in sub-stream order.  Sub-stream layout of one
-# simulated experiment (offsets from the seed): 0..15 the sixteen joint
-# settings, 16..19 the polarization CHSH run, 20..23 the path CHSH run,
-# 24..55 the assumption-test cells.  Each CHSH run varies one degree of
-# freedom over the four canonical pairs with the other held at (A, B); the
-# assumption cells run over the rows of each factor, each row under the four
-# contexts of the other factor.
-_RUN_CELLS = tuple((term, None) for term in bell_mod.canonical_product(2).terms) + tuple(
-    (_single_dof_setting(factor, pair, ("A", "B")), factor)
-    for factor in range(len(_POL_PATH))
-    for pair in _PAIRS
-)
-_ASSUMPTION_CELLS = tuple(
-    (_single_dof_setting(factor, pair, context), factor)
-    for factor, (_, row_pairs) in enumerate(_ASSUMPTION_ROWS)
-    for pair in row_pairs
-    for context in _PAIRS
-)
+        return tuple(row for rows in self.factor_rows for row in rows)
 
 
 def _sample_cells(
@@ -359,68 +379,51 @@ def _sample_cells(
     return records
 
 
-def _marginal_operator(kind: str, u_name: str, d_name: str) -> np.ndarray:
-    u_m = model.observable(ObservableId(u_name, kind))
-    d_m = model.observable(ObservableId(d_name, kind))
-    if kind == model.POLARIZATION:
-        return qcore.tensor_all(u_m, d_m, _I2, _I2)
-    return qcore.tensor_all(_I2, _I2, u_m, d_m)
-
-
-# The context-free marginal operator of every assumption-test row.
-_MARGINAL_OPERATORS = {
-    (kind, u_name, d_name): _read_only(_marginal_operator(kind, u_name, d_name))
-    for kind, row_pairs in _ASSUMPTION_ROWS
-    for u_name, d_name in row_pairs
-}
-
-
 def assumption_test(
     state: QuantumState, n_events: int, seed: int, stream_base: int = 0
 ) -> AssumptionReport:
     """Element-of-reality checks: same-DOF correlations across contexts.
 
-    For each predictable polarization pair the polarization correlation is
-    estimated under all four path contexts (and symmetrically for path
-    under polarization contexts).  The analytic value per row comes from
-    the context-free marginal operator, which is the exact Born marginal
-    for every context, so its spread across a row is identically zero; the
-    sampled spread is purely statistical.
+    For each factor, each predictable pair of its kind is estimated under
+    all 4^(N-1) contexts of the other factors (at N = 2: polarization under
+    the four path contexts, and path under the four polarization contexts).
+    The analytic value per row comes from the context-free marginal
+    operator, which is the exact Born marginal for every context, so its
+    spread across a row is identically zero; the sampled spread is purely
+    statistical.
     """
-    records = _sample_cells(state, _ASSUMPTION_CELLS, n_events, seed, stream_base)
-    sampled = iter(zip(_ASSUMPTION_CELLS, records))
-    rows = ([], [])
-    for factor, (kind, row_pairs) in enumerate(_ASSUMPTION_ROWS):
-        ctx = 1 - factor  # the other degree of freedom
-        for u_name, d_name in row_pairs:
-            analytic = float(
-                np.real(
-                    qcore.expectation_mixed(
-                        _MARGINAL_OPERATORS[kind, u_name, d_name], state.rho
-                    )
-                )
-            )
+    layout = _layout(state.dof_count)
+    n = len(layout.kinds)
+    records = _sample_cells(state, layout.assumption_cells, n_events, seed, stream_base)
+    sampled = iter(zip(layout.assumption_cells, records))
+    factor_rows = []
+    for f, (kind, operators) in enumerate(zip(layout.kinds, layout.marginals)):
+        others = [g for g in range(n) if g != f]
+        other_labels = [layout.labels[g] for g in others]
+        rows = []
+        for operator in operators:
+            # rho is already a validated density matrix.
+            analytic = float(np.trace(state.rho @ operator).real)
             cells = tuple(
                 AssumptionCell(
                     setting=setting,
-                    context_label=f"{setting.u_ids[ctx].label} {setting.d_ids[ctx].label}",
+                    context_label=" ".join(_factor_label(setting, others, other_labels)),
                     record=record,
                     analytic_E=analytic,
                 )
-                for (setting, _), record in islice(sampled, len(_PAIRS))
+                for (setting, _), record in islice(sampled, 4 ** (n - 1))
             )
-            row_label = (
-                f"{ObservableId(u_name, kind).label} {ObservableId(d_name, kind).label}"
+            # Every cell of a row measures the row's pair on factor f.
+            rows.append(
+                AssumptionRow(
+                    dof=kind,
+                    row_label=" ".join(cells[0].record.label),
+                    cells=cells,
+                    analytic_E=analytic,
+                )
             )
-            rows[factor].append(
-                AssumptionRow(dof=kind, row_label=row_label, cells=cells, analytic_E=analytic)
-            )
-    return AssumptionReport(
-        pol_rows=tuple(rows[0]),
-        path_rows=tuple(rows[1]),
-        n_events=n_events,
-        seed=seed,
-    )
+        factor_rows.append(tuple(rows))
+    return AssumptionReport(factor_rows=tuple(factor_rows), n_events=n_events, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -469,8 +472,7 @@ def reference_significance() -> tuple:
 class SimulationResult:
     joint_records: tuple
     beta: ViolationReport
-    beta_pi: ViolationReport
-    beta_k: ViolationReport
+    chsh: tuple  # one CHSH ViolationReport per factor, factor 0 first
     assumptions: AssumptionReport
     n_events: int
     seed: int
@@ -478,19 +480,24 @@ class SimulationResult:
 
 
 def run_simulated_experiment(state: QuantumState, n_events: int, seed: int) -> SimulationResult:
-    """Full simulated run: assumption checks, per-DOF CHSH, 16 joint settings.
+    """Full simulated run: assumption checks, per-factor CHSH, 4^N joint settings.
 
-    Classical bounds are the element-of-reality ones: 2 per CHSH, 4 for the
-    product.  Each CHSH run varies one degree of freedom over the four
-    canonical pairs with the other held at the context (A, B).
+    Classical bounds are the element-of-reality ones: 2 per CHSH, 2^N for
+    the product.  Each CHSH run varies one factor over the four canonical
+    pairs with the other factors held at the context (A, B).
     """
-    assumptions = assumption_test(state, n_events, seed, stream_base=len(_RUN_CELLS))
-    records = _sample_cells(state, _RUN_CELLS, n_events, seed, 0)
+    layout = _layout(state.dof_count)
+    n_terms = len(layout.operator.terms)
+    assumptions = assumption_test(state, n_events, seed, stream_base=len(layout.run_cells))
+    records = _sample_cells(state, layout.run_cells, n_events, seed, 0)
+    chsh = tuple(
+        violation_report(records[n_terms + 4 * f : n_terms + 4 * f + 4], op, 2.0, (label,))
+        for f, (op, label) in enumerate(zip(layout.operator.factors, layout.labels))
+    )
     return SimulationResult(
-        joint_records=tuple(records[:16]),
-        beta=violation_report(records[:16], bell_mod.canonical_product(2), bound=4.0),
-        beta_pi=violation_report(records[16:20], bell_mod.build_beta_pi(), bound=2.0),
-        beta_k=violation_report(records[20:24], bell_mod.build_beta_k(), bound=2.0),
+        joint_records=tuple(records[:n_terms]),
+        beta=violation_report(records[:n_terms], layout.operator, bound=2.0 ** len(chsh)),
+        chsh=chsh,
         assumptions=assumptions,
         n_events=n_events,
         seed=seed,

@@ -116,8 +116,8 @@ def test_criterion_5_monte_carlo_at_published_visibilities():
     for seed in (101, 202, 303, 404, 505):
         res = simlab.run_simulated_experiment(state, n_events=10**5, seed=seed)
         checks = (
-            (abs(res.beta_pi.beta_estimate), 2.5762, res.beta_pi.beta_std_err),
-            (abs(res.beta_k.beta_estimate), 2.5658, res.beta_k.beta_std_err),
+            (abs(res.chsh[0].beta_estimate), 2.5762, res.chsh[0].beta_std_err),
+            (abs(res.chsh[1].beta_estimate), 2.5658, res.chsh[1].beta_std_err),
             (abs(res.beta.beta_estimate), target_beta, res.beta.beta_std_err),
         )
         ok = ok and all(abs(got - want) < 5 * err for got, want, err in checks)

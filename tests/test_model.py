@@ -1,9 +1,13 @@
 """State builder, observables, measurement projectors, and noise channels."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hyperbell import model, qcore
+from hyperbell import model, qcore, simlab
 from hyperbell.model import JointSetting, NoiseModel, ObservableId, QuantumState
 
 SZ = np.diag([1, -1]).astype(complex)
@@ -248,12 +252,14 @@ class TestLocalSettingOperator:
 
 
 class TestLocalProjectors:
+    """A photon's joint-outcome projectors on its own space, the stacks the
+    Born kernel contracts (``simlab._side_projectors``)."""
+
     @pytest.mark.parametrize("pol,path", [(A_PI, a_K), (b_PI, B_K), (B_K, A_PI)])
     def test_stack_is_a_complete_projective_measurement(self, pol, path):
         """Four orthogonal rank-1 projectors on one photon's 4-dim space; the
         names need not belong to the photon or match their slot's kind."""
-        stack = model.local_projectors(model.observable(pol), model.observable(path))
-        assert stack.shape == (4, 4, 4)
+        stack = simlab._side_projectors((pol, path)).reshape(4, 4, 4)
         np.testing.assert_allclose(stack.sum(axis=0), np.eye(4), atol=1e-15)
         for i, p in enumerate(stack):
             np.testing.assert_allclose(p, p.conj().T, atol=1e-15)
@@ -266,10 +272,23 @@ class TestLocalProjectors:
         order (+1, -1), polarization first: the per-photon factor of
         ``pair_projectors``."""
         pm, km = model.observable(B_PI), model.observable(a_K)
-        stack = model.local_projectors(pm, km)
+        stack = simlab._side_projectors((B_PI, a_K)).reshape(4, 4, 4)
         for idx, (s, t) in enumerate(((1, 1), (1, -1), (-1, 1), (-1, -1))):
             expected = np.kron((I2 + s * pm) / 2, (I2 + t * km) / 2)
             np.testing.assert_array_equal(stack[idx], expected)
+
+    @pytest.mark.parametrize("ids", [(a_K,), (B_PI, b_K, A_PI)], ids=["one-dof", "three-dof"])
+    def test_stack_is_kron_over_every_factor(self, ids):
+        """Entry o is the Kronecker product of each factor's (I + s_f M_f)/2,
+        the signs s_f of o in ``product((1, -1), repeat=N)`` order."""
+        stack = simlab._side_projectors(ids)
+        dim = 2 ** len(ids)
+        assert stack.shape == (dim, dim * dim)
+        for o, signs in enumerate(itertools.product((1, -1), repeat=len(ids))):
+            expected = np.ones((1, 1))
+            for s, obs in zip(signs, ids):
+                expected = np.kron(expected, (I2 + s * model.observable(obs)) / 2)
+            np.testing.assert_allclose(stack[o].reshape(dim, dim), expected, atol=1e-15)
 
 
 def _embedded(op4: np.ndarray, block: int) -> np.ndarray:
@@ -336,13 +355,76 @@ class TestApplyNoise:
         with pytest.raises(ValueError, match="v_pi = v_k = 1"):
             NoiseModel(model.NOISE_NONE, v_pi=0.9)
 
-    def test_requires_pure_two_dof_input(self):
+    def test_requires_pure_input(self):
         mixed = QuantumState.mixed(np.eye(16, dtype=complex) / 16)
         with pytest.raises(ValueError, match="pure"):
             model.apply_noise(mixed, NoiseModel(model.NOISE_WHITE))
-        pol_only = QuantumState.pure(np.array([1, 0, 0, 0], dtype=complex))
-        with pytest.raises(ValueError, match="two-DOF"):
-            model.apply_noise(pol_only, NoiseModel(model.NOISE_WHITE))
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 3]),
+        kind=st.sampled_from([model.NOISE_WHITE, model.NOISE_DEPHASING]),
+        v_pi=st.floats(0.0, 1.0),
+        v_k=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_explicit_reference_at_every_dof_count(self, n, kind, v_pi, v_k, seed):
+        """Factor by factor, v_pi on polarization factors and v_k on path
+        factors: white noise maps rho to v rho + (1 - v) I/4 x Tr_f rho on
+        factor f, the Pauli twirl of that block; dephasing keeps the block's
+        diagonal and scales the rest by v."""
+        rng = np.random.default_rng(seed)
+        vec = rng.normal(size=4**n) + 1j * rng.normal(size=4**n)
+        state = QuantumState.pure(vec / np.linalg.norm(vec))
+        expected = np.outer(state.vector, state.vector.conj())
+        for f, factor_kind in enumerate(model.canonical_kinds(n)):
+            v = v_pi if factor_kind == model.POLARIZATION else v_k
+            expected = v * expected + (1 - v) * _reference_channel(expected, kind, f, n)
+        noisy = model.apply_noise(state, NoiseModel(kind, v_pi=v_pi, v_k=v_k))
+        assert noisy.dof_count == n
+        np.testing.assert_allclose(noisy.rho, expected, atol=1e-12)
+
+
+def _on_factor(op4: np.ndarray, f: int, n: int) -> np.ndarray:
+    """A 4x4 operator on factor f's photon pair, embedded with np.kron."""
+    return np.kron(np.kron(np.eye(4 ** f), op4), np.eye(4 ** (n - f - 1)))
+
+
+def _reference_channel(rho: np.ndarray, kind: str, f: int, n: int) -> np.ndarray:
+    """Fully depolarized (white) or fully dephased factor f."""
+    if kind == model.NOISE_WHITE:
+        paulis = (I2, SX, SY, SZ)
+        ops = [np.kron(p, q) for p in paulis for q in paulis]
+        return sum(_on_factor(e, f, n) @ rho @ _on_factor(e, f, n).conj().T for e in ops) / 16
+    projectors = [np.diag(np.eye(4)[k]).astype(complex) for k in range(4)]
+    return sum(_on_factor(p, f, n) @ rho @ _on_factor(p, f, n) for p in projectors)
+
+
+class TestProductState:
+    def test_canonical_kinds_alternate_from_polarization(self):
+        pol, path = model.POLARIZATION, model.PATH
+        assert model.canonical_kinds(1) == (pol,)
+        assert model.canonical_kinds(4) == (pol, path, pol, path)
+
+    def test_hyper_state_is_the_two_factor_product(self):
+        for theta, phi in ((np.pi, 0.0), (0.7, -1.3), (-2.1, np.pi / 4)):
+            state = model.product_state((model.POLARIZATION, model.PATH), (theta, phi))
+            expected = np.kron(
+                model.pair_state(model.POLARIZATION, theta), model.pair_state(model.PATH, phi)
+            )
+            assert state.dof_count == 2
+            assert state.vector.tobytes() == expected.tobytes()
+            assert state.vector.tobytes() == model.hyper_state(theta, phi).vector.tobytes()
+
+    def test_three_factors_in_order(self):
+        kinds = (model.PATH, model.POLARIZATION, model.PATH)
+        state = model.product_state(kinds, (0.3, -1.0, 2.0))
+        expected = np.kron(
+            np.kron(model.pair_state(kinds[0], 0.3), model.pair_state(kinds[1], -1.0)),
+            model.pair_state(kinds[2], 2.0),
+        )
+        assert state.dof_count == 3
+        np.testing.assert_array_equal(state.vector, expected)
 
 
 class TestSourceStateCorrelations:

@@ -1,5 +1,6 @@
 """Born distributions, sampling, estimators, and the experiment pipeline."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -12,6 +13,8 @@ from hyperbell import bell, model, qcore, rng, simlab
 from hyperbell.model import JointSetting, NoiseModel, ObservableId, QuantumState
 
 SQRT2 = np.sqrt(2.0)
+# One photon's outcomes at N = 2, (polarization sign, path sign).
+OUTCOME_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
 def _obs(name, kind):
@@ -28,6 +31,11 @@ def _setting(up, uk, dp, dk):
 IDEAL = model.hyper_state(np.pi, 0.0)
 NOISY = model.apply_noise(IDEAL, NoiseModel(model.NOISE_WHITE, 0.9, 0.9))
 MIXED_MAX = QuantumState.mixed(np.eye(16, dtype=complex) / 16)
+# (ideal, white v = 0.9) canonical states per DOF count.
+WHITE_09 = NoiseModel(model.NOISE_WHITE, 0.9, 0.9)
+STATES = {
+    n: (bell.ideal_state(n), model.apply_noise(bell.ideal_state(n), WHITE_09)) for n in (1, 2, 3)
+}
 
 
 class TestSettings:
@@ -59,22 +67,33 @@ class TestSettings:
         "kinds",
         [
             (model.PATH, model.POLARIZATION),
-            (model.POLARIZATION,),
-            (model.POLARIZATION, model.PATH, model.POLARIZATION),
+            (model.PATH,),
+            (model.POLARIZATION, model.PATH, model.PATH),
         ],
         ids=["swapped", "one-dof", "three-dof"],
     )
     def test_non_pol_path_setting_refused(self, kinds):
-        """Born and the estimator take only (polarization, path) on both
-        photons and name the offending observable."""
+        """Born and the estimator take only the kinds polarization, path,
+        polarization, ... (``model.canonical_kinds``) on both photons and name
+        the first offending observable."""
         setting = JointSetting(
             tuple(_obs("A", k) for k in kinds), tuple(_obs("B", k) for k in kinds)
         )
-        match = "A_k is not a polarization" if kinds[0] == model.PATH else "exactly polarization"
-        with pytest.raises(ValueError, match=match):
-            simlab.born_distribution(IDEAL, setting)
-        with pytest.raises(ValueError, match=match):
-            simlab.estimate(np.full(16, 10, dtype=int), setting)
+        state = STATES[len(kinds)][0]
+        with pytest.raises(ValueError, match="A_k is not a polarization"):
+            simlab.born_distribution(state, setting)
+        with pytest.raises(ValueError, match="A_k is not a polarization"):
+            simlab.estimate(np.full(4 ** len(kinds), 10, dtype=int), setting)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_canonical_kinds_accepted_at_every_dof_count(self, n):
+        kinds = model.canonical_kinds(n)
+        setting = JointSetting(
+            tuple(_obs("A", k) for k in kinds), tuple(_obs("B", k) for k in kinds)
+        )
+        dist = simlab.born_distribution(STATES[n][0], setting)
+        assert dist.probs.shape == (4**n,)
+        assert simlab.estimate(np.full(4**n, 10, dtype=int), setting).n_events == 10 * 4**n
 
 
 class TestBornDistribution:
@@ -94,14 +113,14 @@ class TestBornDistribution:
         grid = dist.probs.reshape(4, 4)
         p_pol_match = sum(
             grid[i, j]
-            for i, (pu, ku) in enumerate(simlab.OUTCOME_PAIRS)
-            for j, (pd, kd) in enumerate(simlab.OUTCOME_PAIRS)
+            for i, (pu, ku) in enumerate(OUTCOME_PAIRS)
+            for j, (pd, kd) in enumerate(OUTCOME_PAIRS)
             if pu == pd
         )
         p_path_match = sum(
             grid[i, j]
-            for i, (pu, ku) in enumerate(simlab.OUTCOME_PAIRS)
-            for j, (pd, kd) in enumerate(simlab.OUTCOME_PAIRS)
+            for i, (pu, ku) in enumerate(OUTCOME_PAIRS)
+            for j, (pd, kd) in enumerate(OUTCOME_PAIRS)
             if ku == kd
         )
         assert p_pol_match == pytest.approx(1.0, abs=1e-12)
@@ -127,10 +146,13 @@ class TestBornDistribution:
         assert path == pytest.approx(1 / SQRT2, abs=1e-12)
         assert joint == pytest.approx(0.5, abs=1e-12)
 
-    def test_requires_two_dof_state(self):
+    def test_state_must_match_setting_dof_count(self):
         single = QuantumState.mixed(np.eye(4, dtype=complex) / 4)
-        with pytest.raises(ValueError, match="two-DOF"):
+        with pytest.raises(ValueError, match="measures 2 degrees of freedom, the state has 1"):
             simlab.born_distribution(single, _setting("A", "A", "B", "B"))
+        one_dof = JointSetting((_obs("A", model.POLARIZATION),), (_obs("B", model.POLARIZATION),))
+        with pytest.raises(ValueError, match="measures 1 degrees of freedom, the state has 2"):
+            simlab.born_distribution(IDEAL, one_dof)
 
 
 NAMES = ("A", "a", "B", "b")
@@ -146,9 +168,9 @@ def _reference_born(state, setting):
     proj_u = model.pair_projectors(*map(model.observable, setting.u_ids), model.PHOTON_U)
     proj_d = model.pair_projectors(*map(model.observable, setting.d_ids), model.PHOTON_D)
     probs = np.empty(16)
-    for i, u_out in enumerate(simlab.OUTCOME_PAIRS):
+    for i, u_out in enumerate(OUTCOME_PAIRS):
         left = proj_u[u_out] @ state.rho
-        for j, d_out in enumerate(simlab.OUTCOME_PAIRS):
+        for j, d_out in enumerate(OUTCOME_PAIRS):
             probs[4 * i + j] = np.real(np.trace(proj_d[d_out] @ left))
     return probs
 
@@ -202,6 +224,93 @@ class TestBornInvariantsProperty:
                 stack = np.stack(group)
                 assert stack.shape == (16, 4)
                 assert np.max(stack.max(axis=0) - stack.min(axis=0)) < 1e-12
+
+
+def _names(n):
+    return st.lists(st.sampled_from(("A", "a", "B", "b")), min_size=n, max_size=n)
+
+
+def _canonical_setting(u_names, d_names):
+    kinds = model.canonical_kinds(len(u_names))
+    return JointSetting(
+        tuple(map(_obs, u_names, kinds)), tuple(map(_obs, d_names, kinds))
+    )
+
+
+def _kron_reference_born(state, setting):
+    """p(o_u, o_d) = Tr[P_u P_d rho] with each photon's outcome projector
+    embedded factor by factor with np.kron (its slot of each factor's photon
+    pair), outcomes in ``product((1, -1), repeat=N)`` order."""
+    n = len(setting.kinds)
+
+    def embedded(ids, signs, photon):
+        out = np.ones((1, 1))
+        for obs, s in zip(ids, signs):
+            p = (np.eye(2) + s * model.observable(obs)) / 2
+            out = np.kron(out, np.kron(p, np.eye(2)) if photon == "u" else np.kron(np.eye(2), p))
+        return out
+
+    outcomes = list(itertools.product((1, -1), repeat=n))
+    return np.array([
+        np.real(np.trace(embedded(setting.u_ids, su, "u") @ embedded(setting.d_ids, sd, "d")
+                         @ state.rho))
+        for su in outcomes
+        for sd in outcomes
+    ])
+
+
+class TestBornAtOneAndThreeDof:
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize(
+        "noise",
+        [NoiseModel(model.NOISE_WHITE, 0.83, 0.91), NoiseModel(model.NOISE_DEPHASING, 0.77, 0.94)],
+        ids=lambda n: n.kind,
+    )
+    def test_matches_kron_projector_trace(self, n, noise):
+        kinds = model.canonical_kinds(n)
+        state = model.apply_noise(model.product_state(kinds, (0.7, -1.3, 2.2)[:n]), noise)
+        names = ("A", "a", "B", "b")
+        for u_names, d_names in (
+            (names[:n], names[-n:]), (("b",) * n, ("a",) * n), (names[1 : n + 1], names[:n])
+        ):
+            setting = _canonical_setting(u_names, d_names)
+            probs = simlab.born_distribution(state, setting).probs
+            assert probs.shape == (4**n,)
+            np.testing.assert_allclose(probs, _kron_reference_born(state, setting), atol=1e-14)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.sampled_from([1, 3]),
+        phases=st.lists(st.floats(-np.pi, np.pi), min_size=3, max_size=3),
+        kind=st.sampled_from(model.NOISE_KINDS),
+        v_pi=st.floats(0.0, 1.0),
+        v_k=st.floats(0.0, 1.0),
+        data=st.data(),
+    )
+    def test_normalized_nonnegative_no_signaling(self, n, phases, kind, v_pi, v_k, data):
+        """On a sample of settings: each photon's marginal is the same under
+        two settings of the other photon."""
+        if kind == model.NOISE_NONE:
+            v_pi = v_k = 1.0
+        kinds = model.canonical_kinds(n)
+        noise = NoiseModel(kind, v_pi, v_k)
+        state = model.apply_noise(model.product_state(kinds, phases[:n]), noise)
+        u, u2, d, d2 = (data.draw(_names(n)) for _ in range(4))
+        dists = {
+            key: simlab.born_distribution(state, _canonical_setting(*key))
+            for key in ((tuple(u), tuple(d)), (tuple(u), tuple(d2)), (tuple(u2), tuple(d)))
+        }
+        for dist in dists.values():
+            assert abs(dist.probs.sum() - 1.0) < 1e-12
+            assert np.all(dist.probs >= 0.0)
+        margs = {key: simlab.marginals(dist) for key, dist in dists.items()}
+        mu, md = margs[tuple(u), tuple(d)]
+        assert np.max(np.abs(mu - margs[tuple(u), tuple(d2)][0])) < 1e-12
+        assert np.max(np.abs(md - margs[tuple(u2), tuple(d)][1])) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_signaling_deviation_scans_the_canonical_terms(self, n):
+        assert simlab.signaling_deviation(STATES[n][1]) < 1e-10
 
 
 class TestNoSignaling:
@@ -408,10 +517,19 @@ class TestChunkedMultinomial:
 
 
 def _fresh_side_projectors(pol, path):
-    return model.local_projectors(
-        model.observable(_obs(pol, model.POLARIZATION)),
-        model.observable(_obs(path, model.PATH)),
-    ).reshape(4, 16)
+    """The stack as first built: one einsum of the polarization and path
+    (I +- M)/2 pairs."""
+    signs = np.array([1.0, -1.0])[:, None, None]
+    i2 = np.eye(2, dtype=complex)
+    pm = model.observable(_obs(pol, model.POLARIZATION))
+    km = model.observable(_obs(path, model.PATH))
+    return np.einsum("sac,tbd->stabcd", (i2 + signs * pm) / 2.0, (i2 + signs * km) / 2.0).reshape(
+        4, 16
+    )
+
+
+def _side_projectors(pol, path):
+    return simlab._side_projectors((_obs(pol, model.POLARIZATION), _obs(path, model.PATH)))
 
 
 def _fresh_marginal_operator(kind, u_name, d_name):
@@ -421,6 +539,15 @@ def _fresh_marginal_operator(kind, u_name, d_name):
     if kind == model.POLARIZATION:
         return qcore.tensor_all(u_m, d_m, i2, i2)
     return qcore.tensor_all(i2, i2, u_m, d_m)
+
+
+def _marginal_operators(n):
+    layout = simlab._layout(n)
+    return {
+        (kind, u, d): op
+        for kind, ops in zip(layout.kinds, layout.marginals)
+        for (u, d), op in zip(simlab._ASSUMPTION_ROWS[kind], ops)
+    }
 
 
 NAMES = ("A", "a", "B", "b")
@@ -433,41 +560,50 @@ MARGINAL_ROWS = [
 
 
 class TestConstantTables:
-    """The projector stacks and marginal operators are built once at import;
-    every entry must be bitwise what a fresh build gives."""
+    """The projector stacks and marginal operators are built from N once;
+    at N = 2 every entry must be bitwise what the first construction gives."""
 
     @pytest.mark.parametrize("pol", NAMES)
     @pytest.mark.parametrize("path", NAMES)
     def test_side_projectors_equal_fresh_build(self, pol, path):
-        entry = simlab._SIDE_PROJECTORS[pol, path]
+        entry = _side_projectors(pol, path)
         fresh = _fresh_side_projectors(pol, path)
         assert np.array_equal(entry, fresh)
         assert entry.tobytes() == fresh.tobytes()
 
     @pytest.mark.parametrize("kind,u_name,d_name", MARGINAL_ROWS)
     def test_marginal_operators_equal_fresh_build(self, kind, u_name, d_name):
-        entry = simlab._MARGINAL_OPERATORS[kind, u_name, d_name]
+        entry = _marginal_operators(2)[kind, u_name, d_name]
         fresh = _fresh_marginal_operator(kind, u_name, d_name)
         assert np.array_equal(entry, fresh)
         assert entry.tobytes() == fresh.tobytes()
 
     def test_tables_cover_exactly_the_used_keys(self):
-        assert set(simlab._SIDE_PROJECTORS) == {(p, k) for p in NAMES for k in NAMES}
-        assert set(simlab._MARGINAL_OPERATORS) == set(MARGINAL_ROWS)
+        keys = {_obs(name, kind) for name in NAMES for kind in model.KINDS}
+        assert set(simlab._OUTCOME_PROJECTORS) == keys
+        assert set(_marginal_operators(2)) == set(MARGINAL_ROWS)
+        layout = simlab._layout(3)
+        assert [len(ops) for ops in layout.marginals] == [4, 4, 4]
+        assert layout.weights.shape == (3, 64) and layout.joint_weights.shape == (64,)
 
     def test_entries_are_read_only(self):
-        tables = (simlab._SIDE_PROJECTORS, simlab._MARGINAL_OPERATORS)
-        for entry in (e for table in tables for e in table.values()):
+        entries = [_side_projectors(p, k) for p in NAMES for k in NAMES]
+        entries += list(_marginal_operators(2).values())
+        entries += list(simlab._OUTCOME_PROJECTORS.values())
+        for n in (1, 2, 3):
+            layout = simlab._layout(n)
+            entries += [layout.weights, layout.joint_weights]
+        for entry in entries:
             with pytest.raises(ValueError, match="read-only"):
-                entry[0, 0] = 0.0
+                entry[(0,) * entry.ndim] = 0.0
 
     def test_born_builds_no_projector(self, monkeypatch):
         expected = [simlab.born_distribution(NOISY, s).probs for s in simlab.bell_test_settings()]
 
         def boom(*args, **kwargs):
-            raise AssertionError("local_projectors called per setting")
+            raise AssertionError("projector stack built per setting")
 
-        monkeypatch.setattr(model, "local_projectors", boom)
+        monkeypatch.setattr(simlab, "_kron_stack", boom)
         for setting, probs in zip(simlab.bell_test_settings(), expected):
             assert simlab.born_distribution(NOISY, setting).probs.tobytes() == probs.tobytes()
 
@@ -480,6 +616,27 @@ class TestConstantTables:
         monkeypatch.setattr(qcore, "tensor_all", boom)
         second = simlab.assumption_test(NOISY, n_events=100, seed=3)
         assert second == first
+
+    def test_assumption_test_validates_no_density_matrix(self, monkeypatch):
+        """The state was validated when it was built; the analytic marginals
+        do not run the eigenvalue check again."""
+        simlab.assumption_test(NOISY, n_events=100, seed=3)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("check_density_matrix called per assumption test")
+
+        monkeypatch.setattr(qcore, "check_density_matrix", boom)
+        simlab.assumption_test(NOISY, n_events=100, seed=3)
+
+    def test_run_builds_no_operator(self, monkeypatch):
+        simlab.run_simulated_experiment(NOISY, n_events=100, seed=3)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("Bell operator built per run")
+
+        monkeypatch.setattr(bell, "canonical_product", boom)
+        monkeypatch.setattr(bell, "build_beta_product", boom)
+        simlab.run_simulated_experiment(NOISY, n_events=100, seed=3)
 
 
 class TestEstimate:
@@ -505,6 +662,16 @@ class TestEstimate:
         assert simlab.estimate(counts, setting).label == ("a_pi A_k", "b_pi B_k")
         assert simlab.estimate(counts, setting, 0).label == ("a_pi", "b_pi")
         assert simlab.estimate(counts, setting, 1).label == ("A_k", "B_k")
+
+    def test_repeated_kind_carries_its_factor_number(self):
+        """Factor 2 at N = 3 is the second polarization factor: pi2, so its
+        record cannot collide with factor 0's."""
+        setting = _canonical_setting(("A", "B", "a"), ("b", "a", "B"))
+        counts = np.full(64, 10, dtype=int)
+        assert simlab.estimate(counts, setting).label == ("A_pi B_k a_pi2", "b_pi a_k B_pi2")
+        assert simlab.estimate(counts, setting, 0).label == ("A_pi", "b_pi")
+        assert simlab.estimate(counts, setting, 1).label == ("B_k", "a_k")
+        assert simlab.estimate(counts, setting, 2).label == ("a_pi2", "B_pi2")
 
     @pytest.mark.parametrize("factor", [-1, 2])
     def test_factor_outside_setting_refused(self, factor):
@@ -639,6 +806,22 @@ class TestViolationReport:
         with pytest.raises(ValueError, match="mismatch"):
             simlab.violation_report(records, bell.build_beta_pi(), bound=2.0)
 
+    def test_records_match_under_the_factor_labels_they_carry(self):
+        """A CHSH factor of a larger run: its records carry the factor's
+        numbered label, which ``labels`` names."""
+        op = bell.build_beta_pi()
+        records = [
+            simlab.CorrelationRecord(
+                label=(t.u_label.replace("pi", "pi2"), t.d_label.replace("pi", "pi2")),
+                E=0.5, std_err=0.01, n_events=100,
+            )
+            for t in op.terms
+        ]
+        rep = simlab.violation_report(records, op, bound=2.0, labels=("pi2",))
+        assert rep.beta_estimate == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(ValueError, match="mismatch"):
+            simlab.violation_report(records, op, bound=2.0)
+
     def test_duplicate_labels_rejected(self):
         rec = simlab.CorrelationRecord(label=("A_pi", "B_pi"), E=0.5, std_err=0.01, n_events=10)
         with pytest.raises(ValueError, match="duplicate"):
@@ -675,7 +858,7 @@ class TestSignificance:
 class TestAssumptionTest:
     def test_ideal_rows_are_perfectly_predictable(self):
         report = simlab.assumption_test(IDEAL, n_events=2000, seed=1)
-        first = report.pol_rows[0]
+        first = report.factor_rows[0][0]
         assert first.row_label == "A_pi A_pi"
         for cell in first.cells:
             assert cell.record.E == 1.0  # all mass on matching outcomes
@@ -686,7 +869,7 @@ class TestAssumptionTest:
     def test_ideal_second_row_sign(self):
         """a_pi a_pi correlates to -1, the sign of the second measured row."""
         report = simlab.assumption_test(IDEAL, n_events=2000, seed=1)
-        row = report.pol_rows[1]
+        row = report.factor_rows[0][1]
         assert row.row_label == "a_pi a_pi"
         assert row.analytic_E == pytest.approx(-1.0, abs=1e-12)
         for cell in row.cells:
@@ -694,10 +877,10 @@ class TestAssumptionTest:
 
     def test_row_structure(self):
         report = simlab.assumption_test(NOISY, n_events=100, seed=2)
-        assert [r.row_label for r in report.pol_rows] == [
+        assert [r.row_label for r in report.factor_rows[0]] == [
             "A_pi A_pi", "a_pi a_pi", "B_pi b_pi", "b_pi B_pi",
         ]
-        assert [r.row_label for r in report.path_rows] == [
+        assert [r.row_label for r in report.factor_rows[1]] == [
             "A_k A_k", "a_k a_k", "B_k B_k", "b_k b_k",
         ]
         for row in report.rows:
@@ -720,6 +903,22 @@ class TestAssumptionTest:
             assert abs(abs(row.mean_E) - 0.9) < 0.02
             assert row.spread < 0.05  # loose at 1e4 events
             assert row.predictability == pytest.approx((1 + abs(row.mean_E)) / 2, abs=1e-12)
+
+    def test_three_dof_rows_and_contexts(self):
+        """Each factor's rows under the 16 contexts of the other two factors,
+        every token numbered by its factor (pi2 for factor 2)."""
+        report = simlab.assumption_test(STATES[3][1], n_events=100, seed=2)
+        assert [len(rows) for rows in report.factor_rows] == [4, 4, 4]
+        assert [r.row_label for r in report.factor_rows[2]] == [
+            "A_pi2 A_pi2", "a_pi2 a_pi2", "B_pi2 b_pi2", "b_pi2 B_pi2",
+        ]
+        contexts = [c.context_label for c in report.factor_rows[0][0].cells]
+        assert len(contexts) == 16
+        assert contexts[:2] == ["A_k A_pi2 B_k B_pi2", "A_k A_pi2 B_k b_pi2"]
+        assert report.factor_rows[2][0].cells[1].context_label == "A_pi A_k B_pi b_k"
+        for row in report.rows:
+            assert row.analytic_spread == 0.0
+            assert abs(row.analytic_E) == pytest.approx(0.9, abs=1e-12)
 
     def test_stream_base_shifts_sampling(self):
         base0 = simlab.assumption_test(NOISY, n_events=1000, seed=5, stream_base=0)
@@ -754,47 +953,97 @@ def _stream_layout():
     return cells
 
 
+def _canonical_layout(n):
+    """The sampled cells of one N-DOF run in sub-stream order, rebuilt from
+    the rule: the product terms, then each factor's 4 CHSH cells with the
+    other factors at (A, B); then each factor's kind rows under the
+    4^(N-1) contexts of the other factors, the first slowest."""
+    rows = {
+        model.POLARIZATION: [("A", "A"), ("a", "a"), ("B", "b"), ("b", "B")],
+        model.PATH: [("A", "A"), ("a", "a"), ("B", "B"), ("b", "b")],
+    }
+    pairs = [tuple(p) for p in CHSH_PAIRS]
+
+    def cell(f, pair, context):
+        names = list(context)
+        names.insert(f, pair)
+        return _canonical_setting(*zip(*names)), f
+
+    cells = [(term, None) for term in bell.canonical_product(n).terms]
+    cells += [cell(f, pair, [("A", "B")] * (n - 1)) for f in range(n) for pair in pairs]
+    for f, kind in enumerate(model.canonical_kinds(n)):
+        for pair in rows[kind]:
+            cells += [cell(f, pair, c) for c in itertools.product(pairs, repeat=n - 1)]
+    return cells
+
+
+def _assert_cells_replay(state, n, layout):
+    seed, events = 2024, 500
+    expected = []
+    for i, (setting, factor) in enumerate(layout):
+        dist = simlab.born_distribution(state, setting)
+        counts = simlab.sample(dist, events, rng.derive_seed(seed, i))
+        expected.append(simlab.estimate(counts, setting, factor))
+    result = simlab.run_simulated_experiment(state, n_events=events, seed=seed)
+    n_terms = 4**n
+    assert list(result.joint_records) == expected[:n_terms]
+    labels = model.factor_labels(model.canonical_kinds(n))
+    for f, (rep, op) in enumerate(zip(result.chsh, bell.canonical_product(n).factors)):
+        records = expected[n_terms + 4 * f : n_terms + 4 * f + 4]
+        assert rep == simlab.violation_report(records, op, 2.0, (labels[f],))
+    cells = [c for row in result.assumptions.rows for c in row.cells]
+    n_run = n_terms + 4 * n
+    assert len(cells) == len(layout) - n_run
+    assert [c.record for c in cells] == expected[n_run:]
+    assert [c.setting for c in cells] == [s for s, _ in layout[n_run:]]
+
+
 class TestSimulatedExperiment:
     def test_cell_tables_follow_the_stream_layout(self):
         layout = [(s.u_label, s.d_label, f) for s, f in _stream_layout()]
-        cells = simlab._RUN_CELLS + simlab._ASSUMPTION_CELLS
+        cells = simlab._layout(2).run_cells + simlab._layout(2).assumption_cells
         assert [(s.u_label, s.d_label, f) for s, f in cells] == layout
+        assert [(s.u_label, s.d_label, f) for s, f in _canonical_layout(2)] == layout
+        for n, (n_run, n_assumption) in ((1, (8, 4)), (3, (76, 192))):
+            rule = [(s.u_label, s.d_label, f) for s, f in _canonical_layout(n)]
+            built = simlab._layout(n)
+            assert (len(built.run_cells), len(built.assumption_cells)) == (n_run, n_assumption)
+            cells = built.run_cells + built.assumption_cells
+            assert [(s.u_label, s.d_label, f) for s, f in cells] == rule
 
     def test_every_cell_replays_alone_on_its_sub_stream(self):
-        """Cell i of one run is sampled on derive_seed(seed, i) and nothing else."""
-        seed, n = 2024, 500
-        layout = _stream_layout()
-        expected = []
-        for i, (setting, factor) in enumerate(layout):
-            dist = simlab.born_distribution(NOISY, setting)
-            counts = simlab.sample(dist, n, rng.derive_seed(seed, i))
-            expected.append(simlab.estimate(counts, setting, factor))
-        result = simlab.run_simulated_experiment(NOISY, n_events=n, seed=seed)
-        assert list(result.joint_records) == expected[:16]
-        for rep, records, op in (
-            (result.beta_pi, expected[16:20], bell.build_beta_pi()),
-            (result.beta_k, expected[20:24], bell.build_beta_k()),
-        ):
-            assert rep.beta_estimate == simlab.violation_report(records, op, 2.0).beta_estimate
-        cells = [c for row in result.assumptions.rows for c in row.cells]
-        assert [c.record for c in cells] == expected[24:]
-        assert [c.setting for c in cells] == [s for s, _ in layout[24:]]
+        """Cell i of one run is sampled on derive_seed(seed, i) and nothing
+        else, at N = 1, 2 and 3 (8 + 4, 24 + 32 and 76 + 192 cells)."""
+        for n in (1, 2, 3):
+            layout = _stream_layout() if n == 2 else _canonical_layout(n)
+            _assert_cells_replay(NOISY if n == 2 else STATES[n][1], n, layout)
 
     def test_noisy_run_recovers_scaled_violations(self):
         result = simlab.run_simulated_experiment(NOISY, n_events=10**4, seed=5)
         assert len(result.joint_records) == 16
-        assert abs(abs(result.beta_pi.beta_estimate) - 0.9 * 2 * SQRT2) < (
-            5 * result.beta_pi.beta_std_err
-        )
-        assert abs(abs(result.beta_k.beta_estimate) - 0.9 * 2 * SQRT2) < (
-            5 * result.beta_k.beta_std_err
-        )
+        for rep in result.chsh:
+            assert abs(abs(rep.beta_estimate) - 0.9 * 2 * SQRT2) < 5 * rep.beta_std_err
         assert abs(abs(result.beta.beta_estimate) - 8 * 0.81) < 5 * result.beta.beta_std_err
         assert result.generator_id == rng.GENERATOR_ID
 
+    def test_three_dof_white_run_scales_by_each_visibility(self):
+        """The CHSH operators are traceless, so white noise scales the
+        product value by each factor's visibility: 22.63 v_pi^2 v_k = 16.5,
+        above the factorizable bound 8 and below the unrestricted bound 20."""
+        result = simlab.run_simulated_experiment(STATES[3][1], n_events=2000, seed=7)
+        expected = 16 * SQRT2 * 0.9**3
+        assert len(result.joint_records) == 64 and len(result.chsh) == 3
+        assert abs(abs(result.beta.beta_estimate) - expected) < 5 * result.beta.beta_std_err
+        assert result.beta.bound == 8.0
+        for rep in result.chsh:
+            assert abs(abs(rep.beta_estimate) - 0.9 * 2 * SQRT2) < 5 * rep.beta_std_err
+
     def test_bounds_are_element_of_reality_bounds(self):
         result = simlab.run_simulated_experiment(NOISY, n_events=1000, seed=6)
-        assert (result.beta_pi.bound, result.beta_k.bound, result.beta.bound) == (2.0, 2.0, 4.0)
+        assert tuple(rep.bound for rep in result.chsh) == (2.0, 2.0)
+        assert result.beta.bound == 4.0
+        one = simlab.run_simulated_experiment(STATES[1][1], n_events=1000, seed=6)
+        assert (one.chsh[0].bound, one.beta.bound) == (2.0, 2.0)
 
     def test_replays_identically(self):
         a = simlab.run_simulated_experiment(NOISY, n_events=2000, seed=9)
