@@ -35,6 +35,7 @@ that half holds the smallest maximizer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -77,15 +78,16 @@ class BoundResult:
     strategy_class: str
 
 
-def _side_tokens(bell: BellOperator, strategy_class: str, photon: str) -> list:
-    """Strategy keys of one side: its 2N slot tokens (factorizable) or its
-    2^N context tokens (unrestricted), in slot or context order."""
+@cache
+def _side_tokens(labels: tuple, strategy_class: str, photon: str) -> tuple:
+    """Strategy keys of one side for the factor ``labels``: its 2N slot
+    tokens (factorizable) or its 2^N context tokens (unrestricted), in slot
+    or context order.  Built once per (labels, class, photon)."""
     names = model.U_SIDE_NAMES if photon == model.PHOTON_U else model.D_SIDE_NAMES
-    labels = bell.factor_labels
     if strategy_class == FACTORIZABLE:
-        return [model.side_label((name,), (label,)) for label in labels for name in names]
+        return tuple(model.side_label((name,), (label,)) for label in labels for name in names)
     contexts = product(names, repeat=len(labels))  # factor 0 slowest
-    return [model.side_label(context, labels) for context in contexts]
+    return tuple(model.side_label(context, labels) for context in contexts)
 
 
 def _term_table(bell: BellOperator) -> tuple:
@@ -106,7 +108,7 @@ def evaluate_strategy(bell: BellOperator, strategy: LhvStrategy) -> int:
         (model.PHOTON_U, strategy.side_u, u_bits),
         (model.PHOTON_D, strategy.side_d, d_bits),
     ):
-        tokens = _side_tokens(bell, strategy.strategy_class, photon)
+        tokens = _side_tokens(bell.factor_labels, strategy.strategy_class, photon)
         vals = np.array([_lookup(side, tok) for tok in tokens], dtype=np.int64)
         if strategy.strategy_class == FACTORIZABLE:  # product of the slot values
             values = values * vals[2 * np.arange(bell.dof_count) + bits].prod(axis=1)
@@ -149,7 +151,7 @@ def _factorizable_context_values(bell: BellOperator) -> np.ndarray:
 
 
 def _strategy_from_index(bell: BellOperator, strategy_class: str, photon: str, index: int) -> dict:
-    tokens = _side_tokens(bell, strategy_class, photon)
+    tokens = _side_tokens(bell.factor_labels, strategy_class, photon)
     n = len(tokens)
     return {tok: 1 - 2 * ((index >> (n - 1 - i)) & 1) for i, tok in enumerate(tokens)}
 

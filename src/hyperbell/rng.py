@@ -35,6 +35,16 @@ word and the count is ``m - left`` exactly.  Only for an edge that ties
 64-bit chunk, so the lower words decide.  The counts are therefore
 identical to looking each uniform up in the CDF one event at a time, and
 they stay pinned to ``GENERATOR_ID``.
+
+Many distributions, each on its own stream, are counted in one call (2-D
+``probs``, one seed per row); a single distribution is the one-row case.
+Rows of ``n`` events share a block of ``max(1, CHUNK // min(n, CHUNK))``
+rows, so a block never holds more than ``CHUNK`` outputs: at ``n >= CHUNK``
+a block is one row, consumed chunk by chunk as above.  The block's outputs
+are generated and mixed together, and each row's top words are sorted
+along their own axis; the two-sided search and the tie recount then run on
+each row's own words and thresholds.  Every row is therefore counted
+exactly as it would be alone, and the argument above holds row by row.
 """
 
 from __future__ import annotations
@@ -45,8 +55,9 @@ GENERATOR_ID = "splitmix64-invcdf-v1"
 
 # Largest event count per call; memory is bounded by CHUNK, this bounds time.
 MAX_EVENTS = 10**9
-# Stream outputs generated per pass; fixes the buffer size, not the counts.
-CHUNK = 1 << 16
+# Stream outputs generated per pass, over the rows of a block; fixes the
+# buffer size, not the counts.
+CHUNK = 1 << 14
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -92,59 +103,82 @@ def random_uniform(seed: int, n: int) -> np.ndarray:
     return (random_uint64(seed, n) >> np.uint64(11)) * (1.0 / (1 << 53))
 
 
-def multinomial(probs: np.ndarray, n_events: int, seed: int) -> np.ndarray:
+def multinomial(probs: np.ndarray, n_events: int, seed) -> np.ndarray:
     """Multinomial counts by inverse-CDF lookup of stream uniforms.
 
-    Fully determined by (probs, n_events, seed).  ``probs`` must be
-    nonnegative and sum to 1 within 1e-9; the final CDF bin is stretched to
+    Fully determined by (probs, n_events, seed).  ``probs`` is one
+    distribution with one integer ``seed``, or a 2-D array of distributions
+    with a sequence of seeds, one per row; the counts have the shape of
+    ``probs``, and row i is counted on the stream of ``seed[i]`` exactly as
+    the 1-D call with that row and seed counts it.  Every row must be
+    nonnegative and sum to 1 within 1e-9; its final CDF bin is stretched to
     1.0 so rounding in the cumulative sum cannot produce an out-of-range
-    category.  ``n_events`` is at most ``MAX_EVENTS``.
+    category.  ``n_events`` (per row) is at most ``MAX_EVENTS``.
 
-    The stream is consumed in chunks of ``CHUNK`` outputs held in reused
-    buffers, so memory does not grow with ``n_events``.  Per chunk, the top
-    32-bit words of the outputs are sorted once, and each reachable CDF
-    edge ``c < 1``, as the integer threshold ``t = ceil(c * 2^53) << 11``,
-    is counted by a two-sided ``searchsorted`` of its top word; an edge
-    whose top word some output shares is recounted as ``#(x >= t)`` on the
-    64-bit outputs (see the module docstring for why this is exact).  Cell
-    ``k`` receives ``#(u >= cdf[k-1]) - #(u >= cdf[k])``.  The counts equal
-    those of an event-by-event ``searchsorted(cdf, u, side="right")``.
+    The streams are consumed in blocks held in reused buffers of ``CHUNK``
+    outputs, so memory grows neither with ``n_events`` nor with the row
+    count.  Per block, each row's top 32-bit words are sorted once, and each
+    reachable CDF edge ``c < 1``, as the integer threshold
+    ``t = ceil(c * 2^53) << 11``, is counted by a two-sided ``searchsorted``
+    of its top word among its own row's; an edge whose top word some output
+    of its row shares is recounted as ``#(x >= t)`` on that row's 64-bit
+    outputs (see the module docstring for why this is exact).  Cell ``k``
+    receives ``#(u >= cdf[k-1]) - #(u >= cdf[k])``.  The counts equal those
+    of an event-by-event ``searchsorted(cdf, u, side="right")``.
     """
     p = np.asarray(probs, dtype=float)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("probs must be a nonempty 1-D array")
-    if not np.all(p >= 0):
-        raise ValueError("probs must be nonnegative")
-    if abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError(f"probs must sum to 1 (got {p.sum()!r})")
+    if p.ndim not in (1, 2) or p.size == 0:
+        raise ValueError(f"probs must be a nonempty 1-D or 2-D array (got shape {p.shape})")
+    rows = p.reshape(-1, p.shape[-1])
+    if p.ndim == 2 and np.shape(seed) != (len(rows),):
+        shape = np.shape(seed)
+        raise ValueError(f"2-D probs need one seed per row: {len(rows)} rows, seed shape {shape}")
+    seeds = np.array([s & _MASK64 for s in ((seed,) if p.ndim == 1 else seed)], dtype=np.uint64)
+    sums = rows.sum(axis=1)
+    negative = ~np.all(rows >= 0, axis=1)
+    bad = negative | (np.abs(sums - 1.0) > 1e-9)
+    if bad.any():
+        i = int(np.argmax(bad))
+        which = f"probs row {i}" if p.ndim == 2 else "probs"
+        if negative[i]:
+            raise ValueError(f"{which} must be nonnegative")
+        raise ValueError(f"{which} must sum to 1 (got {sums[i]!r})")
     if not 1 <= n_events <= MAX_EVENTS:
         raise ValueError(f"n_events must be in [1, {MAX_EVENTS}] (got {n_events})")
-    edges = np.cumsum(p)[:-1]
-    # Edges ascend, so the reachable ones (< 1.0) are a prefix.
-    thresholds = np.ceil(edges[edges < 1.0] * 2.0**53).astype(np.uint64) << np.uint64(11)
+    edges = np.cumsum(rows, axis=1)[:, :-1]
+    reachable = edges < 1.0  # an edge at or above 1.0 is never reached
+    thresholds = np.ceil(np.where(reachable, edges, 0.0) * 2.0**53).astype(np.uint64)
+    thresholds <<= np.uint64(11)
     thresholds_hi = (thresholds >> np.uint64(32)).astype(np.uint32)
-    # at_or_above[k] = #(u >= cdf[k-1]): every event for k = 0, none at the top.
-    at_or_above = np.zeros(p.size + 1, dtype=np.int64)
-    at_or_above[0] = n_events
-    reached = at_or_above[1 : 1 + thresholds.size]  # a view: counts accumulate in place
 
+    # A block is as many rows as fit one chunk of every row's outputs.
     size = min(n_events, CHUNK)
+    block = min(len(rows), CHUNK // size)
     steps = np.arange(1, size + 1, dtype=np.uint64)
     steps *= np.uint64(_GAMMA)
-    x = np.empty(size, dtype=np.uint64)
-    tmp = np.empty(size, dtype=np.uint64)
-    hi = np.empty(size, dtype=np.uint32)
-    for start in range(0, n_events, CHUNK):
-        m = min(CHUNK, n_events - start)
-        base = np.uint64((seed + _GAMMA * start) & _MASK64)
-        chunk = _mix(np.add(steps[:m], base, out=x[:m]), tmp[:m])
-        top = hi[:m]
-        np.copyto(top, np.right_shift(chunk, np.uint64(32), out=tmp[:m]), casting="unsafe")
-        top.sort()
-        left = np.searchsorted(top, thresholds_hi, side="left")
-        counts = m - left
-        # An output shares this edge's top word: its lower word decides.
-        for k in np.flatnonzero(left != np.searchsorted(top, thresholds_hi, side="right")):
-            counts[k] = np.count_nonzero(chunk >= thresholds[k])
-        reached += counts
-    return at_or_above[:-1] - at_or_above[1:]
+    x = np.empty((block, size), dtype=np.uint64)
+    tmp = np.empty((block, size), dtype=np.uint64)
+    hi = np.empty((block, size), dtype=np.uint32)
+    reached = np.zeros(thresholds.shape, dtype=np.int64)
+    for r0 in range(0, len(rows), block):
+        b = min(block, len(rows) - r0)
+        for start in range(0, n_events, CHUNK):
+            m = min(CHUNK, n_events - start)
+            bases = seeds[r0 : r0 + b, None] + np.uint64((_GAMMA * start) & _MASK64)
+            chunk = _mix(np.add(steps[:m], bases, out=x[:b, :m]), tmp[:b, :m])
+            top = hi[:b, :m]
+            np.copyto(top, np.right_shift(chunk, np.uint64(32), out=tmp[:b, :m]), casting="unsafe")
+            top.sort(axis=1)
+            for r, row in enumerate(range(r0, r0 + b)):
+                left = np.searchsorted(top[r], thresholds_hi[row], side="left")
+                counts = m - left
+                # An output shares this edge's top word: its lower word decides.
+                right = np.searchsorted(top[r], thresholds_hi[row], side="right")
+                for k in np.flatnonzero(left != right):
+                    counts[k] = np.count_nonzero(chunk[r] >= thresholds[row, k])
+                reached[row] += counts
+    # at_or_above[:, k] = #(u >= cdf[k-1]): every event for k = 0, none at the top.
+    at_or_above = np.zeros((len(rows), p.shape[-1] + 1), dtype=np.int64)
+    at_or_above[:, 0] = n_events
+    at_or_above[:, 1:-1] = np.where(reachable, reached, 0)
+    return (at_or_above[:, :-1] - at_or_above[:, 1:]).reshape(p.shape)

@@ -11,7 +11,8 @@ Born probabilities come from one contraction per setting: each photon's
 matrix is permuted once into photon-local order, and the cells are
 ``real(A @ R @ B.T)``.  They agree with the trace over embedded projectors
 to about 1e-16, and sampled counts and every output byte are identical to
-that construction.  Every table of one N is built once (``_Layout``).
+that construction.  Every table of one N is built once, when first read
+(``_Layout``).
 
 A sampled cell is a ``(setting, factor)`` pair: the joint correlation of
 the setting when ``factor`` is None, else the correlation of that one
@@ -19,14 +20,17 @@ degree of freedom.  Sampling is multinomial on the Born distribution,
 driven by the seeded generator in ``rng`` (identity ``rng.GENERATOR_ID``);
 the cells of one run form one ordered list, and cell i draws from the
 sub-stream ``stream_base + i`` of the seed (``rng.derive_seed``), so runs
-are reproducible cell by cell.
+are reproducible cell by cell.  A list is sampled in one array pass
+(``_CellPass``): stacked Born contractions, one sampler call with one seed
+per row, and one weight product.  ``born_distribution``, ``sample`` and
+``estimate`` are the one-row calls of the same kernels.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, cached_property, reduce
 from itertools import islice, product
 
 import numpy as np
@@ -45,6 +49,11 @@ _ASSUMPTION_ROWS = {
 }
 
 
+# Projector entries gathered per photon for one Born block: a block holds 256
+# cells at N = 2 and 4 at N = 4, so no pass stacks a whole list's projectors.
+_BORN_BLOCK = 1 << 14
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -58,20 +67,38 @@ _OUTCOME_PROJECTORS = {
 }
 
 
+# The same pairs as one table, and each observable's row in it.
+_OUTCOME_TABLE = _read_only(np.stack(list(_OUTCOME_PROJECTORS.values())))
+_OUTCOME_ROW = {obs: i for i, obs in enumerate(_OUTCOME_PROJECTORS)}
+
+
+def _outcome_rows(sides) -> np.ndarray:
+    """Each photon observables tuple as its ``_OUTCOME_TABLE`` rows, factor 0 first."""
+    return np.array([[_OUTCOME_ROW[obs] for obs in ids] for ids in sides])
+
+
+def _side_stacks(rows: np.ndarray) -> np.ndarray:
+    """Per row of ``_outcome_rows``, one photon's 2^N outcome projectors on
+    its own 2^N-dim space as a 2^N x 4^N stack: the Kronecker product of the
+    (I +- M)/2 pairs of its observables, factor 0 slowest.  The names need
+    not belong to the photon."""
+    stack = reduce(_kron_stack, [_OUTCOME_TABLE[col] for col in rows.T])
+    return stack.reshape(len(rows), stack.shape[1], -1)
+
+
 @cache
 def _side_projectors(ids: tuple) -> np.ndarray:
-    """One photon's 2^N outcome projectors on its own 2^N-dim space, as a
-    2^N x 4^N stack: the Kronecker product of the (I +- M)/2 pairs of its
-    observables, factor 0 slowest.  The names need not belong to the photon."""
-    stack = reduce(_kron_stack, [_OUTCOME_PROJECTORS[obs] for obs in ids])
-    return _read_only(stack.reshape(len(stack), -1))
+    """The stack of one observables tuple, built once."""
+    return _read_only(_side_stacks(_outcome_rows([ids]))[0])
 
 
 def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two square projector stacks on every axis.
-    einsum, not np.kron: its zeros are all +0.0, where np.kron keeps the
-    -0.0 of a product like 0.5 * -0.0."""
-    return np.einsum("sac,tbd->stabcd", a, b).reshape((len(a) * len(b),) * 3)
+    """Kronecker products of two lists of square projector stacks, entry by
+    entry, on every axis.  einsum, not np.kron: its zeros are all +0.0, where
+    np.kron keeps the -0.0 of a product like 0.5 * -0.0."""
+    dim = a.shape[2] * b.shape[2]
+    stack = np.einsum("zsac,ztbd->zstabcd", a, b)
+    return stack.reshape(len(a), a.shape[1] * b.shape[1], dim, dim)
 
 
 def _marginal_operator(n: int, f: int, kind: str, u_name: str, d_name: str) -> np.ndarray:
@@ -84,7 +111,7 @@ def _marginal_operator(n: int, f: int, kind: str, u_name: str, d_name: str) -> n
 
 class _Layout:
     """The tables of the canonical N-DOF experiment, built from N alone;
-    ``_layout(n)`` builds each N once.
+    ``_layout(n)`` builds each N once, and each table when first read.
 
     The cells are (setting, factor) pairs in sub-stream order.  A run's
     cells from offset 0: the product terms in term order, then factor by
@@ -105,25 +132,48 @@ class _Layout:
         self.born_axes = tuple(
             base + 2 * f + side for side in (0, 1) for base in (2 * n, 0) for f in range(n)
         )
-        # Row f: the product of the two photons' signs on factor f, over the
-        # cells u-major, each side in ``product((1, -1), repeat=N)`` order.
+        # Row f + 1: the product of the two photons' signs on factor f, over
+        # the cells u-major, each side in ``product((1, -1), repeat=N)``
+        # order; row 0, the joint weights, is their product.
         signs = np.array(list(product((1, -1), repeat=n)), dtype=float).T
-        self.weights = _read_only((signs[:, :, None] * signs[:, None, :]).reshape(n, -1))
-        self.joint_weights = _read_only(self.weights.prod(axis=0))
-        # Per factor, the context-free marginal operator of each assumption row.
-        self.marginals = tuple(
+        weights = (signs[:, :, None] * signs[:, None, :]).reshape(n, -1)
+        self.weight_rows = _read_only(np.vstack([weights.prod(axis=0), weights]))
+        self.joint_weights, self.weights = self.weight_rows[0], self.weight_rows[1:]
+        # Cells per Born block: each photon's stack of a cell has 8^N entries.
+        self.born_block = max(1, _BORN_BLOCK // 8**n)
+
+    @cached_property
+    def marginals(self) -> tuple:
+        """Per factor, the context-free marginal operator of each assumption row."""
+        n = len(self.kinds)
+        return tuple(
             tuple(_marginal_operator(n, f, kind, u, d) for u, d in _ASSUMPTION_ROWS[kind])
             for f, kind in enumerate(self.kinds)
         )
-        self.run_cells = tuple((term, None) for term in self.operator.terms) + tuple(
+
+    @cached_property
+    def run_cells(self) -> tuple:
+        n = len(self.kinds)
+        return tuple((term, None) for term in self.operator.terms) + tuple(
             self._cell(f, pair, [("A", "B")] * (n - 1)) for f in range(n) for pair in _PAIRS
         )
-        self.assumption_cells = tuple(
+
+    @cached_property
+    def assumption_cells(self) -> tuple:
+        return tuple(
             self._cell(f, pair, context)
             for f, kind in enumerate(self.kinds)
             for pair in _ASSUMPTION_ROWS[kind]
-            for context in product(_PAIRS, repeat=n - 1)
+            for context in product(_PAIRS, repeat=len(self.kinds) - 1)
         )
+
+    @cached_property
+    def run_pass(self) -> _CellPass:
+        return _CellPass(self, self.run_cells)
+
+    @cached_property
+    def assumption_pass(self) -> _CellPass:
+        return _CellPass(self, self.assumption_cells)
 
     def _cell(self, f: int, pair: tuple, context) -> tuple:
         """The cell of factor f measuring the (u, d) names ``pair``, with the
@@ -158,6 +208,50 @@ def _factor_label(setting: JointSetting, factors, labels) -> tuple:
     )
 
 
+def _record_label(layout: _Layout, setting: JointSetting, factor: int | None) -> tuple:
+    """The label of a cell's record: the two photon labels for the joint
+    correlation, the two tokens on factor f alone for factor f."""
+    if factor is None:
+        return setting.u_label, setting.d_label
+    return _factor_label(setting, (factor,), (layout.labels[factor],))
+
+
+class _CellPass:
+    """One ordered (setting, factor) cell list as the arrays of one pass
+    over it (``_sample_cells``): each photon's ``_outcome_rows``, each cell's
+    row of ``_Layout.weight_rows``, and the record and context labels, all
+    built once.  Born rows are computed in blocks of ``born_block`` cells
+    whose projector stacks are built per block, so no stack of the whole
+    list is kept."""
+
+    def __init__(self, layout: _Layout, cells: tuple):
+        self.layout = layout
+        self.cells = cells
+        self.u_rows = _outcome_rows([s.u_ids for s, _ in cells])
+        self.d_rows = _outcome_rows([s.d_ids for s, _ in cells])
+        self.weight_index = np.array([0 if f is None else f + 1 for _, f in cells])
+        self.labels = tuple(_record_label(layout, s, f) for s, f in cells)
+
+    @cached_property
+    def context_labels(self) -> tuple:
+        """Per cell, the two photons' tokens on every factor but its own."""
+        labels, contexts = self.layout.labels, []
+        for setting, f in self.cells:
+            others = [g for g in range(len(labels)) if g != f]
+            contexts.append(" ".join(_factor_label(setting, others, [labels[g] for g in others])))
+        return tuple(contexts)
+
+    def born(self, state: QuantumState) -> np.ndarray:
+        """The Born rows of every cell, in cell order."""
+        r = _photon_local(state, self.layout)
+        step = self.layout.born_block
+        probs = np.empty((len(self.cells), len(self.layout.joint_weights)))
+        for lo in range(0, len(self.cells), step):
+            u, d = (_side_stacks(rows[lo : lo + step]) for rows in (self.u_rows, self.d_rows))
+            probs[lo : lo + step] = _born(r, u, d)
+        return probs
+
+
 def bell_test_settings() -> tuple:
     """The 16 canonical joint settings: the terms of the two-DOF product
     operator, in its term order."""
@@ -170,39 +264,52 @@ class OutcomeDistribution:
     probs: np.ndarray  # 4^N cells, u-major
 
 
-def born_distribution(state: QuantumState, setting: JointSetting) -> OutcomeDistribution:
-    """Joint outcome probabilities Tr[rho (P_u x P_d)] for one setting.
+def _photon_local(state: QuantumState, layout: _Layout) -> np.ndarray:
+    """rho permuted to photon-local order (``_Layout.born_axes``)."""
+    qubits = (2,) * len(layout.born_axes)
+    return state.rho.reshape(qubits).transpose(layout.born_axes).reshape(state.rho.shape)
 
-    A and B are the two photons' 2^N x 4^N projector stacks, built once per
-    observables tuple, and R is rho permuted to photon-local order; the
-    reference is the trace over ``model.pair_projectors``.
+
+def _born(r: np.ndarray, u: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Born rows ``real(A @ R @ B.T)`` of stacked settings, one row of 4^N
+    cells per setting: ``u`` and ``d`` are the photons' (settings, 2^N, 4^N)
+    projector stacks and ``r`` is rho in photon-local order.
 
     Probabilities more negative than -1e-12 are an error; smaller negative
-    rounding residue is clamped to zero and the distribution renormalized.
+    rounding residue is clamped to zero and each row renormalized.  The
+    first row failing a check is reported.
     """
+    probs = np.real(u @ r @ d.transpose(0, 2, 1)).reshape(len(u), -1)
+    lows = probs.min(axis=1)
+    probs = np.clip(probs, 0.0, None)
+    totals = probs.sum(axis=1)
+    bad = (lows < -1e-12) | (np.abs(totals - 1.0) > 1e-9)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if lows[i] < -1e-12:
+            raise ValueError(f"Born probability {float(lows[i])!r} below the clamping tolerance")
+        raise ValueError(f"Born probabilities sum to {float(totals[i])!r}, expected 1")
+    return probs / totals[:, None]
+
+
+def born_distribution(state: QuantumState, setting: JointSetting) -> OutcomeDistribution:
+    """Joint outcome probabilities Tr[rho (P_u x P_d)] for one setting: the
+    one-row call of ``_born``, with the two photons' projector stacks built
+    once per observables tuple.  The reference is the trace over
+    ``model.pair_projectors``."""
     layout = _layout_of(setting)
     if state.dof_count != len(layout.kinds):
         raise ValueError(
             f"the setting measures {len(layout.kinds)} degrees of freedom,"
             f" the state has {state.dof_count}"
         )
-    qubits = (2,) * len(layout.born_axes)
-    r = state.rho.reshape(qubits).transpose(layout.born_axes).reshape(state.rho.shape)
-    probs = np.real(_side_projectors(setting.u_ids) @ r @ _side_projectors(setting.d_ids).T).ravel()
-    lo = float(probs.min())
-    if lo < -1e-12:
-        raise ValueError(f"Born probability {lo!r} below the clamping tolerance")
-    probs = np.clip(probs, 0.0, None)
-    total = float(probs.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"Born probabilities sum to {total!r}, expected 1")
-    return OutcomeDistribution(setting=setting, probs=probs / total)
+    u, d = (_side_projectors(ids)[None] for ids in (setting.u_ids, setting.d_ids))
+    return OutcomeDistribution(setting=setting, probs=_born(_photon_local(state, layout), u, d)[0])
 
 
 def analytic_correlations(dist: OutcomeDistribution) -> tuple:
     """The joint correlation of the exact distribution, then each factor's."""
-    layout = _layout(len(dist.setting.kinds))
-    return tuple(float(dist.probs @ w) for w in (layout.joint_weights, *layout.weights))
+    return tuple(float(dist.probs @ w) for w in _layout(len(dist.setting.kinds)).weight_rows)
 
 
 def marginals(dist: OutcomeDistribution) -> tuple:
@@ -248,27 +355,30 @@ def estimate(counts, setting: JointSetting, factor: int | None = None) -> Correl
     (``a_pi2``).  Counts must have an integer dtype: floats, whole or not,
     are refused rather than truncated."""
     layout = _layout_of(setting)
-    if factor is None:
-        weights, label = layout.joint_weights, (setting.u_label, setting.d_label)
-    elif factor in range(len(layout.kinds)):
-        weights = layout.weights[factor]
-        label = _factor_label(setting, (factor,), (layout.labels[factor],))
-    else:
+    if factor is not None and factor not in range(len(layout.kinds)):
         raise ValueError(f"factor {factor!r} outside 0..{len(layout.kinds) - 1}")
+    weights = layout.weight_rows[0 if factor is None else factor + 1]
     c = np.asarray(counts)
     if c.shape != weights.shape or c.dtype.kind not in "iu" or np.any(c < 0):
         raise ValueError(f"counts must be {weights.size} nonnegative integers")
-    c = c.astype(np.int64, copy=False)
-    n = int(c.sum())
-    if n < 2:
-        raise ValueError(f"need at least 2 events to estimate, got {n}")
-    e = float(weights @ c) / n
-    return CorrelationRecord(
-        label=label,
-        E=e,
-        std_err=math.sqrt(max(0.0, 1.0 - e * e) / n),
-        n_events=n,
-    )
+    label = _record_label(layout, setting, factor)
+    return _records(c.astype(np.int64, copy=False)[None], weights[None], (label,))[0]
+
+
+def _records(counts: np.ndarray, weights: np.ndarray, labels: tuple) -> list:
+    """One ``CorrelationRecord`` per row of counts: E is the row's weighted
+    sum over its event count n, std_err = sqrt((1 - E^2)/n).  The weighted
+    sums are integers below 2^53, so no summation order can change them."""
+    n = counts.sum(axis=1)
+    if n.min() < 2:
+        raise ValueError(f"need at least 2 events to estimate, got {int(n.min())}")
+    records = []
+    totals = (weights * counts).sum(axis=1).tolist()
+    for label, total, n_events in zip(labels, totals, n.tolist()):
+        e = total / n_events
+        std_err = math.sqrt(max(0.0, 1.0 - e * e) / n_events)
+        records.append(CorrelationRecord(label, e, std_err, n_events))
+    return records
 
 
 def significance(value: float, std_err: float, bound: float) -> float:
@@ -367,16 +477,14 @@ class AssumptionReport:
 
 
 def _sample_cells(
-    state: QuantumState, cells: tuple, n_events: int, seed: int, stream_base: int
+    state: QuantumState, cells: _CellPass, n_events: int, seed: int, stream_base: int
 ) -> list:
-    """One record per (setting, factor) cell, in cell order; cell i is
-    sampled on sub-stream ``stream_base + i`` of ``seed``."""
-    records = []
-    for i, (setting, factor) in enumerate(cells):
-        dist = born_distribution(state, setting)
-        counts = sample(dist, n_events, rng.derive_seed(seed, stream_base + i))
-        records.append(estimate(counts, setting, factor))
-    return records
+    """One record per (setting, factor) cell, in cell order, from one array
+    pass: the Born rows of every cell, one sampler call on which cell i
+    reads sub-stream ``stream_base + i`` of ``seed``, one weight product."""
+    seeds = [rng.derive_seed(seed, stream_base + i) for i in range(len(cells.cells))]
+    counts = rng.multinomial(cells.born(state), n_events, seeds)
+    return _records(counts, cells.layout.weight_rows[cells.weight_index], cells.labels)
 
 
 def assumption_test(
@@ -393,25 +501,21 @@ def assumption_test(
     statistical.
     """
     layout = _layout(state.dof_count)
-    n = len(layout.kinds)
-    records = _sample_cells(state, layout.assumption_cells, n_events, seed, stream_base)
-    sampled = iter(zip(layout.assumption_cells, records))
+    table = layout.assumption_pass
+    records = _sample_cells(state, table, n_events, seed, stream_base)
+    sampled = iter(zip(table.cells, table.context_labels, records))
+    n_contexts = 4 ** (len(layout.kinds) - 1)
     factor_rows = []
-    for f, (kind, operators) in enumerate(zip(layout.kinds, layout.marginals)):
-        others = [g for g in range(n) if g != f]
-        other_labels = [layout.labels[g] for g in others]
+    for kind, operators in zip(layout.kinds, layout.marginals):
         rows = []
         for operator in operators:
             # rho is already a validated density matrix.
             analytic = float(np.trace(state.rho @ operator).real)
             cells = tuple(
                 AssumptionCell(
-                    setting=setting,
-                    context_label=" ".join(_factor_label(setting, others, other_labels)),
-                    record=record,
-                    analytic_E=analytic,
+                    setting=setting, context_label=context, record=record, analytic_E=analytic
                 )
-                for (setting, _), record in islice(sampled, 4 ** (n - 1))
+                for (setting, _), context, record in islice(sampled, n_contexts)
             )
             # Every cell of a row measures the row's pair on factor f.
             rows.append(
@@ -489,7 +593,7 @@ def run_simulated_experiment(state: QuantumState, n_events: int, seed: int) -> S
     layout = _layout(state.dof_count)
     n_terms = len(layout.operator.terms)
     assumptions = assumption_test(state, n_events, seed, stream_base=len(layout.run_cells))
-    records = _sample_cells(state, layout.run_cells, n_events, seed, 0)
+    records = _sample_cells(state, layout.run_pass, n_events, seed, 0)
     chsh = tuple(
         violation_report(records[n_terms + 4 * f : n_terms + 4 * f + 4], op, 2.0, (label,))
         for f, (op, label) in enumerate(zip(layout.operator.factors, layout.labels))

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hyperbell import bell, lhv
+from hyperbell import bell, lhv, model
 from hyperbell.lhv import FACTORIZABLE, UNRESTRICTED, LhvStrategy
 
 U_TOKENS_CHSH = ("A_pi", "a_pi")
@@ -249,6 +249,24 @@ class TestMaxBound:
     def test_unknown_class_rejected(self):
         with pytest.raises(ValueError, match="strategy class"):
             lhv.max_bound(bell.build_beta_pi(), "nonlocal")
+
+    @pytest.mark.parametrize("cls,tokens", [(FACTORIZABLE, 2 * 4), (UNRESTRICTED, 2**4)])
+    def test_side_tokens_built_once_per_labels(self, cls, tokens, monkeypatch):
+        """The witness and its replay share one token tuple per photon: a
+        first max_bound labels each side's tokens once, a second none."""
+        calls, side_label = [], model.side_label
+
+        def counting(names, labels):
+            calls.append(names)
+            return side_label(names, labels)
+
+        lhv._side_tokens.cache_clear()
+        monkeypatch.setattr(model, "side_label", counting)
+        op = bell.canonical_product(4)
+        first = lhv.max_bound(op, cls)
+        assert len(calls) == 2 * tokens
+        assert lhv.max_bound(op, cls) == first
+        assert len(calls) == 2 * tokens
 
 
 def _reference_unrestricted(t):

@@ -1,5 +1,6 @@
 """Born distributions, sampling, estimators, and the experiment pipeline."""
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -396,7 +397,9 @@ SKEWED = np.array([0.5, 0.0, 0.25, 0.125, 0.0, 0.0, 0.0625, 0.0625])
 class TestChunkedMultinomial:
     @pytest.mark.parametrize(
         "n_events",
-        [1, rng.CHUNK - 1, rng.CHUNK, rng.CHUNK + 1, 3 * rng.CHUNK + 7],
+        # Around one and three chunks, and around 2^16 = 4 chunks.
+        [1, rng.CHUNK - 1, rng.CHUNK, rng.CHUNK + 1, 3 * rng.CHUNK + 7]
+        + [2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 7],
     )
     def test_chunk_boundaries(self, n_events):
         _assert_matches_reference(SKEWED, n_events, seed=5)
@@ -472,30 +475,9 @@ class TestChunkedMultinomial:
     )
     def test_threshold_shares_an_output_top_word(self, case):
         """Integer thresholds whose top 32-bit word equals a stream output's
-        top word, so the sorted top words tie and the 64-bit recount decides.
-        ``floor`` is the output with its low 11 bits cleared: the largest
-        threshold at or below it (thresholds are multiples of 2^11)."""
+        top word, so the sorted top words tie and the 64-bit recount decides."""
         n_events, seed = 2 * rng.CHUNK + 5, 11
-        x = [int(v) for v in rng.random_uint64(seed, n_events)]
-        if case == "output-equal":
-            pick = next(v for v in x if v & 0x7FF == 0)
-        else:  # strictly above floor, with room below the next top word
-            pick = next(v for v in x if v & 0x7FF and v & 0xFFFFFFFF < 2**32 - 4096)
-        top, floor = pick >> 32 << 32, pick & ~0x7FF
-        thresholds = {
-            "output-above": [floor],
-            "output-equal": [pick],
-            "output-below": [floor + 0x800],
-            "zero-low-word": [top],
-            "shared-top-word": [top, floor, floor + 0x800, floor + 0x1000],
-        }[case]
-        assert all(t >> 32 == pick >> 32 for t in thresholds)
-        # ceil(c * 2^53) << 11 == t for this edge c; each difference of
-        # neighbouring edges is exact, so the cumulative sum gives them back.
-        edges = np.array([(t >> 11) / 2.0**53 for t in thresholds])
-        probs = np.diff(np.concatenate([[0.0], edges, [1.0]]))
-        np.testing.assert_array_equal(np.cumsum(probs)[:-1], edges)
-        _assert_matches_reference(probs, n_events, seed)
+        _assert_matches_reference(_tie_probs(case, n_events, seed), n_events, seed)
 
     def test_memory_flat_in_events(self):
         probs = np.full(16, 1 / 16)
@@ -514,6 +496,128 @@ class TestChunkedMultinomial:
             rng.multinomial(np.full(4, 0.25), 0, seed=0)
         with pytest.raises(ValueError, match="nonnegative"):
             rng.multinomial([0.5, np.nan, 0.5], 10, seed=0)
+
+
+def _tie_probs(case, n_events, seed):
+    """A distribution whose integer CDF thresholds share their top 32-bit
+    word with one of the first ``n_events`` outputs of the stream at
+    ``seed``.  ``floor`` is that output with its low 11 bits cleared: the
+    largest threshold at or below it (thresholds are multiples of 2^11)."""
+    x = [int(v) for v in rng.random_uint64(seed, n_events)]
+    if case == "output-equal":
+        pick = next(v for v in x if v & 0x7FF == 0)
+    else:  # strictly above floor, with room below the next top word
+        pick = next(v for v in x if v & 0x7FF and v & 0xFFFFFFFF < 2**32 - 4096)
+    top, floor = pick >> 32 << 32, pick & ~0x7FF
+    thresholds = {
+        "output-above": [floor],
+        "output-equal": [pick],
+        "output-below": [floor + 0x800],
+        "zero-low-word": [top],
+        "shared-top-word": [top, floor, floor + 0x800, floor + 0x1000],
+    }[case]
+    assert all(t >> 32 == pick >> 32 for t in thresholds)
+    # ceil(c * 2^53) << 11 == t for this edge c; each difference of
+    # neighbouring edges is exact, so the cumulative sum gives them back.
+    edges = np.array([(t >> 11) / 2.0**53 for t in thresholds])
+    probs = np.diff(np.concatenate([[0.0], edges, [1.0]]))
+    np.testing.assert_array_equal(np.cumsum(probs)[:-1], edges)
+    return probs
+
+
+def _assert_rows_match(probs, n_events, seeds):
+    """The 2-D call equals the 1-D call row by row, and the event-by-event
+    reference."""
+    counts = rng.multinomial(probs, n_events, seeds)
+    assert counts.shape == probs.shape and counts.dtype == np.int64
+    for row, seed, got in zip(probs, seeds, counts):
+        np.testing.assert_array_equal(got, rng.multinomial(row, n_events, seed))
+        np.testing.assert_array_equal(got, _reference_multinomial(row, n_events, seed))
+
+
+def _block_rows(n_events):
+    """Rows that share one block at ``n_events`` per row."""
+    return rng.CHUNK // min(n_events, rng.CHUNK)
+
+
+_ROW = st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=8, max_size=8).filter(
+    lambda w: sum(w) > 0
+)
+
+
+class TestRowMultinomial:
+    """2-D probs: one seed per row, rows sharing a block of CHUNK outputs."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n_rows=st.integers(1, 9))
+    def test_rows_equal_one_row_calls(self, data, n_rows):
+        """n straddles CHUNK // rows (where the block holds one row fewer or
+        more) and CHUNK (where a row takes more than one chunk)."""
+        weights = data.draw(st.lists(_ROW, min_size=n_rows, max_size=n_rows))
+        probs = np.array(weights) / np.sum(weights, axis=1, keepdims=True)
+        near = data.draw(st.sampled_from([rng.CHUNK // n_rows, rng.CHUNK // 2, rng.CHUNK]))
+        n_events = max(1, near + data.draw(st.integers(-2, 2)))
+        seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=n_rows, max_size=n_rows))
+        _assert_rows_match(probs, n_events, seeds)
+
+    def test_one_event_many_rows(self):
+        probs = np.tile(SKEWED, (300, 1))
+        probs[::7] = np.roll(SKEWED, 3)
+        seeds = [rng.derive_seed(5, i) for i in range(300)]
+        _assert_rows_match(probs, 1, seeds)
+        assert rng.multinomial(probs, 1, seeds).sum(axis=1).tolist() == [1] * 300
+
+    def test_unreachable_and_one_hot_rows(self):
+        """Rows whose cdf[-2] exceeds 1 beside one-hot rows and a uniform
+        row, in one block and across blocks."""
+        uneven = np.array([0.5, 0.5 + 5e-10, 0.0, 0.0])
+        assert np.cumsum(uneven)[-2] > 1.0
+        probs = np.array([uneven, [0, 0, 1, 0], np.full(4, 0.25), [1, 0, 0, 0], uneven[::-1]])
+        for n_events in (7, _block_rows(7) + 1, rng.CHUNK // 3, rng.CHUNK + 11):
+            _assert_rows_match(probs, n_events, [3, 2**63 + 7, 0, 11, 2**64 - 1])
+
+    @pytest.mark.parametrize("case", ["output-below", "shared-top-word"])
+    def test_tie_row_beside_other_rows_in_one_block(self, case):
+        n_events, seed = 2000, 11
+        tie = _tie_probs(case, n_events, seed)
+        others = np.full((_block_rows(n_events) - 1, tie.size), 1 / tie.size)
+        probs = np.vstack([others[:3], tie, others[3:]])
+        seeds = [seed + 1 + i for i in range(len(probs))]
+        seeds[3] = seed
+        assert len(probs) == _block_rows(n_events)
+        _assert_rows_match(probs, n_events, seeds)
+
+    @pytest.mark.parametrize("rows,n_events", [(56, 2000), (1, 4_000_000)])
+    def test_memory_bounded(self, rows, n_events):
+        probs = np.full((rows, 16), 1 / 16)
+        seeds = list(range(rows))
+        tracemalloc.start()
+        try:
+            rng.multinomial(probs, n_events, seeds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_refusals_name_the_input(self):
+        probs = np.full((3, 4), 0.25)
+        with pytest.raises(ValueError, match=r"one seed per row: 3 rows, seed shape \(2,\)"):
+            rng.multinomial(probs, 10, [1, 2])
+        with pytest.raises(ValueError, match=r"3 rows, seed shape \(\)"):
+            rng.multinomial(probs, 10, 1)
+        with pytest.raises(ValueError, match=r"3 rows, seed shape \(3, 1\)"):
+            rng.multinomial(probs, 10, [[1], [2], [3]])
+        with pytest.raises(ValueError, match=r"1-D or 2-D array \(got shape \(1, 3, 4\)\)"):
+            rng.multinomial(probs[None], 10, [1, 2, 3])
+        for row, bad, message in (
+            (1, [0.5, -0.25, 0.5, 0.25], "probs row 1 must be nonnegative"),
+            (2, [0.5, np.nan, 0.25, 0.25], "probs row 2 must be nonnegative"),
+            (0, [0.5, 0.5, 0.5, 0.0], r"probs row 0 must sum to 1 \(got .*1\.5"),
+        ):
+            rows = np.vstack([probs, [[0.25, 0.25, 0.25, 0.3]]])  # a later bad row
+            rows[row] = bad
+            with pytest.raises(ValueError, match=message):
+                rng.multinomial(rows, 10, [1, 2, 3, 4])
 
 
 def _fresh_side_projectors(pol, path):
@@ -637,6 +741,90 @@ class TestConstantTables:
         monkeypatch.setattr(bell, "canonical_product", boom)
         monkeypatch.setattr(bell, "build_beta_product", boom)
         simlab.run_simulated_experiment(NOISY, n_events=100, seed=3)
+
+
+def _per_setting_born(state, setting):
+    """The Born row of one setting by the 2-D contraction alone:
+    ``real(A @ R @ B.T)`` of the photons' stacks, clamped and renormalized."""
+    axes = simlab._layout(len(setting.kinds)).born_axes
+    r = state.rho.reshape((2,) * len(axes)).transpose(axes).reshape(state.rho.shape)
+    u, d = (simlab._side_projectors(ids) for ids in (setting.u_ids, setting.d_ids))
+    probs = np.clip(np.real(u @ r @ d.T).ravel(), 0.0, None)
+    return probs / float(probs.sum())
+
+
+class TestArrayPass:
+    """A cell list is sampled in one pass; it must give what the per-setting
+    calls give, bit for bit."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 3]),
+        phases=st.lists(st.floats(-np.pi, np.pi), min_size=3, max_size=3),
+        kind=st.sampled_from(model.NOISE_KINDS),
+        v_pi=st.floats(0.0, 1.0),
+        v_k=st.floats(0.0, 1.0),
+    )
+    def test_batched_born_equals_per_setting_contraction(self, n, phases, kind, v_pi, v_k):
+        if kind == model.NOISE_NONE:
+            v_pi = v_k = 1.0
+        kinds = model.canonical_kinds(n)
+        noise = NoiseModel(kind, v_pi, v_k)
+        state = model.apply_noise(model.product_state(kinds, phases[:n]), noise)
+        layout = simlab._layout(n)
+        for cells in (layout.run_pass, layout.assumption_pass):
+            rows = cells.born(state)
+            assert rows.shape == (len(cells.cells), 4**n)
+            for (setting, _), row in zip(cells.cells, rows):
+                assert row.tobytes() == _per_setting_born(state, setting).tobytes()
+                assert row.tobytes() == simlab.born_distribution(state, setting).probs.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_block_stacks_equal_one_setting_stacks(self, n):
+        layout = simlab._layout(n)
+        sides = [s.u_ids for s, _ in layout.run_cells[:8]]
+        sides += [s.d_ids for s, _ in layout.run_cells[-8:]]
+        stacks = simlab._side_stacks(simlab._outcome_rows(sides))
+        for ids, stack in zip(sides, stacks):
+            assert stack.tobytes() == simlab._side_projectors(ids).tobytes()
+
+    def test_born_blocks_stay_small(self):
+        """No pass gathers a whole list's projector stacks: a block holds
+        at most 2^14 entries a photon (all 56 cells at N = 2, 4 at N = 4)."""
+        for n, cells in ((2, 256), (3, 32), (4, 4)):
+            assert simlab._layout(n).born_block == cells
+
+    def test_pass_makes_no_per_cell_call(self, monkeypatch):
+        expected = simlab.run_simulated_experiment(NOISY, n_events=300, seed=4)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("per-cell call in the array pass")
+
+        for name in ("born_distribution", "sample", "estimate", "_record_label"):
+            monkeypatch.setattr(simlab, name, boom)
+        calls = []
+        multinomial = rng.multinomial
+        monkeypatch.setattr(
+            rng, "multinomial", lambda p, n, s: calls.append(p.shape) or multinomial(p, n, s)
+        )
+        assert simlab.run_simulated_experiment(NOISY, n_events=300, seed=4) == expected
+        assert calls == [(32, 16), (24, 16)]
+
+    def test_estimate_builds_no_marginal_operator(self, monkeypatch):
+        """One N = 4 estimate builds neither the marginal operators nor the
+        1,296 cells of a run."""
+
+        def boom(*args, **kwargs):
+            raise AssertionError("marginal operator built for an estimate")
+
+        monkeypatch.setattr(simlab, "_layout", functools.cache(simlab._Layout))
+        monkeypatch.setattr(simlab, "_marginal_operator", boom)
+        setting = bell.canonical_product(4).terms[5]
+        counts = np.arange(256, dtype=np.int64)
+        record = simlab.estimate(counts, setting, 2)
+        assert record.n_events == int(counts.sum())
+        layout = simlab._layout(4)
+        assert not {"marginals", "run_cells", "assumption_cells"} & set(vars(layout))
 
 
 class TestEstimate:
