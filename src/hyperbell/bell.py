@@ -1,11 +1,11 @@
 """CHSH Bell operators, their tensor products, and the violation scaling law.
 
-A Bell operator is kept as its Kronecker factors plus its context sign
-table, the Kronecker product of the factors' 2x2 tables; the classical
-bounds read nothing else.  The dense matrix and the 4^N-term table, one
-signed term per joint measurement configuration, are built on first read
-(Van Loan, "The ubiquitous Kronecker product", J. Comput. Appl. Math. 123,
-85-100 (2000): keep the factors, form the product only when needed).
+A Bell operator is kept as its factor kinds; sign table, matrix and term
+table built on first read (Van Loan, "The ubiquitous Kronecker product",
+J. Comput. Appl. Math. 123, 85-100 (2000): keep the factors, form the
+product only when needed).  The classical bounds read only the context sign
+table, the Kronecker product of the factors' 2x2 tables; the term table
+holds one signed term per joint measurement configuration.
 The two single-factor operators are built once, read-only, with the signs
 
     polarization:  -A B + A b + a B + a b
@@ -43,15 +43,12 @@ class BellTerm(JointSetting):
     sign: int
 
 
-@dataclass(frozen=True, eq=False)  # ndarray fields: identity equality and hash
+@dataclass(frozen=True, eq=False)  # identity equality and hash: each caches its own tables
 class BellOperator:
     """Kronecker product of single-DOF CHSH operators of ``kinds``, factor 0
-    first.  ``signs[cu, cd]``: sign of the term with u context ``cu`` and d
-    context ``cd`` (bit 1 = alternate name a/b, factor 0 most significant).
-    ``matrix`` and ``terms`` are built on first read."""
+    first; sign table, matrix and term table are built on first read."""
 
     kinds: tuple
-    signs: np.ndarray
 
     @property
     def dof_count(self) -> int:
@@ -70,6 +67,12 @@ class BellOperator:
     def factors(self) -> tuple:
         """The shared single-DOF operators, one per factor."""
         return tuple(_FACTORS[kind] for kind in self.kinds)
+
+    @cached_property
+    def signs(self) -> np.ndarray:
+        """int64 ``signs[cu, cd]``: sign of the term with u context ``cu`` and d
+        context ``cd`` (bit 1 = alternate name a/b, factor 0 most significant)."""
+        return reduce(np.kron, [np.array(_SIGNS[kind], dtype=np.int64) for kind in self.kinds])
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -99,7 +102,7 @@ class BellOperator:
 
 
 def _build_chsh(kind: str) -> BellOperator:
-    op = BellOperator(kinds=(kind,), signs=np.array(_SIGNS[kind], dtype=np.int64))
+    op = BellOperator(kinds=(kind,))
     op.signs.setflags(write=False)
     op.matrix.setflags(write=False)
     return op
@@ -133,10 +136,7 @@ def build_beta_product(factors) -> BellOperator:
             raise ValueError("factors must be single degree-of-freedom operators")
     if len(factors) == 1:
         return factors[0]
-    return BellOperator(
-        kinds=tuple(f.kinds[0] for f in factors),
-        signs=reduce(np.kron, (f.signs for f in factors)),
-    )
+    return BellOperator(kinds=tuple(f.kinds[0] for f in factors))
 
 
 def canonical_product(n_dof: int) -> BellOperator:

@@ -280,14 +280,13 @@ def build_config(study: str, file_values: dict, flag_values: dict) -> RunConfig:
 
 @dataclass
 class StudyResult:
-    study: str
     config: RunConfig
     rows: list
-    beta: float | None
-    std_err: float | None
-    bound: float | None
-    sigmas: float | None
     payload: object
+    beta: float | None = None
+    std_err: float | None = None
+    bound: float | None = None
+    sigmas: float | None = None
 
 
 def _prepared_state(config: RunConfig) -> model.QuantumState:
@@ -308,11 +307,7 @@ def _run_ideal(config: RunConfig) -> StudyResult:
         {"quantity": "spectral_radius_beta_k", "value": pred.radius_k},
         {"quantity": "spectral_radius_beta", "value": pred.radius_product},
     ]
-    return StudyResult(
-        study="ideal", config=config, rows=rows,
-        beta=pred.beta, std_err=0.0, bound=4.0,
-        sigmas=None, payload=pred,
-    )
+    return StudyResult(config, rows, pred, beta=pred.beta, std_err=0.0, bound=4.0)
 
 
 def _witness_text(side: dict) -> str:
@@ -333,11 +328,7 @@ def _run_bounds(config: RunConfig) -> StudyResult:
         }
         for res in results
     ]
-    return StudyResult(
-        study="bounds", config=config, rows=rows,
-        beta=None, std_err=None, bound=float(results[0].bound), sigmas=None,
-        payload=results,
-    )
+    return StudyResult(config, rows, results, bound=float(results[0].bound))
 
 
 def _run_scaling(config: RunConfig) -> StudyResult:
@@ -355,11 +346,7 @@ def _run_scaling(config: RunConfig) -> StudyResult:
         }
         for rep in reports
     ]
-    return StudyResult(
-        study="scaling", config=config, rows=rows,
-        beta=None, std_err=None, bound=None, sigmas=None,
-        payload=reports,
-    )
+    return StudyResult(config, rows, reports)
 
 
 def _correlation_row(record: simlab.CorrelationRecord) -> dict:
@@ -376,12 +363,11 @@ def _run_simulate(config: RunConfig) -> StudyResult:
     result = simlab.run_simulated_experiment(_prepared_state(config), config.events, config.seed)
     rows = [_correlation_row(rec) for rec in result.joint_records]
     return StudyResult(
-        study="simulate", config=config, rows=rows,
+        config, rows, result,
         beta=result.beta.beta_estimate,
         std_err=result.beta.beta_std_err,
         bound=result.beta.bound,
         sigmas=result.beta.sigmas,
-        payload=result,
     )
 
 
@@ -394,11 +380,7 @@ def _run_assumptions(config: RunConfig) -> StudyResult:
             entry["setting_u"] = cell.setting.u_label
             entry["setting_d"] = cell.setting.d_label
             rows.append(entry)
-    return StudyResult(
-        study="assumptions", config=config, rows=rows,
-        beta=None, std_err=None, bound=None, sigmas=None,
-        payload=report,
-    )
+    return StudyResult(config, rows, report)
 
 
 @dataclass(frozen=True)
@@ -451,7 +433,7 @@ def _config_dict(config: RunConfig) -> dict:
 
 def _emit_json(result: StudyResult) -> str:
     doc = {
-        "study": result.study,
+        "study": result.config.study,
         "config": _config_dict(result.config),
         "rows": result.rows,
         "beta": result.beta,
@@ -529,11 +511,12 @@ def _violation_lines(name: str, rep: simlab.ViolationReport) -> list:
 
 def _emit_table(result: StudyResult) -> str:
     lines: list = []
-    if result.study == "ideal":
+    study = result.config.study
+    if study == "ideal":
         lines.append("Exact quantum predictions for the configured pure state")
         for row in result.rows:
             lines.append(f"{row['quantity']:<26}= {_f(row['value'])}")
-    elif result.study == "bounds":
+    elif study == "bounds":
         lines.append(
             f"Classical bounds for the {result.config.dof}-DOF product operator"
             " (exhaustive enumeration)"
@@ -545,7 +528,7 @@ def _emit_table(result: StudyResult) -> str:
             lines.append(f"  strategy pairs covered = {row['strategies_evaluated']}")
             lines.append(f"  witness u: {row['witness_u']}")
             lines.append(f"  witness d: {row['witness_d']}")
-    elif result.study == "scaling":
+    elif study == "scaling":
         lines.append("Quantum-to-classical ratio versus degrees of freedom")
         lines.append(f"{'N':>2}  {'quantum':>12}  {'classical':>12}  {'ratio':>12}  source")
         for row in result.rows:
@@ -553,9 +536,9 @@ def _emit_table(result: StudyResult) -> str:
                 f"{row['dof']:>2}  {_f(row['quantum_value']):>12}  "
                 f"{_f(row['classical_bound']):>12}  {_f(row['ratio']):>12}  {row['bound_source']}"
             )
-    elif result.study == "assumptions":
+    elif study == "assumptions":
         lines += _assumption_table_lines(result.payload)
-    elif result.study == "simulate":
+    elif study == "simulate":
         sim: simlab.SimulationResult = result.payload
         lines += _assumption_table_lines(sim.assumptions)
         by_label = {rec.label: rec for rec in sim.joint_records}
@@ -572,8 +555,7 @@ def _emit_table(result: StudyResult) -> str:
             values,
         )
         lines.append("")
-        kinds = model.canonical_kinds(len(sim.chsh))
-        for label, rep in zip(model.factor_labels(kinds), sim.chsh):
+        for label, rep in zip(bell.canonical_product(len(sim.chsh)).factor_labels, sim.chsh):
             lines += _violation_lines(f"beta_{label}", rep)
         lines += _violation_lines("beta", sim.beta)
         lines.append("")
@@ -590,16 +572,13 @@ def _emit_table(result: StudyResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+_EMITTERS = dict(zip(FORMATS, (_emit_table, _emit_csv, _emit_json)))
+
+
 def emit(result: StudyResult, fmt: str) -> bytes:
-    if fmt == "json":
-        text = _emit_json(result)
-    elif fmt == "csv":
-        text = _emit_csv(result)
-    elif fmt == "table":
-        text = _emit_table(result)
-    else:
+    if fmt not in _EMITTERS:
         raise ConfigError(f"key 'format': unknown format {fmt!r}")
-    return text.encode("utf-8")
+    return _EMITTERS[fmt](result).encode("utf-8")
 
 
 # --- entry point --------------------------------------------------------------

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
-from functools import reduce
-from itertools import product
+from functools import cache, reduce
 
 import numpy as np
 
@@ -82,9 +81,10 @@ def canonical_kinds(n: int) -> tuple:
     return tuple([PATH if f % 2 else POLARIZATION for f in range(n)])
 
 
+@cache
 def factor_labels(kinds: tuple) -> tuple:
     """Label of each factor, factor 0 first: its kind's label, numbered
-    from 2 where the kind repeats (pi, k, pi2)."""
+    from 2 where the kind repeats (pi, k, pi2); built once per kinds tuple."""
     labels = []
     for f, kind in enumerate(kinds):
         n_prev = kinds[:f].count(kind)
@@ -117,22 +117,7 @@ class ObservableId:
 
     @property
     def label(self) -> str:
-        return _OBSERVABLE_LABELS[self.name, self.kind]
-
-
-# Labels built once with the rule: each observable's (a one-factor photon
-# label), and per kinds tuple a photon label template that a setting formats
-# with its observables, factor 0 first ("{0.name}_pi {1.name}_k").
-_OBSERVABLE_LABELS = {
-    (name, kind): side_label((name,), factor_labels((kind,)))
-    for name in U_SIDE_NAMES + D_SIDE_NAMES
-    for kind in KINDS
-}
-_LABEL_TEMPLATES = {
-    kinds: side_label([f"{{{f}.name}}" for f in range(n)], factor_labels(kinds))
-    for n in range(1, MAX_DOF + 1)
-    for kinds in product(KINDS, repeat=n)
-}
+        return side_label((self.name,), factor_labels((self.kind,)))
 
 
 @dataclass(frozen=True)
@@ -158,14 +143,21 @@ class JointSetting:
                 f"photon u measures {len(self.u_ids)} degrees of freedom,"
                 f" photon d {len(self.d_ids)}"
             )
-        template = _LABEL_TEMPLATES.get(kinds)
-        if template is None:
+        if not 1 <= len(kinds) <= MAX_DOF:
             raise ValueError(
                 f"a joint setting measures 1 to {MAX_DOF} degrees of freedom, got {len(kinds)}"
             )
         object.__setattr__(self, "kinds", kinds)
-        object.__setattr__(self, "u_label", template.format(*self.u_ids))
-        object.__setattr__(self, "d_label", template.format(*self.d_ids))
+        u_label, d_label = self.labels_on(range(len(kinds)), factor_labels(kinds))
+        object.__setattr__(self, "u_label", u_label)
+        object.__setattr__(self, "d_label", d_label)
+
+    def labels_on(self, factors, labels) -> tuple:
+        """(u, d) labels of the setting's observables on ``factors`` alone, the
+        token of ``factors[i]`` carrying the factor label ``labels[i]`` (a_pi2)."""
+        return tuple(
+            side_label([ids[f].name for f in factors], labels) for ids in (self.u_ids, self.d_ids)
+        )
 
 
 def observable(obs: ObservableId) -> np.ndarray:

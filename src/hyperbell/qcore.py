@@ -26,6 +26,7 @@ NORM_TOL = 1e-9
 PSD_TOL = 1e-9
 
 _POWER_ITER_CAP = 100_000
+_POWER_ITER_TOL = 1e-8
 _POWER_ITER_SEED = 0x51B7
 
 
@@ -85,19 +86,19 @@ def tensor_all(first, *rest) -> np.ndarray:
     return out
 
 
-def check_normalized(psi: np.ndarray, tol: float = NORM_TOL) -> None:
+def check_normalized(psi: np.ndarray) -> None:
     norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > tol:
+    if abs(norm - 1.0) > NORM_TOL:
         raise ValueError(f"state vector is not normalized (norm {norm!r})")
 
 
-def check_density_matrix(rho: np.ndarray, tol: float = HERMITIAN_TOL) -> None:
+def check_density_matrix(rho: np.ndarray) -> None:
     """Hermitian, unit trace, positive semidefinite (within tolerances)."""
     a = as_matrix(rho)
-    if not is_hermitian(a, tol):
+    if not is_hermitian(a):
         raise ValueError("density matrix must be Hermitian")
     tr = complex(np.trace(a))
-    if abs(tr - 1.0) > tol:
+    if abs(tr - 1.0) > NORM_TOL:
         raise ValueError(f"density matrix trace must be 1 (got {tr!r})")
     lo = float(np.min(np.linalg.eigvalsh(a)))
     if lo < -PSD_TOL:
@@ -128,13 +129,13 @@ def expectation_mixed(op, rho) -> complex:
     return complex(np.trace(r @ a))
 
 
-def spectral_radius(op, tol: float = 1e-8, max_iter: int = _POWER_ITER_CAP) -> float:
-    """Largest |eigenvalue| of a Hermitian operator.
+def spectral_radius(op) -> float:
+    """Largest |eigenvalue| of a Hermitian operator, to ``_POWER_ITER_TOL``.
 
     Power iteration on op^2 (so both spectrum ends are covered without
     deflation), with a deterministic seeded start vector.  Raises
     NumericalFailure if the Rayleigh quotient has not settled after
-    ``max_iter`` sweeps.
+    ``_POWER_ITER_CAP`` sweeps.
     """
     a = as_matrix(op)
     if not is_hermitian(a):
@@ -152,16 +153,16 @@ def spectral_radius(op, tol: float = 1e-8, max_iter: int = _POWER_ITER_CAP) -> f
     # For Hermitian m2 the residual ||m2 v - lam v|| bounds the distance from
     # the Rayleigh quotient lam to the nearest eigenvalue; pushing it below
     # 2*sqrt(lam)*tol makes sqrt(lam) accurate to tol.
-    for _ in range(max_iter):
+    for _ in range(_POWER_ITER_CAP):
         w = m2 @ v
         lam = float(np.real(np.vdot(v, w)))
         resid = float(np.linalg.norm(w - lam * v))
-        if lam > 0.0 and resid <= 2.0 * np.sqrt(lam) * tol:
+        if lam > 0.0 and resid <= 2.0 * np.sqrt(lam) * _POWER_ITER_TOL:
             return float(np.sqrt(lam))
         nw = float(np.linalg.norm(w))
         if nw == 0.0:
             return 0.0
         v = w / nw
     raise NumericalFailure(
-        f"power iteration did not converge within {max_iter} iterations"
+        f"power iteration did not converge within {_POWER_ITER_CAP} iterations"
     )

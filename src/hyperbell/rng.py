@@ -49,6 +49,8 @@ exactly as it would be alone, and the argument above holds row by row.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 GENERATOR_ID = "splitmix64-invcdf-v1"
@@ -85,16 +87,28 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _checked(name: str, value, low: int, high: int) -> int:
+    """``value`` as a Python int in [low, high]; numpy integers pass, while
+    bools, floats and values out of range are refused naming ``name``."""
+    if type(value) is not int and not isinstance(value, np.integer):  # refuses bools
+        raise ValueError(f"{name} must be an integer (got {value!r})")
+    value = operator.index(value)
+    if not low <= value <= high:
+        raise ValueError(f"{name} must be in [{low}, {high}] (got {value})")
+    return value
+
+
 def derive_seed(seed: int, index: int) -> int:
-    """Per-setting sub-stream seed from a master seed and a setting index."""
+    """Sub-stream seed from a master seed in [0, 2^64 - 1] and a setting index."""
     if index < 0:
         raise ValueError("sub-stream index must be nonnegative")
-    return mix64((seed & _MASK64) ^ (((index + 1) * _GAMMA) & _MASK64))
+    return mix64(_checked("seed", seed, 0, _MASK64) ^ (((index + 1) * _GAMMA) & _MASK64))
 
 
 def random_uint64(seed: int, n: int) -> np.ndarray:
-    """First n outputs of the SplitMix64 stream started at ``seed``."""
-    z = np.uint64(seed & _MASK64) + np.uint64(_GAMMA) * np.arange(1, n + 1, dtype=np.uint64)
+    """First n outputs of the SplitMix64 stream started at ``seed`` in [0, 2^64 - 1]."""
+    z = np.uint64(_checked("seed", seed, 0, _MASK64))
+    z = z + np.uint64(_GAMMA) * np.arange(1, n + 1, dtype=np.uint64)
     return _mix(z, np.empty_like(z))
 
 
@@ -113,7 +127,8 @@ def multinomial(probs: np.ndarray, n_events: int, seed) -> np.ndarray:
     the 1-D call with that row and seed counts it.  Every row must be
     nonnegative and sum to 1 within 1e-9; its final CDF bin is stretched to
     1.0 so rounding in the cumulative sum cannot produce an out-of-range
-    category.  ``n_events`` (per row) is at most ``MAX_EVENTS``.
+    category.  ``n_events`` (per row) lies in [1, ``MAX_EVENTS``] and each seed
+    in [0, 2^64 - 1]; bools and floats are refused, not truncated or wrapped.
 
     The streams are consumed in blocks held in reused buffers of ``CHUNK``
     outputs, so memory grows neither with ``n_events`` nor with the row
@@ -133,7 +148,8 @@ def multinomial(probs: np.ndarray, n_events: int, seed) -> np.ndarray:
     if p.ndim == 2 and np.shape(seed) != (len(rows),):
         shape = np.shape(seed)
         raise ValueError(f"2-D probs need one seed per row: {len(rows)} rows, seed shape {shape}")
-    seeds = np.array([s & _MASK64 for s in ((seed,) if p.ndim == 1 else seed)], dtype=np.uint64)
+    seeds = [_checked("seed", s, 0, _MASK64) for s in ((seed,) if p.ndim == 1 else seed)]
+    seeds = np.array(seeds, dtype=np.uint64)
     sums = rows.sum(axis=1)
     negative = ~np.all(rows >= 0, axis=1)
     bad = negative | (np.abs(sums - 1.0) > 1e-9)
@@ -143,8 +159,7 @@ def multinomial(probs: np.ndarray, n_events: int, seed) -> np.ndarray:
         if negative[i]:
             raise ValueError(f"{which} must be nonnegative")
         raise ValueError(f"{which} must sum to 1 (got {sums[i]!r})")
-    if not 1 <= n_events <= MAX_EVENTS:
-        raise ValueError(f"n_events must be in [1, {MAX_EVENTS}] (got {n_events})")
+    n_events = _checked("n_events", n_events, 1, MAX_EVENTS)
     edges = np.cumsum(rows, axis=1)[:, :-1]
     reachable = edges < 1.0  # an edge at or above 1.0 is never reached
     thresholds = np.ceil(np.where(reachable, edges, 0.0) * 2.0**53).astype(np.uint64)

@@ -199,21 +199,12 @@ def _layout_of(setting: JointSetting) -> _Layout:
     return layout
 
 
-def _factor_label(setting: JointSetting, factors, labels) -> tuple:
-    """(u, d) labels of the setting's observables on ``factors`` alone, the
-    token of ``factors[i]`` carrying the factor label ``labels[i]`` (a_pi2)."""
-    return tuple(
-        model.side_label([ids[f].name for f in factors], labels)
-        for ids in (setting.u_ids, setting.d_ids)
-    )
-
-
 def _record_label(layout: _Layout, setting: JointSetting, factor: int | None) -> tuple:
     """The label of a cell's record: the two photon labels for the joint
     correlation, the two tokens on factor f alone for factor f."""
     if factor is None:
         return setting.u_label, setting.d_label
-    return _factor_label(setting, (factor,), (layout.labels[factor],))
+    return setting.labels_on((factor,), (layout.labels[factor],))
 
 
 class _CellPass:
@@ -238,7 +229,7 @@ class _CellPass:
         labels, contexts = self.layout.labels, []
         for setting, f in self.cells:
             others = [g for g in range(len(labels)) if g != f]
-            contexts.append(" ".join(_factor_label(setting, others, [labels[g] for g in others])))
+            contexts.append(" ".join(setting.labels_on(others, [labels[g] for g in others])))
         return tuple(contexts)
 
     def born(self, state: QuantumState) -> np.ndarray:
@@ -353,7 +344,7 @@ def estimate(counts, setting: JointSetting, factor: int | None = None) -> Correl
     labels; factor f gives that degree of freedom's correlation, labelled by
     the two photons' tokens on factor f alone with its numbered label
     (``a_pi2``).  Counts must have an integer dtype: floats, whole or not,
-    are refused rather than truncated."""
+    are refused rather than truncated, and they must total below 2^53."""
     layout = _layout_of(setting)
     if factor is not None and factor not in range(len(layout.kinds)):
         raise ValueError(f"factor {factor!r} outside 0..{len(layout.kinds) - 1}")
@@ -361,6 +352,8 @@ def estimate(counts, setting: JointSetting, factor: int | None = None) -> Correl
     c = np.asarray(counts)
     if c.shape != weights.shape or c.dtype.kind not in "iu" or np.any(c < 0):
         raise ValueError(f"counts must be {weights.size} nonnegative integers")
+    if sum(c.tolist()) >= 1 << 53:  # summed in Python ints: an int64 sum can wrap
+        raise ValueError("counts must total below 2^53, where estimates are exact")
     label = _record_label(layout, setting, factor)
     return _records(c.astype(np.int64, copy=False)[None], weights[None], (label,))[0]
 
@@ -403,12 +396,15 @@ def violation_report(
     """Combine per-setting correlations into a Bell-operator estimate.
 
     ``records`` must match the operator's term list bijectively by
-    (u label, d label).  ``labels`` are the factor labels the records carry,
-    by default the operator's own; factor 2 of a three-DOF run carries
-    ``pi2`` where its CHSH operator alone says ``pi``.
+    (u label, d label).  By default each term is keyed by the labels it
+    carries; ``labels`` relabels the terms with the factor labels the
+    records carry instead: factor 2 of a three-DOF run carries ``pi2``
+    where its CHSH operator alone says ``pi``.
     """
-    labels = bell.factor_labels if labels is None else labels
-    keys = [_factor_label(t, range(len(labels)), labels) for t in bell.terms]
+    if labels is None:
+        keys = [(t.u_label, t.d_label) for t in bell.terms]
+    else:
+        keys = [t.labels_on(range(len(labels)), labels) for t in bell.terms]
     by_label = {}
     for rec in records:
         if rec.label in by_label:

@@ -1,5 +1,6 @@
 """Bell operators, quantum predictions, and the scaling law."""
 
+import dataclasses
 from functools import reduce
 from itertools import product
 from types import SimpleNamespace
@@ -276,6 +277,18 @@ class TestStructuredOperator:
         op, other = bell.canonical_product(2), bell.canonical_product(2)
         assert op == op and op != other
         assert len({op, other, op}) == 2
+
+    def test_operator_is_its_kinds(self):
+        assert [field.name for field in dataclasses.fields(bell.BellOperator)] == ["kinds"]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_quantum_value_builds_no_sign_table(self, n):
+        op = bell.canonical_product(n)
+        bell.quantum_value(op, bell.ideal_state(n))
+        assert "signs" not in vars(op)
+        expected = reduce(np.kron, [_reference_chsh(kind, "").signs for kind in op.kinds])
+        assert op.signs.dtype == np.int64 and op.signs.shape == expected.shape
+        assert op.signs.tobytes() == expected.tobytes()
 
 
 class TestQuantumValue:

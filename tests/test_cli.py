@@ -498,6 +498,12 @@ class TestOutput:
         assert code == 2
         assert "cannot write output" in err
 
+    def test_unknown_format_refused(self):
+        result = cli.run(cli.build_config("scaling", {}, {"dof": 1}))
+        assert not hasattr(result, "study") and result.config.study == "scaling"
+        with pytest.raises(cli.ConfigError, match="key 'format': unknown format 'xml'"):
+            cli.emit(result, "xml")
+
 
 class TestFailureExitCodes:
     def test_numerical_failure_maps_to_three(self, monkeypatch):

@@ -109,6 +109,18 @@ class TestJointSetting:
         with pytest.raises(ValueError, match=f"1 to {model.MAX_DOF} degrees of freedom, got 5"):
             JointSetting((A_PI,) * (model.MAX_DOF + 1), (B_PI,) * (model.MAX_DOF + 1))
 
+    def test_no_factor_refused(self):
+        with pytest.raises(ValueError, match=f"1 to {model.MAX_DOF} degrees of freedom, got 0"):
+            JointSetting((), ())
+
+    def test_labels_on_applies_the_rule_to_chosen_factors(self):
+        setting = JointSetting((A_PI, a_K, a_PI), (B_PI, b_K, B_PI))
+        full = setting.labels_on(range(3), model.factor_labels(setting.kinds))
+        assert full == (setting.u_label, setting.d_label)
+        assert setting.labels_on((2,), ("pi2",)) == ("a_pi2", "B_pi2")
+        assert setting.labels_on((0, 2), ("pi", "pi2")) == ("A_pi a_pi2", "B_pi B_pi2")
+        assert [obs.label for obs in setting.u_ids] == ["A_pi", "a_k", "a_pi"]
+
 
 class TestHyperState:
     def test_source_state_amplitudes(self):

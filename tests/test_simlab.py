@@ -620,6 +620,55 @@ class TestRowMultinomial:
                 rng.multinomial(rows, 10, [1, 2, 3, 4])
 
 
+class TestSeedAndCountRefusals:
+    """Seeds and event counts are refused unless they are integers in range:
+    a seed of -1 used to run as 2^64 - 1 and 2^64 as 0, and a numpy seed
+    overflowed in the scalar mix."""
+
+    PROBS = np.array([0.1, 0.2, 0.3, 0.4])
+
+    @pytest.mark.parametrize(
+        "seed", [-1, 2**64, True, np.True_, 2.0, np.float64(3.0), "3", None],
+        ids=["negative", "2^64", "bool", "numpy-bool", "float", "numpy-float", "str", "none"],
+    )
+    def test_bad_seed_refused_by_every_entry(self, seed):
+        calls = (
+            lambda: rng.derive_seed(seed, 0),
+            lambda: rng.random_uint64(seed, 3),
+            lambda: rng.multinomial(self.PROBS, 10, seed),
+            lambda: rng.multinomial(np.vstack([self.PROBS] * 2), 10, [1, seed]),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="^seed must be"):
+                call()
+
+    @pytest.mark.parametrize(
+        "n_events", [2.5, 3.0, True, np.True_, 0, rng.MAX_EVENTS + 1, "10"],
+        ids=["fraction", "whole-float", "bool", "numpy-bool", "zero", "above-max", "str"],
+    )
+    def test_bad_event_count_refused(self, n_events):
+        with pytest.raises(ValueError, match="^n_events must be"):
+            rng.multinomial(self.PROBS, n_events, 0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "2^64"])
+    def test_library_run_refuses_a_seed_outside_64_bits(self, seed):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 18446744073709551615\]"):
+            simlab.run_simulated_experiment(NOISY, 100, seed)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dtype", [np.uint64, np.int64, np.uint32, np.int8])
+    def test_numpy_integer_seeds_count_as_python_ints(self, dtype):
+        assert rng.derive_seed(dtype(3), 5) == rng.derive_seed(3, 5)
+        assert rng.random_uint64(dtype(3), 4).tobytes() == rng.random_uint64(3, 4).tobytes()
+        counts = rng.multinomial(self.PROBS, dtype(50), dtype(3))
+        assert counts.tobytes() == rng.multinomial(self.PROBS, 50, 3).tobytes()
+        rows = np.vstack([self.PROBS] * 2)
+        counts = rng.multinomial(rows, 50, np.array([3, 4], dtype=dtype))
+        assert counts.tobytes() == rng.multinomial(rows, 50, [3, 4]).tobytes()
+        top = np.uint64(2**64 - 1)
+        assert rng.derive_seed(top, 0) == rng.derive_seed(2**64 - 1, 0)
+
+
 def _fresh_side_projectors(pol, path):
     """The stack as first built: one einsum of the polarization and path
     (I +- M)/2 pairs."""
@@ -903,6 +952,21 @@ class TestEstimate:
         for same in (counts.tolist(), counts.astype(np.uint32), counts.astype(np.int16)):
             assert simlab.estimate(same, setting) == expected
 
+    def test_counts_totalling_2_to_53_refused(self):
+        """Five cells of 2^62 total 5 * 2^62; an int64 sum wraps to 2^62,
+        which read E = 1.0 where the counts give 0.2."""
+        setting = _setting("A", "A", "B", "B")
+        counts = np.zeros(16, dtype=np.uint64)
+        counts[:5] = 1 << 62
+        with pytest.raises(ValueError, match=r"total below 2\^53"):
+            simlab.estimate(counts, setting)
+        counts = np.zeros(16, dtype=np.int64)
+        counts[0] = 1 << 53
+        with pytest.raises(ValueError, match=r"total below 2\^53"):
+            simlab.estimate(counts, setting)
+        counts[0] -= 1
+        assert simlab.estimate(counts, setting).n_events == (1 << 53) - 1
+
 
 class TestFactorization:
     def test_joint_equals_product_of_marginals_analytically(self):
@@ -1014,6 +1078,19 @@ class TestViolationReport:
         rec = simlab.CorrelationRecord(label=("A_pi", "B_pi"), E=0.5, std_err=0.01, n_events=10)
         with pytest.raises(ValueError, match="duplicate"):
             simlab.violation_report([rec, rec], bell.build_beta_pi(), bound=2.0)
+
+    def test_beta_report_builds_no_label(self, monkeypatch):
+        """After one run, the beta report of its 16 term records keys each
+        term by the labels it carries and builds none."""
+        result = simlab.run_simulated_experiment(NOISY, n_events=300, seed=4)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a label was built")
+
+        monkeypatch.setattr(model, "side_label", boom)
+        operator = simlab._layout(2).operator
+        report = simlab.violation_report(result.joint_records, operator, bound=4.0)
+        assert report == result.beta
 
 
 class TestSignificance:
