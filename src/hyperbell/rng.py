@@ -15,9 +15,10 @@ which is the documented seed/index mix referenced in every report.
 
 Multinomial counts are inverse-CDF counts: an event whose uniform ``u``
 satisfies ``cdf[k-1] <= u < cdf[k]`` lands in cell ``k``.  They are counted
-without materialising the stream: outputs are generated in chunks of
-``CHUNK`` into reused buffers, and for each CDF edge the chunk's outputs at
-or above it are counted, so ``n_k = #(u >= cdf[k-1]) - #(u >= cdf[k])``.
+without materialising the stream: outputs are generated in chunks of at
+most ``LONG_PASS`` into reused buffers, and for each CDF edge the chunk's
+outputs at or above it are counted, so
+``n_k = #(u >= cdf[k-1]) - #(u >= cdf[k])``.
 The comparison is made on the raw 64-bit outputs, which is exact:
 ``u = (x >> 11) * 2^-53 >= c`` holds exactly when
 ``x >= ceil(c * 2^53) << 11`` for ``c < 1``, and an edge at or above 1.0 is
@@ -38,28 +39,50 @@ they stay pinned to ``GENERATOR_ID``.
 
 Many distributions, each on its own stream, are counted in one call (2-D
 ``probs``, one seed per row); a single distribution is the one-row case.
-Rows of ``n`` events share a block of ``max(1, CHUNK // min(n, CHUNK))``
-rows, so a block never holds more than ``CHUNK`` outputs: at ``n >= CHUNK``
-a block is one row, consumed chunk by chunk as above.  The block's outputs
-are generated and mixed together, and each row's top words are sorted
-along their own axis; the two-sided search and the tie recount then run on
-each row's own words and thresholds.  Every row is therefore counted
-exactly as it would be alone, and the argument above holds row by row.
+Rows of ``n < CHUNK`` events share a block of ``CHUNK // n`` rows, so a
+block never holds more than ``CHUNK`` outputs, and the blocks are counted
+on the calling thread.  The block's outputs are generated and mixed
+together, and each row's top words are sorted along their own axis; the
+two-sided search and the tie recount then run on each row's own words and
+thresholds.  Every row is therefore counted exactly as it would be alone,
+and the argument above holds row by row.
+
+A row of ``n >= CHUNK`` events is cut into passes of ``LONG_PASS``
+outputs, and the passes of all rows are dealt in turn to worker threads,
+one per CPU the process may run on and at most 4; the caller is worker 0.
+Output ``i`` of a stream is ``mix(seed + (i + 1) * gamma)``, so any range
+of it is generated on its own, and counts over disjoint position ranges of
+one stream add: each worker counts its passes into its own integer
+partial, and the partials are summed once every worker has been joined.
+The counts do not depend on the number of workers.  In-flight buffers stay
+below 4 workers of ``LONG_PASS`` outputs at 20 B each, 2.5 MiB, whatever
+``n``, the row count or the core count.
 """
 
 from __future__ import annotations
 
 import operator
+import os
+import threading
 
 import numpy as np
 
 GENERATOR_ID = "splitmix64-invcdf-v1"
 
-# Largest event count per call; memory is bounded by CHUNK, this bounds time.
+# Largest event count per call; memory is bounded by the passes, this bounds time.
 MAX_EVENTS = 10**9
-# Stream outputs generated per pass, over the rows of a block; fixes the
+# Stream outputs per block of rows of fewer than CHUNK events; fixes the
 # buffer size, not the counts.
 CHUNK = 1 << 14
+# Stream outputs per pass of a row of at least CHUNK events.  At 2^14 two
+# threads gained nothing: each numpy call was too short to pay for handing
+# over the interpreter lock.  2^16 was faster but cost twice the memory.
+LONG_PASS = 2 * CHUNK
+# Worker threads for long rows: the CPUs this process may run on, capped at 4
+# so the in-flight buffers stay below 4 * LONG_PASS * 20 B = 2.5 MiB.
+_WORKERS = min(
+    4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -99,15 +122,16 @@ def _checked(name: str, value, low: int, high: int) -> int:
 
 
 def derive_seed(seed: int, index: int) -> int:
-    """Sub-stream seed from a master seed in [0, 2^64 - 1] and a setting index."""
-    if index < 0:
-        raise ValueError("sub-stream index must be nonnegative")
+    """Sub-stream seed from a master seed and a setting index, both in [0, 2^64 - 1]."""
+    index = _checked("index", index, 0, _MASK64)
     return mix64(_checked("seed", seed, 0, _MASK64) ^ (((index + 1) * _GAMMA) & _MASK64))
 
 
 def random_uint64(seed: int, n: int) -> np.ndarray:
-    """First n outputs of the SplitMix64 stream started at ``seed`` in [0, 2^64 - 1]."""
+    """First n outputs, n in [0, ``MAX_EVENTS``], of the SplitMix64 stream
+    started at ``seed`` in [0, 2^64 - 1]."""
     z = np.uint64(_checked("seed", seed, 0, _MASK64))
+    n = _checked("n", n, 0, MAX_EVENTS)
     z = z + np.uint64(_GAMMA) * np.arange(1, n + 1, dtype=np.uint64)
     return _mix(z, np.empty_like(z))
 
@@ -130,14 +154,16 @@ def multinomial(probs: np.ndarray, n_events: int, seed) -> np.ndarray:
     category.  ``n_events`` (per row) lies in [1, ``MAX_EVENTS``] and each seed
     in [0, 2^64 - 1]; bools and floats are refused, not truncated or wrapped.
 
-    The streams are consumed in blocks held in reused buffers of ``CHUNK``
-    outputs, so memory grows neither with ``n_events`` nor with the row
-    count.  Per block, each row's top 32-bit words are sorted once, and each
-    reachable CDF edge ``c < 1``, as the integer threshold
-    ``t = ceil(c * 2^53) << 11``, is counted by a two-sided ``searchsorted``
-    of its top word among its own row's; an edge whose top word some output
-    of its row shares is recounted as ``#(x >= t)`` on that row's 64-bit
-    outputs (see the module docstring for why this is exact).  Cell ``k``
+    The streams are consumed in passes held in reused buffers, on up to 4
+    worker threads for rows of at least ``CHUNK`` events (see the module
+    docstring), so in-flight buffers stay below 2.5 MiB whatever
+    ``n_events``, the row count or the core count.  Per pass, each row's
+    top 32-bit words are sorted once, and each reachable CDF edge ``c < 1``,
+    as the integer threshold ``t = ceil(c * 2^53) << 11``, is counted by a
+    two-sided ``searchsorted`` of its top word among its own row's; an edge
+    whose top word some output of its row shares is recounted as
+    ``#(x >= t)`` on that row's 64-bit outputs (see the module docstring
+    for why this is exact).  Cell ``k``
     receives ``#(u >= cdf[k-1]) - #(u >= cdf[k])``.  The counts equal those
     of an event-by-event ``searchsorted(cdf, u, side="right")``.
     """
@@ -166,19 +192,25 @@ def multinomial(probs: np.ndarray, n_events: int, seed) -> np.ndarray:
     thresholds <<= np.uint64(11)
     thresholds_hi = (thresholds >> np.uint64(32)).astype(np.uint32)
 
-    # A block is as many rows as fit one chunk of every row's outputs.
-    size = min(n_events, CHUNK)
-    block = min(len(rows), CHUNK // size)
+    # A block is as many rows as fit one chunk of every row's outputs; a row
+    # of at least CHUNK events is a block of its own, cut into long passes.
+    size = min(n_events, LONG_PASS)
+    block = min(len(rows), CHUNK // min(n_events, CHUNK))
+    per_block = -(-n_events // size)
+    n_passes = per_block * -(-len(rows) // block)
     steps = np.arange(1, size + 1, dtype=np.uint64)
     steps *= np.uint64(_GAMMA)
-    x = np.empty((block, size), dtype=np.uint64)
-    tmp = np.empty((block, size), dtype=np.uint64)
-    hi = np.empty((block, size), dtype=np.uint32)
-    reached = np.zeros(thresholds.shape, dtype=np.int64)
-    for r0 in range(0, len(rows), block):
-        b = min(block, len(rows) - r0)
-        for start in range(0, n_events, CHUNK):
-            m = min(CHUNK, n_events - start)
+
+    def count(passes, reached):
+        """Add the counts of the numbered ``passes``, ``per_block`` to a block
+        of rows, into ``reached``; every worker owns its buffers and partial."""
+        x = np.empty((block, size), dtype=np.uint64)
+        tmp = np.empty((block, size), dtype=np.uint64)
+        hi = np.empty((block, size), dtype=np.uint32)
+        for i in passes:
+            r0, start = i // per_block * block, i % per_block * size
+            b = min(block, len(rows) - r0)
+            m = min(size, n_events - start)
             bases = seeds[r0 : r0 + b, None] + np.uint64((_GAMMA * start) & _MASK64)
             chunk = _mix(np.add(steps[:m], bases, out=x[:b, :m]), tmp[:b, :m])
             top = hi[:b, :m]
@@ -192,8 +224,29 @@ def multinomial(probs: np.ndarray, n_events: int, seed) -> np.ndarray:
                 for k in np.flatnonzero(left != right):
                     counts[k] = np.count_nonzero(chunk[r] >= thresholds[row, k])
                 reached[row] += counts
+
+    workers = min(_WORKERS, n_passes) if n_events >= CHUNK else 1
+    partials = [np.zeros(thresholds.shape, dtype=np.int64) for _ in range(workers)]
+    errors = []
+
+    def work(w):
+        try:
+            count(range(w, n_passes, workers), partials[w])
+        except Exception as exc:  # re-raised by the caller once all are joined
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        work(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     # at_or_above[:, k] = #(u >= cdf[k-1]): every event for k = 0, none at the top.
     at_or_above = np.zeros((len(rows), p.shape[-1] + 1), dtype=np.int64)
     at_or_above[:, 0] = n_events
-    at_or_above[:, 1:-1] = np.where(reachable, reached, 0)
+    at_or_above[:, 1:-1] = np.where(reachable, sum(partials), 0)
     return (at_or_above[:, :-1] - at_or_above[:, 1:]).reshape(p.shape)

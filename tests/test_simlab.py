@@ -3,6 +3,8 @@
 import functools
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -620,6 +622,78 @@ class TestRowMultinomial:
                 rng.multinomial(rows, 10, [1, 2, 3, 4])
 
 
+class TestLongRowWorkers:
+    """Rows of at least CHUNK events are cut into passes of LONG_PASS outputs
+    dealt to worker threads; the caller is worker 0 and the partial counts
+    add exactly, so the worker count never shows in the counts."""
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 3, 5])
+    @pytest.mark.parametrize(
+        "n_events", [rng.CHUNK, rng.LONG_PASS - 1, rng.LONG_PASS + 1, 3 * rng.LONG_PASS + 7]
+    )
+    def test_rows_equal_one_row_calls(self, monkeypatch, n_events, n_rows):
+        """Three workers: rows fewer than, as many as and more than them."""
+        monkeypatch.setattr(rng, "_WORKERS", 3)
+        probs = np.array([np.roll(SKEWED, i) for i in range(n_rows)])
+        seeds = [rng.derive_seed(9, i) for i in range(n_rows)]
+        _assert_rows_match(probs, n_events, seeds)
+        _assert_matches_reference(probs[0], n_events, seeds[0])
+
+    @pytest.mark.parametrize("case", ["output-equal", "output-below", "shared-top-word"])
+    def test_tie_in_a_pass_of_another_worker(self, monkeypatch, case):
+        """The tied output sits in pass 1 of the row, which the second of two
+        workers counts: the stream at ``seed + LONG_PASS * gamma`` is the
+        stream at ``seed`` from output LONG_PASS on."""
+        monkeypatch.setattr(rng, "_WORKERS", 2)
+        seed = 11
+        shifted = (seed + rng.LONG_PASS * rng._GAMMA) % 2**64
+        x = rng.random_uint64(seed, rng.LONG_PASS + 5)
+        np.testing.assert_array_equal(rng.random_uint64(shifted, 5), x[rng.LONG_PASS :])
+        probs = _tie_probs(case, rng.LONG_PASS, shifted)
+        _assert_matches_reference(probs, 2 * rng.LONG_PASS + 5, seed)
+
+    def test_worker_count_leaves_counts_unchanged(self, monkeypatch):
+        """Also with more workers than cores and a short switch interval."""
+        probs = np.array([np.roll(SKEWED, i) for i in range(7)])
+        seeds = [rng.derive_seed(3, i) for i in range(7)]
+        n_events = 3 * rng.LONG_PASS + 7
+        monkeypatch.setattr(rng, "_WORKERS", 1)
+        serial = rng.multinomial(probs, n_events, seeds)
+        monkeypatch.setattr(rng, "_WORKERS", 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threaded = rng.multinomial(probs, n_events, seeds)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded.tobytes() == serial.tobytes()
+
+    def test_short_rows_start_no_thread(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        expected = rng.multinomial(np.full((56, 16), 1 / 16), 2000, list(range(56)))
+        monkeypatch.setattr(rng, "_WORKERS", 4)
+        monkeypatch.setattr(threading, "Thread", refuse)
+        counts = rng.multinomial(np.full((56, 16), 1 / 16), 2000, list(range(56)))
+        assert counts.tobytes() == expected.tobytes()
+
+    def test_worker_error_reaches_caller_after_join(self, monkeypatch):
+        mix, calls = rng._mix, itertools.count(1)
+
+        def failing_mix(z, tmp):
+            if next(calls) == 3:
+                raise ValueError("third pass fails")
+            return mix(z, tmp)
+
+        monkeypatch.setattr(rng, "_WORKERS", 4)
+        monkeypatch.setattr(rng, "_mix", failing_mix)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="third pass fails"):
+            rng.multinomial(SKEWED, 4 * rng.LONG_PASS, seed=1)
+        assert threading.active_count() == before
+
+
 class TestSeedAndCountRefusals:
     """Seeds and event counts are refused unless they are integers in range:
     a seed of -1 used to run as 2^64 - 1 and 2^64 as 0, and a numpy seed
@@ -667,6 +741,33 @@ class TestSeedAndCountRefusals:
         assert counts.tobytes() == rng.multinomial(rows, 50, [3, 4]).tobytes()
         top = np.uint64(2**64 - 1)
         assert rng.derive_seed(top, 0) == rng.derive_seed(2**64 - 1, 0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: rng.random_uint64(0, 2.5),
+            lambda: rng.random_uint64(0, -3),
+            lambda: rng.random_uint64(0, True),
+            lambda: rng.random_uniform(0, 10**10),
+        ],
+        ids=["fraction", "negative", "bool", "above-max-before-allocating"],
+    )
+    def test_bad_stream_length_refused(self, call):
+        with pytest.raises(ValueError, match="^n must be"):
+            call()
+
+    @pytest.mark.parametrize(
+        "index", [True, 1.5, -1, 2**64], ids=["bool", "fraction", "negative", "2^64"]
+    )
+    def test_bad_sub_stream_index_refused(self, index):
+        with pytest.raises(ValueError, match="^index must be"):
+            rng.derive_seed(0, index)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dtype", [np.uint64, np.int64, np.uint32, np.int8])
+    def test_numpy_integer_index_and_length_count_as_python_ints(self, dtype):
+        assert rng.derive_seed(3, dtype(5)) == rng.derive_seed(3, 5)
+        assert rng.random_uint64(3, dtype(4)).tobytes() == rng.random_uint64(3, 4).tobytes()
 
 
 def _fresh_side_projectors(pol, path):
