@@ -1,12 +1,15 @@
 """CHSH Bell operators, their tensor products, and the violation scaling law.
 
-A Bell operator is kept as its factor kinds; sign table, matrix and term
-table built on first read (Van Loan, "The ubiquitous Kronecker product",
-J. Comput. Appl. Math. 123, 85-100 (2000): keep the factors, form the
-product only when needed).  The classical bounds read only the context sign
-table, the Kronecker product of the factors' 2x2 tables; the term table
-holds one signed term per joint measurement configuration.
-The two single-factor operators are built once, read-only, with the signs
+A Bell operator is kept as its factor kinds; sign table, matrix, spectral
+radius and term table built on first read, and its arrays read-only (Van
+Loan, "The ubiquitous Kronecker product", J. Comput. Appl. Math. 123, 85-100
+(2000): keep the factors, form the product only when needed).  The builders
+return one shared operator per kinds tuple, so each table is built once per
+process.  The classical bounds read only the context sign table, the
+Kronecker product of the factors' 2x2 tables; the term table holds one
+signed term per joint measurement configuration.  The canonical ideal
+states are shared and read-only in the same way.
+The two single-factor operators have the signs
 
     polarization:  -A B + A b + a B + a b
     path:          +A B - A b + a B + a b
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from itertools import product
 
 import numpy as np
@@ -46,9 +49,16 @@ class BellTerm(JointSetting):
 @dataclass(frozen=True, eq=False)  # identity equality and hash: each caches its own tables
 class BellOperator:
     """Kronecker product of single-DOF CHSH operators of ``kinds``, factor 0
-    first; sign table, matrix and term table are built on first read."""
+    first; sign table, matrix, spectral radius and term table are built on
+    first read, the arrays read-only."""
 
     kinds: tuple
+
+    def __post_init__(self):
+        if not 1 <= len(self.kinds) <= MAX_DOF or not set(self.kinds) <= _SIGNS.keys():
+            raise ValueError(
+                f"kinds must be 1 to {MAX_DOF} of {tuple(_SIGNS)}, got {self.kinds!r}"
+            )
 
     @property
     def dof_count(self) -> int:
@@ -66,22 +76,29 @@ class BellOperator:
     @property
     def factors(self) -> tuple:
         """The shared single-DOF operators, one per factor."""
-        return tuple(_FACTORS[kind] for kind in self.kinds)
+        return tuple(_shared((kind,)) for kind in self.kinds)
 
     @cached_property
     def signs(self) -> np.ndarray:
         """int64 ``signs[cu, cd]``: sign of the term with u context ``cu`` and d
         context ``cd`` (bit 1 = alternate name a/b, factor 0 most significant)."""
-        return reduce(np.kron, [np.array(_SIGNS[kind], dtype=np.int64) for kind in self.kinds])
+        return qcore.read_only(
+            reduce(np.kron, [np.array(_SIGNS[kind], dtype=np.int64) for kind in self.kinds])
+        )
 
     @cached_property
     def matrix(self) -> np.ndarray:
         if self.dof_count > 1:
-            return qcore.tensor_all(*(f.matrix for f in self.factors))
-        return sum(
+            return qcore.read_only(qcore.tensor_all(*(f.matrix for f in self.factors)))
+        return qcore.read_only(sum(
             t.sign * qcore.tensor(model.observable(*t.u_ids), model.observable(*t.d_ids))
             for t in self.terms
-        )
+        ))
+
+    @cached_property
+    def radius(self) -> float:
+        """Largest |eigenvalue| of the matrix (``qcore.spectral_radius``)."""
+        return qcore.spectral_radius(self.matrix)
 
     @cached_property
     def terms(self) -> tuple:
@@ -101,32 +118,28 @@ class BellOperator:
         return tuple(terms)
 
 
-def _build_chsh(kind: str) -> BellOperator:
-    op = BellOperator(kinds=(kind,))
-    op.signs.setflags(write=False)
-    op.matrix.setflags(write=False)
-    return op
-
-
-_FACTORS = {kind: _build_chsh(kind) for kind in _SIGNS}
+@cache
+def _shared(kinds: tuple) -> BellOperator:
+    """The one shared operator of ``kinds``; at most 2 + 4 + 8 + 16 of them."""
+    return BellOperator(kinds=kinds)
 
 
 def build_beta_pi() -> BellOperator:
     """Polarization CHSH operator, term signs (-, +, +, +); shared, read-only."""
-    return _FACTORS[model.POLARIZATION]
+    return _shared((model.POLARIZATION,))
 
 
 def build_beta_k() -> BellOperator:
     """Path CHSH operator, term signs (+, -, +, +); shared, read-only."""
-    return _FACTORS[model.PATH]
+    return _shared((model.PATH,))
 
 
 def build_beta_product(factors) -> BellOperator:
-    """Tensor product of single-DOF CHSH operators.
+    """Tensor product of single-DOF CHSH operators; shared, read-only.
 
     Each of the 4^N terms pairs one u local observable (the product of one
     observable per degree of freedom) with one d local observable.  A single
-    factor is returned unchanged.
+    shared factor is returned unchanged.
     """
     factors = list(factors)
     if not 1 <= len(factors) <= MAX_DOF:
@@ -134,25 +147,29 @@ def build_beta_product(factors) -> BellOperator:
     for f in factors:
         if f.dof_count != 1:
             raise ValueError("factors must be single degree-of-freedom operators")
-    if len(factors) == 1:
-        return factors[0]
-    return BellOperator(kinds=tuple(f.kinds[0] for f in factors))
+    return _shared(tuple(f.kinds[0] for f in factors))
 
 
 def canonical_product(n_dof: int) -> BellOperator:
-    """N-fold product operator of the factor kinds ``model.canonical_kinds``."""
+    """N-fold product operator of the factor kinds ``model.canonical_kinds``;
+    shared, read-only."""
     if not 1 <= n_dof <= MAX_DOF:
         raise ValueError(f"dof count must lie in [1, {MAX_DOF}], got {n_dof}")
-    return build_beta_product(_FACTORS[kind] for kind in model.canonical_kinds(n_dof))
+    return _shared(model.canonical_kinds(n_dof))
 
 
+@cache  # a refused n_dof raises, so only 1..MAX_DOF are ever stored
 def ideal_state(n_dof: int) -> QuantumState:
     """Maximally violating pure state for canonical_product(n_dof): phase pi
-    on the polarization pairs, 0 on the path pairs."""
+    on the polarization pairs, 0 on the path pairs; shared, read-only,
+    built once per n_dof."""
     if not 1 <= n_dof <= MAX_DOF:
         raise ValueError(f"dof count must lie in [1, {MAX_DOF}], got {n_dof}")
     kinds = model.canonical_kinds(n_dof)
-    return model.product_state(kinds, [np.pi if k == model.POLARIZATION else 0.0 for k in kinds])
+    state = model.product_state(kinds, [np.pi if k == model.POLARIZATION else 0.0 for k in kinds])
+    qcore.read_only(state.vector)
+    qcore.read_only(state.rho)
+    return state
 
 
 def _expect_real(matrix: np.ndarray, state: QuantumState) -> float:
@@ -196,9 +213,9 @@ def ideal_predictions(state: QuantumState) -> IdealPredictions:
         beta_pi=_expect_real(qcore.tensor(b_pi.matrix, _I4), state),
         beta_k=_expect_real(qcore.tensor(_I4, b_k.matrix), state),
         beta=quantum_value(product, state),
-        radius_pi=qcore.spectral_radius(b_pi.matrix),
-        radius_k=qcore.spectral_radius(b_k.matrix),
-        radius_product=qcore.spectral_radius(product.matrix),
+        radius_pi=b_pi.radius,
+        radius_k=b_k.radius,
+        radius_product=product.radius,
     )
 
 

@@ -12,18 +12,25 @@ Two strategy classes:
   per-pair outcomes inside a context would collapse to the same bound,
   because the Bell operator only ever weights the per-context product.
 
-Strategy evaluation is exact integer arithmetic (all coefficients are +-1).
-Assignments are enumerated as integers: slot 0 is the most significant bit
-and bit value 0 means +1, so index 0 is the all-(+1) assignment and the
-reported witness is the lexicographically smallest maximizer in
-(u index, d index) order.
+The factorizable search multiplies float64 copies of the +-1 context
+table and the {-1, 0, 1} sign table, so BLAS runs it: every entry of
+``side @ t`` has magnitude at most 2^N and every value at most 4^N <= 256,
+far below 2^53, so every partial sum is an exact integer in any summation
+order or BLAS thread count, and argmax picks the same witness as integer
+arithmetic would.  The unrestricted search and the witness replay are
+integer arithmetic.  Assignments are enumerated as integers: slot 0 is the
+most significant bit and bit value 0 means +1, so index 0 is the all-(+1)
+assignment and the reported witness is the lexicographically smallest
+maximizer in (u index, d index) order.
 
 The search weights contexts with the Kronecker sign table
 ``BellOperator.signs``; the witness is then replayed by ``evaluate_strategy``
 as an independent check, over an integer term table whose signs are
-products of the factor term signs.  Witness tokens are built from the
-factor labels with the label rule in ``model`` (a context token joins one
-observable token per factor), never from the operator's term table.
+products of the factor term signs.  The term table (per kinds tuple) and
+the factorizable side table (per N) are built once, read-only.  Witness
+tokens are built from the factor labels with the label rule in ``model``
+(a context token joins one observable token per factor), never from the
+operator's term table.
 
 The unrestricted search never builds all 2^n u assignments: each u is split
 into its first and last halves of slots, whose weight tables (2^(n/2) rows
@@ -40,7 +47,7 @@ from itertools import product
 
 import numpy as np
 
-from . import model
+from . import model, qcore
 from .bell import BellOperator
 
 FACTORIZABLE = "factorizable"
@@ -90,26 +97,40 @@ def _side_tokens(labels: tuple, strategy_class: str, photon: str) -> tuple:
     return tuple(model.side_label(context, labels) for context in contexts)
 
 
-def _term_table(bell: BellOperator) -> tuple:
-    """``(u bits, d bits, signs)`` of the 4^N terms, factor 0 slowest: bit
-    [t, f] is 1 where term t takes factor f's alternate name, and each sign
-    is the product of the factor term signs (order AB, Ab, aB, ab)."""
-    n = bell.dof_count
+@cache
+def _term_table(kinds: tuple) -> tuple:
+    """``(u bits, d bits, signs)`` of the 4^N terms of the operator of
+    ``kinds``, factor 0 slowest: bit [t, f] is 1 where term t takes factor
+    f's alternate name, and each sign is the product of the factor term
+    signs (order AB, Ab, aB, ab).  Built once per kinds tuple, read-only."""
+    n = len(kinds)
     bits = _bits(np.arange(4**n), 2 * n)  # per factor: u bit, d bit
-    factor_signs = np.array([[t.sign for t in f.terms] for f in bell.factors])
+    factor_signs = np.array([[t.sign for t in f.terms] for f in BellOperator(kinds=kinds).factors])
     cells = 2 * bits[:, 0::2] + bits[:, 1::2]
-    return bits[:, 0::2], bits[:, 1::2], factor_signs[np.arange(n), cells].prod(axis=1)
+    signs = factor_signs[np.arange(n), cells].prod(axis=1)
+    return tuple(qcore.read_only(a) for a in (bits[:, 0::2], bits[:, 1::2], signs))
 
 
 def evaluate_strategy(bell: BellOperator, strategy: LhvStrategy) -> int:
-    """Classical value of a deterministic assignment; exact integers."""
-    u_bits, d_bits, values = _term_table(bell)
+    """Classical value of a deterministic assignment; exact integers.
+
+    Each side must assign exactly its class's tokens, each the integer +1
+    or -1; an unknown class, a missing or foreign token and a bool, float
+    or other value are refused, naming the class or the token."""
+    if strategy.strategy_class not in STRATEGY_CLASSES:
+        raise ValueError(f"unknown strategy class {strategy.strategy_class!r}")
+    u_bits, d_bits, values = _term_table(bell.kinds)
     for photon, side, bits in (
         (model.PHOTON_U, strategy.side_u, u_bits),
         (model.PHOTON_D, strategy.side_d, d_bits),
     ):
         tokens = _side_tokens(bell.factor_labels, strategy.strategy_class, photon)
         vals = np.array([_lookup(side, tok) for tok in tokens], dtype=np.int64)
+        if len(side) != len(tokens):  # every token was found, so one key is foreign
+            foreign = next(key for key in side if key not in tokens)
+            raise ValueError(
+                f"{foreign!r} is no {strategy.strategy_class} token of photon {photon}"
+            )
         if strategy.strategy_class == FACTORIZABLE:  # product of the slot values
             values = values * vals[2 * np.arange(bell.dof_count) + bits].prod(axis=1)
         else:  # the value of the context the bits index
@@ -122,8 +143,9 @@ def _lookup(side: dict, token: str) -> int:
         val = side[token]
     except KeyError:
         raise ValueError(f"strategy has no assignment for {token!r}") from None
-    if val not in (-1, 1):
-        raise ValueError(f"assignment for {token!r} must be +-1, got {val!r}")
+    # type check first: True == 1 and 1.0 == 1, so bools and floats pass ``in``
+    if (type(val) is not int and not isinstance(val, np.integer)) or val not in (-1, 1):
+        raise ValueError(f"assignment for {token!r} must be +-1 as an integer, got {val!r}")
     return val
 
 
@@ -142,12 +164,13 @@ def _assignment_values(n_slots: int) -> np.ndarray:
     return 1 - 2 * _bits(np.arange(2**n_slots, dtype=np.int64), n_slots)
 
 
-def _factorizable_context_values(bell: BellOperator) -> np.ndarray:
-    """Per-context products of every factorizable side assignment."""
-    n = bell.dof_count
+@cache
+def _factorizable_context_values(n: int) -> np.ndarray:
+    """Per-context products of every factorizable side assignment at N = n,
+    as float64 for the BLAS search; built once per n, read-only."""
     vals = _assignment_values(2 * n)  # slots: (factor, primary/alternate)
     context_slots = 2 * np.arange(n) + _bits(np.arange(2**n), n)  # [context, factor]
-    return vals[:, context_slots].prod(axis=2)
+    return qcore.read_only(vals[:, context_slots].prod(axis=2).astype(np.float64))
 
 
 def _strategy_from_index(bell: BellOperator, strategy_class: str, photon: str, index: int) -> dict:
@@ -183,18 +206,13 @@ def max_bound(
     # of freedom's pair (factorizable) or a whole side (unrestricted) negates
     # the value, so both signs are always attained.  Maximizing the signed
     # value lets the witness replay to +bound exactly.
-    if strategy_class == FACTORIZABLE:
-        side = _factorizable_context_values(bell)
-        values = side @ t @ side.T
-        ui, di = np.unravel_index(int(np.argmax(values)), values.shape)
-        bound = int(values[ui, di])
-    else:
-        bound, ui, di = _unrestricted_search(t)
+    search = _factorizable_search if strategy_class == FACTORIZABLE else _unrestricted_search
+    bound, ui, di = search(t)
 
     witness = LhvStrategy(
         strategy_class=strategy_class,
-        side_u=_strategy_from_index(bell, strategy_class, model.PHOTON_U, int(ui)),
-        side_d=_strategy_from_index(bell, strategy_class, model.PHOTON_D, int(di)),
+        side_u=_strategy_from_index(bell, strategy_class, model.PHOTON_U, ui),
+        side_d=_strategy_from_index(bell, strategy_class, model.PHOTON_D, di),
     )
     replay = evaluate_strategy(bell, witness)
     if replay != bound:
@@ -207,6 +225,20 @@ def max_bound(
         strategies_evaluated=n_side * n_side,
         strategy_class=strategy_class,
     )
+
+
+def _factorizable_search(t: np.ndarray) -> tuple:
+    """``(bound, u index, d index)``: the largest ``side_u . t . side_d``
+    over factorizable side assignments and its smallest maximizer in
+    (u index, d index) order (C-order argmax).
+
+    ``t`` is a square table of side 2^N with entries in {-1, 0, 1}; the
+    product runs in float64 BLAS and is exact (module docstring).
+    """
+    side = _factorizable_context_values(t.shape[0].bit_length() - 1)
+    values = side @ t.astype(np.float64) @ side.T
+    ui, di = np.unravel_index(int(np.argmax(values)), values.shape)
+    return int(values[ui, di]), int(ui), int(di)
 
 
 def _unrestricted_search(t: np.ndarray) -> tuple:

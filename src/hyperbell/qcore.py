@@ -58,6 +58,12 @@ def as_vector(v) -> np.ndarray:
     return a
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """``a`` itself, with writes refused: for tables built once and shared."""
+    a.setflags(write=False)
+    return a
+
+
 def adjoint(m) -> np.ndarray:
     """Conjugate transpose."""
     return as_matrix(m).conj().T

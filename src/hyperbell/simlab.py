@@ -54,21 +54,18 @@ _ASSUMPTION_ROWS = {
 _BORN_BLOCK = 1 << 14
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 # Each observable's two outcome projectors (I + M)/2, (I - M)/2 as a (2, 2, 2) stack.
 _OUTCOME_PROJECTORS = {
-    obs: _read_only((_I2 + np.array([1.0, -1.0])[:, None, None] * model.observable(obs)) / 2.0)
+    obs: qcore.read_only(
+        (_I2 + np.array([1.0, -1.0])[:, None, None] * model.observable(obs)) / 2.0
+    )
     for kind in model.KINDS
     for obs in model.observable_ids(kind)
 }
 
 
 # The same pairs as one table, and each observable's row in it.
-_OUTCOME_TABLE = _read_only(np.stack(list(_OUTCOME_PROJECTORS.values())))
+_OUTCOME_TABLE = qcore.read_only(np.stack(list(_OUTCOME_PROJECTORS.values())))
 _OUTCOME_ROW = {obs: i for i, obs in enumerate(_OUTCOME_PROJECTORS)}
 
 
@@ -89,7 +86,7 @@ def _side_stacks(rows: np.ndarray) -> np.ndarray:
 @cache
 def _side_projectors(ids: tuple) -> np.ndarray:
     """The stack of one observables tuple, built once."""
-    return _read_only(_side_stacks(_outcome_rows([ids]))[0])
+    return qcore.read_only(_side_stacks(_outcome_rows([ids]))[0])
 
 
 def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -106,7 +103,7 @@ def _marginal_operator(n: int, f: int, kind: str, u_name: str, d_name: str) -> n
     slots = [_I2] * (2 * n)
     slots[2 * f] = model.observable(ObservableId(u_name, kind))
     slots[2 * f + 1] = model.observable(ObservableId(d_name, kind))
-    return _read_only(qcore.tensor_all(*slots))
+    return qcore.read_only(qcore.tensor_all(*slots))
 
 
 class _Layout:
@@ -137,7 +134,7 @@ class _Layout:
         # order; row 0, the joint weights, is their product.
         signs = np.array(list(product((1, -1), repeat=n)), dtype=float).T
         weights = (signs[:, :, None] * signs[:, None, :]).reshape(n, -1)
-        self.weight_rows = _read_only(np.vstack([weights.prod(axis=0), weights]))
+        self.weight_rows = qcore.read_only(np.vstack([weights.prod(axis=0), weights]))
         self.joint_weights, self.weights = self.weight_rows[0], self.weight_rows[1:]
         # Cells per Born block: each photon's stack of a cell has 8^N entries.
         self.born_block = max(1, _BORN_BLOCK // 8**n)

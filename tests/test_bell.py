@@ -1,6 +1,7 @@
 """Bell operators, quantum predictions, and the scaling law."""
 
 import dataclasses
+import re
 from functools import reduce
 from itertools import product
 from types import SimpleNamespace
@@ -145,6 +146,12 @@ class TestProductOperator:
         with pytest.raises(ValueError, match="single degree-of-freedom"):
             bell.build_beta_product([bell.canonical_product(2), bell.build_beta_pi()])
 
+    @pytest.mark.parametrize("kinds", [("spin",), (), (model.PATH,) * 5])
+    def test_operator_kinds_refused(self, kinds):
+        """They failed on first read, with a KeyError or an empty reduce."""
+        with pytest.raises(ValueError, match=re.escape(f"got {kinds!r}")):
+            bell.BellOperator(kinds=kinds)
+
 
 def _context(ids, alternate: str) -> int:
     """Context index: bit 1 for the alternate name, factor 0 most significant."""
@@ -258,7 +265,7 @@ class TestStructuredOperator:
             raise AssertionError("the dense matrix was built")
 
         monkeypatch.setattr(qcore, "tensor_all", refuse)
-        op = bell.canonical_product(4)
+        op = bell.BellOperator(kinds=model.canonical_kinds(4))  # fresh: no tables yet
         lhv.max_bound(op, cls)
         assert op.dim == 256 and op.dof_count == 4
         assert "matrix" not in vars(op) and "terms" not in vars(op)
@@ -272,9 +279,18 @@ class TestStructuredOperator:
                 build().signs[0, 0] = 0
         assert bell.canonical_product(2).factors == (bell.build_beta_pi(), bell.build_beta_k())
 
+    @pytest.mark.parametrize("n", range(1, bell.MAX_DOF + 1))
+    def test_shared_tables_refuse_writes(self, n):
+        state, op = bell.ideal_state(n), bell.canonical_product(n)
+        assert state is bell.ideal_state(n) and op is bell.canonical_product(n)
+        for table in (state.vector, state.rho, op.matrix, op.signs):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
+
     def test_equality_is_identity_and_hashable(self):
         """Field-wise equality compared the ndarray signs and raised."""
-        op, other = bell.canonical_product(2), bell.canonical_product(2)
+        op, other = bell.canonical_product(2), bell.BellOperator(kinds=model.canonical_kinds(2))
+        assert op is bell.canonical_product(2)
         assert op == op and op != other
         assert len({op, other, op}) == 2
 
@@ -283,7 +299,7 @@ class TestStructuredOperator:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_quantum_value_builds_no_sign_table(self, n):
-        op = bell.canonical_product(n)
+        op = bell.BellOperator(kinds=model.canonical_kinds(n))  # fresh: no tables yet
         bell.quantum_value(op, bell.ideal_state(n))
         assert "signs" not in vars(op)
         expected = reduce(np.kron, [_reference_chsh(kind, "").signs for kind in op.kinds])
@@ -338,6 +354,15 @@ class TestIdealPredictions:
         assert pred.beta_k == pytest.approx(2 * SQRT2, abs=1e-10)
         assert pred.beta == pytest.approx(-8.0, abs=1e-10)
         assert pred.radius_product == pytest.approx(8.0, abs=1e-7)
+
+    def test_radii_read_once(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("a spectral radius was computed again")
+
+        state = model.hyper_state(0.3, -1.2)
+        first = bell.ideal_predictions(state)
+        monkeypatch.setattr(qcore, "spectral_radius", refuse)
+        assert bell.ideal_predictions(state) == first
 
 
 class TestScaling:

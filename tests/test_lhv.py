@@ -1,7 +1,9 @@
 """Local deterministic strategies: evaluation, exhaustive bounds, witnesses."""
 
+import math
 import re
 import tracemalloc
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -77,6 +79,39 @@ class TestEvaluateStrategy:
         bad = _strategy(FACTORIZABLE, U_TOKENS_CHSH, [1, 0], D_TOKENS_CHSH, [1, 1])
         with pytest.raises(ValueError, match="must be \\+-1"):
             lhv.evaluate_strategy(op, bad)
+
+    @pytest.mark.parametrize("value", [True, 1.0, np.float64(1.0), np.True_])
+    def test_plus_one_that_is_no_integer_rejected(self, value):
+        """True == 1 and 1.0 == 1, so a check by value alone let both
+        replay the N = 2 witness to its bound 4."""
+        op = bell.canonical_product(2)
+        witness = lhv.max_bound(op, FACTORIZABLE).witness
+        token = next(tok for tok, val in witness.side_u.items() if val == 1)
+        bad = LhvStrategy(FACTORIZABLE, {**witness.side_u, token: value}, witness.side_d)
+        with pytest.raises(ValueError, match=re.escape(
+            f"assignment for {token!r} must be +-1 as an integer, got {value!r}"
+        )):
+            lhv.evaluate_strategy(op, bad)
+
+    @pytest.mark.parametrize(
+        "cls,foreign", [(FACTORIZABLE, "A_pi A_k"), (FACTORIZABLE, "B_pi3"), (UNRESTRICTED, "b_k")]
+    )
+    def test_foreign_token_rejected(self, cls, foreign):
+        """A key that is no slot of the class was ignored before."""
+        op = bell.canonical_product(2)
+        witness = lhv.max_bound(op, cls).witness
+        bad = LhvStrategy(cls, witness.side_u, {**witness.side_d, foreign: 1})
+        message = f"{foreign!r} is no {cls} token of photon d"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            lhv.evaluate_strategy(op, bad)
+
+    @pytest.mark.parametrize("cls", [FACTORIZABLE, UNRESTRICTED])
+    def test_unknown_class_rejected(self, cls):
+        """It was read as unrestricted, or refused for a missing context token."""
+        op = bell.canonical_product(2)
+        witness = lhv.max_bound(op, cls).witness
+        with pytest.raises(ValueError, match="unknown strategy class 'contextual'"):
+            lhv.evaluate_strategy(op, LhvStrategy("contextual", witness.side_u, witness.side_d))
 
 
 class TestSignSymmetry:
@@ -250,6 +285,15 @@ class TestMaxBound:
         with pytest.raises(ValueError, match="strategy class"):
             lhv.max_bound(bell.build_beta_pi(), "nonlocal")
 
+    @pytest.mark.parametrize("n", range(1, bell.MAX_DOF + 1))
+    def test_tables_built_once_read_only(self, n):
+        kinds = model.canonical_kinds(n)
+        assert lhv._term_table(kinds) is lhv._term_table(kinds)
+        assert lhv._factorizable_context_values(n) is lhv._factorizable_context_values(n)
+        for table in (*lhv._term_table(kinds), lhv._factorizable_context_values(n)):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
+
     @pytest.mark.parametrize("cls,tokens", [(FACTORIZABLE, 2 * 4), (UNRESTRICTED, 2**4)])
     def test_side_tokens_built_once_per_labels(self, cls, tokens, monkeypatch):
         """The witness and its replay share one token tuple per photon: a
@@ -309,6 +353,59 @@ class TestUnrestrictedSearch:
     @example(np.ones((5, 5), dtype=np.int64))
     def test_matches_full_search_on_tables(self, t):
         assert lhv._unrestricted_search(t) == _reference_unrestricted(t)
+
+
+@cache
+def _reference_side(n):
+    """Context values of every factorizable side assignment, int64, by loops:
+    row = assignment (slot 2f + 1 is factor f's alternate name, slot 0 most
+    significant, bit 0 = +1), column = context (factor 0 most significant)."""
+    contexts = list(product((0, 1), repeat=n))
+    return np.array([
+        [math.prod(slots[2 * f + alt] for f, alt in enumerate(ctx)) for ctx in contexts]
+        for slots in product((1, -1), repeat=2 * n)
+    ], dtype=np.int64)
+
+
+def _reference_factorizable(t):
+    """The int64 search, which numpy runs without BLAS."""
+    side = _reference_side(t.shape[0].bit_length() - 1)
+    values = side @ t @ side.T
+    ui, di = np.unravel_index(int(np.argmax(values)), values.shape)
+    return int(values[ui, di]), int(ui), int(di)
+
+
+@st.composite
+def _square_sign_tables(draw):
+    side = 2 ** draw(st.integers(1, bell.MAX_DOF))
+    return draw(arrays(np.int64, (side, side), elements=st.integers(-1, 1)))
+
+
+class TestFactorizableSearch:
+    """The float64 BLAS search returns the int64 search's (bound, u index, d index)."""
+
+    @pytest.mark.parametrize(
+        "kinds",
+        [
+            pytest.param(kinds, id="-".join(kinds))
+            for n in range(1, bell.MAX_DOF + 1)
+            for kinds in product(_CHSH, repeat=n)
+        ],
+    )
+    def test_matches_integer_search_on_products(self, kinds):
+        op = bell.build_beta_product([_CHSH[k]() for k in kinds])
+        assert lhv._factorizable_search(op.signs) == _reference_factorizable(op.signs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_square_sign_tables())
+    @example(np.zeros((2, 2), dtype=np.int64))
+    @example(np.ones((16, 16), dtype=np.int64))
+    @example(-np.ones((16, 16), dtype=np.int64))
+    @example(np.eye(8, dtype=np.int64))
+    def test_matches_integer_search_on_tables(self, t):
+        result = lhv._factorizable_search(t)
+        assert result == _reference_factorizable(t)
+        assert all(type(x) is int for x in result)
 
 
 def _reference_evaluate(op, strategy):
