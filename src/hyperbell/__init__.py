@@ -32,7 +32,6 @@ from .model import (
     ObservableId,
     QuantumState,
     apply_noise,
-    basis_conventions,
     hyper_state,
     observable,
 )

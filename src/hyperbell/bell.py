@@ -31,8 +31,6 @@ import numpy as np
 from . import model, qcore
 from .model import MAX_DOF, JointSetting, ObservableId, QuantumState
 
-_I4 = np.eye(4, dtype=complex)
-
 _SIGNS = {
     model.POLARIZATION: ((-1, 1), (1, 1)),
     model.PATH: ((1, -1), (1, 1)),
@@ -167,9 +165,18 @@ def ideal_state(n_dof: int) -> QuantumState:
         raise ValueError(f"dof count must lie in [1, {MAX_DOF}], got {n_dof}")
     kinds = model.canonical_kinds(n_dof)
     state = model.product_state(kinds, [np.pi if k == model.POLARIZATION else 0.0 for k in kinds])
-    qcore.read_only(state.vector)
-    qcore.read_only(state.rho)
+    qcore.read_only(state.vector)  # its rho, built on first read, is read-only too
     return state
+
+
+@cache  # at most 1 + 2 + 3 + 4 tables; a factor outside 0..n_dof-1 raises
+def _factor_embedding(n_dof: int, f: int) -> np.ndarray:
+    """The CHSH matrix of factor f of ``canonical_product(n_dof)`` on the
+    whole 4^n_dof space, the identity on every other factor; read-only,
+    built once per (n_dof, f)."""
+    matrix = canonical_product(n_dof).factors[f].matrix
+    parts = (np.eye(4**f), matrix, np.eye(4 ** (n_dof - f - 1)))
+    return qcore.read_only(qcore.tensor_all(*[m for m in parts if m.shape[0] > 1]))
 
 
 def _expect_real(matrix: np.ndarray, state: QuantumState) -> float:
@@ -210,8 +217,8 @@ def ideal_predictions(state: QuantumState) -> IdealPredictions:
     b_pi, b_k = build_beta_pi(), build_beta_k()
     product = build_beta_product([b_pi, b_k])
     return IdealPredictions(
-        beta_pi=_expect_real(qcore.tensor(b_pi.matrix, _I4), state),
-        beta_k=_expect_real(qcore.tensor(_I4, b_k.matrix), state),
+        beta_pi=_expect_real(_factor_embedding(2, 0), state),
+        beta_k=_expect_real(_factor_embedding(2, 1), state),
         beta=quantum_value(product, state),
         radius_pi=b_pi.radius,
         radius_k=b_k.radius,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
-from functools import cache, reduce
+from functools import cache, cached_property, reduce
 
 import numpy as np
 
@@ -170,57 +170,41 @@ def observable_ids(kind: str) -> tuple[ObservableId, ...]:
     return tuple(ObservableId(n, kind) for n in ("A", "a", "B", "b"))
 
 
-@dataclass(frozen=True)
-class BasisConventions:
-    """Frozen record of the basis and tensor-order conventions."""
-
-    kets: dict
-    factor_order: tuple
-    tensor_endianness: str
-
-
-def basis_conventions() -> BasisConventions:
-    return BasisConventions(
-        kets={name: tuple(vec) for name, vec in _KET.items()},
-        factor_order=(
-            (POLARIZATION, PHOTON_U),
-            (POLARIZATION, PHOTON_D),
-            (PATH, PHOTON_U),
-            (PATH, PHOTON_D),
-        ),
-        tensor_endianness="big (first factor varies slowest)",
-    )
-
-
 @dataclass(frozen=True, eq=False)  # ndarray fields: identity equality and hash
 class QuantumState:
-    """Pure or mixed state over N two-photon degrees of freedom (dim 4^N)."""
+    """Pure or mixed state over N two-photon degrees of freedom (dim 4^N).
+    A pure state's ``rho = outer(v, v*)`` is built on first read, read-only
+    when its vector is, so a shared state stays read-only."""
 
     dof_count: int
     vector: np.ndarray | None
-    rho: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.rho.shape[0]
+        return 4**self.dof_count
 
     @property
     def is_pure(self) -> bool:
         return self.vector is not None
 
+    @cached_property
+    def rho(self) -> np.ndarray:
+        rho = np.outer(self.vector, self.vector.conj())
+        return rho if self.vector.flags.writeable else qcore.read_only(rho)
+
     @classmethod
     def pure(cls, vector, dof_count: int | None = None) -> "QuantumState":
         v = qcore.as_vector(vector)
         qcore.check_normalized(v)
-        n = _infer_dof_count(v.size, dof_count)
-        return cls(dof_count=n, vector=v, rho=np.outer(v, v.conj()))
+        return cls(dof_count=_infer_dof_count(v.size, dof_count), vector=v)
 
     @classmethod
     def mixed(cls, rho, dof_count: int | None = None) -> "QuantumState":
         r = qcore.as_matrix(rho)
         qcore.check_density_matrix(r)
-        n = _infer_dof_count(r.shape[0], dof_count)
-        return cls(dof_count=n, vector=None, rho=r)
+        state = cls(dof_count=_infer_dof_count(r.shape[0], dof_count), vector=None)
+        object.__setattr__(state, "rho", r)  # fills the cached_property: never built
+        return state
 
 
 def _infer_dof_count(dim: int, dof_count: int | None) -> int:
@@ -236,25 +220,40 @@ def _infer_dof_count(dim: int, dof_count: int | None) -> int:
     return n
 
 
+_PAIR_POSITIONS = {POLARIZATION: (0, 3), PATH: (1, 2)}  # |HH>, |VV>; |lr>, |rl>
+
+
 def pair_state(kind: str, phase: float) -> np.ndarray:
     """Two-photon state of a single degree of freedom.
 
     polarization: (|HH> + e^{i phase}|VV>)/sqrt(2)
     path:         (|lr> + e^{i phase}|rl>)/sqrt(2)
     """
-    ph = cmath.exp(1j * phase)
-    if kind == POLARIZATION:
-        v = np.kron(_KET["H"], _KET["H"]) + ph * np.kron(_KET["V"], _KET["V"])
-    elif kind == PATH:
-        v = np.kron(_KET["l"], _KET["r"]) + ph * np.kron(_KET["r"], _KET["l"])
-    else:
+    if kind not in _PAIR_POSITIONS:
         raise ValueError(f"unknown degree-of-freedom kind {kind!r}")
+    first, second = _PAIR_POSITIONS[kind]
+    v = np.zeros(4, dtype=complex)
+    v[first] = 1.0
+    # + 0j makes a -0.0 part +0.0, as the sum of the two kets above does
+    v[second] = cmath.exp(1j * phase) + 0j
     return v / _SQRT2
 
 
 def product_state(kinds: tuple, phases: tuple) -> QuantumState:
-    """Tensor product of ``pair_state(kinds[f], phases[f])``, factor 0 first."""
-    return QuantumState.pure(reduce(np.kron, map(pair_state, kinds, phases)), len(kinds))
+    """Tensor product of ``pair_state(kinds[f], phases[f])``, factor 0 first:
+    one finite real phase per kind, 1 to ``MAX_DOF`` kinds."""
+    kinds, phases = tuple(kinds), tuple(phases)
+    if not 1 <= len(kinds) <= MAX_DOF:
+        raise ValueError(f"kinds must name 1 to {MAX_DOF} degrees of freedom, got {len(kinds)}")
+    if len(phases) != len(kinds):
+        raise ValueError(
+            f"phases must give one phase per kind: {len(kinds)} kinds, {len(phases)} phases"
+        )
+    for phase in phases:
+        if isinstance(phase, (bool, np.bool_)) or not np.isfinite(phase):
+            raise ValueError(f"phases must be finite real numbers, got {phase!r}")
+    vector = reduce(lambda a, b: np.multiply.outer(a, b).ravel(), map(pair_state, kinds, phases))
+    return QuantumState.pure(vector, len(kinds))
 
 
 def hyper_state(theta: float, phi: float) -> QuantumState:
@@ -263,8 +262,6 @@ def hyper_state(theta: float, phi: float) -> QuantumState:
     theta = pi, phi = 0 gives the singlet-signed polarization pair times the
     symmetric path pair produced by the source.
     """
-    if not (np.isfinite(theta) and np.isfinite(phi)):
-        raise ValueError("phases must be finite")
     return product_state((POLARIZATION, PATH), (theta, phi))
 
 
@@ -332,7 +329,7 @@ def apply_noise(state: QuantumState, noise: NoiseModel) -> QuantumState:
     if not state.is_pure:
         raise ValueError("apply_noise expects a pure input state")
     n = state.dof_count
-    rho = np.outer(state.vector, state.vector.conj())
+    rho = state.rho
     if noise.kind != NOISE_NONE:
         channel = _white_dof if noise.kind == NOISE_WHITE else _dephase_dof
         for block, kind in enumerate(canonical_kinds(n)):

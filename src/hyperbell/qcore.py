@@ -41,7 +41,7 @@ def as_matrix(m) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] < 1 or a.shape[0] > MAX_DIM:
         raise ValueError(f"matrix dimension {a.shape[0]} outside [1, {MAX_DIM}]")
-    if not np.all(np.isfinite(a)):
+    if not (np.isfinite(a.real).all() and np.isfinite(a.imag).all()):
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
     return a
 
@@ -53,7 +53,7 @@ def as_vector(v) -> np.ndarray:
         raise ValueError(f"expected a 1-D vector, got shape {a.shape}")
     if a.size < 1 or a.size > MAX_DIM:
         raise ValueError(f"vector dimension {a.size} outside [1, {MAX_DIM}]")
-    if not np.all(np.isfinite(a)):
+    if not (np.isfinite(a.real).all() and np.isfinite(a.imag).all()):
         raise ValueError("vector entries must be finite (no NaN/Inf)")
     return a
 
@@ -62,11 +62,6 @@ def read_only(a: np.ndarray) -> np.ndarray:
     """``a`` itself, with writes refused: for tables built once and shared."""
     a.setflags(write=False)
     return a
-
-
-def adjoint(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(m).conj().T
 
 
 def is_hermitian(m, tol: float = HERMITIAN_TOL) -> bool:

@@ -1,6 +1,8 @@
 """State builder, observables, measurement projectors, and noise channels."""
 
 import itertools
+from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -41,22 +43,50 @@ PAULI_FORM = {
 }
 
 
+@dataclass(frozen=True)
+class BasisConventions:
+    """Record of the basis and tensor-order conventions of the model's
+    module docstring; the kets are read from the model."""
+
+    kets: dict
+    factor_order: tuple
+    tensor_endianness: str
+
+
+def basis_conventions() -> BasisConventions:
+    return BasisConventions(
+        kets={name: tuple(vec) for name, vec in model._KET.items()},
+        factor_order=(
+            (model.POLARIZATION, model.PHOTON_U),
+            (model.POLARIZATION, model.PHOTON_D),
+            (model.PATH, model.PHOTON_U),
+            (model.PATH, model.PHOTON_D),
+        ),
+        tensor_endianness="big (first factor varies slowest)",
+    )
+
+
 class TestConventions:
     def test_kets(self):
-        conv = model.basis_conventions()
+        conv = basis_conventions()
         assert conv.kets["H"] == (1, 0)
         assert conv.kets["V"] == (0, 1)
         assert conv.kets["l"] == (1, 0)
         assert conv.kets["r"] == (0, 1)
 
     def test_factor_order(self):
-        conv = model.basis_conventions()
+        conv = basis_conventions()
         assert conv.factor_order == (
             (model.POLARIZATION, "u"),
             (model.POLARIZATION, "d"),
             (model.PATH, "u"),
             (model.PATH, "d"),
         )
+        # |H>_u |H>_d |l>_u |r>_d, one ket per slot of factor_order, first slot
+        # slowest: amplitude 1/2 in (|HH> + |VV>)(|lr> + |rl>)/2.
+        kets = dict(zip(conv.factor_order, "HHlr"))
+        basis = reduce(np.kron, [np.array(conv.kets[kets[slot]]) for slot in conv.factor_order])
+        assert np.vdot(basis, model.hyper_state(0.0, 0.0).vector) == pytest.approx(0.5, abs=1e-15)
 
     def test_observable_id_validation(self):
         with pytest.raises(ValueError):
@@ -427,6 +457,38 @@ class TestProductState:
             assert state.dof_count == 2
             assert state.vector.tobytes() == expected.tobytes()
             assert state.vector.tobytes() == model.hyper_state(theta, phi).vector.tobytes()
+
+    def test_too_many_phases_refused(self):
+        """The second phase was dropped and an N = 1 state built."""
+        with pytest.raises(ValueError, match="phases must give one phase per kind: 1 kinds, 2"):
+            model.product_state((model.POLARIZATION,), (0.1, 0.2))
+
+    def test_too_few_phases_refused(self):
+        """This failed with 'dimension 4 does not match dof_count 2'."""
+        with pytest.raises(ValueError, match="phases must give one phase per kind: 2 kinds, 1"):
+            model.product_state((model.POLARIZATION, model.PATH), (0.1,))
+
+    def test_no_kind_refused(self):
+        """An empty reduce raised TypeError."""
+        with pytest.raises(ValueError, match=f"kinds must name 1 to {model.MAX_DOF} .*got 0"):
+            model.product_state((), ())
+
+    def test_more_kinds_than_max_dof_refused(self):
+        """Five kinds built an N = 5 state."""
+        kinds = model.canonical_kinds(model.MAX_DOF + 1)
+        with pytest.raises(ValueError, match=f"kinds must name 1 to {model.MAX_DOF} .*got 5"):
+            model.product_state(kinds, (0.0,) * len(kinds))
+
+    @pytest.mark.parametrize("phase", [True, np.bool_(False)], ids=["bool", "numpy-bool"])
+    def test_bool_phase_refused(self, phase):
+        """True ran as 1 rad."""
+        with pytest.raises(ValueError, match="phases must be finite real numbers"):
+            model.product_state((model.PATH,), (phase,))
+
+    @pytest.mark.parametrize("phase", [np.nan, np.inf, -np.inf])
+    def test_non_finite_phase_refused(self, phase):
+        with pytest.raises(ValueError, match="phases must be finite real numbers"):
+            model.product_state((model.PATH, model.POLARIZATION), (0.0, phase))
 
     def test_three_factors_in_order(self):
         kinds = (model.PATH, model.POLARIZATION, model.PATH)

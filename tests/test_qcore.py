@@ -57,8 +57,8 @@ class TestTensor:
         rng = np.random.default_rng(3)
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        lhs = qcore.adjoint(qcore.tensor(a, b))
-        rhs = qcore.tensor(qcore.adjoint(a), qcore.adjoint(b))
+        lhs = qcore.tensor(a, b).conj().T
+        rhs = qcore.tensor(a.conj().T, b.conj().T)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_dimension_overflow_rejected(self):
@@ -72,6 +72,26 @@ class TestTensor:
             qcore.tensor(bad, I2)
         with pytest.raises(ValueError, match="finite"):
             qcore.as_vector([np.inf, 0.0])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    def test_non_finite_part_refused_in_any_layout(self, value, part):
+        """A NaN or infinity in either part is refused, also when the input
+        is a transposed (non-contiguous) view; finite input passes unchanged."""
+        entry = complex(value, 0.5) if part == "real" else complex(0.5, value)
+        for dim in (2, 256):
+            m = np.arange(dim * dim, dtype=complex).reshape(dim, dim)
+            m[dim - 1, 0] = entry
+            assert not m.T.flags.c_contiguous
+            for bad in (m, m.T):
+                with pytest.raises(ValueError, match="matrix entries must be finite"):
+                    qcore.as_matrix(bad)
+            for bad in (m[dim - 1], m.T[0], m[:, 0]):
+                with pytest.raises(ValueError, match="vector entries must be finite"):
+                    qcore.as_vector(bad)
+            good = np.arange(dim * dim, dtype=complex).reshape(dim, dim).T
+            assert qcore.as_matrix(good) is good
+            np.testing.assert_array_equal(qcore.as_vector(good[0]), good[0])
 
 
 class TestExpectation:

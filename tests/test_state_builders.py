@@ -1,0 +1,150 @@
+"""State builders, the lazy density matrix and the shared ideal embeddings,
+each against the Kronecker construction it replaced."""
+
+import cmath
+from functools import reduce
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hyperbell import bell, cli, model, qcore
+from hyperbell.bell import IdealPredictions
+from hyperbell.model import NoiseModel, QuantumState
+
+SQRT2 = np.sqrt(2.0)
+
+_KETS = {
+    "H": np.array([1, 0], dtype=complex),
+    "V": np.array([0, 1], dtype=complex),
+    "l": np.array([1, 0], dtype=complex),
+    "r": np.array([0, 1], dtype=complex),
+}
+_PAIR_KETS = {model.POLARIZATION: ("HH", "VV"), model.PATH: ("lr", "rl")}
+
+
+def _reference_pair_state(kind, phase):
+    """(|xy> + e^{i phase}|x'y'>)/sqrt(2), each ket pair a Kronecker product."""
+    first, second = (np.kron(_KETS[a], _KETS[b]) for a, b in _PAIR_KETS[kind])
+    return (first + cmath.exp(1j * phase) * second) / SQRT2
+
+
+def _reference_product(kinds, phases):
+    return reduce(np.kron, map(_reference_pair_state, kinds, phases))
+
+
+def _reference_ideal(state):
+    """``ideal_predictions`` with both embeddings built by ``qcore.tensor`` per call."""
+    b_pi, b_k, product = bell.build_beta_pi(), bell.build_beta_k(), bell.canonical_product(2)
+    eye = np.eye(4, dtype=complex)
+
+    def value(matrix):
+        if state.is_pure:
+            return float(qcore.expectation(matrix, state.vector).real)
+        return float(qcore.expectation_mixed(matrix, state.rho).real)
+
+    return IdealPredictions(
+        beta_pi=value(qcore.tensor(b_pi.matrix, eye)),
+        beta_k=value(qcore.tensor(eye, b_k.matrix)),
+        beta=value(product.matrix),
+        radius_pi=b_pi.radius,
+        radius_k=b_k.radius,
+        radius_product=product.radius,
+    )
+
+
+# Signed zeros, +-pi and +-pi/2 decide the signs of zero parts, so they are drawn often.
+_SPECIAL_PHASES = (0.0, -0.0, np.pi, -np.pi, np.pi / 2, -np.pi / 2)
+phases = st.one_of(
+    st.sampled_from(_SPECIAL_PHASES), st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+)
+kind_lists = st.lists(st.sampled_from(model.KINDS), min_size=1, max_size=model.MAX_DOF)
+
+
+@st.composite
+def kinds_and_phases(draw):
+    kinds = tuple(draw(kind_lists))
+    return kinds, tuple(draw(st.lists(phases, min_size=len(kinds), max_size=len(kinds))))
+
+
+class TestBuildersMatchKroneckerReference:
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(model.KINDS), phase=phases)
+    def test_pair_state_bytes(self, kind, phase):
+        expected = _reference_pair_state(kind, phase)
+        assert model.pair_state(kind, phase).tobytes() == expected.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=kinds_and_phases())
+    def test_product_state_bytes(self, case):
+        kinds, ph = case
+        state = model.product_state(kinds, ph)
+        assert state.dof_count == len(kinds) and state.dim == 4 ** len(kinds)
+        assert state.vector.tobytes() == _reference_product(kinds, ph).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(theta=phases, phi=phases)
+    def test_hyper_state_bytes(self, theta, phi):
+        expected = _reference_product((model.POLARIZATION, model.PATH), (theta, phi))
+        assert model.hyper_state(theta, phi).vector.tobytes() == expected.tobytes()
+
+
+class TestLazyDensityMatrix:
+    @settings(max_examples=100, deadline=None)
+    @given(case=kinds_and_phases())
+    def test_pure_rho_built_on_first_read(self, case):
+        state = model.product_state(*case)
+        assert "rho" not in vars(state)
+        v = state.vector
+        rho = state.rho
+        assert rho.tobytes() == np.outer(v, v.conj()).tobytes()
+        assert state.rho is rho and rho.flags.writeable
+
+    def test_mixed_rho_is_the_checked_matrix(self):
+        rho = np.eye(16, dtype=complex) / 16
+        state = QuantumState.mixed(rho)
+        assert state.rho is rho and state.dim == 16 and not state.is_pure
+
+    def test_noise_reads_the_state_rho(self):
+        state = model.hyper_state(0.7, -1.3)
+        noisy = model.apply_noise(state, NoiseModel(model.NOISE_NONE))
+        assert noisy.rho is state.rho
+
+    def test_exact_studies_build_no_ideal_rho(self, capsys):
+        """No exact study reads the density matrix of a shared ideal state, so
+        the 256x256 one of N = 4 is never built."""
+        bell.ideal_state.cache_clear()
+        for argv in (["ideal"], ["bounds", "--dof", "4"], ["scaling", "--dof", "4"]):
+            assert cli.main(argv + ["--format", "json"]) == 0
+        capsys.readouterr()
+        assert "rho" not in vars(bell.ideal_state(4))
+
+
+class TestSharedIdealEmbeddings:
+    @settings(max_examples=150, deadline=None)
+    @given(theta=phases, phi=phases, v_pi=st.floats(0.0, 1.0), v_k=st.floats(0.0, 1.0),
+           noise=st.sampled_from(model.NOISE_KINDS))
+    def test_predictions_equal_per_call_embeddings(self, theta, phi, v_pi, v_k, noise):
+        pure = model.hyper_state(theta, phi)
+        states = [pure]
+        if noise != model.NOISE_NONE:
+            states.append(model.apply_noise(pure, NoiseModel(noise, v_pi, v_k)))
+        for state in states:
+            assert repr(bell.ideal_predictions(state)) == repr(_reference_ideal(state))
+
+    @pytest.mark.parametrize("n", range(1, model.MAX_DOF + 1))
+    def test_embedding_tables_are_shared_and_read_only(self, n):
+        for f, op in enumerate(bell.canonical_product(n).factors):
+            table = bell._factor_embedding(n, f)
+            expected = np.kron(np.kron(np.eye(4**f), op.matrix), np.eye(4 ** (n - f - 1)))
+            np.testing.assert_array_equal(table, expected)
+            assert table is bell._factor_embedding(n, f)
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 0
+
+    def test_two_dof_tables_are_the_per_call_bytes(self):
+        eye = np.eye(4, dtype=complex)
+        pi, k = bell.build_beta_pi().matrix, bell.build_beta_k().matrix
+        assert bell._factor_embedding(2, 0).tobytes() == qcore.tensor(pi, eye).tobytes()
+        assert bell._factor_embedding(2, 1).tobytes() == qcore.tensor(eye, k).tobytes()
