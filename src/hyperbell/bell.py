@@ -164,9 +164,7 @@ def ideal_state(n_dof: int) -> QuantumState:
     if not 1 <= n_dof <= MAX_DOF:
         raise ValueError(f"dof count must lie in [1, {MAX_DOF}], got {n_dof}")
     kinds = model.canonical_kinds(n_dof)
-    state = model.product_state(kinds, [np.pi if k == model.POLARIZATION else 0.0 for k in kinds])
-    qcore.read_only(state.vector)  # its rho, built on first read, is read-only too
-    return state
+    return model.product_state(kinds, [np.pi if k == model.POLARIZATION else 0.0 for k in kinds])
 
 
 @cache  # at most 1 + 2 + 3 + 4 tables; a factor outside 0..n_dof-1 raises

@@ -173,8 +173,9 @@ def observable_ids(kind: str) -> tuple[ObservableId, ...]:
 @dataclass(frozen=True, eq=False)  # ndarray fields: identity equality and hash
 class QuantumState:
     """Pure or mixed state over N two-photon degrees of freedom (dim 4^N).
-    A pure state's ``rho = outer(v, v*)`` is built on first read, read-only
-    when its vector is, so a shared state stays read-only."""
+    Its arrays are read-only and its own: a writable input is copied, so no
+    later write reaches a checked state.  A pure state's ``rho = outer(v, v*)``
+    is built on first read."""
 
     dof_count: int
     vector: np.ndarray | None
@@ -189,22 +190,26 @@ class QuantumState:
 
     @cached_property
     def rho(self) -> np.ndarray:
-        rho = np.outer(self.vector, self.vector.conj())
-        return rho if self.vector.flags.writeable else qcore.read_only(rho)
+        return qcore.read_only(np.outer(self.vector, self.vector.conj()))
 
     @classmethod
     def pure(cls, vector, dof_count: int | None = None) -> "QuantumState":
-        v = qcore.as_vector(vector)
+        v = _owned(qcore.as_vector(vector))
         qcore.check_normalized(v)
         return cls(dof_count=_infer_dof_count(v.size, dof_count), vector=v)
 
     @classmethod
     def mixed(cls, rho, dof_count: int | None = None) -> "QuantumState":
-        r = qcore.as_matrix(rho)
+        r = _owned(qcore.as_matrix(rho))
         qcore.check_density_matrix(r)
         state = cls(dof_count=_infer_dof_count(r.shape[0], dof_count), vector=None)
         object.__setattr__(state, "rho", r)  # fills the cached_property: never built
         return state
+
+
+def _owned(a: np.ndarray) -> np.ndarray:
+    """``a`` if it is read-only, as the shared ideal states are, else a read-only copy."""
+    return qcore.read_only(a.copy()) if a.flags.writeable else a
 
 
 def _infer_dof_count(dim: int, dof_count: int | None) -> int:
@@ -253,7 +258,7 @@ def product_state(kinds: tuple, phases: tuple) -> QuantumState:
         if isinstance(phase, (bool, np.bool_)) or not np.isfinite(phase):
             raise ValueError(f"phases must be finite real numbers, got {phase!r}")
     vector = reduce(lambda a, b: np.multiply.outer(a, b).ravel(), map(pair_state, kinds, phases))
-    return QuantumState.pure(vector, len(kinds))
+    return QuantumState.pure(qcore.read_only(vector), len(kinds))  # fresh: kept, not copied
 
 
 def hyper_state(theta: float, phi: float) -> QuantumState:
@@ -334,7 +339,7 @@ def apply_noise(state: QuantumState, noise: NoiseModel) -> QuantumState:
         channel = _white_dof if noise.kind == NOISE_WHITE else _dephase_dof
         for block, kind in enumerate(canonical_kinds(n)):
             rho = channel(rho, noise.v_pi if kind == POLARIZATION else noise.v_k, block, n)
-    return QuantumState.mixed(rho, dof_count=n)
+    return QuantumState.mixed(qcore.read_only(rho), dof_count=n)  # fresh or shared: not copied
 
 
 def _on_block(a: np.ndarray, block: int, n: int) -> np.ndarray:

@@ -9,9 +9,10 @@ independent of numpy's own RNG evolution.
 Uniform doubles are the top 53 bits of each output scaled to [0, 1).
 Sub-streams (one per measurement setting) are derived as
 
-    derived_seed = mix64(seed XOR ((index + 1) * 0x9E3779B97F4A7C15 mod 2^64))
+    derived_seed = mix(seed XOR ((index + 1) * 0x9E3779B97F4A7C15 mod 2^64))
 
-which is the documented seed/index mix referenced in every report.
+which is the documented seed/index mix referenced in every report;
+``derive_seeds`` derives a range of indices as one array.
 
 Multinomial counts are inverse-CDF counts: an event whose uniform ``u``
 satisfies ``cdf[k-1] <= u < cdf[k]`` lands in cell ``k``.  They are counted
@@ -42,10 +43,19 @@ Many distributions, each on its own stream, are counted in one call (2-D
 Rows of ``n < CHUNK`` events share a block of ``CHUNK // n`` rows, so a
 block never holds more than ``CHUNK`` outputs, and the blocks are counted
 on the calling thread.  The block's outputs are generated and mixed
-together, and each row's top words are sorted along their own axis; the
-two-sided search and the tie recount then run on each row's own words and
-thresholds.  Every row is therefore counted exactly as it would be alone,
-and the argument above holds row by row.
+together, each row's top words are sorted along their own axis, and the
+block is searched once.  Row r's sorted words become the keys
+``(r << 32) | hi(x)`` and its edges the needles ``(r << 32) | hi(t)``.
+Every key of an earlier row lies below each of row r's needles and every
+key of a later row above, even for ``hi(t)`` of 0 or 2^32 - 1, so the
+keys are sorted across the block and a two-sided search of them gives row
+r's ``left`` and ``right`` plus the ``r * n`` keys of the rows before it;
+that offset is subtracted.  Ties are recounted on the row's own 64-bit
+outputs.  Every row is therefore counted exactly as it would be alone, and
+the argument above holds row by row.  The keys go to the block's 64-bit
+scratch buffer, which is free once the top words are sorted, so they need
+no buffer of their own.  A one-row block, which every long row is,
+searches its bare top words.
 
 A row of ``n >= CHUNK`` events is cut into passes of ``LONG_PASS``
 outputs, and the passes of all rows are dealt in turn to worker threads,
@@ -98,18 +108,6 @@ def _mix(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return z
 
 
-def mix64(z: int) -> int:
-    """SplitMix64 finalizer on a 64-bit integer.
-
-    Scalar twin of ``_mix`` in Python integers: one sub-stream seed is
-    derived per setting, where a one-element array would cost 20x more.
-    """
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
-
-
 def _checked(name: str, value, low: int, high: int) -> int:
     """``value`` as a Python int in [low, high]; numpy integers pass, while
     bools, floats and values out of range are refused naming ``name``."""
@@ -123,8 +121,19 @@ def _checked(name: str, value, low: int, high: int) -> int:
 
 def derive_seed(seed: int, index: int) -> int:
     """Sub-stream seed from a master seed and a setting index, both in [0, 2^64 - 1]."""
-    index = _checked("index", index, 0, _MASK64)
-    return mix64(_checked("seed", seed, 0, _MASK64) ^ (((index + 1) * _GAMMA) & _MASK64))
+    return int(derive_seeds(seed, _checked("index", index, 0, _MASK64), 1)[0])
+
+
+def derive_seeds(seed: int, start: int, count: int) -> np.ndarray:
+    """``derive_seed(seed, start + i)`` for i in [0, ``count``) as one uint64
+    array; the last index must not pass 2^64 - 1."""
+    seed = _checked("seed", seed, 0, _MASK64)
+    start = _checked("start", start, 0, _MASK64)
+    count = _checked("count", count, 0, _MASK64 + 1 - start)
+    z = np.arange(count, dtype=np.uint64) + np.uint64((start + 1) & _MASK64)
+    z *= np.uint64(_GAMMA)
+    z ^= np.uint64(seed)
+    return _mix(z, np.empty_like(z))
 
 
 def random_uint64(seed: int, n: int) -> np.ndarray:
@@ -153,6 +162,7 @@ def multinomial(probs: np.ndarray, n_events: int, seed) -> np.ndarray:
     1.0 so rounding in the cumulative sum cannot produce an out-of-range
     category.  ``n_events`` (per row) lies in [1, ``MAX_EVENTS``] and each seed
     in [0, 2^64 - 1]; bools and floats are refused, not truncated or wrapped.
+    A uint64 seed array is taken as it is: its dtype bounds every seed.
 
     The streams are consumed in passes held in reused buffers, on up to 4
     worker threads for rows of at least ``CHUNK`` events (see the module
@@ -160,10 +170,11 @@ def multinomial(probs: np.ndarray, n_events: int, seed) -> np.ndarray:
     ``n_events``, the row count or the core count.  Per pass, each row's
     top 32-bit words are sorted once, and each reachable CDF edge ``c < 1``,
     as the integer threshold ``t = ceil(c * 2^53) << 11``, is counted by a
-    two-sided ``searchsorted`` of its top word among its own row's; an edge
-    whose top word some output of its row shares is recounted as
-    ``#(x >= t)`` on that row's 64-bit outputs (see the module docstring
-    for why this is exact).  Cell ``k``
+    two-sided ``searchsorted`` of its top word among its own row's, one
+    search per block of rows with the words prefixed by the row's place in
+    the block; an edge whose top word some output of its row shares is
+    recounted as ``#(x >= t)`` on that row's 64-bit outputs (see the module
+    docstring for why both are exact).  Cell ``k``
     receives ``#(u >= cdf[k-1]) - #(u >= cdf[k])``.  The counts equal those
     of an event-by-event ``searchsorted(cdf, u, side="right")``.
     """
@@ -174,8 +185,11 @@ def multinomial(probs: np.ndarray, n_events: int, seed) -> np.ndarray:
     if p.ndim == 2 and np.shape(seed) != (len(rows),):
         shape = np.shape(seed)
         raise ValueError(f"2-D probs need one seed per row: {len(rows)} rows, seed shape {shape}")
-    seeds = [_checked("seed", s, 0, _MASK64) for s in ((seed,) if p.ndim == 1 else seed)]
-    seeds = np.array(seeds, dtype=np.uint64)
+    if p.ndim == 2 and isinstance(seed, np.ndarray) and seed.dtype == np.uint64:
+        seeds = seed  # its dtype bounds every seed
+    else:
+        seeds = [_checked("seed", s, 0, _MASK64) for s in ((seed,) if p.ndim == 1 else seed)]
+        seeds = np.array(seeds, dtype=np.uint64)
     sums = rows.sum(axis=1)
     negative = ~np.all(rows >= 0, axis=1)
     bad = negative | (np.abs(sums - 1.0) > 1e-9)
@@ -200,6 +214,10 @@ def multinomial(probs: np.ndarray, n_events: int, seed) -> np.ndarray:
     n_passes = per_block * -(-len(rows) // block)
     steps = np.arange(1, size + 1, dtype=np.uint64)
     steps *= np.uint64(_GAMMA)
+    # Row r of a block prefixes its keys and needles with r (bare in a
+    # one-row block), and its keys start at r * size.
+    prefixes = np.arange(block, dtype=np.uint64)[:, None] << np.uint64(32)
+    offsets = np.arange(block)[:, None] * size
 
     def count(passes, reached):
         """Add the counts of the numbered ``passes``, ``per_block`` to a block
@@ -216,14 +234,17 @@ def multinomial(probs: np.ndarray, n_events: int, seed) -> np.ndarray:
             top = hi[:b, :m]
             np.copyto(top, np.right_shift(chunk, np.uint64(32), out=tmp[:b, :m]), casting="unsafe")
             top.sort(axis=1)
-            for r, row in enumerate(range(r0, r0 + b)):
-                left = np.searchsorted(top[r], thresholds_hi[row], side="left")
-                counts = m - left
-                # An output shares this edge's top word: its lower word decides.
-                right = np.searchsorted(top[r], thresholds_hi[row], side="right")
-                for k in np.flatnonzero(left != right):
-                    counts[k] = np.count_nonzero(chunk[r] >= thresholds[row, k])
-                reached[row] += counts
+            words, needles = top[0], thresholds_hi[r0 : r0 + b]
+            if block > 1:  # the keys go to the free scratch; one pass a row, so m == size
+                words = np.bitwise_or(top, prefixes[:b], out=tmp[:b, :m]).ravel()
+                needles = needles | prefixes[:b]
+            left = np.searchsorted(words, needles, side="left") - offsets[:b]
+            right = np.searchsorted(words, needles, side="right") - offsets[:b]
+            counts = m - left
+            # An output shares this edge's top word: its lower word decides.
+            for r, k in zip(*np.nonzero(left != right)):
+                counts[r, k] = np.count_nonzero(chunk[r] >= thresholds[r0 + r, k])
+            reached[r0 : r0 + b] += counts
 
     workers = min(_WORKERS, n_passes) if n_events >= CHUNK else 1
     partials = [np.zeros(thresholds.shape, dtype=np.int64) for _ in range(workers)]

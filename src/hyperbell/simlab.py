@@ -18,12 +18,13 @@ A sampled cell is a ``(setting, factor)`` pair: the joint correlation of
 the setting when ``factor`` is None, else the correlation of that one
 degree of freedom.  Sampling is multinomial on the Born distribution,
 driven by the seeded generator in ``rng`` (identity ``rng.GENERATOR_ID``);
-the cells of one run form one ordered list, and cell i draws from the
-sub-stream ``stream_base + i`` of the seed (``rng.derive_seed``), so runs
-are reproducible cell by cell.  A list is sampled in one array pass
-(``_CellPass``): stacked Born contractions, one sampler call with one seed
-per row, and one weight product.  ``born_distribution``, ``sample`` and
-``estimate`` are the one-row calls of the same kernels.
+cell i of a list draws from the sub-stream ``stream_base + i`` of the
+seed (``rng.derive_seeds``), so runs are reproducible cell by cell.  A
+list is sampled in one array pass (``_CellPass``): stacked Born
+contractions, one sampler call with one seed per row, and one weight
+product.  A simulated run is one pass over its 56 cells at N = 2, its own
+then the assumption cells, cell i on sub-stream i.  ``born_distribution``,
+``sample`` and ``estimate`` are the one-row calls of the same kernels.
 """
 
 from __future__ import annotations
@@ -165,8 +166,18 @@ class _Layout:
         )
 
     @cached_property
+    def assumption_contexts(self) -> tuple:
+        """Per assumption cell, the two photons' tokens on every factor but its own."""
+        contexts = []
+        for setting, f in self.assumption_cells:
+            others = [g for g in range(len(self.labels)) if g != f]
+            contexts.append(" ".join(setting.labels_on(others, [self.labels[g] for g in others])))
+        return tuple(contexts)
+
+    @cached_property
     def run_pass(self) -> _CellPass:
-        return _CellPass(self, self.run_cells)
+        """A run's one pass: its own cells, then the assumption cells."""
+        return _CellPass(self, self.run_cells + self.assumption_cells)
 
     @cached_property
     def assumption_pass(self) -> _CellPass:
@@ -207,10 +218,9 @@ def _record_label(layout: _Layout, setting: JointSetting, factor: int | None) ->
 class _CellPass:
     """One ordered (setting, factor) cell list as the arrays of one pass
     over it (``_sample_cells``): each photon's ``_outcome_rows``, each cell's
-    row of ``_Layout.weight_rows``, and the record and context labels, all
-    built once.  Born rows are computed in blocks of ``born_block`` cells
-    whose projector stacks are built per block, so no stack of the whole
-    list is kept."""
+    row of ``_Layout.weight_rows``, and the record labels, all built once.
+    Born rows are computed in blocks of ``born_block`` cells whose projector
+    stacks are built per block, so no stack of the whole list is kept."""
 
     def __init__(self, layout: _Layout, cells: tuple):
         self.layout = layout
@@ -219,15 +229,6 @@ class _CellPass:
         self.d_rows = _outcome_rows([s.d_ids for s, _ in cells])
         self.weight_index = np.array([0 if f is None else f + 1 for _, f in cells])
         self.labels = tuple(_record_label(layout, s, f) for s, f in cells)
-
-    @cached_property
-    def context_labels(self) -> tuple:
-        """Per cell, the two photons' tokens on every factor but its own."""
-        labels, contexts = self.layout.labels, []
-        for setting, f in self.cells:
-            others = [g for g in range(len(labels)) if g != f]
-            contexts.append(" ".join(setting.labels_on(others, [labels[g] for g in others])))
-        return tuple(contexts)
 
     def born(self, state: QuantumState) -> np.ndarray:
         """The Born rows of every cell, in cell order."""
@@ -475,7 +476,7 @@ def _sample_cells(
     """One record per (setting, factor) cell, in cell order, from one array
     pass: the Born rows of every cell, one sampler call on which cell i
     reads sub-stream ``stream_base + i`` of ``seed``, one weight product."""
-    seeds = [rng.derive_seed(seed, stream_base + i) for i in range(len(cells.cells))]
+    seeds = rng.derive_seeds(seed, stream_base, len(cells.cells))
     counts = rng.multinomial(cells.born(state), n_events, seeds)
     return _records(counts, cells.layout.weight_rows[cells.weight_index], cells.labels)
 
@@ -494,9 +495,15 @@ def assumption_test(
     statistical.
     """
     layout = _layout(state.dof_count)
-    table = layout.assumption_pass
-    records = _sample_cells(state, table, n_events, seed, stream_base)
-    sampled = iter(zip(table.cells, table.context_labels, records))
+    records = _sample_cells(state, layout.assumption_pass, n_events, seed, stream_base)
+    return _assumption_report(state, layout, records, n_events, seed)
+
+
+def _assumption_report(
+    state: QuantumState, layout: _Layout, records: list, n_events: int, seed: int
+) -> AssumptionReport:
+    """The assumption test's rows from the records of its cells, in cell order."""
+    sampled = iter(zip(layout.assumption_cells, layout.assumption_contexts, records))
     n_contexts = 4 ** (len(layout.kinds) - 1)
     factor_rows = []
     for kind, operators in zip(layout.kinds, layout.marginals):
@@ -584,9 +591,9 @@ def run_simulated_experiment(state: QuantumState, n_events: int, seed: int) -> S
     pairs with the other factors held at the context (A, B).
     """
     layout = _layout(state.dof_count)
-    n_terms = len(layout.operator.terms)
-    assumptions = assumption_test(state, n_events, seed, stream_base=len(layout.run_cells))
+    n_terms, n_run = len(layout.operator.terms), len(layout.run_cells)
     records = _sample_cells(state, layout.run_pass, n_events, seed, 0)
+    assumptions = _assumption_report(state, layout, records[n_run:], n_events, seed)
     chsh = tuple(
         violation_report(records[n_terms + 4 * f : n_terms + 4 * f + 4], op, 2.0, (label,))
         for f, (op, label) in enumerate(zip(layout.operator.factors, layout.labels))

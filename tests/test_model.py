@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperbell import model, qcore, simlab
+from hyperbell import bell, model, qcore, simlab
 from hyperbell.model import JointSetting, NoiseModel, ObservableId, QuantumState
 
 SZ = np.diag([1, -1]).astype(complex)
@@ -203,6 +203,44 @@ class TestQuantumState:
             QuantumState.mixed(np.eye(4, dtype=complex))  # trace 4
         state = QuantumState.mixed(np.eye(4, dtype=complex) / 4)
         assert state.dof_count == 1 and not state.is_pure
+
+    def test_pure_keeps_its_own_vector(self):
+        """A write to the caller's vector after the check leaves the state as
+        it was; the state's own vector refuses writes."""
+        v = np.zeros(16, dtype=complex)
+        v[0] = 1.0
+        state = QuantumState.pure(v)
+        v[:] = 5.0
+        assert state.vector.tolist() == [1.0] + [0.0] * 15
+        with pytest.raises(ValueError, match="read-only"):
+            state.vector[0] = 0.0
+
+    def test_mixed_keeps_its_own_matrix(self):
+        r = np.eye(16) / 16
+        state = QuantumState.mixed(r)
+        r[0, 0] = 5
+        assert np.trace(state.rho).real == 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            state.rho[0, 0] = 5
+
+    def test_pure_rho_cannot_go_stale(self):
+        """The lazily built rho is the outer product of the checked vector,
+        whatever the caller writes before or after the first read."""
+        v = model.hyper_state(0.7, -1.3).vector.copy()
+        state = QuantumState.pure(v)
+        expected = np.outer(v, v.conj()).tobytes()
+        v[:] = 0.0
+        assert state.rho.tobytes() == expected
+        v[0] = 1.0
+        assert state.rho.tobytes() == expected
+        with pytest.raises(ValueError, match="read-only"):
+            state.rho[0, 0] = 0.0
+
+    def test_read_only_inputs_are_shared_not_copied(self):
+        ideal = bell.ideal_state(2)
+        assert QuantumState.pure(ideal.vector).vector is ideal.vector
+        noisy = model.apply_noise(ideal, NoiseModel(model.NOISE_NONE))
+        assert noisy.rho is ideal.rho
 
     def test_equality_is_identity_and_hashable(self):
         """Field-wise equality compared the ndarray fields and raised."""

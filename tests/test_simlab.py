@@ -622,6 +622,74 @@ class TestRowMultinomial:
                 rng.multinomial(rows, 10, [1, 2, 3, 4])
 
 
+def _exact_row(edges, cells=8):
+    """Probabilities over ``cells`` whose CDF edges are exactly ``edges``
+    (then 1.0 for any padding cells, which is unreachable)."""
+    probs = np.diff(np.concatenate([[0.0], edges, [1.0]]))
+    np.testing.assert_array_equal(np.cumsum(probs)[:-1], edges)
+    return np.concatenate([probs, np.zeros(cells - probs.size)])
+
+
+# Edges whose integer thresholds have the top word 0 (the first three) and
+# 0xFFFFFFFF (the last three): their prefixed needles sit next to the keys
+# of the row before and of the row after.
+EXTREME_EDGES = [2.0**-53, 2.0**-40, 2.0**-33, 0.5, 1 - 2.0**-33, 1 - 2.0**-40, 1 - 2.0**-53]
+UNREACHABLE = np.array([0.5, 0.5 + 5e-10] + [0.0] * 6)
+TIE_CASES = ["output-above", "output-below", "zero-low-word", "shared-top-word"]
+
+
+class TestBlockWideSearch:
+    """Rows of fewer than CHUNK events share a block whose sorted top words
+    are searched once, as keys prefixed by the row's place in the block."""
+
+    def test_extreme_edges_have_extreme_top_words(self):
+        thresholds = [(math.ceil(c * 2.0**53) << 11) >> 32 for c in EXTREME_EDGES]
+        assert thresholds == [0, 0, 0, 2**31, 2**32 - 1, 2**32 - 1, 2**32 - 1]
+        assert np.cumsum(UNREACHABLE)[-2] > 1.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n_rows=st.integers(2, 24))
+    def test_block_rows_equal_reference(self, data, n_rows):
+        """n straddles CHUNK // rows, so a block holds every row or one row
+        fewer; rows mix random, extreme-edge, unreachable-edge and one-hot
+        distributions, and one row that is not first in its block ties."""
+        near = rng.CHUNK // n_rows
+        n_events = data.draw(st.one_of(st.integers(near - 2, near + 2), st.integers(2, near)))
+        seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=n_rows, max_size=n_rows))
+        block = min(n_rows, rng.CHUNK // n_events)
+        rows = []
+        for _ in range(n_rows):
+            kind = data.draw(st.sampled_from(["random", "extreme", "unreachable", "one-hot"]))
+            if kind == "random":
+                weights = np.array(data.draw(_ROW))
+                rows.append(weights / weights.sum())
+            elif kind == "extreme":
+                rows.append(_exact_row(EXTREME_EDGES))
+            elif kind == "unreachable":
+                rows.append(UNREACHABLE)
+            else:
+                rows.append(np.eye(8)[data.draw(st.integers(0, 7))])
+        if block > 1:
+            tie = data.draw(st.sampled_from([r for r in range(n_rows) if r % block]))
+            case = data.draw(st.sampled_from(TIE_CASES))
+            edges = np.cumsum(_tie_probs(case, n_events, seeds[tie]))[:-1]
+            rows[tie] = _exact_row(edges)
+        _assert_rows_match(np.array(rows), n_events, seeds)
+
+    @pytest.mark.parametrize("case", TIE_CASES)
+    @pytest.mark.parametrize("n_events,tie", [(2000, 7), (2000, 12), (rng.CHUNK // 2, 1)])
+    def test_tie_beside_extreme_rows(self, case, n_events, tie):
+        """A tie in the last row of a full block, inside the second block and
+        in the second of two rows, between rows whose edges have the top
+        words 0 and 0xFFFFFFFF."""
+        n_rows = max(tie + 2, 3)
+        seeds = [rng.derive_seed(21, i) for i in range(n_rows)]
+        probs = np.array([_exact_row(EXTREME_EDGES)] * n_rows)
+        probs[tie] = _exact_row(np.cumsum(_tie_probs(case, n_events, seeds[tie]))[:-1])
+        assert tie % min(n_rows, rng.CHUNK // n_events) != 0
+        _assert_rows_match(probs, n_events, seeds)
+
+
 class TestLongRowWorkers:
     """Rows of at least CHUNK events are cut into passes of LONG_PASS outputs
     dealt to worker threads; the caller is worker 0 and the partial counts
@@ -768,6 +836,63 @@ class TestSeedAndCountRefusals:
     def test_numpy_integer_index_and_length_count_as_python_ints(self, dtype):
         assert rng.derive_seed(3, dtype(5)) == rng.derive_seed(3, 5)
         assert rng.random_uint64(3, dtype(4)).tobytes() == rng.random_uint64(3, 4).tobytes()
+
+
+def _derive_seed_reference(seed, index):
+    """The seed/index mix of one sub-stream in Python integers."""
+    mask = 2**64 - 1
+    z = seed ^ ((index + 1) * 0x9E3779B97F4A7C15 & mask)
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+class TestDerivedSeedArray:
+    """``derive_seeds`` gives ``derive_seed`` over a range of indices as one
+    uint64 array, which ``multinomial`` takes without per-seed checks."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        count=st.integers(0, 80),
+        start=st.one_of(st.integers(0, 1000), st.integers(0, 2**64 - 1), st.just(None)),
+    )
+    def test_equals_derive_seed(self, seed, count, start):
+        """``start`` None is the last range: its final index is 2^64 - 1."""
+        last = 2**64 - max(count, 1)
+        start = last if start is None else min(start, last)
+        seeds = rng.derive_seeds(seed, start, count)
+        assert seeds.dtype == np.uint64 and seeds.shape == (count,)
+        assert seeds.tolist() == [rng.derive_seed(seed, start + i) for i in range(count)]
+        assert seeds.tolist() == [_derive_seed_reference(seed, start + i) for i in range(count)]
+
+    @pytest.mark.parametrize(
+        "args,name",
+        [
+            ((-1, 0, 3), "seed"), ((2**64, 0, 3), "seed"), ((True, 0, 3), "seed"),
+            ((2.0, 0, 3), "seed"), ((0, -1, 3), "start"), ((0, 2**64, 0), "start"),
+            ((0, np.True_, 3), "start"), ((0, 1.0, 3), "start"), ((0, 0, -1), "count"),
+            ((0, 0, 2.0), "count"), ((0, 2**64 - 2, 3), "count"),
+        ],
+    )
+    def test_refusals_name_the_argument(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            rng.derive_seeds(*args)
+
+    def test_uint64_array_counts_as_the_int_list(self):
+        probs = np.array([np.roll(SKEWED, i) for i in range(6)])
+        seeds = rng.derive_seeds(7, 24, 6)
+        got = rng.multinomial(probs, 999, seeds)
+        assert got.tobytes() == rng.multinomial(probs, 999, seeds.tolist()).tobytes()
+
+    @pytest.mark.parametrize(
+        "seeds",
+        [np.array([1, -2, 3], dtype=np.int64), [1, True, 3], np.array([1.0, 2.0, 3.0])],
+        ids=["negative-int64", "bool-in-list", "float-array"],
+    )
+    def test_other_seed_arrays_still_checked(self, seeds):
+        with pytest.raises(ValueError, match="^seed must be"):
+            rng.multinomial(np.full((3, 4), 0.25), 10, seeds)
 
 
 def _fresh_side_projectors(pol, path):
@@ -958,7 +1083,7 @@ class TestArrayPass:
             rng, "multinomial", lambda p, n, s: calls.append(p.shape) or multinomial(p, n, s)
         )
         assert simlab.run_simulated_experiment(NOISY, n_events=300, seed=4) == expected
-        assert calls == [(32, 16), (24, 16)]
+        assert calls == [(56, 16)]
 
     def test_estimate_builds_no_marginal_operator(self, monkeypatch):
         """One N = 4 estimate builds neither the marginal operators nor the
@@ -1383,6 +1508,23 @@ class TestSimulatedExperiment:
         for n in (1, 2, 3):
             layout = _stream_layout() if n == 2 else _canonical_layout(n)
             _assert_cells_replay(NOISY if n == 2 else STATES[n][1], n, layout)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_pass_equals_the_separate_passes(self, n):
+        """A run samples its cells and the assumption cells in one pass; each
+        half equals its own pass on the same sub-streams."""
+        state, seed, events = STATES[n][1], 31, 700
+        layout = simlab._layout(n)
+        n_run, n_terms = len(layout.run_cells), len(layout.operator.terms)
+        result = simlab.run_simulated_experiment(state, n_events=events, seed=seed)
+        alone = simlab.assumption_test(state, n_events=events, seed=seed, stream_base=n_run)
+        assert result.assumptions == alone
+        run_pass = simlab._CellPass(layout, layout.run_cells)
+        records = simlab._sample_cells(state, run_pass, events, seed, 0)
+        assert list(result.joint_records) == records[:n_terms]
+        for f, (rep, op) in enumerate(zip(result.chsh, layout.operator.factors)):
+            cells = records[n_terms + 4 * f : n_terms + 4 * f + 4]
+            assert rep == simlab.violation_report(cells, op, 2.0, (layout.labels[f],))
 
     def test_noisy_run_recovers_scaled_violations(self):
         result = simlab.run_simulated_experiment(NOISY, n_events=10**4, seed=5)

@@ -99,12 +99,17 @@ class TestLazyDensityMatrix:
         v = state.vector
         rho = state.rho
         assert rho.tobytes() == np.outer(v, v.conj()).tobytes()
-        assert state.rho is rho and rho.flags.writeable
+        assert state.rho is rho and not rho.flags.writeable
 
     def test_mixed_rho_is_the_checked_matrix(self):
+        """The state keeps a read-only copy of a writable input, and a
+        read-only input itself."""
         rho = np.eye(16, dtype=complex) / 16
         state = QuantumState.mixed(rho)
-        assert state.rho is rho and state.dim == 16 and not state.is_pure
+        assert state.rho is not rho and state.rho.tobytes() == rho.tobytes()
+        assert not state.rho.flags.writeable and state.dim == 16 and not state.is_pure
+        shared = qcore.read_only(rho.copy())
+        assert QuantumState.mixed(shared).rho is shared
 
     def test_noise_reads_the_state_rho(self):
         state = model.hyper_state(0.7, -1.3)
