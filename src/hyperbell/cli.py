@@ -16,12 +16,12 @@ context-independence check).
 help): the ``--flag`` (key with ``-`` for ``_``), the config-file key and
 the default come from it, and flag and file values go through the same
 parser, so a bad value, a choice included, is a config error naming the key.
-``STUDIES`` has one row per study: the keys it reads and its runner.  Ideal
-reads theta, phi and dof; bounds dof and class; scaling dof; simulate and
-assumptions all but class; every study reads format and out.  Any other key
-set by a flag or the config file is refused with the key named, except
-``noise = none`` for ideal, which states what that study computes.  A CSV
-header is the key order of the study's row dicts.
+``STUDIES`` has one row per study: the keys it reads, its runner and its
+table renderer.  Ideal reads theta, phi and dof; bounds dof and class;
+scaling dof; simulate and assumptions all but class; every study reads
+format and out.  Any other key set by a flag or the config file is refused
+with the key named, except ``noise = none`` for ideal, which states what
+that study computes.  A CSV header is the key order of the study's row dicts.
 
 Option precedence: command-line flags override the config file, which
 overrides the defaults.  The config file is flat ``key = value`` UTF-8 text
@@ -47,6 +47,7 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
+from itertools import product
 
 from . import bell, lhv, model, qcore, rng, simlab
 
@@ -248,8 +249,8 @@ def build_config(study: str, file_values: dict, flag_values: dict) -> RunConfig:
             f" got {merged['dof']}"
         )
     unread = given - set(reads) - {"format", "out"}
-    if study == "ideal" and merged["noise"] == model.NOISE_NONE:
-        unread.discard("noise")  # noise-free is what ideal computes
+    if STUDIES[study].noise_free and merged["noise"] == model.NOISE_NONE:
+        unread.discard("noise")  # restates what the study computes
     if unread:
         names = ", ".join(f"'{key}'" for key in sorted(unread))
         plural = "s" if len(unread) > 1 else ""
@@ -332,10 +333,8 @@ def _run_bounds(config: RunConfig) -> StudyResult:
 
 
 def _run_scaling(config: RunConfig) -> StudyResult:
-    reports = []
-    for n in range(1, config.dof + 1):
-        source = bell.LHV_BRUTEFORCE if n <= 3 else bell.ANALYTIC
-        reports.append(bell.scaling_report(n, source))
+    reports = [bell.scaling_report(n, bell.LHV_BRUTEFORCE if n <= 3 else bell.ANALYTIC)
+               for n in range(1, config.dof + 1)]
     rows = [
         {
             "dof": rep.dof_count,
@@ -349,10 +348,10 @@ def _run_scaling(config: RunConfig) -> StudyResult:
     return StudyResult(config, rows, reports)
 
 
-def _correlation_row(record: simlab.CorrelationRecord) -> dict:
+def _correlation_row(record: simlab.CorrelationRecord, setting_u: str, setting_d: str) -> dict:
     return {
-        "setting_u": record.label[0],
-        "setting_d": record.label[1],
+        "setting_u": setting_u,
+        "setting_d": setting_d,
         "E": record.E,
         "std_err": record.std_err,
         "n_events": record.n_events,
@@ -361,7 +360,7 @@ def _correlation_row(record: simlab.CorrelationRecord) -> dict:
 
 def _run_simulate(config: RunConfig) -> StudyResult:
     result = simlab.run_simulated_experiment(_prepared_state(config), config.events, config.seed)
-    rows = [_correlation_row(rec) for rec in result.joint_records]
+    rows = [_correlation_row(rec, *rec.label) for rec in result.joint_records]
     return StudyResult(
         config, rows, result,
         beta=result.beta.beta_estimate,
@@ -373,46 +372,149 @@ def _run_simulate(config: RunConfig) -> StudyResult:
 
 def _run_assumptions(config: RunConfig) -> StudyResult:
     report = simlab.assumption_test(_prepared_state(config), config.events, config.seed)
-    rows = []
-    for row in report.rows:
-        for cell in row.cells:
-            entry = _correlation_row(cell.record)
-            entry["setting_u"] = cell.setting.u_label
-            entry["setting_d"] = cell.setting.d_label
-            rows.append(entry)
+    rows = [  # a cell's record carries its own factor's labels; a row names the whole setting
+        _correlation_row(cell.record, cell.setting.u_label, cell.setting.d_label)
+        for row in report.rows for cell in row.cells
+    ]
     return StudyResult(config, rows, report)
+
+
+# --- table renderers ---------------------------------------------------------
+
+def _f(x: float) -> str:
+    return f"{x:.6f}"
+
+
+def _grid_lines(title, col_labels, row_labels, values) -> list:
+    """Aligned table: one row label column, then fixed-width value columns."""
+    width = max([len(lab) for lab in col_labels] + [10]) + 2
+    left = max(len(r) for r in row_labels) + 2
+    lines = [title, " " * left + "".join(lab.rjust(width) for lab in col_labels)]
+    for row_label, row in zip(row_labels, values):
+        lines.append(row_label.ljust(left) + "".join(_f(v).rjust(width) for v in row))
+    return lines
+
+
+def _assumption_lines(report: simlab.AssumptionReport) -> list:
+    lines = []
+    for f, rows in enumerate(report.factor_rows):
+        contexts = " and ".join(r[0].dof for g, r in enumerate(report.factor_rows) if g != f)
+        lines += _grid_lines(
+            f"Assumption check: {rows[0].dof} correlations under {contexts} contexts"
+            " (sampled E per cell)",
+            [cell.context_label for cell in rows[0].cells]
+            + ["mean", "spread", "predictability", "analytic"],
+            [row.row_label for row in rows],
+            [[cell.record.E for cell in row.cells]
+             + [row.mean_E, row.spread, row.predictability, row.analytic_E] for row in rows],
+        )
+        lines.append("")
+    return lines
+
+
+def _joint_grid_lines(records: tuple, operator: bell.BellOperator) -> list:
+    """The 4^N correlations, ``records`` in the operator's term order: a
+    term's index has one base-4 digit per factor, factor 0 first, its pair's
+    offset in AB, Ab, aB, ab.  Rows run over factors 0..N-2 in pair order
+    AB, aB, Ab, ab (digits 0, 2, 1, 3), columns over the last factor."""
+    terms, labels, n = operator.terms, operator.factor_labels, operator.dof_count
+    starts = [int("".join(pairs) + "0", 4) for pairs in product("0213", repeat=n - 1)]
+    return _grid_lines(
+        "Joint correlations (rows: polarization pair, columns: path pair)",
+        [" ".join(terms[c].labels_on((n - 1,), labels[-1:])) for c in range(4)],
+        [" ".join(terms[s].labels_on(range(n - 1), labels[:-1])) for s in starts],
+        [[rec.E for rec in records[s : s + 4]] for s in starts],
+    )
+
+
+def _violation_line(name: str, rep: simlab.ViolationReport) -> str:
+    return (
+        f"{name}: estimate {_f(rep.beta_estimate)}  |estimate| {_f(abs(rep.beta_estimate))}"
+        f" +/- {_f(rep.beta_std_err)}  bound {_f(rep.bound)}  violation {rep.sigmas:.1f} sigma"
+    )
+
+
+def _ideal_table(result: StudyResult) -> list:
+    lines = ["Exact quantum predictions for the configured pure state"]
+    return lines + [f"{row['quantity']:<26}= {_f(row['value'])}" for row in result.rows]
+
+
+_BOUNDS_ROW = """
+strategy class: {strategy_class}
+  bound                 = {bound}
+  strategy pairs covered = {strategies_evaluated}
+  witness u: {witness_u}
+  witness d: {witness_d}"""
+
+
+def _bounds_table(result: StudyResult) -> list:
+    title = f"Classical bounds for the {result.config.dof}-DOF product operator"
+    return [title + " (exhaustive enumeration)"] + [_BOUNDS_ROW.format(**r) for r in result.rows]
+
+
+def _scaling_table(result: StudyResult) -> list:
+    row = ("{dof:>2}  {quantum_value:>12.6f}  {classical_bound:>12.6f}  {ratio:>12.6f}"
+           "  {bound_source}")
+    header = f"{'N':>2}  {'quantum':>12}  {'classical':>12}  {'ratio':>12}  source"
+    lines = ["Quantum-to-classical ratio versus degrees of freedom", header]
+    return lines + [row.format(**r) for r in result.rows]
+
+
+def _simulate_table(result: StudyResult) -> list:
+    sim: simlab.SimulationResult = result.payload
+    operator = bell.canonical_product(len(sim.chsh))
+    lines = _assumption_lines(sim.assumptions)
+    lines += _joint_grid_lines(sim.joint_records, operator) + [""]
+    for label, rep in zip(operator.factor_labels, sim.chsh):
+        lines.append(_violation_line(f"beta_{label}", rep))
+    lines += [
+        _violation_line("beta", sim.beta),
+        "",
+        f"events per setting: {sim.n_events}   seed: {sim.seed}   generator: {sim.generator_id}",
+        "",
+        "Reference experimental values (significance recomputed):",
+    ]
+    for ref in simlab.reference_significance():
+        status = "consistent" if ref.consistent else "DISCREPANT"
+        lines.append(
+            f"  {ref.label}: {ref.value} +/- {ref.uncertainty} vs bound {ref.bound:g}"
+            f" -> {ref.sigmas:.1f} sigma (reported {ref.reported_sigmas:g}, {status})"
+        )
+    return lines
+
+
+def _assumptions_table(result: StudyResult) -> list:
+    return _assumption_lines(result.payload)
 
 
 @dataclass(frozen=True)
 class Study:
-    """``keys``: what the study reads besides format and out.  Any other key
-    set explicitly would be recorded in the report and otherwise ignored, so
-    it is refused.  The studies that read the state phases prepare the
-    two-DOF polarization-path state and take no --dof but 2."""
+    """One study: the keys it reads besides format and out, its runner, and
+    its table renderer, which returns the lines of the table format.  Any
+    other key set explicitly would be recorded in the report and otherwise
+    ignored, so it is refused; a ``noise_free`` study accepts ``noise = none``.
+    The studies that read the state phases prepare the two-DOF
+    polarization-path state and take no --dof but 2."""
 
     keys: tuple
     run: Callable[[RunConfig], StudyResult]
+    table: Callable[[StudyResult], list]
+    noise_free: bool = False
 
 
 _SAMPLED_KEYS = ("theta", "phi", "noise", "v", "v_pi", "v_k", "events", "seed", "dof")
 
 STUDIES = {
-    "ideal": Study(("theta", "phi", "dof"), _run_ideal),
-    "bounds": Study(("dof", "class"), _run_bounds),
-    "simulate": Study(_SAMPLED_KEYS, _run_simulate),
-    "scaling": Study(("dof",), _run_scaling),
-    "assumptions": Study(_SAMPLED_KEYS, _run_assumptions),
+    "ideal": Study(("theta", "phi", "dof"), _run_ideal, _ideal_table, noise_free=True),
+    "bounds": Study(("dof", "class"), _run_bounds, _bounds_table),
+    "simulate": Study(_SAMPLED_KEYS, _run_simulate, _simulate_table),
+    "scaling": Study(("dof",), _run_scaling, _scaling_table),
+    "assumptions": Study(_SAMPLED_KEYS, _run_assumptions, _assumptions_table),
 }
 
 
 def run(config: RunConfig) -> StudyResult:
     return STUDIES[config.study].run(config)
-
-
-# --- rendering ---------------------------------------------------------------
-
-def _f(x: float) -> str:
-    return f"{x:.6f}"
 
 
 def _config_dict(config: RunConfig) -> dict:
@@ -453,123 +555,8 @@ def _emit_csv(result: StudyResult) -> str:
     return buf.getvalue()
 
 
-def _grid_lines(title, col_labels, row_labels, values, extra_cols=None) -> list:
-    """Aligned table: one row label column, then fixed-width value columns."""
-    extra_cols = extra_cols or []
-    width = max(
-        [len(lab) for lab in col_labels]
-        + [len(name) for name, _ in extra_cols]
-        + [10]
-    ) + 2
-    left = max(len(r) for r in row_labels) + 2
-    lines = [title]
-    header = " " * left + "".join(lab.rjust(width) for lab in col_labels)
-    header += "".join(name.rjust(width) for name, _ in extra_cols)
-    lines.append(header)
-    for i, row_label in enumerate(row_labels):
-        line = row_label.ljust(left) + "".join(_f(v).rjust(width) for v in values[i])
-        line += "".join(_f(fn(i)).rjust(width) for _, fn in extra_cols)
-        lines.append(line)
-    return lines
-
-
-def _assumption_table_lines(report: simlab.AssumptionReport) -> list:
-    lines = []
-    for f, rows in enumerate(report.factor_rows):
-        contexts = " and ".join(r[0].dof for g, r in enumerate(report.factor_rows) if g != f)
-        col_labels = [cell.context_label for cell in rows[0].cells]
-        values = [[cell.record.E for cell in row.cells] for row in rows]
-        extra = [
-            ("mean", lambda i, rs=rows: rs[i].mean_E),
-            ("spread", lambda i, rs=rows: rs[i].spread),
-            ("predictability", lambda i, rs=rows: rs[i].predictability),
-            ("analytic", lambda i, rs=rows: rs[i].analytic_E),
-        ]
-        lines += _grid_lines(
-            f"Assumption check: {rows[0].dof} correlations under {contexts} contexts"
-            " (sampled E per cell)",
-            col_labels,
-            [row.row_label for row in rows],
-            values,
-            extra,
-        )
-        lines.append("")
-    return lines
-
-
-def _id_pairs(kind: str, pairs: tuple) -> list:
-    """(u, d) observables of ``kind`` per two-letter name pair such as "aB"."""
-    return [(model.ObservableId(u, kind), model.ObservableId(d, kind)) for u, d in pairs]
-
-
-def _violation_lines(name: str, rep: simlab.ViolationReport) -> list:
-    return [
-        f"{name}: estimate {_f(rep.beta_estimate)}  |estimate| {_f(abs(rep.beta_estimate))}"
-        f" +/- {_f(rep.beta_std_err)}  bound {_f(rep.bound)}  violation {rep.sigmas:.1f} sigma"
-    ]
-
-
 def _emit_table(result: StudyResult) -> str:
-    lines: list = []
-    study = result.config.study
-    if study == "ideal":
-        lines.append("Exact quantum predictions for the configured pure state")
-        for row in result.rows:
-            lines.append(f"{row['quantity']:<26}= {_f(row['value'])}")
-    elif study == "bounds":
-        lines.append(
-            f"Classical bounds for the {result.config.dof}-DOF product operator"
-            " (exhaustive enumeration)"
-        )
-        for row in result.rows:
-            lines.append("")
-            lines.append(f"strategy class: {row['strategy_class']}")
-            lines.append(f"  bound                 = {row['bound']}")
-            lines.append(f"  strategy pairs covered = {row['strategies_evaluated']}")
-            lines.append(f"  witness u: {row['witness_u']}")
-            lines.append(f"  witness d: {row['witness_d']}")
-    elif study == "scaling":
-        lines.append("Quantum-to-classical ratio versus degrees of freedom")
-        lines.append(f"{'N':>2}  {'quantum':>12}  {'classical':>12}  {'ratio':>12}  source")
-        for row in result.rows:
-            lines.append(
-                f"{row['dof']:>2}  {_f(row['quantum_value']):>12}  "
-                f"{_f(row['classical_bound']):>12}  {_f(row['ratio']):>12}  {row['bound_source']}"
-            )
-    elif study == "assumptions":
-        lines += _assumption_table_lines(result.payload)
-    elif study == "simulate":
-        sim: simlab.SimulationResult = result.payload
-        lines += _assumption_table_lines(sim.assumptions)
-        by_label = {rec.label: rec for rec in sim.joint_records}
-        pol_rows = _id_pairs(model.POLARIZATION, ("AB", "aB", "Ab", "ab"))
-        path_cols = _id_pairs(model.PATH, ("AB", "Ab", "aB", "ab"))
-        values = []
-        for pu, pd in pol_rows:
-            settings = [model.JointSetting((pu, ku), (pd, kd)) for ku, kd in path_cols]
-            values.append([by_label[s.u_label, s.d_label].E for s in settings])
-        lines += _grid_lines(
-            "Joint correlations (rows: polarization pair, columns: path pair)",
-            [f"{ku.label} {kd.label}" for ku, kd in path_cols],
-            [f"{pu.label} {pd.label}" for pu, pd in pol_rows],
-            values,
-        )
-        lines.append("")
-        for label, rep in zip(bell.canonical_product(len(sim.chsh)).factor_labels, sim.chsh):
-            lines += _violation_lines(f"beta_{label}", rep)
-        lines += _violation_lines("beta", sim.beta)
-        lines.append("")
-        lines.append(f"events per setting: {sim.n_events}   seed: {sim.seed}   "
-                     f"generator: {sim.generator_id}")
-        lines.append("")
-        lines.append("Reference experimental values (significance recomputed):")
-        for ref in simlab.reference_significance():
-            status = "consistent" if ref.consistent else "DISCREPANT"
-            lines.append(
-                f"  {ref.label}: {ref.value} +/- {ref.uncertainty} vs bound {ref.bound:g}"
-                f" -> {ref.sigmas:.1f} sigma (reported {ref.reported_sigmas:g}, {status})"
-            )
-    return "\n".join(lines) + "\n"
+    return "\n".join(STUDIES[result.config.study].table(result)) + "\n"
 
 
 _EMITTERS = dict(zip(FORMATS, (_emit_table, _emit_csv, _emit_json)))

@@ -173,9 +173,9 @@ def observable_ids(kind: str) -> tuple[ObservableId, ...]:
 @dataclass(frozen=True, eq=False)  # ndarray fields: identity equality and hash
 class QuantumState:
     """Pure or mixed state over N two-photon degrees of freedom (dim 4^N).
-    Its arrays are read-only and its own: a writable input is copied, so no
-    later write reaches a checked state.  A pure state's ``rho = outer(v, v*)``
-    is built on first read."""
+    Its arrays are read-only and its own: an input whose memory a writable
+    array owns is copied, so no later write reaches a checked state.  A pure
+    state's ``rho = outer(v, v*)`` is built on first read."""
 
     dof_count: int
     vector: np.ndarray | None
@@ -208,8 +208,12 @@ class QuantumState:
 
 
 def _owned(a: np.ndarray) -> np.ndarray:
-    """``a`` if it is read-only, as the shared ideal states are, else a read-only copy."""
-    return qcore.read_only(a.copy()) if a.flags.writeable else a
+    """``a`` if it and the array owning its memory are read-only, as the shared
+    ideal states are, else a read-only copy.  A view's ``base`` is its owner."""
+    owner = a
+    while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+        owner = owner.base
+    return a if owner is None else qcore.read_only(a.copy())
 
 
 def _infer_dof_count(dim: int, dof_count: int | None) -> int:
@@ -257,8 +261,8 @@ def product_state(kinds: tuple, phases: tuple) -> QuantumState:
     for phase in phases:
         if isinstance(phase, (bool, np.bool_)) or not np.isfinite(phase):
             raise ValueError(f"phases must be finite real numbers, got {phase!r}")
-    vector = reduce(lambda a, b: np.multiply.outer(a, b).ravel(), map(pair_state, kinds, phases))
-    return QuantumState.pure(qcore.read_only(vector), len(kinds))  # fresh: kept, not copied
+    vector = qcore.read_only(reduce(np.multiply.outer, map(pair_state, kinds, phases))).ravel()
+    return QuantumState.pure(vector, len(kinds))  # a view of a fresh read-only array: not copied
 
 
 def hyper_state(theta: float, phi: float) -> QuantumState:
@@ -361,4 +365,5 @@ def _white_dof(rho: np.ndarray, v: float, block: int, n: int) -> np.ndarray:
 def _dephase_dof(rho: np.ndarray, v: float, block: int, n: int) -> np.ndarray:
     """Scale entries whose block row/column pair indices differ by v."""
     factor = np.where(_on_block(np.eye(4, dtype=bool), block, n), 1.0, v)
-    return (rho.reshape((4,) * (2 * n)) * factor).reshape(rho.shape)
+    # A view of a fresh read-only array: ``QuantumState.mixed`` keeps it uncopied.
+    return qcore.read_only(rho.reshape((4,) * (2 * n)) * factor).reshape(rho.shape)

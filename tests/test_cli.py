@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hyperbell import cli, lhv, qcore, rng
+from hyperbell import bell, cli, lhv, qcore, rng, simlab
 
 JSON_KEYS = {"study", "config", "rows", "beta", "std_err", "bound", "sigmas", "generator_id"}
 
@@ -150,6 +150,47 @@ class TestSimulateStudy:
         doc = json.loads(out)
         assert doc["config"]["v_pi"] == 1.0 and doc["config"]["v_k"] == 1.0
         assert abs(abs(doc["beta"]) - 8.0) < 5 * doc["std_err"] + 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("noise", [["--noise", "white", "--v", "0.8"],
+                                       ["--noise", "dephasing", "--theta", "0.5"]])
+    def test_joint_grid_cells_match_json_rows_by_label(self, seed, noise, capsys):
+        # A grid cell sits at (row u d, column u d); its JSON row measures the
+        # row's tokens on factor 0 and the column's on factor 1.
+        args = ["simulate", "--events", "2000", "--seed", str(seed), *noise]
+        assert cli.main(args) == 0
+        table = capsys.readouterr().out
+        assert cli.main(args + ["--format", "json"]) == 0
+        by_label = {(r["setting_u"], r["setting_d"]): r["E"]
+                    for r in json.loads(capsys.readouterr().out)["rows"]}
+        grid = table.split("Joint correlations")[1].split("\n\n")[0].split("\n")[1:]
+        header = grid[0].split()
+        cols = list(zip(header[0::2], header[1::2]))
+        cells = 0
+        for line in grid[1:]:
+            row_u, row_d, *values = line.split()
+            assert len(values) == len(cols) == 4
+            for (col_u, col_d), text in zip(cols, values):
+                assert text == f"{by_label[f'{row_u} {col_u}', f'{row_d} {col_d}']:.6f}"
+                cells += 1
+        assert cells == len(by_label) == 16
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_joint_grid_renders_any_dof_count(self, n):
+        # Rows: factors 0..N-2 (u tokens, then d tokens); columns: the last factor.
+        sim = simlab.run_simulated_experiment(bell.ideal_state(n), 50, 4)
+        lines = cli._joint_grid_lines(sim.joint_records, bell.canonical_product(n))
+        by_label = {rec.label: rec.E for rec in sim.joint_records}
+        header = lines[1].split()
+        cols = list(zip(header[0::2], header[1::2]))
+        assert len(lines) == 2 + 4 ** (n - 1) and len(cols) == 4
+        for line in lines[2:]:
+            tokens = line.split()
+            row_u, row_d, values = tokens[: n - 1], tokens[n - 1 : 2 * n - 2], tokens[2 * n - 2 :]
+            for (col_u, col_d), text in zip(cols, values, strict=True):
+                label = (" ".join(row_u + [col_u]), " ".join(row_d + [col_d]))
+                assert text == f"{by_label.pop(label):.6f}"
+        assert not by_label
 
     def test_shared_visibility_yields_to_specific_flag(self):
         code, out, _ = run_cli(

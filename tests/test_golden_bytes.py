@@ -96,6 +96,29 @@ CORPUS = {
         ["scaling", "--dof", "3", "--format", "csv"],
         "6e9cf1c35c18d0e801bac2354475fd13e5a506e8e9a5043cee007d6ebd918c07",
     ),
+    # Rendering paths not pinned above: a one-class bounds table, the
+    # scaling table with its analytic row, a noise-free simulate table, an
+    # assumptions JSON document and the ideal CSV.
+    "bounds-dof2-unrestricted": (
+        ["bounds", "--dof", "2", "--class", "unrestricted"],
+        "bd65abc1d47746b0ed28409bb3022a89458cc8c3cb00cf20c9adf532b64ed9d8",
+    ),
+    "scaling-dof4": (
+        ["scaling", "--dof", "4"],
+        "a6b56abdcdef59e0d189408bb6885e37b2e7eb67192618c0c8de3eefe95d4f11",
+    ),
+    "simulate-none": (
+        ["simulate", "--events", "2000", "--seed", "5", "--noise", "none", "--theta", "2.9"],
+        "7b312ca248ac2e2cfa69b171b3ef70a066a0f8583ab7b2303452afce343afa12",
+    ),
+    "assumptions-json": (
+        ["assumptions", "--events", "2000", "--seed", "3", "--format", "json"],
+        "e8568738a3c1cc558fc5dba842d1a030b669017e4b2b128c555e85e702688e99",
+    ),
+    "ideal-csv": (
+        ["ideal", "--format", "csv"],
+        "45143d35798edaeed8b6af1431a55bd77656ba8eadcbe1c2d07deb02246c6fab",
+    ),
 }
 
 

@@ -242,6 +242,38 @@ class TestQuantumState:
         noisy = model.apply_noise(ideal, NoiseModel(model.NOISE_NONE))
         assert noisy.rho is ideal.rho
 
+    def test_pure_copies_a_read_only_view_of_a_writable_vector(self):
+        v = np.zeros(16, dtype=complex)
+        v[0] = 1.0
+        w = v.view()
+        w.flags.writeable = False
+        state = QuantumState.pure(w)
+        v[0], v[5] = 0.0, 1.0
+        assert state.vector.tolist() == [1.0] + [0.0] * 15
+        assert np.trace(state.rho).real == 1.0 and state.rho[0, 0] == 1.0
+
+    def test_mixed_copies_a_read_only_view_of_a_writable_matrix(self):
+        r = np.eye(16, dtype=complex) / 16
+        w = r.view()
+        w.flags.writeable = False
+        state = QuantumState.mixed(w)
+        r[0, 0] = 5
+        assert np.trace(state.rho).real == 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            state.rho[0, 0] = 5
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_shared_ideal_vector_kept_without_copy(self, n):
+        """The ideal vector is a view of a read-only array, so it is kept."""
+        shared = bell.ideal_state(n).vector
+        assert np.shares_memory(QuantumState.pure(shared).vector, shared)
+
+    @pytest.mark.parametrize("kind", model.NOISE_KINDS)
+    def test_noise_hands_over_an_array_kept_without_copy(self, kind):
+        v = 1.0 if kind == model.NOISE_NONE else 0.8
+        noisy = model.apply_noise(model.hyper_state(0.7, -1.3), NoiseModel(kind, v, v))
+        assert QuantumState.mixed(noisy.rho).rho is noisy.rho
+
     def test_equality_is_identity_and_hashable(self):
         """Field-wise equality compared the ndarray fields and raised."""
         state, other = model.hyper_state(np.pi, 0.0), model.hyper_state(np.pi, 0.0)
