@@ -419,8 +419,9 @@ def _joint_grid_lines(records: tuple, operator: bell.BellOperator) -> list:
     AB, aB, Ab, ab (digits 0, 2, 1, 3), columns over the last factor."""
     terms, labels, n = operator.terms, operator.factor_labels, operator.dof_count
     starts = [int("".join(pairs) + "0", 4) for pairs in product("0213", repeat=n - 1)]
+    rows, cols = "-".join(operator.kinds[:-1]), operator.kinds[-1]
     return _grid_lines(
-        "Joint correlations (rows: polarization pair, columns: path pair)",
+        f"Joint correlations (rows: {rows} pair, columns: {cols} pair)",
         [" ".join(terms[c].labels_on((n - 1,), labels[-1:])) for c in range(4)],
         [" ".join(terms[s].labels_on(range(n - 1), labels[:-1])) for s in starts],
         [[rec.E for rec in records[s : s + 4]] for s in starts],

@@ -7,9 +7,10 @@ order, so a setting has 4^N outcome cells, ordered u-major.  The 4^N
 settings of the Bell test are the terms of ``bell.canonical_product(N)``.
 
 Born probabilities come from one contraction per setting: each photon's
-2^N joint-outcome projectors act on its own 2^N-dim space, the density
+2^N joint-outcome projectors act on its own 2^N-dim space as one stack per
+observables tuple (``_side_projectors``, the one stack builder), the density
 matrix is permuted once into photon-local order, and the cells are
-``real(A @ R @ B.T)``.  They agree with the trace over embedded projectors
+``real((A @ R) @ B.T)``.  They agree with the trace over embedded projectors
 to about 1e-16, and sampled counts and every output byte are identical to
 that construction.  Every table of one N is built once, when first read
 (``_Layout``).
@@ -20,11 +21,12 @@ degree of freedom.  Sampling is multinomial on the Born distribution,
 driven by the seeded generator in ``rng`` (identity ``rng.GENERATOR_ID``);
 cell i of a list draws from the sub-stream ``stream_base + i`` of the
 seed (``rng.derive_seeds``), so runs are reproducible cell by cell.  A
-list is sampled in one array pass (``_CellPass``): stacked Born
-contractions, one sampler call with one seed per row, and one weight
-product.  A simulated run is one pass over its 56 cells at N = 2, its own
-then the assumption cells, cell i on sub-stream i.  ``born_distribution``,
-``sample`` and ``estimate`` are the one-row calls of the same kernels.
+list is sampled in one array pass (``_CellPass``): ``A @ R`` once per
+distinct u stack, stacked Born contractions, one sampler call with one
+seed per row, and one weight product.  A simulated run is one pass over
+its 56 cells at N = 2, its own then the assumption cells, cell i on
+sub-stream i.  ``born_distribution``, ``sample`` and ``estimate`` are the
+one-row calls of the same kernels.
 """
 
 from __future__ import annotations
@@ -51,7 +53,8 @@ _ASSUMPTION_ROWS = {
 
 
 # Projector entries gathered per photon for one Born block: a block holds 256
-# cells at N = 2 and 4 at N = 4, so no pass stacks a whole list's projectors.
+# cells at N = 2 and 4 at N = 4, so no pass gathers a whole list's stacks
+# (about 85 MB a photon for the 1,296 cells of an N = 4 run).
 _BORN_BLOCK = 1 << 14
 
 
@@ -65,38 +68,22 @@ _OUTCOME_PROJECTORS = {
 }
 
 
-# The same pairs as one table, and each observable's row in it.
-_OUTCOME_TABLE = qcore.read_only(np.stack(list(_OUTCOME_PROJECTORS.values())))
-_OUTCOME_ROW = {obs: i for i, obs in enumerate(_OUTCOME_PROJECTORS)}
-
-
-def _outcome_rows(sides) -> np.ndarray:
-    """Each photon observables tuple as its ``_OUTCOME_TABLE`` rows, factor 0 first."""
-    return np.array([[_OUTCOME_ROW[obs] for obs in ids] for ids in sides])
-
-
-def _side_stacks(rows: np.ndarray) -> np.ndarray:
-    """Per row of ``_outcome_rows``, one photon's 2^N outcome projectors on
-    its own 2^N-dim space as a 2^N x 4^N stack: the Kronecker product of the
-    (I +- M)/2 pairs of its observables, factor 0 slowest.  The names need
-    not belong to the photon."""
-    stack = reduce(_kron_stack, [_OUTCOME_TABLE[col] for col in rows.T])
-    return stack.reshape(len(rows), stack.shape[1], -1)
-
-
 @cache
 def _side_projectors(ids: tuple) -> np.ndarray:
-    """The stack of one observables tuple, built once."""
-    return qcore.read_only(_side_stacks(_outcome_rows([ids]))[0])
+    """One photon's 2^N outcome projectors on its own 2^N-dim space as a
+    read-only 2^N x 4^N stack, built once per observables tuple: the
+    Kronecker product of the (I +- M)/2 pairs of its observables, factor 0
+    slowest.  The names need not belong to the photon."""
+    stack = reduce(_kron_stack, [_OUTCOME_PROJECTORS[obs] for obs in ids])
+    return qcore.read_only(stack.reshape(len(stack), -1))
 
 
 def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker products of two lists of square projector stacks, entry by
-    entry, on every axis.  einsum, not np.kron: its zeros are all +0.0, where
-    np.kron keeps the -0.0 of a product like 0.5 * -0.0."""
-    dim = a.shape[2] * b.shape[2]
-    stack = np.einsum("zsac,ztbd->zstabcd", a, b)
-    return stack.reshape(len(a), a.shape[1] * b.shape[1], dim, dim)
+    """Kronecker products of two square projector stacks, entry by entry, on
+    every axis.  einsum, not np.kron: its zeros are all +0.0, where np.kron
+    keeps the -0.0 of a product like 0.5 * -0.0."""
+    dim = a.shape[1] * b.shape[1]
+    return np.einsum("sac,tbd->stabcd", a, b).reshape(len(a) * len(b), dim, dim)
 
 
 def _marginal_operator(n: int, f: int, kind: str, u_name: str, d_name: str) -> np.ndarray:
@@ -217,28 +204,39 @@ def _record_label(layout: _Layout, setting: JointSetting, factor: int | None) ->
 
 class _CellPass:
     """One ordered (setting, factor) cell list as the arrays of one pass
-    over it (``_sample_cells``): each photon's ``_outcome_rows``, each cell's
-    row of ``_Layout.weight_rows``, and the record labels, all built once.
-    Born rows are computed in blocks of ``born_block`` cells whose projector
-    stacks are built per block, so no stack of the whole list is kept."""
+    over it (``_sample_cells``), all built once: per photon, the read-only
+    stack of its distinct observables tuples (``_side_projectors``) and each
+    cell's index into it; each cell's row of ``_Layout.weight_rows``; and
+    the record labels.  A photon has at most 80 distinct tuples a pass (at
+    N = 4), so no stack is built per cell."""
 
     def __init__(self, layout: _Layout, cells: tuple):
         self.layout = layout
         self.cells = cells
-        self.u_rows = _outcome_rows([s.u_ids for s, _ in cells])
-        self.d_rows = _outcome_rows([s.d_ids for s, _ in cells])
+        self.u_stacks, self.u_index = _distinct_stacks([s.u_ids for s, _ in cells])
+        self.d_stacks, self.d_index = _distinct_stacks([s.d_ids for s, _ in cells])
         self.weight_index = np.array([0 if f is None else f + 1 for _, f in cells])
         self.labels = tuple(_record_label(layout, s, f) for s, f in cells)
 
     def born(self, state: QuantumState) -> np.ndarray:
-        """The Born rows of every cell, in cell order."""
-        r = _photon_local(state, self.layout)
+        """The Born rows of every cell, in cell order: ``U @ R`` once for the
+        distinct u stacks, then ``_born`` on blocks of ``born_block`` cells,
+        whose gathered stacks stay small."""
+        ur = self.u_stacks @ _photon_local(state, self.layout)
         step = self.layout.born_block
         probs = np.empty((len(self.cells), len(self.layout.joint_weights)))
         for lo in range(0, len(self.cells), step):
-            u, d = (_side_stacks(rows[lo : lo + step]) for rows in (self.u_rows, self.d_rows))
-            probs[lo : lo + step] = _born(r, u, d)
+            block = slice(lo, lo + step)
+            probs[block] = _born(ur[self.u_index[block]], self.d_stacks[self.d_index[block]])
         return probs
+
+
+def _distinct_stacks(sides: list) -> tuple:
+    """One photon's observables tuple per cell as the read-only stack of the
+    distinct tuples, in first-use order, and each cell's index into it."""
+    rows = {ids: i for i, ids in enumerate(dict.fromkeys(sides))}
+    stacks = np.stack([_side_projectors(ids) for ids in rows])
+    return qcore.read_only(stacks), np.array([rows[ids] for ids in sides])
 
 
 def bell_test_settings() -> tuple:
@@ -259,16 +257,16 @@ def _photon_local(state: QuantumState, layout: _Layout) -> np.ndarray:
     return state.rho.reshape(qubits).transpose(layout.born_axes).reshape(state.rho.shape)
 
 
-def _born(r: np.ndarray, u: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Born rows ``real(A @ R @ B.T)`` of stacked settings, one row of 4^N
-    cells per setting: ``u`` and ``d`` are the photons' (settings, 2^N, 4^N)
-    projector stacks and ``r`` is rho in photon-local order.
+def _born(ur: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Born rows ``real((A @ R) @ B.T)`` of stacked settings, one row of 4^N
+    cells per setting: ``ur`` is each setting's u projector stack times rho
+    in photon-local order, and ``d`` its d stack, both (settings, 2^N, 4^N).
 
     Probabilities more negative than -1e-12 are an error; smaller negative
     rounding residue is clamped to zero and each row renormalized.  The
     first row failing a check is reported.
     """
-    probs = np.real(u @ r @ d.transpose(0, 2, 1)).reshape(len(u), -1)
+    probs = np.real(ur @ d.transpose(0, 2, 1)).reshape(len(ur), -1)
     lows = probs.min(axis=1)
     probs = np.clip(probs, 0.0, None)
     totals = probs.sum(axis=1)
@@ -283,8 +281,7 @@ def _born(r: np.ndarray, u: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 def born_distribution(state: QuantumState, setting: JointSetting) -> OutcomeDistribution:
     """Joint outcome probabilities Tr[rho (P_u x P_d)] for one setting: the
-    one-row call of ``_born``, with the two photons' projector stacks built
-    once per observables tuple.  The reference is the trace over
+    one-row call of ``_born``.  The reference is the trace over
     ``model.pair_projectors``."""
     layout = _layout_of(setting)
     if state.dof_count != len(layout.kinds):
@@ -292,8 +289,9 @@ def born_distribution(state: QuantumState, setting: JointSetting) -> OutcomeDist
             f"the setting measures {len(layout.kinds)} degrees of freedom,"
             f" the state has {state.dof_count}"
         )
-    u, d = (_side_projectors(ids)[None] for ids in (setting.u_ids, setting.d_ids))
-    return OutcomeDistribution(setting=setting, probs=_born(_photon_local(state, layout), u, d)[0])
+    u, d = (_side_projectors(ids) for ids in (setting.u_ids, setting.d_ids))
+    ur = u @ _photon_local(state, layout)
+    return OutcomeDistribution(setting=setting, probs=_born(ur[None], d[None])[0])
 
 
 def analytic_correlations(dist: OutcomeDistribution) -> tuple:

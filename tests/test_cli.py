@@ -180,6 +180,10 @@ class TestSimulateStudy:
         # Rows: factors 0..N-2 (u tokens, then d tokens); columns: the last factor.
         sim = simlab.run_simulated_experiment(bell.ideal_state(n), 50, 4)
         lines = cli._joint_grid_lines(sim.joint_records, bell.canonical_product(n))
+        assert lines[0] == {
+            2: "Joint correlations (rows: polarization pair, columns: path pair)",
+            3: "Joint correlations (rows: polarization-path pair, columns: polarization pair)",
+        }[n]
         by_label = {rec.label: rec.E for rec in sim.joint_records}
         header = lines[1].split()
         cols = list(zip(header[0::2], header[1::2]))

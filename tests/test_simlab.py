@@ -1028,6 +1028,16 @@ def _per_setting_born(state, setting):
     return probs / float(probs.sum())
 
 
+def _assert_pass_rows_bitwise(cells, state):
+    """Every Born row of a pass is bitwise the per-setting contraction and
+    the ``born_distribution`` row of its setting."""
+    rows = cells.born(state)
+    assert rows.shape == (len(cells.cells), 4 ** state.dof_count)
+    for (setting, _), row in zip(cells.cells, rows):
+        assert row.tobytes() == _per_setting_born(state, setting).tobytes()
+        assert row.tobytes() == simlab.born_distribution(state, setting).probs.tobytes()
+
+
 class TestArrayPass:
     """A cell list is sampled in one pass; it must give what the per-setting
     calls give, bit for bit."""
@@ -1048,20 +1058,46 @@ class TestArrayPass:
         state = model.apply_noise(model.product_state(kinds, phases[:n]), noise)
         layout = simlab._layout(n)
         for cells in (layout.run_pass, layout.assumption_pass):
-            rows = cells.born(state)
-            assert rows.shape == (len(cells.cells), 4**n)
-            for (setting, _), row in zip(cells.cells, rows):
-                assert row.tobytes() == _per_setting_born(state, setting).tobytes()
-                assert row.tobytes() == simlab.born_distribution(state, setting).probs.tobytes()
+            _assert_pass_rows_bitwise(cells, state)
+
+    @pytest.mark.parametrize("name", ["run_pass", "assumption_pass"])
+    def test_batched_born_equals_per_setting_contraction_at_four_dof(self, name):
+        state = model.apply_noise(bell.ideal_state(4), NoiseModel(model.NOISE_DEPHASING, 0.87, 0.93))
+        _assert_pass_rows_bitwise(getattr(simlab._layout(4), name), state)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_block_stacks_equal_one_setting_stacks(self, n):
+        """Each photon keeps one read-only stack of its distinct observables
+        tuples, 4, 12, 32 and 80 of them at N = 1..4 in both passes, and
+        each cell's index reads its one-setting stack."""
         layout = simlab._layout(n)
-        sides = [s.u_ids for s, _ in layout.run_cells[:8]]
-        sides += [s.d_ids for s, _ in layout.run_cells[-8:]]
-        stacks = simlab._side_stacks(simlab._outcome_rows(sides))
-        for ids, stack in zip(sides, stacks):
-            assert stack.tobytes() == simlab._side_projectors(ids).tobytes()
+        for cells, n_cells in (
+            (layout.run_pass, (12, 56, 268, 1296)),
+            (layout.assumption_pass, (4, 32, 192, 1024)),
+        ):
+            assert len(cells.cells) == n_cells[n - 1]
+            for stacks, index, photon in (
+                (cells.u_stacks, cells.u_index, "u_ids"),
+                (cells.d_stacks, cells.d_index, "d_ids"),
+            ):
+                assert stacks.shape == ((4, 12, 32, 80)[n - 1], 2**n, 4**n)
+                for (setting, _), i in zip(cells.cells, index, strict=True):
+                    one = simlab._side_projectors(getattr(setting, photon))
+                    assert stacks[i].tobytes() == one.tobytes()
+                with pytest.raises(ValueError, match="read-only"):
+                    stacks[0, 0, 0] = 0.0
+
+    def test_second_born_builds_no_stack(self, monkeypatch):
+        layout = simlab._layout(3)
+        state = STATES[3][1]
+        expected = [cells.born(state) for cells in (layout.run_pass, layout.assumption_pass)]
+
+        def boom(*args, **kwargs):
+            raise AssertionError("projector stack built per Born call")
+
+        monkeypatch.setattr(simlab, "_kron_stack", boom)
+        for cells, rows in zip((layout.run_pass, layout.assumption_pass), expected):
+            assert cells.born(state).tobytes() == rows.tobytes()
 
     def test_born_blocks_stay_small(self):
         """No pass gathers a whole list's projector stacks: a block holds
