@@ -16,6 +16,9 @@ context-independence check).
 help): the ``--flag`` (key with ``-`` for ``_``), the config-file key and
 the default come from it, and flag and file values go through the same
 parser, so a bad value, a choice included, is a config error naming the key.
+A run's record, ``RunConfig``, holds the merged values under the same keys
+(``config["seed"]``), with ``v`` expanded into ``v_pi`` and ``v_k``, and the
+JSON ``config`` is read from it: every key but ``out``, plus ``study``.
 ``STUDIES`` has one row per study: the keys it reads, its runner and its
 table renderer.  Ideal reads theta, phi and dof; bounds dof and class;
 scaling dof; simulate and assumptions all but class; every study reads
@@ -44,10 +47,11 @@ import io
 import json
 import math
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
+from types import MappingProxyType
 
 from . import bell, lhv, model, qcore, rng, simlab
 
@@ -63,16 +67,16 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A study, its merged option values keyed as in ``OPTIONS`` (``v``
+    expanded into ``v_pi`` and ``v_k``), and the checked noise channel;
+    ``config[key]`` reads a value."""
+
     study: str
-    theta: float
-    phi: float
+    values: Mapping
     noise: model.NoiseModel
-    events: int
-    seed: int
-    dof: int
-    strategy_class: str | None
-    fmt: str
-    out: str | None
+
+    def __getitem__(self, key: str):
+        return self.values[key]
 
 
 def _parse_angle(key: str, text: str) -> float:
@@ -242,6 +246,7 @@ def build_config(study: str, file_values: dict, flag_values: dict) -> RunConfig:
             source.setdefault("v_pi", shared)
             source.setdefault("v_k", shared)
         merged.update(source)
+    del merged["v"]  # expanded above: the run reads v_pi and v_k
     reads = STUDIES[study].keys
     if "theta" in reads and merged["dof"] != 2:
         raise ConfigError(
@@ -265,18 +270,7 @@ def build_config(study: str, file_values: dict, flag_values: dict) -> RunConfig:
         noise = model.NoiseModel(kind=merged["noise"], v_pi=merged["v_pi"], v_k=merged["v_k"])
     except ValueError as exc:
         raise ConfigError(f"key 'noise': {exc}")
-    return RunConfig(
-        study=study,
-        theta=merged["theta"],
-        phi=merged["phi"],
-        noise=noise,
-        events=merged["events"],
-        seed=merged["seed"],
-        dof=merged["dof"],
-        strategy_class=merged["class"],
-        fmt=merged["format"],
-        out=merged["out"],
-    )
+    return RunConfig(study, MappingProxyType(merged), noise)
 
 
 @dataclass
@@ -291,11 +285,11 @@ class StudyResult:
 
 
 def _prepared_state(config: RunConfig) -> model.QuantumState:
-    return model.apply_noise(model.hyper_state(config.theta, config.phi), config.noise)
+    return model.apply_noise(model.hyper_state(config["theta"], config["phi"]), config.noise)
 
 
 def _run_ideal(config: RunConfig) -> StudyResult:
-    state = model.hyper_state(config.theta, config.phi)
+    state = model.hyper_state(config["theta"], config["phi"])
     pred = bell.ideal_predictions(state)
     rows = [
         {"quantity": "beta_pi", "value": pred.beta_pi},
@@ -316,8 +310,8 @@ def _witness_text(side: dict) -> str:
 
 
 def _run_bounds(config: RunConfig) -> StudyResult:
-    operator = bell.canonical_product(config.dof)
-    classes = (config.strategy_class,) if config.strategy_class else lhv.STRATEGY_CLASSES
+    operator = bell.canonical_product(config["dof"])
+    classes = (config["class"],) if config["class"] else lhv.STRATEGY_CLASSES
     results = [lhv.max_bound(operator, cls) for cls in classes]
     rows = [
         {
@@ -334,7 +328,7 @@ def _run_bounds(config: RunConfig) -> StudyResult:
 
 def _run_scaling(config: RunConfig) -> StudyResult:
     reports = [bell.scaling_report(n, bell.LHV_BRUTEFORCE if n <= 3 else bell.ANALYTIC)
-               for n in range(1, config.dof + 1)]
+               for n in range(1, config["dof"] + 1)]
     rows = [
         {
             "dof": rep.dof_count,
@@ -359,7 +353,8 @@ def _correlation_row(record: simlab.CorrelationRecord, setting_u: str, setting_d
 
 
 def _run_simulate(config: RunConfig) -> StudyResult:
-    result = simlab.run_simulated_experiment(_prepared_state(config), config.events, config.seed)
+    state = _prepared_state(config)
+    result = simlab.run_simulated_experiment(state, config["events"], config["seed"])
     rows = [_correlation_row(rec, *rec.label) for rec in result.joint_records]
     return StudyResult(
         config, rows, result,
@@ -371,7 +366,7 @@ def _run_simulate(config: RunConfig) -> StudyResult:
 
 
 def _run_assumptions(config: RunConfig) -> StudyResult:
-    report = simlab.assumption_test(_prepared_state(config), config.events, config.seed)
+    report = simlab.assumption_test(_prepared_state(config), config["events"], config["seed"])
     rows = [  # a cell's record carries its own factor's labels; a row names the whole setting
         _correlation_row(cell.record, cell.setting.u_label, cell.setting.d_label)
         for row in report.rows for cell in row.cells
@@ -449,7 +444,7 @@ strategy class: {strategy_class}
 
 
 def _bounds_table(result: StudyResult) -> list:
-    title = f"Classical bounds for the {result.config.dof}-DOF product operator"
+    title = f"Classical bounds for the {result.config['dof']}-DOF product operator"
     return [title + " (exhaustive enumeration)"] + [_BOUNDS_ROW.format(**r) for r in result.rows]
 
 
@@ -519,19 +514,8 @@ def run(config: RunConfig) -> StudyResult:
 
 
 def _config_dict(config: RunConfig) -> dict:
-    return {
-        "study": config.study,
-        "theta": config.theta,
-        "phi": config.phi,
-        "noise": config.noise.kind,
-        "v_pi": config.noise.v_pi,
-        "v_k": config.noise.v_k,
-        "events": config.events,
-        "seed": config.seed,
-        "dof": config.dof,
-        "class": config.strategy_class,
-        "format": config.fmt,
-    }
+    # out says where the report goes, not what the run was.
+    return {"study": config.study} | {k: v for k, v in config.values.items() if k != "out"}
 
 
 def _emit_json(result: StudyResult) -> str:
@@ -607,9 +591,9 @@ def main(argv=None) -> int:
         }
         config = build_config(args["study"], file_values, flag_values)
         result = run(config)
-        data = emit(result, config.fmt)
-        if config.out is not None:
-            with open(config.out, "wb") as fh:
+        data = emit(result, config["format"])
+        if config["out"] is not None:
+            with open(config["out"], "wb") as fh:
                 fh.write(data)
         else:
             sys.stdout.write(data.decode("utf-8"))

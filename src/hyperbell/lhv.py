@@ -179,11 +179,7 @@ def _strategy_from_index(bell: BellOperator, strategy_class: str, photon: str, i
     return {tok: 1 - 2 * ((index >> (n - 1 - i)) & 1) for i, tok in enumerate(tokens)}
 
 
-def max_bound(
-    bell: BellOperator,
-    strategy_class: str,
-    max_pairs: int = MAX_STRATEGY_PAIRS,
-) -> BoundResult:
+def max_bound(bell: BellOperator, strategy_class: str) -> BoundResult:
     """Exact maximum of |classical value| over a strategy class, with witness.
 
     The search is exhaustive (vectorized over the integer strategy
@@ -199,8 +195,8 @@ def max_bound(
         raise ValueError(f"unknown strategy class {strategy_class!r}")
     t = bell.signs
     n_side = 4**bell.dof_count if strategy_class == FACTORIZABLE else 2 ** t.shape[0]
-    if n_side * n_side > max_pairs:
-        raise EnumerationGuardError(n_side * n_side, max_pairs)
+    if n_side * n_side > MAX_STRATEGY_PAIRS:
+        raise EnumerationGuardError(n_side * n_side, MAX_STRATEGY_PAIRS)
 
     # The signed maximum equals the maximum of |value|: flipping one degree
     # of freedom's pair (factorizable) or a whole side (unrestricted) negates

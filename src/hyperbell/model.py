@@ -21,6 +21,8 @@ equivalent Pauli combinations are asserted in tests, not assumed here.
 from __future__ import annotations
 
 import cmath
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cache, cached_property, reduce
 
@@ -229,6 +231,11 @@ def _infer_dof_count(dim: int, dof_count: int | None) -> int:
     return n
 
 
+def _finite_real(x) -> bool:
+    """A finite real number, numpy's included, that is not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
 _PAIR_POSITIONS = {POLARIZATION: (0, 3), PATH: (1, 2)}  # |HH>, |VV>; |lr>, |rl>
 
 
@@ -259,7 +266,7 @@ def product_state(kinds: tuple, phases: tuple) -> QuantumState:
             f"phases must give one phase per kind: {len(kinds)} kinds, {len(phases)} phases"
         )
     for phase in phases:
-        if isinstance(phase, (bool, np.bool_)) or not np.isfinite(phase):
+        if not _finite_real(phase):
             raise ValueError(f"phases must be finite real numbers, got {phase!r}")
     vector = qcore.read_only(reduce(np.multiply.outer, map(pair_state, kinds, phases))).ravel()
     return QuantumState.pure(vector, len(kinds))  # a view of a fresh read-only array: not copied
@@ -325,8 +332,8 @@ class NoiseModel:
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         for tag, v in (("v_pi", self.v_pi), ("v_k", self.v_k)):
-            if not (np.isfinite(v) and 0.0 <= v <= 1.0):
-                raise ValueError(f"{tag} must lie in [0, 1], got {v!r}")
+            if not (_finite_real(v) and 0.0 <= v <= 1.0):
+                raise ValueError(f"{tag} must be a real number in [0, 1], got {v!r}")
         if self.kind == NOISE_NONE and (self.v_pi != 1.0 or self.v_k != 1.0):
             raise ValueError("noise kind 'none' requires v_pi = v_k = 1")
 

@@ -495,6 +495,22 @@ class TestOptionTable:
         for name in {"v": ("v_pi", "v_k"), "out": ()}.get(key, (key,)):
             assert config[name] == expected
 
+    @pytest.mark.parametrize("study", list(cli.STUDIES))
+    def test_json_config_records_every_option(self, study, capsys):
+        """Every option but v, which the run reads as v_pi and v_k, and out,
+        which says where the report goes, plus the study."""
+        extra = ["--events", "40"] if study in ("simulate", "assumptions") else []
+        assert run_inproc(study, *extra, "--format", "json") == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert set(config) == set(cli.OPTIONS) - {"v", "out"} | {"study"}
+
+    def test_run_config_values_are_read_only(self):
+        config = cli.build_config("simulate", {}, {"v": 0.8, "seed": 4})
+        assert config["seed"] == 4 and config["v_pi"] == config["v_k"] == 0.8
+        assert "v" not in config.values
+        with pytest.raises(TypeError):
+            config.values["seed"] = 5
+
     @pytest.mark.parametrize("key,study", [("noise", "simulate"), ("class", "bounds"),
                                            ("format", "ideal")])
     @pytest.mark.parametrize("source", ["flag", "file"])

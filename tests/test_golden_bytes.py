@@ -119,6 +119,20 @@ CORPUS = {
         ["ideal", "--format", "csv"],
         "45143d35798edaeed8b6af1431a55bd77656ba8eadcbe1c2d07deb02246c6fab",
     ),
+    # JSON configs whose values the run derives: the unit visibilities of a
+    # noise-free run, the v shorthand expanded, and the noise-free ideal.
+    "simulate-none-json": (
+        ["simulate", "--events", "2000", "--seed", "5", "--noise", "none", "--format", "json"],
+        "ce9907067e23a3c2b0428f6442f67b9cbeec71311ac55f94afc5a286961285bb",
+    ),
+    "assumptions-v-json": (
+        ["assumptions", "--events", "2000", "--seed", "3", "--v", "0.8", "--format", "json"],
+        "a045df26654769b7cd4c70f06aaa8c7aabcac199e17887aa50228050d88beea6",
+    ),
+    "ideal-none-json": (
+        ["ideal", "--noise", "none", "--format", "json"],
+        "e8ba494a9e78aa9945a4782abc56f1892dcf3c91bbb58f8c18c6b7e6966c6daa",
+    ),
 }
 
 

@@ -255,10 +255,11 @@ class TestMaxBound:
         assert first.witness == second.witness
         assert first.bound == second.bound
 
-    def test_guard_refuses_oversized_search(self):
+    def test_guard_refuses_oversized_search(self, monkeypatch):
+        monkeypatch.setattr(lhv, "MAX_STRATEGY_PAIRS", 10)
         op = bell.canonical_product(2)
         with pytest.raises(lhv.EnumerationGuardError) as err:
-            lhv.max_bound(op, FACTORIZABLE, max_pairs=10)
+            lhv.max_bound(op, FACTORIZABLE)
         assert err.value.count == 256
         assert "256" in str(err.value)
 
@@ -267,8 +268,9 @@ class TestMaxBound:
             raise AssertionError("side table built before the guard check")
 
         monkeypatch.setattr(lhv, "_factorizable_context_values", refuse)
+        monkeypatch.setattr(lhv, "MAX_STRATEGY_PAIRS", 10)
         with pytest.raises(lhv.EnumerationGuardError) as err:
-            lhv.max_bound(bell.canonical_product(2), FACTORIZABLE, max_pairs=10)
+            lhv.max_bound(bell.canonical_product(2), FACTORIZABLE)
         assert err.value.count == 256
 
     def test_unrestricted_memory_is_small(self):

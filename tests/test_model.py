@@ -467,6 +467,14 @@ class TestApplyNoise:
         with pytest.raises(ValueError, match="v_pi = v_k = 1"):
             NoiseModel(model.NOISE_NONE, v_pi=0.9)
 
+    @pytest.mark.parametrize("tag", ["v_pi", "v_k"])
+    @pytest.mark.parametrize("v", [True, np.bool_(True), "0.5", None],
+                             ids=["bool", "numpy-bool", "str", "none"])
+    def test_non_number_visibility_refused(self, tag, v):
+        """True ran as visibility 1; a str or None escaped as a TypeError."""
+        with pytest.raises(ValueError, match=f"{tag} must be a real number in \\[0, 1\\]"):
+            NoiseModel(model.NOISE_WHITE, **{tag: v})
+
     def test_requires_pure_input(self):
         mixed = QuantumState.mixed(np.eye(16, dtype=complex) / 16)
         with pytest.raises(ValueError, match="pure"):
@@ -554,6 +562,14 @@ class TestProductState:
         """True ran as 1 rad."""
         with pytest.raises(ValueError, match="phases must be finite real numbers"):
             model.product_state((model.PATH,), (phase,))
+
+    @pytest.mark.parametrize("phase", [1j, np.complex128(0.5), "0.5", None],
+                             ids=["complex", "numpy-complex", "str", "none"])
+    def test_non_real_phase_refused(self, phase):
+        """1j failed as 'state vector is not normalized'; a str or None
+        escaped as numpy's TypeError."""
+        with pytest.raises(ValueError, match="phases must be finite real numbers"):
+            model.product_state((model.POLARIZATION,), (phase,))
 
     @pytest.mark.parametrize("phase", [np.nan, np.inf, -np.inf])
     def test_non_finite_phase_refused(self, phase):
