@@ -22,6 +22,7 @@ the experimental configurations.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from itertools import product
@@ -148,21 +149,32 @@ def build_beta_product(factors) -> BellOperator:
     return _shared(tuple(f.kinds[0] for f in factors))
 
 
+def _dof_count(n_dof) -> int:
+    """``n_dof`` as a Python int in [1, MAX_DOF]; numpy integers pass, while
+    bools, floats and counts out of range are refused naming the DOF count."""
+    if type(n_dof) is not int and not isinstance(n_dof, np.integer):  # refuses bools
+        raise ValueError(f"dof count must be an integer, got {n_dof!r}")
+    n_dof = operator.index(n_dof)
+    if not 1 <= n_dof <= MAX_DOF:
+        raise ValueError(f"dof count must lie in [1, {MAX_DOF}], got {n_dof}")
+    return n_dof
+
+
 def canonical_product(n_dof: int) -> BellOperator:
     """N-fold product operator of the factor kinds ``model.canonical_kinds``;
     shared, read-only."""
-    if not 1 <= n_dof <= MAX_DOF:
-        raise ValueError(f"dof count must lie in [1, {MAX_DOF}], got {n_dof}")
-    return _shared(model.canonical_kinds(n_dof))
+    return _shared(model.canonical_kinds(_dof_count(n_dof)))
 
 
-@cache  # a refused n_dof raises, so only 1..MAX_DOF are ever stored
 def ideal_state(n_dof: int) -> QuantumState:
     """Maximally violating pure state for canonical_product(n_dof): phase pi
     on the polarization pairs, 0 on the path pairs; shared, read-only,
     built once per n_dof."""
-    if not 1 <= n_dof <= MAX_DOF:
-        raise ValueError(f"dof count must lie in [1, {MAX_DOF}], got {n_dof}")
+    return _ideal_state(_dof_count(n_dof))
+
+
+@cache  # keyed by the checked int, so only 1..MAX_DOF are ever stored
+def _ideal_state(n_dof: int) -> QuantumState:
     kinds = model.canonical_kinds(n_dof)
     return model.product_state(kinds, [np.pi if k == model.POLARIZATION else 0.0 for k in kinds])
 
@@ -243,6 +255,7 @@ def scaling_report(n_dof: int, bound_source: str = ANALYTIC) -> ScalingReport:
     The classical bound is either the analytic product bound 2^N for the
     factorizable class, or the exhaustively enumerated one.
     """
+    n_dof = _dof_count(n_dof)
     op = canonical_product(n_dof)
     q = abs(quantum_value(op, ideal_state(n_dof)))
     if bound_source == ANALYTIC:

@@ -25,6 +25,9 @@ scaling dof; simulate and assumptions all but class; every study reads
 format and out.  Any other key set by a flag or the config file is refused
 with the key named, except ``noise = none`` for ideal, which states what
 that study computes.  A CSV header is the key order of the study's row dicts.
+The argument parser is read from these two constant tables, so it is built
+once per process and shared by every ``main`` call; each call parses into a
+fresh namespace, and usage, error and help text are formatted when printed.
 
 Option precedence: command-line flags override the config file, which
 overrides the defaults.  The config file is flat ``key = value`` UTF-8 text
@@ -49,7 +52,7 @@ import math
 import sys
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import product
 from types import MappingProxyType
 
@@ -211,7 +214,6 @@ def _read_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
         key, _, text = line.partition("=")
         key, text = key.strip(), text.strip()
-        values[key] = _parse_file_value(key, text)
         if key in first_line:
             raise ConfigError(
                 f"{path}:{lineno}: key '{key}' repeated (first set on line {first_line[key]})"
@@ -224,6 +226,10 @@ def _read_config_file(path: str) -> dict:
                 f"{path}:{lineno}: key '{key}' conflicts with key '{rival}'"
                 f" on line {first_line[rival]}"
             )
+        try:
+            values[key] = _parse_file_value(key, text)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}")
         first_line[key] = lineno
     return values
 
@@ -565,6 +571,7 @@ class _Once(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
+@cache  # parse_args keeps no state in the parser, and _Once reads only the namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyperbell",

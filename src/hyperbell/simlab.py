@@ -8,7 +8,8 @@ settings of the Bell test are the terms of ``bell.canonical_product(N)``.
 
 Born probabilities come from one contraction per setting: each photon's
 2^N joint-outcome projectors act on its own 2^N-dim space as one stack per
-observables tuple (``_side_projectors``, the one stack builder), the density
+observables tuple (``_side_projectors``, the one stack builder; a pass
+builds each distinct stack once and keeps it), the density
 matrix is permuted once into photon-local order, and the cells are
 ``real((A @ R) @ B.T)``.  They agree with the trace over embedded projectors
 to about 1e-16, and sampled counts and every output byte are identical to
@@ -68,12 +69,12 @@ _OUTCOME_PROJECTORS = {
 }
 
 
-@cache
 def _side_projectors(ids: tuple) -> np.ndarray:
     """One photon's 2^N outcome projectors on its own 2^N-dim space as a
-    read-only 2^N x 4^N stack, built once per observables tuple: the
-    Kronecker product of the (I +- M)/2 pairs of its observables, factor 0
-    slowest.  The names need not belong to the photon."""
+    read-only 2^N x 4^N stack: the Kronecker product of the (I +- M)/2 pairs
+    of its observables, factor 0 slowest.  Built on each call; a pass keeps
+    the stacks it reads (``_CellPass``).  The names need not belong to the
+    photon."""
     stack = reduce(_kron_stack, [_OUTCOME_PROJECTORS[obs] for obs in ids])
     return qcore.read_only(stack.reshape(len(stack), -1))
 
@@ -208,7 +209,8 @@ class _CellPass:
     stack of its distinct observables tuples (``_side_projectors``) and each
     cell's index into it; each cell's row of ``_Layout.weight_rows``; and
     the record labels.  A photon has at most 80 distinct tuples a pass (at
-    N = 4), so no stack is built per cell."""
+    N = 4), each built once per pass and kept with it, and a ``_Layout``
+    keeps its two passes, so no stack is built per cell or per run."""
 
     def __init__(self, layout: _Layout, cells: tuple):
         self.layout = layout

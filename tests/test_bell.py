@@ -146,6 +146,31 @@ class TestProductOperator:
         with pytest.raises(ValueError, match="single degree-of-freedom"):
             bell.build_beta_product([bell.canonical_product(2), bell.build_beta_pi()])
 
+    @pytest.mark.parametrize("build", [bell.canonical_product, bell.ideal_state,
+                                       bell.scaling_report])
+    @pytest.mark.parametrize("n", [True, False, np.bool_(True), 2.5, 2.0, "2", None])
+    def test_non_integer_dof_count_refused(self, build, n):
+        """True used to pass as N = 1 (scaling_report kept it as its
+        dof_count) and 2.5 escaped as a TypeError naming no argument."""
+        with pytest.raises(ValueError, match="dof count must be an integer"):
+            build(n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_numpy_integer_dof_count_is_the_int(self, n):
+        assert bell.canonical_product(np.int64(n)) is bell.canonical_product(n)
+        assert bell.ideal_state(np.int64(n)) is bell.ideal_state(n)
+        report = bell.scaling_report(np.int32(n))
+        assert type(report.dof_count) is int and report == bell.scaling_report(n)
+
+    def test_ideal_state_cache_holds_only_checked_counts(self):
+        bell._ideal_state.cache_clear()
+        for n in (1, np.int64(1), np.uint8(1), 2, np.int64(2)):
+            bell.ideal_state(n)
+        for bad in (True, 1.0):
+            with pytest.raises(ValueError):
+                bell.ideal_state(bad)
+        assert bell._ideal_state.cache_info().currsize == 2
+
     @pytest.mark.parametrize("kinds", [("spin",), (), (model.PATH,) * 5])
     def test_operator_kinds_refused(self, kinds):
         """They failed on first read, with a KeyError or an empty reduce."""

@@ -1,5 +1,6 @@
 """Command-line front end: studies, formats, config handling, exit codes."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -312,6 +313,30 @@ class TestConfigHandling:
         assert "'seed'" in err and "line 1" in err and ":4:" in err
 
     @pytest.mark.parametrize(
+        "body,key",
+        [("seed = 1\nseed = x\n", "seed"), ("v = 0.5\nv_pi = x\n", "v_pi")],
+        ids=["repeated", "shorthand-conflict"],
+    )
+    def test_repeat_reported_before_the_value_is_read(self, body, key, tmp_path, capsys):
+        """The value used to be parsed first, so a bad second value hid the
+        repeat and gave no file or line."""
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text(body)
+        assert run_inproc("simulate", "--config", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:2: key '{key}'" in err and "line 1" in err and "expected" not in err
+
+    def test_bad_file_value_names_path_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("events = 100\n\nseed = x\n")
+        assert run_inproc("simulate", "--config", str(cfg)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"hyperbell: config error: {cfg}:3: key 'seed': expected an integer, got 'x'\n"
+        )
+
+    @pytest.mark.parametrize(
         "argv,key",
         [
             (["simulate", "--events", "100", "--seed", "1", "--seed", "2"], "seed"),
@@ -516,14 +541,16 @@ class TestOptionTable:
     @pytest.mark.parametrize("source", ["flag", "file"])
     def test_bad_choice_names_key(self, key, study, source, tmp_path, capsys):
         """A bad choice given as a flag used to be an argparse usage error;
-        flag and file now take the same config-error path."""
+        flag and file now take the same config-error path, the file's
+        prefixed with its path and line."""
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"{key} = bogus\n")
         argv = [study, "--" + key, "bogus"] if source == "flag" else [study, "--config", str(cfg)]
         assert run_inproc(*argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"config error: key '{key}': expected one of" in captured.err
+        where = "" if source == "flag" else f"{cfg}:1: "
+        assert f"config error: {where}key '{key}': expected one of" in captured.err
 
     @pytest.mark.parametrize("study", list(cli.STUDIES))
     def test_csv_header_is_documented(self, study, capsys):
@@ -580,3 +607,58 @@ class TestFailureExitCodes:
 
         monkeypatch.setattr("hyperbell.lhv.max_bound", refuse)
         assert run_inproc("bounds") == 4
+
+
+def _outcome(capsys, argv) -> tuple:
+    """(exit code, stdout, stderr) of one in-process call; argparse's usage
+    errors and --help exit through SystemExit."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestSharedParser:
+    """Every main call in a process parses with one parser."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_cache(self):
+        cli._build_parser.cache_clear()
+        yield
+        cli._build_parser.cache_clear()
+
+    def test_two_calls_construct_one_parser(self, monkeypatch, capsys):
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert run_inproc("scaling", "--dof", "2") == 0
+        assert run_inproc("ideal", "--format", "json") == 0
+        capsys.readouterr()
+        assert len(built) == 1 and cli._build_parser() is built[0]
+
+    def test_no_state_carried_between_calls(self, monkeypatch, capsys):
+        """Accepted calls, a repeated-flag refusal, a usage error and --help
+        give, in sequence on the shared parser, what a fresh parser gives."""
+        sequence = [
+            ["simulate", "--events", "100", "--seed", "5", "--format", "json"],
+            ["simulate", "--events", "100", "--format", "json"],
+            ["bounds", "--dof", "1", "--dof", "3"],
+            ["simulate", "--bogus"],
+            ["--help"],
+            ["bounds", "--dof", "3", "--format", "csv"],
+            ["simulate", "--events", "100", "--seed", "5", "--format", "json"],
+            ["ideal", "--theta", "pi/2"],
+        ]
+        shared = [_outcome(capsys, argv) for argv in sequence]
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = [_outcome(capsys, argv) for argv in sequence]
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 0, 2, 2, 0, 0, 0, 0]
+        assert shared[4][1].startswith("usage: hyperbell")
+        assert json.loads(shared[1][1])["config"]["seed"] == 0

@@ -939,8 +939,9 @@ MARGINAL_ROWS = [
 
 
 class TestConstantTables:
-    """The projector stacks and marginal operators are built from N once;
-    at N = 2 every entry must be bitwise what the first construction gives."""
+    """The projector stacks (once per pass) and marginal operators (once per
+    N) are built from N; at N = 2 every entry must be bitwise what the first
+    construction gives."""
 
     @pytest.mark.parametrize("pol", NAMES)
     @pytest.mark.parametrize("path", NAMES)
@@ -976,15 +977,19 @@ class TestConstantTables:
             with pytest.raises(ValueError, match="read-only"):
                 entry[(0,) * entry.ndim] = 0.0
 
-    def test_born_builds_no_projector(self, monkeypatch):
-        expected = [simlab.born_distribution(NOISY, s).probs for s in simlab.bell_test_settings()]
+    def test_second_run_builds_no_projector(self, monkeypatch):
+        """Each pass keeps the stacks it built, and each N keeps its passes,
+        so no stack is built per run; there is no per-tuple stack cache."""
+        first = simlab.run_simulated_experiment(NOISY, n_events=100, seed=3)
+        first_report = simlab.assumption_test(NOISY, n_events=100, seed=3)
 
         def boom(*args, **kwargs):
-            raise AssertionError("projector stack built per setting")
+            raise AssertionError("projector stack built per run")
 
         monkeypatch.setattr(simlab, "_kron_stack", boom)
-        for setting, probs in zip(simlab.bell_test_settings(), expected):
-            assert simlab.born_distribution(NOISY, setting).probs.tobytes() == probs.tobytes()
+        assert simlab.run_simulated_experiment(NOISY, n_events=100, seed=3) == first
+        assert simlab.assumption_test(NOISY, n_events=100, seed=3) == first_report
+        assert not hasattr(simlab._side_projectors, "cache_info")
 
     def test_second_assumption_test_builds_no_operator(self, monkeypatch):
         first = simlab.assumption_test(NOISY, n_events=100, seed=3)

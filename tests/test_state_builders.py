@@ -119,7 +119,7 @@ class TestLazyDensityMatrix:
     def test_exact_studies_build_no_ideal_rho(self, capsys):
         """No exact study reads the density matrix of a shared ideal state, so
         the 256x256 one of N = 4 is never built."""
-        bell.ideal_state.cache_clear()
+        bell._ideal_state.cache_clear()
         for argv in (["ideal"], ["bounds", "--dof", "4"], ["scaling", "--dof", "4"]):
             assert cli.main(argv + ["--format", "json"]) == 0
         capsys.readouterr()
