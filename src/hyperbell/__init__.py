@@ -40,7 +40,6 @@ from .simlab import (
     CorrelationRecord,
     ViolationReport,
     assumption_test,
-    bell_test_settings,
     born_distribution,
     estimate,
     reference_significance,

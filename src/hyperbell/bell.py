@@ -22,7 +22,6 @@ the experimental configurations.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from itertools import product
@@ -72,7 +71,7 @@ class BellOperator:
         """Per-factor display labels; a repeated kind is numbered (pi, k, pi2)."""
         return model.factor_labels(self.kinds)
 
-    @property
+    @cached_property
     def factors(self) -> tuple:
         """The shared single-DOF operators, one per factor."""
         return tuple(_shared((kind,)) for kind in self.kinds)
@@ -149,34 +148,21 @@ def build_beta_product(factors) -> BellOperator:
     return _shared(tuple(f.kinds[0] for f in factors))
 
 
-def _dof_count(n_dof) -> int:
-    """``n_dof`` as a Python int in [1, MAX_DOF]; numpy integers pass, while
-    bools, floats and counts out of range are refused naming the DOF count."""
-    if type(n_dof) is not int and not isinstance(n_dof, np.integer):  # refuses bools
-        raise ValueError(f"dof count must be an integer, got {n_dof!r}")
-    n_dof = operator.index(n_dof)
-    if not 1 <= n_dof <= MAX_DOF:
-        raise ValueError(f"dof count must lie in [1, {MAX_DOF}], got {n_dof}")
-    return n_dof
-
-
 def canonical_product(n_dof: int) -> BellOperator:
     """N-fold product operator of the factor kinds ``model.canonical_kinds``;
     shared, read-only."""
-    return _shared(model.canonical_kinds(_dof_count(n_dof)))
+    return _shared(model.canonical_kinds(model.checked_dof_count(n_dof)))
 
 
 def ideal_state(n_dof: int) -> QuantumState:
-    """Maximally violating pure state for canonical_product(n_dof): phase pi
-    on the polarization pairs, 0 on the path pairs; shared, read-only,
-    built once per n_dof."""
-    return _ideal_state(_dof_count(n_dof))
+    """``model.hyper_state(pi, 0, n_dof)``, the maximally violating state of
+    canonical_product(n_dof); shared, read-only, built once per n_dof."""
+    return _ideal_state(model.checked_dof_count(n_dof))
 
 
 @cache  # keyed by the checked int, so only 1..MAX_DOF are ever stored
 def _ideal_state(n_dof: int) -> QuantumState:
-    kinds = model.canonical_kinds(n_dof)
-    return model.product_state(kinds, [np.pi if k == model.POLARIZATION else 0.0 for k in kinds])
+    return model.hyper_state(np.pi, 0.0, n_dof)
 
 
 @cache  # at most 1 + 2 + 3 + 4 tables; a factor outside 0..n_dof-1 raises
@@ -210,29 +196,22 @@ def quantum_value(bell: BellOperator, state: QuantumState) -> float:
 
 @dataclass(frozen=True)
 class IdealPredictions:
-    """Exact expectations and spectral radii on a two-DOF pure state."""
+    """Exact expectations and spectral radii on a pure N-DOF state: each
+    factor's CHSH operator, factor 0 first, then their product."""
 
-    beta_pi: float
-    beta_k: float
-    beta: float
-    radius_pi: float
-    radius_k: float
-    radius_product: float
+    values: tuple  # signed <beta_f> per factor, then <beta>
+    radii: tuple
 
 
 def ideal_predictions(state: QuantumState) -> IdealPredictions:
-    """Signed <beta_pi>, <beta_k>, <beta> plus operator spectral radii."""
-    if state.dof_count != 2:
-        raise ValueError("ideal predictions are defined for the two-DOF state")
-    b_pi, b_k = build_beta_pi(), build_beta_k()
-    product = build_beta_product([b_pi, b_k])
+    """Signed <beta_f> of each factor of ``canonical_product(N)`` and <beta>
+    of the product, plus their spectral radii."""
+    n = state.dof_count
+    product = canonical_product(n)
+    values = [_expect_real(_factor_embedding(n, f), state) for f in range(n)]
     return IdealPredictions(
-        beta_pi=_expect_real(_factor_embedding(2, 0), state),
-        beta_k=_expect_real(_factor_embedding(2, 1), state),
-        beta=quantum_value(product, state),
-        radius_pi=b_pi.radius,
-        radius_k=b_k.radius,
-        radius_product=product.radius,
+        values=(*values, quantum_value(product, state)),
+        radii=tuple([op.radius for op in (*product.factors, product)]),
     )
 
 
@@ -255,7 +234,7 @@ def scaling_report(n_dof: int, bound_source: str = ANALYTIC) -> ScalingReport:
     The classical bound is either the analytic product bound 2^N for the
     factorizable class, or the exhaustively enumerated one.
     """
-    n_dof = _dof_count(n_dof)
+    n_dof = model.checked_dof_count(n_dof)
     op = canonical_product(n_dof)
     q = abs(quantum_value(op, ideal_state(n_dof)))
     if bound_source == ANALYTIC:

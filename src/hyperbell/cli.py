@@ -35,8 +35,8 @@ with ``#`` comments, at most ``MAX_CONFIG_BYTES`` long; a key repeated in
 one file, a flag repeated on the command line (``--config`` included),
 ``v`` together with ``v_pi`` or ``v_k`` in one file, or a ``study`` key
 that differs from the positional study is refused.  ``--dof`` ranges over
-1..MAX_DOF for bounds and scaling; ideal, simulate and assumptions model
-exactly 2 degrees of freedom and refuse any other value; an empty ``out``
+1..MAX_DOF for ideal, bounds and scaling; simulate and assumptions take
+only 2; ideal at one DOF has no path pair and refuses phi; an empty ``out``
 is refused.  All output is byte-deterministic for a fixed config and seed.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure, 4
 enumeration guard exceeded.
@@ -172,8 +172,8 @@ OPTIONS = {
         Option("seed", 0, partial(_parse_int, minimum=0, maximum=2**64 - 1),
                "N", "master RNG seed"),
         Option("dof", 2, partial(_parse_int, minimum=1, maximum=bell.MAX_DOF),
-               "N", f"degrees of freedom, 1..{bell.MAX_DOF} for bounds and scaling; "
-               "the other studies take only 2"),
+               "N", f"degrees of freedom, 1..{bell.MAX_DOF} for ideal, bounds and scaling; "
+               "simulate and assumptions take only 2"),
         Option("class", None, *_choice(lhv.STRATEGY_CLASSES),
                "restrict the bounds study to one strategy class"),
         Option("format", "table", *_choice(FORMATS)),
@@ -253,13 +253,15 @@ def build_config(study: str, file_values: dict, flag_values: dict) -> RunConfig:
             source.setdefault("v_k", shared)
         merged.update(source)
     del merged["v"]  # expanded above: the run reads v_pi and v_k
-    reads = STUDIES[study].keys
-    if "theta" in reads and merged["dof"] != 2:
+    reads = set(STUDIES[study].keys)
+    if study in ("simulate", "assumptions") and merged["dof"] != 2:
         raise ConfigError(
             f"key 'dof': study '{study}' models exactly 2 degrees of freedom,"
             f" got {merged['dof']}"
         )
-    unread = given - set(reads) - {"format", "out"}
+    if merged["dof"] == 1:
+        reads.discard("phi")  # one DOF is a polarization pair alone: no path phase
+    unread = given - reads - {"format", "out"}
     if STUDIES[study].noise_free and merged["noise"] == model.NOISE_NONE:
         unread.discard("noise")  # restates what the study computes
     if unread:
@@ -290,25 +292,28 @@ class StudyResult:
     sigmas: float | None = None
 
 
+def _pure_state(config: RunConfig) -> model.QuantumState:
+    return model.hyper_state(config["theta"], config["phi"], config["dof"])
+
+
 def _prepared_state(config: RunConfig) -> model.QuantumState:
-    return model.apply_noise(model.hyper_state(config["theta"], config["phi"]), config.noise)
+    return model.apply_noise(_pure_state(config), config.noise)
 
 
 def _run_ideal(config: RunConfig) -> StudyResult:
-    state = model.hyper_state(config["theta"], config["phi"])
-    pred = bell.ideal_predictions(state)
-    rows = [
-        {"quantity": "beta_pi", "value": pred.beta_pi},
-        {"quantity": "abs_beta_pi", "value": abs(pred.beta_pi)},
-        {"quantity": "beta_k", "value": pred.beta_k},
-        {"quantity": "abs_beta_k", "value": abs(pred.beta_k)},
-        {"quantity": "beta", "value": pred.beta},
-        {"quantity": "abs_beta", "value": abs(pred.beta)},
-        {"quantity": "spectral_radius_beta_pi", "value": pred.radius_pi},
-        {"quantity": "spectral_radius_beta_k", "value": pred.radius_k},
-        {"quantity": "spectral_radius_beta", "value": pred.radius_product},
-    ]
-    return StudyResult(config, rows, pred, beta=pred.beta, std_err=0.0, bound=4.0)
+    """Rows per factor, factor 0 first, then the product: each signed value
+    and its magnitude, then each spectral radius."""
+    pred = bell.ideal_predictions(_pure_state(config))
+    names = [f"beta_{label}" for label in bell.canonical_product(config["dof"]).factor_labels]
+    names.append("beta")
+    rows = []
+    for name, value in zip(names, pred.values):
+        rows += [{"quantity": name, "value": value},
+                 {"quantity": f"abs_{name}", "value": abs(value)}]
+    rows += [{"quantity": f"spectral_radius_{name}", "value": radius}
+             for name, radius in zip(names, pred.radii)]
+    return StudyResult(config, rows, pred, beta=pred.values[-1], std_err=0.0,
+                       bound=2.0 ** config["dof"])
 
 
 def _witness_text(side: dict) -> str:
@@ -495,8 +500,8 @@ class Study:
     its table renderer, which returns the lines of the table format.  Any
     other key set explicitly would be recorded in the report and otherwise
     ignored, so it is refused; a ``noise_free`` study accepts ``noise = none``.
-    The studies that read the state phases prepare the two-DOF
-    polarization-path state and take no --dof but 2."""
+    ``--dof`` is 1..4 for ideal, bounds and scaling; simulate and
+    assumptions take only 2."""
 
     keys: tuple
     run: Callable[[RunConfig], StudyResult]

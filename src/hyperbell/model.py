@@ -23,6 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 from functools import cache, cached_property, reduce
 
@@ -77,9 +78,21 @@ _OBSERVABLES = {
 _KIND_LABELS = {POLARIZATION: "pi", PATH: "k"}
 
 
+def checked_dof_count(n_dof) -> int:
+    """``n_dof`` as a Python int in [1, MAX_DOF]; numpy integers pass, while
+    bools, floats and counts out of range are refused naming the DOF count."""
+    if type(n_dof) is not int and not isinstance(n_dof, np.integer):  # refuses bools
+        raise ValueError(f"dof count must be an integer, got {n_dof!r}")
+    n_dof = operator.index(n_dof)
+    if not 1 <= n_dof <= MAX_DOF:
+        raise ValueError(f"dof count must lie in [1, {MAX_DOF}], got {n_dof}")
+    return n_dof
+
+
+@cache
 def canonical_kinds(n: int) -> tuple:
     """Factor kinds of the canonical N-DOF experiment, factor 0 first:
-    polarization, path, polarization, ..."""
+    polarization, path, polarization, ...; built once per n."""
     return tuple([PATH if f % 2 else POLARIZATION for f in range(n)])
 
 
@@ -272,13 +285,16 @@ def product_state(kinds: tuple, phases: tuple) -> QuantumState:
     return QuantumState.pure(vector, len(kinds))  # a view of a fresh read-only array: not copied
 
 
-def hyper_state(theta: float, phi: float) -> QuantumState:
-    """Hyper-entangled pure state (|HH> + e^{i theta}|VV>) x (|lr> + e^{i phi}|rl>) / 2.
+def hyper_state(theta: float, phi: float, dof_count: int = 2) -> QuantumState:
+    """Hyper-entangled pure state of the factors ``canonical_kinds(dof_count)``:
+    phase theta on every polarization pair, phi on every path pair; at two
+    DOF (|HH> + e^{i theta}|VV>) x (|lr> + e^{i phi}|rl>) / 2.
 
-    theta = pi, phi = 0 gives the singlet-signed polarization pair times the
-    symmetric path pair produced by the source.
+    theta = pi, phi = 0 gives the singlet-signed polarization pairs times the
+    symmetric path pairs produced by the source.
     """
-    return product_state((POLARIZATION, PATH), (theta, phi))
+    kinds = canonical_kinds(checked_dof_count(dof_count))
+    return product_state(kinds, [theta if kind == POLARIZATION else phi for kind in kinds])
 
 
 def pair_projectors(pol_matrix, path_matrix, photon: str) -> dict:

@@ -241,12 +241,6 @@ def _distinct_stacks(sides: list) -> tuple:
     return qcore.read_only(stacks), np.array([rows[ids] for ids in sides])
 
 
-def bell_test_settings() -> tuple:
-    """The 16 canonical joint settings: the terms of the two-DOF product
-    operator, in its term order."""
-    return _layout(2).operator.terms
-
-
 @dataclass(frozen=True, eq=False)  # ndarray fields: identity equality and hash
 class OutcomeDistribution:
     setting: JointSetting
@@ -310,13 +304,16 @@ def marginals(dist: OutcomeDistribution) -> tuple:
 def signaling_deviation(state: QuantumState) -> float:
     """Largest marginal shift of one side under the other side's setting.
 
-    Scans the canonical settings (the terms of ``canonical_product(N)``)
-    grouped by each side's local setting; quantum states keep this at
-    floating-point rounding scale.
+    Scans the canonical settings (the terms of ``canonical_product(N)``, the
+    first Born rows of a run's pass) grouped by each side's local setting;
+    quantum states keep this at floating-point rounding scale.
     """
+    layout = _layout(state.dof_count)
+    terms = layout.operator.terms
+    grids = layout.run_pass.born(state)[: len(terms)].reshape(len(terms), 2**len(layout.kinds), -1)
     groups: dict = {}  # (photon, its local setting) -> its marginals
-    for setting in _layout(state.dof_count).operator.terms:
-        margs = marginals(born_distribution(state, setting))
+    for setting, grid in zip(terms, grids):
+        margs = grid.sum(axis=1), grid.sum(axis=0)
         for key, marg in zip((("u", setting.u_label), ("d", setting.d_label)), margs):
             groups.setdefault(key, []).append(marg)
     return max(float(np.ptp(np.stack(margs), axis=0).max()) for margs in groups.values())
@@ -344,8 +341,11 @@ def estimate(counts, setting: JointSetting, factor: int | None = None) -> Correl
     (``a_pi2``).  Counts must have an integer dtype: floats, whole or not,
     are refused rather than truncated, and they must total below 2^53."""
     layout = _layout_of(setting)
-    if factor is not None and factor not in range(len(layout.kinds)):
-        raise ValueError(f"factor {factor!r} outside 0..{len(layout.kinds) - 1}")
+    if factor is not None:
+        if type(factor) is not int and not isinstance(factor, np.integer):  # refuses bools
+            raise ValueError(f"factor must be an integer or None, got {factor!r}")
+        if factor not in range(len(layout.kinds)):
+            raise ValueError(f"factor {factor!r} outside 0..{len(layout.kinds) - 1}")
     weights = layout.weight_rows[0 if factor is None else factor + 1]
     c = np.asarray(counts)
     if c.shape != weights.shape or c.dtype.kind not in "iu" or np.any(c < 0):

@@ -375,10 +375,35 @@ class TestQuantumValue:
 class TestIdealPredictions:
     def test_source_state_values(self):
         pred = bell.ideal_predictions(model.hyper_state(np.pi, 0.0))
-        assert pred.beta_pi == pytest.approx(-2 * SQRT2, abs=1e-10)
-        assert pred.beta_k == pytest.approx(2 * SQRT2, abs=1e-10)
-        assert pred.beta == pytest.approx(-8.0, abs=1e-10)
-        assert pred.radius_product == pytest.approx(8.0, abs=1e-7)
+        beta_pi, beta_k, beta = pred.values
+        assert beta_pi == pytest.approx(-2 * SQRT2, abs=1e-10)
+        assert beta_k == pytest.approx(2 * SQRT2, abs=1e-10)
+        assert beta == pytest.approx(-8.0, abs=1e-10)
+        assert pred.radii[-1] == pytest.approx(8.0, abs=1e-7)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_factor_then_the_product(self, n):
+        """One value and one radius per factor, factor 0 first, then the
+        product's: -2 sqrt 2 on each polarization pair at theta = pi, +2 sqrt 2
+        on each path pair, and the product is their product."""
+        op = bell.canonical_product(n)
+        pred = bell.ideal_predictions(bell.ideal_state(n))
+        assert len(pred.values) == len(pred.radii) == n + 1
+        signs = [-1 if kind == model.POLARIZATION else 1 for kind in op.kinds]
+        for value, sign in zip(pred.values, signs):
+            assert value == pytest.approx(sign * 2 * SQRT2, abs=1e-10)
+        assert pred.values[-1] == bell.quantum_value(op, bell.ideal_state(n))
+        assert pred.values[-1] == pytest.approx(np.prod(signs) * (2 * SQRT2) ** n, rel=1e-12)
+        assert pred.radii == tuple(f.radius for f in op.factors) + (op.radius,)
+
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_phases_by_kind(self, n):
+        """theta sets every polarization pair and phi every path pair, so
+        each factor's value depends on its own kind's phase alone."""
+        pred = bell.ideal_predictions(model.hyper_state(0.4, -1.1, n))
+        by_kind = bell.ideal_predictions(model.hyper_state(0.4, -1.1, 2)).values[:2]
+        for kind, value in zip(bell.canonical_product(n).kinds, pred.values):
+            assert value == pytest.approx(by_kind[kind == model.PATH], abs=1e-12)
 
     def test_radii_read_once(self, monkeypatch):
         def refuse(*_):

@@ -394,10 +394,11 @@ class TestConfigHandling:
 
 
 class TestDofScope:
-    """simulate, assumptions and ideal model exactly two degrees of freedom;
-    --dof used to be recorded in the report and otherwise ignored."""
+    """simulate and assumptions model exactly two degrees of freedom; ideal,
+    bounds and scaling take 1..4.  --dof used to be recorded in the report
+    and otherwise ignored."""
 
-    @pytest.mark.parametrize("study", ["simulate", "assumptions", "ideal"])
+    @pytest.mark.parametrize("study", ["simulate", "assumptions"])
     @pytest.mark.parametrize("dof", ["1", "3"])
     def test_two_dof_studies_refuse_other_dof(self, study, dof, capsys):
         assert run_inproc(study, "--dof", dof, "--events", "100") == 2
@@ -407,7 +408,7 @@ class TestDofScope:
     def test_dof_from_config_file_refused(self, tmp_path, capsys):
         cfg = tmp_path / "dof.cfg"
         cfg.write_text("dof = 3\n")
-        assert run_inproc("ideal", "--config", str(cfg)) == 2
+        assert run_inproc("simulate", "--config", str(cfg), "--events", "100") == 2
         assert "'dof'" in capsys.readouterr().err
 
     def test_explicit_two_accepted(self, capsys):
@@ -418,6 +419,34 @@ class TestDofScope:
     def test_enumeration_studies_keep_dof_range(self, study):
         assert run_inproc(study, "--dof", "1", "--format", "csv") == 0
         assert run_inproc(study, "--dof", "3", "--format", "csv") == 0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_ideal_takes_every_dof_count(self, n, capsys):
+        """Rows per factor label, then the product, then the radii; the
+        bound is 2^N and abs_beta is the scaling study's quantum value,
+        bit for bit."""
+        assert run_inproc("ideal", "--dof", str(n), "--format", "json") == 0
+        doc = json.loads(capsys.readouterr().out)
+        names = [f"beta_{label}" for label in bell.canonical_product(n).factor_labels] + ["beta"]
+        expected = [q for name in names for q in (name, f"abs_{name}")]
+        expected += [f"spectral_radius_{name}" for name in names]
+        assert [row["quantity"] for row in doc["rows"]] == expected
+        assert doc["bound"] == 2.0**n and doc["beta"] == doc["rows"][2 * n]["value"]
+        assert run_inproc("scaling", "--dof", str(n), "--format", "json") == 0
+        quantum = json.loads(capsys.readouterr().out)["rows"][n - 1]["quantum_value"]
+        assert doc["rows"][2 * n + 1] == {"quantity": "abs_beta", "value": quantum}
+
+    @pytest.mark.parametrize("n,abs_beta", [(3, "22.627417"), (4, "64.000000")])
+    def test_ideal_table_beyond_two_dof(self, n, abs_beta, capsys):
+        assert run_inproc("ideal", "--dof", str(n)) == 0
+        assert f"abs_beta                  = {abs_beta}\n" in capsys.readouterr().out
+
+    def test_path_phase_refused_at_one_dof(self, capsys):
+        """One DOF is a polarization pair alone, so phi would change nothing."""
+        assert run_inproc("ideal", "--dof", "1", "--phi", "1") == 2
+        captured = capsys.readouterr()
+        assert "'phi'" in captured.err and captured.out == ""
+        assert run_inproc("ideal", "--dof", "1", "--theta", "1") == 0
 
 
 class TestUnreadKeys:

@@ -133,6 +133,32 @@ CORPUS = {
         ["ideal", "--noise", "none", "--format", "json"],
         "e8ba494a9e78aa9945a4782abc56f1892dcf3c91bbb58f8c18c6b7e6966c6daa",
     ),
+    # The ideal study at the other DOF counts: rows per factor label, the
+    # product, the radii and the bound 2^N.
+    "ideal-dof1": (
+        ["ideal", "--dof", "1"],
+        "84849e72a45c4e08e772390c5b177b96ae9393052d7986c0133121e5b82c0170",
+    ),
+    "ideal-dof1-json": (
+        ["ideal", "--dof", "1", "--format", "json"],
+        "7aa96e9ca3d2885d96b09c515896379aabbdbf034a404be83c3251e417686e51",
+    ),
+    "ideal-dof3": (
+        ["ideal", "--dof", "3"],
+        "da61ce5a9381caa0aeffa47bd60d22c35f9ca0ab22c9cc785b483cba22be14f2",
+    ),
+    "ideal-dof3-json": (
+        ["ideal", "--dof", "3", "--format", "json"],
+        "b78e5884a0246aab4c0b9039b1e68a2baecd28dca009ec9b22401417c0b8d361",
+    ),
+    "ideal-dof4": (
+        ["ideal", "--dof", "4"],
+        "f78141b4d699f1eb2fa93757a105153cd15dfe7caba7b4c7cd7ac3b2ebd0d398",
+    ),
+    "ideal-dof4-json": (
+        ["ideal", "--dof", "4", "--format", "json"],
+        "4c2b49f0439f8288ae26da4f457fbe4b17aa60cb8be0e9bcd5f0d769669c3ff4",
+    ),
 }
 
 

@@ -536,6 +536,13 @@ class TestProductState:
             assert state.vector.tobytes() == expected.tobytes()
             assert state.vector.tobytes() == model.hyper_state(theta, phi).vector.tobytes()
 
+    @pytest.mark.parametrize("n", [True, np.bool_(True), 2.0, "2", None, 0, model.MAX_DOF + 1])
+    def test_hyper_state_dof_count_checked(self, n):
+        """The DOF count goes through the one check ``bell`` uses: a bool
+        would otherwise build a one-DOF state."""
+        with pytest.raises(ValueError, match="dof count must"):
+            model.hyper_state(0.1, 0.2, n)
+
     def test_too_many_phases_refused(self):
         """The second phase was dropped and an N = 1 state built."""
         with pytest.raises(ValueError, match="phases must give one phase per kind: 1 kinds, 2"):

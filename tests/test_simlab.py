@@ -43,15 +43,16 @@ STATES = {
 
 class TestSettings:
     def test_sixteen_canonical_settings(self):
-        settings = simlab.bell_test_settings()
+        settings = bell.canonical_product(2).terms
         assert len(settings) == 16
         assert len({(s.u_label, s.d_label) for s in settings}) == 16
 
     def test_labels_match_product_terms(self):
+        """The joint records of a run carry the labels of the product terms."""
         op = bell.canonical_product(2)
         term_labels = {(t.u_label, t.d_label) for t in op.terms}
-        setting_labels = {(s.u_label, s.d_label) for s in simlab.bell_test_settings()}
-        assert setting_labels == term_labels
+        result = simlab.run_simulated_experiment(IDEAL, 100, seed=0)
+        assert {rec.label for rec in result.joint_records} == term_labels
 
     def test_kind_validation(self):
         with pytest.raises(ValueError, match="not a polarization"):
@@ -62,8 +63,8 @@ class TestSettings:
 
     def test_settings_are_the_product_terms(self):
         """The simulated settings are the operator's own terms, in term order."""
-        settings = simlab.bell_test_settings()
-        assert settings == bell.canonical_product(2).terms
+        settings = bell.canonical_product(2).terms
+        assert tuple(s for s, _ in simlab._layout(2).run_cells[:16]) == settings
         assert all(isinstance(s, JointSetting) for s in settings)
 
     @pytest.mark.parametrize(
@@ -135,7 +136,7 @@ class TestBornDistribution:
 
     @pytest.mark.parametrize("state", [IDEAL, NOISY, MIXED_MAX], ids=["ideal", "noisy", "mixed"])
     def test_normalization(self, state):
-        for setting in simlab.bell_test_settings():
+        for setting in bell.canonical_product(2).terms:
             dist = simlab.born_distribution(state, setting)
             assert dist.probs.sum() == pytest.approx(1.0, abs=1e-9)
             assert np.all(dist.probs >= 0.0)
@@ -329,6 +330,26 @@ class TestNoSignaling:
     )
     def test_marginals_independent_of_remote_setting(self, state):
         assert simlab.signaling_deviation(state) < 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("theta,phi", [(np.pi, 0.0), (0.7, -1.3)])
+    @pytest.mark.parametrize(
+        "noise",
+        [NoiseModel(model.NOISE_NONE), NoiseModel(model.NOISE_WHITE, 0.87, 0.93),
+         NoiseModel(model.NOISE_DEPHASING, 0.9, 0.8)],
+        ids=["none", "white", "dephasing"],
+    )
+    def test_deviation_equals_per_setting_reference(self, n, theta, phi, noise):
+        """The deviation read from a run pass's first 4^N Born rows equals the
+        one built from a ``born_distribution`` call per canonical setting."""
+        state = model.apply_noise(model.hyper_state(theta, phi, n), noise)
+        groups = {}
+        for setting in bell.canonical_product(n).terms:
+            margs = simlab.marginals(simlab.born_distribution(state, setting))
+            for key, marg in zip((("u", setting.u_label), ("d", setting.d_label)), margs):
+                groups.setdefault(key, []).append(marg)
+        expected = max(float(np.ptp(np.stack(m), axis=0).max()) for m in groups.values())
+        assert simlab.signaling_deviation(state) == expected
 
 
 class TestSample:
@@ -1144,6 +1165,16 @@ class TestArrayPass:
 
 
 class TestEstimate:
+    @pytest.mark.parametrize("factor", [True, False, np.bool_(True), 1.0, np.float64(0.0), "1"])
+    def test_non_integer_factor_refused(self, factor):
+        """True ran as factor 1, and a float factor escaped as numpy's IndexError."""
+        with pytest.raises(ValueError, match="factor must be an integer"):
+            simlab.estimate(np.full(16, 10, dtype=int), _setting("A", "A", "B", "B"), factor)
+
+    def test_numpy_integer_factor_is_the_int(self):
+        counts, setting = np.arange(16), _setting("A", "a", "B", "b")
+        assert simlab.estimate(counts, setting, np.int64(1)) == simlab.estimate(counts, setting, 1)
+
     def test_deterministic_counts_give_unit_correlation(self):
         counts = np.zeros(16, dtype=int)
         counts[0] = 500  # (+,+ | +,+)
@@ -1238,7 +1269,7 @@ class TestEstimate:
 class TestFactorization:
     def test_joint_equals_product_of_marginals_analytically(self):
         for state in (IDEAL, NOISY):
-            for setting in simlab.bell_test_settings():
+            for setting in bell.canonical_product(2).terms:
                 joint, pol, path = simlab.analytic_correlations(
                     simlab.born_distribution(state, setting)
                 )
@@ -1256,7 +1287,7 @@ class TestFactorization:
 class TestViolationReport:
     def _analytic_records(self, state, which):
         records = []
-        for setting in simlab.bell_test_settings():
+        for setting in bell.canonical_product(2).terms:
             dist = simlab.born_distribution(state, setting)
             joint, pol, path = simlab.analytic_correlations(dist)
             e = {"joint": joint, "pol": pol, "path": path}[which]
@@ -1279,7 +1310,7 @@ class TestViolationReport:
     def test_ideal_chsh_records_sum_to_tsirelson(self):
         pol_records = {}
         path_records = {}
-        for setting in simlab.bell_test_settings():
+        for setting in bell.canonical_product(2).terms:
             dist = simlab.born_distribution(IDEAL, setting)
             _, pol, path = simlab.analytic_correlations(dist)
             pol_records[(setting.u_ids[0].label, setting.d_ids[0].label)] = pol

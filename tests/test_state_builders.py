@@ -35,22 +35,24 @@ def _reference_product(kinds, phases):
 
 
 def _reference_ideal(state):
-    """``ideal_predictions`` with both embeddings built by ``qcore.tensor`` per call."""
-    b_pi, b_k, product = bell.build_beta_pi(), bell.build_beta_k(), bell.canonical_product(2)
-    eye = np.eye(4, dtype=complex)
+    """``ideal_predictions`` with every factor's embedding built by
+    ``qcore.tensor`` per call, at any DOF count."""
+    n = state.dof_count
+    product = bell.canonical_product(n)
 
     def value(matrix):
         if state.is_pure:
             return float(qcore.expectation(matrix, state.vector).real)
         return float(qcore.expectation_mixed(matrix, state.rho).real)
 
+    def embedding(f, matrix):
+        parts = (np.eye(4**f, dtype=complex), matrix, np.eye(4 ** (n - f - 1), dtype=complex))
+        return reduce(qcore.tensor, [m for m in parts if m.shape[0] > 1])
+
+    factors = [value(embedding(f, op.matrix)) for f, op in enumerate(product.factors)]
     return IdealPredictions(
-        beta_pi=value(qcore.tensor(b_pi.matrix, eye)),
-        beta_k=value(qcore.tensor(eye, b_k.matrix)),
-        beta=value(product.matrix),
-        radius_pi=b_pi.radius,
-        radius_k=b_k.radius,
-        radius_product=product.radius,
+        values=(*factors, value(product.matrix)),
+        radii=tuple(op.radius for op in (*product.factors, product)),
     )
 
 
@@ -88,6 +90,14 @@ class TestBuildersMatchKroneckerReference:
     def test_hyper_state_bytes(self, theta, phi):
         expected = _reference_product((model.POLARIZATION, model.PATH), (theta, phi))
         assert model.hyper_state(theta, phi).vector.tobytes() == expected.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, model.MAX_DOF), theta=phases, phi=phases)
+    def test_hyper_state_puts_phases_by_kind(self, n, theta, phi):
+        """theta on every polarization pair, phi on every path pair."""
+        kinds = model.canonical_kinds(n)
+        expected = _reference_product(kinds, [theta if k == model.POLARIZATION else phi for k in kinds])
+        assert model.hyper_state(theta, phi, n).vector.tobytes() == expected.tobytes()
 
 
 class TestLazyDensityMatrix:
@@ -128,10 +138,10 @@ class TestLazyDensityMatrix:
 
 class TestSharedIdealEmbeddings:
     @settings(max_examples=150, deadline=None)
-    @given(theta=phases, phi=phases, v_pi=st.floats(0.0, 1.0), v_k=st.floats(0.0, 1.0),
-           noise=st.sampled_from(model.NOISE_KINDS))
-    def test_predictions_equal_per_call_embeddings(self, theta, phi, v_pi, v_k, noise):
-        pure = model.hyper_state(theta, phi)
+    @given(n=st.integers(1, model.MAX_DOF), theta=phases, phi=phases, v_pi=st.floats(0.0, 1.0),
+           v_k=st.floats(0.0, 1.0), noise=st.sampled_from(model.NOISE_KINDS))
+    def test_predictions_equal_per_call_embeddings(self, n, theta, phi, v_pi, v_k, noise):
+        pure = model.hyper_state(theta, phi, n)
         states = [pure]
         if noise != model.NOISE_NONE:
             states.append(model.apply_noise(pure, NoiseModel(noise, v_pi, v_k)))
