@@ -53,7 +53,8 @@ class BellOperator:
     kinds: tuple
 
     def __post_init__(self):
-        if not 1 <= len(self.kinds) <= MAX_DOF or not set(self.kinds) <= _SIGNS.keys():
+        counted = isinstance(self.kinds, tuple) and 1 <= len(self.kinds) <= MAX_DOF
+        if not counted or not set(self.kinds) <= _SIGNS.keys():
             raise ValueError(
                 f"kinds must be 1 to {MAX_DOF} of {tuple(_SIGNS)}, got {self.kinds!r}"
             )

@@ -215,9 +215,10 @@ class QuantumState:
 
     @classmethod
     def mixed(cls, rho, dof_count: int | None = None) -> "QuantumState":
-        r = _owned(qcore.as_matrix(rho))
-        qcore.check_density_matrix(r)
+        r = qcore.as_matrix(rho)
         state = cls(dof_count=_infer_dof_count(r.shape[0], dof_count), vector=None)
+        r = _owned(r)
+        qcore.check_density_matrix(r)
         object.__setattr__(state, "rho", r)  # fills the cached_property: never built
         return state
 
@@ -237,8 +238,8 @@ def _infer_dof_count(dim: int, dof_count: int | None) -> int:
     while d > 1 and d % 4 == 0:
         d //= 4
         n += 1
-    if d != 1 or n == 0:
-        raise ValueError(f"dimension {dim} is not 4^N for a positive N")
+    if d != 1 or not 1 <= n <= MAX_DOF:
+        raise ValueError(f"dimension {dim} is not 4^N for N in 1..{MAX_DOF}")
     if dof_count is not None and dof_count != n:
         raise ValueError(f"dimension {dim} does not match dof_count {dof_count}")
     return n

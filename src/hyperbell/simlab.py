@@ -20,14 +20,16 @@ A sampled cell is a ``(setting, factor)`` pair: the joint correlation of
 the setting when ``factor`` is None, else the correlation of that one
 degree of freedom.  Sampling is multinomial on the Born distribution,
 driven by the seeded generator in ``rng`` (identity ``rng.GENERATOR_ID``);
-cell i of a list draws from the sub-stream ``stream_base + i`` of the
-seed (``rng.derive_seeds``), so runs are reproducible cell by cell.  A
-list is sampled in one array pass (``_CellPass``): ``A @ R`` once per
-distinct u stack, stacked Born contractions, one sampler call with one
-seed per row, and one weight product.  A simulated run is one pass over
-its 56 cells at N = 2, its own then the assumption cells, cell i on
-sub-stream i.  ``born_distribution``, ``sample`` and ``estimate`` are the
-one-row calls of the same kernels.
+cell i of a sampled range draws from the sub-stream ``stream_base + i`` of
+the seed (``rng.derive_seeds``), so runs are reproducible cell by cell.
+Each N has one array pass (``_CellPass``), a run's own cells then the
+assumption cells (56 at N = 2), read over contiguous row ranges: ``A @ R``
+once per distinct u stack the range reads, stacked Born contractions, one
+sampler call with one seed per row, and one weight product.  A run reads
+the whole pass, cell i on sub-stream i; ``assumption_test`` reads the
+assumption suffix and ``signaling_deviation`` the 4^N product terms, which
+come first.  ``born_distribution`` (a one-cell pass), ``sample`` and
+``estimate`` are the one-row calls of the same kernels.
 """
 
 from __future__ import annotations
@@ -72,8 +74,8 @@ _OUTCOME_PROJECTORS = {
 def _side_projectors(ids: tuple) -> np.ndarray:
     """One photon's 2^N outcome projectors on its own 2^N-dim space as a
     read-only 2^N x 4^N stack: the Kronecker product of the (I +- M)/2 pairs
-    of its observables, factor 0 slowest.  Built on each call; a pass keeps
-    the stacks it reads (``_CellPass``).  The names need not belong to the
+    of its observables, factor 0 slowest.  Built on each call; each N's one
+    pass keeps its stacks (``_CellPass``).  The names need not belong to the
     photon."""
     stack = reduce(_kron_stack, [_OUTCOME_PROJECTORS[obs] for obs in ids])
     return qcore.read_only(stack.reshape(len(stack), -1))
@@ -164,12 +166,8 @@ class _Layout:
 
     @cached_property
     def run_pass(self) -> _CellPass:
-        """A run's one pass: its own cells, then the assumption cells."""
+        """The one pass of this N: a run's own cells, then the assumption cells."""
         return _CellPass(self, self.run_cells + self.assumption_cells)
-
-    @cached_property
-    def assumption_pass(self) -> _CellPass:
-        return _CellPass(self, self.assumption_cells)
 
     def _cell(self, f: int, pair: tuple, context) -> tuple:
         """The cell of factor f measuring the (u, d) names ``pair``, with the
@@ -204,13 +202,13 @@ def _record_label(layout: _Layout, setting: JointSetting, factor: int | None) ->
 
 
 class _CellPass:
-    """One ordered (setting, factor) cell list as the arrays of one pass
-    over it (``_sample_cells``), all built once: per photon, the read-only
-    stack of its distinct observables tuples (``_side_projectors``) and each
-    cell's index into it; each cell's row of ``_Layout.weight_rows``; and
-    the record labels.  A photon has at most 80 distinct tuples a pass (at
-    N = 4), each built once per pass and kept with it, and a ``_Layout``
-    keeps its two passes, so no stack is built per cell or per run."""
+    """One ordered (setting, factor) cell list as the arrays of a pass over
+    a contiguous range of it (``_sample_cells``), all built once: per photon,
+    the read-only stack of its distinct observables tuples
+    (``_side_projectors``), in first-use order, and each cell's index into
+    it; each cell's row of ``_Layout.weight_rows``; and the record labels.
+    A photon has at most 80 distinct tuples (at N = 4), each built once, and
+    a ``_Layout`` keeps its one pass, so no stack is built per call."""
 
     def __init__(self, layout: _Layout, cells: tuple):
         self.layout = layout
@@ -220,16 +218,19 @@ class _CellPass:
         self.weight_index = np.array([0 if f is None else f + 1 for _, f in cells])
         self.labels = tuple(_record_label(layout, s, f) for s, f in cells)
 
-    def born(self, state: QuantumState) -> np.ndarray:
-        """The Born rows of every cell, in cell order: ``U @ R`` once for the
-        distinct u stacks, then ``_born`` on blocks of ``born_block`` cells,
-        whose gathered stacks stay small."""
-        ur = self.u_stacks @ _photon_local(state, self.layout)
+    def born(self, state: QuantumState, rows: slice = slice(None)) -> np.ndarray:
+        """The Born rows of the contiguous cell range ``rows``: rho permuted to
+        photon-local order (``_Layout.born_axes``), ``U @ R`` for the u stacks
+        up to the last one the range reads, then ``_born`` on blocks of
+        ``born_block`` cells, whose gathered stacks stay small."""
+        u_index, d_index, axes = self.u_index[rows], self.d_index[rows], self.layout.born_axes
+        r = state.rho.reshape((2,) * len(axes)).transpose(axes).reshape(state.rho.shape)
+        ur = self.u_stacks[: u_index.max() + 1] @ r
         step = self.layout.born_block
-        probs = np.empty((len(self.cells), len(self.layout.joint_weights)))
-        for lo in range(0, len(self.cells), step):
+        probs = np.empty((len(u_index), len(self.layout.joint_weights)))
+        for lo in range(0, len(u_index), step):
             block = slice(lo, lo + step)
-            probs[block] = _born(ur[self.u_index[block]], self.d_stacks[self.d_index[block]])
+            probs[block] = _born(ur[u_index[block]], self.d_stacks[d_index[block]])
         return probs
 
 
@@ -245,12 +246,6 @@ def _distinct_stacks(sides: list) -> tuple:
 class OutcomeDistribution:
     setting: JointSetting
     probs: np.ndarray  # 4^N cells, u-major
-
-
-def _photon_local(state: QuantumState, layout: _Layout) -> np.ndarray:
-    """rho permuted to photon-local order (``_Layout.born_axes``)."""
-    qubits = (2,) * len(layout.born_axes)
-    return state.rho.reshape(qubits).transpose(layout.born_axes).reshape(state.rho.shape)
 
 
 def _born(ur: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -277,7 +272,7 @@ def _born(ur: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 def born_distribution(state: QuantumState, setting: JointSetting) -> OutcomeDistribution:
     """Joint outcome probabilities Tr[rho (P_u x P_d)] for one setting: the
-    one-row call of ``_born``.  The reference is the trace over
+    Born row of a one-cell pass.  The reference is the trace over
     ``model.pair_projectors``."""
     layout = _layout_of(setting)
     if state.dof_count != len(layout.kinds):
@@ -285,9 +280,8 @@ def born_distribution(state: QuantumState, setting: JointSetting) -> OutcomeDist
             f"the setting measures {len(layout.kinds)} degrees of freedom,"
             f" the state has {state.dof_count}"
         )
-    u, d = (_side_projectors(ids) for ids in (setting.u_ids, setting.d_ids))
-    ur = u @ _photon_local(state, layout)
-    return OutcomeDistribution(setting=setting, probs=_born(ur[None], d[None])[0])
+    probs = _CellPass(layout, ((setting, None),)).born(state)[0]
+    return OutcomeDistribution(setting=setting, probs=probs)
 
 
 def analytic_correlations(dist: OutcomeDistribution) -> tuple:
@@ -310,7 +304,8 @@ def signaling_deviation(state: QuantumState) -> float:
     """
     layout = _layout(state.dof_count)
     terms = layout.operator.terms
-    grids = layout.run_pass.born(state)[: len(terms)].reshape(len(terms), 2**len(layout.kinds), -1)
+    rows = layout.run_pass.born(state, slice(len(terms)))
+    grids = rows.reshape(len(terms), 2**len(layout.kinds), -1)
     groups: dict = {}  # (photon, its local setting) -> its marginals
     for setting, grid in zip(terms, grids):
         margs = grid.sum(axis=1), grid.sum(axis=0)
@@ -471,14 +466,15 @@ class AssumptionReport:
 
 
 def _sample_cells(
-    state: QuantumState, cells: _CellPass, n_events: int, seed: int, stream_base: int
+    state: QuantumState, cells: _CellPass, n_events: int, seed: int, stream_base: int,
+    rows: slice = slice(None),
 ) -> list:
-    """One record per (setting, factor) cell, in cell order, from one array
-    pass: the Born rows of every cell, one sampler call on which cell i
-    reads sub-stream ``stream_base + i`` of ``seed``, one weight product."""
-    seeds = rng.derive_seeds(seed, stream_base, len(cells.cells))
-    counts = rng.multinomial(cells.born(state), n_events, seeds)
-    return _records(counts, cells.layout.weight_rows[cells.weight_index], cells.labels)
+    """One record per (setting, factor) cell of the range ``rows`` of a pass,
+    in cell order: its Born rows, one sampler call on which its cell i reads
+    sub-stream ``stream_base + i`` of ``seed``, one weight product."""
+    probs = cells.born(state, rows)
+    counts = rng.multinomial(probs, n_events, rng.derive_seeds(seed, stream_base, len(probs)))
+    return _records(counts, cells.layout.weight_rows[cells.weight_index[rows]], cells.labels[rows])
 
 
 def assumption_test(
@@ -495,7 +491,8 @@ def assumption_test(
     statistical.
     """
     layout = _layout(state.dof_count)
-    records = _sample_cells(state, layout.assumption_pass, n_events, seed, stream_base)
+    suffix = slice(len(layout.run_cells), None)
+    records = _sample_cells(state, layout.run_pass, n_events, seed, stream_base, suffix)
     return _assumption_report(state, layout, records, n_events, seed)
 
 

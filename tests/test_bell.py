@@ -171,9 +171,10 @@ class TestProductOperator:
                 bell.ideal_state(bad)
         assert bell._ideal_state.cache_info().currsize == 2
 
-    @pytest.mark.parametrize("kinds", [("spin",), (), (model.PATH,) * 5])
+    @pytest.mark.parametrize("kinds", [("spin",), (), (model.PATH,) * 5, [model.POLARIZATION]])
     def test_operator_kinds_refused(self, kinds):
-        """They failed on first read, with a KeyError or an empty reduce."""
+        """They failed on first read, with a KeyError or an empty reduce; a
+        list failed as an unhashable key in ``lhv.max_bound``."""
         with pytest.raises(ValueError, match=re.escape(f"got {kinds!r}")):
             bell.BellOperator(kinds=kinds)
 

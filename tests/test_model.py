@@ -198,6 +198,26 @@ class TestQuantumState:
         with pytest.raises(ValueError, match="4\\^N"):
             QuantumState.pure(v)
 
+    @pytest.mark.parametrize("dim", [1024, 4096])
+    def test_pure_beyond_max_dof_refused(self, dim):
+        """4^5 and 4^6 passed as five- and six-DOF states, which no other
+        module takes."""
+        with pytest.raises(ValueError, match=f"dimension {dim} is not 4\\^N for N in 1..4"):
+            QuantumState.pure(np.ones(dim) / np.sqrt(dim))
+
+    @pytest.mark.parametrize("dim", [1024, 4096])
+    def test_mixed_beyond_max_dof_refused_before_the_check(self, dim, monkeypatch):
+        """Refused by its dimension before the eigenvalue check runs; the
+        all-equal matrix J/dim is a valid (pure) density matrix."""
+
+        def boom(*args, **kwargs):
+            raise AssertionError("check_density_matrix called")
+
+        monkeypatch.setattr(qcore, "check_density_matrix", boom)
+        rho = np.broadcast_to(np.complex128(1.0 / dim), (dim, dim))
+        with pytest.raises(ValueError, match=f"dimension {dim} is not 4\\^N for N in 1..4"):
+            QuantumState.mixed(rho)
+
     def test_mixed_validates_density_matrix(self):
         with pytest.raises(ValueError):
             QuantumState.mixed(np.eye(4, dtype=complex))  # trace 4

@@ -351,6 +351,16 @@ class TestNoSignaling:
         expected = max(float(np.ptp(np.stack(m), axis=0).max()) for m in groups.values())
         assert simlab.signaling_deviation(state) == expected
 
+    def test_deviation_reads_only_the_product_rows(self, monkeypatch):
+        """At N = 4 the scan sends the 256 product-term rows through ``_born``,
+        not the 1,296 rows of the whole run pass."""
+        state = model.apply_noise(bell.ideal_state(4), WHITE_09)
+        expected = simlab.signaling_deviation(state)
+        rows, born = [], simlab._born
+        monkeypatch.setattr(simlab, "_born", lambda ur, d: rows.append(len(ur)) or born(ur, d))
+        assert simlab.signaling_deviation(state) == expected
+        assert sum(rows) == 4**4
+
 
 class TestSample:
     def test_point_distribution(self):
@@ -999,7 +1009,7 @@ class TestConstantTables:
                 entry[(0,) * entry.ndim] = 0.0
 
     def test_second_run_builds_no_projector(self, monkeypatch):
-        """Each pass keeps the stacks it built, and each N keeps its passes,
+        """Each pass keeps the stacks it built, and each N keeps its one pass,
         so no stack is built per run; there is no per-tuple stack cache."""
         first = simlab.run_simulated_experiment(NOISY, n_events=100, seed=3)
         first_report = simlab.assumption_test(NOISY, n_events=100, seed=3)
@@ -1054,14 +1064,19 @@ def _per_setting_born(state, setting):
     return probs / float(probs.sum())
 
 
-def _assert_pass_rows_bitwise(cells, state):
-    """Every Born row of a pass is bitwise the per-setting contraction and
-    the ``born_distribution`` row of its setting."""
-    rows = cells.born(state)
-    assert rows.shape == (len(cells.cells), 4 ** state.dof_count)
-    for (setting, _), row in zip(cells.cells, rows):
+def _assert_pass_rows_bitwise(cells, state, rows=slice(None)):
+    """Every Born row of a range of a pass is bitwise the per-setting
+    contraction and the ``born_distribution`` row of its setting."""
+    got, settings = cells.born(state, rows), cells.cells[rows]
+    assert got.shape == (len(settings), 4 ** state.dof_count)
+    for (setting, _), row in zip(settings, got):
         assert row.tobytes() == _per_setting_born(state, setting).tobytes()
         assert row.tobytes() == simlab.born_distribution(state, setting).probs.tobytes()
+
+
+def _assumption_suffix(layout):
+    """The assumption cells' rows of a run pass, after the run's own cells."""
+    return slice(len(layout.run_cells), None)
 
 
 class TestArrayPass:
@@ -1083,47 +1098,78 @@ class TestArrayPass:
         noise = NoiseModel(kind, v_pi, v_k)
         state = model.apply_noise(model.product_state(kinds, phases[:n]), noise)
         layout = simlab._layout(n)
-        for cells in (layout.run_pass, layout.assumption_pass):
-            _assert_pass_rows_bitwise(cells, state)
+        for rows in (slice(None), _assumption_suffix(layout)):
+            _assert_pass_rows_bitwise(layout.run_pass, state, rows)
 
-    @pytest.mark.parametrize("name", ["run_pass", "assumption_pass"])
-    def test_batched_born_equals_per_setting_contraction_at_four_dof(self, name):
+    @pytest.mark.parametrize("part", ["run_pass", "assumption_suffix"])
+    def test_batched_born_equals_per_setting_contraction_at_four_dof(self, part):
         state = model.apply_noise(bell.ideal_state(4), NoiseModel(model.NOISE_DEPHASING, 0.87, 0.93))
-        _assert_pass_rows_bitwise(getattr(simlab._layout(4), name), state)
+        layout = simlab._layout(4)
+        rows = _assumption_suffix(layout) if part == "assumption_suffix" else slice(None)
+        _assert_pass_rows_bitwise(layout.run_pass, state, rows)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_block_stacks_equal_one_setting_stacks(self, n):
         """Each photon keeps one read-only stack of its distinct observables
-        tuples, 4, 12, 32 and 80 of them at N = 1..4 in both passes, and
-        each cell's index reads its one-setting stack."""
+        tuples, 4, 12, 32 and 80 of them at N = 1..4, and each cell's index
+        reads its one-setting stack.  The suffix after the run's own cells
+        is the assumption cells, and the 4^N product terms, which come
+        first, read the first 2^N u stacks alone."""
         layout = simlab._layout(n)
-        for cells, n_cells in (
-            (layout.run_pass, (12, 56, 268, 1296)),
-            (layout.assumption_pass, (4, 32, 192, 1024)),
+        cells = layout.run_pass
+        assert len(cells.cells) == (12, 56, 268, 1296)[n - 1]
+        suffix = cells.cells[_assumption_suffix(layout)]
+        assert suffix == layout.assumption_cells and len(suffix) == (4, 32, 192, 1024)[n - 1]
+        assert sorted(set(cells.u_index[: 4**n].tolist())) == list(range(2**n))
+        for stacks, index, photon in (
+            (cells.u_stacks, cells.u_index, "u_ids"),
+            (cells.d_stacks, cells.d_index, "d_ids"),
         ):
-            assert len(cells.cells) == n_cells[n - 1]
-            for stacks, index, photon in (
-                (cells.u_stacks, cells.u_index, "u_ids"),
-                (cells.d_stacks, cells.d_index, "d_ids"),
-            ):
-                assert stacks.shape == ((4, 12, 32, 80)[n - 1], 2**n, 4**n)
-                for (setting, _), i in zip(cells.cells, index, strict=True):
-                    one = simlab._side_projectors(getattr(setting, photon))
-                    assert stacks[i].tobytes() == one.tobytes()
-                with pytest.raises(ValueError, match="read-only"):
-                    stacks[0, 0, 0] = 0.0
+            assert stacks.shape == ((4, 12, 32, 80)[n - 1], 2**n, 4**n)
+            for (setting, _), i in zip(cells.cells, index, strict=True):
+                one = simlab._side_projectors(getattr(setting, photon))
+                assert stacks[i].tobytes() == one.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                stacks[0, 0, 0] = 0.0
 
     def test_second_born_builds_no_stack(self, monkeypatch):
         layout = simlab._layout(3)
         state = STATES[3][1]
-        expected = [cells.born(state) for cells in (layout.run_pass, layout.assumption_pass)]
+        ranges = (slice(None), _assumption_suffix(layout), slice(64))
+        expected = [layout.run_pass.born(state, rows) for rows in ranges]
 
         def boom(*args, **kwargs):
             raise AssertionError("projector stack built per Born call")
 
         monkeypatch.setattr(simlab, "_kron_stack", boom)
-        for cells, rows in zip((layout.run_pass, layout.assumption_pass), expected):
-            assert cells.born(state).tobytes() == rows.tobytes()
+        for rows, probs in zip(ranges, expected):
+            assert layout.run_pass.born(state, rows).tobytes() == probs.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_row_ranges_equal_the_full_pass(self, n):
+        """A prefix, a suffix and a middle range of the run pass give bitwise
+        the same rows as the whole pass, though they form ``U @ R`` for
+        fewer u stacks."""
+        layout = simlab._layout(n)
+        state = model.apply_noise(bell.ideal_state(n), NoiseModel(model.NOISE_DEPHASING, 0.87, 0.93))
+        full = layout.run_pass.born(state)
+        n_terms, n_run = len(layout.operator.terms), len(layout.run_cells)
+        for rows in (slice(n_terms), slice(n_run, None), slice(n_terms - 1, n_run + 3)):
+            assert layout.run_pass.born(state, rows).tobytes() == full[rows].tobytes()
+
+    def test_assumption_test_after_run_builds_no_stack(self, monkeypatch):
+        """The assumption test samples the run pass's suffix, so after a run
+        of the same N it builds no projector stack."""
+        monkeypatch.setattr(simlab, "_layout", functools.cache(simlab._Layout))
+        state = STATES[3][1]
+        simlab.run_simulated_experiment(state, n_events=100, seed=3)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("projector stack built for the assumption test")
+
+        monkeypatch.setattr(simlab, "_kron_stack", boom)
+        report = simlab.assumption_test(state, n_events=100, seed=3, stream_base=5)
+        assert len(report.rows) == 12 and report.n_events == 100
 
     def test_born_blocks_stay_small(self):
         """No pass gathers a whole list's projector stacks: a block holds
