@@ -23,13 +23,12 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-import operator
 from dataclasses import dataclass, field
 from functools import cache, cached_property, reduce
 
 import numpy as np
 
-from . import qcore
+from . import qcore, rng
 
 POLARIZATION = "polarization"
 PATH = "path"
@@ -79,14 +78,8 @@ _KIND_LABELS = {POLARIZATION: "pi", PATH: "k"}
 
 
 def checked_dof_count(n_dof) -> int:
-    """``n_dof`` as a Python int in [1, MAX_DOF]; numpy integers pass, while
-    bools, floats and counts out of range are refused naming the DOF count."""
-    if type(n_dof) is not int and not isinstance(n_dof, np.integer):  # refuses bools
-        raise ValueError(f"dof count must be an integer, got {n_dof!r}")
-    n_dof = operator.index(n_dof)
-    if not 1 <= n_dof <= MAX_DOF:
-        raise ValueError(f"dof count must lie in [1, {MAX_DOF}], got {n_dof}")
-    return n_dof
+    """``n_dof`` as a Python int in [1, MAX_DOF] (``rng.checked_int``)."""
+    return rng.checked_int("dof count", n_dof, 1, MAX_DOF)
 
 
 @cache
@@ -126,11 +119,6 @@ class ObservableId:
             raise ValueError(f"unknown degree-of-freedom kind {self.kind!r}")
 
     @property
-    def side(self) -> str:
-        """Photon that owns this name in the canonical assignment."""
-        return PHOTON_U if self.name in U_SIDE_NAMES else PHOTON_D
-
-    @property
     def label(self) -> str:
         return side_label((self.name,), factor_labels((self.kind,)))
 
@@ -149,6 +137,9 @@ class JointSetting:
     d_label: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name, ids in (("u_ids", self.u_ids), ("d_ids", self.d_ids)):
+            if not isinstance(ids, tuple) or not all(isinstance(o, ObservableId) for o in ids):
+                raise ValueError(f"{name} must be a tuple of ObservableId, got {ids!r}")
         kinds = tuple([obs.kind for obs in self.u_ids])
         if kinds != tuple([obs.kind for obs in self.d_ids]):
             for u, d in zip(self.u_ids, self.d_ids):

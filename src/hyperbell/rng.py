@@ -108,9 +108,10 @@ def _mix(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return z
 
 
-def _checked(name: str, value, low: int, high: int) -> int:
+def checked_int(name: str, value, low: int, high: int) -> int:
     """``value`` as a Python int in [low, high]; numpy integers pass, while
-    bools, floats and values out of range are refused naming ``name``."""
+    bools, floats and values out of range are refused naming ``name``.  The
+    one integer rule of the package: seeds, counts, DOF counts and factors."""
     if type(value) is not int and not isinstance(value, np.integer):  # refuses bools
         raise ValueError(f"{name} must be an integer (got {value!r})")
     value = operator.index(value)
@@ -121,15 +122,15 @@ def _checked(name: str, value, low: int, high: int) -> int:
 
 def derive_seed(seed: int, index: int) -> int:
     """Sub-stream seed from a master seed and a setting index, both in [0, 2^64 - 1]."""
-    return int(derive_seeds(seed, _checked("index", index, 0, _MASK64), 1)[0])
+    return int(derive_seeds(seed, checked_int("index", index, 0, _MASK64), 1)[0])
 
 
 def derive_seeds(seed: int, start: int, count: int) -> np.ndarray:
     """``derive_seed(seed, start + i)`` for i in [0, ``count``) as one uint64
     array; the last index must not pass 2^64 - 1."""
-    seed = _checked("seed", seed, 0, _MASK64)
-    start = _checked("start", start, 0, _MASK64)
-    count = _checked("count", count, 0, _MASK64 + 1 - start)
+    seed = checked_int("seed", seed, 0, _MASK64)
+    start = checked_int("start", start, 0, _MASK64)
+    count = checked_int("count", count, 0, _MASK64 + 1 - start)
     z = np.arange(count, dtype=np.uint64) + np.uint64((start + 1) & _MASK64)
     z *= np.uint64(_GAMMA)
     z ^= np.uint64(seed)
@@ -139,8 +140,8 @@ def derive_seeds(seed: int, start: int, count: int) -> np.ndarray:
 def random_uint64(seed: int, n: int) -> np.ndarray:
     """First n outputs, n in [0, ``MAX_EVENTS``], of the SplitMix64 stream
     started at ``seed`` in [0, 2^64 - 1]."""
-    z = np.uint64(_checked("seed", seed, 0, _MASK64))
-    n = _checked("n", n, 0, MAX_EVENTS)
+    z = np.uint64(checked_int("seed", seed, 0, _MASK64))
+    n = checked_int("n", n, 0, MAX_EVENTS)
     z = z + np.uint64(_GAMMA) * np.arange(1, n + 1, dtype=np.uint64)
     return _mix(z, np.empty_like(z))
 
@@ -188,7 +189,7 @@ def multinomial(probs: np.ndarray, n_events: int, seed) -> np.ndarray:
     if p.ndim == 2 and isinstance(seed, np.ndarray) and seed.dtype == np.uint64:
         seeds = seed  # its dtype bounds every seed
     else:
-        seeds = [_checked("seed", s, 0, _MASK64) for s in ((seed,) if p.ndim == 1 else seed)]
+        seeds = [checked_int("seed", s, 0, _MASK64) for s in ((seed,) if p.ndim == 1 else seed)]
         seeds = np.array(seeds, dtype=np.uint64)
     sums = rows.sum(axis=1)
     negative = ~np.all(rows >= 0, axis=1)
@@ -199,7 +200,7 @@ def multinomial(probs: np.ndarray, n_events: int, seed) -> np.ndarray:
         if negative[i]:
             raise ValueError(f"{which} must be nonnegative")
         raise ValueError(f"{which} must sum to 1 (got {sums[i]!r})")
-    n_events = _checked("n_events", n_events, 1, MAX_EVENTS)
+    n_events = checked_int("n_events", n_events, 1, MAX_EVENTS)
     edges = np.cumsum(rows, axis=1)[:, :-1]
     reachable = edges < 1.0  # an edge at or above 1.0 is never reached
     thresholds = np.ceil(np.where(reachable, edges, 0.0) * 2.0**53).astype(np.uint64)

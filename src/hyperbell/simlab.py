@@ -126,7 +126,6 @@ class _Layout:
         signs = np.array(list(product((1, -1), repeat=n)), dtype=float).T
         weights = (signs[:, :, None] * signs[:, None, :]).reshape(n, -1)
         self.weight_rows = qcore.read_only(np.vstack([weights.prod(axis=0), weights]))
-        self.joint_weights, self.weights = self.weight_rows[0], self.weight_rows[1:]
         # Cells per Born block: each photon's stack of a cell has 8^N entries.
         self.born_block = max(1, _BORN_BLOCK // 8**n)
 
@@ -227,7 +226,7 @@ class _CellPass:
         r = state.rho.reshape((2,) * len(axes)).transpose(axes).reshape(state.rho.shape)
         ur = self.u_stacks[: u_index.max() + 1] @ r
         step = self.layout.born_block
-        probs = np.empty((len(u_index), len(self.layout.joint_weights)))
+        probs = np.empty((len(u_index), self.layout.weight_rows.shape[1]))
         for lo in range(0, len(u_index), step):
             block = slice(lo, lo + step)
             probs[block] = _born(ur[u_index[block]], self.d_stacks[d_index[block]])
@@ -337,10 +336,7 @@ def estimate(counts, setting: JointSetting, factor: int | None = None) -> Correl
     are refused rather than truncated, and they must total below 2^53."""
     layout = _layout_of(setting)
     if factor is not None:
-        if type(factor) is not int and not isinstance(factor, np.integer):  # refuses bools
-            raise ValueError(f"factor must be an integer or None, got {factor!r}")
-        if factor not in range(len(layout.kinds)):
-            raise ValueError(f"factor {factor!r} outside 0..{len(layout.kinds) - 1}")
+        factor = rng.checked_int("factor", factor, 0, len(layout.kinds) - 1)
     weights = layout.weight_rows[0 if factor is None else factor + 1]
     c = np.asarray(counts)
     if c.shape != weights.shape or c.dtype.kind not in "iu" or np.any(c < 0):
@@ -471,9 +467,12 @@ def _sample_cells(
 ) -> list:
     """One record per (setting, factor) cell of the range ``rows`` of a pass,
     in cell order: its Born rows, one sampler call on which its cell i reads
-    sub-stream ``stream_base + i`` of ``seed``, one weight product."""
+    sub-stream ``stream_base + i`` of ``seed``, one weight product.  The seed
+    and the event count, 2 to ``rng.MAX_EVENTS``, are checked before Born."""
+    seeds = rng.derive_seeds(seed, stream_base, len(cells.labels[rows]))
+    n_events = rng.checked_int("n_events", n_events, 2, rng.MAX_EVENTS)
     probs = cells.born(state, rows)
-    counts = rng.multinomial(probs, n_events, rng.derive_seeds(seed, stream_base, len(probs)))
+    counts = rng.multinomial(probs, n_events, seeds)
     return _records(counts, cells.layout.weight_rows[cells.weight_index[rows]], cells.labels[rows])
 
 

@@ -2,17 +2,20 @@
 
 import argparse
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import hyperbell
 from hyperbell import bell, cli, lhv, qcore, rng, simlab
 
 JSON_KEYS = {"study", "config", "rows", "beta", "std_err", "bound", "sigmas", "generator_id"}
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PYPROJECT = README.parent / "pyproject.toml"
 
 # The CSV headers README documents, one per study.
 CSV_HEADERS = {
@@ -691,3 +694,10 @@ class TestSharedParser:
         assert [code for code, _, _ in shared] == [0, 0, 2, 2, 0, 0, 0, 0]
         assert shared[4][1].startswith("usage: hyperbell")
         assert json.loads(shared[1][1])["config"]["seed"] == 0
+
+
+def test_package_version_is_the_pyproject_version():
+    """The version is written twice, and perfbench records the package's in
+    every result.  Read with a pattern: Python 3.10 has no ``tomllib``."""
+    declared = re.search(r'^version = "([^"]+)"$', PYPROJECT.read_text(), re.MULTILINE)
+    assert declared is not None and hyperbell.__version__ == declared.group(1)

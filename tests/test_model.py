@@ -93,7 +93,6 @@ class TestConventions:
             ObservableId("X", model.POLARIZATION)
         with pytest.raises(ValueError):
             ObservableId("A", "momentum")
-        assert A_PI.side == "u" and B_K.side == "d"
         assert a_K.label == "a_k" and b_PI.label == "b_pi"
 
     def test_pair_basis_index_order(self):
@@ -131,6 +130,22 @@ class TestJointSetting:
         ids=["one-dof", "second-factor", "swapped", "lengths"],
     )
     def test_different_kinds_at_one_position_refused(self, u_ids, d_ids, match):
+        with pytest.raises(ValueError, match=match):
+            JointSetting(u_ids, d_ids)
+
+    @pytest.mark.parametrize(
+        "u_ids,d_ids,match",
+        [
+            ([A_PI, A_K], [B_PI, B_K], "u_ids must be a tuple of ObservableId"),
+            ((A_PI, A_K), [B_PI, B_K], "d_ids must be a tuple of ObservableId"),
+            (("A_pi",), ("B_pi",), "u_ids must be a tuple of ObservableId"),
+            ((A_PI,), ("B_pi",), "d_ids must be a tuple of ObservableId"),
+        ],
+        ids=["lists", "d-list", "strings", "d-strings"],
+    )
+    def test_ids_other_than_a_tuple_of_observables_refused(self, u_ids, d_ids, match):
+        """Lists built and failed later as unhashable Born-table keys; strings
+        failed with an AttributeError on ``kind``."""
         with pytest.raises(ValueError, match=match):
             JointSetting(u_ids, d_ids)
 

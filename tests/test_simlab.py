@@ -828,6 +828,24 @@ class TestSeedAndCountRefusals:
         with pytest.raises(ValueError, match=r"seed must be in \[0, 18446744073709551615\]"):
             simlab.run_simulated_experiment(NOISY, 100, seed)
 
+    @pytest.mark.parametrize("run", [simlab.run_simulated_experiment, simlab.assumption_test])
+    @pytest.mark.parametrize(
+        "n_events,seed,match",
+        [(100, -1, "^seed must be"), (100, 2**64, "^seed must be"),
+         (1, 0, r"^n_events must be in \[2, "), (2.5, 0, "^n_events must be an integer")],
+        ids=["negative-seed", "2^64-seed", "one-event", "fraction-events"],
+    )
+    def test_library_run_refuses_before_born(self, monkeypatch, run, n_events, seed, match):
+        """Each of these ran the Born pass of the whole range first; one event
+        was refused only by the estimator, after the sampler had run."""
+
+        def no_born(*args):
+            raise AssertionError("Born pass before the refusal")
+
+        monkeypatch.setattr(simlab, "_born", no_born)
+        with pytest.raises(ValueError, match=match):
+            run(model.hyper_state(0.3, 0.2, 4), n_events, seed)
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("dtype", [np.uint64, np.int64, np.uint32, np.int8])
     def test_numpy_integer_seeds_count_as_python_ints(self, dtype):
@@ -995,7 +1013,7 @@ class TestConstantTables:
         assert set(_marginal_operators(2)) == set(MARGINAL_ROWS)
         layout = simlab._layout(3)
         assert [len(ops) for ops in layout.marginals] == [4, 4, 4]
-        assert layout.weights.shape == (3, 64) and layout.joint_weights.shape == (64,)
+        assert layout.weight_rows.shape == (4, 64)
 
     def test_entries_are_read_only(self):
         entries = [_side_projectors(p, k) for p in NAMES for k in NAMES]
@@ -1003,7 +1021,7 @@ class TestConstantTables:
         entries += list(simlab._OUTCOME_PROJECTORS.values())
         for n in (1, 2, 3):
             layout = simlab._layout(n)
-            entries += [layout.weights, layout.joint_weights]
+            entries.append(layout.weight_rows)
         for entry in entries:
             with pytest.raises(ValueError, match="read-only"):
                 entry[(0,) * entry.ndim] = 0.0
@@ -1257,7 +1275,7 @@ class TestEstimate:
     @pytest.mark.parametrize("factor", [-1, 2])
     def test_factor_outside_setting_refused(self, factor):
         """A negative factor would otherwise index the path weights from the end."""
-        with pytest.raises(ValueError, match="outside 0..1"):
+        with pytest.raises(ValueError, match=r"^factor must be in \[0, 1\]"):
             simlab.estimate(np.full(16, 10, dtype=int), _setting("A", "A", "B", "B"), factor)
 
     def test_sampled_joint_matches_analytic_within_five_sigma(self):
