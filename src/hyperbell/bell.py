@@ -8,7 +8,8 @@ return one shared operator per kinds tuple, so each table is built once per
 process.  The classical bounds read only the context sign table, the
 Kronecker product of the factors' 2x2 tables; the term table holds one
 signed term per joint measurement configuration.  The canonical ideal
-states are shared and read-only in the same way.
+states are shared and read-only in the same way, and each scaling row is
+worked out once per process.
 The two single-factor operators have the signs
 
     polarization:  -A B + A b + a B + a b
@@ -233,23 +234,30 @@ def scaling_report(n_dof: int, bound_source: str = ANALYTIC) -> ScalingReport:
     """Quantum-to-classical ratio for the N-fold product at the ideal state.
 
     The classical bound is either the analytic product bound 2^N for the
-    factorizable class, or the exhaustively enumerated one.
+    factorizable class, or the exhaustively enumerated one.  Both arguments
+    are checked on every call; the report is worked out once per checked
+    (n_dof, bound_source) per process.
     """
     n_dof = model.checked_dof_count(n_dof)
+    if bound_source not in (ANALYTIC, LHV_BRUTEFORCE):
+        raise ValueError(f"unknown bound source {bound_source!r}")
+    return _scaling_report(n_dof, bound_source == LHV_BRUTEFORCE)
+
+
+@cache  # keyed by the checked int and a bool: at most 2 * MAX_DOF reports
+def _scaling_report(n_dof: int, enumerated: bool) -> ScalingReport:
     op = canonical_product(n_dof)
     q = abs(quantum_value(op, ideal_state(n_dof)))
-    if bound_source == ANALYTIC:
-        bound = float(2**n_dof)
-    elif bound_source == LHV_BRUTEFORCE:
+    if enumerated:
         from . import lhv  # deferred: lhv depends on this module
 
         bound = float(lhv.max_bound(op, lhv.FACTORIZABLE).bound)
     else:
-        raise ValueError(f"unknown bound source {bound_source!r}")
+        bound = float(2**n_dof)
     return ScalingReport(
         dof_count=n_dof,
         quantum_value=q,
         classical_bound=bound,
         ratio=q / bound,
-        bound_source=bound_source,
+        bound_source=LHV_BRUTEFORCE if enumerated else ANALYTIC,
     )

@@ -27,7 +27,10 @@ The search weights contexts with the Kronecker sign table
 ``BellOperator.signs``; the witness is then replayed by ``evaluate_strategy``
 as an independent check, over an integer term table whose signs are
 products of the factor term signs.  The term table (per kinds tuple) and
-the factorizable side table (per N) are built once, read-only.  Witness
+the factorizable side table (per N) are built once, read-only, and the
+search runs once per (kinds, class) per process; the guard, fresh witness
+dicts and the replay come on every call, and ``strategies_evaluated`` is
+the size of the exhaustive search the bound rests on.  Witness
 tokens are built from the factor labels with the label rule in ``model``
 (a context token joins one observable token per factor), never from the
 operator's term table.
@@ -187,24 +190,22 @@ def max_bound(bell: BellOperator, strategy_class: str) -> BoundResult:
     exact form per u assignment (the best d matches the sign of every
     nonzero weighted context), which covers all pairs without materializing
     them, and the u side is searched in split halves over the assignments
-    with slot 0 = +1 (``_unrestricted_search``).  The guard is checked
-    before any table is built.  Deterministic: the witness is the
-    lexicographically smallest maximizer.
+    with slot 0 = +1 (``_unrestricted_search``).  Deterministic: the
+    witness is the lexicographically smallest maximizer.
+
+    Every call checks the guard before any table is built or the search
+    cache read, builds the witness dicts afresh and replays them through
+    ``evaluate_strategy``; the search itself runs once per (kinds, class)
+    per process.  ``strategies_evaluated`` is the number of strategy pairs
+    the exhaustive search covers, whether this call ran it or not.
     """
     if strategy_class not in STRATEGY_CLASSES:
         raise ValueError(f"unknown strategy class {strategy_class!r}")
-    t = bell.signs
-    n_side = 4**bell.dof_count if strategy_class == FACTORIZABLE else 2 ** t.shape[0]
+    n_side = 4**bell.dof_count if strategy_class == FACTORIZABLE else 2 ** (2**bell.dof_count)
     if n_side * n_side > MAX_STRATEGY_PAIRS:
         raise EnumerationGuardError(n_side * n_side, MAX_STRATEGY_PAIRS)
 
-    # The signed maximum equals the maximum of |value|: flipping one degree
-    # of freedom's pair (factorizable) or a whole side (unrestricted) negates
-    # the value, so both signs are always attained.  Maximizing the signed
-    # value lets the witness replay to +bound exactly.
-    search = _factorizable_search if strategy_class == FACTORIZABLE else _unrestricted_search
-    bound, ui, di = search(t)
-
+    bound, ui, di = _search(bell.kinds, strategy_class)
     witness = LhvStrategy(
         strategy_class=strategy_class,
         side_u=_strategy_from_index(bell, strategy_class, model.PHOTON_U, ui),
@@ -221,6 +222,20 @@ def max_bound(bell: BellOperator, strategy_class: str) -> BoundResult:
         strategies_evaluated=n_side * n_side,
         strategy_class=strategy_class,
     )
+
+
+@cache  # keyed by kinds, not operator: operators hash by identity
+def _search(kinds: tuple, strategy_class: str) -> tuple:
+    """``(bound, u index, d index)`` of ``max_bound``, searched once per
+    (kinds, class) after its guard; plain ints, so nothing shared is mutable.
+
+    The signed maximum equals the maximum of |value|: flipping one degree of
+    freedom's pair (factorizable) or a whole side (unrestricted) negates the
+    value, so both signs are always attained.  Maximizing the signed value
+    lets the witness replay to +bound exactly.
+    """
+    search = _factorizable_search if strategy_class == FACTORIZABLE else _unrestricted_search
+    return search(BellOperator(kinds=kinds).signs)
 
 
 def _factorizable_search(t: np.ndarray) -> tuple:

@@ -120,6 +120,11 @@ def checked_int(name: str, value, low: int, high: int) -> int:
     return value
 
 
+def checked_seed(seed) -> int:
+    """``seed`` as a Python int in [0, 2^64 - 1] (``checked_int``)."""
+    return checked_int("seed", seed, 0, _MASK64)
+
+
 def derive_seed(seed: int, index: int) -> int:
     """Sub-stream seed from a master seed and a setting index, both in [0, 2^64 - 1]."""
     return int(derive_seeds(seed, checked_int("index", index, 0, _MASK64), 1)[0])
@@ -128,7 +133,7 @@ def derive_seed(seed: int, index: int) -> int:
 def derive_seeds(seed: int, start: int, count: int) -> np.ndarray:
     """``derive_seed(seed, start + i)`` for i in [0, ``count``) as one uint64
     array; the last index must not pass 2^64 - 1."""
-    seed = checked_int("seed", seed, 0, _MASK64)
+    seed = checked_seed(seed)
     start = checked_int("start", start, 0, _MASK64)
     count = checked_int("count", count, 0, _MASK64 + 1 - start)
     z = np.arange(count, dtype=np.uint64) + np.uint64((start + 1) & _MASK64)
@@ -140,7 +145,7 @@ def derive_seeds(seed: int, start: int, count: int) -> np.ndarray:
 def random_uint64(seed: int, n: int) -> np.ndarray:
     """First n outputs, n in [0, ``MAX_EVENTS``], of the SplitMix64 stream
     started at ``seed`` in [0, 2^64 - 1]."""
-    z = np.uint64(checked_int("seed", seed, 0, _MASK64))
+    z = np.uint64(checked_seed(seed))
     n = checked_int("n", n, 0, MAX_EVENTS)
     z = z + np.uint64(_GAMMA) * np.arange(1, n + 1, dtype=np.uint64)
     return _mix(z, np.empty_like(z))
@@ -189,7 +194,7 @@ def multinomial(probs: np.ndarray, n_events: int, seed) -> np.ndarray:
     if p.ndim == 2 and isinstance(seed, np.ndarray) and seed.dtype == np.uint64:
         seeds = seed  # its dtype bounds every seed
     else:
-        seeds = [checked_int("seed", s, 0, _MASK64) for s in ((seed,) if p.ndim == 1 else seed)]
+        seeds = [checked_seed(s) for s in ((seed,) if p.ndim == 1 else seed)]
         seeds = np.array(seeds, dtype=np.uint64)
     sums = rows.sum(axis=1)
     negative = ~np.all(rows >= 0, axis=1)

@@ -461,16 +461,23 @@ class AssumptionReport:
         return tuple(row for rows in self.factor_rows for row in rows)
 
 
+def _checked_run(n_events, seed) -> tuple:
+    """``(n_events, seed)`` as Python ints: the seed in [0, 2^64 - 1], then
+    the event count in [2, ``rng.MAX_EVENTS``]."""
+    seed = rng.checked_seed(seed)
+    return rng.checked_int("n_events", n_events, 2, rng.MAX_EVENTS), seed
+
+
 def _sample_cells(
     state: QuantumState, cells: _CellPass, n_events: int, seed: int, stream_base: int,
     rows: slice = slice(None),
 ) -> list:
     """One record per (setting, factor) cell of the range ``rows`` of a pass,
     in cell order: its Born rows, one sampler call on which its cell i reads
-    sub-stream ``stream_base + i`` of ``seed``, one weight product.  The seed
-    and the event count, 2 to ``rng.MAX_EVENTS``, are checked before Born."""
+    sub-stream ``stream_base + i`` of ``seed``, one weight product.  The
+    callers check the ints first (``_checked_run``), so no refusal comes
+    after Born."""
     seeds = rng.derive_seeds(seed, stream_base, len(cells.labels[rows]))
-    n_events = rng.checked_int("n_events", n_events, 2, rng.MAX_EVENTS)
     probs = cells.born(state, rows)
     counts = rng.multinomial(probs, n_events, seeds)
     return _records(counts, cells.layout.weight_rows[cells.weight_index[rows]], cells.labels[rows])
@@ -490,6 +497,11 @@ def assumption_test(
     statistical.
     """
     layout = _layout(state.dof_count)
+    n_events, seed = _checked_run(n_events, seed)
+    # its last cell reads sub-stream stream_base + count - 1, at most 2^64 - 1
+    stream_base = rng.checked_int(
+        "stream_base", stream_base, 0, 2**64 - len(layout.assumption_cells)
+    )
     suffix = slice(len(layout.run_cells), None)
     records = _sample_cells(state, layout.run_pass, n_events, seed, stream_base, suffix)
     return _assumption_report(state, layout, records, n_events, seed)
@@ -588,6 +600,7 @@ def run_simulated_experiment(state: QuantumState, n_events: int, seed: int) -> S
     """
     layout = _layout(state.dof_count)
     n_terms, n_run = len(layout.operator.terms), len(layout.run_cells)
+    n_events, seed = _checked_run(n_events, seed)
     records = _sample_cells(state, layout.run_pass, n_events, seed, 0)
     assumptions = _assumption_report(state, layout, records[n_run:], n_events, seed)
     chsh = tuple(

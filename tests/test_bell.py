@@ -450,3 +450,25 @@ class TestScaling:
             bell.scaling_report(0)
         with pytest.raises(ValueError, match="bound source"):
             bell.scaling_report(2, "guess")
+
+    def test_checks_run_with_the_row_cached(self):
+        """A bare cache on scaling_report would hand True the cached N = 1
+        row (True == 1 and hash(True) == hash(1))."""
+        bell.scaling_report(1)
+        for bad in (True, np.True_):
+            with pytest.raises(ValueError, match="dof count must be an integer"):
+                bell.scaling_report(bad)
+        with pytest.raises(ValueError, match="bound source"):
+            bell.scaling_report(1, "guess")
+
+    def test_row_worked_out_once_per_checked_key(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("a cached scaling row was worked out again")
+
+        bell._scaling_report.cache_clear()
+        first = bell.scaling_report(2, bell.LHV_BRUTEFORCE)
+        monkeypatch.setattr(bell, "quantum_value", refuse)
+        monkeypatch.setattr(lhv, "max_bound", refuse)
+        assert bell.scaling_report(np.int64(2), np.str_(bell.LHV_BRUTEFORCE)) is first
+        assert type(first.bound_source) is str and type(first.dof_count) is int
+        assert bell._scaling_report.cache_info().currsize == 1

@@ -696,6 +696,21 @@ class TestSharedParser:
         assert json.loads(shared[1][1])["config"]["seed"] == 0
 
 
+class TestRepeatsInOneProcess:
+    """The bounds searches and scaling rows are worked out once per process;
+    every later call must still print what a fresh process prints."""
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    @pytest.mark.parametrize("study", ["bounds", "scaling"])
+    def test_two_calls_print_a_fresh_process_bytes(self, study, fmt, capsys):
+        argv = [study, "--dof", "4", "--format", fmt]
+        code, fresh, _ = run_cli(*argv)
+        assert code == 0
+        for _ in range(2):
+            assert cli.main(argv) == 0
+            assert capsys.readouterr().out == fresh
+
+
 def test_package_version_is_the_pyproject_version():
     """The version is written twice, and perfbench records the package's in
     every result.  Read with a pattern: Python 3.10 has no ``tomllib``."""

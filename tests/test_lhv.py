@@ -267,6 +267,7 @@ class TestMaxBound:
         def refuse(_bell):
             raise AssertionError("side table built before the guard check")
 
+        lhv._search.cache_clear()  # else the guard is tested against a cache hit
         monkeypatch.setattr(lhv, "_factorizable_context_values", refuse)
         monkeypatch.setattr(lhv, "MAX_STRATEGY_PAIRS", 10)
         with pytest.raises(lhv.EnumerationGuardError) as err:
@@ -275,6 +276,7 @@ class TestMaxBound:
 
     def test_unrestricted_memory_is_small(self):
         op = bell.canonical_product(4)
+        lhv._search.cache_clear()  # measure the search, not a cache hit
         tracemalloc.start()
         try:
             lhv.max_bound(op, UNRESTRICTED)
@@ -286,6 +288,47 @@ class TestMaxBound:
     def test_unknown_class_rejected(self):
         with pytest.raises(ValueError, match="strategy class"):
             lhv.max_bound(bell.build_beta_pi(), "nonlocal")
+
+    @pytest.mark.parametrize(
+        "cls,search", [(FACTORIZABLE, "_factorizable_search"), (UNRESTRICTED, "_unrestricted_search")]
+    )
+    def test_second_call_runs_no_search_yet_replays(self, cls, search, monkeypatch):
+        """The search runs once per (kinds, class), also for an operator that
+        is not the shared one; the witness is replayed on every call."""
+        searches, replays = [], []
+        run_search, replay = getattr(lhv, search), lhv.evaluate_strategy
+        monkeypatch.setattr(lhv, search, lambda t: searches.append(t) or run_search(t))
+        monkeypatch.setattr(
+            lhv, "evaluate_strategy", lambda op, s: replays.append(s) or replay(op, s)
+        )
+        lhv._search.cache_clear()
+        op = bell.canonical_product(3)
+        first = lhv.max_bound(op, cls)
+        second = lhv.max_bound(op, cls)
+        third = lhv.max_bound(bell.BellOperator(kinds=op.kinds), cls)
+        assert (len(searches), len(replays)) == (1, 3)
+        assert first == second == third
+        assert second.witness.side_u is not first.witness.side_u
+
+    def test_guard_refuses_with_the_search_cached(self, monkeypatch):
+        op = bell.canonical_product(2)
+        lhv.max_bound(op, FACTORIZABLE)
+        monkeypatch.setattr(lhv, "MAX_STRATEGY_PAIRS", 10)
+        with pytest.raises(lhv.EnumerationGuardError) as err:
+            lhv.max_bound(op, FACTORIZABLE)
+        assert err.value.count == 256
+
+    @pytest.mark.parametrize("cls", [FACTORIZABLE, UNRESTRICTED])
+    def test_mutated_witness_leaves_the_next_call(self, cls):
+        op = bell.canonical_product(2)
+        first = lhv.max_bound(op, cls)
+        side_u, side_d = dict(first.witness.side_u), dict(first.witness.side_d)
+        for token in first.witness.side_u:
+            first.witness.side_u[token] *= -1
+        first.witness.side_d.clear()
+        second = lhv.max_bound(op, cls)
+        assert (second.witness.side_u, second.witness.side_d) == (side_u, side_d)
+        assert lhv.evaluate_strategy(op, second.witness) == second.bound
 
     @pytest.mark.parametrize("n", range(1, bell.MAX_DOF + 1))
     def test_tables_built_once_read_only(self, n):

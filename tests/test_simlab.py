@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import json
 import math
 import sys
 import threading
@@ -845,6 +846,42 @@ class TestSeedAndCountRefusals:
         monkeypatch.setattr(simlab, "_born", no_born)
         with pytest.raises(ValueError, match=match):
             run(model.hyper_state(0.3, 0.2, 4), n_events, seed)
+
+    @pytest.mark.parametrize("run", [simlab.run_simulated_experiment, simlab.assumption_test])
+    def test_library_run_stores_the_checked_ints(self, run):
+        """The numpy seed and count were stored as given, and json.dumps
+        refused both."""
+        result = run(model.hyper_state(0.3, 0.2), np.int64(100), np.uint64(3))
+        for report in (result, getattr(result, "assumptions", result)):
+            assert type(report.n_events) is int and type(report.seed) is int
+            assert json.dumps([report.n_events, report.seed]) == "[100, 3]"
+
+    @pytest.mark.parametrize(
+        "stream_base,match",
+        [(True, r"^stream_base must be an integer \(got True\)"),
+         (2.0, r"^stream_base must be an integer"),
+         (-1, r"^stream_base must be in \[0, "),
+         (2**64 - 10, r"^stream_base must be in \[0, 18446744073709551584\] "
+                      r"\(got 18446744073709551606\)")],
+        ids=["bool", "float", "negative", "past-the-last-sub-stream"],
+    )
+    def test_bad_stream_base_named_before_born(self, monkeypatch, stream_base, match):
+        """They failed as derive_seeds's start and count, naming neither."""
+
+        def no_born(*args):
+            raise AssertionError("Born pass before the refusal")
+
+        monkeypatch.setattr(simlab, "_born", no_born)
+        with pytest.raises(ValueError, match=match):
+            simlab.assumption_test(model.hyper_state(0.3, 0.2), 100, 0, stream_base)
+
+    def test_last_stream_base_reads_the_last_sub_stream(self):
+        """At N = 2 the 32 assumption cells fit from 2^64 - 32 up."""
+        report = simlab.assumption_test(NOISY, 100, 7, np.uint64(2**64 - 32))
+        cell = report.rows[-1].cells[-1]
+        dist = simlab.born_distribution(NOISY, cell.setting)
+        counts = rng.multinomial(dist.probs, 100, rng.derive_seed(7, 2**64 - 1))
+        assert simlab.estimate(counts, cell.setting, 1) == cell.record
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("dtype", [np.uint64, np.int64, np.uint32, np.int8])
