@@ -25,9 +25,10 @@ scaling dof; simulate and assumptions all but class; every study reads
 format and out.  Any other key set by a flag or the config file is refused
 with the key named, except ``noise = none`` for ideal, which states what
 that study computes.  A CSV header is the key order of the study's row dicts.
-The argument parser is read from these two constant tables, so it is built
-once per process and shared by every ``main`` call; each call parses into a
-fresh namespace, and usage, error and help text are formatted when printed.
+The command line is read against the same two tables: one study name in
+any position, and per option ``--flag value`` or ``--flag=value`` with the
+flag spelt in full and the next token taken as the value whatever it looks
+like (``--theta -pi``); ``--help`` lists the table's flags, metavars and help.
 
 Option precedence: command-line flags override the config file, which
 overrides the defaults.  The config file is flat ``key = value`` UTF-8 text
@@ -44,16 +45,15 @@ enumeration guard exceeded.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
-import json
 import math
 import sys
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 from itertools import product
+from json.encoder import encode_basestring_ascii
 from types import MappingProxyType
 
 from . import bell, lhv, model, qcore, rng, simlab
@@ -540,7 +540,39 @@ def _emit_json(result: StudyResult) -> str:
         "sigmas": result.sigmas,
         "generator_id": rng.GENERATOR_ID,
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _json(doc, "\n") + "\n"
+
+
+def _json(value, pad: str) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for dicts with str
+    keys, lists, str, int, float (numpy's float64 included), bool and None;
+    ``pad`` is the newline and indent of the value's own line.  With an
+    indent json takes its pure-Python encoder, at about twice this cost."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is float:
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    if kind is int:
+        return int.__repr__(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    inner = pad + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        return "{" + inner + ("," + inner).join([
+            encode_basestring_ascii(key) + ": " + _json(value[key], inner) for key in sorted(value)
+        ]) + pad + "}"
+    if kind is list:
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json(item, inner) for item in value]) + pad + "]"
+    if isinstance(value, float):
+        return _json(float(value), pad)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _emit_csv(result: StudyResult) -> str:
@@ -566,42 +598,74 @@ def emit(result: StudyResult, fmt: str) -> bytes:
 
 # --- entry point --------------------------------------------------------------
 
-class _Once(argparse.Action):
-    """Store a flag's value; a repeated flag is refused, like a repeated
-    config-file key, instead of silently keeping the last value."""
+# Each flag and the key it sets; --config names the file, not a config key.
+_FLAGS = {"--" + key.replace("_", "-"): key for key in ("config", *OPTIONS)}
 
-    def __call__(self, parser, namespace, values, option_string=None):
-        if getattr(namespace, self.dest) is not None:
-            raise ConfigError(f"key '{self.dest}': flag {option_string} given more than once")
-        setattr(namespace, self.dest, values)
+_USAGE = "usage: hyperbell {" + ",".join(STUDIES) + "} [-h] [--flag VALUE | --flag=VALUE ...]"
 
 
-@cache  # parse_args keeps no state in the parser, and _Once reads only the namespace
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hyperbell",
-        description="Hyper-entangled two-photon Bell test: exact predictions, "
-        "classical bounds, simulated statistics, and violation scaling.",
-    )
-    parser.add_argument("study", choices=STUDIES)
-    parser.add_argument("--config", action=_Once, metavar="PATH",
-                        help="flat key = value config file")
-    for option in OPTIONS.values():
-        parser.add_argument("--" + option.key.replace("_", "-"), dest=option.key,
-                            action=_Once, metavar=option.metavar, help=option.help)
-    return parser
+class _UsageError(Exception):
+    """A command line with no study, an unknown or second one, an unknown or
+    abbreviated flag, or a flag with no value."""
+
+
+def _read_argv(argv) -> tuple:
+    """The study and each flag's text, keyed as in ``OPTIONS`` (plus
+    ``config``); ``(None, {})`` if -h or --help comes first.  A repeated
+    flag, in either form, is refused like a repeated config-file key."""
+    study, texts = None, {}
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return None, {}
+        if not token.startswith("-"):
+            if study is not None:
+                raise _UsageError(f"unexpected argument {token!r} after the study {study!r}")
+            if token not in STUDIES:
+                raise _UsageError(f"unknown study {token!r} (choose from {', '.join(STUDIES)})")
+            study = token
+            continue
+        flag, eq, text = token.partition("=")
+        if flag not in _FLAGS:
+            raise _UsageError(f"unknown flag {flag!r}")
+        if not eq:
+            text = next(tokens, None)
+            if text is None:
+                raise _UsageError(f"flag {flag} expects a value")
+        key = _FLAGS[flag]
+        if key in texts:
+            raise ConfigError(f"key '{key}': flag {flag} given more than once")
+        texts[key] = text
+    if study is None:
+        raise _UsageError(f"no study given (choose from {', '.join(STUDIES)})")
+    return study, texts
+
+
+def _help() -> str:
+    rows = [("-h, --help", "show this help and exit"),
+            ("--config PATH", "flat key = value config file")]
+    rows += [(f"{flag} {OPTIONS[key].metavar}", OPTIONS[key].help or "")
+             for flag, key in _FLAGS.items() if key in OPTIONS]
+    return "\n".join([
+        _USAGE, "",
+        "Hyper-entangled two-photon Bell test: exact predictions, classical bounds,",
+        "simulated statistics, and violation scaling.", "",
+        "options:", *(f"  {flag:<37}{text}".rstrip() for flag, text in rows),
+    ]) + "\n"
 
 
 def main(argv=None) -> int:
     try:
-        args = vars(_build_parser().parse_args(argv))
-        file_values = {} if args["config"] is None else _read_config_file(args["config"])
+        study, texts = _read_argv(sys.argv[1:] if argv is None else argv)
+        if study is None:
+            sys.stdout.write(_help())
+            return 0
+        path = texts.pop("config", None)
+        file_values = {} if path is None else _read_config_file(path)
         flag_values = {
-            key: option.parse(key, args[key])
-            for key, option in OPTIONS.items()
-            if args[key] is not None
+            key: option.parse(key, texts[key]) for key, option in OPTIONS.items() if key in texts
         }
-        config = build_config(args["study"], file_values, flag_values)
+        config = build_config(study, file_values, flag_values)
         result = run(config)
         data = emit(result, config["format"])
         if config["out"] is not None:
@@ -610,6 +674,9 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(data.decode("utf-8"))
         return 0
+    except _UsageError as exc:
+        print(_USAGE, f"hyperbell: error: {exc}", sep="\n", file=sys.stderr)
+        return 2
     except ConfigError as exc:
         print(f"hyperbell: config error: {exc}", file=sys.stderr)
         return 2

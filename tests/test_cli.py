@@ -1,13 +1,16 @@
 """Command-line front end: studies, formats, config handling, exit codes."""
 
-import argparse
 import json
+import math
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import hyperbell
 from hyperbell import bell, cli, lhv, qcore, rng, simlab
@@ -346,6 +349,8 @@ class TestConfigHandling:
             (["bounds", "--dof", "1", "--dof", "3"], "dof"),
             (["simulate", "--v-pi", "0.8", "--v", "0.9", "--v-pi", "0.7"], "v_pi"),
             (["ideal", "--config", "a.cfg", "--config", "b.cfg"], "config"),
+            (["simulate", "--seed", "1", "--seed=2"], "seed"),
+            (["ideal", "--config=a.cfg", "--config", "b.cfg"], "config"),
         ],
     )
     def test_repeated_flag_refused(self, argv, key, capsys):
@@ -353,7 +358,11 @@ class TestConfigHandling:
         --config never read the first file."""
         assert run_inproc(*argv) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and f"'{key}'" in captured.err and "more than once" in captured.err
+        flag = "--" + key.replace("_", "-")
+        assert captured.out == ""
+        assert captured.err == (
+            f"hyperbell: config error: key '{key}': flag {flag} given more than once\n"
+        )
 
     def test_config_file_over_the_size_cap_refused(self, tmp_path, capsys):
         """The file used to be read whole, so an endless one exhausted memory."""
@@ -542,10 +551,13 @@ class TestOptionTable:
             target.unlink(missing_ok=True)
             return capsys.readouterr().out, written
 
-        by_flag = report("--" + key.replace("_", "-"), text)
+        flag = "--" + key.replace("_", "-")
+        by_flag = report(flag, text)
+        assert report(f"{flag}={text}") == by_flag
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key} = {text}\n")
         assert report("--config", str(cfg)) == by_flag
+        assert report(f"--config={cfg}") == by_flag
         assert report() != by_flag  # the option changes the run
         config = json.loads(by_flag[1] or by_flag[0])["config"]
         expected = cli.OPTIONS[key].parse(key, text)
@@ -642,41 +654,23 @@ class TestFailureExitCodes:
 
 
 def _outcome(capsys, argv) -> tuple:
-    """(exit code, stdout, stderr) of one in-process call; argparse's usage
-    errors and --help exit through SystemExit."""
-    try:
-        code = cli.main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
+    """(exit code, stdout, stderr) of one in-process call."""
+    code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
 
+def _usage_error(reason: str) -> str:
+    return f"{cli._USAGE}\nhyperbell: error: {reason}\n"
+
+
 class TestSharedParser:
-    """Every main call in a process parses with one parser."""
+    """Every main call in a process reads its command line with the one
+    reader, and no call leaves state for the next."""
 
-    @pytest.fixture(autouse=True)
-    def _fresh_cache(self):
-        cli._build_parser.cache_clear()
-        yield
-        cli._build_parser.cache_clear()
-
-    def test_two_calls_construct_one_parser(self, monkeypatch, capsys):
-        built, init = [], argparse.ArgumentParser.__init__
-
-        def counting_init(self, *args, **kwargs):
-            built.append(self)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-        assert run_inproc("scaling", "--dof", "2") == 0
-        assert run_inproc("ideal", "--format", "json") == 0
-        capsys.readouterr()
-        assert len(built) == 1 and cli._build_parser() is built[0]
-
-    def test_no_state_carried_between_calls(self, monkeypatch, capsys):
-        """Accepted calls, a repeated-flag refusal, a usage error and --help
-        give, in sequence on the shared parser, what a fresh parser gives."""
+    def test_no_state_carried_between_calls(self, capsys):
+        """Accepted calls, a repeated-flag refusal, a usage error and --help,
+        in sequence in one process, give what each gives in a fresh one."""
         sequence = [
             ["simulate", "--events", "100", "--seed", "5", "--format", "json"],
             ["simulate", "--events", "100", "--format", "json"],
@@ -688,12 +682,135 @@ class TestSharedParser:
             ["ideal", "--theta", "pi/2"],
         ]
         shared = [_outcome(capsys, argv) for argv in sequence]
-        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
-        fresh = [_outcome(capsys, argv) for argv in sequence]
-        assert shared == fresh
+        assert shared == [run_cli(*argv) for argv in sequence]
         assert [code for code, _, _ in shared] == [0, 0, 2, 2, 0, 0, 0, 0]
-        assert shared[4][1].startswith("usage: hyperbell")
+        assert shared[2][1:] == (
+            "", "hyperbell: config error: key 'dof': flag --dof given more than once\n"
+        )
+        assert shared[3][1:] == ("", _usage_error("unknown flag '--bogus'"))
+        assert shared[4][1].startswith("usage: hyperbell") and shared[4][2] == ""
+        assert shared[5][1].startswith(CSV_HEADERS["bounds"] + "\nfactorizable,8,")
+        assert shared[6] == shared[0]
+        assert json.loads(shared[0][1])["config"]["seed"] == 5
         assert json.loads(shared[1][1])["config"]["seed"] == 0
+        assert shared[7][1].startswith("Exact quantum predictions")
+
+
+class TestArgvReader:
+    """The command line is read from ``cli.OPTIONS``: a flag is spelt in
+    full, its value is the next token or follows ``=``, and one study name
+    stands anywhere."""
+
+    @pytest.mark.parametrize("key,text", [("theta", "-pi"), ("phi", "-pi/2")])
+    def test_negative_looking_value_after_a_flag(self, key, text, capsys):
+        """``--theta -pi`` used to be a usage error while ``--theta=-pi`` ran."""
+        spaced = _outcome(capsys, ["ideal", f"--{key}", text, "--format", "json"])
+        assert spaced == _outcome(capsys, ["ideal", f"--{key}={text}", "--format", "json"])
+        assert spaced[0] == 0
+        assert json.loads(spaced[1])["config"][key] == cli.OPTIONS[key].parse(key, text) < 0
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [(["simulate", "--ev", "2000"], "--ev"), (["ideal", "--the", "1"], "--the"),
+         (["ideal", "--form", "json"], "--form"), (["ideal", "--form=json"], "--form")],
+    )
+    def test_abbreviated_flag_refused(self, argv, flag, capsys):
+        """An unambiguous prefix used to run as the full flag."""
+        assert _outcome(capsys, argv) == (2, "", _usage_error(f"unknown flag {flag!r}"))
+
+    @pytest.mark.parametrize(
+        "argv,reason",
+        [
+            (["ideal", "--theta"], "flag --theta expects a value"),
+            (["--format", "json", "ideal", "--out"], "flag --out expects a value"),
+            (["simulate", "--bogus", "1"], "unknown flag '--bogus'"),
+            (["ideal", "-x"], "unknown flag '-x'"),
+            (["ideal", "-"], "unknown flag '-'"),
+            (["ideal", "--"], "unknown flag '--'"),
+            ([], "no study given (choose from ideal, bounds, simulate, scaling, assumptions)"),
+            (["--dof", "2"], "no study given (choose from ideal, bounds, simulate, scaling, "
+                             "assumptions)"),
+            (["teleport"], "unknown study 'teleport' (choose from ideal, bounds, simulate, "
+                           "scaling, assumptions)"),
+            (["ideal", "bounds"], "unexpected argument 'bounds' after the study 'ideal'"),
+            (["ideal", "--dof", "2", "3"], "unexpected argument '3' after the study 'ideal'"),
+        ],
+    )
+    def test_usage_errors(self, argv, reason, capsys):
+        assert _outcome(capsys, argv) == (2, "", _usage_error(reason))
+
+    def test_study_may_follow_its_flags(self, capsys):
+        first = _outcome(capsys, ["ideal", "--dof", "3", "--format", "json"])
+        assert first[0] == 0
+        assert _outcome(capsys, ["--dof", "3", "--format", "json", "ideal"]) == first
+        assert _outcome(capsys, ["--dof=3", "ideal", "--format=json"]) == first
+
+    def test_value_is_the_next_token_whatever_it_is(self, capsys):
+        code, out, err = _outcome(capsys, ["ideal", "--theta", "--phi"])
+        assert (code, out) == (2, "")
+        assert err == ("hyperbell: config error: key 'theta': expected radians"
+                       " (e.g. 1.57, pi, pi/2), got '--phi'\n")
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_names_every_flag_and_metavar(self, flag, capsys):
+        code, out, err = _outcome(capsys, ["ideal", flag, "--bogus"])
+        assert (code, err) == (0, "")
+        lines = out.split("\n")
+        assert lines[0] == cli._USAGE and all(study in lines[0] for study in cli.STUDIES)
+        assert "  --config PATH " in out
+        for key, option in cli.OPTIONS.items():
+            row = next(line for line in lines
+                       if line.startswith(f"  --{key.replace('_', '-')} {option.metavar}"))
+            assert row.endswith(option.help or option.metavar)
+
+
+# Every JSON value a report can hold, numpy floats and awkward floats included.
+_JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    | st.floats().map(np.float64)
+    | st.sampled_from([-0.0, 5e-324, math.inf, -math.inf, math.nan, np.float64(-0.0)])
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestJsonWriter:
+    """``cli._json`` writes what ``json.dumps(indent=2, sort_keys=True)`` writes."""
+
+    @given(_JSON_VALUES)
+    def test_equals_json_dumps(self, value):
+        assert cli._json(value, "\n") == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("value", [
+        {}, [], {"a": {}, "b": []}, [[], [{}]], "\x00\x1f\"\\\u00e9\u2603\U0001f600\ud800",
+        {"\u00e9": 1, "e": 2, "": -0.0}, [-0.0, 5e-324, math.inf, -math.inf, math.nan],
+        [np.float64(0.1), np.float64("nan"), 2**70, -(2**70), True, False, None],
+    ])
+    def test_edge_values(self, value):
+        assert cli._json(value, "\n") == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("value", [np.int64(1), {1, 2}, [1, {3}], {"a": [b"x"]}])
+    def test_other_types_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2, sort_keys=True)
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            cli._json(value, "\n")
+
+    @pytest.mark.parametrize("study", list(cli.STUDIES))
+    def test_report_equals_json_dumps_of_its_document(self, study, monkeypatch, capsys):
+        argv = [study, "--format", "json"]
+        if study in ("simulate", "assumptions"):
+            argv += ["--events", "40", "--seed", "3"]
+        assert cli.main(argv) == 0
+        written = capsys.readouterr().out
+        monkeypatch.setattr(cli, "_json",
+                            lambda doc, pad: json.dumps(doc, indent=2, sort_keys=True))
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == written
 
 
 class TestRepeatsInOneProcess:
