@@ -117,9 +117,10 @@ def _term_table(kinds: tuple) -> tuple:
 def evaluate_strategy(bell: BellOperator, strategy: LhvStrategy) -> int:
     """Classical value of a deterministic assignment; exact integers.
 
-    Each side must assign exactly its class's tokens, each the integer +1
-    or -1; an unknown class, a missing or foreign token and a bool, float
-    or other value are refused, naming the class or the token."""
+    Each side must be a dict that assigns exactly its class's tokens, each
+    the integer +1 or -1; an unknown class, a side that is no dict, a missing
+    or foreign token and a bool, float or other value are refused, naming
+    the class, the photon or the token."""
     if strategy.strategy_class not in STRATEGY_CLASSES:
         raise ValueError(f"unknown strategy class {strategy.strategy_class!r}")
     u_bits, d_bits, values = _term_table(bell.kinds)
@@ -127,6 +128,8 @@ def evaluate_strategy(bell: BellOperator, strategy: LhvStrategy) -> int:
         (model.PHOTON_U, strategy.side_u, u_bits),
         (model.PHOTON_D, strategy.side_d, d_bits),
     ):
+        if not isinstance(side, dict):
+            raise ValueError(f"the side of photon {photon} must be a dict, got {side!r}")
         tokens = _side_tokens(bell.factor_labels, strategy.strategy_class, photon)
         vals = np.array([_lookup(side, tok) for tok in tokens], dtype=np.int64)
         if len(side) != len(tokens):  # every token was found, so one key is foreign

@@ -199,15 +199,15 @@ class QuantumState:
         return qcore.read_only(np.outer(self.vector, self.vector.conj()))
 
     @classmethod
-    def pure(cls, vector, dof_count: int | None = None) -> "QuantumState":
+    def pure(cls, vector) -> "QuantumState":
         v = _owned(qcore.as_vector(vector))
         qcore.check_normalized(v)
-        return cls(dof_count=_infer_dof_count(v.size, dof_count), vector=v)
+        return cls(dof_count=_infer_dof_count(v.size), vector=v)
 
     @classmethod
-    def mixed(cls, rho, dof_count: int | None = None) -> "QuantumState":
+    def mixed(cls, rho) -> "QuantumState":
         r = qcore.as_matrix(rho)
-        state = cls(dof_count=_infer_dof_count(r.shape[0], dof_count), vector=None)
+        state = cls(dof_count=_infer_dof_count(r.shape[0]), vector=None)
         r = _owned(r)
         qcore.check_density_matrix(r)
         object.__setattr__(state, "rho", r)  # fills the cached_property: never built
@@ -223,7 +223,7 @@ def _owned(a: np.ndarray) -> np.ndarray:
     return a if owner is None else qcore.read_only(a.copy())
 
 
-def _infer_dof_count(dim: int, dof_count: int | None) -> int:
+def _infer_dof_count(dim: int) -> int:
     n = 0
     d = dim
     while d > 1 and d % 4 == 0:
@@ -231,8 +231,6 @@ def _infer_dof_count(dim: int, dof_count: int | None) -> int:
         n += 1
     if d != 1 or not 1 <= n <= MAX_DOF:
         raise ValueError(f"dimension {dim} is not 4^N for N in 1..{MAX_DOF}")
-    if dof_count is not None and dof_count != n:
-        raise ValueError(f"dimension {dim} does not match dof_count {dof_count}")
     return n
 
 
@@ -274,7 +272,7 @@ def product_state(kinds: tuple, phases: tuple) -> QuantumState:
         if not _finite_real(phase):
             raise ValueError(f"phases must be finite real numbers, got {phase!r}")
     vector = qcore.read_only(reduce(np.multiply.outer, map(pair_state, kinds, phases))).ravel()
-    return QuantumState.pure(vector, len(kinds))  # a view of a fresh read-only array: not copied
+    return QuantumState.pure(vector)  # a view of a fresh read-only array: not copied
 
 
 def hyper_state(theta: float, phi: float, dof_count: int = 2) -> QuantumState:
@@ -358,7 +356,7 @@ def apply_noise(state: QuantumState, noise: NoiseModel) -> QuantumState:
         channel = _white_dof if noise.kind == NOISE_WHITE else _dephase_dof
         for block, kind in enumerate(canonical_kinds(n)):
             rho = channel(rho, noise.v_pi if kind == POLARIZATION else noise.v_k, block, n)
-    return QuantumState.mixed(qcore.read_only(rho), dof_count=n)  # fresh or shared: not copied
+    return QuantumState.mixed(qcore.read_only(rho))  # fresh or shared: not copied
 
 
 def _on_block(a: np.ndarray, block: int, n: int) -> np.ndarray:

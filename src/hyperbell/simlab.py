@@ -20,15 +20,15 @@ A sampled cell is a ``(setting, factor)`` pair: the joint correlation of
 the setting when ``factor`` is None, else the correlation of that one
 degree of freedom.  Sampling is multinomial on the Born distribution,
 driven by the seeded generator in ``rng`` (identity ``rng.GENERATOR_ID``);
-cell i of a sampled range draws from the sub-stream ``stream_base + i`` of
-the seed (``rng.derive_seeds``), so runs are reproducible cell by cell.
-Each N has one array pass (``_CellPass``), a run's own cells then the
-assumption cells (56 at N = 2), read over contiguous row ranges: ``A @ R``
+cell i of a sampled range draws from the sub-stream i of the seed
+(``rng.derive_seeds``), so runs are reproducible cell by cell.  Each N has
+one array pass (``_Layout.cells``), a run's own cells then the assumption
+cells (56 at N = 2), read by position over contiguous row ranges: ``A @ R``
 once per distinct u stack the range reads, stacked Born contractions, one
 sampler call with one seed per row, and one weight product.  A run reads
-the whole pass, cell i on sub-stream i; ``assumption_test`` reads the
-assumption suffix and ``signaling_deviation`` the 4^N product terms, which
-come first.  ``born_distribution`` (a one-cell pass), ``sample`` and
+the whole pass; ``assumption_test`` reads the assumption suffix and
+``signaling_deviation`` the 4^N product terms, which come first.
+``born_distribution`` (one setting's two-stack contraction), ``sample`` and
 ``estimate`` are the one-row calls of the same kernels.
 """
 
@@ -75,8 +75,8 @@ def _side_projectors(ids: tuple) -> np.ndarray:
     """One photon's 2^N outcome projectors on its own 2^N-dim space as a
     read-only 2^N x 4^N stack: the Kronecker product of the (I +- M)/2 pairs
     of its observables, factor 0 slowest.  Built on each call; each N's one
-    pass keeps its stacks (``_CellPass``).  The names need not belong to the
-    photon."""
+    pass keeps its stacks (``_Layout.stacks``).  The names need not belong to
+    the photon."""
     stack = reduce(_kron_stack, [_OUTCOME_PROJECTORS[obs] for obs in ids])
     return qcore.read_only(stack.reshape(len(stack), -1))
 
@@ -104,10 +104,15 @@ class _Layout:
     The cells are (setting, factor) pairs in sub-stream order.  A run's
     cells from offset 0: the product terms in term order, then factor by
     factor its 4 CHSH cells (the canonical pairs, the other factors held at
-    (A, B)).  The assumption cells from ``stream_base``: factor by factor,
-    each row of its kind under the 4^(N-1) contexts of the other factors
-    (other factors in order, the first slowest).  At N = 2 that is 0..15,
-    16..19, 20..23 and 24..55.
+    (A, B)).  Then the assumption cells: factor by factor, each row of its
+    kind under the 4^(N-1) contexts of the other factors (other factors in
+    order, the first slowest).  At N = 2 that is 0..15, 16..19, 20..23 and
+    24..55.  ``cells`` is the one pass of this N, and its tables are read by
+    position: per photon, the read-only stack of its distinct observables
+    tuples (``_side_projectors``), in first-use order, with each cell's
+    index into it; each cell's row of ``weight_rows``; and each cell's
+    record label.  A photon has at most 80 distinct tuples (at N = 4), each
+    built once, so no stack is built per call.
     """
 
     def __init__(self, n: int):
@@ -164,9 +169,41 @@ class _Layout:
         return tuple(contexts)
 
     @cached_property
-    def run_pass(self) -> _CellPass:
+    def cells(self) -> tuple:
         """The one pass of this N: a run's own cells, then the assumption cells."""
-        return _CellPass(self, self.run_cells + self.assumption_cells)
+        return self.run_cells + self.assumption_cells
+
+    @cached_property
+    def stacks(self) -> tuple:
+        """Per photon, u then d, its stack of distinct tuples and each cell's index into it."""
+        u_ids, d_ids = zip(*((s.u_ids, s.d_ids) for s, _ in self.cells))
+        return _distinct_stacks(u_ids), _distinct_stacks(d_ids)
+
+    @cached_property
+    def weight_index(self) -> np.ndarray:
+        return np.array([0 if f is None else f + 1 for _, f in self.cells])
+
+    @cached_property
+    def record_labels(self) -> tuple:
+        return tuple(_record_label(self, s, f) for s, f in self.cells)
+
+    def local_rho(self, state: QuantumState) -> np.ndarray:
+        """rho permuted to photon-local order (``born_axes``)."""
+        axes = self.born_axes
+        return state.rho.reshape((2,) * len(axes)).transpose(axes).reshape(state.rho.shape)
+
+    def born(self, state: QuantumState, rows: slice = slice(None)) -> np.ndarray:
+        """The Born rows of the contiguous cell range ``rows``: ``U @ R`` for
+        the u stacks up to the last one the range reads, then ``_born`` on
+        blocks of ``born_block`` cells, whose gathered stacks stay small."""
+        (u_stacks, u_index), (d_stacks, d_index) = self.stacks
+        u_index, d_index = u_index[rows], d_index[rows]
+        ur = u_stacks[: u_index.max() + 1] @ self.local_rho(state)
+        probs = np.empty((len(u_index), self.weight_rows.shape[1]))
+        for lo in range(0, len(u_index), self.born_block):
+            block = slice(lo, lo + self.born_block)
+            probs[block] = _born(ur[u_index[block]], d_stacks[d_index[block]])
+        return probs
 
     def _cell(self, f: int, pair: tuple, context) -> tuple:
         """The cell of factor f measuring the (u, d) names ``pair``, with the
@@ -200,40 +237,7 @@ def _record_label(layout: _Layout, setting: JointSetting, factor: int | None) ->
     return setting.labels_on((factor,), (layout.labels[factor],))
 
 
-class _CellPass:
-    """One ordered (setting, factor) cell list as the arrays of a pass over
-    a contiguous range of it (``_sample_cells``), all built once: per photon,
-    the read-only stack of its distinct observables tuples
-    (``_side_projectors``), in first-use order, and each cell's index into
-    it; each cell's row of ``_Layout.weight_rows``; and the record labels.
-    A photon has at most 80 distinct tuples (at N = 4), each built once, and
-    a ``_Layout`` keeps its one pass, so no stack is built per call."""
-
-    def __init__(self, layout: _Layout, cells: tuple):
-        self.layout = layout
-        self.cells = cells
-        self.u_stacks, self.u_index = _distinct_stacks([s.u_ids for s, _ in cells])
-        self.d_stacks, self.d_index = _distinct_stacks([s.d_ids for s, _ in cells])
-        self.weight_index = np.array([0 if f is None else f + 1 for _, f in cells])
-        self.labels = tuple(_record_label(layout, s, f) for s, f in cells)
-
-    def born(self, state: QuantumState, rows: slice = slice(None)) -> np.ndarray:
-        """The Born rows of the contiguous cell range ``rows``: rho permuted to
-        photon-local order (``_Layout.born_axes``), ``U @ R`` for the u stacks
-        up to the last one the range reads, then ``_born`` on blocks of
-        ``born_block`` cells, whose gathered stacks stay small."""
-        u_index, d_index, axes = self.u_index[rows], self.d_index[rows], self.layout.born_axes
-        r = state.rho.reshape((2,) * len(axes)).transpose(axes).reshape(state.rho.shape)
-        ur = self.u_stacks[: u_index.max() + 1] @ r
-        step = self.layout.born_block
-        probs = np.empty((len(u_index), self.layout.weight_rows.shape[1]))
-        for lo in range(0, len(u_index), step):
-            block = slice(lo, lo + step)
-            probs[block] = _born(ur[u_index[block]], self.d_stacks[d_index[block]])
-        return probs
-
-
-def _distinct_stacks(sides: list) -> tuple:
+def _distinct_stacks(sides: tuple) -> tuple:
     """One photon's observables tuple per cell as the read-only stack of the
     distinct tuples, in first-use order, and each cell's index into it."""
     rows = {ids: i for i, ids in enumerate(dict.fromkeys(sides))}
@@ -271,7 +275,8 @@ def _born(ur: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 def born_distribution(state: QuantumState, setting: JointSetting) -> OutcomeDistribution:
     """Joint outcome probabilities Tr[rho (P_u x P_d)] for one setting: the
-    Born row of a one-cell pass.  The reference is the trace over
+    two photons' stacks contracted with rho in photon-local order, bitwise
+    the setting's row of the pass.  The reference is the trace over
     ``model.pair_projectors``."""
     layout = _layout_of(setting)
     if state.dof_count != len(layout.kinds):
@@ -279,7 +284,8 @@ def born_distribution(state: QuantumState, setting: JointSetting) -> OutcomeDist
             f"the setting measures {len(layout.kinds)} degrees of freedom,"
             f" the state has {state.dof_count}"
         )
-    probs = _CellPass(layout, ((setting, None),)).born(state)[0]
+    u, d = (_side_projectors(ids) for ids in (setting.u_ids, setting.d_ids))
+    probs = _born((u @ layout.local_rho(state))[None], d[None])[0]
     return OutcomeDistribution(setting=setting, probs=probs)
 
 
@@ -303,7 +309,7 @@ def signaling_deviation(state: QuantumState) -> float:
     """
     layout = _layout(state.dof_count)
     terms = layout.operator.terms
-    rows = layout.run_pass.born(state, slice(len(terms)))
+    rows = layout.born(state, slice(len(terms)))
     grids = rows.reshape(len(terms), 2**len(layout.kinds), -1)
     groups: dict = {}  # (photon, its local setting) -> its marginals
     for setting, grid in zip(terms, grids):
@@ -384,9 +390,9 @@ def violation_report(
 ) -> ViolationReport:
     """Combine per-setting correlations into a Bell-operator estimate.
 
-    ``records`` must match the operator's term list bijectively by
-    (u label, d label).  By default each term is keyed by the labels it
-    carries; ``labels`` relabels the terms with the factor labels the
+    ``records`` must carry the operator's term labels (u label, d label) in
+    term order, one record per term.  By default a term's label is the one
+    it carries; ``labels`` relabels the terms with the factor labels the
     records carry instead: factor 2 of a three-DOF run carries ``pi2``
     where its CHSH operator alone says ``pi``.
     """
@@ -394,18 +400,12 @@ def violation_report(
         keys = [(t.u_label, t.d_label) for t in bell.terms]
     else:
         keys = [t.labels_on(range(len(labels)), labels) for t in bell.terms]
-    by_label = {}
-    for rec in records:
-        if rec.label in by_label:
-            raise ValueError(f"duplicate record for setting {rec.label}")
-        by_label[rec.label] = rec
-    term_labels = set(keys)
-    if set(by_label) != term_labels:
-        missing = sorted(term_labels - set(by_label))
-        extra = sorted(set(by_label) - term_labels)
-        raise ValueError(f"record/term mismatch: missing {missing}, extra {extra}")
-    beta = sum(t.sign * by_label[key].E for t, key in zip(bell.terms, keys))
-    var = sum(by_label[key].std_err ** 2 for key in keys)
+    records = list(records)
+    given = [rec.label for rec in records]
+    if given != keys:
+        raise ValueError(f"record/term mismatch: expected {keys} in term order, got {given}")
+    beta = sum(t.sign * rec.E for t, rec in zip(bell.terms, records))
+    var = sum(rec.std_err**2 for rec in records)
     std = math.sqrt(var)
     return ViolationReport(
         beta_estimate=float(beta),
@@ -420,7 +420,6 @@ class AssumptionCell:
     setting: JointSetting
     context_label: str
     record: CorrelationRecord
-    analytic_E: float
 
 
 @dataclass(frozen=True)
@@ -437,11 +436,6 @@ class AssumptionRow:
     @property
     def spread(self) -> float:
         es = [c.record.E for c in self.cells]
-        return max(es) - min(es)
-
-    @property
-    def analytic_spread(self) -> float:
-        es = [c.analytic_E for c in self.cells]
         return max(es) - min(es)
 
     @property
@@ -469,41 +463,31 @@ def _checked_run(n_events, seed) -> tuple:
 
 
 def _sample_cells(
-    state: QuantumState, cells: _CellPass, n_events: int, seed: int, stream_base: int,
-    rows: slice = slice(None),
+    state: QuantumState, layout: _Layout, n_events: int, seed: int, rows: slice = slice(None)
 ) -> list:
-    """One record per (setting, factor) cell of the range ``rows`` of a pass,
-    in cell order: its Born rows, one sampler call on which its cell i reads
-    sub-stream ``stream_base + i`` of ``seed``, one weight product.  The
-    callers check the ints first (``_checked_run``), so no refusal comes
-    after Born."""
-    seeds = rng.derive_seeds(seed, stream_base, len(cells.labels[rows]))
-    probs = cells.born(state, rows)
-    counts = rng.multinomial(probs, n_events, seeds)
-    return _records(counts, cells.layout.weight_rows[cells.weight_index[rows]], cells.labels[rows])
+    """One record per (setting, factor) cell of the range ``rows`` of the
+    pass, in cell order: its Born rows, one sampler call on which its cell i
+    reads sub-stream i of ``seed``, one weight product.  The callers check
+    the ints first (``_checked_run``), so no refusal comes after Born."""
+    labels = layout.record_labels[rows]
+    probs = layout.born(state, rows)
+    counts = rng.multinomial(probs, n_events, rng.derive_seeds(seed, 0, len(labels)))
+    return _records(counts, layout.weight_rows[layout.weight_index[rows]], labels)
 
 
-def assumption_test(
-    state: QuantumState, n_events: int, seed: int, stream_base: int = 0
-) -> AssumptionReport:
+def assumption_test(state: QuantumState, n_events: int, seed: int) -> AssumptionReport:
     """Element-of-reality checks: same-DOF correlations across contexts.
 
     For each factor, each predictable pair of its kind is estimated under
     all 4^(N-1) contexts of the other factors (at N = 2: polarization under
     the four path contexts, and path under the four polarization contexts).
-    The analytic value per row comes from the context-free marginal
-    operator, which is the exact Born marginal for every context, so its
-    spread across a row is identically zero; the sampled spread is purely
-    statistical.
+    The analytic value, stored once per row, comes from the context-free
+    marginal operator, which is the exact Born marginal for every context;
+    the sampled spread across a row is purely statistical.
     """
     layout = _layout(state.dof_count)
     n_events, seed = _checked_run(n_events, seed)
-    # its last cell reads sub-stream stream_base + count - 1, at most 2^64 - 1
-    stream_base = rng.checked_int(
-        "stream_base", stream_base, 0, 2**64 - len(layout.assumption_cells)
-    )
-    suffix = slice(len(layout.run_cells), None)
-    records = _sample_cells(state, layout.run_pass, n_events, seed, stream_base, suffix)
+    records = _sample_cells(state, layout, n_events, seed, slice(len(layout.run_cells), None))
     return _assumption_report(state, layout, records, n_events, seed)
 
 
@@ -517,12 +501,8 @@ def _assumption_report(
     for kind, operators in zip(layout.kinds, layout.marginals):
         rows = []
         for operator in operators:
-            # rho is already a validated density matrix.
-            analytic = float(np.trace(state.rho @ operator).real)
             cells = tuple(
-                AssumptionCell(
-                    setting=setting, context_label=context, record=record, analytic_E=analytic
-                )
+                AssumptionCell(setting=setting, context_label=context, record=record)
                 for (setting, _), context, record in islice(sampled, n_contexts)
             )
             # Every cell of a row measures the row's pair on factor f.
@@ -531,7 +511,8 @@ def _assumption_report(
                     dof=kind,
                     row_label=" ".join(cells[0].record.label),
                     cells=cells,
-                    analytic_E=analytic,
+                    # rho is already a validated density matrix.
+                    analytic_E=float(np.trace(state.rho @ operator).real),
                 )
             )
         factor_rows.append(tuple(rows))
@@ -601,7 +582,7 @@ def run_simulated_experiment(state: QuantumState, n_events: int, seed: int) -> S
     layout = _layout(state.dof_count)
     n_terms, n_run = len(layout.operator.terms), len(layout.run_cells)
     n_events, seed = _checked_run(n_events, seed)
-    records = _sample_cells(state, layout.run_pass, n_events, seed, 0)
+    records = _sample_cells(state, layout, n_events, seed)
     assumptions = _assumption_report(state, layout, records[n_run:], n_events, seed)
     chsh = tuple(
         violation_report(records[n_terms + 4 * f : n_terms + 4 * f + 4], op, 2.0, (label,))

@@ -148,14 +148,35 @@ def test_criterion_6_assumption_context_independence():
         for seed in (1, 2):
             report = simlab.assumption_test(state, n_events=10**5, seed=seed)
             for row in report.rows:
-                ok = ok and row.analytic_spread == 0.0
                 ok = ok and row.spread < 0.02
                 worst = max(worst, row.spread)
+    # Each cell's exact correlation, its Born row in the pass times its
+    # weight row, is its row's analytic value in every context.
+    worst_exact = 0.0
+    noises = (
+        NoiseModel(model.NOISE_NONE),
+        NoiseModel(model.NOISE_WHITE, v_pi=v_pi, v_k=v_k),
+        NoiseModel(model.NOISE_DEPHASING, v_pi=v_pi, v_k=v_k),
+    )
+    for n in (1, 2, 3, 4):
+        layout = simlab._layout(n)
+        suffix = slice(len(layout.run_cells), None)
+        weights = layout.weight_rows[layout.weight_index[suffix]]
+        for noise in noises:
+            state = model.apply_noise(bell.ideal_state(n), noise)
+            exact = np.einsum("ij,ij->i", layout.born(state, suffix), weights)
+            report = simlab.assumption_test(state, n_events=100, seed=0)
+            cells = [cell.setting for row in report.rows for cell in row.cells]
+            ok = ok and cells == [setting for setting, _ in layout.assumption_cells]
+            analytic = np.repeat([row.analytic_E for row in report.rows], 4 ** (n - 1))
+            worst_exact = max(worst_exact, float(np.abs(exact - analytic).max()))
+    ok = ok and worst_exact < 1e-12
     _report(
         6,
-        "assumption tests: analytic spread exactly 0, sampled spread < 0.02",
+        "assumption tests: every cell's exact correlation is its row's analytic value"
+        " within 1e-12 at N = 1..4, sampled spread < 0.02",
         ok,
-        f"worst sampled spread {worst:.5f}",
+        f"worst exact difference {worst_exact:.1e}, worst sampled spread {worst:.5f}",
     )
 
 

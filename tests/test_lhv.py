@@ -105,6 +105,16 @@ class TestEvaluateStrategy:
         with pytest.raises(ValueError, match=re.escape(message)):
             lhv.evaluate_strategy(op, bad)
 
+    @pytest.mark.parametrize("photon", ["u", "d"])
+    def test_side_that_is_no_dict_rejected(self, photon):
+        """A list side escaped as TypeError: list indices must be integers."""
+        op = bell.build_beta_pi()
+        listed, side_u, side_d = ["A_pi", "a_pi"], {"A_pi": 1, "a_pi": 1}, {"B_pi": 1, "b_pi": 1}
+        sides = (listed, side_d) if photon == "u" else (side_u, listed)
+        message = f"the side of photon {photon} must be a dict, got ['A_pi', 'a_pi']"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            lhv.evaluate_strategy(op, LhvStrategy(FACTORIZABLE, *sides))
+
     @pytest.mark.parametrize("cls", [FACTORIZABLE, UNRESTRICTED])
     def test_unknown_class_rejected(self, cls):
         """It was read as unrestricted, or refused for a missing context token."""

@@ -4,6 +4,7 @@ import functools
 import itertools
 import json
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -856,33 +857,6 @@ class TestSeedAndCountRefusals:
             assert type(report.n_events) is int and type(report.seed) is int
             assert json.dumps([report.n_events, report.seed]) == "[100, 3]"
 
-    @pytest.mark.parametrize(
-        "stream_base,match",
-        [(True, r"^stream_base must be an integer \(got True\)"),
-         (2.0, r"^stream_base must be an integer"),
-         (-1, r"^stream_base must be in \[0, "),
-         (2**64 - 10, r"^stream_base must be in \[0, 18446744073709551584\] "
-                      r"\(got 18446744073709551606\)")],
-        ids=["bool", "float", "negative", "past-the-last-sub-stream"],
-    )
-    def test_bad_stream_base_named_before_born(self, monkeypatch, stream_base, match):
-        """They failed as derive_seeds's start and count, naming neither."""
-
-        def no_born(*args):
-            raise AssertionError("Born pass before the refusal")
-
-        monkeypatch.setattr(simlab, "_born", no_born)
-        with pytest.raises(ValueError, match=match):
-            simlab.assumption_test(model.hyper_state(0.3, 0.2), 100, 0, stream_base)
-
-    def test_last_stream_base_reads_the_last_sub_stream(self):
-        """At N = 2 the 32 assumption cells fit from 2^64 - 32 up."""
-        report = simlab.assumption_test(NOISY, 100, 7, np.uint64(2**64 - 32))
-        cell = report.rows[-1].cells[-1]
-        dist = simlab.born_distribution(NOISY, cell.setting)
-        counts = rng.multinomial(dist.probs, 100, rng.derive_seed(7, 2**64 - 1))
-        assert simlab.estimate(counts, cell.setting, 1) == cell.record
-
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("dtype", [np.uint64, np.int64, np.uint32, np.int8])
     def test_numpy_integer_seeds_count_as_python_ints(self, dtype):
@@ -1119,10 +1093,10 @@ def _per_setting_born(state, setting):
     return probs / float(probs.sum())
 
 
-def _assert_pass_rows_bitwise(cells, state, rows=slice(None)):
-    """Every Born row of a range of a pass is bitwise the per-setting
+def _assert_pass_rows_bitwise(layout, state, rows=slice(None)):
+    """Every Born row of a range of the pass is bitwise the per-setting
     contraction and the ``born_distribution`` row of its setting."""
-    got, settings = cells.born(state, rows), cells.cells[rows]
+    got, settings = layout.born(state, rows), layout.cells[rows]
     assert got.shape == (len(settings), 4 ** state.dof_count)
     for (setting, _), row in zip(settings, got):
         assert row.tobytes() == _per_setting_born(state, setting).tobytes()
@@ -1154,14 +1128,14 @@ class TestArrayPass:
         state = model.apply_noise(model.product_state(kinds, phases[:n]), noise)
         layout = simlab._layout(n)
         for rows in (slice(None), _assumption_suffix(layout)):
-            _assert_pass_rows_bitwise(layout.run_pass, state, rows)
+            _assert_pass_rows_bitwise(layout, state, rows)
 
     @pytest.mark.parametrize("part", ["run_pass", "assumption_suffix"])
     def test_batched_born_equals_per_setting_contraction_at_four_dof(self, part):
         state = model.apply_noise(bell.ideal_state(4), NoiseModel(model.NOISE_DEPHASING, 0.87, 0.93))
         layout = simlab._layout(4)
         rows = _assumption_suffix(layout) if part == "assumption_suffix" else slice(None)
-        _assert_pass_rows_bitwise(layout.run_pass, state, rows)
+        _assert_pass_rows_bitwise(layout, state, rows)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_block_stacks_equal_one_setting_stacks(self, n):
@@ -1171,17 +1145,13 @@ class TestArrayPass:
         is the assumption cells, and the 4^N product terms, which come
         first, read the first 2^N u stacks alone."""
         layout = simlab._layout(n)
-        cells = layout.run_pass
-        assert len(cells.cells) == (12, 56, 268, 1296)[n - 1]
-        suffix = cells.cells[_assumption_suffix(layout)]
+        assert len(layout.cells) == (12, 56, 268, 1296)[n - 1]
+        suffix = layout.cells[_assumption_suffix(layout)]
         assert suffix == layout.assumption_cells and len(suffix) == (4, 32, 192, 1024)[n - 1]
-        assert sorted(set(cells.u_index[: 4**n].tolist())) == list(range(2**n))
-        for stacks, index, photon in (
-            (cells.u_stacks, cells.u_index, "u_ids"),
-            (cells.d_stacks, cells.d_index, "d_ids"),
-        ):
+        assert sorted(set(layout.stacks[0][1][: 4**n].tolist())) == list(range(2**n))
+        for (stacks, index), photon in zip(layout.stacks, ("u_ids", "d_ids"), strict=True):
             assert stacks.shape == ((4, 12, 32, 80)[n - 1], 2**n, 4**n)
-            for (setting, _), i in zip(cells.cells, index, strict=True):
+            for (setting, _), i in zip(layout.cells, index, strict=True):
                 one = simlab._side_projectors(getattr(setting, photon))
                 assert stacks[i].tobytes() == one.tobytes()
             with pytest.raises(ValueError, match="read-only"):
@@ -1191,14 +1161,14 @@ class TestArrayPass:
         layout = simlab._layout(3)
         state = STATES[3][1]
         ranges = (slice(None), _assumption_suffix(layout), slice(64))
-        expected = [layout.run_pass.born(state, rows) for rows in ranges]
+        expected = [layout.born(state, rows) for rows in ranges]
 
         def boom(*args, **kwargs):
             raise AssertionError("projector stack built per Born call")
 
         monkeypatch.setattr(simlab, "_kron_stack", boom)
         for rows, probs in zip(ranges, expected):
-            assert layout.run_pass.born(state, rows).tobytes() == probs.tobytes()
+            assert layout.born(state, rows).tobytes() == probs.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_row_ranges_equal_the_full_pass(self, n):
@@ -1207,10 +1177,10 @@ class TestArrayPass:
         fewer u stacks."""
         layout = simlab._layout(n)
         state = model.apply_noise(bell.ideal_state(n), NoiseModel(model.NOISE_DEPHASING, 0.87, 0.93))
-        full = layout.run_pass.born(state)
+        full = layout.born(state)
         n_terms, n_run = len(layout.operator.terms), len(layout.run_cells)
         for rows in (slice(n_terms), slice(n_run, None), slice(n_terms - 1, n_run + 3)):
-            assert layout.run_pass.born(state, rows).tobytes() == full[rows].tobytes()
+            assert layout.born(state, rows).tobytes() == full[rows].tobytes()
 
     def test_assumption_test_after_run_builds_no_stack(self, monkeypatch):
         """The assumption test samples the run pass's suffix, so after a run
@@ -1223,8 +1193,26 @@ class TestArrayPass:
             raise AssertionError("projector stack built for the assumption test")
 
         monkeypatch.setattr(simlab, "_kron_stack", boom)
-        report = simlab.assumption_test(state, n_events=100, seed=3, stream_base=5)
+        report = simlab.assumption_test(state, n_events=100, seed=3)
         assert len(report.rows) == 12 and report.n_events == 100
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "noise",
+        [NoiseModel(model.NOISE_NONE), NoiseModel(model.NOISE_WHITE, 0.9, 0.8),
+         NoiseModel(model.NOISE_DEPHASING, 0.87, 0.93)],
+        ids=["none", "white", "dephasing"],
+    )
+    def test_one_setting_born_equals_the_pass_row(self, n, noise):
+        """``born_distribution`` contracts one setting's two stacks without
+        the pass; every cell's pass row is bitwise its setting's row."""
+        layout = simlab._layout(n)
+        state = model.apply_noise(model.hyper_state(0.7, -1.3, n), noise)
+        one = {}
+        for (setting, _), row in zip(layout.cells, layout.born(state), strict=True):
+            if setting not in one:
+                one[setting] = simlab.born_distribution(state, setting).probs.tobytes()
+            assert row.tobytes() == one[setting]
 
     def test_born_blocks_stay_small(self):
         """No pass gathers a whole list's projector stacks: a block holds
@@ -1386,6 +1374,9 @@ class TestFactorization:
 
 
 class TestViolationReport:
+    # The term labels of beta_pi, in term order.
+    CHSH_LABELS = [("A_pi", "B_pi"), ("A_pi", "b_pi"), ("a_pi", "B_pi"), ("a_pi", "b_pi")]
+
     def _analytic_records(self, state, which):
         records = []
         for setting in bell.canonical_product(2).terms:
@@ -1450,12 +1441,34 @@ class TestViolationReport:
         assert rep.beta_estimate == pytest.approx(2.0, abs=1e-12)
         assert rep.sigmas == pytest.approx(0.0, abs=1e-9)
 
+    def _refused(self, given):
+        """The refusal of records carrying ``given``, naming both label lists."""
+        return pytest.raises(ValueError, match=re.escape(
+            f"record/term mismatch: expected {self.CHSH_LABELS} in term order, got {given}"
+        ))
+
     def test_label_mismatch_rejected(self):
         records = [
             simlab.CorrelationRecord(label=("A_pi", "wrong"), E=0.5, std_err=0.01, n_events=10),
         ]
-        with pytest.raises(ValueError, match="mismatch"):
+        with self._refused([("A_pi", "wrong")]):
             simlab.violation_report(records, bell.build_beta_pi(), bound=2.0)
+
+    @pytest.mark.parametrize(
+        "order", [(1, 0, 2, 3), (0, 1, 2), (0, 1, 2, 3, 3)], ids=["misplaced", "missing", "extra"]
+    )
+    def test_records_out_of_term_order_rejected(self, order):
+        """Records are read by position: each must carry its term's label."""
+        given = [self.CHSH_LABELS[i] for i in order]
+        records = [simlab.CorrelationRecord(label, 0.5, 0.01, 100) for label in given]
+        with self._refused(given):
+            simlab.violation_report(records, bell.build_beta_pi(), bound=2.0)
+
+    def test_records_may_come_as_an_iterator(self):
+        records = [simlab.CorrelationRecord(label, 0.5, 0.01, 100) for label in self.CHSH_LABELS]
+        rep = simlab.violation_report(iter(records), bell.build_beta_pi(), bound=2.0)
+        assert rep == simlab.violation_report(records, bell.build_beta_pi(), bound=2.0)
+        assert rep.beta_estimate == pytest.approx(1.0, abs=1e-12)
 
     def test_records_match_under_the_factor_labels_they_carry(self):
         """A CHSH factor of a larger run: its records carry the factor's
@@ -1475,12 +1488,12 @@ class TestViolationReport:
 
     def test_duplicate_labels_rejected(self):
         rec = simlab.CorrelationRecord(label=("A_pi", "B_pi"), E=0.5, std_err=0.01, n_events=10)
-        with pytest.raises(ValueError, match="duplicate"):
+        with self._refused([("A_pi", "B_pi")] * 2):
             simlab.violation_report([rec, rec], bell.build_beta_pi(), bound=2.0)
 
     def test_beta_report_builds_no_label(self, monkeypatch):
-        """After one run, the beta report of its 16 term records keys each
-        term by the labels it carries and builds none."""
+        """After one run, the beta report of its 16 term records compares
+        each record with the labels its term carries and builds none."""
         result = simlab.run_simulated_experiment(NOISY, n_events=300, seed=4)
 
         def boom(*args, **kwargs):
@@ -1554,12 +1567,6 @@ class TestAssumptionTest:
                 else ["A_pi B_pi", "A_pi b_pi", "a_pi B_pi", "a_pi b_pi"]
             )
 
-    def test_analytic_spread_is_exactly_zero(self):
-        for state in (IDEAL, NOISY):
-            report = simlab.assumption_test(state, n_events=100, seed=3)
-            for row in report.rows:
-                assert row.analytic_spread == 0.0
-
     def test_noisy_rows_match_visibility(self):
         report = simlab.assumption_test(NOISY, n_events=10**4, seed=4)
         for row in report.rows:
@@ -1581,17 +1588,7 @@ class TestAssumptionTest:
         assert contexts[:2] == ["A_k A_pi2 B_k B_pi2", "A_k A_pi2 B_k b_pi2"]
         assert report.factor_rows[2][0].cells[1].context_label == "A_pi A_k B_pi b_k"
         for row in report.rows:
-            assert row.analytic_spread == 0.0
             assert abs(row.analytic_E) == pytest.approx(0.9, abs=1e-12)
-
-    def test_stream_base_shifts_sampling(self):
-        base0 = simlab.assumption_test(NOISY, n_events=1000, seed=5, stream_base=0)
-        base24 = simlab.assumption_test(NOISY, n_events=1000, seed=5, stream_base=24)
-        same = simlab.assumption_test(NOISY, n_events=1000, seed=5, stream_base=0)
-        e0 = [c.record.E for r in base0.rows for c in r.cells]
-        e24 = [c.record.E for r in base24.rows for c in r.cells]
-        assert e0 == [c.record.E for r in same.rows for c in r.cells]
-        assert e0 != e24
 
 
 # The 56 sampled cells of one simulated run in sub-stream order, rebuilt from
@@ -1681,23 +1678,6 @@ class TestSimulatedExperiment:
         for n in (1, 2, 3):
             layout = _stream_layout() if n == 2 else _canonical_layout(n)
             _assert_cells_replay(NOISY if n == 2 else STATES[n][1], n, layout)
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_one_pass_equals_the_separate_passes(self, n):
-        """A run samples its cells and the assumption cells in one pass; each
-        half equals its own pass on the same sub-streams."""
-        state, seed, events = STATES[n][1], 31, 700
-        layout = simlab._layout(n)
-        n_run, n_terms = len(layout.run_cells), len(layout.operator.terms)
-        result = simlab.run_simulated_experiment(state, n_events=events, seed=seed)
-        alone = simlab.assumption_test(state, n_events=events, seed=seed, stream_base=n_run)
-        assert result.assumptions == alone
-        run_pass = simlab._CellPass(layout, layout.run_cells)
-        records = simlab._sample_cells(state, run_pass, events, seed, 0)
-        assert list(result.joint_records) == records[:n_terms]
-        for f, (rep, op) in enumerate(zip(result.chsh, layout.operator.factors)):
-            cells = records[n_terms + 4 * f : n_terms + 4 * f + 4]
-            assert rep == simlab.violation_report(cells, op, 2.0, (layout.labels[f],))
 
     def test_noisy_run_recovers_scaled_violations(self):
         result = simlab.run_simulated_experiment(NOISY, n_events=10**4, seed=5)
