@@ -179,9 +179,11 @@ def _factor_embedding(n_dof: int, f: int) -> np.ndarray:
 
 def _expect_real(matrix: np.ndarray, state: QuantumState) -> float:
     if state.is_pure:
-        val = qcore.expectation(matrix, state.vector)
-    else:
-        val = qcore.expectation_mixed(matrix, state.rho)
+        return _real(qcore.expectation(matrix, state.vector))
+    return _real(qcore.expectation_mixed(matrix, state.rho))
+
+
+def _real(val: complex) -> float:
     if abs(val.imag) > 1e-10:
         raise qcore.NumericalFailure(
             f"Bell expectation has non-negligible imaginary part {val.imag!r}"
@@ -198,8 +200,8 @@ def quantum_value(bell: BellOperator, state: QuantumState) -> float:
 
 @dataclass(frozen=True)
 class IdealPredictions:
-    """Exact expectations and spectral radii on a pure N-DOF state: each
-    factor's CHSH operator, factor 0 first, then their product."""
+    """Exact expectations and spectral radii on an N-DOF state, pure or
+    mixed: each factor's CHSH operator, factor 0 first, then their product."""
 
     values: tuple  # signed <beta_f> per factor, then <beta>
     radii: tuple
@@ -207,12 +209,22 @@ class IdealPredictions:
 
 def ideal_predictions(state: QuantumState) -> IdealPredictions:
     """Signed <beta_f> of each factor of ``canonical_product(N)`` and <beta>
-    of the product, plus their spectral radii."""
+    of the product, plus their spectral radii.
+
+    A pure state is checked once, by ``quantum_value`` of the product; each
+    factor value is then the arithmetic of ``qcore.expectation`` on that
+    checked vector, since the factor tables were checked when built and are
+    read-only.  A mixed state goes through the checked path per table."""
     n = state.dof_count
     product = canonical_product(n)
-    values = [_expect_real(_factor_embedding(n, f), state) for f in range(n)]
+    value = quantum_value(product, state)
+    if state.is_pure:
+        v = np.asarray(state.vector, dtype=complex)  # as qcore.expectation read it
+        values = [_real(complex(np.vdot(v, _factor_embedding(n, f) @ v))) for f in range(n)]
+    else:
+        values = [_expect_real(_factor_embedding(n, f), state) for f in range(n)]
     return IdealPredictions(
-        values=(*values, quantum_value(product, state)),
+        values=(*values, value),
         radii=tuple([op.radius for op in (*product.factors, product)]),
     )
 

@@ -576,10 +576,10 @@ def _json(value, pad: str) -> str:
 
 
 def _emit_csv(result: StudyResult) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(result.rows[0]), lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(result.rows)
+    buf, fields, rows = io.StringIO(), list(result.rows[0]), result.rows
+    if any(list(row) != fields for row in rows):
+        raise ValueError(f"every csv row must have the header's keys {fields}")
+    csv.writer(buf, lineterminator="\n").writerows([fields, *(row.values() for row in rows)])
     return buf.getvalue()
 
 

@@ -25,15 +25,16 @@ maximizer in (u index, d index) order.
 
 The search weights contexts with the Kronecker sign table
 ``BellOperator.signs``; the witness is then replayed by ``evaluate_strategy``
-as an independent check, over an integer term table whose signs are
-products of the factor term signs.  The term table (per kinds tuple) and
-the factorizable side table (per N) are built once, read-only, and the
-search runs once per (kinds, class) per process; the guard, fresh witness
-dicts and the replay come on every call, and ``strategies_evaluated`` is
-the size of the exhaustive search the bound rests on.  Witness
-tokens are built from the factor labels with the label rule in ``model``
-(a context token joins one observable token per factor), never from the
-operator's term table.
+as an independent check, over an integer term table that holds each
+photon's context index of every term and signs that are products of the
+factor term signs.  The term table (per kinds tuple), the context slot
+table and the factorizable side table (per N) are built once, read-only,
+and the search runs once per (kinds, class) per process; the guard, fresh
+witness dicts and the replay come on every call, and
+``strategies_evaluated`` is the size of the exhaustive search the bound
+rests on.  Witness tokens are built from the factor labels with the label
+rule in ``model`` (a context token joins one observable token per factor),
+never from the operator's term table.
 
 The unrestricted search never builds all 2^n u assignments: each u is split
 into its first and last halves of slots, whose weight tables (2^(n/2) rows
@@ -102,31 +103,37 @@ def _side_tokens(labels: tuple, strategy_class: str, photon: str) -> tuple:
 
 @cache
 def _term_table(kinds: tuple) -> tuple:
-    """``(u bits, d bits, signs)`` of the 4^N terms of the operator of
-    ``kinds``, factor 0 slowest: bit [t, f] is 1 where term t takes factor
-    f's alternate name, and each sign is the product of the factor term
-    signs (order AB, Ab, aB, ab).  Built once per kinds tuple, read-only."""
+    """``(u contexts, d contexts, signs)`` of the 4^N terms of the operator of
+    ``kinds``, factor 0 slowest: each photon's context index of every term
+    (factor 0 most significant, bit 1 = alternate name), and each sign the
+    product of the factor term signs (order AB, Ab, aB, ab).  Built once per
+    kinds tuple, read-only."""
     n = len(kinds)
     bits = _bits(np.arange(4**n), 2 * n)  # per factor: u bit, d bit
     factor_signs = np.array([[t.sign for t in f.terms] for f in BellOperator(kinds=kinds).factors])
     cells = 2 * bits[:, 0::2] + bits[:, 1::2]
     signs = factor_signs[np.arange(n), cells].prod(axis=1)
-    return tuple(qcore.read_only(a) for a in (bits[:, 0::2], bits[:, 1::2], signs))
+    contexts = (_bits_index(bits[:, 0::2]), _bits_index(bits[:, 1::2]))
+    return tuple(qcore.read_only(a) for a in (*contexts, signs))
 
 
 def evaluate_strategy(bell: BellOperator, strategy: LhvStrategy) -> int:
     """Classical value of a deterministic assignment; exact integers.
 
     Each side must be a dict that assigns exactly its class's tokens, each
-    the integer +1 or -1; an unknown class, a side that is no dict, a missing
-    or foreign token and a bool, float or other value are refused, naming
-    the class, the photon or the token."""
+    the integer +1 or -1; a strategy that is no ``LhvStrategy``, an unknown
+    class, a side that is no dict, a missing or foreign token and a bool,
+    float or other value are refused, naming the type, the class, the photon
+    or the token.  A factorizable side is turned into its 2^N context values
+    first, so both classes read each term's context from the term table."""
+    if not isinstance(strategy, LhvStrategy):
+        raise ValueError(f"the strategy must be an LhvStrategy, got {type(strategy).__name__}")
     if strategy.strategy_class not in STRATEGY_CLASSES:
         raise ValueError(f"unknown strategy class {strategy.strategy_class!r}")
-    u_bits, d_bits, values = _term_table(bell.kinds)
-    for photon, side, bits in (
-        (model.PHOTON_U, strategy.side_u, u_bits),
-        (model.PHOTON_D, strategy.side_d, d_bits),
+    u_contexts, d_contexts, values = _term_table(bell.kinds)
+    for photon, side, contexts in (
+        (model.PHOTON_U, strategy.side_u, u_contexts),
+        (model.PHOTON_D, strategy.side_d, d_contexts),
     ):
         if not isinstance(side, dict):
             raise ValueError(f"the side of photon {photon} must be a dict, got {side!r}")
@@ -137,10 +144,9 @@ def evaluate_strategy(bell: BellOperator, strategy: LhvStrategy) -> int:
             raise ValueError(
                 f"{foreign!r} is no {strategy.strategy_class} token of photon {photon}"
             )
-        if strategy.strategy_class == FACTORIZABLE:  # product of the slot values
-            values = values * vals[2 * np.arange(bell.dof_count) + bits].prod(axis=1)
-        else:  # the value of the context the bits index
-            values = values * vals[_bits_index(bits)]
+        if strategy.strategy_class == FACTORIZABLE:  # each context's slot product
+            vals = vals[_context_slots(bell.dof_count)].prod(axis=1)
+        values = values * vals[contexts]
     return int(values.sum())
 
 
@@ -171,12 +177,18 @@ def _assignment_values(n_slots: int) -> np.ndarray:
 
 
 @cache
+def _context_slots(n: int) -> np.ndarray:
+    """``[context, factor]``: the factorizable slot (factor, primary/alternate)
+    each of the 2^n contexts reads; built once per n, read-only."""
+    return qcore.read_only(2 * np.arange(n) + _bits(np.arange(2**n), n))
+
+
+@cache
 def _factorizable_context_values(n: int) -> np.ndarray:
     """Per-context products of every factorizable side assignment at N = n,
     as float64 for the BLAS search; built once per n, read-only."""
     vals = _assignment_values(2 * n)  # slots: (factor, primary/alternate)
-    context_slots = 2 * np.arange(n) + _bits(np.arange(2**n), n)  # [context, factor]
-    return qcore.read_only(vals[:, context_slots].prod(axis=2).astype(np.float64))
+    return qcore.read_only(vals[:, _context_slots(n)].prod(axis=2).astype(np.float64))
 
 
 def _strategy_from_index(bell: BellOperator, strategy_class: str, photon: str, index: int) -> dict:

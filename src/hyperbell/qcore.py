@@ -65,7 +65,11 @@ def read_only(a: np.ndarray) -> np.ndarray:
 
 
 def is_hermitian(m, tol: float = HERMITIAN_TOL) -> bool:
-    a = as_matrix(m)
+    return _is_hermitian(as_matrix(m), tol)
+
+
+def _is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
+    """``is_hermitian`` of a matrix ``as_matrix`` has already returned."""
     return bool(np.max(np.abs(a - a.conj().T)) <= tol)
 
 
@@ -96,7 +100,7 @@ def check_normalized(psi: np.ndarray) -> None:
 def check_density_matrix(rho: np.ndarray) -> None:
     """Hermitian, unit trace, positive semidefinite (within tolerances)."""
     a = as_matrix(rho)
-    if not is_hermitian(a):
+    if not _is_hermitian(a):
         raise ValueError("density matrix must be Hermitian")
     tr = complex(np.trace(a))
     if abs(tr - 1.0) > NORM_TOL:
@@ -139,7 +143,7 @@ def spectral_radius(op) -> float:
     ``_POWER_ITER_CAP`` sweeps.
     """
     a = as_matrix(op)
-    if not is_hermitian(a):
+    if not _is_hermitian(a):
         raise ValueError("spectral_radius requires a Hermitian matrix")
     scale = float(np.max(np.abs(a)))
     if scale == 0.0:

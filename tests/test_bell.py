@@ -373,6 +373,14 @@ class TestQuantumValue:
             bell.quantum_value(bell.build_beta_pi(), bell.ideal_state(2))
 
 
+def _checked_values(state) -> list:
+    """Each factor's and the product's value through the checked per-table
+    path, as hex strings, so a comparison is bitwise."""
+    n = state.dof_count
+    tables = [bell._factor_embedding(n, f) for f in range(n)]
+    return [bell._expect_real(t, state).hex() for t in (*tables, bell.canonical_product(n).matrix)]
+
+
 class TestIdealPredictions:
     def test_source_state_values(self):
         pred = bell.ideal_predictions(model.hyper_state(np.pi, 0.0))
@@ -405,6 +413,34 @@ class TestIdealPredictions:
         by_kind = bell.ideal_predictions(model.hyper_state(0.4, -1.1, 2)).values[:2]
         for kind, value in zip(bell.canonical_product(n).kinds, pred.values):
             assert value == pytest.approx(by_kind[kind == model.PATH], abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_pure_state_checked_once_same_bits(self, n, monkeypatch):
+        """Each value has the bits of the checked path, and the state goes
+        through ``qcore.expectation`` once: for the product."""
+        state = model.hyper_state(0.4, -1.1, n)
+        checked = _checked_values(state)
+        calls, expectation = [], qcore.expectation
+        monkeypatch.setattr(
+            qcore, "expectation", lambda op, psi: calls.append(op) or expectation(op, psi)
+        )
+        assert [v.hex() for v in bell.ideal_predictions(state).values] == checked
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("vector,message", [
+        (np.full(16, 0.5, dtype=complex), "state vector is not normalized (norm 2.0)"),
+        (np.array([1, 0, 0, 0], dtype=complex), "dimension mismatch: operator 16, state 4"),
+    ])
+    def test_unchecked_pure_state_refused(self, vector, message):
+        """A state built around ``QuantumState.pure``'s checks is still refused."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            bell.ideal_predictions(QuantumState(dof_count=2, vector=vector))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_mixed_state_takes_the_checked_path(self, n):
+        ideal = bell.ideal_state(n)
+        state = QuantumState.mixed(0.8 * ideal.rho + 0.2 * np.eye(ideal.dim) / ideal.dim)
+        assert [v.hex() for v in bell.ideal_predictions(state).values] == _checked_values(state)
 
     def test_radii_read_once(self, monkeypatch):
         def refuse(*_):

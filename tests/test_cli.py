@@ -1,11 +1,14 @@
 """Command-line front end: studies, formats, config handling, exit codes."""
 
+import csv
+import io
 import json
 import math
 import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -811,6 +814,47 @@ class TestJsonWriter:
                             lambda doc, pad: json.dumps(doc, indent=2, sort_keys=True))
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == written
+
+
+def _dict_writer_csv(result) -> str:
+    """The CSV ``csv.DictWriter`` writes: the oracle for ``cli._emit_csv``."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(result.rows[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(result.rows)
+    return buf.getvalue()
+
+
+_CSV_ARGV = [
+    *(["ideal", "--dof", str(n)] for n in range(1, bell.MAX_DOF + 1)),
+    ["ideal", "--theta", "0.7", "--phi", "-1.3"],
+    *(["bounds", "--dof", str(n)] for n in range(1, bell.MAX_DOF + 1)),
+    *(["bounds", "--dof", "3", "--class", cls] for cls in lhv.STRATEGY_CLASSES),
+    *(["scaling", "--dof", str(n)] for n in range(1, bell.MAX_DOF + 1)),
+    ["simulate", "--events", "40", "--seed", "3"],
+    ["simulate", "--events", "40", "--noise", "dephasing", "--v-pi", "0.9"],
+    ["assumptions", "--events", "40", "--seed", "3"],
+]
+
+
+class TestCsvWriter:
+    """``cli._emit_csv`` writes what ``csv.DictWriter`` wrote."""
+
+    @pytest.mark.parametrize("argv", _CSV_ARGV, ids=" ".join)
+    def test_equals_dict_writer(self, argv, monkeypatch, capsys):
+        assert cli.main([*argv, "--format", "csv"]) == 0
+        written = capsys.readouterr().out
+        monkeypatch.setitem(cli._EMITTERS, "csv", _dict_writer_csv)
+        assert cli.main([*argv, "--format", "csv"]) == 0
+        assert capsys.readouterr().out == written
+
+    @pytest.mark.parametrize("row", [
+        {"a": 1, "b": 2, "c": 3}, {"a": 1}, {"b": 2, "a": 1},
+    ], ids=["extra key", "missing key", "other order"])
+    def test_row_keys_other_than_the_header_refused(self, row):
+        result = SimpleNamespace(rows=[{"a": 1, "b": 2}, row])
+        with pytest.raises(ValueError, match=re.escape("header's keys ['a', 'b']")):
+            cli._emit_csv(result)
 
 
 class TestRepeatsInOneProcess:

@@ -123,6 +123,11 @@ class TestEvaluateStrategy:
         with pytest.raises(ValueError, match="unknown strategy class 'contextual'"):
             lhv.evaluate_strategy(op, LhvStrategy("contextual", witness.side_u, witness.side_d))
 
+    def test_strategy_that_is_no_lhv_strategy_rejected(self):
+        """It escaped as an AttributeError on ``strategy_class``."""
+        with pytest.raises(ValueError, match="must be an LhvStrategy, got dict"):
+            lhv.evaluate_strategy(bell.build_beta_pi(), {"A_pi": 1})
+
 
 class TestSignSymmetry:
     def test_unrestricted_full_side_flip_negates(self):
@@ -345,9 +350,30 @@ class TestMaxBound:
         kinds = model.canonical_kinds(n)
         assert lhv._term_table(kinds) is lhv._term_table(kinds)
         assert lhv._factorizable_context_values(n) is lhv._factorizable_context_values(n)
-        for table in (*lhv._term_table(kinds), lhv._factorizable_context_values(n)):
+        assert lhv._context_slots(n) is lhv._context_slots(n)
+        per_n = (lhv._context_slots(n), lhv._factorizable_context_values(n))
+        for table in (*lhv._term_table(kinds), *per_n):
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0
+
+    @pytest.mark.parametrize("n", range(1, bell.MAX_DOF + 1))
+    @pytest.mark.parametrize("cls", [FACTORIZABLE, UNRESTRICTED])
+    @pytest.mark.parametrize("wrong", ["bound", "witness"])
+    def test_wrong_cached_search_is_caught(self, n, cls, wrong, monkeypatch):
+        """The replay reads tables of its own, so a cached search that reports
+        a bound 2 too high, or a witness whose u side is negated (factor 0's
+        pair flipped, or every context), fails the call."""
+        op = bell.canonical_product(n)
+        bound, ui, di = lhv._search(op.kinds, cls)
+        if wrong == "bound":
+            bound += 2
+        elif cls == FACTORIZABLE:
+            ui ^= 0b11 << (2 * n - 2)
+        else:
+            ui ^= 2 ** (2**n) - 1
+        monkeypatch.setattr(lhv, "_search", lambda kinds, strategy_class: (bound, ui, di))
+        with pytest.raises(AssertionError, match="does not reproduce the bound"):
+            lhv.max_bound(op, cls)
 
     @pytest.mark.parametrize("cls,tokens", [(FACTORIZABLE, 2 * 4), (UNRESTRICTED, 2**4)])
     def test_side_tokens_built_once_per_labels(self, cls, tokens, monkeypatch):

@@ -172,6 +172,20 @@ class TestExpectationMixed:
             qcore.expectation_mixed(I2, not_psd)
 
 
+class TestDensityMatrixCheck:
+    def test_validated_once(self, monkeypatch):
+        """The Hermitian gap is read from the array the check validated."""
+        calls, as_matrix = [], qcore.as_matrix
+        monkeypatch.setattr(qcore, "as_matrix", lambda m: calls.append(m) or as_matrix(m))
+        qcore.check_density_matrix(I2 / 2)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("check", [qcore.check_density_matrix, qcore.is_hermitian])
+    def test_non_finite_entries_refused(self, check):
+        with pytest.raises(ValueError, match="finite"):
+            check(np.array([[np.nan, 0], [0, 1]], dtype=complex))
+
+
 class TestSpectralRadius:
     def test_identity(self):
         assert qcore.spectral_radius(np.eye(7, dtype=complex)) == pytest.approx(1.0, abs=1e-8)
