@@ -209,7 +209,7 @@ class QuantumState:
         r = qcore.as_matrix(rho)
         state = cls(dof_count=_infer_dof_count(r.shape[0]), vector=None)
         r = _owned(r)
-        qcore.check_density_matrix(r)
+        qcore._check_density_matrix(r)
         object.__setattr__(state, "rho", r)  # fills the cached_property: never built
         return state
 

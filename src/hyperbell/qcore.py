@@ -99,7 +99,11 @@ def check_normalized(psi: np.ndarray) -> None:
 
 def check_density_matrix(rho: np.ndarray) -> None:
     """Hermitian, unit trace, positive semidefinite (within tolerances)."""
-    a = as_matrix(rho)
+    _check_density_matrix(as_matrix(rho))
+
+
+def _check_density_matrix(a: np.ndarray) -> None:
+    """``check_density_matrix`` of a matrix ``as_matrix`` has already returned."""
     if not _is_hermitian(a):
         raise ValueError("density matrix must be Hermitian")
     tr = complex(np.trace(a))
@@ -130,7 +134,7 @@ def expectation_mixed(op, rho) -> complex:
     r = as_matrix(rho)
     if a.shape != r.shape:
         raise ValueError(f"dimension mismatch: operator {a.shape[0]}, rho {r.shape[0]}")
-    check_density_matrix(r)
+    _check_density_matrix(r)
     return complex(np.trace(r @ a))
 
 

@@ -58,22 +58,36 @@ no buffer of their own.  A one-row block, which every long row is,
 searches its bare top words.
 
 A row of ``n >= CHUNK`` events is cut into passes of ``LONG_PASS``
-outputs, and the passes of all rows are dealt in turn to worker threads,
-one per CPU the process may run on and at most 4; the caller is worker 0.
-Output ``i`` of a stream is ``mix(seed + (i + 1) * gamma)``, so any range
-of it is generated on its own, and counts over disjoint position ranges of
-one stream add: each worker counts its passes into its own integer
-partial, and the partials are summed once every worker has been joined.
-The counts do not depend on the number of workers.  In-flight buffers stay
-below 4 workers of ``LONG_PASS`` outputs at 20 B each, 2.5 MiB, whatever
-``n``, the row count or the core count.
+outputs.  A call of at least ``FORK_PASSES`` such passes deals the passes of
+all rows in turn to worker processes, one per CPU the process may run on and
+at most 4; the caller is worker 0, and worker w >= 1 is a child from
+``os.fork`` that counts passes w, w + W, ... into its own integer partial
+in an anonymous shared mapping made before the fork.  Output ``i`` of a
+stream is ``mix(seed + (i + 1) * gamma)``, so any range of it is generated
+on its own, and counts over disjoint position ranges of one stream add: the
+partials are summed in worker order once every child has been waited for.
+The counts do not depend on the number of workers.  A smaller call, or one
+where ``os.fork`` is missing or raises ``OSError``, counts every pass on
+the calling thread: a fork costs a few milliseconds, more than a worker
+saves on fewer passes.
+
+The children are fork-safe by construction: a child touches only the
+arrays it allocates and its shared partial, calls no BLAS, takes no lock
+another thread may hold, and leaves with ``os._exit``, so no atexit handler
+runs and no inherited stdio buffer is flushed twice.  A child that fails
+sends its pickled exception back through a pipe, and the caller raises it
+once every child has been waited for; no child outlives the call.  Each
+process holds its own in-flight buffers, below ``LONG_PASS`` outputs at
+20 B each, 640 KiB, whatever ``n``, the row count or the core count.
 """
 
 from __future__ import annotations
 
+import math
+import mmap
 import operator
 import os
-import threading
+import pickle
 
 import numpy as np
 
@@ -84,12 +98,13 @@ MAX_EVENTS = 10**9
 # Stream outputs per block of rows of fewer than CHUNK events; fixes the
 # buffer size, not the counts.
 CHUNK = 1 << 14
-# Stream outputs per pass of a row of at least CHUNK events.  At 2^14 two
-# threads gained nothing: each numpy call was too short to pay for handing
-# over the interpreter lock.  2^16 was faster but cost twice the memory.
+# Stream outputs per pass of a row of at least CHUNK events.  2^16 was
+# faster but cost twice the memory.
 LONG_PASS = 2 * CHUNK
-# Worker threads for long rows: the CPUs this process may run on, capped at 4
-# so the in-flight buffers stay below 4 * LONG_PASS * 20 B = 2.5 MiB.
+# Passes of LONG_PASS outputs from which a call forks its workers.  A fork
+# costs a few ms; on a 2-vCPU VM one worker was as fast up to 40-48 passes.
+FORK_PASSES = 48
+# Worker processes for long rows: the CPUs this process may run on, capped at 4.
 _WORKERS = min(
     4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
@@ -170,10 +185,14 @@ def multinomial(probs: np.ndarray, n_events: int, seed) -> np.ndarray:
     in [0, 2^64 - 1]; bools and floats are refused, not truncated or wrapped.
     A uint64 seed array is taken as it is: its dtype bounds every seed.
 
-    The streams are consumed in passes held in reused buffers, on up to 4
-    worker threads for rows of at least ``CHUNK`` events (see the module
-    docstring), so in-flight buffers stay below 2.5 MiB whatever
-    ``n_events``, the row count or the core count.  Per pass, each row's
+    The streams are consumed in passes held in reused buffers.  A call of
+    rows of at least ``CHUNK`` events and at least ``FORK_PASSES`` passes of
+    ``LONG_PASS`` outputs deals its passes to up to 4 worker processes from
+    ``os.fork``, the caller one of them, and every other call counts on the
+    calling thread (see the module docstring); each process's in-flight
+    buffers stay below 640 KiB whatever ``n_events``, the row count or the
+    core count, and no child outlives the call, which raises a child's
+    exception once every child has been waited for.  Per pass, each row's
     top 32-bit words are sorted once, and each reachable CDF edge ``c < 1``,
     as the integer threshold ``t = ceil(c * 2^53) << 11``, is counted by a
     two-sided ``searchsorted`` of its top word among its own row's, one
@@ -252,28 +271,71 @@ def multinomial(probs: np.ndarray, n_events: int, seed) -> np.ndarray:
                 counts[r, k] = np.count_nonzero(chunk[r] >= thresholds[r0 + r, k])
             reached[r0 : r0 + b] += counts
 
-    workers = min(_WORKERS, n_passes) if n_events >= CHUNK else 1
-    partials = [np.zeros(thresholds.shape, dtype=np.int64) for _ in range(workers)]
-    errors = []
-
-    def work(w):
-        try:
-            count(range(w, n_passes, workers), partials[w])
-        except Exception as exc:  # re-raised by the caller once all are joined
-            errors.append(exc)
-
-    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
-    for thread in threads:
-        thread.start()
+    forks = n_events >= CHUNK and len(rows) * n_events >= FORK_PASSES * LONG_PASS
+    workers = min(_WORKERS, n_passes) if forks and hasattr(os, "fork") else 1
+    shape = (workers, *thresholds.shape)
+    if workers > 1:  # zero-filled, and shared with the children forked below
+        partials = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), np.int64).reshape(shape)
+    else:
+        partials = np.zeros(shape, dtype=np.int64)
+    children, local = [], [0]
     try:
-        work(0)
+        for w in range(1, workers):
+            try:
+                children.append(_fork(count, range(w, n_passes, workers), partials[w]))
+            except OSError:  # the caller counts this worker's passes too
+                local.append(w)
+        for w in local:
+            count(range(w, n_passes, workers), partials[w])
     finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
+        errors = [_wait(*child) for child in children]
+    for error in errors:
+        if error is not None:
+            raise error
     # at_or_above[:, k] = #(u >= cdf[k-1]): every event for k = 0, none at the top.
     at_or_above = np.zeros((len(rows), p.shape[-1] + 1), dtype=np.int64)
     at_or_above[:, 0] = n_events
-    at_or_above[:, 1:-1] = np.where(reachable, sum(partials), 0)
+    at_or_above[:, 1:-1] = np.where(reachable, partials.sum(axis=0), 0)
     return (at_or_above[:, :-1] - at_or_above[:, 1:]).reshape(p.shape)
+
+
+def _fork(work, *args) -> tuple:
+    """Run ``work(*args)`` in a child from ``os.fork``; returns its pid and the
+    read end of the pipe that carries its pickled exception, if it raises."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:  # the child: it leaves only through os._exit
+        try:
+            work(*args)
+            os._exit(0)
+        except BaseException as exc:
+            try:
+                error = pickle.dumps(exc)
+            except Exception:  # an exception that does not pickle goes as its text
+                error = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+            with open(write_end, "wb") as pipe:
+                pipe.write(error)
+        finally:
+            os._exit(1)
+    os.close(write_end)
+    return pid, read_end
+
+
+def _wait(pid: int, read_end: int) -> BaseException | None:
+    """Wait for the child ``_fork`` started; returns its exception, or None if
+    it counted every pass it was dealt."""
+    try:
+        with open(read_end, "rb") as pipe:  # EOF once the child has left
+            error = pipe.read()
+    finally:
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if error:
+        return pickle.loads(error)
+    if status:
+        return ChildProcessError(f"sampler worker {pid} ended with status {status}")
+    return None

@@ -229,6 +229,7 @@ class TestQuantumState:
             raise AssertionError("check_density_matrix called")
 
         monkeypatch.setattr(qcore, "check_density_matrix", boom)
+        monkeypatch.setattr(qcore, "_check_density_matrix", boom)
         rho = np.broadcast_to(np.complex128(1.0 / dim), (dim, dim))
         with pytest.raises(ValueError, match=f"dimension {dim} is not 4\\^N for N in 1..4"):
             QuantumState.mixed(rho)
@@ -238,6 +239,33 @@ class TestQuantumState:
             QuantumState.mixed(np.eye(4, dtype=complex))  # trace 4
         state = QuantumState.mixed(np.eye(4, dtype=complex) / 4)
         assert state.dof_count == 1 and not state.is_pure
+
+    @pytest.mark.parametrize(
+        "entry,match",
+        [((0, 0), "finite"), ((0, 1), "Hermitian"), ((1, 1), "trace"),
+         (None, "negative eigenvalue")],
+    )
+    def test_mixed_keeps_every_refusal_of_the_density_check(self, entry, match):
+        rho = np.eye(16, dtype=complex) / 16
+        if entry == (0, 0):
+            rho[entry] = np.nan
+        elif entry is None:
+            rho[0, 0], rho[1, 1] = -1 / 16, 3 / 16
+        else:
+            rho[entry] += 0.25
+        with pytest.raises(ValueError, match=match):
+            qcore.check_density_matrix(rho)
+        with pytest.raises(ValueError, match=match):
+            QuantumState.mixed(rho)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_mixed_scans_its_matrix_once(self, monkeypatch, n):
+        """``as_matrix`` ran once in ``mixed`` and again in the density check."""
+        rho = np.eye(4**n, dtype=complex) / 4**n
+        calls, as_matrix = [], qcore.as_matrix
+        monkeypatch.setattr(qcore, "as_matrix", lambda m: calls.append(m) or as_matrix(m))
+        assert QuantumState.mixed(rho).dof_count == n
+        assert len(calls) == 1
 
     def test_pure_keeps_its_own_vector(self):
         """A write to the caller's vector after the check leaves the state as

@@ -174,11 +174,14 @@ class TestExpectationMixed:
 
 class TestDensityMatrixCheck:
     def test_validated_once(self, monkeypatch):
-        """The Hermitian gap is read from the array the check validated."""
+        """The Hermitian gap and the density check read the array validated
+        once; ``expectation_mixed`` validates its operator and its matrix."""
         calls, as_matrix = [], qcore.as_matrix
         monkeypatch.setattr(qcore, "as_matrix", lambda m: calls.append(m) or as_matrix(m))
         qcore.check_density_matrix(I2 / 2)
         assert len(calls) == 1
+        qcore.expectation_mixed(SZ, I2 / 2)
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("check", [qcore.check_density_matrix, qcore.is_hermitian])
     def test_non_finite_entries_refused(self, check):

@@ -4,6 +4,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import re
 import sys
 import threading
@@ -723,28 +724,54 @@ class TestBlockWideSearch:
         _assert_rows_match(probs, n_events, seeds)
 
 
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Every call of rows of at least CHUNK events forks its workers; the
+    list holds the pid of each child forked."""
+    monkeypatch.setattr(rng, "FORK_PASSES", 0)
+    started, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            started.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return started
+
+
 class TestLongRowWorkers:
-    """Rows of at least CHUNK events are cut into passes of LONG_PASS outputs
-    dealt to worker threads; the caller is worker 0 and the partial counts
-    add exactly, so the worker count never shows in the counts."""
+    """Rows of at least CHUNK events are cut into passes of LONG_PASS outputs;
+    a call of at least FORK_PASSES passes deals them to forked worker
+    processes, the caller is worker 0 and the partial counts add exactly, so
+    the worker count never shows in the counts, and no child outlives the
+    call."""
 
     @pytest.mark.parametrize("n_rows", [1, 2, 3, 5])
     @pytest.mark.parametrize(
         "n_events", [rng.CHUNK, rng.LONG_PASS - 1, rng.LONG_PASS + 1, 3 * rng.LONG_PASS + 7]
     )
-    def test_rows_equal_one_row_calls(self, monkeypatch, n_events, n_rows):
+    def test_rows_equal_one_row_calls(self, monkeypatch, forks, n_events, n_rows):
         """Three workers: rows fewer than, as many as and more than them."""
         monkeypatch.setattr(rng, "_WORKERS", 3)
         probs = np.array([np.roll(SKEWED, i) for i in range(n_rows)])
         seeds = [rng.derive_seed(9, i) for i in range(n_rows)]
         _assert_rows_match(probs, n_events, seeds)
         _assert_matches_reference(probs[0], n_events, seeds[0])
+        assert forks or (n_rows == 1 and n_events <= rng.LONG_PASS)
+        _assert_no_child()
 
     @pytest.mark.parametrize("case", ["output-equal", "output-below", "shared-top-word"])
-    def test_tie_in_a_pass_of_another_worker(self, monkeypatch, case):
-        """The tied output sits in pass 1 of the row, which the second of two
-        workers counts: the stream at ``seed + LONG_PASS * gamma`` is the
-        stream at ``seed`` from output LONG_PASS on."""
+    def test_tie_in_a_pass_of_another_worker(self, monkeypatch, forks, case):
+        """The tied output sits in pass 1 of the row, which the forked second
+        of two workers counts: the stream at ``seed + LONG_PASS * gamma`` is
+        the stream at ``seed`` from output LONG_PASS on."""
         monkeypatch.setattr(rng, "_WORKERS", 2)
         seed = 11
         shifted = (seed + rng.LONG_PASS * rng._GAMMA) % 2**64
@@ -752,47 +779,138 @@ class TestLongRowWorkers:
         np.testing.assert_array_equal(rng.random_uint64(shifted, 5), x[rng.LONG_PASS :])
         probs = _tie_probs(case, rng.LONG_PASS, shifted)
         _assert_matches_reference(probs, 2 * rng.LONG_PASS + 5, seed)
+        assert len(forks) == 1
 
-    def test_worker_count_leaves_counts_unchanged(self, monkeypatch):
-        """Also with more workers than cores and a short switch interval."""
+    def test_worker_count_leaves_counts_unchanged(self, monkeypatch, forks):
+        """Also with more worker processes than cores."""
         probs = np.array([np.roll(SKEWED, i) for i in range(7)])
         seeds = [rng.derive_seed(3, i) for i in range(7)]
         n_events = 3 * rng.LONG_PASS + 7
         monkeypatch.setattr(rng, "_WORKERS", 1)
         serial = rng.multinomial(probs, n_events, seeds)
+        assert not forks
         monkeypatch.setattr(rng, "_WORKERS", 4)
+        forked = rng.multinomial(probs, n_events, seeds)
+        assert forked.tobytes() == serial.tobytes()
+        assert len(forks) == 3
+        _assert_no_child()
+
+    def test_short_rows_and_calls_under_the_gate_start_no_process(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process was started")
+
+        under = rng.FORK_PASSES - 1
+        calls = [
+            (np.full((56, 16), 1 / 16), 2000, list(range(56))),
+            (np.full((under, 8), 1 / 8), rng.LONG_PASS, list(range(under))),
+            (SKEWED, rng.FORK_PASSES * rng.LONG_PASS - 1, 4),
+        ]
+        expected = [rng.multinomial(*call) for call in calls]
+        monkeypatch.setattr(rng, "_WORKERS", 4)
+        monkeypatch.setattr(os, "fork", refuse)
+        for call, want in zip(calls, expected):
+            assert rng.multinomial(*call).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("fork", ["missing", "refused", "second-refused"])
+    def test_caller_counts_without_fork(self, monkeypatch, forks, fork):
+        """With ``os.fork`` missing, or raising OSError for every worker or
+        from the second on, the caller counts those workers' passes."""
+        probs = np.array([np.roll(SKEWED, i) for i in range(5)])
+        seeds = [rng.derive_seed(6, i) for i in range(5)]
+        n_events = 3 * rng.LONG_PASS + 7
+        monkeypatch.setattr(rng, "_WORKERS", 1)
+        expected = rng.multinomial(probs, n_events, seeds)
+        monkeypatch.setattr(rng, "_WORKERS", 3)
+        counting_fork = os.fork
+
+        def refuse():
+            if fork == "second-refused" and not forks:
+                return counting_fork()
+            raise OSError("fork refused")
+
+        if fork == "missing":
+            monkeypatch.delattr(os, "fork")
+        else:
+            monkeypatch.setattr(os, "fork", refuse)
+        assert rng.multinomial(probs, n_events, seeds).tobytes() == expected.tobytes()
+        assert len(forks) == (fork == "second-refused")
+        _assert_no_child()
+
+    def test_call_while_another_thread_runs(self, monkeypatch, forks):
+        """A Python thread that stands in for a BLAS pool runs through the
+        fork; the counts are the same and no child is left."""
+        probs = np.array([np.roll(SKEWED, i) for i in range(3)])
+        seeds = [rng.derive_seed(2, i) for i in range(3)]
+        n_events = 5 * rng.LONG_PASS + 3
+        monkeypatch.setattr(rng, "_WORKERS", 1)
+        expected = rng.multinomial(probs, n_events, seeds)
+        monkeypatch.setattr(rng, "_WORKERS", 4)
+        stop = threading.Event()
+
+        def spin():
+            while not stop.is_set():
+                pass
+
+        spinner = threading.Thread(target=spin)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
+        spinner.start()
         try:
-            threaded = rng.multinomial(probs, n_events, seeds)
+            counts = rng.multinomial(probs, n_events, seeds)
         finally:
+            stop.set()
+            spinner.join(timeout=10)
             sys.setswitchinterval(interval)
-        assert threaded.tobytes() == serial.tobytes()
-
-    def test_short_rows_start_no_thread(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a thread was started")
-
-        expected = rng.multinomial(np.full((56, 16), 1 / 16), 2000, list(range(56)))
-        monkeypatch.setattr(rng, "_WORKERS", 4)
-        monkeypatch.setattr(threading, "Thread", refuse)
-        counts = rng.multinomial(np.full((56, 16), 1 / 16), 2000, list(range(56)))
+        assert not spinner.is_alive()
         assert counts.tobytes() == expected.tobytes()
+        assert len(forks) == 3
+        _assert_no_child()
 
-    def test_worker_error_reaches_caller_after_join(self, monkeypatch):
-        mix, calls = rng._mix, itertools.count(1)
+    def test_worker_error_reaches_caller_after_wait(self, monkeypatch, forks):
+        """A forked worker's third pass fails: the caller raises its exception,
+        type and message, once every child has been waited for."""
+        mix, calls, caller = rng._mix, itertools.count(1), os.getpid()
 
         def failing_mix(z, tmp):
-            if next(calls) == 3:
+            if os.getpid() != caller and next(calls) == 3:
                 raise ValueError("third pass fails")
             return mix(z, tmp)
 
-        monkeypatch.setattr(rng, "_WORKERS", 4)
+        monkeypatch.setattr(rng, "_WORKERS", 2)
         monkeypatch.setattr(rng, "_mix", failing_mix)
-        before = threading.active_count()
-        with pytest.raises(ValueError, match="third pass fails"):
-            rng.multinomial(SKEWED, 4 * rng.LONG_PASS, seed=1)
-        assert threading.active_count() == before
+        with pytest.raises(ValueError, match="^third pass fails$"):
+            rng.multinomial(SKEWED, 6 * rng.LONG_PASS, seed=1)
+        assert len(forks) == 1
+        _assert_no_child()
+
+    @pytest.mark.parametrize(
+        "failure,error,match",
+        [("unpicklable", RuntimeError, "^Unpicklable: the child's own class$"),
+         ("exit", ChildProcessError, "^sampler worker [0-9]+ ended with status 3$")],
+    )
+    def test_worker_failure_without_an_exception_to_send(self, monkeypatch, forks, failure,
+                                                         error, match):
+        """An exception that does not pickle arrives as its text, and a child
+        that leaves without one as its exit status."""
+
+        class Unpicklable(Exception):
+            pass
+
+        mix, caller = rng._mix, os.getpid()
+
+        def failing_mix(z, tmp):
+            if os.getpid() != caller:
+                if failure == "exit":
+                    os._exit(3)
+                raise Unpicklable("the child's own class")
+            return mix(z, tmp)
+
+        monkeypatch.setattr(rng, "_WORKERS", 2)
+        monkeypatch.setattr(rng, "_mix", failing_mix)
+        with pytest.raises(error, match=match):
+            rng.multinomial(SKEWED, 2 * rng.LONG_PASS, seed=1)
+        assert len(forks) == 1
+        _assert_no_child()
 
 
 class TestSeedAndCountRefusals:
@@ -1070,6 +1188,7 @@ class TestConstantTables:
             raise AssertionError("check_density_matrix called per assumption test")
 
         monkeypatch.setattr(qcore, "check_density_matrix", boom)
+        monkeypatch.setattr(qcore, "_check_density_matrix", boom)
         simlab.assumption_test(NOISY, n_events=100, seed=3)
 
     def test_run_builds_no_operator(self, monkeypatch):
