@@ -424,7 +424,8 @@ def _joint_grid_lines(records: tuple, operator: bell.BellOperator) -> list:
     offset in AB, Ab, aB, ab.  Rows run over factors 0..N-2 in pair order
     AB, aB, Ab, ab (digits 0, 2, 1, 3), columns over the last factor."""
     terms, labels, n = operator.terms, operator.factor_labels, operator.dof_count
-    starts = [int("".join(pairs) + "0", 4) for pairs in product("0213", repeat=n - 1)]
+    row_pairs = product((0, 2, 1, 3), repeat=n - 1)  # each row's digits, the last factor's 0
+    starts = [sum(d * 4 ** (n - 1 - f) for f, d in enumerate(pairs)) for pairs in row_pairs]
     rows, cols = "-".join(operator.kinds[:-1]), operator.kinds[-1]
     return _grid_lines(
         f"Joint correlations (rows: {rows} pair, columns: {cols} pair)",

@@ -25,16 +25,17 @@ maximizer in (u index, d index) order.
 
 The search weights contexts with the Kronecker sign table
 ``BellOperator.signs``; the witness is then replayed by ``evaluate_strategy``
-as an independent check, over an integer term table that holds each
-photon's context index of every term and signs that are products of the
-factor term signs.  The term table (per kinds tuple), the context slot
-table and the factorizable side table (per N) are built once, read-only,
-and the search runs once per (kinds, class) per process; the guard, fresh
-witness dicts and the replay come on every call, and
-``strategies_evaluated`` is the size of the exhaustive search the bound
-rests on.  Witness tokens are built from the factor labels with the label
-rule in ``model`` (a context token joins one observable token per factor),
-never from the operator's term table.
+as an independent check, over an integer term table that holds each photon's
+context index of every term and signs that are products of the factor term
+signs.  It is built apart from ``simlab``'s cell table, which holds the same
+terms, so that the check shares no construction with what it checks (a test
+compares the two).  The term table (per kinds tuple), the context slot table
+and the factorizable side table (per N) are built once, read-only, and the
+search runs once per (kinds, class) per process; the guard, fresh witness
+dicts and the replay come on every call, and ``strategies_evaluated`` is the
+size of the exhaustive search the bound rests on.  Witness tokens are built
+from the factor labels with the label rule in ``model`` (a context token
+joins one observable token per factor), never from the operator's term table.
 
 The unrestricted search never builds all 2^n u assignments: each u is split
 into its first and last halves of slots, whose weight tables (2^(n/2) rows

@@ -16,20 +16,20 @@ to about 1e-16, and sampled counts and every output byte are identical to
 that construction.  Every table of one N is built once, when first read
 (``_Layout``).
 
-A sampled cell is a ``(setting, factor)`` pair: the joint correlation of
-the setting when ``factor`` is None, else the correlation of that one
-degree of freedom.  Sampling is multinomial on the Born distribution,
-driven by the seeded generator in ``rng`` (identity ``rng.GENERATOR_ID``);
-cell i of a sampled range draws from the sub-stream i of the seed
-(``rng.derive_seeds``), so runs are reproducible cell by cell.  Each N has
-one array pass (``_Layout.cells``), a run's own cells then the assumption
-cells (56 at N = 2), read by position over contiguous row ranges: ``A @ R``
-once per distinct u stack the range reads, stacked Born contractions, one
-sampler call with one seed per row, and one weight product.  A run reads
-the whole pass; ``assumption_test`` reads the assumption suffix and
-``signaling_deviation`` the 4^N product terms, which come first.
-``born_distribution`` (one setting's two-stack contraction), ``sample`` and
-``estimate`` are the one-row calls of the same kernels.
+A sampled cell is a setting and a factor, kept as one integer row of name
+digits (``_Layout.cells``): the joint correlation of the setting, or the
+correlation of that one degree of freedom.  Sampling is multinomial on the
+Born distribution, driven by the seeded generator in ``rng`` (identity
+``rng.GENERATOR_ID``); cell i of a sampled range draws from the sub-stream
+i of the seed (``rng.derive_seeds``), so runs are reproducible cell by
+cell.  Each N has one array pass (``_Layout.cells``), a run's own cells then
+the assumption cells (56 at N = 2), read by position over contiguous row
+ranges: ``A @ R`` once per distinct u stack the range reads, stacked Born
+contractions, one sampler call with one seed per row, and one weight
+product.  A run reads the whole pass; ``assumption_test`` reads the
+assumption suffix and ``signaling_deviation`` the 4^N product terms, which
+come first.  ``born_distribution`` (one setting's two-stack contraction),
+``sample`` and ``estimate`` are the one-row calls of the same kernels.
 """
 
 from __future__ import annotations
@@ -47,11 +47,12 @@ from .model import JointSetting, ObservableId, QuantumState
 from .rng import GENERATOR_ID
 
 _I2 = np.eye(2, dtype=complex)
-_PAIRS = (("A", "B"), ("A", "b"), ("a", "B"), ("a", "b"))
-# The (u, d) name pairs each kind predicts: the rows of the assumption test.
+_NAMES = "AaBb"  # a name's digit in a cell table is its place here
+_PAIRS = ((0, 2), (0, 3), (1, 2), (1, 3))  # AB, Ab, aB, ab: a term's base-4 digits index these
+# The (u, d) name digits each kind predicts: the rows of the assumption test.
 _ASSUMPTION_ROWS = {
-    model.POLARIZATION: (("A", "A"), ("a", "a"), ("B", "b"), ("b", "B")),
-    model.PATH: (("A", "A"), ("a", "a"), ("B", "B"), ("b", "b")),
+    model.POLARIZATION: ((0, 0), (1, 1), (2, 3), (3, 2)),  # AA, aa, Bb, bB
+    model.PATH: ((0, 0), (1, 1), (2, 2), (3, 3)),  # AA, aa, BB, bb
 }
 
 
@@ -89,11 +90,10 @@ def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("sac,tbd->stabcd", a, b).reshape(len(a) * len(b), dim, dim)
 
 
-def _marginal_operator(n: int, f: int, kind: str, u_name: str, d_name: str) -> np.ndarray:
-    """The (u, d) observables of ``kind`` on factor f, identity elsewhere."""
+def _marginal_operator(n: int, f: int, u: ObservableId, d: ObservableId) -> np.ndarray:
+    """The observables u and d on factor f, identity elsewhere."""
     slots = [_I2] * (2 * n)
-    slots[2 * f] = model.observable(ObservableId(u_name, kind))
-    slots[2 * f + 1] = model.observable(ObservableId(d_name, kind))
+    slots[2 * f : 2 * f + 2] = model.observable(u), model.observable(d)
     return qcore.read_only(qcore.tensor_all(*slots))
 
 
@@ -101,24 +101,29 @@ class _Layout:
     """The tables of the canonical N-DOF experiment, built from N alone;
     ``_layout(n)`` builds each N once, and each table when first read.
 
-    The cells are (setting, factor) pairs in sub-stream order.  A run's
-    cells from offset 0: the product terms in term order, then factor by
-    factor its 4 CHSH cells (the canonical pairs, the other factors held at
-    (A, B)).  Then the assumption cells: factor by factor, each row of its
-    kind under the 4^(N-1) contexts of the other factors (other factors in
-    order, the first slowest).  At N = 2 that is 0..15, 16..19, 20..23 and
-    24..55.  ``cells`` is the one pass of this N, and its tables are read by
-    position: per photon, the read-only stack of its distinct observables
-    tuples (``_side_projectors``), in first-use order, with each cell's
-    index into it; each cell's row of ``weight_rows``; and each cell's
-    record label.  A photon has at most 80 distinct tuples (at N = 4), each
-    built once, so no stack is built per call.
+    ``cells``, this N's one pass, is a read-only integer table with one row
+    per cell in sub-stream order: photon u's name digit (A, a, B, b as 0..3)
+    on each factor, then photon d's, then the cell's factor, -1 for the
+    joint correlation.  A run's cells come from offset 0: the product terms
+    in term order, then factor by factor its 4 CHSH cells (the canonical
+    pairs, the other factors held at (A, B)).  Then the assumption cells:
+    factor by factor, each row of its kind under the 4^(N-1) contexts of the
+    other factors (other factors in order, the first slowest).  At N = 2
+    that is 0..15, 16..19, 20..23 and 24..55.  The other cell tables are
+    read from it by position; a photon has at most 80 distinct name codes
+    (at N = 4), each stack built once, so no stack is built per call.
     """
 
     def __init__(self, n: int):
         self.operator = bell_mod.canonical_product(n)
         self.kinds = self.operator.kinds
         self.labels = model.factor_labels(self.kinds)
+        self.n_run = 4**n + 4 * n  # a run's own cells; the assumption cells follow
+        # [factor, name digit]: the observable and its token (A_pi2), for ``_per_cell``.
+        observables = [model.observable_ids(kind) for kind in self.kinds]
+        tokens = [[model.side_label(name, (label,)) for name in _NAMES] for label in self.labels]
+        self.observables = qcore.read_only(np.array(observables, dtype=object))
+        self.tokens = qcore.read_only(np.array(tokens))
         # rho's 4N qubit indices, row then column, each factor by factor with
         # photon u first, go to (u columns, u rows, d columns, d rows), factor
         # 0 first, so that Tr[(P_u x P_d) rho] is A @ R @ B.T.
@@ -127,7 +132,7 @@ class _Layout:
         )
         # Row f + 1: the product of the two photons' signs on factor f, over
         # the cells u-major, each side in ``product((1, -1), repeat=N)``
-        # order; row 0, the joint weights, is their product.
+        # order; row 0, the joint weights, is their product (a cell's factor + 1).
         signs = np.array(list(product((1, -1), repeat=n)), dtype=float).T
         weights = (signs[:, :, None] * signs[:, None, :]).reshape(n, -1)
         self.weight_rows = qcore.read_only(np.vstack([weights.prod(axis=0), weights]))
@@ -139,53 +144,74 @@ class _Layout:
         """Per factor, the context-free marginal operator of each assumption row."""
         n = len(self.kinds)
         return tuple(
-            tuple(_marginal_operator(n, f, kind, u, d) for u, d in _ASSUMPTION_ROWS[kind])
-            for f, kind in enumerate(self.kinds)
+            tuple(_marginal_operator(n, f, obs[u], obs[d]) for u, d in _ASSUMPTION_ROWS[kind])
+            for f, (kind, obs) in enumerate(zip(self.kinds, self.observables))
         )
 
     @cached_property
-    def run_cells(self) -> tuple:
+    def cells(self) -> np.ndarray:
+        """The one pass of this N: a run's own cells, then the assumption cells."""
         n = len(self.kinds)
-        return tuple((term, None) for term in self.operator.terms) + tuple(
-            self._cell(f, pair, [("A", "B")] * (n - 1)) for f in range(n) for pair in _PAIRS
-        )
+        pairs = np.array(list(product(_PAIRS, repeat=n - 1)), dtype=np.int64)
+        contexts = pairs.reshape(4 ** (n - 1), n - 1, 2).transpose(0, 2, 1)
+        # A block (factor, f, rows, contexts [photon, other factor]) is factor f at each pair
+        # of rows, the slowest, under each context: the product terms are factor 0's under
+        # every context, and a CHSH block's one context is the first, (A, B) on every factor.
+        blocks = [(-1, 0, _PAIRS, contexts)] + [(f, f, _PAIRS, contexts[:1]) for f in range(n)]
+        blocks += [(f, f, _ASSUMPTION_ROWS[kind], contexts) for f, kind in enumerate(self.kinds)]
+        table = []
+        for factor, f, rows, block in blocks:
+            block = np.broadcast_to(block, (len(rows), *block.shape))
+            names = np.insert(block, f, np.array(rows)[:, None], axis=3).reshape(-1, 2 * n)
+            table.append(np.column_stack([names, np.full(len(names), factor)]))
+        return qcore.read_only(np.vstack(table))
 
     @cached_property
-    def assumption_cells(self) -> tuple:
-        return tuple(
-            self._cell(f, pair, context)
-            for f, kind in enumerate(self.kinds)
-            for pair in _ASSUMPTION_ROWS[kind]
-            for context in product(_PAIRS, repeat=len(self.kinds) - 1)
-        )
+    def stacks(self) -> tuple:
+        """Per photon, u then d: the read-only projector stack of its distinct
+        base-4 name codes (factor 0 first), in first-use order, and each
+        cell's index into it."""
+        n, sides = len(self.kinds), []
+        for s, side in enumerate(np.split(self.cells[:, :-1], 2, axis=1)):
+            codes = (side @ 4 ** np.arange(n - 1, -1, -1)).tolist()
+            # Each distinct code's first cell, in first-use order, and its rank in that order.
+            first = sorted({code: i for i, code in reversed(list(enumerate(codes)))}.values())
+            rank = {codes[i]: k for k, i in enumerate(first)}
+            rows = self._per_cell(self.observables, first)
+            stack = np.stack([_side_projectors(tuple(ids[s * n : s * n + n])) for ids, _ in rows])
+            sides.append((qcore.read_only(stack), np.array([rank[code] for code in codes])))
+        return tuple(sides)
+
+    @cached_property
+    def record_labels(self) -> tuple:
+        """Each cell's record label: the two photon labels for the joint
+        correlation, the two tokens on factor f alone for factor f."""
+        n, labels = len(self.kinds), []
+        for t, f in self._per_cell(self.tokens):
+            labels.append((" ".join(t[:n]), " ".join(t[n:])) if f < 0 else (t[f], t[n + f]))
+        return tuple(labels)
 
     @cached_property
     def assumption_contexts(self) -> tuple:
         """Per assumption cell, the two photons' tokens on every factor but its own."""
-        contexts = []
-        for setting, f in self.assumption_cells:
-            others = [g for g in range(len(self.labels)) if g != f]
-            contexts.append(" ".join(setting.labels_on(others, [self.labels[g] for g in others])))
+        n, contexts = len(self.kinds), []
+        for t, f in self._per_cell(self.tokens, slice(self.n_run, None)):
+            del t[n + f], t[f]
+            contexts.append(f"{' '.join(t[: n - 1])} {' '.join(t[n - 1 :])}")
         return tuple(contexts)
 
     @cached_property
-    def cells(self) -> tuple:
-        """The one pass of this N: a run's own cells, then the assumption cells."""
-        return self.run_cells + self.assumption_cells
+    def assumption_settings(self) -> tuple:
+        """The ``JointSetting`` of each assumption cell."""
+        n, cells = len(self.kinds), self._per_cell(self.observables, slice(self.n_run, None))
+        return tuple(JointSetting(tuple(ids[:n]), tuple(ids[n:])) for ids, _ in cells)
 
-    @cached_property
-    def stacks(self) -> tuple:
-        """Per photon, u then d, its stack of distinct tuples and each cell's index into it."""
-        u_ids, d_ids = zip(*((s.u_ids, s.d_ids) for s, _ in self.cells))
-        return _distinct_stacks(u_ids), _distinct_stacks(d_ids)
-
-    @cached_property
-    def weight_index(self) -> np.ndarray:
-        return np.array([0 if f is None else f + 1 for _, f in self.cells])
-
-    @cached_property
-    def record_labels(self) -> tuple:
-        return tuple(_record_label(self, s, f) for s, f in self.cells)
+    def _per_cell(self, table: np.ndarray, rows=slice(None)) -> zip:
+        """Per cell of ``rows``: a new list of the ``table[factor, name digit]``
+        entries of photon u's name digits, then of photon d's, and its factor."""
+        cells = self.cells[rows]
+        entries = table[np.arange(cells.shape[1] - 1) % len(self.kinds), cells[:, :-1]]
+        return zip(entries.tolist(), cells[:, -1].tolist())
 
     def local_rho(self, state: QuantumState) -> np.ndarray:
         """rho permuted to photon-local order (``born_axes``)."""
@@ -205,15 +231,6 @@ class _Layout:
             probs[block] = _born(ur[u_index[block]], d_stacks[d_index[block]])
         return probs
 
-    def _cell(self, f: int, pair: tuple, context) -> tuple:
-        """The cell of factor f measuring the (u, d) names ``pair``, with the
-        other factors at the name pairs of ``context``, in order."""
-        names = list(context)
-        names.insert(f, pair)
-        u_names, d_names = zip(*names)
-        ids = (tuple(map(ObservableId, side, self.kinds)) for side in (u_names, d_names))
-        return JointSetting(*ids), f
-
 
 _layout = cache(_Layout)
 
@@ -227,22 +244,6 @@ def _layout_of(setting: JointSetting) -> _Layout:
         obs, kind = next((o, k) for o, k in zip(setting.u_ids, layout.kinds) if o.kind != k)
         raise ValueError(f"{obs.label} is not a {kind} observable")
     return layout
-
-
-def _record_label(layout: _Layout, setting: JointSetting, factor: int | None) -> tuple:
-    """The label of a cell's record: the two photon labels for the joint
-    correlation, the two tokens on factor f alone for factor f."""
-    if factor is None:
-        return setting.u_label, setting.d_label
-    return setting.labels_on((factor,), (layout.labels[factor],))
-
-
-def _distinct_stacks(sides: tuple) -> tuple:
-    """One photon's observables tuple per cell as the read-only stack of the
-    distinct tuples, in first-use order, and each cell's index into it."""
-    rows = {ids: i for i, ids in enumerate(dict.fromkeys(sides))}
-    stacks = np.stack([_side_projectors(ids) for ids in rows])
-    return qcore.read_only(stacks), np.array([rows[ids] for ids in sides])
 
 
 @dataclass(frozen=True, eq=False)  # ndarray fields: identity equality and hash
@@ -308,15 +309,11 @@ def signaling_deviation(state: QuantumState) -> float:
     quantum states keep this at floating-point rounding scale.
     """
     layout = _layout(state.dof_count)
-    terms = layout.operator.terms
-    rows = layout.born(state, slice(len(terms)))
-    grids = rows.reshape(len(terms), 2**len(layout.kinds), -1)
-    groups: dict = {}  # (photon, its local setting) -> its marginals
-    for setting, grid in zip(terms, grids):
-        margs = grid.sum(axis=1), grid.sum(axis=0)
-        for key, marg in zip((("u", setting.u_label), ("d", setting.d_label)), margs):
-            groups.setdefault(key, []).append(marg)
-    return max(float(np.ptp(np.stack(margs), axis=0).max()) for margs in groups.values())
+    n_terms = 4**state.dof_count
+    grids = layout.born(state, slice(n_terms)).reshape(n_terms, 2**state.dof_count, -1)
+    # Each photon's marginals, grouped by its local setting: its stack index.
+    sides = zip((grids.sum(axis=2), grids.sum(axis=1)), [i[:n_terms] for _, i in layout.stacks])
+    return max(float(np.ptp(m[i == local], axis=0).max()) for m, i in sides for local in set(i))
 
 
 def sample(dist: OutcomeDistribution, n_events: int, seed: int) -> np.ndarray:
@@ -349,7 +346,8 @@ def estimate(counts, setting: JointSetting, factor: int | None = None) -> Correl
         raise ValueError(f"counts must be {weights.size} nonnegative integers")
     if sum(c.tolist()) >= 1 << 53:  # summed in Python ints: an int64 sum can wrap
         raise ValueError("counts must total below 2^53, where estimates are exact")
-    label = _record_label(layout, setting, factor)
+    factors = range(len(layout.kinds)) if factor is None else (factor,)
+    label = setting.labels_on(factors, [layout.labels[f] for f in factors])
     return _records(c.astype(np.int64, copy=False)[None], weights[None], (label,))[0]
 
 
@@ -465,14 +463,14 @@ def _checked_run(n_events, seed) -> tuple:
 def _sample_cells(
     state: QuantumState, layout: _Layout, n_events: int, seed: int, rows: slice = slice(None)
 ) -> list:
-    """One record per (setting, factor) cell of the range ``rows`` of the
-    pass, in cell order: its Born rows, one sampler call on which its cell i
-    reads sub-stream i of ``seed``, one weight product.  The callers check
-    the ints first (``_checked_run``), so no refusal comes after Born."""
+    """One record per cell of the range ``rows`` of the pass, in cell order:
+    its Born rows, one sampler call on which its cell i reads sub-stream i
+    of ``seed``, one weight product.  The callers check the ints first
+    (``_checked_run``), so no refusal comes after Born."""
     labels = layout.record_labels[rows]
     probs = layout.born(state, rows)
     counts = rng.multinomial(probs, n_events, rng.derive_seeds(seed, 0, len(labels)))
-    return _records(counts, layout.weight_rows[layout.weight_index[rows]], labels)
+    return _records(counts, layout.weight_rows[layout.cells[rows, -1] + 1], labels)
 
 
 def assumption_test(state: QuantumState, n_events: int, seed: int) -> AssumptionReport:
@@ -487,7 +485,7 @@ def assumption_test(state: QuantumState, n_events: int, seed: int) -> Assumption
     """
     layout = _layout(state.dof_count)
     n_events, seed = _checked_run(n_events, seed)
-    records = _sample_cells(state, layout, n_events, seed, slice(len(layout.run_cells), None))
+    records = _sample_cells(state, layout, n_events, seed, slice(layout.n_run, None))
     return _assumption_report(state, layout, records, n_events, seed)
 
 
@@ -495,7 +493,7 @@ def _assumption_report(
     state: QuantumState, layout: _Layout, records: list, n_events: int, seed: int
 ) -> AssumptionReport:
     """The assumption test's rows from the records of its cells, in cell order."""
-    sampled = iter(zip(layout.assumption_cells, layout.assumption_contexts, records))
+    sampled = iter(zip(layout.assumption_settings, layout.assumption_contexts, records))
     n_contexts = 4 ** (len(layout.kinds) - 1)
     factor_rows = []
     for kind, operators in zip(layout.kinds, layout.marginals):
@@ -503,7 +501,7 @@ def _assumption_report(
         for operator in operators:
             cells = tuple(
                 AssumptionCell(setting=setting, context_label=context, record=record)
-                for (setting, _), context, record in islice(sampled, n_contexts)
+                for setting, context, record in islice(sampled, n_contexts)
             )
             # Every cell of a row measures the row's pair on factor f.
             rows.append(
@@ -580,7 +578,7 @@ def run_simulated_experiment(state: QuantumState, n_events: int, seed: int) -> S
     pairs with the other factors held at the context (A, B).
     """
     layout = _layout(state.dof_count)
-    n_terms, n_run = len(layout.operator.terms), len(layout.run_cells)
+    n_terms, n_run = 4 ** len(layout.kinds), layout.n_run
     n_events, seed = _checked_run(n_events, seed)
     records = _sample_cells(state, layout, n_events, seed)
     assumptions = _assumption_report(state, layout, records[n_run:], n_events, seed)

@@ -160,14 +160,20 @@ def test_criterion_6_assumption_context_independence():
     )
     for n in (1, 2, 3, 4):
         layout = simlab._layout(n)
-        suffix = slice(len(layout.run_cells), None)
-        weights = layout.weight_rows[layout.weight_index[suffix]]
+        suffix = slice(layout.n_run, None)
+        weights = layout.weight_rows[layout.cells[suffix, -1] + 1]
+        # Each assumption cell's (u names, d names) as its row of the table reads them.
+        table = [(row[:n], row[n : 2 * n]) for row in layout.cells[suffix].tolist()]
         for noise in noises:
             state = model.apply_noise(bell.ideal_state(n), noise)
             exact = np.einsum("ij,ij->i", layout.born(state, suffix), weights)
             report = simlab.assumption_test(state, n_events=100, seed=0)
             cells = [cell.setting for row in report.rows for cell in row.cells]
-            ok = ok and cells == [setting for setting, _ in layout.assumption_cells]
+            names = [
+                tuple(["AaBb".index(o.name) for o in ids] for ids in (s.u_ids, s.d_ids))
+                for s in cells
+            ]
+            ok = ok and names == table and all(s.kinds == layout.kinds for s in cells)
             analytic = np.repeat([row.analytic_E for row in report.rows], 4 ** (n - 1))
             worst_exact = max(worst_exact, float(np.abs(exact - analytic).max()))
     ok = ok and worst_exact < 1e-12

@@ -12,7 +12,7 @@ import hashlib
 
 import pytest
 
-from hyperbell import cli
+from hyperbell import cli, model, simlab
 
 CORPUS = {
     "simulate-table": (
@@ -168,3 +168,50 @@ def test_stdout_digest(name, capsys):
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# Library runs at the DOF counts the CLI cannot reach, pinned as the sha256 of
+# ``_library_text``: every record's label, E, std_err and event count, and
+# each assumption cell's setting and context labels.  (study, N): (events,
+# seed, digest) on ``model.hyper_state(0.7, -1.3, N)`` under dephasing
+# (v_pi, v_k) = (0.87, 0.93).
+LIBRARY = {
+    ("run", 1): (2000, 11, "fe54a8df301a0270148cc00847b7af163e9966936684083d741b4f94e98247c0"),
+    ("run", 3): (2000, 12, "148dd9bc42c71ca73646f342f67c11e1b13c9de18bcdf8d35359186d5d930b77"),
+    ("run", 4): (2000, 13, "d538fd8483dc72c2d5eae425a3082792974c43c4ab560d863c398b5336a42daf"),
+    ("assumptions", 1): (
+        2000, 21, "2181a75b1de109bff731ea6c731075462072b113f51901a0f1b9542d64e54f76"
+    ),
+    ("assumptions", 3): (
+        2000, 22, "d9e327abd06a9b38f42932e0368c01ee50ef89f13a1ccd05d31150162a83cf63"
+    ),
+    ("assumptions", 4): (
+        2000, 23, "48fd2908bad5bec436d0b40a58180815b6c224ca93e9db106d162703adbef5bf"
+    ),
+}
+
+
+def _library_text(study, n, events, seed):
+    noise = model.NoiseModel(model.NOISE_DEPHASING, 0.87, 0.93)
+    state = model.apply_noise(model.hyper_state(0.7, -1.3, n), noise)
+    lines = []
+    if study == "run":
+        result = simlab.run_simulated_experiment(state, events, seed)
+        records = result.joint_records
+        lines += [repr(rep) for rep in (*result.chsh, result.beta)]
+        report = result.assumptions
+    else:
+        records, report = (), simlab.assumption_test(state, events, seed)
+    lines += [repr(record) for record in records]
+    for row in report.rows:
+        for cell in row.cells:
+            setting = cell.setting
+            lines.append(repr((setting.u_label, setting.d_label, cell.context_label, cell.record)))
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("study,n", sorted(LIBRARY))
+def test_library_digest(study, n):
+    events, seed, digest = LIBRARY[study, n]
+    text = _library_text(study, n, events, seed)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperbell import bell, model, qcore, rng, simlab
+from hyperbell import bell, lhv, model, qcore, rng, simlab
 from hyperbell.model import JointSetting, NoiseModel, ObservableId, QuantumState
 
 SQRT2 = np.sqrt(2.0)
@@ -65,9 +65,11 @@ class TestSettings:
             )
 
     def test_settings_are_the_product_terms(self):
-        """The simulated settings are the operator's own terms, in term order."""
+        """The first 16 cells of the pass measure the operator's own terms, in
+        term order, each for its joint correlation."""
         settings = bell.canonical_product(2).terms
-        assert tuple(s for s, _ in simlab._layout(2).run_cells[:16]) == settings
+        terms = [(*_setting_names(s), None) for s in settings]
+        assert _table_cells(simlab._layout(2))[:16] == terms
         assert all(isinstance(s, JointSetting) for s in settings)
 
     @pytest.mark.parametrize(
@@ -1101,7 +1103,7 @@ def _fresh_marginal_operator(kind, u_name, d_name):
 def _marginal_operators(n):
     layout = simlab._layout(n)
     return {
-        (kind, u, d): op
+        (kind, "AaBb"[u], "AaBb"[d]): op
         for kind, ops in zip(layout.kinds, layout.marginals)
         for (u, d), op in zip(simlab._ASSUMPTION_ROWS[kind], ops)
     }
@@ -1215,7 +1217,7 @@ def _per_setting_born(state, setting):
 def _assert_pass_rows_bitwise(layout, state, rows=slice(None)):
     """Every Born row of a range of the pass is bitwise the per-setting
     contraction and the ``born_distribution`` row of its setting."""
-    got, settings = layout.born(state, rows), layout.cells[rows]
+    got, settings = layout.born(state, rows), _canonical_layout(state.dof_count)[rows]
     assert got.shape == (len(settings), 4 ** state.dof_count)
     for (setting, _), row in zip(settings, got):
         assert row.tobytes() == _per_setting_born(state, setting).tobytes()
@@ -1224,7 +1226,7 @@ def _assert_pass_rows_bitwise(layout, state, rows=slice(None)):
 
 def _assumption_suffix(layout):
     """The assumption cells' rows of a run pass, after the run's own cells."""
-    return slice(len(layout.run_cells), None)
+    return slice(layout.n_run, None)
 
 
 class TestArrayPass:
@@ -1259,18 +1261,22 @@ class TestArrayPass:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_block_stacks_equal_one_setting_stacks(self, n):
         """Each photon keeps one read-only stack of its distinct observables
-        tuples, 4, 12, 32 and 80 of them at N = 1..4, and each cell's index
-        reads its one-setting stack.  The suffix after the run's own cells
-        is the assumption cells, and the 4^N product terms, which come
-        first, read the first 2^N u stacks alone."""
-        layout = simlab._layout(n)
-        assert len(layout.cells) == (12, 56, 268, 1296)[n - 1]
-        suffix = layout.cells[_assumption_suffix(layout)]
-        assert suffix == layout.assumption_cells and len(suffix) == (4, 32, 192, 1024)[n - 1]
+        tuples, 4, 12, 32 and 80 of them at N = 1..4, in first-use order,
+        and each cell's index reads the one-setting stack of the tuple the
+        rule gives that cell.  The suffix after the run's own cells is the
+        assumption cells, and the 4^N product terms, which come first, read
+        the first 2^N u stacks alone."""
+        layout, cells = simlab._layout(n), _canonical_layout(n)
+        assert len(layout.cells) == len(cells) == (12, 56, 268, 1296)[n - 1]
+        suffix = _table_cells(layout)[_assumption_suffix(layout)]
+        assert suffix == [(*_setting_names(s), f) for s, f in cells[4**n + 4 * n :]]
+        assert len(suffix) == (4, 32, 192, 1024)[n - 1]
         assert sorted(set(layout.stacks[0][1][: 4**n].tolist())) == list(range(2**n))
         for (stacks, index), photon in zip(layout.stacks, ("u_ids", "d_ids"), strict=True):
             assert stacks.shape == ((4, 12, 32, 80)[n - 1], 2**n, 4**n)
-            for (setting, _), i in zip(layout.cells, index, strict=True):
+            first_use = list(dict.fromkeys(getattr(setting, photon) for setting, _ in cells))
+            assert [first_use.index(getattr(s, photon)) for s, _ in cells] == index.tolist()
+            for (setting, _), i in zip(cells, index, strict=True):
                 one = simlab._side_projectors(getattr(setting, photon))
                 assert stacks[i].tobytes() == one.tobytes()
             with pytest.raises(ValueError, match="read-only"):
@@ -1297,7 +1303,7 @@ class TestArrayPass:
         layout = simlab._layout(n)
         state = model.apply_noise(bell.ideal_state(n), NoiseModel(model.NOISE_DEPHASING, 0.87, 0.93))
         full = layout.born(state)
-        n_terms, n_run = len(layout.operator.terms), len(layout.run_cells)
+        n_terms, n_run = 4**n, layout.n_run
         for rows in (slice(n_terms), slice(n_run, None), slice(n_terms - 1, n_run + 3)):
             assert layout.born(state, rows).tobytes() == full[rows].tobytes()
 
@@ -1328,7 +1334,7 @@ class TestArrayPass:
         layout = simlab._layout(n)
         state = model.apply_noise(model.hyper_state(0.7, -1.3, n), noise)
         one = {}
-        for (setting, _), row in zip(layout.cells, layout.born(state), strict=True):
+        for (setting, _), row in zip(_canonical_layout(n), layout.born(state), strict=True):
             if setting not in one:
                 one[setting] = simlab.born_distribution(state, setting).probs.tobytes()
             assert row.tobytes() == one[setting]
@@ -1340,12 +1346,14 @@ class TestArrayPass:
             assert simlab._layout(n).born_block == cells
 
     def test_pass_makes_no_per_cell_call(self, monkeypatch):
+        """A second run calls no one-setting kernel and builds no setting:
+        its labels and assumption settings are read from its N's tables."""
         expected = simlab.run_simulated_experiment(NOISY, n_events=300, seed=4)
 
         def boom(*args, **kwargs):
             raise AssertionError("per-cell call in the array pass")
 
-        for name in ("born_distribution", "sample", "estimate", "_record_label"):
+        for name in ("born_distribution", "sample", "estimate", "JointSetting"):
             monkeypatch.setattr(simlab, name, boom)
         calls = []
         multinomial = rng.multinomial
@@ -1357,7 +1365,7 @@ class TestArrayPass:
 
     def test_estimate_builds_no_marginal_operator(self, monkeypatch):
         """One N = 4 estimate builds neither the marginal operators nor the
-        1,296 cells of a run."""
+        cell table of the 1,296 cells of a run, nor any table read from it."""
 
         def boom(*args, **kwargs):
             raise AssertionError("marginal operator built for an estimate")
@@ -1369,7 +1377,8 @@ class TestArrayPass:
         record = simlab.estimate(counts, setting, 2)
         assert record.n_events == int(counts.sum())
         layout = simlab._layout(4)
-        assert not {"marginals", "run_cells", "assumption_cells"} & set(vars(layout))
+        tables = {"cells", "stacks", "record_labels", "assumption_contexts", "assumption_settings"}
+        assert not {"marginals", *tables} & set(vars(layout))
 
 
 class TestEstimate:
@@ -1733,6 +1742,7 @@ def _stream_layout():
     return cells
 
 
+@functools.cache
 def _canonical_layout(n):
     """The sampled cells of one N-DOF run in sub-stream order, rebuilt from
     the rule: the product terms, then each factor's 4 CHSH cells with the
@@ -1755,6 +1765,22 @@ def _canonical_layout(n):
         for pair in rows[kind]:
             cells += [cell(f, pair, c) for c in itertools.product(pairs, repeat=n - 1)]
     return cells
+
+
+def _setting_names(setting):
+    """The (u, d) observable names of a setting, factor 0 first."""
+    return tuple(o.name for o in setting.u_ids), tuple(o.name for o in setting.d_ids)
+
+
+def _table_cells(layout):
+    """Each row of a layout's cell table as (u names, d names, factor), the
+    factor None for the joint correlation."""
+    n = len(layout.kinds)
+    return [
+        (tuple("AaBb"[d] for d in row[:n]), tuple("AaBb"[d] for d in row[n : 2 * n]),
+         None if row[-1] < 0 else row[-1])
+        for row in layout.cells.tolist()
+    ]
 
 
 def _assert_cells_replay(state, n, layout):
@@ -1780,16 +1806,50 @@ def _assert_cells_replay(state, n, layout):
 
 class TestSimulatedExperiment:
     def test_cell_tables_follow_the_stream_layout(self):
-        layout = [(s.u_label, s.d_label, f) for s, f in _stream_layout()]
-        cells = simlab._layout(2).run_cells + simlab._layout(2).assumption_cells
-        assert [(s.u_label, s.d_label, f) for s, f in cells] == layout
-        assert [(s.u_label, s.d_label, f) for s, f in _canonical_layout(2)] == layout
-        for n, (n_run, n_assumption) in ((1, (8, 4)), (3, (76, 192))):
-            rule = [(s.u_label, s.d_label, f) for s, f in _canonical_layout(n)]
-            built = simlab._layout(n)
-            assert (len(built.run_cells), len(built.assumption_cells)) == (n_run, n_assumption)
-            cells = built.run_cells + built.assumption_cells
-            assert [(s.u_label, s.d_label, f) for s, f in cells] == rule
+        """The cell table is the literal N = 2 stream layout, and at every N
+        the rule's cell list, cell by cell: names, factor, record label,
+        weight row, and each assumption cell's setting and context."""
+        layout = [(*_setting_names(s), f) for s, f in _stream_layout()]
+        assert _table_cells(simlab._layout(2)) == layout
+        assert [(*_setting_names(s), f) for s, f in _canonical_layout(2)] == layout
+        sizes = ((1, (8, 4)), (2, (24, 32)), (3, (76, 192)), (4, (272, 1024)))
+        for n, (n_run, n_assumption) in sizes:
+            rule, built = _canonical_layout(n), simlab._layout(n)
+            labels = model.factor_labels(built.kinds)
+            assert (built.n_run, len(built.cells) - built.n_run) == (n_run, n_assumption)
+            assert _table_cells(built) == [(*_setting_names(s), f) for s, f in rule]
+            weights = built.weight_rows[built.cells[:, -1] + 1]
+            rows = [built.weight_rows[0 if f is None else f + 1] for _, f in rule]
+            assert weights.tobytes() == np.array(rows).tobytes()
+            assert list(built.record_labels) == [
+                (s.u_label, s.d_label) if f is None else s.labels_on((f,), (labels[f],))
+                for s, f in rule
+            ]
+            assert built.assumption_settings == tuple(s for s, _ in rule[n_run:])
+            others = [[g for g in range(n) if g != f] for _, f in rule[n_run:]]
+            assert list(built.assumption_contexts) == [
+                " ".join(s.labels_on(o, [labels[g] for g in o]))
+                for (s, _), o in zip(rule[n_run:], others)
+            ]
+            with pytest.raises(ValueError, match="read-only"):
+                built.cells[0, 0] = 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_table_terms_agree_with_the_lhv_term_table(self, n):
+        """The table's 4^N product terms and ``lhv``'s own term table give
+        each term the same u and d context index (bit 1 = alternate name,
+        factor 0 most significant), and the operator's sign table read at
+        those contexts gives lhv's signs.  The two are built apart, so each
+        checks the other."""
+        layout = simlab._layout(n)
+        terms = layout.cells[: 4**n]
+        assert set(terms[:, :n].flat) <= {0, 1} and set(terms[:, n : 2 * n].flat) <= {2, 3}
+        assert set(terms[:, -1].tolist()) == {-1}
+        bits = 2 ** np.arange(n - 1, -1, -1)
+        u, d = (terms[:, side * n : side * n + n] % 2 @ bits for side in (0, 1))
+        u_lhv, d_lhv, signs = lhv._term_table(layout.kinds)
+        assert (u.tolist(), d.tolist()) == (u_lhv.tolist(), d_lhv.tolist())
+        assert layout.operator.signs[u, d].tolist() == signs.tolist()
 
     def test_every_cell_replays_alone_on_its_sub_stream(self):
         """Cell i of one run is sampled on derive_seed(seed, i) and nothing
