@@ -1,15 +1,16 @@
 """CHSH Bell operators, their tensor products, and the violation scaling law.
 
-A Bell operator is kept as its factor kinds; sign table, matrix, spectral
-radius and term table built on first read, and its arrays read-only (Van
+A Bell operator is kept as its factor kinds; sign table, term signs, matrix
+and spectral radius built on first read, and its arrays read-only (Van
 Loan, "The ubiquitous Kronecker product", J. Comput. Appl. Math. 123, 85-100
 (2000): keep the factors, form the product only when needed).  The builders
 return one shared operator per kinds tuple, so each table is built once per
 process.  The classical bounds read only the context sign table, the
-Kronecker product of the factors' 2x2 tables; the term table holds one
-signed term per joint measurement configuration.  The canonical ideal
-states are shared and read-only in the same way, and each scaling row is
-worked out once per process.
+Kronecker product of the factors' 2x2 tables.  A term is its base-4
+digits, factor 0 first, each its pair's place in AB, Ab, aB, ab: its sign
+is read from that table (``term_signs``) and its labels from one table per
+factor-labels tuple (``term_labels``).  The canonical ideal states are
+shared and read-only in the same way; each scaling row is worked out once.
 The two single-factor operators have the signs
 
     polarization:  -A B + A b + a B + a b
@@ -22,15 +23,14 @@ the experimental configurations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property, lru_cache, reduce
 from itertools import product
 
 import numpy as np
 
 from . import model, qcore
-from .model import MAX_DOF, JointSetting, ObservableId, QuantumState
+from .model import MAX_DOF, QuantumState
 
 _SIGNS = {
     model.POLARIZATION: ((-1, 1), (1, 1)),
@@ -38,24 +38,18 @@ _SIGNS = {
 }
 
 
-@dataclass(frozen=True)
-class BellTerm(JointSetting):
-    """One term of a Bell operator: a joint setting and its sign."""
-
-    sign: int
-
-
 @dataclass(frozen=True, eq=False)  # identity equality and hash: each caches its own tables
 class BellOperator:
     """Kronecker product of single-DOF CHSH operators of ``kinds``, factor 0
-    first; sign table, matrix, spectral radius and term table are built on
+    first; sign table, term signs, matrix and spectral radius are built on
     first read, the arrays read-only."""
 
     kinds: tuple
 
     def __post_init__(self):
         counted = isinstance(self.kinds, tuple) and 1 <= len(self.kinds) <= MAX_DOF
-        if not counted or not set(self.kinds) <= _SIGNS.keys():
+        # Each entry's type first: a list or dict entry is unhashable.
+        if not counted or not all(isinstance(k, str) and k in _SIGNS for k in self.kinds):
             raise ValueError(
                 f"kinds must be 1 to {MAX_DOF} of {tuple(_SIGNS)}, got {self.kinds!r}"
             )
@@ -87,12 +81,21 @@ class BellOperator:
         )
 
     @cached_property
+    def term_signs(self) -> tuple:
+        """Each term's sign as an int, in term order: ``signs[cu, cd]`` read
+        with the u and d context bits interleaved, factor 0 first."""
+        n = self.dof_count
+        axes = [side * n + f for f in range(n) for side in (0, 1)]
+        return tuple(self.signs.reshape((2,) * 2 * n).transpose(axes).ravel().tolist())
+
+    @cached_property
     def matrix(self) -> np.ndarray:
         if self.dof_count > 1:
             return qcore.read_only(qcore.tensor_all(*(f.matrix for f in self.factors)))
+        ids = model.observable_ids(self.kinds[0])  # A, a, B, b
         return qcore.read_only(sum(
-            t.sign * qcore.tensor(model.observable(*t.u_ids), model.observable(*t.d_ids))
-            for t in self.terms
+            sign * qcore.tensor(model.observable(u), model.observable(d))
+            for sign, (u, d) in zip(self.term_signs, product(ids[:2], ids[2:]))
         ))
 
     @cached_property
@@ -100,22 +103,16 @@ class BellOperator:
         """Largest |eigenvalue| of the matrix (``qcore.spectral_radius``)."""
         return qcore.spectral_radius(self.matrix)
 
-    @cached_property
-    def terms(self) -> tuple:
-        """All 4^N terms, factor 0 slowest; per factor in order AB, Ab, aB, ab."""
-        per_factor = [
-            [
-                (ObservableId(u, kind), ObservableId(d, kind), _SIGNS[kind][i][j])
-                for i, u in enumerate(model.U_SIDE_NAMES)
-                for j, d in enumerate(model.D_SIDE_NAMES)
-            ]
-            for kind in self.kinds
-        ]
-        terms = []
-        for combo in product(*per_factor):
-            u_ids, d_ids, signs = zip(*combo)
-            terms.append(BellTerm(u_ids=u_ids, d_ids=d_ids, sign=math.prod(signs)))
-        return tuple(terms)
+
+@lru_cache(maxsize=64)  # labels come from callers: the run path reads about a dozen
+def term_labels(labels: tuple) -> tuple:
+    """Each term's (u label, d label) for the factor ``labels``, in term
+    order (``model.side_label``); built once per labels tuple."""
+    pairs = product(product(model.U_SIDE_NAMES, model.D_SIDE_NAMES), repeat=len(labels))
+    return tuple(
+        (model.side_label([u for u, _ in p], labels), model.side_label([d for _, d in p], labels))
+        for p in pairs
+    )
 
 
 @cache

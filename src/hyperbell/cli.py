@@ -379,7 +379,7 @@ def _run_simulate(config: RunConfig) -> StudyResult:
 def _run_assumptions(config: RunConfig) -> StudyResult:
     report = simlab.assumption_test(_prepared_state(config), config["events"], config["seed"])
     rows = [  # a cell's record carries its own factor's labels; a row names the whole setting
-        _correlation_row(cell.record, cell.setting.u_label, cell.setting.d_label)
+        _correlation_row(cell.record, *cell.labels)
         for row in report.rows for cell in row.cells
     ]
     return StudyResult(config, rows, report)
@@ -423,14 +423,14 @@ def _joint_grid_lines(records: tuple, operator: bell.BellOperator) -> list:
     term's index has one base-4 digit per factor, factor 0 first, its pair's
     offset in AB, Ab, aB, ab.  Rows run over factors 0..N-2 in pair order
     AB, aB, Ab, ab (digits 0, 2, 1, 3), columns over the last factor."""
-    terms, labels, n = operator.terms, operator.factor_labels, operator.dof_count
+    labels, n = operator.factor_labels, operator.dof_count
     row_pairs = product((0, 2, 1, 3), repeat=n - 1)  # each row's digits, the last factor's 0
     starts = [sum(d * 4 ** (n - 1 - f) for f, d in enumerate(pairs)) for pairs in row_pairs]
     rows, cols = "-".join(operator.kinds[:-1]), operator.kinds[-1]
     return _grid_lines(
         f"Joint correlations (rows: {rows} pair, columns: {cols} pair)",
-        [" ".join(terms[c].labels_on((n - 1,), labels[-1:])) for c in range(4)],
-        [" ".join(terms[s].labels_on(range(n - 1), labels[:-1])) for s in starts],
+        [" ".join(pair) for pair in bell.term_labels(labels[-1:])],
+        [" ".join(bell.term_labels(labels[:-1])[s // 4]) for s in starts],
         [[rec.E for rec in records[s : s + 4]] for s in starts],
     )
 

@@ -26,16 +26,16 @@ maximizer in (u index, d index) order.
 The search weights contexts with the Kronecker sign table
 ``BellOperator.signs``; the witness is then replayed by ``evaluate_strategy``
 as an independent check, over an integer term table that holds each photon's
-context index of every term and signs that are products of the factor term
-signs.  It is built apart from ``simlab``'s cell table, which holds the same
-terms, so that the check shares no construction with what it checks (a test
-compares the two).  The term table (per kinds tuple), the context slot table
-and the factorizable side table (per N) are built once, read-only, and the
-search runs once per (kinds, class) per process; the guard, fresh witness
-dicts and the replay come on every call, and ``strategies_evaluated`` is the
-size of the exhaustive search the bound rests on.  Witness tokens are built
-from the factor labels with the label rule in ``model`` (a context token
-joins one observable token per factor), never from the operator's term table.
+context index of every term and signs that are products of the factors'
+``term_signs``.  It is built apart from ``simlab``'s cell table, which holds
+the same terms, so that the check shares no construction with what it checks
+(a test compares the two).  The term table (per kinds tuple), the context
+slot table and the factorizable side table (per N) are built once, read-only,
+and the search runs once per (kinds, class) per process; the guard, fresh
+witness dicts and the replay come on every call, and ``strategies_evaluated``
+is the size of the exhaustive search the bound rests on.  Witness tokens are
+built from the factor labels with the label rule in ``model`` (a context
+token joins one observable token per factor), never from ``bell.term_labels``.
 
 The unrestricted search never builds all 2^n u assignments: each u is split
 into its first and last halves of slots, whose weight tables (2^(n/2) rows
@@ -111,7 +111,7 @@ def _term_table(kinds: tuple) -> tuple:
     kinds tuple, read-only."""
     n = len(kinds)
     bits = _bits(np.arange(4**n), 2 * n)  # per factor: u bit, d bit
-    factor_signs = np.array([[t.sign for t in f.terms] for f in BellOperator(kinds=kinds).factors])
+    factor_signs = np.array([f.term_signs for f in BellOperator(kinds=kinds).factors])
     cells = 2 * bits[:, 0::2] + bits[:, 1::2]
     signs = factor_signs[np.arange(n), cells].prod(axis=1)
     contexts = (_bits_index(bits[:, 0::2]), _bits_index(bits[:, 1::2]))

@@ -127,14 +127,12 @@ class ObservableId:
 class JointSetting:
     """One local observable per photon and degree of freedom: ``u_ids[f]``
     and ``d_ids[f]`` measure factor f, factor 0 first, so both photons
-    measure the same kinds in the same order.  The kinds and the two photon
-    labels are derived from the pair once, at construction."""
+    measure the same kinds in the same order.  The kinds are derived from
+    the pair once, at construction; ``labels_on`` builds labels when asked."""
 
     u_ids: tuple
     d_ids: tuple
     kinds: tuple = field(init=False, repr=False, compare=False)
-    u_label: str = field(init=False, repr=False, compare=False)
-    d_label: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, ids in (("u_ids", self.u_ids), ("d_ids", self.d_ids)):
@@ -154,9 +152,6 @@ class JointSetting:
                 f"a joint setting measures 1 to {MAX_DOF} degrees of freedom, got {len(kinds)}"
             )
         object.__setattr__(self, "kinds", kinds)
-        u_label, d_label = self.labels_on(range(len(kinds)), factor_labels(kinds))
-        object.__setattr__(self, "u_label", u_label)
-        object.__setattr__(self, "d_label", d_label)
 
     def labels_on(self, factors, labels) -> tuple:
         """(u, d) labels of the setting's observables on ``factors`` alone, the

@@ -192,19 +192,15 @@ class _Layout:
         return tuple(labels)
 
     @cached_property
-    def assumption_contexts(self) -> tuple:
-        """Per assumption cell, the two photons' tokens on every factor but its own."""
-        n, contexts = len(self.kinds), []
+    def assumption_labels(self) -> tuple:
+        """Per assumption cell, its whole setting's two photon labels and its
+        context label: the two photons' tokens on every factor but its own."""
+        n, cells = len(self.kinds), []
         for t, f in self._per_cell(self.tokens, slice(self.n_run, None)):
+            labels = (" ".join(t[:n]), " ".join(t[n:]))
             del t[n + f], t[f]
-            contexts.append(f"{' '.join(t[: n - 1])} {' '.join(t[n - 1 :])}")
-        return tuple(contexts)
-
-    @cached_property
-    def assumption_settings(self) -> tuple:
-        """The ``JointSetting`` of each assumption cell."""
-        n, cells = len(self.kinds), self._per_cell(self.observables, slice(self.n_run, None))
-        return tuple(JointSetting(tuple(ids[:n]), tuple(ids[n:])) for ids, _ in cells)
+            cells.append((labels, f"{' '.join(t[: n - 1])} {' '.join(t[n - 1 :])}"))
+        return tuple(cells)
 
     def _per_cell(self, table: np.ndarray, rows=slice(None)) -> zip:
         """Per cell of ``rows``: a new list of the ``table[factor, name digit]``
@@ -388,21 +384,22 @@ def violation_report(
 ) -> ViolationReport:
     """Combine per-setting correlations into a Bell-operator estimate.
 
-    ``records`` must carry the operator's term labels (u label, d label) in
-    term order, one record per term.  By default a term's label is the one
-    it carries; ``labels`` relabels the terms with the factor labels the
-    records carry instead: factor 2 of a three-DOF run carries ``pi2``
-    where its CHSH operator alone says ``pi``.
+    ``records`` must carry the operator's term labels (``bell.term_labels``)
+    in term order, one record per term.  By default the terms carry the
+    operator's factor labels; ``labels``, one string per factor, relabels
+    them with the ones the records carry instead: factor 2 of a three-DOF
+    run carries ``pi2`` where its CHSH operator alone says ``pi``.
     """
-    if labels is None:
-        keys = [(t.u_label, t.d_label) for t in bell.terms]
-    else:
-        keys = [t.labels_on(range(len(labels)), labels) for t in bell.terms]
+    labels = bell.factor_labels if labels is None else labels
+    strings = isinstance(labels, tuple) and all(isinstance(label, str) for label in labels)
+    if not strings or len(labels) != bell.dof_count:
+        raise ValueError(f"labels must be a tuple of {bell.dof_count} strings, got {labels!r}")
+    keys = list(bell_mod.term_labels(labels))
     records = list(records)
     given = [rec.label for rec in records]
     if given != keys:
         raise ValueError(f"record/term mismatch: expected {keys} in term order, got {given}")
-    beta = sum(t.sign * rec.E for t, rec in zip(bell.terms, records))
+    beta = sum(sign * rec.E for sign, rec in zip(bell.term_signs, records))
     var = sum(rec.std_err**2 for rec in records)
     std = math.sqrt(var)
     return ViolationReport(
@@ -415,7 +412,11 @@ def violation_report(
 
 @dataclass(frozen=True)
 class AssumptionCell:
-    setting: JointSetting
+    """A sampled cell of an assumption row: its whole setting's (u label,
+    d label), its context (the tokens on the other factors) and the record
+    of its own factor's correlation."""
+
+    labels: tuple
     context_label: str
     record: CorrelationRecord
 
@@ -493,15 +494,15 @@ def _assumption_report(
     state: QuantumState, layout: _Layout, records: list, n_events: int, seed: int
 ) -> AssumptionReport:
     """The assumption test's rows from the records of its cells, in cell order."""
-    sampled = iter(zip(layout.assumption_settings, layout.assumption_contexts, records))
+    sampled = iter(zip(layout.assumption_labels, records))
     n_contexts = 4 ** (len(layout.kinds) - 1)
     factor_rows = []
     for kind, operators in zip(layout.kinds, layout.marginals):
         rows = []
         for operator in operators:
             cells = tuple(
-                AssumptionCell(setting=setting, context_label=context, record=record)
-                for setting, context, record in islice(sampled, n_contexts)
+                AssumptionCell(labels=labels, context_label=context, record=record)
+                for (labels, context), record in islice(sampled, n_contexts)
             )
             # Every cell of a row measures the row's pair on factor f.
             rows.append(

@@ -11,6 +11,7 @@ import numpy as np
 
 from hyperbell import bell, cli, lhv, model, qcore, simlab
 from hyperbell.model import NoiseModel
+from reference import canonical_settings
 
 SQRT2 = math.sqrt(2.0)
 
@@ -168,12 +169,12 @@ def test_criterion_6_assumption_context_independence():
             state = model.apply_noise(bell.ideal_state(n), noise)
             exact = np.einsum("ij,ij->i", layout.born(state, suffix), weights)
             report = simlab.assumption_test(state, n_events=100, seed=0)
-            cells = [cell.setting for row in report.rows for cell in row.cells]
-            names = [
-                tuple(["AaBb".index(o.name) for o in ids] for ids in (s.u_ids, s.d_ids))
-                for s in cells
-            ]
-            ok = ok and names == table and all(s.kinds == layout.kinds for s in cells)
+            # Each cell's two photon labels, a name_label token per factor.
+            tokens = [[side.split() for side in c.labels] for r in report.rows for c in r.cells]
+            names = [tuple(["AaBb".index(t[0]) for t in side] for side in c) for c in tokens]
+            ok = ok and names == table and all(
+                [t[2:] for t in side] == list(layout.labels) for c in tokens for side in c
+            )
             analytic = np.repeat([row.analytic_E for row in report.rows], 4 ** (n - 1))
             worst_exact = max(worst_exact, float(np.abs(exact - analytic).max()))
     ok = ok and worst_exact < 1e-12
@@ -204,7 +205,7 @@ def test_criterion_7_property_suites():
     norm_ok = True
     for noise in (NoiseModel(model.NOISE_NONE), NoiseModel(model.NOISE_WHITE, 0.9, 0.9)):
         state = model.apply_noise(model.hyper_state(math.pi, 0.0), noise)
-        for setting in bell.canonical_product(2).terms:
+        for setting in canonical_settings(2):
             total = simlab.born_distribution(state, setting).probs.sum()
             norm_ok = norm_ok and abs(total - 1.0) < 1e-9
     checks["born-normalization"] = norm_ok
@@ -238,7 +239,7 @@ def test_criterion_7_property_suites():
     )
     consistent = True
     for seed in (11, 22, 33, 44, 55):
-        for idx, setting in enumerate(bell.canonical_product(2).terms):
+        for idx, setting in enumerate(canonical_settings(2)):
             dist = simlab.born_distribution(state, setting)
             counts = simlab.sample(dist, 10**6, simlab.rng.derive_seed(seed, idx))
             est = simlab.estimate(counts, setting)

@@ -11,6 +11,7 @@ import pytest
 
 from hyperbell import bell, lhv, model, qcore
 from hyperbell.model import NoiseModel, ObservableId, QuantumState
+from reference import term_settings
 
 SZ = np.diag([1, -1]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -37,21 +38,23 @@ PSI_PLUS = np.array([0, 1, 1, 0], dtype=complex) / SQRT2
 
 def _reconstruct(op):
     """Signed sum of the term operators, each a Kronecker product of
-    (u observable (x) d observable) blocks in the global tensor layout."""
+    (u observable (x) d observable) blocks in the global tensor layout; the
+    terms are the oracle's settings in term order, each with its term sign."""
     out = np.zeros_like(op.matrix)
-    for term in op.terms:
+    for setting, sign in zip(term_settings(op.kinds), op.term_signs, strict=True):
         blocks = [
             qcore.tensor(model.observable(u), model.observable(d))
-            for u, d in zip(term.u_ids, term.d_ids)
+            for u, d in zip(setting.u_ids, setting.d_ids)
         ]
-        out += term.sign * qcore.tensor_all(*blocks)
+        out += sign * qcore.tensor_all(*blocks)
     return out
 
 
 class TestChshOperators:
     def test_beta_pi_signs_and_order(self):
         b = bell.build_beta_pi()
-        labels = [(t.u_label, t.d_label, t.sign) for t in b.terms]
+        pairs = bell.term_labels(b.factor_labels)
+        labels = [(*pair, sign) for pair, sign in zip(pairs, b.term_signs)]
         assert labels == [
             ("A_pi", "B_pi", -1),
             ("A_pi", "b_pi", 1),
@@ -61,8 +64,9 @@ class TestChshOperators:
 
     def test_beta_k_signs_and_order(self):
         b = bell.build_beta_k()
-        assert [t.sign for t in b.terms] == [1, -1, 1, 1]
-        assert b.terms[0].u_label == "A_k"
+        assert b.term_signs == (1, -1, 1, 1)
+        assert all(type(sign) is int for sign in b.term_signs)
+        assert bell.term_labels(b.factor_labels)[0] == ("A_k", "B_k")
 
     def test_matrices_match_pauli_construction(self):
         np.testing.assert_allclose(bell.build_beta_pi().matrix, BETA_PI_REF, atol=1e-12)
@@ -91,12 +95,12 @@ class TestChshOperators:
 
 class TestProductOperator:
     def test_sixteen_terms(self):
-        assert len(bell.canonical_product(2).terms) == 16
+        assert len(bell.canonical_product(2).term_signs) == 16
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_term_count_and_reconstruction(self, n):
         op = bell.canonical_product(n)
-        assert len(op.terms) == 4**n
+        assert len(op.term_signs) == 4**n
         np.testing.assert_allclose(_reconstruct(op), op.matrix, atol=1e-12)
 
     def test_single_factor_returned_unchanged(self):
@@ -108,17 +112,14 @@ class TestProductOperator:
         np.testing.assert_allclose(op.matrix, np.kron(BETA_PI_REF, BETA_K_REF), atol=1e-12)
 
     def test_term_labels_pair_local_observables(self):
-        op = bell.canonical_product(2)
-        assert op.terms[0].u_label == "A_pi A_k"
-        assert op.terms[0].d_label == "B_pi B_k"
-        assert {t.u_label for t in op.terms} == {
-            "A_pi A_k", "A_pi a_k", "a_pi A_k", "a_pi a_k"
-        }
+        labels = bell.term_labels(bell.canonical_product(2).factor_labels)
+        assert labels[0] == ("A_pi A_k", "B_pi B_k")
+        assert {u for u, _ in labels} == {"A_pi A_k", "A_pi a_k", "a_pi A_k", "a_pi a_k"}
 
     def test_repeated_kinds_get_suffixed_labels(self):
         op = bell.canonical_product(3)
         assert op.factor_labels == ("pi", "k", "pi2")
-        assert op.terms[0].u_label == "A_pi A_k A_pi2"
+        assert bell.term_labels(op.factor_labels)[0][0] == "A_pi A_k A_pi2"
 
     def test_ideal_expectation_is_minus_eight(self):
         op = bell.canonical_product(2)
@@ -171,10 +172,14 @@ class TestProductOperator:
                 bell.ideal_state(bad)
         assert bell._ideal_state.cache_info().currsize == 2
 
-    @pytest.mark.parametrize("kinds", [("spin",), (), (model.PATH,) * 5, [model.POLARIZATION]])
+    @pytest.mark.parametrize("kinds", [
+        ("spin",), (), (model.PATH,) * 5, [model.POLARIZATION],
+        ([model.POLARIZATION],), (model.POLARIZATION, {}),
+    ])
     def test_operator_kinds_refused(self, kinds):
         """They failed on first read, with a KeyError or an empty reduce; a
-        list failed as an unhashable key in ``lhv.max_bound``."""
+        list failed as an unhashable key in ``lhv.max_bound``, and a list or
+        dict entry as an unhashable set member (``TypeError``)."""
         with pytest.raises(ValueError, match=re.escape(f"got {kinds!r}")):
             bell.BellOperator(kinds=kinds)
 
@@ -204,9 +209,9 @@ class TestSignTable:
         n_ctx = 2**op.dof_count
         assert op.signs.shape == (n_ctx, n_ctx)
         cells = set()
-        for term in op.terms:
-            cell = (_context(term.u_ids, "a"), _context(term.d_ids, "b"))
-            assert op.signs[cell] == term.sign
+        for setting, sign in zip(term_settings(op.kinds), op.term_signs, strict=True):
+            cell = (_context(setting.u_ids, "a"), _context(setting.d_ids, "b"))
+            assert op.signs[cell] == sign
             cells.add(cell)
         assert len(cells) == n_ctx * n_ctx
 
@@ -219,7 +224,7 @@ def _reference_chsh(kind, label):
     matrix = np.zeros((4, 4), dtype=complex)
     for i, u in enumerate(ObservableId(n, kind) for n in model.U_SIDE_NAMES):
         for j, d in enumerate(ObservableId(n, kind) for n in model.D_SIDE_NAMES):
-            terms.append(bell.BellTerm((u,), (d,), table[i][j]))
+            terms.append(((u,), (d,), table[i][j]))
             labels.append((f"{u.name}_{label}", f"{d.name}_{label}"))
             matrix += table[i][j] * qcore.tensor(model.observable(u), model.observable(d))
     return SimpleNamespace(matrix=matrix, terms=tuple(terms), labels=labels, dof_count=1,
@@ -241,11 +246,11 @@ def _reference_product(kinds):
     terms, term_labels = [], []
     for combo in product(*(f.terms for f in factors)):
         sign, u_ids, d_ids = 1, [], []
-        for t in combo:
-            sign *= t.sign
-            u_ids.extend(t.u_ids)
-            d_ids.extend(t.d_ids)
-        terms.append(bell.BellTerm(tuple(u_ids), tuple(d_ids), sign))
+        for u, d, factor_sign in combo:
+            sign *= factor_sign
+            u_ids.extend(u)
+            d_ids.extend(d)
+        terms.append((tuple(u_ids), tuple(d_ids), sign))
         term_labels.append((
             " ".join(f"{o.name}_{lab}" for o, lab in zip(u_ids, labels)),
             " ".join(f"{o.name}_{lab}" for o, lab in zip(d_ids, labels)),
@@ -272,7 +277,8 @@ ALL_PRODUCTS = [
 class TestStructuredOperator:
     @pytest.mark.parametrize("kinds", ALL_PRODUCTS, ids=lambda k: "-".join(k))
     def test_equals_eager_build(self, kinds):
-        """Lazy matrix and terms are bit-identical to the former eager build."""
+        """Lazy matrix, term signs and term labels are bit-identical to the
+        former eager build, whose terms are the oracle's settings."""
         op = bell.build_beta_product([_KIND_BUILDERS[k]() for k in kinds])
         ref = _reference_product(kinds)
         assert (op.dim, op.dof_count) == (ref.dim, ref.dof_count)
@@ -281,9 +287,10 @@ class TestStructuredOperator:
         assert op.matrix.dtype == ref.matrix.dtype and op.matrix.shape == ref.matrix.shape
         assert np.array_equal(op.matrix, ref.matrix)
         assert op.matrix.tobytes() == ref.matrix.tobytes()
-        assert op.terms == ref.terms
-        assert [(t.u_label, t.d_label) for t in op.terms] == ref.labels
-        assert all(type(t.sign) is int for t in op.terms)
+        assert [(s.u_ids, s.d_ids) for s in term_settings(kinds)] == [t[:2] for t in ref.terms]
+        assert op.term_signs == tuple(sign for _, _, sign in ref.terms)
+        assert list(bell.term_labels(op.factor_labels)) == ref.labels
+        assert all(type(sign) is int for sign in op.term_signs)
 
     @pytest.mark.parametrize("cls", [lhv.FACTORIZABLE, lhv.UNRESTRICTED])
     def test_bounds_build_neither_matrix_nor_terms(self, cls, monkeypatch):
@@ -294,7 +301,7 @@ class TestStructuredOperator:
         op = bell.BellOperator(kinds=model.canonical_kinds(4))  # fresh: no tables yet
         lhv.max_bound(op, cls)
         assert op.dim == 256 and op.dof_count == 4
-        assert "matrix" not in vars(op) and "terms" not in vars(op)
+        assert "matrix" not in vars(op) and "term_signs" not in vars(op)
 
     def test_shared_factors_are_read_only(self):
         for build in (bell.build_beta_pi, bell.build_beta_k):

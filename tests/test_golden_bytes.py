@@ -205,8 +205,7 @@ def _library_text(study, n, events, seed):
     lines += [repr(record) for record in records]
     for row in report.rows:
         for cell in row.cells:
-            setting = cell.setting
-            lines.append(repr((setting.u_label, setting.d_label, cell.context_label, cell.record)))
+            lines.append(repr((*cell.labels, cell.context_label, cell.record)))
     return "\n".join(lines)
 
 

@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 from hyperbell import bell, lhv, model
 from hyperbell.lhv import FACTORIZABLE, UNRESTRICTED, LhvStrategy
+from reference import setting_labels, term_settings
 
 U_TOKENS_CHSH = ("A_pi", "a_pi")
 D_TOKENS_CHSH = ("B_pi", "b_pi")
@@ -47,7 +48,7 @@ class TestEvaluateStrategy:
         """With every outcome +1 the value is the sum of the 16 term signs,
         (-1+1+1+1) * (1-1+1+1) = 4."""
         op = bell.canonical_product(2)
-        assert sum(t.sign for t in op.terms) == 4
+        assert sum(op.term_signs) == 4
         val = lhv.evaluate_strategy(op, _all_plus(FACTORIZABLE, U_TOKENS_N2, D_TOKENS_N2))
         assert val == 4
 
@@ -501,7 +502,7 @@ def _reference_evaluate(op, strategy):
         return val
 
     total = 0
-    for term in op.terms:
+    for term, sign in zip(term_settings(op.kinds), op.term_signs, strict=True):
         if strategy.strategy_class == FACTORIZABLE:
             u_val = d_val = 1
             for obs, lab in zip(term.u_ids, op.factor_labels):
@@ -509,15 +510,16 @@ def _reference_evaluate(op, strategy):
             for obs, lab in zip(term.d_ids, op.factor_labels):
                 d_val *= lookup(strategy.side_d, f"{obs.name}_{lab}")
         else:
-            u_val = lookup(strategy.side_u, term.u_label)
-            d_val = lookup(strategy.side_d, term.d_label)
-        total += term.sign * u_val * d_val
+            u_label, d_label = setting_labels(term)
+            u_val = lookup(strategy.side_u, u_label)
+            d_val = lookup(strategy.side_d, d_label)
+        total += sign * u_val * d_val
     return total
 
 
 def _reference_tokens(op, cls, photon):
     """A side's keys read off the string term table, in first-use order."""
-    labels = [t.u_label if photon == "u" else t.d_label for t in op.terms]
+    labels = [setting_labels(t)[photon == "d"] for t in term_settings(op.kinds)]
     if cls == FACTORIZABLE:
         labels = [tok for label in labels for tok in label.split()]
     return list(dict.fromkeys(labels))

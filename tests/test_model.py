@@ -108,10 +108,11 @@ class TestJointSetting:
     def test_labels_number_repeated_kinds(self):
         setting = JointSetting((A_PI, a_K, a_PI), (B_PI, b_K, B_PI))
         assert setting.kinds == (model.POLARIZATION, model.PATH, model.POLARIZATION)
-        assert (setting.u_label, setting.d_label) == ("A_pi a_k a_pi2", "B_pi b_k B_pi2")
+        labels = model.factor_labels(setting.kinds)
+        assert setting.labels_on(range(3), labels) == ("A_pi a_k a_pi2", "B_pi b_k B_pi2")
         setting = JointSetting((A_K, a_K, A_PI, a_K), (B_K, B_K, b_PI, b_K))
-        assert setting.u_label == "A_k a_k2 A_pi a_k3"
-        assert setting.d_label == "B_k B_k2 b_pi b_k3"
+        labels = model.factor_labels(setting.kinds)
+        assert setting.labels_on(range(4), labels) == ("A_k a_k2 A_pi a_k3", "B_k B_k2 b_pi b_k3")
 
     def test_equality_and_hash_by_observables(self):
         first = JointSetting((A_PI, A_K), (B_PI, b_K))
@@ -161,7 +162,7 @@ class TestJointSetting:
     def test_labels_on_applies_the_rule_to_chosen_factors(self):
         setting = JointSetting((A_PI, a_K, a_PI), (B_PI, b_K, B_PI))
         full = setting.labels_on(range(3), model.factor_labels(setting.kinds))
-        assert full == (setting.u_label, setting.d_label)
+        assert full == ("A_pi a_k a_pi2", "B_pi b_k B_pi2")
         assert setting.labels_on((2,), ("pi2",)) == ("a_pi2", "B_pi2")
         assert setting.labels_on((0, 2), ("pi", "pi2")) == ("A_pi a_pi2", "B_pi B_pi2")
         assert [obs.label for obs in setting.u_ids] == ["A_pi", "a_k", "a_pi"]

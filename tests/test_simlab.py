@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from hyperbell import bell, lhv, model, qcore, rng, simlab
 from hyperbell.model import JointSetting, NoiseModel, ObservableId, QuantumState
+from reference import canonical_settings, setting_labels
 
 SQRT2 = np.sqrt(2.0)
 # One photon's outcomes at N = 2, (polarization sign, path sign).
@@ -46,16 +47,16 @@ STATES = {
 
 class TestSettings:
     def test_sixteen_canonical_settings(self):
-        settings = bell.canonical_product(2).terms
-        assert len(settings) == 16
-        assert len({(s.u_label, s.d_label) for s in settings}) == 16
+        labels = bell.term_labels(bell.canonical_product(2).factor_labels)
+        assert len(labels) == 16 and len(set(labels)) == 16
+        assert labels == tuple(setting_labels(s) for s in canonical_settings(2))
 
     def test_labels_match_product_terms(self):
-        """The joint records of a run carry the labels of the product terms."""
-        op = bell.canonical_product(2)
-        term_labels = {(t.u_label, t.d_label) for t in op.terms}
+        """The joint records of a run carry the labels of the product terms,
+        in term order."""
+        term_labels = bell.term_labels(bell.canonical_product(2).factor_labels)
         result = simlab.run_simulated_experiment(IDEAL, 100, seed=0)
-        assert {rec.label for rec in result.joint_records} == term_labels
+        assert tuple(rec.label for rec in result.joint_records) == term_labels
 
     def test_kind_validation(self):
         with pytest.raises(ValueError, match="not a polarization"):
@@ -67,7 +68,7 @@ class TestSettings:
     def test_settings_are_the_product_terms(self):
         """The first 16 cells of the pass measure the operator's own terms, in
         term order, each for its joint correlation."""
-        settings = bell.canonical_product(2).terms
+        settings = canonical_settings(2)
         terms = [(*_setting_names(s), None) for s in settings]
         assert _table_cells(simlab._layout(2))[:16] == terms
         assert all(isinstance(s, JointSetting) for s in settings)
@@ -141,7 +142,7 @@ class TestBornDistribution:
 
     @pytest.mark.parametrize("state", [IDEAL, NOISY, MIXED_MAX], ids=["ideal", "noisy", "mixed"])
     def test_normalization(self, state):
-        for setting in bell.canonical_product(2).terms:
+        for setting in canonical_settings(2):
             dist = simlab.born_distribution(state, setting)
             assert dist.probs.sum() == pytest.approx(1.0, abs=1e-9)
             assert np.all(dist.probs >= 0.0)
@@ -349,9 +350,9 @@ class TestNoSignaling:
         one built from a ``born_distribution`` call per canonical setting."""
         state = model.apply_noise(model.hyper_state(theta, phi, n), noise)
         groups = {}
-        for setting in bell.canonical_product(n).terms:
+        for setting in canonical_settings(n):
             margs = simlab.marginals(simlab.born_distribution(state, setting))
-            for key, marg in zip((("u", setting.u_label), ("d", setting.d_label)), margs):
+            for key, marg in zip(zip("ud", setting_labels(setting)), margs):
                 groups.setdefault(key, []).append(marg)
         expected = max(float(np.ptp(np.stack(m), axis=0).max()) for m in groups.values())
         assert simlab.signaling_deviation(state) == expected
@@ -1372,12 +1373,12 @@ class TestArrayPass:
 
         monkeypatch.setattr(simlab, "_layout", functools.cache(simlab._Layout))
         monkeypatch.setattr(simlab, "_marginal_operator", boom)
-        setting = bell.canonical_product(4).terms[5]
+        setting = canonical_settings(4)[5]
         counts = np.arange(256, dtype=np.int64)
         record = simlab.estimate(counts, setting, 2)
         assert record.n_events == int(counts.sum())
         layout = simlab._layout(4)
-        tables = {"cells", "stacks", "record_labels", "assumption_contexts", "assumption_settings"}
+        tables = {"cells", "stacks", "record_labels", "assumption_labels"}
         assert not {"marginals", *tables} & set(vars(layout))
 
 
@@ -1486,7 +1487,7 @@ class TestEstimate:
 class TestFactorization:
     def test_joint_equals_product_of_marginals_analytically(self):
         for state in (IDEAL, NOISY):
-            for setting in bell.canonical_product(2).terms:
+            for setting in canonical_settings(2):
                 joint, pol, path = simlab.analytic_correlations(
                     simlab.born_distribution(state, setting)
                 )
@@ -1507,12 +1508,12 @@ class TestViolationReport:
 
     def _analytic_records(self, state, which):
         records = []
-        for setting in bell.canonical_product(2).terms:
+        for setting in canonical_settings(2):
             dist = simlab.born_distribution(state, setting)
             joint, pol, path = simlab.analytic_correlations(dist)
             e = {"joint": joint, "pol": pol, "path": path}[which]
             label = {
-                "joint": (setting.u_label, setting.d_label),
+                "joint": setting_labels(setting),
                 "pol": (setting.u_ids[0].label, setting.d_ids[0].label),
                 "path": (setting.u_ids[1].label, setting.d_ids[1].label),
             }[which]
@@ -1530,7 +1531,7 @@ class TestViolationReport:
     def test_ideal_chsh_records_sum_to_tsirelson(self):
         pol_records = {}
         path_records = {}
-        for setting in bell.canonical_product(2).terms:
+        for setting in canonical_settings(2):
             dist = simlab.born_distribution(IDEAL, setting)
             _, pol, path = simlab.analytic_correlations(dist)
             pol_records[(setting.u_ids[0].label, setting.d_ids[0].label)] = pol
@@ -1550,8 +1551,8 @@ class TestViolationReport:
 
     def test_std_err_combines_in_quadrature(self):
         records = [
-            simlab.CorrelationRecord(label=(t.u_label, t.d_label), E=0.5, std_err=0.01, n_events=100)
-            for t in bell.build_beta_pi().terms
+            simlab.CorrelationRecord(label=label, E=0.5, std_err=0.01, n_events=100)
+            for label in self.CHSH_LABELS
         ]
         rep = simlab.violation_report(records, bell.build_beta_pi(), bound=2.0)
         assert rep.beta_std_err == pytest.approx(0.02, abs=1e-12)
@@ -1562,8 +1563,8 @@ class TestViolationReport:
     def test_estimate_at_bound_gives_zero_sigma(self):
         es = [-0.5, 0.5, 0.5, 0.5]  # beta = 2 exactly
         records = [
-            simlab.CorrelationRecord(label=(t.u_label, t.d_label), E=e, std_err=0.01, n_events=100)
-            for t, e in zip(bell.build_beta_pi().terms, es)
+            simlab.CorrelationRecord(label=label, E=e, std_err=0.01, n_events=100)
+            for label, e in zip(self.CHSH_LABELS, es)
         ]
         rep = simlab.violation_report(records, bell.build_beta_pi(), bound=2.0)
         assert rep.beta_estimate == pytest.approx(2.0, abs=1e-12)
@@ -1604,15 +1605,26 @@ class TestViolationReport:
         op = bell.build_beta_pi()
         records = [
             simlab.CorrelationRecord(
-                label=(t.u_label.replace("pi", "pi2"), t.d_label.replace("pi", "pi2")),
+                label=(u.replace("pi", "pi2"), d.replace("pi", "pi2")),
                 E=0.5, std_err=0.01, n_events=100,
             )
-            for t in op.terms
+            for u, d in self.CHSH_LABELS
         ]
         rep = simlab.violation_report(records, op, bound=2.0, labels=("pi2",))
         assert rep.beta_estimate == pytest.approx(1.0, abs=1e-12)
         with pytest.raises(ValueError, match="mismatch"):
             simlab.violation_report(records, op, bound=2.0)
+
+    @pytest.mark.parametrize(
+        "labels", [("pi", "k", "extra"), "pk", (["pi"], "k")], ids=["extra", "string", "list"]
+    )
+    def test_labels_other_than_one_string_per_factor_refused(self, labels):
+        """An extra label failed as an IndexError, a string was read as one
+        label per character, and a list entry is unhashable as a cache key."""
+        records = simlab.run_simulated_experiment(IDEAL, 100, seed=0).joint_records
+        message = f"labels must be a tuple of 2 strings, got {labels!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            simlab.violation_report(records, bell.canonical_product(2), 4.0, labels)
 
     def test_duplicate_labels_rejected(self):
         rec = simlab.CorrelationRecord(label=("A_pi", "B_pi"), E=0.5, std_err=0.01, n_events=10)
@@ -1759,7 +1771,7 @@ def _canonical_layout(n):
         names.insert(f, pair)
         return _canonical_setting(*zip(*names)), f
 
-    cells = [(term, None) for term in bell.canonical_product(n).terms]
+    cells = [(term, None) for term in canonical_settings(n)]
     cells += [cell(f, pair, [("A", "B")] * (n - 1)) for f in range(n) for pair in pairs]
     for f, kind in enumerate(model.canonical_kinds(n)):
         for pair in rows[kind]:
@@ -1801,14 +1813,14 @@ def _assert_cells_replay(state, n, layout):
     n_run = n_terms + 4 * n
     assert len(cells) == len(layout) - n_run
     assert [c.record for c in cells] == expected[n_run:]
-    assert [c.setting for c in cells] == [s for s, _ in layout[n_run:]]
+    assert [c.labels for c in cells] == [setting_labels(s) for s, _ in layout[n_run:]]
 
 
 class TestSimulatedExperiment:
     def test_cell_tables_follow_the_stream_layout(self):
         """The cell table is the literal N = 2 stream layout, and at every N
         the rule's cell list, cell by cell: names, factor, record label,
-        weight row, and each assumption cell's setting and context."""
+        weight row, and each assumption cell's labels and context."""
         layout = [(*_setting_names(s), f) for s, f in _stream_layout()]
         assert _table_cells(simlab._layout(2)) == layout
         assert [(*_setting_names(s), f) for s, f in _canonical_layout(2)] == layout
@@ -1822,12 +1834,14 @@ class TestSimulatedExperiment:
             rows = [built.weight_rows[0 if f is None else f + 1] for _, f in rule]
             assert weights.tobytes() == np.array(rows).tobytes()
             assert list(built.record_labels) == [
-                (s.u_label, s.d_label) if f is None else s.labels_on((f,), (labels[f],))
+                setting_labels(s) if f is None else s.labels_on((f,), (labels[f],))
                 for s, f in rule
             ]
-            assert built.assumption_settings == tuple(s for s, _ in rule[n_run:])
+            assert [labels for labels, _ in built.assumption_labels] == [
+                setting_labels(s) for s, _ in rule[n_run:]
+            ]
             others = [[g for g in range(n) if g != f] for _, f in rule[n_run:]]
-            assert list(built.assumption_contexts) == [
+            assert [context for _, context in built.assumption_labels] == [
                 " ".join(s.labels_on(o, [labels[g] for g in o]))
                 for (s, _), o in zip(rule[n_run:], others)
             ]
@@ -1839,8 +1853,9 @@ class TestSimulatedExperiment:
         """The table's 4^N product terms and ``lhv``'s own term table give
         each term the same u and d context index (bit 1 = alternate name,
         factor 0 most significant), and the operator's sign table read at
-        those contexts gives lhv's signs.  The two are built apart, so each
-        checks the other."""
+        those contexts gives lhv's signs, as do its ``term_signs``.  The two
+        are built apart, so each checks the other.  ``bell.term_labels`` of
+        the factor labels are the record labels of the first 4^N cells."""
         layout = simlab._layout(n)
         terms = layout.cells[: 4**n]
         assert set(terms[:, :n].flat) <= {0, 1} and set(terms[:, n : 2 * n].flat) <= {2, 3}
@@ -1850,6 +1865,25 @@ class TestSimulatedExperiment:
         u_lhv, d_lhv, signs = lhv._term_table(layout.kinds)
         assert (u.tolist(), d.tolist()) == (u_lhv.tolist(), d_lhv.tolist())
         assert layout.operator.signs[u, d].tolist() == signs.tolist()
+        assert layout.operator.term_signs == tuple(signs.tolist())
+        assert bell.term_labels(layout.labels) == layout.record_labels[: 4**n]
+
+    def test_first_n4_run_and_assumption_test_build_no_joint_setting(self, monkeypatch):
+        """On fresh layouts, a first N = 4 run and assumption test read
+        their labels and signs from tables: no ``JointSetting`` is made."""
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a JointSetting was built")
+
+        monkeypatch.setattr(simlab, "_layout", functools.cache(simlab._Layout))
+        monkeypatch.setattr(JointSetting, "__post_init__", boom)
+        state = model.apply_noise(bell.ideal_state(4), WHITE_09)
+        result = simlab.run_simulated_experiment(state, n_events=100, seed=1)
+        assert len(result.joint_records) == 256 and len(result.assumptions.rows) == 16
+        monkeypatch.setattr(simlab, "_layout", functools.cache(simlab._Layout))
+        report = simlab.assumption_test(state, n_events=100, seed=1)
+        labels = [[c.labels for c in row.cells] for row in report.rows]
+        assert labels == [[c.labels for c in row.cells] for row in result.assumptions.rows]
 
     def test_every_cell_replays_alone_on_its_sub_stream(self):
         """Cell i of one run is sampled on derive_seed(seed, i) and nothing
