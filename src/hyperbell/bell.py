@@ -47,12 +47,7 @@ class BellOperator:
     kinds: tuple
 
     def __post_init__(self):
-        counted = isinstance(self.kinds, tuple) and 1 <= len(self.kinds) <= MAX_DOF
-        # Each entry's type first: a list or dict entry is unhashable.
-        if not counted or not all(isinstance(k, str) and k in _SIGNS for k in self.kinds):
-            raise ValueError(
-                f"kinds must be 1 to {MAX_DOF} of {tuple(_SIGNS)}, got {self.kinds!r}"
-            )
+        model.checked_kinds(self.kinds)
 
     @property
     def dof_count(self) -> int:
@@ -62,9 +57,9 @@ class BellOperator:
     def dim(self) -> int:
         return 4**self.dof_count
 
-    @property
+    @cached_property
     def factor_labels(self) -> tuple:
-        """Per-factor display labels; a repeated kind is numbered (pi, k, pi2)."""
+        """Per-factor display labels, a repeated kind numbered (pi, k, pi2); built once."""
         return model.factor_labels(self.kinds)
 
     @cached_property
@@ -104,10 +99,17 @@ class BellOperator:
         return qcore.spectral_radius(self.matrix)
 
 
-@lru_cache(maxsize=64)  # labels come from callers: the run path reads about a dozen
 def term_labels(labels: tuple) -> tuple:
-    """Each term's (u label, d label) for the factor ``labels``, in term
-    order (``model.side_label``); built once per labels tuple."""
+    """Each term's (u label, d label) for the factor ``labels``, a tuple of 1 to
+    ``MAX_DOF`` strings checked first, in term order; built once per tuple."""
+    if not (isinstance(labels, tuple) and 1 <= len(labels) <= MAX_DOF
+            and all(isinstance(label, str) for label in labels)):
+        raise ValueError(f"labels must be a tuple of 1 to {MAX_DOF} strings, got {labels!r}")
+    return _term_labels(labels)
+
+
+@lru_cache(maxsize=64)  # labels come from callers: the run path reads about a dozen
+def _term_labels(labels: tuple) -> tuple:
     pairs = product(product(model.U_SIDE_NAMES, model.D_SIDE_NAMES), repeat=len(labels))
     return tuple(
         (model.side_label([u for u, _ in p], labels), model.side_label([d for _, d in p], labels))
@@ -139,12 +141,9 @@ def build_beta_product(factors) -> BellOperator:
     shared factor is returned unchanged.
     """
     factors = list(factors)
-    if not 1 <= len(factors) <= MAX_DOF:
-        raise ValueError(f"need between 1 and {MAX_DOF} factors, got {len(factors)}")
-    for f in factors:
-        if f.dof_count != 1:
-            raise ValueError("factors must be single degree-of-freedom operators")
-    return _shared(tuple(f.kinds[0] for f in factors))
+    if any(f.dof_count != 1 for f in factors):
+        raise ValueError("factors must be single degree-of-freedom operators")
+    return _shared(tuple([f.kinds[0] for f in factors]))  # kinds checked by the operator
 
 
 def canonical_product(n_dof: int) -> BellOperator:

@@ -29,6 +29,7 @@ from functools import cache, cached_property, reduce
 import numpy as np
 
 from . import qcore, rng
+from .qcore import MAX_DOF  # the one size rule: every bound is read from it
 
 POLARIZATION = "polarization"
 PATH = "path"
@@ -40,8 +41,6 @@ PHOTONS = (PHOTON_U, PHOTON_D)
 
 U_SIDE_NAMES = ("A", "a")
 D_SIDE_NAMES = ("B", "b")
-
-MAX_DOF = 4  # the most degrees of freedom a joint setting or Bell operator has
 
 _KET = {
     "H": np.array([1, 0], dtype=complex),
@@ -89,12 +88,20 @@ def canonical_kinds(n: int) -> tuple:
     return tuple([PATH if f % 2 else POLARIZATION for f in range(n)])
 
 
-@cache
+def checked_kinds(kinds) -> tuple:
+    """``kinds`` if it is a tuple of 1 to ``MAX_DOF`` of ``KINDS``, else a
+    ``ValueError`` naming ``kinds``: the one kinds rule of every module."""
+    if not (isinstance(kinds, tuple) and 1 <= len(kinds) <= MAX_DOF
+            and all(isinstance(kind, str) and kind in KINDS for kind in kinds)):
+        raise ValueError(f"kinds must be 1 to {MAX_DOF} of {KINDS}, got {kinds!r}")
+    return kinds
+
+
 def factor_labels(kinds: tuple) -> tuple:
-    """Label of each factor, factor 0 first: its kind's label, numbered
-    from 2 where the kind repeats (pi, k, pi2); built once per kinds tuple."""
+    """Label of each factor, factor 0 first: its kind's label, numbered from 2
+    where the kind repeats (pi, k, pi2); ``kinds`` is checked first."""
     labels = []
-    for f, kind in enumerate(kinds):
+    for f, kind in enumerate(checked_kinds(kinds)):
         n_prev = kinds[:f].count(kind)
         labels.append(_KIND_LABELS[kind] + (f"{n_prev + 1}" if n_prev else ""))
     return tuple(labels)
@@ -147,11 +154,7 @@ class JointSetting:
                 f"photon u measures {len(self.u_ids)} degrees of freedom,"
                 f" photon d {len(self.d_ids)}"
             )
-        if not 1 <= len(kinds) <= MAX_DOF:
-            raise ValueError(
-                f"a joint setting measures 1 to {MAX_DOF} degrees of freedom, got {len(kinds)}"
-            )
-        object.__setattr__(self, "kinds", kinds)
+        object.__setattr__(self, "kinds", checked_kinds(kinds))
 
     def labels_on(self, factors, labels) -> tuple:
         """(u, d) labels of the setting's observables on ``factors`` alone, the
@@ -195,15 +198,15 @@ class QuantumState:
 
     @classmethod
     def pure(cls, vector) -> "QuantumState":
+        n = _dof_count(vector, 1)
         v = _owned(qcore.as_vector(vector))
         qcore.check_normalized(v)
-        return cls(dof_count=_infer_dof_count(v.size), vector=v)
+        return cls(dof_count=n, vector=v)
 
     @classmethod
     def mixed(cls, rho) -> "QuantumState":
-        r = qcore.as_matrix(rho)
-        state = cls(dof_count=_infer_dof_count(r.shape[0]), vector=None)
-        r = _owned(r)
+        state = cls(dof_count=_dof_count(rho, 2), vector=None)
+        r = _owned(qcore.as_matrix(rho))
         qcore._check_density_matrix(r)
         object.__setattr__(state, "rho", r)  # fills the cached_property: never built
         return state
@@ -218,14 +221,14 @@ def _owned(a: np.ndarray) -> np.ndarray:
     return a if owner is None else qcore.read_only(a.copy())
 
 
-def _infer_dof_count(dim: int) -> int:
-    n = 0
-    d = dim
-    while d > 1 and d % 4 == 0:
-        d //= 4
-        n += 1
-    if d != 1 or not 1 <= n <= MAX_DOF:
-        raise ValueError(f"dimension {dim} is not 4^N for N in 1..{MAX_DOF}")
+def _dof_count(a, rank: int) -> int:
+    """N of an input of ``rank`` axes, 4^N long, read from its shape first."""
+    shape = np.shape(a)
+    if len(shape) != rank:
+        return 0  # ``qcore`` refuses the rank before any state is returned
+    n = (shape[0].bit_length() - 1) // 2
+    if 4**n != shape[0] or not 1 <= n <= MAX_DOF:
+        raise ValueError(f"dimension {shape[0]} is not 4^N for N in 1..{MAX_DOF}")
     return n
 
 
@@ -255,10 +258,8 @@ def pair_state(kind: str, phase: float) -> np.ndarray:
 
 def product_state(kinds: tuple, phases: tuple) -> QuantumState:
     """Tensor product of ``pair_state(kinds[f], phases[f])``, factor 0 first:
-    one finite real phase per kind, 1 to ``MAX_DOF`` kinds."""
-    kinds, phases = tuple(kinds), tuple(phases)
-    if not 1 <= len(kinds) <= MAX_DOF:
-        raise ValueError(f"kinds must name 1 to {MAX_DOF} degrees of freedom, got {len(kinds)}")
+    one finite real phase per kind (``checked_kinds``)."""
+    kinds, phases = checked_kinds(kinds), tuple(phases)
     if len(phases) != len(kinds):
         raise ValueError(
             f"phases must give one phase per kind: {len(kinds)} kinds, {len(phases)} phases"

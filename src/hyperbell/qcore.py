@@ -6,8 +6,8 @@ complex numpy arrays.  Conventions fixed here and shared globally:
 - row-major entry layout;
 - big-endian tensor index order (the first factor of a tensor product
   varies slowest);
-- dimensions are capped at 4096 (two photons with four entangled degrees
-  of freedom need 256);
+- one size rule: every dimension is at most ``MAX_DIM`` = 4^MAX_DOF = 256,
+  checked on an input's shape before it is converted or multiplied out;
 - Hermiticity and normalization are checked to 1e-9 absolute.
 
 Only the extremal eigenvalue magnitude is ever needed, so there is no full
@@ -20,7 +20,8 @@ import numpy as np
 
 from . import rng
 
-MAX_DIM = 4096
+MAX_DOF = 4  # the most degrees of freedom a state, setting or Bell operator has
+MAX_DIM = 4**MAX_DOF
 HERMITIAN_TOL = 1e-9
 NORM_TOL = 1e-9
 PSD_TOL = 1e-9
@@ -36,25 +37,24 @@ class NumericalFailure(RuntimeError):
 
 def as_matrix(m) -> np.ndarray:
     """Validate and return a square complex matrix with finite entries."""
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] < 1 or a.shape[0] > MAX_DIM:
-        raise ValueError(f"matrix dimension {a.shape[0]} outside [1, {MAX_DIM}]")
-    if not (np.isfinite(a.real).all() and np.isfinite(a.imag).all()):
-        raise ValueError("matrix entries must be finite (no NaN/Inf)")
-    return a
+    return _checked(m, 2, "matrix", "a square matrix")
 
 
 def as_vector(v) -> np.ndarray:
     """Validate and return a 1-D complex vector with finite entries."""
-    a = np.asarray(v, dtype=complex)
-    if a.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {a.shape}")
-    if a.size < 1 or a.size > MAX_DIM:
-        raise ValueError(f"vector dimension {a.size} outside [1, {MAX_DIM}]")
+    return _checked(v, 1, "vector", "a 1-D vector")
+
+
+def _checked(x, rank: int, what: str, expected: str) -> np.ndarray:
+    """``x`` as a complex vector or square matrix, its shape checked first."""
+    shape = np.shape(x)
+    if len(shape) != rank or shape[0] != shape[-1]:
+        raise ValueError(f"expected {expected}, got shape {shape}")
+    if not 1 <= shape[0] <= MAX_DIM:
+        raise ValueError(f"{what} dimension {shape[0]} outside [1, {MAX_DIM}]")
+    a = np.asarray(x, dtype=complex)
     if not (np.isfinite(a.real).all() and np.isfinite(a.imag).all()):
-        raise ValueError("vector entries must be finite (no NaN/Inf)")
+        raise ValueError(f"{what} entries must be finite (no NaN/Inf)")
     return a
 
 
@@ -75,7 +75,7 @@ def _is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
 
 def tensor(a, b) -> np.ndarray:
     """Kronecker product with ``a`` as the slow (big-endian) factor."""
-    am, bm = as_matrix(a), as_matrix(b)
+    am, bm = as_matrix(a), as_matrix(b)  # each at most MAX_DIM: 1 MiB
     if am.shape[0] * bm.shape[0] > MAX_DIM:
         raise ValueError(
             f"tensor dimension {am.shape[0] * bm.shape[0]} exceeds maximum {MAX_DIM}"

@@ -12,7 +12,8 @@ Sub-streams (one per measurement setting) are derived as
     derived_seed = mix(seed XOR ((index + 1) * 0x9E3779B97F4A7C15 mod 2^64))
 
 which is the documented seed/index mix referenced in every report;
-``derive_seeds`` derives a range of indices as one array.
+``derive_seeds`` derives a range of indices as one array.  A stream or a
+seed range is at most one pass long, ``LONG_PASS`` = 2^15, checked first.
 
 Multinomial counts are inverse-CDF counts: an event whose uniform ``u``
 satisfies ``cdf[k-1] <= u < cdf[k]`` lands in cell ``k``.  They are counted
@@ -147,10 +148,10 @@ def derive_seed(seed: int, index: int) -> int:
 
 def derive_seeds(seed: int, start: int, count: int) -> np.ndarray:
     """``derive_seed(seed, start + i)`` for i in [0, ``count``) as one uint64
-    array; the last index must not pass 2^64 - 1."""
+    array, ``count`` at most ``LONG_PASS``; the last index must not pass 2^64 - 1."""
     seed = checked_seed(seed)
     start = checked_int("start", start, 0, _MASK64)
-    count = checked_int("count", count, 0, _MASK64 + 1 - start)
+    count = checked_int("count", count, 0, min(LONG_PASS, _MASK64 + 1 - start))
     z = np.arange(count, dtype=np.uint64) + np.uint64((start + 1) & _MASK64)
     z *= np.uint64(_GAMMA)
     z ^= np.uint64(seed)
@@ -158,10 +159,10 @@ def derive_seeds(seed: int, start: int, count: int) -> np.ndarray:
 
 
 def random_uint64(seed: int, n: int) -> np.ndarray:
-    """First n outputs, n in [0, ``MAX_EVENTS``], of the SplitMix64 stream
+    """First n outputs, n in [0, ``LONG_PASS``], of the SplitMix64 stream
     started at ``seed`` in [0, 2^64 - 1]."""
     z = np.uint64(checked_seed(seed))
-    n = checked_int("n", n, 0, MAX_EVENTS)
+    n = checked_int("n", n, 0, LONG_PASS)
     z = z + np.uint64(_GAMMA) * np.arange(1, n + 1, dtype=np.uint64)
     return _mix(z, np.empty_like(z))
 

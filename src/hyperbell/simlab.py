@@ -391,10 +391,9 @@ def violation_report(
     run carries ``pi2`` where its CHSH operator alone says ``pi``.
     """
     labels = bell.factor_labels if labels is None else labels
-    strings = isinstance(labels, tuple) and all(isinstance(label, str) for label in labels)
-    if not strings or len(labels) != bell.dof_count:
-        raise ValueError(f"labels must be a tuple of {bell.dof_count} strings, got {labels!r}")
     keys = list(bell_mod.term_labels(labels))
+    if len(labels) != bell.dof_count:
+        raise ValueError(f"labels must be a tuple of {bell.dof_count} strings, got {labels!r}")
     records = list(records)
     given = [rec.label for rec in records]
     if given != keys:

@@ -11,7 +11,7 @@ import pytest
 
 from hyperbell import bell, lhv, model, qcore
 from hyperbell.model import NoiseModel, ObservableId, QuantumState
-from reference import term_settings
+from reference import assert_refused_before_allocating, term_settings
 
 SZ = np.diag([1, -1]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -115,6 +115,16 @@ class TestProductOperator:
         labels = bell.term_labels(bell.canonical_product(2).factor_labels)
         assert labels[0] == ("A_pi A_k", "B_pi B_k")
         assert {u for u, _ in labels} == {"A_pi A_k", "A_pi a_k", "a_pi A_k", "a_pi a_k"}
+
+    @pytest.mark.parametrize(
+        "labels", ["pi", ("pi", 3), (), ("pi",) * 5, ["pi"]],
+        ids=["string", "int-entry", "empty", "five", "list"],
+    )
+    def test_term_labels_refuse_other_than_strings(self, labels):
+        """``"pi"`` gave the labels of two factors, ``p`` and ``i``, and an
+        int entry gave ``A_3``; a list escaped as an unhashable cache key."""
+        message = rf"^labels must be a tuple of 1 to 4 strings, got {re.escape(repr(labels))}$"
+        assert_refused_before_allocating(lambda: bell.term_labels(labels), message)
 
     def test_repeated_kinds_get_suffixed_labels(self):
         op = bell.canonical_product(3)

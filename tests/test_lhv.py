@@ -2,7 +2,6 @@
 
 import math
 import re
-import tracemalloc
 from functools import cache
 from itertools import product
 
@@ -14,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from hyperbell import bell, lhv, model
 from hyperbell.lhv import FACTORIZABLE, UNRESTRICTED, LhvStrategy
-from reference import setting_labels, term_settings
+from reference import setting_labels, term_settings, traced_peak
 
 U_TOKENS_CHSH = ("A_pi", "a_pi")
 D_TOKENS_CHSH = ("B_pi", "b_pi")
@@ -293,13 +292,8 @@ class TestMaxBound:
     def test_unrestricted_memory_is_small(self):
         op = bell.canonical_product(4)
         lhv._search.cache_clear()  # measure the search, not a cache hit
-        tracemalloc.start()
-        try:
-            lhv.max_bound(op, UNRESTRICTED)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20
+        peak, error = traced_peak(lambda: lhv.max_bound(op, UNRESTRICTED))
+        assert error is None and peak < 4 * 2**20
 
     def test_unknown_class_rejected(self):
         with pytest.raises(ValueError, match="strategy class"):

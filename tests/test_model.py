@@ -1,6 +1,7 @@
 """State builder, observables, measurement projectors, and noise channels."""
 
 import itertools
+import re
 from dataclasses import dataclass
 from functools import reduce
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from hyperbell import bell, model, qcore, simlab
 from hyperbell.model import JointSetting, NoiseModel, ObservableId, QuantumState
+from reference import assert_refused_before_allocating
 
 SZ = np.diag([1, -1]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -152,11 +154,11 @@ class TestJointSetting:
 
     def test_more_factors_than_max_dof_refused(self):
         JointSetting((A_PI,) * model.MAX_DOF, (B_PI,) * model.MAX_DOF)
-        with pytest.raises(ValueError, match=f"1 to {model.MAX_DOF} degrees of freedom, got 5"):
+        with pytest.raises(ValueError, match=r"kinds must be 1 to 4 of .*, got \(('polarization', ){4}'polarization'\)"):
             JointSetting((A_PI,) * (model.MAX_DOF + 1), (B_PI,) * (model.MAX_DOF + 1))
 
     def test_no_factor_refused(self):
-        with pytest.raises(ValueError, match=f"1 to {model.MAX_DOF} degrees of freedom, got 0"):
+        with pytest.raises(ValueError, match=r"kinds must be 1 to 4 of .*, got \(\)"):
             JointSetting((), ())
 
     def test_labels_on_applies_the_rule_to_chosen_factors(self):
@@ -234,6 +236,22 @@ class TestQuantumState:
         rho = np.broadcast_to(np.complex128(1.0 / dim), (dim, dim))
         with pytest.raises(ValueError, match=f"dimension {dim} is not 4\\^N for N in 1..4"):
             QuantumState.mixed(rho)
+
+    def test_pure_beyond_max_dof_refused_before_any_check(self):
+        """Refused by its shape before the vector is converted, copied or
+        checked; an unnormalized input was refused as not normalized."""
+        v = np.ones(1024, dtype=np.float32)
+        assert_refused_before_allocating(
+            lambda: QuantumState.pure(v), r"^dimension 1024 is not 4\^N for N in 1\.\.4$"
+        )
+
+    def test_mixed_beyond_max_dof_refused_before_any_copy(self):
+        """The complex copy of a 1024 x 1024 input took 25 MiB before the
+        dimension was refused."""
+        rho = np.full((1024, 1024), 1 / 1024, dtype=np.float32)
+        assert_refused_before_allocating(
+            lambda: QuantumState.mixed(rho), r"^dimension 1024 is not 4\^N for N in 1\.\.4$"
+        )
 
     def test_mixed_validates_density_matrix(self):
         with pytest.raises(ValueError):
@@ -607,6 +625,22 @@ class TestProductState:
         with pytest.raises(ValueError, match="dof count must"):
             model.hyper_state(0.1, 0.2, n)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: model.product_state(model.PATH, (0.0,)),
+            lambda: model.factor_labels(model.POLARIZATION),
+            lambda: model.factor_labels([model.POLARIZATION]),
+            lambda: model.factor_labels((model.PATH, "spin")),
+        ],
+        ids=["product-state-string", "labels-string", "labels-list", "labels-unknown-kind"],
+    )
+    def test_kinds_checked_once_before_use(self, call):
+        """``checked_kinds`` runs first: a string was read as one kind per
+        character (4 kinds for "path", a ``KeyError`` on 'p' for labels), and
+        a list escaped as an unhashable cache key (``TypeError``)."""
+        assert_refused_before_allocating(call, r"^kinds must be 1 to 4 of \('polarization', 'path'\), got ")
+
     def test_too_many_phases_refused(self):
         """The second phase was dropped and an N = 1 state built."""
         with pytest.raises(ValueError, match="phases must give one phase per kind: 1 kinds, 2"):
@@ -619,13 +653,13 @@ class TestProductState:
 
     def test_no_kind_refused(self):
         """An empty reduce raised TypeError."""
-        with pytest.raises(ValueError, match=f"kinds must name 1 to {model.MAX_DOF} .*got 0"):
+        with pytest.raises(ValueError, match=r"kinds must be 1 to 4 of .*, got \(\)"):
             model.product_state((), ())
 
     def test_more_kinds_than_max_dof_refused(self):
         """Five kinds built an N = 5 state."""
         kinds = model.canonical_kinds(model.MAX_DOF + 1)
-        with pytest.raises(ValueError, match=f"kinds must name 1 to {model.MAX_DOF} .*got 5"):
+        with pytest.raises(ValueError, match=re.escape(f"kinds must be 1 to 4 of {model.KINDS}, got {kinds!r}")):
             model.product_state(kinds, (0.0,) * len(kinds))
 
     @pytest.mark.parametrize("phase", [True, np.bool_(False)], ids=["bool", "numpy-bool"])

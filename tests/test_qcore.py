@@ -1,11 +1,15 @@
 """Linear-algebra kernel: tensor products, expectations, extremal eigenvalues."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperbell import qcore
+from reference import assert_refused_before_allocating
 
 SZ = np.diag([1, -1]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -92,6 +96,39 @@ class TestTensor:
             good = np.arange(dim * dim, dtype=complex).reshape(dim, dim).T
             assert qcore.as_matrix(good) is good
             np.testing.assert_array_equal(qcore.as_vector(good[0]), good[0])
+
+
+class TestSizeRule:
+    """Every dimension is bounded by ``MAX_DIM`` = 4^MAX_DOF, and an input's
+    shape is refused before it is converted, a product's before it is formed."""
+
+    def test_one_size_rule(self):
+        assert qcore.MAX_DIM == 4**qcore.MAX_DOF == 256
+        sources = (Path(qcore.__file__).parent).glob("*.py")
+        text = "\n".join(path.read_text() for path in sources)
+        assert len(re.findall(r"^MAX_DOF = ", text, flags=re.M)) == 1
+        assert "4096" not in text
+
+    def test_matrix_above_max_dim_refused_before_converting(self):
+        """A 4096 x 4096 input was accepted, and a 5000 x 5000 float32 one
+        peaked at 477 MiB before it was refused."""
+        big = np.ones((qcore.MAX_DIM + 1,) * 2, dtype=np.float32)
+        assert_refused_before_allocating(
+            lambda: qcore.as_matrix(big), r"^matrix dimension 257 outside \[1, 256\]"
+        )
+
+    def test_vector_above_max_dim_refused_before_converting(self):
+        big = np.ones(qcore.MAX_DIM + 1, dtype=np.float32)
+        assert_refused_before_allocating(
+            lambda: qcore.as_vector(big), r"^vector dimension 257 outside \[1, 256\]"
+        )
+
+    def test_tensor_above_max_dim_refused_before_the_product(self):
+        """A 512-dim product was formed; eye(64) x eye(64) took 256 MiB."""
+        a, b = np.eye(16), np.eye(32)
+        assert_refused_before_allocating(
+            lambda: qcore.tensor(a, b), r"^tensor dimension 512 exceeds maximum 256"
+        )
 
 
 class TestExpectation:

@@ -8,7 +8,6 @@ import os
 import re
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +16,14 @@ from hypothesis import strategies as st
 
 from hyperbell import bell, lhv, model, qcore, rng, simlab
 from hyperbell.model import JointSetting, NoiseModel, ObservableId, QuantumState
-from reference import canonical_settings, setting_labels
+from reference import (
+    assert_refused_before_allocating,
+    canonical_settings,
+    setting_labels,
+    splitmix64,
+    splitmix64_uniform,
+    traced_peak,
+)
 
 SQRT2 = np.sqrt(2.0)
 # One photon's outcomes at N = 2, (polarization sign, path sign).
@@ -393,13 +399,18 @@ class TestSample:
 
     def test_splitmix_reference_vector(self):
         """First outputs of the seed-0 stream match the published SplitMix64
-        test vector."""
-        out = rng.random_uint64(0, 3)
-        assert out.tolist() == [
-            0xE220A8397B1DCDAF,
-            0x6E789E6AA1B965F4,
-            0x06C45D188009454F,
-        ]
+        test vector, from ``rng`` and from the test-side oracle."""
+        vector = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+        assert rng.random_uint64(0, 3).tolist() == vector
+        assert splitmix64(0, 3).tolist() == vector
+
+    @pytest.mark.parametrize("seed", [0, 11, 2**63 + 5, 2**64 - 1])
+    def test_stream_equals_the_oracle(self, seed):
+        """A whole pass of outputs and uniforms, the longest stream ``rng``
+        returns, equals the oracle that the longer-stream tests read."""
+        n = rng.LONG_PASS
+        assert rng.random_uint64(seed, n).tobytes() == splitmix64(seed, n).tobytes()
+        assert rng.random_uniform(seed, n).tobytes() == splitmix64_uniform(seed, n).tobytes()
 
     def test_uniform_cells_within_binomial_range(self):
         """Each cell of a uniform multinomial stays within 5 binomial sigma."""
@@ -414,12 +425,13 @@ class TestSample:
 
 
 def _reference_multinomial(probs, n_events, seed):
-    """Event-by-event inverse-CDF sampler: one uniform per event, looked up
-    in the CDF.  The chunked counting sampler must reproduce it exactly."""
+    """Event-by-event inverse-CDF sampler: one uniform per event, from the
+    stream oracle, looked up in the CDF.  The chunked counting sampler must
+    reproduce it exactly."""
     p = np.asarray(probs, dtype=float)
     cdf = np.cumsum(p)
     cdf[-1] = 1.0
-    u = rng.random_uniform(seed, n_events)
+    u = splitmix64_uniform(seed, n_events)
     cells = np.searchsorted(cdf, u, side="right")
     return np.bincount(cells, minlength=p.size)
 
@@ -520,13 +532,8 @@ class TestChunkedMultinomial:
 
     def test_memory_flat_in_events(self):
         probs = np.full(16, 1 / 16)
-        tracemalloc.start()
-        try:
-            rng.multinomial(probs, 4_000_000, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20
+        peak, error = traced_peak(lambda: rng.multinomial(probs, 4_000_000, seed=1))
+        assert error is None and peak < 4 * 2**20
 
     def test_out_of_range_input_rejected(self):
         with pytest.raises(ValueError, match="n_events"):
@@ -542,7 +549,7 @@ def _tie_probs(case, n_events, seed):
     word with one of the first ``n_events`` outputs of the stream at
     ``seed``.  ``floor`` is that output with its low 11 bits cleared: the
     largest threshold at or below it (thresholds are multiples of 2^11)."""
-    x = [int(v) for v in rng.random_uint64(seed, n_events)]
+    x = [int(v) for v in splitmix64(seed, n_events)]
     if case == "output-equal":
         pick = next(v for v in x if v & 0x7FF == 0)
     else:  # strictly above floor, with room below the next top word
@@ -630,13 +637,8 @@ class TestRowMultinomial:
     def test_memory_bounded(self, rows, n_events):
         probs = np.full((rows, 16), 1 / 16)
         seeds = list(range(rows))
-        tracemalloc.start()
-        try:
-            rng.multinomial(probs, n_events, seeds)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20
+        peak, error = traced_peak(lambda: rng.multinomial(probs, n_events, seeds))
+        assert error is None and peak < 4 * 2**20
 
     def test_refusals_name_the_input(self):
         probs = np.full((3, 4), 0.25)
@@ -778,7 +780,7 @@ class TestLongRowWorkers:
         monkeypatch.setattr(rng, "_WORKERS", 2)
         seed = 11
         shifted = (seed + rng.LONG_PASS * rng._GAMMA) % 2**64
-        x = rng.random_uint64(seed, rng.LONG_PASS + 5)
+        x = splitmix64(seed, rng.LONG_PASS + 5)
         np.testing.assert_array_equal(rng.random_uint64(shifted, 5), x[rng.LONG_PASS :])
         probs = _tie_probs(case, rng.LONG_PASS, shifted)
         _assert_matches_reference(probs, 2 * rng.LONG_PASS + 5, seed)
@@ -922,6 +924,21 @@ class TestSeedAndCountRefusals:
     overflowed in the scalar mix."""
 
     PROBS = np.array([0.1, 0.2, 0.3, 0.4])
+
+    @pytest.mark.parametrize(
+        "call,name",
+        [
+            (lambda: rng.random_uint64(0, rng.LONG_PASS + 1), "n"),
+            (lambda: rng.random_uniform(0, rng.LONG_PASS + 1), "n"),
+            (lambda: rng.derive_seeds(0, 0, rng.LONG_PASS + 1), "count"),
+        ],
+        ids=["random_uint64", "random_uniform", "derive_seeds"],
+    )
+    def test_stream_longer_than_one_pass_refused_before_allocating(self, call, name):
+        """A whole stream is at most one sampler pass long.  Above it these
+        took 16 B per output at their peak (10^9 outputs were accepted), and
+        ``derive_seeds`` had no cap at all."""
+        assert_refused_before_allocating(call, rf"^{name} must be in \[0, 32768\] \(got 32769\)")
 
     @pytest.mark.parametrize(
         "seed", [-1, 2**64, True, np.True_, 2.0, np.float64(3.0), "3", None],
@@ -1622,8 +1639,8 @@ class TestViolationReport:
         """An extra label failed as an IndexError, a string was read as one
         label per character, and a list entry is unhashable as a cache key."""
         records = simlab.run_simulated_experiment(IDEAL, 100, seed=0).joint_records
-        message = f"labels must be a tuple of 2 strings, got {labels!r}"
-        with pytest.raises(ValueError, match=re.escape(message)):
+        message = rf"labels must be a tuple of (2|1 to 4) strings, got {re.escape(repr(labels))}"
+        with pytest.raises(ValueError, match=message):
             simlab.violation_report(records, bell.canonical_product(2), 4.0, labels)
 
     def test_duplicate_labels_rejected(self):
