@@ -62,30 +62,31 @@ A row of ``n >= CHUNK`` events is cut into passes of ``LONG_PASS``
 outputs.  A call of at least ``FORK_PASSES`` such passes deals the passes of
 all rows in turn to worker processes, one per CPU the process may run on and
 at most 4; the caller is worker 0, and worker w >= 1 is a child from
-``os.fork`` that counts passes w, w + W, ... into its own integer partial
-in an anonymous shared mapping made before the fork.  Output ``i`` of a
-stream is ``mix(seed + (i + 1) * gamma)``, so any range of it is generated
-on its own, and counts over disjoint position ranges of one stream add: the
-partials are summed in worker order once every child has been waited for.
-The counts do not depend on the number of workers.  A smaller call, or one
-where ``os.fork`` is missing or raises ``OSError``, counts every pass on
-the calling thread: a fork costs a few milliseconds, more than a worker
-saves on fewer passes.
+``os.fork`` that counts passes w, w + W, ... into an integer partial of its
+own.  Output ``i`` of a stream is ``mix(seed + (i + 1) * gamma)``, so any
+range of it is generated on its own, and counts over disjoint ranges of
+one stream add exactly, in any order: the counts do not depend on the
+number of workers.  A smaller call, or one where ``os.fork`` is missing or
+raises ``OSError``, counts every pass on the calling thread: a fork costs a
+few milliseconds, more than a worker saves on fewer passes.
 
 The children are fork-safe by construction: a child touches only the
-arrays it allocates and its shared partial, calls no BLAS, takes no lock
-another thread may hold, and leaves with ``os._exit``, so no atexit handler
-runs and no inherited stdio buffer is flushed twice.  A child that fails
-sends its pickled exception back through a pipe, and the caller raises it
-once every child has been waited for; no child outlives the call.  Each
-process holds its own in-flight buffers, below ``LONG_PASS`` outputs at
-20 B each, 640 KiB, whatever ``n``, the row count or the core count.
+arrays it allocates, calls no BLAS, takes no lock another thread may hold,
+and leaves with ``os._exit``, so no atexit handler runs and no inherited
+stdio buffer is flushed twice.  A child sends one message through its
+pipe: its pickled partial, or its exception, sent as a ``RuntimeError`` of
+its name and text if it does not pickle and load back.  The caller reads
+each message to its end before it reaps the child, so no message can
+block on the pipe's buffer, and loads the messages only once every child
+is reaped: it raises the first exception, or a ``ChildProcessError`` for a
+child that left without its message, or sums the partials.  No child
+outlives the call.  Each process holds its own in-flight buffers, below
+``LONG_PASS`` outputs at 20 B each, 640 KiB, whatever ``n``, the row count
+or the core count.
 """
 
 from __future__ import annotations
 
-import math
-import mmap
 import operator
 import os
 import pickle
@@ -192,17 +193,17 @@ def multinomial(probs: np.ndarray, n_events: int, seed) -> np.ndarray:
     ``os.fork``, the caller one of them, and every other call counts on the
     calling thread (see the module docstring); each process's in-flight
     buffers stay below 640 KiB whatever ``n_events``, the row count or the
-    core count, and no child outlives the call, which raises a child's
-    exception once every child has been waited for.  Per pass, each row's
-    top 32-bit words are sorted once, and each reachable CDF edge ``c < 1``,
-    as the integer threshold ``t = ceil(c * 2^53) << 11``, is counted by a
-    two-sided ``searchsorted`` of its top word among its own row's, one
-    search per block of rows with the words prefixed by the row's place in
-    the block; an edge whose top word some output of its row shares is
-    recounted as ``#(x >= t)`` on that row's 64-bit outputs (see the module
-    docstring for why both are exact).  Cell ``k``
-    receives ``#(u >= cdf[k-1]) - #(u >= cdf[k])``.  The counts equal those
-    of an event-by-event ``searchsorted(cdf, u, side="right")``.
+    core count.  Every child is reaped before any child's one message, its
+    partial or its exception, is loaded: no child outlives the call.  Per
+    pass, each row's top 32-bit words are sorted once, and each reachable
+    CDF edge ``c < 1``, as the integer threshold ``t = ceil(c * 2^53) << 11``,
+    is counted by a two-sided ``searchsorted`` of its top word among its own
+    row's, one search per block of rows with the words prefixed by the row's
+    place in the block; an edge whose top word some output of its row shares
+    is recounted as ``#(x >= t)`` on that row's 64-bit outputs (see the
+    module docstring for why both are exact).  Cell ``k`` receives
+    ``#(u >= cdf[k-1]) - #(u >= cdf[k])``.  The counts equal those of an
+    event-by-event ``searchsorted(cdf, u, side="right")``.
     """
     p = np.asarray(probs, dtype=float)
     if p.ndim not in (1, 2) or p.size == 0:
@@ -245,9 +246,10 @@ def multinomial(probs: np.ndarray, n_events: int, seed) -> np.ndarray:
     prefixes = np.arange(block, dtype=np.uint64)[:, None] << np.uint64(32)
     offsets = np.arange(block)[:, None] * size
 
-    def count(passes, reached):
-        """Add the counts of the numbered ``passes``, ``per_block`` to a block
-        of rows, into ``reached``; every worker owns its buffers and partial."""
+    def count(passes):
+        """The counts of the numbered ``passes``, ``per_block`` to a block of
+        rows, as a new int64 partial; every worker owns its buffers and partial."""
+        reached = np.zeros(thresholds.shape, dtype=np.int64)
         x = np.empty((block, size), dtype=np.uint64)
         tmp = np.empty((block, size), dtype=np.uint64)
         hi = np.empty((block, size), dtype=np.uint32)
@@ -271,38 +273,33 @@ def multinomial(probs: np.ndarray, n_events: int, seed) -> np.ndarray:
             for r, k in zip(*np.nonzero(left != right)):
                 counts[r, k] = np.count_nonzero(chunk[r] >= thresholds[r0 + r, k])
             reached[r0 : r0 + b] += counts
+        return reached
 
     forks = n_events >= CHUNK and len(rows) * n_events >= FORK_PASSES * LONG_PASS
     workers = min(_WORKERS, n_passes) if forks and hasattr(os, "fork") else 1
-    shape = (workers, *thresholds.shape)
-    if workers > 1:  # zero-filled, and shared with the children forked below
-        partials = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), np.int64).reshape(shape)
-    else:
-        partials = np.zeros(shape, dtype=np.int64)
     children, local = [], [0]
     try:
         for w in range(1, workers):
             try:
-                children.append(_fork(count, range(w, n_passes, workers), partials[w]))
+                children.append(_fork(count, range(w, n_passes, workers)))
             except OSError:  # the caller counts this worker's passes too
                 local.append(w)
-        for w in local:
-            count(range(w, n_passes, workers), partials[w])
+        partials = [count(range(w, n_passes, workers)) for w in local]
     finally:
-        errors = [_wait(*child) for child in children]
-    for error in errors:
-        if error is not None:
-            raise error
-    # at_or_above[:, k] = #(u >= cdf[k-1]): every event for k = 0, none at the top.
-    at_or_above = np.zeros((len(rows), p.shape[-1] + 1), dtype=np.int64)
-    at_or_above[:, 0] = n_events
-    at_or_above[:, 1:-1] = np.where(reachable, partials.sum(axis=0), 0)
-    return (at_or_above[:, :-1] - at_or_above[:, 1:]).reshape(p.shape)
+        messages = [_wait(*child) for child in children]
+    for partial in map(pickle.loads, messages):  # every child has been reaped
+        if isinstance(partial, BaseException):
+            raise partial
+        partials.append(partial)
+    # reached[:, k] = #(u >= cdf[k]); an edge at or above 1.0 is never reached.
+    reached = np.where(reachable, sum(partials), 0)
+    return -np.diff(reached, axis=1, prepend=n_events, append=0).reshape(p.shape)
 
 
 def _fork(work, *args) -> tuple:
     """Run ``work(*args)`` in a child from ``os.fork``; returns its pid and the
-    read end of the pipe that carries its pickled exception, if it raises."""
+    read end of the pipe that carries its one message: its pickled result, or
+    its pickled exception if it raises."""
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -310,33 +307,33 @@ def _fork(work, *args) -> tuple:
         os.close(read_end)
         os.close(write_end)
         raise
-    if pid == 0:  # the child: it leaves only through os._exit
+    if pid == 0:  # the child: it leaves only through os._exit, with 0 once its message is sent
         try:
-            work(*args)
-            os._exit(0)
-        except BaseException as exc:
             try:
-                error = pickle.dumps(exc)
-            except Exception:  # an exception that does not pickle goes as its text
-                error = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+                message = pickle.dumps(work(*args))
+            except BaseException as exc:
+                try:  # an exception that does not pickle or load back goes as its text
+                    message = pickle.dumps(exc)
+                    pickle.loads(message)
+                except Exception:
+                    message = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
             with open(write_end, "wb") as pipe:
-                pipe.write(error)
+                pipe.write(message)
+            os._exit(0)
         finally:
             os._exit(1)
     os.close(write_end)
     return pid, read_end
 
 
-def _wait(pid: int, read_end: int) -> BaseException | None:
-    """Wait for the child ``_fork`` started; returns its exception, or None if
-    it counted every pass it was dealt."""
+def _wait(pid: int, read_end: int) -> bytes:
+    """Read the message of the child ``_fork`` started, then reap the child;
+    a child that left without sending it gives a pickled ChildProcessError."""
     try:
         with open(read_end, "rb") as pipe:  # EOF once the child has left
-            error = pipe.read()
+            message = pipe.read()
     finally:
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if error:
-        return pickle.loads(error)
     if status:
-        return ChildProcessError(f"sampler worker {pid} ended with status {status}")
-    return None
+        return pickle.dumps(ChildProcessError(f"sampler worker {pid} ended with status {status}"))
+    return message

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import signal
 import sys
 import threading
 
@@ -734,6 +735,14 @@ def _assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
+class TwoArgError(Exception):
+    """Pickles by reference but does not load back: loading calls the class
+    with its one message argument, and ``__init__`` takes two."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a}-{b}")
+
+
 @pytest.fixture
 def forks(monkeypatch):
     """Every call of rows of at least CHUNK events forks its workers; the
@@ -785,6 +794,7 @@ class TestLongRowWorkers:
         probs = _tie_probs(case, rng.LONG_PASS, shifted)
         _assert_matches_reference(probs, 2 * rng.LONG_PASS + 5, seed)
         assert len(forks) == 1
+        _assert_no_child()
 
     def test_worker_count_leaves_counts_unchanged(self, monkeypatch, forks):
         """Also with more worker processes than cores."""
@@ -815,6 +825,32 @@ class TestLongRowWorkers:
         monkeypatch.setattr(os, "fork", refuse)
         for call, want in zip(calls, expected):
             assert rng.multinomial(*call).tobytes() == want.tobytes()
+        _assert_no_child()
+
+    def test_partial_larger_than_a_pipe_buffer(self, monkeypatch, forks):
+        """24 rows of 512 cells: each child's partial is 24 * 511 int64 counts,
+        98,112 B, more than a pipe's 64 KiB buffer, so a child's write ends
+        only as the caller reads it; the call returns within the alarm."""
+        weights = np.arange(1.0, 513.0) / (512 * 513 / 2)
+        probs = np.array([np.roll(weights, 21 * i) for i in range(24)])
+        seeds = rng.derive_seeds(12, 0, 24)
+        monkeypatch.setattr(rng, "_WORKERS", 1)
+        expected = rng.multinomial(probs, rng.CHUNK, seeds)
+        monkeypatch.setattr(rng, "_WORKERS", 3)
+
+        def timeout(signum, frame):
+            raise TimeoutError("a sampler call blocked")
+
+        alarm = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(60)
+        try:
+            counts = rng.multinomial(probs, rng.CHUNK, seeds)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, alarm)
+        assert counts.tobytes() == expected.tobytes()
+        assert len(forks) == 2
+        _assert_no_child()
 
     @pytest.mark.parametrize("fork", ["missing", "refused", "second-refused"])
     def test_caller_counts_without_fork(self, monkeypatch, forks, fork):
@@ -888,15 +924,36 @@ class TestLongRowWorkers:
         assert len(forks) == 1
         _assert_no_child()
 
+    def test_caller_error_raised_after_every_child_is_reaped(self, monkeypatch, forks):
+        """The caller's own first pass fails while its two children count
+        theirs: the caller raises its exception once both have been reaped."""
+        mix, caller = rng._mix, os.getpid()
+
+        def failing_mix(z, tmp):
+            if os.getpid() == caller:
+                raise ValueError("the caller's pass fails")
+            return mix(z, tmp)
+
+        monkeypatch.setattr(rng, "_WORKERS", 3)
+        monkeypatch.setattr(rng, "_mix", failing_mix)
+        with pytest.raises(ValueError, match="^the caller's pass fails$"):
+            rng.multinomial(SKEWED, 6 * rng.LONG_PASS, seed=1)
+        assert len(forks) == 2
+        _assert_no_child()
+
     @pytest.mark.parametrize(
         "failure,error,match",
         [("unpicklable", RuntimeError, "^Unpicklable: the child's own class$"),
-         ("exit", ChildProcessError, "^sampler worker [0-9]+ ended with status 3$")],
+         ("unloadable", RuntimeError, "^TwoArgError: 1-2$"),
+         ("exit", ChildProcessError, "^sampler worker [0-9]+ ended with status 3$"),
+         ("killed", ChildProcessError, "^sampler worker [0-9]+ ended with status -9$")],
     )
     def test_worker_failure_without_an_exception_to_send(self, monkeypatch, forks, failure,
                                                          error, match):
-        """An exception that does not pickle arrives as its text, and a child
-        that leaves without one as its exit status."""
+        """An exception that does not pickle, or pickles but does not load
+        back, arrives as its text, and a child that leaves without one, by its
+        own exit or by SIGKILL, as its exit status; both children fail, and
+        the second is reaped before the first one's failure is raised."""
 
         class Unpicklable(Exception):
             pass
@@ -907,14 +964,18 @@ class TestLongRowWorkers:
             if os.getpid() != caller:
                 if failure == "exit":
                     os._exit(3)
+                if failure == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                if failure == "unloadable":
+                    raise TwoArgError(1, 2)
                 raise Unpicklable("the child's own class")
             return mix(z, tmp)
 
-        monkeypatch.setattr(rng, "_WORKERS", 2)
+        monkeypatch.setattr(rng, "_WORKERS", 3)
         monkeypatch.setattr(rng, "_mix", failing_mix)
         with pytest.raises(error, match=match):
-            rng.multinomial(SKEWED, 2 * rng.LONG_PASS, seed=1)
-        assert len(forks) == 1
+            rng.multinomial(SKEWED, 3 * rng.LONG_PASS, seed=1)
+        assert len(forks) == 2
         _assert_no_child()
 
 
