@@ -411,8 +411,10 @@ def _assumption_lines(report: simlab.AssumptionReport) -> list:
             [cell.context_label for cell in rows[0].cells]
             + ["mean", "spread", "predictability", "analytic"],
             [row.row_label for row in rows],
+            # An analytic zero prints unsigned: its sign is residue of the summation order.
             [[cell.record.E for cell in row.cells]
-             + [row.mean_E, row.spread, row.predictability, row.analytic_E] for row in rows],
+             + [row.mean_E, row.spread, row.predictability, round(row.analytic_E, 6) or 0.0]
+             for row in rows],
         )
         lines.append("")
     return lines
@@ -650,7 +652,8 @@ def _help() -> str:
     return "\n".join([
         _USAGE, "",
         "Hyper-entangled two-photon Bell test: exact predictions, classical bounds,",
-        "simulated statistics, and violation scaling.", "",
+        "simulated statistics, and violation scaling.",
+        "The command sets OPENBLAS_, OMP_ and MKL_NUM_THREADS to 1 where unset.", "",
         "options:", *(f"  {flag:<37}{text}".rstrip() for flag, text in rows),
     ]) + "\n"
 

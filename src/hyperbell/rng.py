@@ -293,7 +293,8 @@ def multinomial(probs: np.ndarray, n_events: int, seed) -> np.ndarray:
         partials.append(partial)
     # reached[:, k] = #(u >= cdf[k]); an edge at or above 1.0 is never reached.
     reached = np.where(reachable, sum(partials), 0)
-    return -np.diff(reached, axis=1, prepend=n_events, append=0).reshape(p.shape)
+    ends = np.zeros((len(rows), 1), dtype=np.int64)
+    return -np.diff(np.concatenate([ends + n_events, reached, ends], axis=1)).reshape(p.shape)
 
 
 def _fork(work, *args) -> tuple:

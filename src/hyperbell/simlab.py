@@ -37,13 +37,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
-from itertools import islice, product
+from itertools import product
 
 import numpy as np
 
 from . import bell as bell_mod
 from . import model, qcore, rng
-from .model import JointSetting, ObservableId, QuantumState
+from .model import JointSetting, QuantumState
 from .rng import GENERATOR_ID
 
 _I2 = np.eye(2, dtype=complex)
@@ -90,13 +90,6 @@ def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("sac,tbd->stabcd", a, b).reshape(len(a) * len(b), dim, dim)
 
 
-def _marginal_operator(n: int, f: int, u: ObservableId, d: ObservableId) -> np.ndarray:
-    """The observables u and d on factor f, identity elsewhere."""
-    slots = [_I2] * (2 * n)
-    slots[2 * f : 2 * f + 2] = model.observable(u), model.observable(d)
-    return qcore.read_only(qcore.tensor_all(*slots))
-
-
 class _Layout:
     """The tables of the canonical N-DOF experiment, built from N alone;
     ``_layout(n)`` builds each N once, and each table when first read.
@@ -138,15 +131,6 @@ class _Layout:
         self.weight_rows = qcore.read_only(np.vstack([weights.prod(axis=0), weights]))
         # Cells per Born block: each photon's stack of a cell has 8^N entries.
         self.born_block = max(1, _BORN_BLOCK // 8**n)
-
-    @cached_property
-    def marginals(self) -> tuple:
-        """Per factor, the context-free marginal operator of each assumption row."""
-        n = len(self.kinds)
-        return tuple(
-            tuple(_marginal_operator(n, f, obs[u], obs[d]) for u, d in _ASSUMPTION_ROWS[kind])
-            for f, (kind, obs) in enumerate(zip(self.kinds, self.observables))
-        )
 
     @cached_property
     def cells(self) -> np.ndarray:
@@ -462,15 +446,17 @@ def _checked_run(n_events, seed) -> tuple:
 
 def _sample_cells(
     state: QuantumState, layout: _Layout, n_events: int, seed: int, rows: slice = slice(None)
-) -> list:
-    """One record per cell of the range ``rows`` of the pass, in cell order:
+) -> tuple:
+    """One record per cell of the range ``rows`` of the pass, in cell order,
+    and each cell's exact correlation (its Born row times its weight row):
     its Born rows, one sampler call on which its cell i reads sub-stream i
     of ``seed``, one weight product.  The callers check the ints first
     (``_checked_run``), so no refusal comes after Born."""
     labels = layout.record_labels[rows]
     probs = layout.born(state, rows)
     counts = rng.multinomial(probs, n_events, rng.derive_seeds(seed, 0, len(labels)))
-    return _records(counts, layout.weight_rows[layout.cells[rows, -1] + 1], labels)
+    weights = layout.weight_rows[layout.cells[rows, -1] + 1]
+    return _records(counts, weights, labels), np.einsum("ij,ij->i", probs, weights).tolist()
 
 
 def assumption_test(state: QuantumState, n_events: int, seed: int) -> AssumptionReport:
@@ -479,42 +465,40 @@ def assumption_test(state: QuantumState, n_events: int, seed: int) -> Assumption
     For each factor, each predictable pair of its kind is estimated under
     all 4^(N-1) contexts of the other factors (at N = 2: polarization under
     the four path contexts, and path under the four polarization contexts).
-    The analytic value, stored once per row, comes from the context-free
-    marginal operator, which is the exact Born marginal for every context;
-    the sampled spread across a row is purely statistical.
+    The analytic value, stored once per row, is the exact correlation of
+    the row's first cell, its Born row in the pass times its weight row: a
+    row's pair on its own factor has the same exact marginal in every
+    context, so the sampled spread across a row is purely statistical.
     """
     layout = _layout(state.dof_count)
     n_events, seed = _checked_run(n_events, seed)
-    records = _sample_cells(state, layout, n_events, seed, slice(layout.n_run, None))
-    return _assumption_report(state, layout, records, n_events, seed)
+    records, exact = _sample_cells(state, layout, n_events, seed, slice(layout.n_run, None))
+    return _assumption_report(layout, records, exact, n_events, seed)
 
 
 def _assumption_report(
-    state: QuantumState, layout: _Layout, records: list, n_events: int, seed: int
+    layout: _Layout, records: list, exact: list, n_events: int, seed: int
 ) -> AssumptionReport:
-    """The assumption test's rows from the records of its cells, in cell order."""
-    sampled = iter(zip(layout.assumption_labels, records))
-    n_contexts = 4 ** (len(layout.kinds) - 1)
-    factor_rows = []
-    for kind, operators in zip(layout.kinds, layout.marginals):
-        rows = []
-        for operator in operators:
-            cells = tuple(
-                AssumptionCell(labels=labels, context_label=context, record=record)
-                for (labels, context), record in islice(sampled, n_contexts)
-            )
-            # Every cell of a row measures the row's pair on factor f.
-            rows.append(
-                AssumptionRow(
-                    dof=kind,
-                    row_label=" ".join(cells[0].record.label),
-                    cells=cells,
-                    # rho is already a validated density matrix.
-                    analytic_E=float(np.trace(state.rho @ operator).real),
-                )
-            )
-        factor_rows.append(tuple(rows))
-    return AssumptionReport(factor_rows=tuple(factor_rows), n_events=n_events, seed=seed)
+    """The assumption test's rows from the records and exact correlations
+    of its cells, in cell order: per factor, its 4 rows of 4^(N-1) cells,
+    each measuring the row's pair on that factor; a row's analytic value is
+    its first cell's exact correlation."""
+    cells = [
+        AssumptionCell(labels=labels, context_label=context, record=record)
+        for (labels, context), record in zip(layout.assumption_labels, records)
+    ]
+    size = 4 ** (len(layout.kinds) - 1)
+    rows = [
+        AssumptionRow(
+            dof=layout.kinds[i // (4 * size)],
+            row_label=" ".join(cells[i].record.label),
+            cells=tuple(cells[i : i + size]),
+            analytic_E=exact[i],
+        )
+        for i in range(0, len(cells), size)
+    ]
+    factor_rows = tuple(tuple(rows[f : f + 4]) for f in range(0, len(rows), 4))
+    return AssumptionReport(factor_rows=factor_rows, n_events=n_events, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -580,8 +564,8 @@ def run_simulated_experiment(state: QuantumState, n_events: int, seed: int) -> S
     layout = _layout(state.dof_count)
     n_terms, n_run = 4 ** len(layout.kinds), layout.n_run
     n_events, seed = _checked_run(n_events, seed)
-    records = _sample_cells(state, layout, n_events, seed)
-    assumptions = _assumption_report(state, layout, records[n_run:], n_events, seed)
+    records, exact = _sample_cells(state, layout, n_events, seed)
+    assumptions = _assumption_report(layout, records[n_run:], exact[n_run:], n_events, seed)
     chsh = tuple(
         violation_report(records[n_terms + 4 * f : n_terms + 4 * f + 4], op, 2.0, (label,))
         for f, (op, label) in enumerate(zip(layout.operator.factors, layout.labels))

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -877,3 +878,70 @@ def test_package_version_is_the_pyproject_version():
     every result.  Read with a pattern: Python 3.10 has no ``tomllib``."""
     declared = re.search(r'^version = "([^"]+)"$', PYPROJECT.read_text(), re.MULTILINE)
     assert declared is not None and hyperbell.__version__ == declared.group(1)
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# Runs ``python -m hyperbell`` with the probe's arguments in the probe's process.
+_RUN_CLI = """
+import runpy, sys
+sys.argv[0] = "hyperbell"
+try:
+    runpy.run_module("hyperbell", run_name="__main__", alter_sys=True)
+except SystemExit as exit:
+    if exit.code:
+        raise
+"""
+
+# Prints the three variables, whether numpy has loaded, and the process's OS
+# thread count: the ``Threads:`` line of /proc/self/status.
+_REPORT = f"""
+import os, sys
+threads = [line.split()[1] for line in open("/proc/self/status") if line.startswith("Threads:")]
+print(*(os.environ.get(name) for name in {BLAS_THREAD_VARS!r}), "numpy" in sys.modules, *threads)
+"""
+
+
+def _probe(prefix, *args, **env):
+    """The report line of ``python -c prefix+_REPORT args``, run with this
+    process's environment less the three variables, plus ``env``."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS} | env
+    proc = subprocess.run(
+        [sys.executable, "-c", prefix + _REPORT, *args],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return proc.stdout.splitlines()[-1].split()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads /proc/self/status")
+class TestBlasThreads:
+    """The command line runs BLAS on one thread unless the caller set a count.
+    Observed in the command's own process once it has run: the variables,
+    and the ``Threads:`` line of /proc/self/status against that of a bare
+    ``import numpy`` process under the same variables."""
+
+    def test_unset_variables_become_one(self):
+        values = _probe(_RUN_CLI, "ideal", "--dof", "2")
+        assert values[:4] == ["1", "1", "1", "True"]
+        assert values[4] == _probe("import numpy", OPENBLAS_NUM_THREADS="1")[4] == "1"
+
+    def test_a_callers_count_is_kept(self):
+        values = _probe(_RUN_CLI, "ideal", "--dof", "2", OPENBLAS_NUM_THREADS="2")
+        assert values[:4] == ["2", "1", "1", "True"]
+        assert values[4] == _probe("import numpy", OPENBLAS_NUM_THREADS="2")[4]
+
+    def test_library_import_leaves_the_environment_alone(self):
+        assert _probe("import hyperbell.cli")[:4] == ["None", "None", "None", "True"]
+
+
+def test_entry_point_imports_no_numpy_before_it_runs():
+    """``hyperbell.__main__`` must set the variables before anything loads
+    numpy, so importing it loads no numpy."""
+    code = "import sys, hyperbell.__main__; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
+
+
+def test_console_script_is_the_entry_point():
+    scripts = re.search(r"^\[project\.scripts\]\n(.*)$", PYPROJECT.read_text(), re.MULTILINE)
+    assert scripts is not None and scripts.group(1) == 'hyperbell = "hyperbell.__main__:main"'

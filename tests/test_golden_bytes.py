@@ -115,6 +115,12 @@ CORPUS = {
         ["assumptions", "--events", "2000", "--seed", "3", "--format", "json"],
         "e8568738a3c1cc558fc5dba842d1a030b669017e4b2b128c555e85e702688e99",
     ),
+    # An analytic column of exact zeros: B_pi b_pi prints 0.000000, whatever
+    # the sign of the zero its summation leaves.
+    "assumptions-zero-analytic": (
+        ["assumptions", "--events", "2000", "--theta", "0", "--phi", "0", "--noise", "none"],
+        "f82bb5577df8b9d68b92f98bdc4672ad97a967653a51cbd5139fb3c46192137b",
+    ),
     "ideal-csv": (
         ["ideal", "--format", "csv"],
         "45143d35798edaeed8b6af1431a55bd77656ba8eadcbe1c2d07deb02246c6fab",

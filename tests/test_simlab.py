@@ -9,6 +9,7 @@ import re
 import signal
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -907,6 +908,35 @@ class TestLongRowWorkers:
         assert len(forks) == 3
         _assert_no_child()
 
+    @pytest.mark.skipif(sys.version_info < (3, 12), reason="the fork warning came in 3.12")
+    def test_fork_with_a_second_thread_warns(self, monkeypatch):
+        """A call above the fork gate while a second Python thread runs: from
+        Python 3.12, ``os.fork`` warns that the process is multi-threaded
+        (a DeprecationWarning, recorded here with every filter at "always",
+        where ``-W error`` would neither raise nor show it), and the fork
+        still returns the one-worker counts."""
+        probs = np.array([np.roll(SKEWED, i) for i in range(2)])
+        seeds = [rng.derive_seed(4, i) for i in range(2)]
+        n_events = rng.FORK_PASSES * rng.LONG_PASS // 2
+        monkeypatch.setattr(rng, "_WORKERS", 1)
+        expected = rng.multinomial(probs, n_events, seeds)
+        monkeypatch.setattr(rng, "_WORKERS", 2)
+        stop = threading.Event()
+        spinner = threading.Thread(target=stop.wait)
+        spinner.start()
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                counts = rng.multinomial(probs, n_events, seeds)
+        finally:
+            stop.set()
+            spinner.join(timeout=10)
+        assert counts.tobytes() == expected.tobytes()
+        found = [w for w in caught if "multi-threaded" in str(w.message)]
+        assert found and all(w.category is DeprecationWarning for w in found)
+        assert all("fork()" in str(w.message) for w in found)
+        _assert_no_child()
+
     def test_worker_error_reaches_caller_after_wait(self, monkeypatch, forks):
         """A forked worker's third pass fails: the caller raises its exception,
         type and message, once every child has been waited for."""
@@ -1170,37 +1200,21 @@ def _side_projectors(pol, path):
     return simlab._side_projectors((_obs(pol, model.POLARIZATION), _obs(path, model.PATH)))
 
 
-def _fresh_marginal_operator(kind, u_name, d_name):
-    u_m = model.observable(_obs(u_name, kind))
-    d_m = model.observable(_obs(d_name, kind))
+def _fresh_marginal_operator(n, f, kind, u_name, d_name):
+    """The dense 4^N operator of names u and d on factor f, identity on the
+    other factors: the reference for an assumption row's analytic value."""
     i2 = np.eye(2, dtype=complex)
-    if kind == model.POLARIZATION:
-        return qcore.tensor_all(u_m, d_m, i2, i2)
-    return qcore.tensor_all(i2, i2, u_m, d_m)
-
-
-def _marginal_operators(n):
-    layout = simlab._layout(n)
-    return {
-        (kind, "AaBb"[u], "AaBb"[d]): op
-        for kind, ops in zip(layout.kinds, layout.marginals)
-        for (u, d), op in zip(simlab._ASSUMPTION_ROWS[kind], ops)
-    }
+    slots = [i2] * (2 * n)
+    slots[2 * f : 2 * f + 2] = (model.observable(_obs(name, kind)) for name in (u_name, d_name))
+    return qcore.tensor_all(*slots)
 
 
 NAMES = ("A", "a", "B", "b")
-MARGINAL_ROWS = [
-    (model.POLARIZATION, "A", "A"), (model.POLARIZATION, "a", "a"),
-    (model.POLARIZATION, "B", "b"), (model.POLARIZATION, "b", "B"),
-    (model.PATH, "A", "A"), (model.PATH, "a", "a"),
-    (model.PATH, "B", "B"), (model.PATH, "b", "b"),
-]
 
 
 class TestConstantTables:
-    """The projector stacks (once per pass) and marginal operators (once per
-    N) are built from N; at N = 2 every entry must be bitwise what the first
-    construction gives."""
+    """The projector stacks (once per pass) are built from N; at N = 2 every
+    entry must be bitwise what the first construction gives."""
 
     @pytest.mark.parametrize("pol", NAMES)
     @pytest.mark.parametrize("path", NAMES)
@@ -1210,24 +1224,13 @@ class TestConstantTables:
         assert np.array_equal(entry, fresh)
         assert entry.tobytes() == fresh.tobytes()
 
-    @pytest.mark.parametrize("kind,u_name,d_name", MARGINAL_ROWS)
-    def test_marginal_operators_equal_fresh_build(self, kind, u_name, d_name):
-        entry = _marginal_operators(2)[kind, u_name, d_name]
-        fresh = _fresh_marginal_operator(kind, u_name, d_name)
-        assert np.array_equal(entry, fresh)
-        assert entry.tobytes() == fresh.tobytes()
-
     def test_tables_cover_exactly_the_used_keys(self):
         keys = {_obs(name, kind) for name in NAMES for kind in model.KINDS}
         assert set(simlab._OUTCOME_PROJECTORS) == keys
-        assert set(_marginal_operators(2)) == set(MARGINAL_ROWS)
-        layout = simlab._layout(3)
-        assert [len(ops) for ops in layout.marginals] == [4, 4, 4]
-        assert layout.weight_rows.shape == (4, 64)
+        assert simlab._layout(3).weight_rows.shape == (4, 64)
 
     def test_entries_are_read_only(self):
         entries = [_side_projectors(p, k) for p in NAMES for k in NAMES]
-        entries += list(_marginal_operators(2).values())
         entries += list(simlab._OUTCOME_PROJECTORS.values())
         for n in (1, 2, 3):
             layout = simlab._layout(n)
@@ -1261,7 +1264,7 @@ class TestConstantTables:
         assert second == first
 
     def test_assumption_test_validates_no_density_matrix(self, monkeypatch):
-        """The state was validated when it was built; the analytic marginals
+        """The state was validated when it was built; the analytic values
         do not run the eigenvalue check again."""
         simlab.assumption_test(NOISY, n_events=100, seed=3)
 
@@ -1443,21 +1446,16 @@ class TestArrayPass:
         assert calls == [(56, 16)]
 
     def test_estimate_builds_no_marginal_operator(self, monkeypatch):
-        """One N = 4 estimate builds neither the marginal operators nor the
-        cell table of the 1,296 cells of a run, nor any table read from it."""
-
-        def boom(*args, **kwargs):
-            raise AssertionError("marginal operator built for an estimate")
-
+        """One N = 4 estimate builds neither the cell table of the 1,296
+        cells of a run nor any table read from it."""
         monkeypatch.setattr(simlab, "_layout", functools.cache(simlab._Layout))
-        monkeypatch.setattr(simlab, "_marginal_operator", boom)
         setting = canonical_settings(4)[5]
         counts = np.arange(256, dtype=np.int64)
         record = simlab.estimate(counts, setting, 2)
         assert record.n_events == int(counts.sum())
         layout = simlab._layout(4)
         tables = {"cells", "stacks", "record_labels", "assumption_labels"}
-        assert not {"marginals", *tables} & set(vars(layout))
+        assert not tables & set(vars(layout))
 
 
 class TestEstimate:
@@ -1807,6 +1805,30 @@ class TestAssumptionTest:
         assert report.factor_rows[2][0].cells[1].context_label == "A_pi A_k B_pi b_k"
         for row in report.rows:
             assert abs(row.analytic_E) == pytest.approx(0.9, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", model.NOISE_KINDS)
+    def test_analytic_value_is_the_first_cells_born_row(self, n, kind):
+        """Each row's analytic value is its first cell's Born row in the pass
+        times its weight row, bitwise, in a run and in an assumption test;
+        the dense trace of the row's pair on its factor, identity elsewhere,
+        agrees within 1e-12."""
+        noise = NoiseModel(kind) if kind == model.NOISE_NONE else NoiseModel(kind, 0.87, 0.93)
+        state = model.apply_noise(model.hyper_state(0.7, -1.3, n), noise)
+        layout = simlab._layout(n)
+        suffix = slice(layout.n_run, None)
+        weights = layout.weight_rows[layout.cells[suffix, -1] + 1]
+        firsts = np.einsum("ij,ij->i", layout.born(state, suffix), weights)[:: 4 ** (n - 1)]
+        dense = [
+            np.trace(state.rho @ _fresh_marginal_operator(n, f, k, "AaBb"[u], "AaBb"[d])).real
+            for f, k in enumerate(layout.kinds)
+            for u, d in simlab._ASSUMPTION_ROWS[k]
+        ]
+        run = simlab.run_simulated_experiment(state, n_events=100, seed=1).assumptions
+        for report in (simlab.assumption_test(state, n_events=100, seed=2), run):
+            analytic = np.array([row.analytic_E for row in report.rows])
+            assert analytic.tobytes() == firsts.tobytes()
+            assert np.abs(analytic - dense).max() < 1e-12
 
 
 # The 56 sampled cells of one simulated run in sub-stream order, rebuilt from
