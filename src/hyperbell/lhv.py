@@ -31,8 +31,8 @@ context index of every term and signs that are products of the factors'
 the same terms, so that the check shares no construction with what it checks
 (a test compares the two).  The term table (per kinds tuple), the context
 slot table and the factorizable side table (per N) are built once, read-only,
-and the search runs once per (kinds, class) per process; the guard, fresh
-witness dicts and the replay come on every call, and ``strategies_evaluated``
+and the search and its replay run once per (kinds, class) per process; the
+guard and fresh witness dicts come on every call, and ``strategies_evaluated``
 is the size of the exhaustive search the bound rests on.  Witness tokens are
 built from the factor labels with the label rule in ``model`` (a context
 token joins one observable token per factor), never from ``bell.term_labels``.
@@ -125,8 +125,10 @@ def evaluate_strategy(bell: BellOperator, strategy: LhvStrategy) -> int:
     the integer +1 or -1; a strategy that is no ``LhvStrategy``, an unknown
     class, a side that is no dict, a missing or foreign token and a bool,
     float or other value are refused, naming the type, the class, the photon
-    or the token.  A factorizable side is turned into its 2^N context values
-    first, so both classes read each term's context from the term table."""
+    or the token; so is an operator that is no ``BellOperator``.  A
+    factorizable side is turned into its 2^N context values first, so both
+    classes read each term's context from the term table."""
+    _check_operator(bell)
     if not isinstance(strategy, LhvStrategy):
         raise ValueError(f"the strategy must be an LhvStrategy, got {type(strategy).__name__}")
     if strategy.strategy_class not in STRATEGY_CLASSES:
@@ -149,6 +151,11 @@ def evaluate_strategy(bell: BellOperator, strategy: LhvStrategy) -> int:
             vals = vals[_context_slots(bell.dof_count)].prod(axis=1)
         values = values * vals[contexts]
     return int(values.sum())
+
+
+def _check_operator(bell) -> None:
+    if not isinstance(bell, BellOperator):
+        raise ValueError(f"the operator must be a BellOperator, got {type(bell).__name__}")
 
 
 def _lookup(side: dict, token: str) -> int:
@@ -210,31 +217,23 @@ def max_bound(bell: BellOperator, strategy_class: str) -> BoundResult:
     witness is the lexicographically smallest maximizer.
 
     Every call checks the guard before any table is built or the search
-    cache read, builds the witness dicts afresh and replays them through
-    ``evaluate_strategy``; the search itself runs once per (kinds, class)
-    per process.  ``strategies_evaluated`` is the number of strategy pairs
-    the exhaustive search covers, whether this call ran it or not.
+    cache read, and copies the witness into fresh dicts; the search and the
+    replay of its witness through ``evaluate_strategy`` run once per
+    (kinds, class) per process.  ``strategies_evaluated`` is the number of
+    strategy pairs the exhaustive search covers, whether this call ran it
+    or not.
     """
+    _check_operator(bell)
     if strategy_class not in STRATEGY_CLASSES:
         raise ValueError(f"unknown strategy class {strategy_class!r}")
     n_side = 4**bell.dof_count if strategy_class == FACTORIZABLE else 2 ** (2**bell.dof_count)
     if n_side * n_side > MAX_STRATEGY_PAIRS:
         raise EnumerationGuardError(n_side * n_side, MAX_STRATEGY_PAIRS)
 
-    bound, ui, di = _search(bell.kinds, strategy_class)
-    witness = LhvStrategy(
-        strategy_class=strategy_class,
-        side_u=_strategy_from_index(bell, strategy_class, model.PHOTON_U, ui),
-        side_d=_strategy_from_index(bell, strategy_class, model.PHOTON_D, di),
-    )
-    replay = evaluate_strategy(bell, witness)
-    if replay != bound:
-        raise AssertionError(
-            f"witness replay {replay} does not reproduce the bound {bound}"
-        )
+    bound, side_u, side_d = _search(bell.kinds, strategy_class)
     return BoundResult(
         bound=bound,
-        witness=witness,
+        witness=LhvStrategy(strategy_class, dict(side_u), dict(side_d)),
         strategies_evaluated=n_side * n_side,
         strategy_class=strategy_class,
     )
@@ -242,16 +241,26 @@ def max_bound(bell: BellOperator, strategy_class: str) -> BoundResult:
 
 @cache  # keyed by kinds, not operator: operators hash by identity
 def _search(kinds: tuple, strategy_class: str) -> tuple:
-    """``(bound, u index, d index)`` of ``max_bound``, searched once per
-    (kinds, class) after its guard; plain ints, so nothing shared is mutable.
+    """``(bound, u side, d side)`` of ``max_bound``, searched once per
+    (kinds, class) after its guard, each witness side a tuple of (token,
+    value) pairs, so nothing shared is mutable.  The witness is replayed
+    through ``evaluate_strategy`` before it is cached; the cache stores no
+    exception, so a search whose witness fails the replay fails every call.
 
     The signed maximum equals the maximum of |value|: flipping one degree of
     freedom's pair (factorizable) or a whole side (unrestricted) negates the
     value, so both signs are always attained.  Maximizing the signed value
     lets the witness replay to +bound exactly.
     """
+    bell = BellOperator(kinds=kinds)
     search = _factorizable_search if strategy_class == FACTORIZABLE else _unrestricted_search
-    return search(BellOperator(kinds=kinds).signs)
+    bound, ui, di = search(bell.signs)
+    sides = [_strategy_from_index(bell, strategy_class, photon, index)
+             for photon, index in ((model.PHOTON_U, ui), (model.PHOTON_D, di))]
+    replay = evaluate_strategy(bell, LhvStrategy(strategy_class, *sides))
+    if replay != bound:
+        raise AssertionError(f"witness replay {replay} does not reproduce the bound {bound}")
+    return bound, *(tuple(side.items()) for side in sides)
 
 
 def _factorizable_search(t: np.ndarray) -> tuple:

@@ -12,7 +12,7 @@ import hashlib
 
 import pytest
 
-from hyperbell import cli, model, simlab
+from hyperbell import cli, lhv, model, simlab
 
 CORPUS = {
     "simulate-table": (
@@ -168,9 +168,23 @@ CORPUS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CORPUS))
-def test_stdout_digest(name, capsys):
+def _digest_cases():
+    """Each entry once; a ``bounds`` entry on a cold bound-search cache, under
+    its own name, and again on a warm one."""
+    for name in sorted(CORPUS):
+        yield pytest.param(name, "cold" if name.startswith("bounds") else None, id=name)
+        if name.startswith("bounds"):
+            yield pytest.param(name, "warm", id=f"{name}-warm")
+
+
+@pytest.mark.parametrize("name,cache", _digest_cases())
+def test_stdout_digest(name, cache, capsys):
     argv, digest = CORPUS[name]
+    if cache == "cold":
+        lhv._search.cache_clear()
+    elif cache == "warm":  # a first run in this process fills the cache
+        assert cli.main(argv) == 0
+        capsys.readouterr()
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -15,6 +15,11 @@ from hyperbell import bell, lhv, model
 from hyperbell.lhv import FACTORIZABLE, UNRESTRICTED, LhvStrategy
 from reference import setting_labels, term_settings, traced_peak
 
+# A non-operator of each refused type, made from the operator ``op``.
+_NOT_OPERATORS = {
+    "NoneType": lambda op: None, "str": lambda op: "pi", "ndarray": lambda op: op.matrix
+}
+
 U_TOKENS_CHSH = ("A_pi", "a_pi")
 D_TOKENS_CHSH = ("B_pi", "b_pi")
 U_TOKENS_N2 = ("A_pi", "a_pi", "A_k", "a_k")
@@ -127,6 +132,17 @@ class TestEvaluateStrategy:
         """It escaped as an AttributeError on ``strategy_class``."""
         with pytest.raises(ValueError, match="must be an LhvStrategy, got dict"):
             lhv.evaluate_strategy(bell.build_beta_pi(), {"A_pi": 1})
+
+    @pytest.mark.parametrize("type_name", sorted(_NOT_OPERATORS))
+    def test_operator_that_is_no_bell_operator_rejected(self, type_name):
+        """It escaped as an AttributeError on ``kinds``; it is named before the
+        strategy's class is read."""
+        op = bell.canonical_product(2)
+        witness = lhv.max_bound(op, FACTORIZABLE).witness
+        message = f"the operator must be a BellOperator, got {type_name}"
+        for strategy in (witness, LhvStrategy("contextual", witness.side_u, witness.side_d)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                lhv.evaluate_strategy(_NOT_OPERATORS[type_name](op), strategy)
 
 
 class TestSignSymmetry:
@@ -299,12 +315,24 @@ class TestMaxBound:
         with pytest.raises(ValueError, match="strategy class"):
             lhv.max_bound(bell.build_beta_pi(), "nonlocal")
 
+    @pytest.mark.parametrize("type_name", sorted(_NOT_OPERATORS))
+    def test_operator_that_is_no_bell_operator_rejected(self, type_name, monkeypatch):
+        """It escaped as an AttributeError on ``dof_count``; it is named before
+        the class check and before the guard."""
+        bad = _NOT_OPERATORS[type_name](bell.canonical_product(2))
+        message = f"the operator must be a BellOperator, got {type_name}"
+        monkeypatch.setattr(lhv, "MAX_STRATEGY_PAIRS", 0)
+        for cls in (FACTORIZABLE, "nonlocal"):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                lhv.max_bound(bad, cls)
+
     @pytest.mark.parametrize(
         "cls,search", [(FACTORIZABLE, "_factorizable_search"), (UNRESTRICTED, "_unrestricted_search")]
     )
-    def test_second_call_runs_no_search_yet_replays(self, cls, search, monkeypatch):
-        """The search runs once per (kinds, class), also for an operator that
-        is not the shared one; the witness is replayed on every call."""
+    def test_search_and_replay_run_once(self, cls, search, monkeypatch):
+        """The search and the replay of its witness run once per (kinds,
+        class), also for an operator that is not the shared one; every call
+        returns fresh witness dicts."""
         searches, replays = [], []
         run_search, replay = getattr(lhv, search), lhv.evaluate_strategy
         monkeypatch.setattr(lhv, search, lambda t: searches.append(t) or run_search(t))
@@ -316,9 +344,10 @@ class TestMaxBound:
         first = lhv.max_bound(op, cls)
         second = lhv.max_bound(op, cls)
         third = lhv.max_bound(bell.BellOperator(kinds=op.kinds), cls)
-        assert (len(searches), len(replays)) == (1, 3)
+        assert (len(searches), len(replays)) == (1, 1)
         assert first == second == third
-        assert second.witness.side_u is not first.witness.side_u
+        for side in ("side_u", "side_d"):
+            assert len({id(getattr(res.witness, side)) for res in (first, second, third)}) == 3
 
     def test_guard_refuses_with_the_search_cached(self, monkeypatch):
         op = bell.canonical_product(2)
@@ -355,25 +384,34 @@ class TestMaxBound:
     @pytest.mark.parametrize("cls", [FACTORIZABLE, UNRESTRICTED])
     @pytest.mark.parametrize("wrong", ["bound", "witness"])
     def test_wrong_cached_search_is_caught(self, n, cls, wrong, monkeypatch):
-        """The replay reads tables of its own, so a cached search that reports
-        a bound 2 too high, or a witness whose u side is negated (factor 0's
-        pair flipped, or every context), fails the call."""
+        """The replay reads tables of its own, so a search that reports a
+        bound 2 too high, or a witness whose u side is negated (factor 0's
+        pair flipped, or every context), fails the call; nothing is cached,
+        so a second call searches again and fails too."""
+        run_search = lhv._factorizable_search if cls == FACTORIZABLE else lhv._unrestricted_search
+        searches = []
+
+        def wrong_search(t):
+            bound, ui, di = run_search(t)
+            searches.append(t)
+            if wrong == "bound":
+                return bound + 2, ui, di
+            flip = 0b11 << (2 * n - 2) if cls == FACTORIZABLE else 2 ** (2**n) - 1
+            return bound, ui ^ flip, di
+
+        monkeypatch.setattr(lhv, run_search.__name__, wrong_search)
+        lhv._search.cache_clear()
         op = bell.canonical_product(n)
-        bound, ui, di = lhv._search(op.kinds, cls)
-        if wrong == "bound":
-            bound += 2
-        elif cls == FACTORIZABLE:
-            ui ^= 0b11 << (2 * n - 2)
-        else:
-            ui ^= 2 ** (2**n) - 1
-        monkeypatch.setattr(lhv, "_search", lambda kinds, strategy_class: (bound, ui, di))
-        with pytest.raises(AssertionError, match="does not reproduce the bound"):
-            lhv.max_bound(op, cls)
+        for calls in (1, 2):
+            with pytest.raises(AssertionError, match="does not reproduce the bound"):
+                lhv.max_bound(op, cls)
+            assert (len(searches), lhv._search.cache_info().currsize) == (calls, 0)
 
     @pytest.mark.parametrize("cls,tokens", [(FACTORIZABLE, 2 * 4), (UNRESTRICTED, 2**4)])
     def test_side_tokens_built_once_per_labels(self, cls, tokens, monkeypatch):
         """The witness and its replay share one token tuple per photon: a
-        first max_bound labels each side's tokens once, a second none."""
+        first max_bound, on a cold search cache, labels each side's tokens
+        once, a second none."""
         calls, side_label = [], model.side_label
 
         def counting(names, labels):
@@ -381,12 +419,43 @@ class TestMaxBound:
             return side_label(names, labels)
 
         lhv._side_tokens.cache_clear()
+        lhv._search.cache_clear()
         monkeypatch.setattr(model, "side_label", counting)
         op = bell.canonical_product(4)
         first = lhv.max_bound(op, cls)
         assert len(calls) == 2 * tokens
         assert lhv.max_bound(op, cls) == first
         assert len(calls) == 2 * tokens
+
+
+_BOUNDS = {FACTORIZABLE: (2, 4, 8, 16), UNRESTRICTED: (2, 8, 20, 64)}  # at N = 1..4
+
+
+@pytest.mark.parametrize("cls", [FACTORIZABLE, UNRESTRICTED])
+@pytest.mark.parametrize(
+    "kinds",
+    [
+        pytest.param(kinds, id="-".join(kinds))
+        for n in range(1, bell.MAX_DOF + 1)
+        for kinds in product(model.KINDS, repeat=n)
+    ],
+)
+def test_every_kinds_tuple_replays_its_witness(kinds, cls):
+    """At each of the 30 kinds tuples the bound is the canonical one of its N
+    and class, over the whole search, and the witness assigns exactly the
+    operator's side tokens (in term order, from the reference labels) and
+    replays to the bound."""
+    op = bell.BellOperator(kinds=kinds)
+    res = lhv.max_bound(op, cls)
+    n = len(kinds)
+    n_side = 4**n if cls == FACTORIZABLE else 2 ** (2**n)
+    assert (res.bound, res.strategies_evaluated) == (_BOUNDS[cls][n - 1], n_side**2)
+    for photon, side in enumerate((res.witness.side_u, res.witness.side_d)):
+        contexts = [setting_labels(s)[photon] for s in term_settings(kinds)]
+        if cls == FACTORIZABLE:  # each factor's two tokens, factor 0 first
+            contexts = [c.split()[f] for f in range(n) for c in contexts]
+        assert list(side) == list(dict.fromkeys(contexts))
+    assert lhv.evaluate_strategy(op, res.witness) == res.bound
 
 
 def _reference_unrestricted(t):
