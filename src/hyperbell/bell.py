@@ -87,10 +87,10 @@ class BellOperator:
     def matrix(self) -> np.ndarray:
         if self.dof_count > 1:
             return qcore.read_only(qcore.tensor_all(*(f.matrix for f in self.factors)))
-        ids = model.observable_ids(self.kinds[0])  # A, a, B, b
+        table = model.OBSERVABLES[model.KINDS.index(self.kinds[0])]  # by name digit
         return qcore.read_only(sum(
-            sign * qcore.tensor(model.observable(u), model.observable(d))
-            for sign, (u, d) in zip(self.term_signs, product(ids[:2], ids[2:]))
+            sign * qcore.tensor(table[u], table[d])
+            for sign, (u, d) in zip(self.term_signs, product((0, 1), (2, 3)))
         ))
 
     @cached_property
@@ -121,16 +121,6 @@ def _term_labels(labels: tuple) -> tuple:
 def _shared(kinds: tuple) -> BellOperator:
     """The one shared operator of ``kinds``; at most 2 + 4 + 8 + 16 of them."""
     return BellOperator(kinds=kinds)
-
-
-def build_beta_pi() -> BellOperator:
-    """Polarization CHSH operator, term signs (-, +, +, +); shared, read-only."""
-    return _shared((model.POLARIZATION,))
-
-
-def build_beta_k() -> BellOperator:
-    """Path CHSH operator, term signs (+, -, +, +); shared, read-only."""
-    return _shared((model.PATH,))
 
 
 def build_beta_product(factors) -> BellOperator:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 
 import numpy as np
@@ -39,8 +39,9 @@ PHOTON_U = "u"
 PHOTON_D = "d"
 PHOTONS = (PHOTON_U, PHOTON_D)
 
-U_SIDE_NAMES = ("A", "a")
-D_SIDE_NAMES = ("B", "b")
+NAMES = ("A", "a", "B", "b")  # a name's digit is its place here, 0..3
+U_SIDE_NAMES = NAMES[:2]
+D_SIDE_NAMES = NAMES[2:]
 
 _KET = {
     "H": np.array([1, 0], dtype=complex),
@@ -57,20 +58,22 @@ def _ketbra(b: str, k: str) -> np.ndarray:
     return np.outer(_KET[b], _KET[k].conj())
 
 
-_OBSERVABLES = {
-    ("A", POLARIZATION): _ketbra("H", "H") - _ketbra("V", "V"),
-    ("a", POLARIZATION): _ketbra("V", "H") + _ketbra("H", "V"),
-    ("B", POLARIZATION): (
-        _ketbra("H", "H") - _ketbra("V", "V") + _ketbra("V", "H") + _ketbra("H", "V")
-    ) / _SQRT2,
-    ("b", POLARIZATION): (
-        _ketbra("V", "V") - _ketbra("H", "H") + _ketbra("V", "H") + _ketbra("H", "V")
-    ) / _SQRT2,
-    ("A", PATH): _ketbra("l", "r") + _ketbra("r", "l"),
-    ("a", PATH): 1j * (_ketbra("r", "l") - _ketbra("l", "r")),
-    ("B", PATH): ((1j + 1) * _ketbra("r", "l") - (1j - 1) * _ketbra("l", "r")) / _SQRT2,
-    ("b", PATH): ((1j - 1) * _ketbra("r", "l") - (1j + 1) * _ketbra("l", "r")) / _SQRT2,
-}
+# OBSERVABLES[kind index, name digit]: the 2x2 Hermitian matrix (eigenvalues
+# +-1) of that name on a factor of ``KINDS[kind index]``; read-only.
+OBSERVABLES = qcore.read_only(np.array([
+    [
+        _ketbra("H", "H") - _ketbra("V", "V"),
+        _ketbra("V", "H") + _ketbra("H", "V"),
+        (_ketbra("H", "H") - _ketbra("V", "V") + _ketbra("V", "H") + _ketbra("H", "V")) / _SQRT2,
+        (_ketbra("V", "V") - _ketbra("H", "H") + _ketbra("V", "H") + _ketbra("H", "V")) / _SQRT2,
+    ],
+    [
+        _ketbra("l", "r") + _ketbra("r", "l"),
+        1j * (_ketbra("r", "l") - _ketbra("l", "r")),
+        ((1j + 1) * _ketbra("r", "l") - (1j - 1) * _ketbra("l", "r")) / _SQRT2,
+        ((1j - 1) * _ketbra("r", "l") - (1j + 1) * _ketbra("l", "r")) / _SQRT2,
+    ],
+]))
 
 
 _KIND_LABELS = {POLARIZATION: "pi", PATH: "k"}
@@ -110,68 +113,6 @@ def factor_labels(kinds: tuple) -> tuple:
 def side_label(names, labels) -> str:
     """One photon's label: a token ``name_label`` per factor, joined by a space."""
     return " ".join([f"{name}_{label}" for name, label in zip(names, labels)])
-
-
-@dataclass(frozen=True)
-class ObservableId:
-    """One of the eight measurement observables, e.g. A_pi or b_k."""
-
-    name: str
-    kind: str
-
-    def __post_init__(self):
-        if self.name not in ("A", "a", "B", "b"):
-            raise ValueError(f"unknown observable name {self.name!r}")
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown degree-of-freedom kind {self.kind!r}")
-
-    @property
-    def label(self) -> str:
-        return side_label((self.name,), factor_labels((self.kind,)))
-
-
-@dataclass(frozen=True)
-class JointSetting:
-    """One local observable per photon and degree of freedom: ``u_ids[f]``
-    and ``d_ids[f]`` measure factor f, factor 0 first, so both photons
-    measure the same kinds in the same order.  The kinds are derived from
-    the pair once, at construction; ``labels_on`` builds labels when asked."""
-
-    u_ids: tuple
-    d_ids: tuple
-    kinds: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        for name, ids in (("u_ids", self.u_ids), ("d_ids", self.d_ids)):
-            if not isinstance(ids, tuple) or not all(isinstance(o, ObservableId) for o in ids):
-                raise ValueError(f"{name} must be a tuple of ObservableId, got {ids!r}")
-        kinds = tuple([obs.kind for obs in self.u_ids])
-        if kinds != tuple([obs.kind for obs in self.d_ids]):
-            for u, d in zip(self.u_ids, self.d_ids):
-                if u.kind != d.kind:
-                    raise ValueError(f"{u.label} is not a {d.kind} observable like {d.label}")
-            raise ValueError(
-                f"photon u measures {len(self.u_ids)} degrees of freedom,"
-                f" photon d {len(self.d_ids)}"
-            )
-        object.__setattr__(self, "kinds", checked_kinds(kinds))
-
-    def labels_on(self, factors, labels) -> tuple:
-        """(u, d) labels of the setting's observables on ``factors`` alone, the
-        token of ``factors[i]`` carrying the factor label ``labels[i]`` (a_pi2)."""
-        return tuple(
-            side_label([ids[f].name for f in factors], labels) for ids in (self.u_ids, self.d_ids)
-        )
-
-
-def observable(obs: ObservableId) -> np.ndarray:
-    """The 2x2 Hermitian matrix of the observable (eigenvalues +-1)."""
-    return _OBSERVABLES[(obs.name, obs.kind)].copy()
-
-
-def observable_ids(kind: str) -> tuple[ObservableId, ...]:
-    """All four observables of one degree of freedom, order (A, a, B, b)."""
-    return tuple(ObservableId(n, kind) for n in ("A", "a", "B", "b"))
 
 
 @dataclass(frozen=True, eq=False)  # ndarray fields: identity equality and hash

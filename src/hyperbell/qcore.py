@@ -64,13 +64,9 @@ def read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def is_hermitian(m, tol: float = HERMITIAN_TOL) -> bool:
-    return _is_hermitian(as_matrix(m), tol)
-
-
-def _is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    """``is_hermitian`` of a matrix ``as_matrix`` has already returned."""
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol)
+def _is_hermitian(a: np.ndarray) -> bool:
+    """A matrix ``as_matrix`` has returned equals its adjoint to ``HERMITIAN_TOL``."""
+    return bool(np.max(np.abs(a - a.conj().T)) <= HERMITIAN_TOL)
 
 
 def tensor(a, b) -> np.ndarray:

@@ -1,14 +1,15 @@
 """Simulated experiment: Born probabilities, coincidence sampling, estimators.
 
-A joint setting (``model.JointSetting``) fixes one observable per photon and
-degree of freedom, of the kinds ``model.canonical_kinds(N)``.  Each photon
-has 2^N outcomes, one sign per factor in ``product((1, -1), repeat=N)``
-order, so a setting has 4^N outcome cells, ordered u-major.  The 4^N
-settings of the Bell test are the terms of ``bell.canonical_product(N)``.
+A joint setting is each photon's name digit per factor (A, a, B, b as 0..3,
+``model.NAMES``, factor 0 first) on the kinds ``model.canonical_kinds(N)``:
+the digits a row of the cell table holds.  Each photon has 2^N outcomes,
+one sign per factor in ``product((1, -1), repeat=N)`` order, so a setting
+has 4^N outcome cells, ordered u-major.  The 4^N settings of the Bell test
+are the terms of ``bell.canonical_product(N)``.
 
 Born probabilities come from one contraction per setting: each photon's
 2^N joint-outcome projectors act on its own 2^N-dim space as one stack per
-observables tuple (``_side_projectors``, the one stack builder; a pass
+tuple of name digits (``_side_projectors``, the one stack builder; a pass
 builds each distinct stack once and keeps it), the density
 matrix is permuted once into photon-local order, and the cells are
 ``real((A @ R) @ B.T)``.  They agree with the trace over embedded projectors
@@ -43,11 +44,10 @@ import numpy as np
 
 from . import bell as bell_mod
 from . import model, qcore, rng
-from .model import JointSetting, QuantumState
+from .model import MAX_DOF, QuantumState
 from .rng import GENERATOR_ID
 
 _I2 = np.eye(2, dtype=complex)
-_NAMES = "AaBb"  # a name's digit in a cell table is its place here
 _PAIRS = ((0, 2), (0, 3), (1, 2), (1, 3))  # AB, Ab, aB, ab: a term's base-4 digits index these
 # The (u, d) name digits each kind predicts: the rows of the assumption test.
 _ASSUMPTION_ROWS = {
@@ -62,23 +62,19 @@ _ASSUMPTION_ROWS = {
 _BORN_BLOCK = 1 << 14
 
 
-# Each observable's two outcome projectors (I + M)/2, (I - M)/2 as a (2, 2, 2) stack.
-_OUTCOME_PROJECTORS = {
-    obs: qcore.read_only(
-        (_I2 + np.array([1.0, -1.0])[:, None, None] * model.observable(obs)) / 2.0
-    )
-    for kind in model.KINDS
-    for obs in model.observable_ids(kind)
-}
+# [kind index, name digit]: the observable's outcome projectors (I + M)/2, (I - M)/2.
+_OUTCOME_PROJECTORS = qcore.read_only(
+    (_I2 + np.array([1.0, -1.0])[:, None, None] * model.OBSERVABLES[:, :, None]) / 2.0
+)
 
 
-def _side_projectors(ids: tuple) -> np.ndarray:
+def _side_projectors(kinds: tuple, names) -> np.ndarray:
     """One photon's 2^N outcome projectors on its own 2^N-dim space as a
     read-only 2^N x 4^N stack: the Kronecker product of the (I +- M)/2 pairs
-    of its observables, factor 0 slowest.  Built on each call; each N's one
-    pass keeps its stacks (``_Layout.stacks``).  The names need not belong to
-    the photon."""
-    stack = reduce(_kron_stack, [_OUTCOME_PROJECTORS[obs] for obs in ids])
+    of the name digit ``names[f]`` on a factor of ``kinds[f]``, factor 0
+    slowest.  Built on each call; each N's one pass keeps its stacks
+    (``_Layout.stacks``).  The names need not belong to the photon."""
+    stack = reduce(_kron_stack, _OUTCOME_PROJECTORS[[model.KINDS.index(k) for k in kinds], names])
     return qcore.read_only(stack.reshape(len(stack), -1))
 
 
@@ -112,10 +108,8 @@ class _Layout:
         self.kinds = self.operator.kinds
         self.labels = model.factor_labels(self.kinds)
         self.n_run = 4**n + 4 * n  # a run's own cells; the assumption cells follow
-        # [factor, name digit]: the observable and its token (A_pi2), for ``_per_cell``.
-        observables = [model.observable_ids(kind) for kind in self.kinds]
-        tokens = [[model.side_label(name, (label,)) for name in _NAMES] for label in self.labels]
-        self.observables = qcore.read_only(np.array(observables, dtype=object))
+        # [factor, name digit]: the token (A_pi2), for ``_per_cell`` and ``estimate``.
+        tokens = [[model.side_label(x, (label,)) for x in model.NAMES] for label in self.labels]
         self.tokens = qcore.read_only(np.array(tokens))
         # rho's 4N qubit indices, row then column, each factor by factor with
         # photon u first, go to (u columns, u rows, d columns, d rows), factor
@@ -156,13 +150,12 @@ class _Layout:
         base-4 name codes (factor 0 first), in first-use order, and each
         cell's index into it."""
         n, sides = len(self.kinds), []
-        for s, side in enumerate(np.split(self.cells[:, :-1], 2, axis=1)):
+        for side in np.split(self.cells[:, :-1], 2, axis=1):
             codes = (side @ 4 ** np.arange(n - 1, -1, -1)).tolist()
             # Each distinct code's first cell, in first-use order, and its rank in that order.
             first = sorted({code: i for i, code in reversed(list(enumerate(codes)))}.values())
             rank = {codes[i]: k for k, i in enumerate(first)}
-            rows = self._per_cell(self.observables, first)
-            stack = np.stack([_side_projectors(tuple(ids[s * n : s * n + n])) for ids, _ in rows])
+            stack = np.stack([_side_projectors(self.kinds, names) for names in side[first]])
             sides.append((qcore.read_only(stack), np.array([rank[code] for code in codes])))
         return tuple(sides)
 
@@ -171,7 +164,7 @@ class _Layout:
         """Each cell's record label: the two photon labels for the joint
         correlation, the two tokens on factor f alone for factor f."""
         n, labels = len(self.kinds), []
-        for t, f in self._per_cell(self.tokens):
+        for t, f in self._per_cell():
             labels.append((" ".join(t[:n]), " ".join(t[n:])) if f < 0 else (t[f], t[n + f]))
         return tuple(labels)
 
@@ -180,17 +173,17 @@ class _Layout:
         """Per assumption cell, its whole setting's two photon labels and its
         context label: the two photons' tokens on every factor but its own."""
         n, cells = len(self.kinds), []
-        for t, f in self._per_cell(self.tokens, slice(self.n_run, None)):
+        for t, f in self._per_cell(slice(self.n_run, None)):
             labels = (" ".join(t[:n]), " ".join(t[n:]))
             del t[n + f], t[f]
             cells.append((labels, f"{' '.join(t[: n - 1])} {' '.join(t[n - 1 :])}"))
         return tuple(cells)
 
-    def _per_cell(self, table: np.ndarray, rows=slice(None)) -> zip:
-        """Per cell of ``rows``: a new list of the ``table[factor, name digit]``
-        entries of photon u's name digits, then of photon d's, and its factor."""
+    def _per_cell(self, rows=slice(None)) -> zip:
+        """Per cell of ``rows``: a new list of the tokens of photon u's name
+        digits, then of photon d's, and its factor."""
         cells = self.cells[rows]
-        entries = table[np.arange(cells.shape[1] - 1) % len(self.kinds), cells[:, :-1]]
+        entries = self.tokens[np.arange(cells.shape[1] - 1) % len(self.kinds), cells[:, :-1]]
         return zip(entries.tolist(), cells[:, -1].tolist())
 
     def local_rho(self, state: QuantumState) -> np.ndarray:
@@ -215,21 +208,18 @@ class _Layout:
 _layout = cache(_Layout)
 
 
-def _layout_of(setting: JointSetting) -> _Layout:
-    """The layout of the setting's DOF count.  A setting whose kinds are not
-    ``canonical_kinds(N)`` is refused, naming its first observable of the
-    wrong kind."""
-    layout = _layout(len(setting.kinds))
-    if setting.kinds != layout.kinds:
-        obs, kind = next((o, k) for o, k in zip(setting.u_ids, layout.kinds) if o.kind != k)
-        raise ValueError(f"{obs.label} is not a {kind} observable")
-    return layout
-
-
-@dataclass(frozen=True, eq=False)  # ndarray fields: identity equality and hash
-class OutcomeDistribution:
-    setting: JointSetting
-    probs: np.ndarray  # 4^N cells, u-major
+def _checked_setting(u, d) -> tuple:
+    """``(layout, u, d)`` of a setting given as each photon's name digits,
+    factor 0 first: ``u`` and ``d`` must be tuples of 1 to ``MAX_DOF``
+    digits, as many as each other, each in 0..3 (``rng.checked_int``)."""
+    checked = []
+    for name, xs in (("u", u), ("d", d)):
+        if not (isinstance(xs, tuple) and 1 <= len(xs) <= MAX_DOF):
+            raise ValueError(f"{name} must be a tuple of 1 to {MAX_DOF} name digits, got {xs!r}")
+        checked.append([rng.checked_int(f"{name} name digit", x, 0, 3) for x in xs])
+    if len(u) != len(d):
+        raise ValueError(f"u and d must name as many factors, got {len(u)} and {len(d)}")
+    return _layout(len(u)), *checked
 
 
 def _born(ur: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -254,31 +244,20 @@ def _born(ur: np.ndarray, d: np.ndarray) -> np.ndarray:
     return probs / totals[:, None]
 
 
-def born_distribution(state: QuantumState, setting: JointSetting) -> OutcomeDistribution:
-    """Joint outcome probabilities Tr[rho (P_u x P_d)] for one setting: the
-    two photons' stacks contracted with rho in photon-local order, bitwise
-    the setting's row of the pass.  The reference is the trace over
+def born_distribution(state: QuantumState, u: tuple, d: tuple) -> np.ndarray:
+    """Joint outcome probabilities Tr[rho (P_u x P_d)] of the setting of name
+    digits ``u`` and ``d`` (``_checked_setting``), 4^N cells u-major: the two
+    photons' stacks contracted with rho in photon-local order, bitwise the
+    setting's row of the pass.  The reference is the trace over
     ``model.pair_projectors``."""
-    layout = _layout_of(setting)
+    layout, u, d = _checked_setting(u, d)
     if state.dof_count != len(layout.kinds):
         raise ValueError(
             f"the setting measures {len(layout.kinds)} degrees of freedom,"
             f" the state has {state.dof_count}"
         )
-    u, d = (_side_projectors(ids) for ids in (setting.u_ids, setting.d_ids))
-    probs = _born((u @ layout.local_rho(state))[None], d[None])[0]
-    return OutcomeDistribution(setting=setting, probs=probs)
-
-
-def analytic_correlations(dist: OutcomeDistribution) -> tuple:
-    """The joint correlation of the exact distribution, then each factor's."""
-    return tuple(float(dist.probs @ w) for w in _layout(len(dist.setting.kinds)).weight_rows)
-
-
-def marginals(dist: OutcomeDistribution) -> tuple:
-    """(u-side, d-side) outcome marginals, each of length 2^N."""
-    grid = dist.probs.reshape(2 ** len(dist.setting.kinds), -1)
-    return grid.sum(axis=1), grid.sum(axis=0)
+    u_stack, d_stack = (_side_projectors(layout.kinds, names) for names in (u, d))
+    return _born((u_stack @ layout.local_rho(state))[None], d_stack[None])[0]
 
 
 def signaling_deviation(state: QuantumState) -> float:
@@ -296,9 +275,10 @@ def signaling_deviation(state: QuantumState) -> float:
     return max(float(np.ptp(m[i == local], axis=0).max()) for m, i in sides for local in set(i))
 
 
-def sample(dist: OutcomeDistribution, n_events: int, seed: int) -> np.ndarray:
-    """Multinomial counts over the cells; determined by (dist, n, seed)."""
-    return rng.multinomial(dist.probs, n_events, seed)
+def sample(probs: np.ndarray, n_events: int, seed: int) -> np.ndarray:
+    """Multinomial counts over the cells of a Born row; determined by
+    (probs, n_events, seed)."""
+    return rng.multinomial(probs, n_events, seed)
 
 
 @dataclass(frozen=True)
@@ -309,15 +289,16 @@ class CorrelationRecord:
     n_events: int
 
 
-def estimate(counts, setting: JointSetting, factor: int | None = None) -> CorrelationRecord:
-    """Correlation estimate with std_err = sqrt((1 - E^2)/n) from counts.
+def estimate(counts, u: tuple, d: tuple, factor: int | None = None) -> CorrelationRecord:
+    """Correlation estimate with std_err = sqrt((1 - E^2)/n) from the counts
+    of the setting of name digits ``u`` and ``d`` (``_checked_setting``).
 
     ``factor=None`` gives the joint correlation, labelled by the two photon
     labels; factor f gives that degree of freedom's correlation, labelled by
     the two photons' tokens on factor f alone with its numbered label
     (``a_pi2``).  Counts must have an integer dtype: floats, whole or not,
     are refused rather than truncated, and they must total below 2^53."""
-    layout = _layout_of(setting)
+    layout, u, d = _checked_setting(u, d)
     if factor is not None:
         factor = rng.checked_int("factor", factor, 0, len(layout.kinds) - 1)
     weights = layout.weight_rows[0 if factor is None else factor + 1]
@@ -326,8 +307,8 @@ def estimate(counts, setting: JointSetting, factor: int | None = None) -> Correl
         raise ValueError(f"counts must be {weights.size} nonnegative integers")
     if sum(c.tolist()) >= 1 << 53:  # summed in Python ints: an int64 sum can wrap
         raise ValueError("counts must total below 2^53, where estimates are exact")
-    factors = range(len(layout.kinds)) if factor is None else (factor,)
-    label = setting.labels_on(factors, [layout.labels[f] for f in factors])
+    factors = list(range(len(layout.kinds))) if factor is None else [factor]
+    label = tuple(" ".join(layout.tokens[factors, np.take(xs, factors)].tolist()) for xs in (u, d))
     return _records(c.astype(np.int64, copy=False)[None], weights[None], (label,))[0]
 
 

@@ -1,8 +1,13 @@
 """Test-side oracles and tools.  The term oracles are built from ``model``
 and ``itertools`` alone, so that a test checks the term order of ``bell`` and
 ``simlab`` instead of copying it from the code it tests; the SplitMix64
-stream is written from the generator's definition, not from ``rng``."""
+stream is written from the generator's definition, not from ``rng``.
 
+The oracle names an observable and a joint setting as objects
+(``ObservableId``, ``JointSetting``), where the package keeps only each
+photon's name digits per factor; ``JointSetting.digits`` gives those."""
+
+import dataclasses
 import functools
 import itertools
 import re
@@ -13,16 +18,68 @@ import numpy as np
 from hyperbell import model
 
 
+@dataclasses.dataclass(frozen=True)
+class ObservableId:
+    """One of the eight measurement observables, e.g. A_pi or b_k."""
+
+    name: str
+    kind: str
+
+    @property
+    def label(self):
+        return model.side_label((self.name,), model.factor_labels((self.kind,)))
+
+    @property
+    def digit(self):
+        """The name's digit, its place in ``model.NAMES``."""
+        return model.NAMES.index(self.name)
+
+
+def observable(obs):
+    """The 2x2 matrix of ``obs``, read from ``model.OBSERVABLES``."""
+    return model.OBSERVABLES[model.KINDS.index(obs.kind), obs.digit]
+
+
+def observable_ids(kind):
+    """All four observables of one kind, order (A, a, B, b)."""
+    return tuple(ObservableId(name, kind) for name in model.NAMES)
+
+
+@dataclasses.dataclass(frozen=True)
+class JointSetting:
+    """One ``ObservableId`` per photon and factor, factor 0 first."""
+
+    u_ids: tuple
+    d_ids: tuple
+
+    @property
+    def kinds(self):
+        return tuple(obs.kind for obs in self.u_ids)
+
+    @property
+    def digits(self):
+        """The (u, d) name digits that ``simlab`` takes for this setting."""
+        return tuple(tuple(obs.digit for obs in ids) for ids in (self.u_ids, self.d_ids))
+
+    def labels_on(self, factors, labels):
+        """(u, d) labels of the observables on ``factors`` alone, the token of
+        ``factors[i]`` carrying the factor label ``labels[i]``."""
+        return tuple(
+            model.side_label([ids[f].name for f in factors], labels)
+            for ids in (self.u_ids, self.d_ids)
+        )
+
+
 @functools.cache
 def term_settings(kinds):
     """The joint setting of each term of the Bell operator of ``kinds``, in
     term order: factor 0 slowest, per factor the pairs AB, Ab, aB, ab."""
     pairs = []
     for kind in kinds:
-        a, alt_a, b, alt_b = model.observable_ids(kind)
+        a, alt_a, b, alt_b = observable_ids(kind)
         pairs.append(list(itertools.product((a, alt_a), (b, alt_b))))
     return tuple(
-        model.JointSetting(*(tuple(ids) for ids in zip(*combo)))
+        JointSetting(*(tuple(ids) for ids in zip(*combo)))
         for combo in itertools.product(*pairs)
     )
 
@@ -36,6 +93,23 @@ def setting_labels(setting):
     """A setting's (u label, d label), every factor carrying its label from
     ``model.factor_labels`` (``A_pi a_k``)."""
     return setting.labels_on(range(len(setting.kinds)), model.factor_labels(setting.kinds))
+
+
+def analytic_correlations(probs):
+    """The joint correlation of a Born row of 4^N cells, u-major, then each
+    factor's: the row times the product of the two photons' outcome signs,
+    over every factor and then on each factor alone, each photon's outcomes
+    in ``product((1, -1), repeat=N)`` order."""
+    n = (len(probs).bit_length() - 1) // 2
+    signs = np.array(list(itertools.product((1, -1), repeat=n)), dtype=float).T
+    weights = (signs[:, :, None] * signs[:, None, :]).reshape(n, -1)
+    return tuple(float(probs @ w) for w in (weights.prod(axis=0), *weights))
+
+
+def marginals(probs):
+    """(u-side, d-side) outcome marginals of a Born row, each of length 2^N."""
+    grid = probs.reshape(int(np.sqrt(len(probs))), -1)
+    return grid.sum(axis=1), grid.sum(axis=0)
 
 
 def splitmix64(seed, n):

@@ -11,7 +11,7 @@ import numpy as np
 
 from hyperbell import bell, cli, lhv, model, qcore, simlab
 from hyperbell.model import NoiseModel
-from reference import canonical_settings
+from reference import analytic_correlations, canonical_settings, observable, observable_ids
 
 SQRT2 = math.sqrt(2.0)
 
@@ -44,13 +44,13 @@ def test_criterion_1_ideal_quantum_values():
 
 def test_criterion_2_enumerated_classical_bounds():
     start = time.perf_counter()
-    chsh = lhv.max_bound(bell.build_beta_pi(), lhv.FACTORIZABLE)
+    chsh = lhv.max_bound(bell.canonical_product(1), lhv.FACTORIZABLE)
     fact2 = lhv.max_bound(bell.canonical_product(2), lhv.FACTORIZABLE)
     fact3 = lhv.max_bound(bell.canonical_product(3), lhv.FACTORIZABLE)
     unrest2 = lhv.max_bound(bell.canonical_product(2), lhv.UNRESTRICTED)
     elapsed = time.perf_counter() - start
     replays = (
-        lhv.evaluate_strategy(bell.build_beta_pi(), chsh.witness) == chsh.bound
+        lhv.evaluate_strategy(bell.canonical_product(1), chsh.witness) == chsh.bound
         and lhv.evaluate_strategy(bell.canonical_product(2), fact2.witness) == fact2.bound
         and lhv.evaluate_strategy(bell.canonical_product(3), fact3.witness) == fact3.bound
         and lhv.evaluate_strategy(bell.canonical_product(2), unrest2.witness) == unrest2.bound
@@ -206,15 +206,15 @@ def test_criterion_7_property_suites():
     for noise in (NoiseModel(model.NOISE_NONE), NoiseModel(model.NOISE_WHITE, 0.9, 0.9)):
         state = model.apply_noise(model.hyper_state(math.pi, 0.0), noise)
         for setting in canonical_settings(2):
-            total = simlab.born_distribution(state, setting).probs.sum()
+            total = simlab.born_distribution(state, *setting.digits).sum()
             norm_ok = norm_ok and abs(total - 1.0) < 1e-9
     checks["born-normalization"] = norm_ok
 
     # Dichotomy O^2 = I at 1e-12 for all eight observables.
     dichotomy = True
     for kind in (model.POLARIZATION, model.PATH):
-        for obs in model.observable_ids(kind):
-            m = model.observable(obs)
+        for obs in observable_ids(kind):
+            m = observable(obs)
             dichotomy = dichotomy and np.max(np.abs(m @ m - np.eye(2))) < 1e-12
     checks["dichotomy"] = dichotomy
 
@@ -240,10 +240,10 @@ def test_criterion_7_property_suites():
     consistent = True
     for seed in (11, 22, 33, 44, 55):
         for idx, setting in enumerate(canonical_settings(2)):
-            dist = simlab.born_distribution(state, setting)
-            counts = simlab.sample(dist, 10**6, simlab.rng.derive_seed(seed, idx))
-            est = simlab.estimate(counts, setting)
-            analytic = simlab.analytic_correlations(dist)[0]
+            probs = simlab.born_distribution(state, *setting.digits)
+            counts = simlab.sample(probs, 10**6, simlab.rng.derive_seed(seed, idx))
+            est = simlab.estimate(counts, *setting.digits)
+            analytic = analytic_correlations(probs)[0]
             consistent = consistent and abs(est.E - analytic) < 5 * est.std_err
     checks["estimator-consistency"] = consistent
 

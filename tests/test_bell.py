@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from hyperbell import bell, lhv, model, qcore
-from hyperbell.model import NoiseModel, ObservableId, QuantumState
-from reference import assert_refused_before_allocating, term_settings
+from hyperbell.model import NoiseModel, QuantumState
+from reference import ObservableId, assert_refused_before_allocating, observable, term_settings
 
 SZ = np.diag([1, -1]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -36,6 +36,11 @@ PHI_MINUS = np.array([1, 0, 0, -1], dtype=complex) / SQRT2
 PSI_PLUS = np.array([0, 1, 1, 0], dtype=complex) / SQRT2
 
 
+def _beta_k():
+    """The shared path CHSH operator: factor 1 of the canonical N = 2 product."""
+    return bell.canonical_product(2).factors[1]
+
+
 def _reconstruct(op):
     """Signed sum of the term operators, each a Kronecker product of
     (u observable (x) d observable) blocks in the global tensor layout; the
@@ -43,7 +48,7 @@ def _reconstruct(op):
     out = np.zeros_like(op.matrix)
     for setting, sign in zip(term_settings(op.kinds), op.term_signs, strict=True):
         blocks = [
-            qcore.tensor(model.observable(u), model.observable(d))
+            qcore.tensor(observable(u), observable(d))
             for u, d in zip(setting.u_ids, setting.d_ids)
         ]
         out += sign * qcore.tensor_all(*blocks)
@@ -52,7 +57,7 @@ def _reconstruct(op):
 
 class TestChshOperators:
     def test_beta_pi_signs_and_order(self):
-        b = bell.build_beta_pi()
+        b = bell.canonical_product(1)
         pairs = bell.term_labels(b.factor_labels)
         labels = [(*pair, sign) for pair, sign in zip(pairs, b.term_signs)]
         assert labels == [
@@ -63,29 +68,29 @@ class TestChshOperators:
         ]
 
     def test_beta_k_signs_and_order(self):
-        b = bell.build_beta_k()
+        b = _beta_k()
         assert b.term_signs == (1, -1, 1, 1)
         assert all(type(sign) is int for sign in b.term_signs)
         assert bell.term_labels(b.factor_labels)[0] == ("A_k", "B_k")
 
     def test_matrices_match_pauli_construction(self):
-        np.testing.assert_allclose(bell.build_beta_pi().matrix, BETA_PI_REF, atol=1e-12)
-        np.testing.assert_allclose(bell.build_beta_k().matrix, BETA_K_REF, atol=1e-12)
+        np.testing.assert_allclose(bell.canonical_product(1).matrix, BETA_PI_REF, atol=1e-12)
+        np.testing.assert_allclose(_beta_k().matrix, BETA_K_REF, atol=1e-12)
 
     def test_hermitian_and_traceless(self):
-        for b in (bell.build_beta_pi(), bell.build_beta_k()):
-            assert qcore.is_hermitian(b.matrix, tol=1e-12)
+        for b in (bell.canonical_product(1), _beta_k()):
+            assert np.max(np.abs(b.matrix - b.matrix.conj().T)) <= 1e-12
             assert abs(np.trace(b.matrix)) < 1e-12
 
     def test_expectations_on_maximally_violating_states(self):
         """Term-by-term hand evaluation gives -2sqrt2 and +2sqrt2."""
-        val_pi = bell.quantum_value(bell.build_beta_pi(), QuantumState.pure(PHI_MINUS))
-        val_k = bell.quantum_value(bell.build_beta_k(), QuantumState.pure(PSI_PLUS))
+        val_pi = bell.quantum_value(bell.canonical_product(1), QuantumState.pure(PHI_MINUS))
+        val_k = bell.quantum_value(_beta_k(), QuantumState.pure(PSI_PLUS))
         assert val_pi == pytest.approx(-2 * SQRT2, abs=1e-12)
         assert val_k == pytest.approx(2 * SQRT2, abs=1e-12)
 
     def test_spectral_radius_is_tsirelson_value(self):
-        for b in (bell.build_beta_pi(), bell.build_beta_k()):
+        for b in (bell.canonical_product(1), _beta_k()):
             assert qcore.spectral_radius(b.matrix) == pytest.approx(2 * SQRT2, abs=1e-8)
             eigs = np.linalg.eigvalsh(b.matrix)
             np.testing.assert_allclose(
@@ -104,7 +109,7 @@ class TestProductOperator:
         np.testing.assert_allclose(_reconstruct(op), op.matrix, atol=1e-12)
 
     def test_single_factor_returned_unchanged(self):
-        base = bell.build_beta_pi()
+        base = bell.canonical_product(1)
         assert bell.build_beta_product([base]) is base
 
     def test_product_matrix_is_kron_of_factors(self):
@@ -155,7 +160,7 @@ class TestProductOperator:
         with pytest.raises(ValueError):
             bell.canonical_product(5)
         with pytest.raises(ValueError, match="single degree-of-freedom"):
-            bell.build_beta_product([bell.canonical_product(2), bell.build_beta_pi()])
+            bell.build_beta_product([bell.canonical_product(2), bell.canonical_product(1)])
 
     @pytest.mark.parametrize("build", [bell.canonical_product, bell.ideal_state,
                                        bell.scaling_report])
@@ -204,9 +209,9 @@ def _context(ids, alternate: str) -> int:
 
 SIGN_TABLE_OPERATORS = {
     **{f"canonical-{n}": lambda n=n: bell.canonical_product(n) for n in range(1, 5)},
-    "k-pi": lambda: bell.build_beta_product([bell.build_beta_k(), bell.build_beta_pi()]),
-    "pi-pi-pi": lambda: bell.build_beta_product([bell.build_beta_pi()] * 3),
-    "k-k": lambda: bell.build_beta_product([bell.build_beta_k()] * 2),
+    "k-pi": lambda: bell.build_beta_product([_beta_k(), bell.canonical_product(1)]),
+    "pi-pi-pi": lambda: bell.build_beta_product([bell.canonical_product(1)] * 3),
+    "k-k": lambda: bell.build_beta_product([_beta_k()] * 2),
 }
 
 
@@ -236,7 +241,7 @@ def _reference_chsh(kind, label):
         for j, d in enumerate(ObservableId(n, kind) for n in model.D_SIDE_NAMES):
             terms.append(((u,), (d,), table[i][j]))
             labels.append((f"{u.name}_{label}", f"{d.name}_{label}"))
-            matrix += table[i][j] * qcore.tensor(model.observable(u), model.observable(d))
+            matrix += table[i][j] * qcore.tensor(observable(u), observable(d))
     return SimpleNamespace(matrix=matrix, terms=tuple(terms), labels=labels, dof_count=1,
                            dim=4, factor_labels=(label,),
                            signs=np.array(table, dtype=np.int64))
@@ -276,7 +281,7 @@ def _reference_product(kinds):
     )
 
 
-_KIND_BUILDERS = {model.POLARIZATION: bell.build_beta_pi, model.PATH: bell.build_beta_k}
+_KIND_BUILDERS = {model.POLARIZATION: lambda: bell.canonical_product(1), model.PATH: _beta_k}
 ALL_PRODUCTS = [
     kinds
     for n in range(1, 5)
@@ -314,13 +319,15 @@ class TestStructuredOperator:
         assert "matrix" not in vars(op) and "term_signs" not in vars(op)
 
     def test_shared_factors_are_read_only(self):
-        for build in (bell.build_beta_pi, bell.build_beta_k):
-            assert build() is build()
+        pi, k = bell.canonical_product(2).factors
+        assert pi is bell.canonical_product(1) and k is bell.canonical_product(3).factors[1]
+        assert (pi.kinds, k.kinds) == ((model.POLARIZATION,), (model.PATH,))
+        for op in (pi, k):
+            assert bell.build_beta_product([op]) is op
             with pytest.raises(ValueError):
-                build().matrix[0, 0] = 1.0
+                op.matrix[0, 0] = 1.0
             with pytest.raises(ValueError):
-                build().signs[0, 0] = 0
-        assert bell.canonical_product(2).factors == (bell.build_beta_pi(), bell.build_beta_k())
+                op.signs[0, 0] = 0
 
     @pytest.mark.parametrize("n", range(1, bell.MAX_DOF + 1))
     def test_shared_tables_refuse_writes(self, n):
@@ -387,7 +394,7 @@ class TestQuantumValue:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
-            bell.quantum_value(bell.build_beta_pi(), bell.ideal_state(2))
+            bell.quantum_value(bell.canonical_product(1), bell.ideal_state(2))
 
 
 def _checked_values(state) -> list:

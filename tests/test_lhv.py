@@ -44,7 +44,7 @@ class TestEvaluateStrategy:
     def test_chsh_all_plus_one(self):
         """Direct substitution into the sign pattern (-,+,+,+): -1+1+1+1 = 2."""
         val = lhv.evaluate_strategy(
-            bell.build_beta_pi(), _all_plus(FACTORIZABLE, U_TOKENS_CHSH, D_TOKENS_CHSH)
+            bell.canonical_product(1), _all_plus(FACTORIZABLE, U_TOKENS_CHSH, D_TOKENS_CHSH)
         )
         assert val == 2
 
@@ -65,7 +65,7 @@ class TestEvaluateStrategy:
 
     def test_every_chsh_strategy_gives_plus_minus_two(self):
         """Exhaustive check over all 16 factorizable CHSH strategies."""
-        op = bell.build_beta_pi()
+        op = bell.canonical_product(1)
         seen = set()
         for u_vals in product((1, -1), repeat=2):
             for d_vals in product((1, -1), repeat=2):
@@ -74,13 +74,13 @@ class TestEvaluateStrategy:
         assert seen == {-2, 2}
 
     def test_missing_assignment_rejected(self):
-        op = bell.build_beta_pi()
+        op = bell.canonical_product(1)
         incomplete = LhvStrategy(FACTORIZABLE, side_u={"A_pi": 1}, side_d={"B_pi": 1, "b_pi": 1})
         with pytest.raises(ValueError, match="no assignment for 'a_pi'"):
             lhv.evaluate_strategy(op, incomplete)
 
     def test_non_sign_value_rejected(self):
-        op = bell.build_beta_pi()
+        op = bell.canonical_product(1)
         bad = _strategy(FACTORIZABLE, U_TOKENS_CHSH, [1, 0], D_TOKENS_CHSH, [1, 1])
         with pytest.raises(ValueError, match="must be \\+-1"):
             lhv.evaluate_strategy(op, bad)
@@ -113,7 +113,7 @@ class TestEvaluateStrategy:
     @pytest.mark.parametrize("photon", ["u", "d"])
     def test_side_that_is_no_dict_rejected(self, photon):
         """A list side escaped as TypeError: list indices must be integers."""
-        op = bell.build_beta_pi()
+        op = bell.canonical_product(1)
         listed, side_u, side_d = ["A_pi", "a_pi"], {"A_pi": 1, "a_pi": 1}, {"B_pi": 1, "b_pi": 1}
         sides = (listed, side_d) if photon == "u" else (side_u, listed)
         message = f"the side of photon {photon} must be a dict, got ['A_pi', 'a_pi']"
@@ -131,7 +131,7 @@ class TestEvaluateStrategy:
     def test_strategy_that_is_no_lhv_strategy_rejected(self):
         """It escaped as an AttributeError on ``strategy_class``."""
         with pytest.raises(ValueError, match="must be an LhvStrategy, got dict"):
-            lhv.evaluate_strategy(bell.build_beta_pi(), {"A_pi": 1})
+            lhv.evaluate_strategy(bell.canonical_product(1), {"A_pi": 1})
 
     @pytest.mark.parametrize("type_name", sorted(_NOT_OPERATORS))
     def test_operator_that_is_no_bell_operator_rejected(self, type_name):
@@ -185,7 +185,7 @@ class TestSignSymmetry:
         """Pinning the first u value to +1 halves the search without changing
         the maximum of |value| (N <= 2)."""
         for op, cls, u_tokens, d_tokens in (
-            (bell.build_beta_pi(), FACTORIZABLE, U_TOKENS_CHSH, D_TOKENS_CHSH),
+            (bell.canonical_product(1), FACTORIZABLE, U_TOKENS_CHSH, D_TOKENS_CHSH),
             (bell.canonical_product(2), FACTORIZABLE, U_TOKENS_N2, D_TOKENS_N2),
             (bell.canonical_product(2), UNRESTRICTED, U_CONTEXTS_N2, D_CONTEXTS_N2),
         ):
@@ -203,7 +203,7 @@ class TestSignSymmetry:
 
 class TestMaxBound:
     def test_chsh_factorizable_bound(self):
-        res = lhv.max_bound(bell.build_beta_pi(), FACTORIZABLE)
+        res = lhv.max_bound(bell.canonical_product(1), FACTORIZABLE)
         assert res.bound == 2
         assert res.strategies_evaluated == 16
 
@@ -244,7 +244,7 @@ class TestMaxBound:
     @pytest.mark.parametrize(
         "cls,op_builder",
         [
-            (FACTORIZABLE, bell.build_beta_pi),
+            (FACTORIZABLE, lambda: bell.canonical_product(1)),
             (FACTORIZABLE, lambda: bell.canonical_product(2)),
             (FACTORIZABLE, lambda: bell.canonical_product(3)),
             pytest.param(
@@ -313,7 +313,7 @@ class TestMaxBound:
 
     def test_unknown_class_rejected(self):
         with pytest.raises(ValueError, match="strategy class"):
-            lhv.max_bound(bell.build_beta_pi(), "nonlocal")
+            lhv.max_bound(bell.canonical_product(1), "nonlocal")
 
     @pytest.mark.parametrize("type_name", sorted(_NOT_OPERATORS))
     def test_operator_that_is_no_bell_operator_rejected(self, type_name, monkeypatch):
@@ -466,7 +466,10 @@ def _reference_unrestricted(t):
     return int(row_best[ui]), ui, lhv._min_matching_sign_index(weights[ui])
 
 
-_CHSH = {"pi": bell.build_beta_pi, "k": bell.build_beta_k}
+_CHSH = {
+    "pi": lambda: bell.canonical_product(1),
+    "k": lambda: bell.canonical_product(2).factors[1],
+}
 
 
 @st.composite

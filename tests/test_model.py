@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperbell import bell, model, qcore, simlab
-from hyperbell.model import JointSetting, NoiseModel, ObservableId, QuantumState
-from reference import assert_refused_before_allocating
+from hyperbell.model import NoiseModel, QuantumState
+from reference import ObservableId, assert_refused_before_allocating, observable
 
 SZ = np.diag([1, -1]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -90,12 +90,15 @@ class TestConventions:
         basis = reduce(np.kron, [np.array(conv.kets[kets[slot]]) for slot in conv.factor_order])
         assert np.vdot(basis, model.hyper_state(0.0, 0.0).vector) == pytest.approx(0.5, abs=1e-15)
 
-    def test_observable_id_validation(self):
-        with pytest.raises(ValueError):
-            ObservableId("X", model.POLARIZATION)
-        with pytest.raises(ValueError):
-            ObservableId("A", "momentum")
-        assert a_K.label == "a_k" and b_PI.label == "b_pi"
+    def test_observables_are_one_read_only_table_by_kind_and_name_digit(self):
+        """``OBSERVABLES[kind index, name digit]``, A, a, B, b as 0..3, with
+        photon u's names first."""
+        assert model.NAMES == ("A", "a", "B", "b")
+        assert (model.U_SIDE_NAMES, model.D_SIDE_NAMES) == (("A", "a"), ("B", "b"))
+        table = model.OBSERVABLES
+        assert table.shape == (len(model.KINDS), 4, 2, 2) and table.dtype == complex
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0, 0, 0] = 0.0
 
     def test_pair_basis_index_order(self):
         """|HH> sits at index 0 of the polarization block, |lr> at index 1 of
@@ -106,68 +109,15 @@ class TestConventions:
         np.testing.assert_allclose(path, [0, 1 / SQRT2, 1 / SQRT2, 0], atol=1e-12)
 
 
-class TestJointSetting:
+class TestSettingLabels:
     def test_labels_number_repeated_kinds(self):
-        setting = JointSetting((A_PI, a_K, a_PI), (B_PI, b_K, B_PI))
-        assert setting.kinds == (model.POLARIZATION, model.PATH, model.POLARIZATION)
-        labels = model.factor_labels(setting.kinds)
-        assert setting.labels_on(range(3), labels) == ("A_pi a_k a_pi2", "B_pi b_k B_pi2")
-        setting = JointSetting((A_K, a_K, A_PI, a_K), (B_K, B_K, b_PI, b_K))
-        labels = model.factor_labels(setting.kinds)
-        assert setting.labels_on(range(4), labels) == ("A_k a_k2 A_pi a_k3", "B_k B_k2 b_pi b_k3")
-
-    def test_equality_and_hash_by_observables(self):
-        first = JointSetting((A_PI, A_K), (B_PI, b_K))
-        second = JointSetting((A_PI, A_K), (B_PI, b_K))
-        assert first == second and hash(first) == hash(second)
-        assert first != JointSetting((A_PI, A_K), (B_PI, B_K))
-
-    @pytest.mark.parametrize(
-        "u_ids,d_ids,match",
-        [
-            ((A_PI,), (B_K,), "A_pi is not a path observable like B_k"),
-            ((A_PI, a_K), (B_PI, b_PI), "a_k is not a polarization observable like b_pi"),
-            ((A_K, A_PI), (B_PI, B_K), "A_k is not a polarization observable like B_pi"),
-            ((A_PI, A_K), (B_PI,), "photon u measures 2 degrees of freedom, photon d 1"),
-        ],
-        ids=["one-dof", "second-factor", "swapped", "lengths"],
-    )
-    def test_different_kinds_at_one_position_refused(self, u_ids, d_ids, match):
-        with pytest.raises(ValueError, match=match):
-            JointSetting(u_ids, d_ids)
-
-    @pytest.mark.parametrize(
-        "u_ids,d_ids,match",
-        [
-            ([A_PI, A_K], [B_PI, B_K], "u_ids must be a tuple of ObservableId"),
-            ((A_PI, A_K), [B_PI, B_K], "d_ids must be a tuple of ObservableId"),
-            (("A_pi",), ("B_pi",), "u_ids must be a tuple of ObservableId"),
-            ((A_PI,), ("B_pi",), "d_ids must be a tuple of ObservableId"),
-        ],
-        ids=["lists", "d-list", "strings", "d-strings"],
-    )
-    def test_ids_other_than_a_tuple_of_observables_refused(self, u_ids, d_ids, match):
-        """Lists built and failed later as unhashable Born-table keys; strings
-        failed with an AttributeError on ``kind``."""
-        with pytest.raises(ValueError, match=match):
-            JointSetting(u_ids, d_ids)
-
-    def test_more_factors_than_max_dof_refused(self):
-        JointSetting((A_PI,) * model.MAX_DOF, (B_PI,) * model.MAX_DOF)
-        with pytest.raises(ValueError, match=r"kinds must be 1 to 4 of .*, got \(('polarization', ){4}'polarization'\)"):
-            JointSetting((A_PI,) * (model.MAX_DOF + 1), (B_PI,) * (model.MAX_DOF + 1))
-
-    def test_no_factor_refused(self):
-        with pytest.raises(ValueError, match=r"kinds must be 1 to 4 of .*, got \(\)"):
-            JointSetting((), ())
-
-    def test_labels_on_applies_the_rule_to_chosen_factors(self):
-        setting = JointSetting((A_PI, a_K, a_PI), (B_PI, b_K, B_PI))
-        full = setting.labels_on(range(3), model.factor_labels(setting.kinds))
-        assert full == ("A_pi a_k a_pi2", "B_pi b_k B_pi2")
-        assert setting.labels_on((2,), ("pi2",)) == ("a_pi2", "B_pi2")
-        assert setting.labels_on((0, 2), ("pi", "pi2")) == ("A_pi a_pi2", "B_pi B_pi2")
-        assert [obs.label for obs in setting.u_ids] == ["A_pi", "a_k", "a_pi"]
+        """A token is ``name_label``, a repeated kind numbered from 2, and a
+        photon's label joins its tokens, factor 0 first."""
+        labels = model.factor_labels((model.POLARIZATION, model.PATH, model.POLARIZATION))
+        assert labels == ("pi", "k", "pi2")
+        assert model.side_label("Aaa", labels) == "A_pi a_k a_pi2"
+        labels = model.factor_labels((model.PATH, model.PATH, model.POLARIZATION, model.PATH))
+        assert model.side_label("BBbb", labels) == "B_k B_k2 b_pi b_k3"
 
 
 class TestHyperState:
@@ -365,20 +315,20 @@ class TestQuantumState:
 
 class TestObservables:
     def test_polarization_primary_is_diagonal(self):
-        np.testing.assert_array_equal(model.observable(A_PI), np.diag([1, -1]))
+        np.testing.assert_array_equal(observable(A_PI), np.diag([1, -1]))
 
     def test_path_alternate_matches_ketbra_expansion(self):
         """i(|r><l| - |l><r|) written out entrywise."""
         expected = np.array([[0, -1j], [1j, 0]])
-        np.testing.assert_allclose(model.observable(a_K), expected, atol=1e-15)
+        np.testing.assert_allclose(observable(a_K), expected, atol=1e-15)
 
     @pytest.mark.parametrize("obs", ALL_IDS, ids=lambda o: o.label)
     def test_pauli_identification(self, obs):
-        np.testing.assert_allclose(model.observable(obs), PAULI_FORM[obs], atol=1e-15)
+        np.testing.assert_allclose(observable(obs), PAULI_FORM[obs], atol=1e-15)
 
     @pytest.mark.parametrize("obs", ALL_IDS, ids=lambda o: o.label)
     def test_dichotomic(self, obs):
-        m = model.observable(obs)
+        m = observable(obs)
         np.testing.assert_allclose(m @ m, I2, atol=1e-12)
         np.testing.assert_allclose(m, m.conj().T, atol=1e-12)
         assert abs(np.trace(m)) < 1e-12
@@ -386,15 +336,15 @@ class TestObservables:
     def test_incompatible_pairs_anticommute(self):
         # Integer-valued pair cancels exactly; the 1/sqrt2-valued pairs pick
         # up FMA rounding residue from the BLAS matmul, far below 1e-12.
-        mx, my = model.observable(A_PI), model.observable(a_PI)
+        mx, my = observable(A_PI), observable(a_PI)
         assert np.all(mx @ my + my @ mx == 0.0)
         for x, y in ((B_PI, b_PI), (A_K, a_K), (B_K, b_K)):
-            mx, my = model.observable(x), model.observable(y)
+            mx, my = observable(x), observable(y)
             assert np.max(np.abs(mx @ my + my @ mx)) < 1e-12, f"{x.label},{y.label}"
 
 
 def _setting_projectors(pol, path, photon):
-    return model.pair_projectors(model.observable(pol), model.observable(path), photon)
+    return model.pair_projectors(observable(pol), observable(path), photon)
 
 
 def _setting_operator(pol, path, photon):
@@ -402,7 +352,7 @@ def _setting_operator(pol, path, photon):
     with np.kron in the global order (pol_u, pol_d, path_u, path_d)."""
     slots = [I2, I2, I2, I2]
     first = 0 if photon == "u" else 1
-    slots[first], slots[first + 2] = model.observable(pol), model.observable(path)
+    slots[first], slots[first + 2] = observable(pol), observable(path)
     out = slots[0]
     for m in slots[1:]:
         out = np.kron(out, m)
@@ -445,6 +395,11 @@ class TestLocalSettingOperator:
         assert np.sum(np.isclose(eigs, -1.0, atol=1e-9)) == 8
 
 
+def _stack(ids):
+    """``simlab._side_projectors`` of one photon's observables."""
+    return simlab._side_projectors(tuple(o.kind for o in ids), tuple(o.digit for o in ids))
+
+
 class TestLocalProjectors:
     """A photon's joint-outcome projectors on its own space, the stacks the
     Born kernel contracts (``simlab._side_projectors``)."""
@@ -453,7 +408,7 @@ class TestLocalProjectors:
     def test_stack_is_a_complete_projective_measurement(self, pol, path):
         """Four orthogonal rank-1 projectors on one photon's 4-dim space; the
         names need not belong to the photon or match their slot's kind."""
-        stack = simlab._side_projectors((pol, path)).reshape(4, 4, 4)
+        stack = _stack((pol, path)).reshape(4, 4, 4)
         np.testing.assert_allclose(stack.sum(axis=0), np.eye(4), atol=1e-15)
         for i, p in enumerate(stack):
             np.testing.assert_allclose(p, p.conj().T, atol=1e-15)
@@ -465,8 +420,8 @@ class TestLocalProjectors:
         """Entry 2*s + t is (I + s M_pol)/2 x (I + t M_path)/2, signs in
         order (+1, -1), polarization first: the per-photon factor of
         ``pair_projectors``."""
-        pm, km = model.observable(B_PI), model.observable(a_K)
-        stack = simlab._side_projectors((B_PI, a_K)).reshape(4, 4, 4)
+        pm, km = observable(B_PI), observable(a_K)
+        stack = _stack((B_PI, a_K)).reshape(4, 4, 4)
         for idx, (s, t) in enumerate(((1, 1), (1, -1), (-1, 1), (-1, -1))):
             expected = np.kron((I2 + s * pm) / 2, (I2 + t * km) / 2)
             np.testing.assert_array_equal(stack[idx], expected)
@@ -475,13 +430,13 @@ class TestLocalProjectors:
     def test_stack_is_kron_over_every_factor(self, ids):
         """Entry o is the Kronecker product of each factor's (I + s_f M_f)/2,
         the signs s_f of o in ``product((1, -1), repeat=N)`` order."""
-        stack = simlab._side_projectors(ids)
+        stack = _stack(ids)
         dim = 2 ** len(ids)
         assert stack.shape == (dim, dim * dim)
         for o, signs in enumerate(itertools.product((1, -1), repeat=len(ids))):
             expected = np.ones((1, 1))
             for s, obs in zip(signs, ids):
-                expected = np.kron(expected, (I2 + s * model.observable(obs)) / 2)
+                expected = np.kron(expected, (I2 + s * observable(obs)) / 2)
             np.testing.assert_allclose(stack[o].reshape(dim, dim), expected, atol=1e-15)
 
 

@@ -220,7 +220,7 @@ class TestDensityMatrixCheck:
         qcore.expectation_mixed(SZ, I2 / 2)
         assert len(calls) == 3
 
-    @pytest.mark.parametrize("check", [qcore.check_density_matrix, qcore.is_hermitian])
+    @pytest.mark.parametrize("check", [qcore.check_density_matrix, qcore.spectral_radius])
     def test_non_finite_entries_refused(self, check):
         with pytest.raises(ValueError, match="finite"):
             check(np.array([[np.nan, 0], [0, 1]], dtype=complex))

@@ -17,10 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperbell import bell, lhv, model, qcore, rng, simlab
-from hyperbell.model import JointSetting, NoiseModel, ObservableId, QuantumState
+from hyperbell.model import NoiseModel, QuantumState
 from reference import (
+    JointSetting,
+    ObservableId,
+    analytic_correlations,
     assert_refused_before_allocating,
     canonical_settings,
+    marginals,
+    observable,
     setting_labels,
     splitmix64,
     splitmix64_uniform,
@@ -41,6 +46,16 @@ def _setting(up, uk, dp, dk):
         (_obs(up, model.POLARIZATION), _obs(uk, model.PATH)),
         (_obs(dp, model.POLARIZATION), _obs(dk, model.PATH)),
     )
+
+
+def _digits(up, uk, dp, dk):
+    """The (u, d) name digits of an N = 2 setting given by its names."""
+    return _setting(up, uk, dp, dk).digits
+
+
+def _stack(ids):
+    """``simlab._side_projectors`` of one photon's observables."""
+    return simlab._side_projectors(tuple(o.kind for o in ids), tuple(o.digit for o in ids))
 
 
 IDEAL = model.hyper_state(np.pi, 0.0)
@@ -66,69 +81,67 @@ class TestSettings:
         result = simlab.run_simulated_experiment(IDEAL, 100, seed=0)
         assert tuple(rec.label for rec in result.joint_records) == term_labels
 
-    def test_kind_validation(self):
-        with pytest.raises(ValueError, match="not a polarization"):
-            JointSetting(
-                (_obs("A", model.PATH), _obs("A", model.PATH)),
-                (_obs("B", model.POLARIZATION), _obs("B", model.PATH)),
-            )
-
     def test_settings_are_the_product_terms(self):
         """The first 16 cells of the pass measure the operator's own terms, in
         term order, each for its joint correlation."""
-        settings = canonical_settings(2)
-        terms = [(*_setting_names(s), None) for s in settings]
+        terms = [(*_setting_names(s), None) for s in canonical_settings(2)]
         assert _table_cells(simlab._layout(2))[:16] == terms
-        assert all(isinstance(s, JointSetting) for s in settings)
 
     @pytest.mark.parametrize(
-        "kinds",
+        "u,d,match",
         [
-            (model.PATH, model.POLARIZATION),
-            (model.PATH,),
-            (model.POLARIZATION, model.PATH, model.PATH),
+            ([0, 1], (2, 3), r"^u must be a tuple of 1 to 4 name digits, got \[0, 1\]"),
+            ((0, 1), [2, 3], r"^d must be a tuple of 1 to 4 name digits, got \[2, 3\]"),
+            ("Aa", (2, 3), r"^u must be a tuple of 1 to 4 name digits, got 'Aa'"),
+            (None, (2, 3), r"^u must be a tuple of 1 to 4 name digits, got None"),
+            ((), (), r"^u must be a tuple of 1 to 4 name digits, got \(\)"),
+            ((0,) * 5, (2,) * 5, r"^u must be a tuple of 1 to 4 .*, got \(0, 0, 0, 0, 0\)"),
+            ((0, 4), (2, 3), r"^u name digit must be in \[0, 3\] \(got 4\)"),
+            ((0, 1), (2, -1), r"^d name digit must be in \[0, 3\] \(got -1\)"),
+            (("A", "a"), (2, 3), r"^u name digit must be an integer \(got 'A'\)"),
+            ((True, 1), (2, 3), r"^u name digit must be an integer \(got True\)"),
+            ((0, np.True_), (2, 3), r"^u name digit must be an integer \(got (np\.)?True_?\)"),
+            ((0, 1), (2.0, 3), r"^d name digit must be an integer \(got 2\.0\)"),
+            ((0, 1), (2,), r"^u and d must name as many factors, got 2 and 1"),
+            ((0,), (2, 3, 2), r"^u and d must name as many factors, got 1 and 3"),
         ],
-        ids=["swapped", "one-dof", "three-dof"],
+        ids=["u-list", "d-list", "u-str", "u-none", "empty", "five-digits", "digit-4",
+             "digit-minus-1", "name-not-digit", "bool", "numpy-bool", "float", "lengths",
+             "lengths-d-longer"],
     )
-    def test_non_pol_path_setting_refused(self, kinds):
-        """Born and the estimator take only the kinds polarization, path,
-        polarization, ... (``model.canonical_kinds``) on both photons and name
-        the first offending observable."""
-        setting = JointSetting(
-            tuple(_obs("A", k) for k in kinds), tuple(_obs("B", k) for k in kinds)
-        )
-        state = STATES[len(kinds)][0]
-        with pytest.raises(ValueError, match="A_k is not a polarization"):
-            simlab.born_distribution(state, setting)
-        with pytest.raises(ValueError, match="A_k is not a polarization"):
-            simlab.estimate(np.full(4 ** len(kinds), 10, dtype=int), setting)
+    def test_setting_other_than_two_digit_tuples_refused(self, u, d, match):
+        """Born and the estimator take a setting as two tuples of 1 to
+        ``MAX_DOF`` name digits in 0..3, as many on each photon, and refuse
+        anything else naming the photon, before any table or stack is built."""
+        counts = np.full(16, 10, dtype=int)
+        assert_refused_before_allocating(lambda: simlab.born_distribution(IDEAL, u, d), match)
+        assert_refused_before_allocating(lambda: simlab.estimate(counts, u, d), match)
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_canonical_kinds_accepted_at_every_dof_count(self, n):
-        kinds = model.canonical_kinds(n)
-        setting = JointSetting(
-            tuple(_obs("A", k) for k in kinds), tuple(_obs("B", k) for k in kinds)
-        )
-        dist = simlab.born_distribution(STATES[n][0], setting)
-        assert dist.probs.shape == (4**n,)
-        assert simlab.estimate(np.full(4**n, 10, dtype=int), setting).n_events == 10 * 4**n
+        """Digits (A, ..., A) and (B, ..., B) at N = 1 and 3; numpy integer
+        digits are the ints."""
+        u, d = (0,) * n, (2,) * n
+        probs = simlab.born_distribution(STATES[n][0], u, d)
+        assert probs.shape == (4**n,)
+        numpy_digits = tuple(np.int64(x) for x in u), tuple(np.uint8(x) for x in d)
+        assert simlab.born_distribution(STATES[n][0], *numpy_digits).tobytes() == probs.tobytes()
+        assert simlab.estimate(np.full(4**n, 10, dtype=int), u, d).n_events == 10 * 4**n
 
 
 class TestBornDistribution:
-    def test_equality_is_identity_and_hashable(self):
-        """Field-wise equality compared the ndarray probabilities and raised."""
-        setting = _setting("A", "A", "A", "A")
-        dist = simlab.born_distribution(IDEAL, setting)
-        other = simlab.born_distribution(IDEAL, setting)
-        assert dist == dist and dist != other
-        assert len({dist, other, dist}) == 2
+    def test_returns_a_fresh_probability_row(self):
+        """The row itself, 4^N floats: no object wraps it, and each call
+        returns its own array."""
+        probs = simlab.born_distribution(IDEAL, *_digits("A", "A", "A", "A"))
+        other = simlab.born_distribution(IDEAL, *_digits("A", "A", "A", "A"))
+        assert type(probs) is np.ndarray and probs.dtype == np.float64 and probs.shape == (16,)
+        assert probs is not other and probs.tobytes() == other.tobytes()
 
     def test_perfect_correlations_on_matched_setting(self):
         """With A_pi and A_k measured on both photons of the source state the
         polarization outcomes always agree, and so do the path outcomes."""
-        setting = _setting("A", "A", "A", "A")  # same observables on photon d
-        dist = simlab.born_distribution(IDEAL, setting)
-        grid = dist.probs.reshape(4, 4)
+        grid = simlab.born_distribution(IDEAL, *_digits("A", "A", "A", "A")).reshape(4, 4)
         p_pol_match = sum(
             grid[i, j]
             for i, (pu, ku) in enumerate(OUTCOME_PAIRS)
@@ -145,32 +158,37 @@ class TestBornDistribution:
         assert p_path_match == pytest.approx(1.0, abs=1e-12)
 
     def test_maximally_mixed_is_uniform(self):
-        dist = simlab.born_distribution(MIXED_MAX, _setting("A", "a", "B", "b"))
-        np.testing.assert_allclose(dist.probs, np.full(16, 1 / 16), atol=1e-12)
+        probs = simlab.born_distribution(MIXED_MAX, *_digits("A", "a", "B", "b"))
+        np.testing.assert_allclose(probs, np.full(16, 1 / 16), atol=1e-12)
 
     @pytest.mark.parametrize("state", [IDEAL, NOISY, MIXED_MAX], ids=["ideal", "noisy", "mixed"])
     def test_normalization(self, state):
         for setting in canonical_settings(2):
-            dist = simlab.born_distribution(state, setting)
-            assert dist.probs.sum() == pytest.approx(1.0, abs=1e-9)
-            assert np.all(dist.probs >= 0.0)
+            probs = simlab.born_distribution(state, *setting.digits)
+            assert probs.sum() == pytest.approx(1.0, abs=1e-9)
+            assert np.all(probs >= 0.0)
 
     def test_analytic_joint_correlation_is_half(self):
         """Product state: E_joint = (1/sqrt2) * (1/sqrt2) = 0.5 on the first
         canonical setting."""
-        dist = simlab.born_distribution(IDEAL, _setting("A", "A", "B", "B"))
-        joint, pol, path = simlab.analytic_correlations(dist)
+        probs = simlab.born_distribution(IDEAL, *_digits("A", "A", "B", "B"))
+        joint, pol, path = analytic_correlations(probs)
         assert pol == pytest.approx(1 / SQRT2, abs=1e-12)
         assert path == pytest.approx(1 / SQRT2, abs=1e-12)
         assert joint == pytest.approx(0.5, abs=1e-12)
 
-    def test_state_must_match_setting_dof_count(self):
-        single = QuantumState.mixed(np.eye(4, dtype=complex) / 4)
-        with pytest.raises(ValueError, match="measures 2 degrees of freedom, the state has 1"):
-            simlab.born_distribution(single, _setting("A", "A", "B", "B"))
-        one_dof = JointSetting((_obs("A", model.POLARIZATION),), (_obs("B", model.POLARIZATION),))
-        with pytest.raises(ValueError, match="measures 1 degrees of freedom, the state has 2"):
-            simlab.born_distribution(IDEAL, one_dof)
+    @pytest.mark.parametrize(
+        "state,u,d,match",
+        [
+            (QuantumState.mixed(np.eye(4, dtype=complex) / 4), (0, 0), (2, 2),
+             "measures 2 degrees of freedom, the state has 1"),
+            (IDEAL, (0,), (2,), "measures 1 degrees of freedom, the state has 2"),
+            (IDEAL, (0, 0, 0), (2, 2, 2), "measures 3 degrees of freedom, the state has 2"),
+        ],
+        ids=["two-on-one", "one-on-two", "three-on-two"],
+    )
+    def test_state_must_match_setting_dof_count(self, state, u, d, match):
+        assert_refused_before_allocating(lambda: simlab.born_distribution(state, u, d), match)
 
 
 NAMES = ("A", "a", "B", "b")
@@ -183,8 +201,8 @@ def _reference_born(state, setting):
     """Born probabilities from 16x16 embedded joint-outcome projectors,
     p = Tr[P_d P_u rho] cell by cell: the construction the contraction
     kernel must reproduce."""
-    proj_u = model.pair_projectors(*map(model.observable, setting.u_ids), model.PHOTON_U)
-    proj_d = model.pair_projectors(*map(model.observable, setting.d_ids), model.PHOTON_D)
+    proj_u = model.pair_projectors(*map(observable, setting.u_ids), model.PHOTON_U)
+    proj_d = model.pair_projectors(*map(observable, setting.d_ids), model.PHOTON_D)
     probs = np.empty(16)
     for i, u_out in enumerate(OUTCOME_PAIRS):
         left = proj_u[u_out] @ state.rho
@@ -209,7 +227,7 @@ class TestBornKernelEquivalence:
         state = model.apply_noise(model.hyper_state(0.7, -1.3), noise)
         worst = max(
             float(np.max(np.abs(
-                simlab.born_distribution(state, setting).probs - _reference_born(state, setting)
+                simlab.born_distribution(state, *setting.digits) - _reference_born(state, setting)
             )))
             for setting in ALL_ASSIGNMENTS
         )
@@ -231,10 +249,10 @@ class TestBornInvariantsProperty:
         state = model.apply_noise(model.hyper_state(theta, phi), NoiseModel(kind, v_pi, v_k))
         margs = {"u": {}, "d": {}}
         for setting in ALL_ASSIGNMENTS:
-            dist = simlab.born_distribution(state, setting)
-            assert abs(dist.probs.sum() - 1.0) < 1e-12
-            assert np.all(dist.probs >= 0.0)
-            mu, md = simlab.marginals(dist)
+            probs = simlab.born_distribution(state, *setting.digits)
+            assert abs(probs.sum() - 1.0) < 1e-12
+            assert np.all(probs >= 0.0)
+            mu, md = marginals(probs)
             margs["u"].setdefault(setting.u_ids, []).append(mu)
             margs["d"].setdefault(setting.d_ids, []).append(md)
         for side in margs.values():
@@ -264,7 +282,7 @@ def _kron_reference_born(state, setting):
     def embedded(ids, signs, photon):
         out = np.ones((1, 1))
         for obs, s in zip(ids, signs):
-            p = (np.eye(2) + s * model.observable(obs)) / 2
+            p = (np.eye(2) + s * observable(obs)) / 2
             out = np.kron(out, np.kron(p, np.eye(2)) if photon == "u" else np.kron(np.eye(2), p))
         return out
 
@@ -292,7 +310,7 @@ class TestBornAtOneAndThreeDof:
             (names[:n], names[-n:]), (("b",) * n, ("a",) * n), (names[1 : n + 1], names[:n])
         ):
             setting = _canonical_setting(u_names, d_names)
-            probs = simlab.born_distribution(state, setting).probs
+            probs = simlab.born_distribution(state, *setting.digits)
             assert probs.shape == (4**n,)
             np.testing.assert_allclose(probs, _kron_reference_born(state, setting), atol=1e-14)
 
@@ -314,14 +332,14 @@ class TestBornAtOneAndThreeDof:
         noise = NoiseModel(kind, v_pi, v_k)
         state = model.apply_noise(model.product_state(kinds, phases[:n]), noise)
         u, u2, d, d2 = (data.draw(_names(n)) for _ in range(4))
-        dists = {
-            key: simlab.born_distribution(state, _canonical_setting(*key))
+        rows = {
+            key: simlab.born_distribution(state, *_canonical_setting(*key).digits)
             for key in ((tuple(u), tuple(d)), (tuple(u), tuple(d2)), (tuple(u2), tuple(d)))
         }
-        for dist in dists.values():
-            assert abs(dist.probs.sum() - 1.0) < 1e-12
-            assert np.all(dist.probs >= 0.0)
-        margs = {key: simlab.marginals(dist) for key, dist in dists.items()}
+        for probs in rows.values():
+            assert abs(probs.sum() - 1.0) < 1e-12
+            assert np.all(probs >= 0.0)
+        margs = {key: marginals(probs) for key, probs in rows.items()}
         mu, md = margs[tuple(u), tuple(d)]
         assert np.max(np.abs(mu - margs[tuple(u), tuple(d2)][0])) < 1e-12
         assert np.max(np.abs(md - margs[tuple(u2), tuple(d)][1])) < 1e-12
@@ -359,7 +377,7 @@ class TestNoSignaling:
         state = model.apply_noise(model.hyper_state(theta, phi, n), noise)
         groups = {}
         for setting in canonical_settings(n):
-            margs = simlab.marginals(simlab.born_distribution(state, setting))
+            margs = marginals(simlab.born_distribution(state, *setting.digits))
             for key, marg in zip(zip("ud", setting_labels(setting)), margs):
                 groups.setdefault(key, []).append(marg)
         expected = max(float(np.ptp(np.stack(m), axis=0).max()) for m in groups.values())
@@ -380,22 +398,20 @@ class TestSample:
     def test_point_distribution(self):
         probs = np.zeros(16)
         probs[5] = 1.0
-        dist = simlab.OutcomeDistribution(_setting("A", "A", "B", "B"), probs)
-        counts = simlab.sample(dist, 1234, seed=99)
+        counts = simlab.sample(probs, 1234, seed=99)
         assert counts[5] == 1234 and counts.sum() == 1234
 
     def test_seed_replay(self):
-        dist = simlab.born_distribution(NOISY, _setting("a", "a", "b", "b"))
-        first = simlab.sample(dist, 5000, seed=17)
-        second = simlab.sample(dist, 5000, seed=17)
+        probs = simlab.born_distribution(NOISY, *_digits("a", "a", "b", "b"))
+        first = simlab.sample(probs, 5000, seed=17)
+        second = simlab.sample(probs, 5000, seed=17)
         np.testing.assert_array_equal(first, second)
 
     def test_golden_counts(self):
         """Pinned to (seed=42, splitmix64-invcdf-v1); a change here means the
         generator identity changed."""
         assert rng.GENERATOR_ID == "splitmix64-invcdf-v1"
-        dist = simlab.OutcomeDistribution(_setting("A", "A", "B", "B"), np.full(16, 1 / 16))
-        counts = simlab.sample(dist, 1000, seed=42)
+        counts = simlab.sample(np.full(16, 1 / 16), 1000, seed=42)
         golden = [71, 68, 71, 63, 58, 69, 56, 69, 52, 56, 61, 61, 54, 69, 55, 67]
         assert counts.tolist() == golden
 
@@ -416,8 +432,7 @@ class TestSample:
 
     def test_uniform_cells_within_binomial_range(self):
         """Each cell of a uniform multinomial stays within 5 binomial sigma."""
-        dist = simlab.OutcomeDistribution(_setting("A", "A", "B", "B"), np.full(16, 1 / 16))
-        counts = simlab.sample(dist, 10**6, seed=11)
+        counts = simlab.sample(np.full(16, 1 / 16), 10**6, seed=11)
         sigma = math.sqrt(10**6 * (1 / 16) * (15 / 16))
         assert np.all(np.abs(counts - 62500) < 5 * sigma)
 
@@ -1189,15 +1204,15 @@ def _fresh_side_projectors(pol, path):
     (I +- M)/2 pairs."""
     signs = np.array([1.0, -1.0])[:, None, None]
     i2 = np.eye(2, dtype=complex)
-    pm = model.observable(_obs(pol, model.POLARIZATION))
-    km = model.observable(_obs(path, model.PATH))
+    pm = observable(_obs(pol, model.POLARIZATION))
+    km = observable(_obs(path, model.PATH))
     return np.einsum("sac,tbd->stabcd", (i2 + signs * pm) / 2.0, (i2 + signs * km) / 2.0).reshape(
         4, 16
     )
 
 
 def _side_projectors(pol, path):
-    return simlab._side_projectors((_obs(pol, model.POLARIZATION), _obs(path, model.PATH)))
+    return simlab._side_projectors(model.canonical_kinds(2), (NAMES.index(pol), NAMES.index(path)))
 
 
 def _fresh_marginal_operator(n, f, kind, u_name, d_name):
@@ -1205,7 +1220,7 @@ def _fresh_marginal_operator(n, f, kind, u_name, d_name):
     other factors: the reference for an assumption row's analytic value."""
     i2 = np.eye(2, dtype=complex)
     slots = [i2] * (2 * n)
-    slots[2 * f : 2 * f + 2] = (model.observable(_obs(name, kind)) for name in (u_name, d_name))
+    slots[2 * f : 2 * f + 2] = (observable(_obs(name, kind)) for name in (u_name, d_name))
     return qcore.tensor_all(*slots)
 
 
@@ -1225,13 +1240,17 @@ class TestConstantTables:
         assert entry.tobytes() == fresh.tobytes()
 
     def test_tables_cover_exactly_the_used_keys(self):
-        keys = {_obs(name, kind) for name in NAMES for kind in model.KINDS}
-        assert set(simlab._OUTCOME_PROJECTORS) == keys
+        """One (I + M)/2, (I - M)/2 pair per kind index and name digit."""
+        table, signs = simlab._OUTCOME_PROJECTORS, np.array([1.0, -1.0])[:, None, None]
+        assert table.shape == (len(model.KINDS), len(NAMES), 2, 2, 2)
+        for (k, kind), (x, name) in itertools.product(enumerate(model.KINDS), enumerate(NAMES)):
+            pair = (np.eye(2, dtype=complex) + signs * observable(_obs(name, kind))) / 2.0
+            assert table[k, x].tobytes() == pair.tobytes()
         assert simlab._layout(3).weight_rows.shape == (4, 64)
 
     def test_entries_are_read_only(self):
         entries = [_side_projectors(p, k) for p in NAMES for k in NAMES]
-        entries += list(simlab._OUTCOME_PROJECTORS.values())
+        entries += [simlab._OUTCOME_PROJECTORS, model.OBSERVABLES]
         for n in (1, 2, 3):
             layout = simlab._layout(n)
             entries.append(layout.weight_rows)
@@ -1291,7 +1310,7 @@ def _per_setting_born(state, setting):
     ``real(A @ R @ B.T)`` of the photons' stacks, clamped and renormalized."""
     axes = simlab._layout(len(setting.kinds)).born_axes
     r = state.rho.reshape((2,) * len(axes)).transpose(axes).reshape(state.rho.shape)
-    u, d = (simlab._side_projectors(ids) for ids in (setting.u_ids, setting.d_ids))
+    u, d = (_stack(ids) for ids in (setting.u_ids, setting.d_ids))
     probs = np.clip(np.real(u @ r @ d.T).ravel(), 0.0, None)
     return probs / float(probs.sum())
 
@@ -1303,7 +1322,7 @@ def _assert_pass_rows_bitwise(layout, state, rows=slice(None)):
     assert got.shape == (len(settings), 4 ** state.dof_count)
     for (setting, _), row in zip(settings, got):
         assert row.tobytes() == _per_setting_born(state, setting).tobytes()
-        assert row.tobytes() == simlab.born_distribution(state, setting).probs.tobytes()
+        assert row.tobytes() == simlab.born_distribution(state, *setting.digits).tobytes()
 
 
 def _assumption_suffix(layout):
@@ -1359,7 +1378,7 @@ class TestArrayPass:
             first_use = list(dict.fromkeys(getattr(setting, photon) for setting, _ in cells))
             assert [first_use.index(getattr(s, photon)) for s, _ in cells] == index.tolist()
             for (setting, _), i in zip(cells, index, strict=True):
-                one = simlab._side_projectors(getattr(setting, photon))
+                one = _stack(getattr(setting, photon))
                 assert stacks[i].tobytes() == one.tobytes()
             with pytest.raises(ValueError, match="read-only"):
                 stacks[0, 0, 0] = 0.0
@@ -1412,14 +1431,27 @@ class TestArrayPass:
     )
     def test_one_setting_born_equals_the_pass_row(self, n, noise):
         """``born_distribution`` contracts one setting's two stacks without
-        the pass; every cell's pass row is bitwise its setting's row."""
+        the pass; every cell's pass row is bitwise the row of the u and d
+        name digits that its row of the cell table holds."""
         layout = simlab._layout(n)
         state = model.apply_noise(model.hyper_state(0.7, -1.3, n), noise)
         one = {}
-        for (setting, _), row in zip(_canonical_layout(n), layout.born(state), strict=True):
-            if setting not in one:
-                one[setting] = simlab.born_distribution(state, setting).probs.tobytes()
-            assert row.tobytes() == one[setting]
+        for cell, row in zip(layout.cells.tolist(), layout.born(state), strict=True):
+            u, d = tuple(cell[:n]), tuple(cell[n : 2 * n])
+            if (u, d) not in one:
+                one[u, d] = simlab.born_distribution(state, u, d).tobytes()
+            assert row.tobytes() == one[u, d]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_one_setting_estimate_labels_equal_the_pass_labels(self, n):
+        """``estimate`` of every cell's name digits and factor, read from the
+        cell table, carries that cell's record label in the pass."""
+        layout = simlab._layout(n)
+        counts = np.full(4**n, 10, dtype=np.int64)
+        for cell, label in zip(layout.cells.tolist(), layout.record_labels, strict=True):
+            factor = None if cell[-1] < 0 else cell[-1]
+            record = simlab.estimate(counts, tuple(cell[:n]), tuple(cell[n : 2 * n]), factor)
+            assert record.label == label
 
     def test_born_blocks_stay_small(self):
         """No pass gathers a whole list's projector stacks: a block holds
@@ -1435,7 +1467,7 @@ class TestArrayPass:
         def boom(*args, **kwargs):
             raise AssertionError("per-cell call in the array pass")
 
-        for name in ("born_distribution", "sample", "estimate", "JointSetting"):
+        for name in ("born_distribution", "sample", "estimate"):
             monkeypatch.setattr(simlab, name, boom)
         calls = []
         multinomial = rng.multinomial
@@ -1451,7 +1483,7 @@ class TestArrayPass:
         monkeypatch.setattr(simlab, "_layout", functools.cache(simlab._Layout))
         setting = canonical_settings(4)[5]
         counts = np.arange(256, dtype=np.int64)
-        record = simlab.estimate(counts, setting, 2)
+        record = simlab.estimate(counts, *setting.digits, 2)
         assert record.n_events == int(counts.sum())
         layout = simlab._layout(4)
         tables = {"cells", "stacks", "record_labels", "assumption_labels"}
@@ -1463,118 +1495,116 @@ class TestEstimate:
     def test_non_integer_factor_refused(self, factor):
         """True ran as factor 1, and a float factor escaped as numpy's IndexError."""
         with pytest.raises(ValueError, match="factor must be an integer"):
-            simlab.estimate(np.full(16, 10, dtype=int), _setting("A", "A", "B", "B"), factor)
+            simlab.estimate(np.full(16, 10, dtype=int), *_digits("A", "A", "B", "B"), factor)
 
     def test_numpy_integer_factor_is_the_int(self):
-        counts, setting = np.arange(16), _setting("A", "a", "B", "b")
-        assert simlab.estimate(counts, setting, np.int64(1)) == simlab.estimate(counts, setting, 1)
+        counts, (u, d) = np.arange(16), _digits("A", "a", "B", "b")
+        assert simlab.estimate(counts, u, d, np.int64(1)) == simlab.estimate(counts, u, d, 1)
 
     def test_deterministic_counts_give_unit_correlation(self):
         counts = np.zeros(16, dtype=int)
         counts[0] = 500  # (+,+ | +,+)
         for factor in (None, 0, 1):
-            rec = simlab.estimate(counts, _setting("A", "A", "B", "B"), factor)
+            rec = simlab.estimate(counts, *_digits("A", "A", "B", "B"), factor)
             assert rec.E == 1.0 and rec.std_err == 0.0 and rec.n_events == 500
 
     def test_std_err_formula(self):
-        dist = simlab.born_distribution(NOISY, _setting("A", "A", "B", "B"))
-        counts = simlab.sample(dist, 10**4, seed=3)
+        u, d = _digits("A", "A", "B", "B")
+        counts = simlab.sample(simlab.born_distribution(NOISY, u, d), 10**4, seed=3)
         for factor in (None, 0, 1):
-            rec = simlab.estimate(counts, dist.setting, factor)
+            rec = simlab.estimate(counts, u, d, factor)
             assert rec.std_err == pytest.approx(
                 math.sqrt((1 - rec.E**2) / rec.n_events), abs=1e-12
             )
 
     def test_labels_split_by_degree_of_freedom(self):
         counts = np.full(16, 10, dtype=int)
-        setting = _setting("a", "A", "b", "B")
-        assert simlab.estimate(counts, setting).label == ("a_pi A_k", "b_pi B_k")
-        assert simlab.estimate(counts, setting, 0).label == ("a_pi", "b_pi")
-        assert simlab.estimate(counts, setting, 1).label == ("A_k", "B_k")
+        u, d = _digits("a", "A", "b", "B")
+        assert simlab.estimate(counts, u, d).label == ("a_pi A_k", "b_pi B_k")
+        assert simlab.estimate(counts, u, d, 0).label == ("a_pi", "b_pi")
+        assert simlab.estimate(counts, u, d, 1).label == ("A_k", "B_k")
 
     def test_repeated_kind_carries_its_factor_number(self):
         """Factor 2 at N = 3 is the second polarization factor: pi2, so its
         record cannot collide with factor 0's."""
-        setting = _canonical_setting(("A", "B", "a"), ("b", "a", "B"))
+        u, d = (0, 2, 1), (3, 1, 2)  # (A, B, a) and (b, a, B)
         counts = np.full(64, 10, dtype=int)
-        assert simlab.estimate(counts, setting).label == ("A_pi B_k a_pi2", "b_pi a_k B_pi2")
-        assert simlab.estimate(counts, setting, 0).label == ("A_pi", "b_pi")
-        assert simlab.estimate(counts, setting, 1).label == ("B_k", "a_k")
-        assert simlab.estimate(counts, setting, 2).label == ("a_pi2", "B_pi2")
+        assert simlab.estimate(counts, u, d).label == ("A_pi B_k a_pi2", "b_pi a_k B_pi2")
+        assert simlab.estimate(counts, u, d, 0).label == ("A_pi", "b_pi")
+        assert simlab.estimate(counts, u, d, 1).label == ("B_k", "a_k")
+        assert simlab.estimate(counts, u, d, 2).label == ("a_pi2", "B_pi2")
 
     @pytest.mark.parametrize("factor", [-1, 2])
     def test_factor_outside_setting_refused(self, factor):
         """A negative factor would otherwise index the path weights from the end."""
         with pytest.raises(ValueError, match=r"^factor must be in \[0, 1\]"):
-            simlab.estimate(np.full(16, 10, dtype=int), _setting("A", "A", "B", "B"), factor)
+            simlab.estimate(np.full(16, 10, dtype=int), *_digits("A", "A", "B", "B"), factor)
 
     def test_sampled_joint_matches_analytic_within_five_sigma(self):
-        dist = simlab.born_distribution(IDEAL, _setting("A", "A", "B", "B"))
-        counts = simlab.sample(dist, 10**5, seed=21)
-        est = simlab.estimate(counts, dist.setting)
+        u, d = _digits("A", "A", "B", "B")
+        counts = simlab.sample(simlab.born_distribution(IDEAL, u, d), 10**5, seed=21)
+        est = simlab.estimate(counts, u, d)
         assert abs(est.E - 0.5) < 5 * est.std_err
 
     def test_white_noise_marginal_is_visibility(self):
         """Same-observable polarization correlation equals v_pi = 0.9 under
         white noise, independent of the path context."""
-        dist = simlab.born_distribution(NOISY, _setting("A", "A", "A", "B"))
-        _, pol, _ = simlab.analytic_correlations(dist)
+        _, pol, _ = analytic_correlations(simlab.born_distribution(NOISY, *_digits("A", "A", "A", "B")))
         assert pol == pytest.approx(0.9, abs=1e-12)
 
     def test_too_few_events_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
-            simlab.estimate(np.zeros(16, dtype=int), _setting("A", "A", "B", "B"))
+            simlab.estimate(np.zeros(16, dtype=int), *_digits("A", "A", "B", "B"))
         one = np.zeros(16, dtype=int)
         one[3] = 1
         with pytest.raises(ValueError, match="at least 2"):
-            simlab.estimate(one, _setting("A", "A", "B", "B"))
+            simlab.estimate(one, *_digits("A", "A", "B", "B"))
         with pytest.raises(ValueError, match="16 nonnegative"):
-            simlab.estimate(np.zeros(4, dtype=int), _setting("A", "A", "B", "B"))
+            simlab.estimate(np.zeros(4, dtype=int), *_digits("A", "A", "B", "B"))
 
     @pytest.mark.parametrize("counts", [np.full(16, 2.7), np.full(16, 3.0), [1.5] * 16])
     def test_non_integer_counts_rejected(self, counts):
         """A cast to integers would truncate: 16 x 2.7 would count 32 events."""
         with pytest.raises(ValueError, match="16 nonnegative integers"):
-            simlab.estimate(counts, _setting("A", "A", "B", "B"))
+            simlab.estimate(counts, *_digits("A", "A", "B", "B"))
 
     def test_integer_counts_of_any_width_accepted(self):
-        setting = _setting("a", "A", "b", "B")
-        counts = simlab.sample(simlab.born_distribution(NOISY, setting), 5000, seed=4)
-        expected = simlab.estimate(counts, setting)
+        u, d = _digits("a", "A", "b", "B")
+        counts = simlab.sample(simlab.born_distribution(NOISY, u, d), 5000, seed=4)
+        expected = simlab.estimate(counts, u, d)
         for same in (counts.tolist(), counts.astype(np.uint32), counts.astype(np.int16)):
-            assert simlab.estimate(same, setting) == expected
+            assert simlab.estimate(same, u, d) == expected
 
     def test_counts_totalling_2_to_53_refused(self):
         """Five cells of 2^62 total 5 * 2^62; an int64 sum wraps to 2^62,
         which read E = 1.0 where the counts give 0.2."""
-        setting = _setting("A", "A", "B", "B")
+        u, d = _digits("A", "A", "B", "B")
         counts = np.zeros(16, dtype=np.uint64)
         counts[:5] = 1 << 62
         with pytest.raises(ValueError, match=r"total below 2\^53"):
-            simlab.estimate(counts, setting)
+            simlab.estimate(counts, u, d)
         counts = np.zeros(16, dtype=np.int64)
         counts[0] = 1 << 53
         with pytest.raises(ValueError, match=r"total below 2\^53"):
-            simlab.estimate(counts, setting)
+            simlab.estimate(counts, u, d)
         counts[0] -= 1
-        assert simlab.estimate(counts, setting).n_events == (1 << 53) - 1
+        assert simlab.estimate(counts, u, d).n_events == (1 << 53) - 1
 
 
 class TestFactorization:
     def test_joint_equals_product_of_marginals_analytically(self):
         for state in (IDEAL, NOISY):
             for setting in canonical_settings(2):
-                joint, pol, path = simlab.analytic_correlations(
-                    simlab.born_distribution(state, setting)
+                joint, pol, path = analytic_correlations(
+                    simlab.born_distribution(state, *setting.digits)
                 )
                 assert joint == pytest.approx(pol * path, abs=1e-10)
 
     def test_sampled_joint_factorizes_within_five_sigma(self):
-        setting = _setting("a", "a", "B", "b")
-        dist = simlab.born_distribution(IDEAL, setting)
-        counts = simlab.sample(dist, 10**5, seed=5)
-        est = simlab.estimate(counts, setting)
-        joint_a, pol_a, path_a = simlab.analytic_correlations(dist)
+        u, d = _digits("a", "a", "B", "b")
+        probs = simlab.born_distribution(IDEAL, u, d)
+        est = simlab.estimate(simlab.sample(probs, 10**5, seed=5), u, d)
+        joint_a, pol_a, path_a = analytic_correlations(probs)
         assert abs(est.E - joint_a) < 5 * est.std_err
 
 
@@ -1585,8 +1615,8 @@ class TestViolationReport:
     def _analytic_records(self, state, which):
         records = []
         for setting in canonical_settings(2):
-            dist = simlab.born_distribution(state, setting)
-            joint, pol, path = simlab.analytic_correlations(dist)
+            probs = simlab.born_distribution(state, *setting.digits)
+            joint, pol, path = analytic_correlations(probs)
             e = {"joint": joint, "pol": pol, "path": path}[which]
             label = {
                 "joint": setting_labels(setting),
@@ -1608,21 +1638,20 @@ class TestViolationReport:
         pol_records = {}
         path_records = {}
         for setting in canonical_settings(2):
-            dist = simlab.born_distribution(IDEAL, setting)
-            _, pol, path = simlab.analytic_correlations(dist)
+            _, pol, path = analytic_correlations(simlab.born_distribution(IDEAL, *setting.digits))
             pol_records[(setting.u_ids[0].label, setting.d_ids[0].label)] = pol
             path_records[(setting.u_ids[1].label, setting.d_ids[1].label)] = path
         recs = [
             simlab.CorrelationRecord(label=k, E=v, std_err=0.0, n_events=1)
             for k, v in pol_records.items()
         ]
-        rep = simlab.violation_report(recs, bell.build_beta_pi(), bound=2.0)
+        rep = simlab.violation_report(recs, bell.canonical_product(1), bound=2.0)
         assert abs(rep.beta_estimate) == pytest.approx(2 * SQRT2, abs=1e-10)
         recs = [
             simlab.CorrelationRecord(label=k, E=v, std_err=0.0, n_events=1)
             for k, v in path_records.items()
         ]
-        rep = simlab.violation_report(recs, bell.build_beta_k(), bound=2.0)
+        rep = simlab.violation_report(recs, bell.canonical_product(2).factors[1], bound=2.0)
         assert abs(rep.beta_estimate) == pytest.approx(2 * SQRT2, abs=1e-10)
 
     def test_std_err_combines_in_quadrature(self):
@@ -1630,7 +1659,7 @@ class TestViolationReport:
             simlab.CorrelationRecord(label=label, E=0.5, std_err=0.01, n_events=100)
             for label in self.CHSH_LABELS
         ]
-        rep = simlab.violation_report(records, bell.build_beta_pi(), bound=2.0)
+        rep = simlab.violation_report(records, bell.canonical_product(1), bound=2.0)
         assert rep.beta_std_err == pytest.approx(0.02, abs=1e-12)
         assert rep.sigmas == pytest.approx(
             (abs(rep.beta_estimate) - 2.0) / rep.beta_std_err, abs=1e-12
@@ -1642,7 +1671,7 @@ class TestViolationReport:
             simlab.CorrelationRecord(label=label, E=e, std_err=0.01, n_events=100)
             for label, e in zip(self.CHSH_LABELS, es)
         ]
-        rep = simlab.violation_report(records, bell.build_beta_pi(), bound=2.0)
+        rep = simlab.violation_report(records, bell.canonical_product(1), bound=2.0)
         assert rep.beta_estimate == pytest.approx(2.0, abs=1e-12)
         assert rep.sigmas == pytest.approx(0.0, abs=1e-9)
 
@@ -1657,7 +1686,7 @@ class TestViolationReport:
             simlab.CorrelationRecord(label=("A_pi", "wrong"), E=0.5, std_err=0.01, n_events=10),
         ]
         with self._refused([("A_pi", "wrong")]):
-            simlab.violation_report(records, bell.build_beta_pi(), bound=2.0)
+            simlab.violation_report(records, bell.canonical_product(1), bound=2.0)
 
     @pytest.mark.parametrize(
         "order", [(1, 0, 2, 3), (0, 1, 2), (0, 1, 2, 3, 3)], ids=["misplaced", "missing", "extra"]
@@ -1667,18 +1696,18 @@ class TestViolationReport:
         given = [self.CHSH_LABELS[i] for i in order]
         records = [simlab.CorrelationRecord(label, 0.5, 0.01, 100) for label in given]
         with self._refused(given):
-            simlab.violation_report(records, bell.build_beta_pi(), bound=2.0)
+            simlab.violation_report(records, bell.canonical_product(1), bound=2.0)
 
     def test_records_may_come_as_an_iterator(self):
         records = [simlab.CorrelationRecord(label, 0.5, 0.01, 100) for label in self.CHSH_LABELS]
-        rep = simlab.violation_report(iter(records), bell.build_beta_pi(), bound=2.0)
-        assert rep == simlab.violation_report(records, bell.build_beta_pi(), bound=2.0)
+        rep = simlab.violation_report(iter(records), bell.canonical_product(1), bound=2.0)
+        assert rep == simlab.violation_report(records, bell.canonical_product(1), bound=2.0)
         assert rep.beta_estimate == pytest.approx(1.0, abs=1e-12)
 
     def test_records_match_under_the_factor_labels_they_carry(self):
         """A CHSH factor of a larger run: its records carry the factor's
         numbered label, which ``labels`` names."""
-        op = bell.build_beta_pi()
+        op = bell.canonical_product(1)
         records = [
             simlab.CorrelationRecord(
                 label=(u.replace("pi", "pi2"), d.replace("pi", "pi2")),
@@ -1705,7 +1734,7 @@ class TestViolationReport:
     def test_duplicate_labels_rejected(self):
         rec = simlab.CorrelationRecord(label=("A_pi", "B_pi"), E=0.5, std_err=0.01, n_events=10)
         with self._refused([("A_pi", "B_pi")] * 2):
-            simlab.violation_report([rec, rec], bell.build_beta_pi(), bound=2.0)
+            simlab.violation_report([rec, rec], bell.canonical_product(1), bound=2.0)
 
     def test_beta_report_builds_no_label(self, monkeypatch):
         """After one run, the beta report of its 16 term records compares
@@ -1899,9 +1928,9 @@ def _assert_cells_replay(state, n, layout):
     seed, events = 2024, 500
     expected = []
     for i, (setting, factor) in enumerate(layout):
-        dist = simlab.born_distribution(state, setting)
-        counts = simlab.sample(dist, events, rng.derive_seed(seed, i))
-        expected.append(simlab.estimate(counts, setting, factor))
+        probs = simlab.born_distribution(state, *setting.digits)
+        counts = simlab.sample(probs, events, rng.derive_seed(seed, i))
+        expected.append(simlab.estimate(counts, *setting.digits, factor))
     result = simlab.run_simulated_experiment(state, n_events=events, seed=seed)
     n_terms = 4**n
     assert list(result.joint_records) == expected[:n_terms]
@@ -1967,23 +1996,6 @@ class TestSimulatedExperiment:
         assert layout.operator.signs[u, d].tolist() == signs.tolist()
         assert layout.operator.term_signs == tuple(signs.tolist())
         assert bell.term_labels(layout.labels) == layout.record_labels[: 4**n]
-
-    def test_first_n4_run_and_assumption_test_build_no_joint_setting(self, monkeypatch):
-        """On fresh layouts, a first N = 4 run and assumption test read
-        their labels and signs from tables: no ``JointSetting`` is made."""
-
-        def boom(*args, **kwargs):
-            raise AssertionError("a JointSetting was built")
-
-        monkeypatch.setattr(simlab, "_layout", functools.cache(simlab._Layout))
-        monkeypatch.setattr(JointSetting, "__post_init__", boom)
-        state = model.apply_noise(bell.ideal_state(4), WHITE_09)
-        result = simlab.run_simulated_experiment(state, n_events=100, seed=1)
-        assert len(result.joint_records) == 256 and len(result.assumptions.rows) == 16
-        monkeypatch.setattr(simlab, "_layout", functools.cache(simlab._Layout))
-        report = simlab.assumption_test(state, n_events=100, seed=1)
-        labels = [[c.labels for c in row.cells] for row in report.rows]
-        assert labels == [[c.labels for c in row.cells] for row in result.assumptions.rows]
 
     def test_every_cell_replays_alone_on_its_sub_stream(self):
         """Cell i of one run is sampled on derive_seed(seed, i) and nothing

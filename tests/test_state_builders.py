@@ -160,6 +160,6 @@ class TestSharedIdealEmbeddings:
 
     def test_two_dof_tables_are_the_per_call_bytes(self):
         eye = np.eye(4, dtype=complex)
-        pi, k = bell.build_beta_pi().matrix, bell.build_beta_k().matrix
+        pi, k = bell.canonical_product(1).matrix, bell.canonical_product(2).factors[1].matrix
         assert bell._factor_embedding(2, 0).tobytes() == qcore.tensor(pi, eye).tobytes()
         assert bell._factor_embedding(2, 1).tobytes() == qcore.tensor(eye, k).tobytes()
