@@ -177,8 +177,15 @@ def _real(val: complex) -> float:
     return float(val.real)
 
 
+def check_operator(bell) -> None:
+    """The one operator rule: anything but a ``BellOperator`` is refused, naming its type."""
+    if not isinstance(bell, BellOperator):
+        raise ValueError(f"the operator must be a BellOperator, got {type(bell).__name__}")
+
+
 def quantum_value(bell: BellOperator, state: QuantumState) -> float:
     """Signed expectation value of the Bell operator on the state."""
+    check_operator(bell)
     if bell.dim != state.dim:
         raise ValueError(f"dimension mismatch: operator {bell.dim}, state {state.dim}")
     return _expect_real(bell.matrix, state)

@@ -316,24 +316,21 @@ def _run_ideal(config: RunConfig) -> StudyResult:
                        bound=2.0 ** config["dof"])
 
 
-def _witness_text(side: dict) -> str:
-    return " ".join(f"{token}={value:+d}" for token, value in side.items())
+def _witness_text(pairs: tuple) -> str:
+    return " ".join(f"{token}={value:+d}" for token, value in pairs)
 
 
 def _run_bounds(config: RunConfig) -> StudyResult:
+    """One row per class: its bound, the search size and the printed witness."""
     operator = bell.canonical_product(config["dof"])
     classes = (config["class"],) if config["class"] else lhv.STRATEGY_CLASSES
     results = [lhv.max_bound(operator, cls) for cls in classes]
-    rows = [
-        {
-            "strategy_class": res.strategy_class,
-            "bound": res.bound,
-            "strategies_evaluated": res.strategies_evaluated,
-            "witness_u": _witness_text(res.witness.side_u),
-            "witness_d": _witness_text(res.witness.side_d),
-        }
-        for res in results
-    ]
+    rows = []
+    for res in results:
+        u_pairs, d_pairs = lhv.witness_sides(operator, res.witness)
+        rows.append({"strategy_class": res.witness.strategy_class, "bound": res.bound,
+                     "strategies_evaluated": res.strategies_evaluated,
+                     "witness_u": _witness_text(u_pairs), "witness_d": _witness_text(d_pairs)})
     return StudyResult(config, rows, results, bound=float(results[0].bound))
 
 

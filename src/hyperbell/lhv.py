@@ -21,7 +21,9 @@ arithmetic would.  The unrestricted search and the witness replay are
 integer arithmetic.  Assignments are enumerated as integers: slot 0 is the
 most significant bit and bit value 0 means +1, so index 0 is the all-(+1)
 assignment and the reported witness is the lexicographically smallest
-maximizer in (u index, d index) order.
+maximizer in (u index, d index) order.  A strategy is its class and its two
+assignment indices; tokens are joined to the index bits only where a
+witness is printed (``witness_sides``).
 
 The search weights contexts with the Kronecker sign table
 ``BellOperator.signs``; the witness is then replayed by ``evaluate_strategy``
@@ -32,10 +34,10 @@ the same terms, so that the check shares no construction with what it checks
 (a test compares the two).  The term table (per kinds tuple), the context
 slot table and the factorizable side table (per N) are built once, read-only,
 and the search and its replay run once per (kinds, class) per process; the
-guard and fresh witness dicts come on every call, and ``strategies_evaluated``
-is the size of the exhaustive search the bound rests on.  Witness tokens are
-built from the factor labels with the label rule in ``model`` (a context
-token joins one observable token per factor), never from ``bell.term_labels``.
+guard comes on every call, and ``strategies_evaluated`` is the size of the
+exhaustive search the bound rests on.  Witness tokens are built from the
+factor labels with the label rule in ``model`` (a context token joins one
+observable token per factor), never from ``bell.term_labels``.
 
 The unrestricted search never builds all 2^n u assignments: each u is split
 into its first and last halves of slots, whose weight tables (2^(n/2) rows
@@ -52,14 +54,15 @@ from itertools import product
 
 import numpy as np
 
-from . import model, qcore
-from .bell import BellOperator
+from . import model, qcore, rng
+from .bell import BellOperator, check_operator
 
 FACTORIZABLE = "factorizable"
 UNRESTRICTED = "unrestricted"
 STRATEGY_CLASSES = (FACTORIZABLE, UNRESTRICTED)
 
 MAX_STRATEGY_PAIRS = 2**32
+_BIT_VALUES = {"0": 1, "1": -1}  # an assignment bit's value
 
 
 class EnumerationGuardError(RuntimeError):
@@ -75,11 +78,13 @@ class EnumerationGuardError(RuntimeError):
 
 @dataclass(frozen=True)
 class LhvStrategy:
-    """Deterministic local assignment; keys are observable or context tokens."""
+    """Deterministic local assignment: each photon's assignment index over its
+    slots (factorizable) or contexts (unrestricted), slot or context 0 the
+    most significant bit, bit 0 meaning +1."""
 
     strategy_class: str
-    side_u: dict
-    side_d: dict
+    u_index: int
+    d_index: int
 
 
 @dataclass(frozen=True)
@@ -87,7 +92,6 @@ class BoundResult:
     bound: int
     witness: LhvStrategy
     strategies_evaluated: int
-    strategy_class: str
 
 
 @cache
@@ -121,52 +125,43 @@ def _term_table(kinds: tuple) -> tuple:
 def evaluate_strategy(bell: BellOperator, strategy: LhvStrategy) -> int:
     """Classical value of a deterministic assignment; exact integers.
 
-    Each side must be a dict that assigns exactly its class's tokens, each
-    the integer +1 or -1; a strategy that is no ``LhvStrategy``, an unknown
-    class, a side that is no dict, a missing or foreign token and a bool,
-    float or other value are refused, naming the type, the class, the photon
-    or the token; so is an operator that is no ``BellOperator``.  A
-    factorizable side is turned into its 2^N context values first, so both
-    classes read each term's context from the term table."""
-    _check_operator(bell)
+    An operator that is no ``BellOperator``, a strategy that is no
+    ``LhvStrategy``, an unknown class and an assignment index that is no
+    integer (a bool, a float or a string) or lies outside [0, 2^slots - 1]
+    are refused, naming the type, the class or the photon.  A factorizable
+    side is turned into its 2^N context values first, so both classes read
+    each term's context from the term table."""
+    u_vals, d_vals = (np.fromiter(vals, np.int64) for vals in _side_values(bell, strategy))
+    if strategy.strategy_class == FACTORIZABLE:  # each context's slot product
+        slots = _context_slots(bell.dof_count)
+        u_vals, d_vals = u_vals[slots].prod(axis=1), d_vals[slots].prod(axis=1)
+    u_contexts, d_contexts, signs = _term_table(bell.kinds)
+    return int((signs * u_vals[u_contexts] * d_vals[d_contexts]).sum())
+
+
+def witness_sides(bell: BellOperator, strategy: LhvStrategy) -> tuple:
+    """Each photon's ``(token, +-1)`` pairs, u first, in slot or context
+    order, checked as ``evaluate_strategy`` checks them: the printed witness."""
+    u_vals, d_vals = _side_values(bell, strategy)
+    labels, cls = bell.factor_labels, strategy.strategy_class
+    return (tuple(zip(_side_tokens(labels, cls, model.PHOTON_U), u_vals)),
+            tuple(zip(_side_tokens(labels, cls, model.PHOTON_D), d_vals)))
+
+
+def _side_values(bell: BellOperator, strategy: LhvStrategy) -> tuple:
+    """Each photon's +-1 value per slot or context, u first, slot 0 first:
+    an iterator over its index's binary digits (no Python call per slot)."""
+    check_operator(bell)
     if not isinstance(strategy, LhvStrategy):
         raise ValueError(f"the strategy must be an LhvStrategy, got {type(strategy).__name__}")
     if strategy.strategy_class not in STRATEGY_CLASSES:
         raise ValueError(f"unknown strategy class {strategy.strategy_class!r}")
-    u_contexts, d_contexts, values = _term_table(bell.kinds)
-    for photon, side, contexts in (
-        (model.PHOTON_U, strategy.side_u, u_contexts),
-        (model.PHOTON_D, strategy.side_d, d_contexts),
-    ):
-        if not isinstance(side, dict):
-            raise ValueError(f"the side of photon {photon} must be a dict, got {side!r}")
-        tokens = _side_tokens(bell.factor_labels, strategy.strategy_class, photon)
-        vals = np.array([_lookup(side, tok) for tok in tokens], dtype=np.int64)
-        if len(side) != len(tokens):  # every token was found, so one key is foreign
-            foreign = next(key for key in side if key not in tokens)
-            raise ValueError(
-                f"{foreign!r} is no {strategy.strategy_class} token of photon {photon}"
-            )
-        if strategy.strategy_class == FACTORIZABLE:  # each context's slot product
-            vals = vals[_context_slots(bell.dof_count)].prod(axis=1)
-        values = values * vals[contexts]
-    return int(values.sum())
-
-
-def _check_operator(bell) -> None:
-    if not isinstance(bell, BellOperator):
-        raise ValueError(f"the operator must be a BellOperator, got {type(bell).__name__}")
-
-
-def _lookup(side: dict, token: str) -> int:
-    try:
-        val = side[token]
-    except KeyError:
-        raise ValueError(f"strategy has no assignment for {token!r}") from None
-    # type check first: True == 1 and 1.0 == 1, so bools and floats pass ``in``
-    if (type(val) is not int and not isinstance(val, np.integer)) or val not in (-1, 1):
-        raise ValueError(f"assignment for {token!r} must be +-1 as an integer, got {val!r}")
-    return val
+    n_slots = 2 * bell.dof_count if strategy.strategy_class == FACTORIZABLE else 2**bell.dof_count
+    top, digits = 2**n_slots - 1, f"0{n_slots}b"
+    u_index = rng.checked_int("the assignment index of photon u", strategy.u_index, 0, top)
+    d_index = rng.checked_int("the assignment index of photon d", strategy.d_index, 0, top)
+    value = _BIT_VALUES.__getitem__
+    return map(value, format(u_index, digits)), map(value, format(d_index, digits))
 
 
 def _bits(idx: np.ndarray, width: int) -> np.ndarray:
@@ -199,12 +194,6 @@ def _factorizable_context_values(n: int) -> np.ndarray:
     return qcore.read_only(vals[:, _context_slots(n)].prod(axis=2).astype(np.float64))
 
 
-def _strategy_from_index(bell: BellOperator, strategy_class: str, photon: str, index: int) -> dict:
-    tokens = _side_tokens(bell.factor_labels, strategy_class, photon)
-    n = len(tokens)
-    return {tok: 1 - 2 * ((index >> (n - 1 - i)) & 1) for i, tok in enumerate(tokens)}
-
-
 def max_bound(bell: BellOperator, strategy_class: str) -> BoundResult:
     """Exact maximum of |classical value| over a strategy class, with witness.
 
@@ -217,34 +206,28 @@ def max_bound(bell: BellOperator, strategy_class: str) -> BoundResult:
     witness is the lexicographically smallest maximizer.
 
     Every call checks the guard before any table is built or the search
-    cache read, and copies the witness into fresh dicts; the search and the
-    replay of its witness through ``evaluate_strategy`` run once per
-    (kinds, class) per process.  ``strategies_evaluated`` is the number of
-    strategy pairs the exhaustive search covers, whether this call ran it
-    or not.
+    cache read; the search and the replay of its witness through
+    ``evaluate_strategy`` run once per (kinds, class) per process, and the
+    witness holds the cached indices.  ``strategies_evaluated`` is the
+    number of strategy pairs the exhaustive search covers, whether this
+    call ran it or not.
     """
-    _check_operator(bell)
+    check_operator(bell)
     if strategy_class not in STRATEGY_CLASSES:
         raise ValueError(f"unknown strategy class {strategy_class!r}")
     n_side = 4**bell.dof_count if strategy_class == FACTORIZABLE else 2 ** (2**bell.dof_count)
     if n_side * n_side > MAX_STRATEGY_PAIRS:
         raise EnumerationGuardError(n_side * n_side, MAX_STRATEGY_PAIRS)
 
-    bound, side_u, side_d = _search(bell.kinds, strategy_class)
-    return BoundResult(
-        bound=bound,
-        witness=LhvStrategy(strategy_class, dict(side_u), dict(side_d)),
-        strategies_evaluated=n_side * n_side,
-        strategy_class=strategy_class,
-    )
+    bound, ui, di = _search(bell.kinds, strategy_class)
+    return BoundResult(bound, LhvStrategy(strategy_class, ui, di), n_side * n_side)
 
 
 @cache  # keyed by kinds, not operator: operators hash by identity
 def _search(kinds: tuple, strategy_class: str) -> tuple:
-    """``(bound, u side, d side)`` of ``max_bound``, searched once per
-    (kinds, class) after its guard, each witness side a tuple of (token,
-    value) pairs, so nothing shared is mutable.  The witness is replayed
-    through ``evaluate_strategy`` before it is cached; the cache stores no
+    """``(bound, u index, d index)`` of ``max_bound``, searched once per
+    (kinds, class) after its guard.  The witness is replayed through
+    ``evaluate_strategy`` before it is cached; the cache stores no
     exception, so a search whose witness fails the replay fails every call.
 
     The signed maximum equals the maximum of |value|: flipping one degree of
@@ -255,16 +238,14 @@ def _search(kinds: tuple, strategy_class: str) -> tuple:
     bell = BellOperator(kinds=kinds)
     search = _factorizable_search if strategy_class == FACTORIZABLE else _unrestricted_search
     bound, ui, di = search(bell.signs)
-    sides = [_strategy_from_index(bell, strategy_class, photon, index)
-             for photon, index in ((model.PHOTON_U, ui), (model.PHOTON_D, di))]
-    replay = evaluate_strategy(bell, LhvStrategy(strategy_class, *sides))
+    replay = evaluate_strategy(bell, LhvStrategy(strategy_class, ui, di))
     if replay != bound:
         raise AssertionError(f"witness replay {replay} does not reproduce the bound {bound}")
-    return bound, *(tuple(side.items()) for side in sides)
+    return bound, ui, di
 
 
 def _factorizable_search(t: np.ndarray) -> tuple:
-    """``(bound, u index, d index)``: the largest ``side_u . t . side_d``
+    """``(bound, u index, d index)``: the largest ``u . t . d``
     over factorizable side assignments and its smallest maximizer in
     (u index, d index) order (C-order argmax).
 

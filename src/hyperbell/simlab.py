@@ -355,6 +355,7 @@ def violation_report(
     them with the ones the records carry instead: factor 2 of a three-DOF
     run carries ``pi2`` where its CHSH operator alone says ``pi``.
     """
+    bell_mod.check_operator(bell)
     labels = bell.factor_labels if labels is None else labels
     keys = list(bell_mod.term_labels(labels))
     if len(labels) != bell.dof_count:

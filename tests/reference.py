@@ -131,6 +131,12 @@ def splitmix64_uniform(seed, n):
     return (splitmix64(seed, n) >> np.uint64(11)) * 2.0**-53
 
 
+# A non-operator of each refused type, made from the operator ``op``.
+NOT_OPERATORS = {
+    "NoneType": lambda op: None, "str": lambda op: "pi", "ndarray": lambda op: op.matrix
+}
+
+
 def traced_peak(call):
     """``(peak, error)``: the tracemalloc peak in bytes while ``call()`` ran,
     and the exception it raised, or None."""

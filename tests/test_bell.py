@@ -11,7 +11,13 @@ import pytest
 
 from hyperbell import bell, lhv, model, qcore
 from hyperbell.model import NoiseModel, QuantumState
-from reference import ObservableId, assert_refused_before_allocating, observable, term_settings
+from reference import (
+    NOT_OPERATORS,
+    ObservableId,
+    assert_refused_before_allocating,
+    observable,
+    term_settings,
+)
 
 SZ = np.diag([1, -1]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -395,6 +401,14 @@ class TestQuantumValue:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
             bell.quantum_value(bell.canonical_product(1), bell.ideal_state(2))
+
+    @pytest.mark.parametrize("type_name", sorted(NOT_OPERATORS))
+    def test_operator_that_is_no_bell_operator_rejected(self, type_name):
+        """It escaped as an AttributeError on ``dim``."""
+        bad = NOT_OPERATORS[type_name](bell.canonical_product(2))
+        message = f"the operator must be a BellOperator, got {type_name}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            bell.quantum_value(bad, bell.ideal_state(2))
 
 
 def _checked_values(state) -> list:

@@ -1,5 +1,6 @@
 """Local deterministic strategies: evaluation, exhaustive bounds, witnesses."""
 
+import dataclasses
 import math
 import re
 from functools import cache
@@ -13,136 +14,123 @@ from hypothesis.extra.numpy import arrays
 
 from hyperbell import bell, lhv, model
 from hyperbell.lhv import FACTORIZABLE, UNRESTRICTED, LhvStrategy
-from reference import setting_labels, term_settings, traced_peak
+from reference import NOT_OPERATORS, setting_labels, term_settings, traced_peak
 
-# A non-operator of each refused type, made from the operator ``op``.
-_NOT_OPERATORS = {
-    "NoneType": lambda op: None, "str": lambda op: "pi", "ndarray": lambda op: op.matrix
-}
-
-U_TOKENS_CHSH = ("A_pi", "a_pi")
-D_TOKENS_CHSH = ("B_pi", "b_pi")
 U_TOKENS_N2 = ("A_pi", "a_pi", "A_k", "a_k")
-D_TOKENS_N2 = ("B_pi", "b_pi", "B_k", "b_k")
-U_CONTEXTS_N2 = ("A_pi A_k", "A_pi a_k", "a_pi A_k", "a_pi a_k")
 D_CONTEXTS_N2 = ("B_pi B_k", "B_pi b_k", "b_pi B_k", "b_pi b_k")
 
 
-def _strategy(cls, u_tokens, u_vals, d_tokens, d_vals):
-    return LhvStrategy(
-        strategy_class=cls,
-        side_u=dict(zip(u_tokens, u_vals)),
-        side_d=dict(zip(d_tokens, d_vals)),
-    )
+def _index(vals) -> int:
+    """The assignment index of +-1 values, slot 0 the most significant bit,
+    bit 0 meaning +1, read as a binary numeral."""
+    return int("".join("1" if v == -1 else "0" for v in vals), 2)
 
 
-def _all_plus(cls, u_tokens, d_tokens):
-    return _strategy(cls, u_tokens, [1] * len(u_tokens), d_tokens, [1] * len(d_tokens))
+def _index_values(index: int, n_slots: int) -> list:
+    """The +-1 values of an assignment index, slot 0 first."""
+    return [-1 if bit == "1" else 1 for bit in format(index, f"0{n_slots}b")]
+
+
+def _strategy(cls, u_vals, d_vals):
+    return LhvStrategy(cls, _index(u_vals), _index(d_vals))
+
+
+def _n_slots(cls, n):
+    return 2 * n if cls == FACTORIZABLE else 2**n
 
 
 class TestEvaluateStrategy:
     def test_chsh_all_plus_one(self):
         """Direct substitution into the sign pattern (-,+,+,+): -1+1+1+1 = 2."""
-        val = lhv.evaluate_strategy(
-            bell.canonical_product(1), _all_plus(FACTORIZABLE, U_TOKENS_CHSH, D_TOKENS_CHSH)
-        )
-        assert val == 2
+        op = bell.canonical_product(1)
+        assert lhv.evaluate_strategy(op, LhvStrategy(FACTORIZABLE, 0, 0)) == 2
 
     def test_product_all_plus_one_is_sign_sum(self):
         """With every outcome +1 the value is the sum of the 16 term signs,
         (-1+1+1+1) * (1-1+1+1) = 4."""
         op = bell.canonical_product(2)
         assert sum(op.term_signs) == 4
-        val = lhv.evaluate_strategy(op, _all_plus(FACTORIZABLE, U_TOKENS_N2, D_TOKENS_N2))
-        assert val == 4
+        assert lhv.evaluate_strategy(op, LhvStrategy(FACTORIZABLE, 0, 0)) == 4
 
     def test_unrestricted_all_plus_one_matches(self):
         op = bell.canonical_product(2)
-        val = lhv.evaluate_strategy(
-            op, _all_plus(UNRESTRICTED, U_CONTEXTS_N2, D_CONTEXTS_N2)
-        )
-        assert val == 4
+        assert lhv.evaluate_strategy(op, LhvStrategy(UNRESTRICTED, 0, 0)) == 4
 
     def test_every_chsh_strategy_gives_plus_minus_two(self):
         """Exhaustive check over all 16 factorizable CHSH strategies."""
         op = bell.canonical_product(1)
-        seen = set()
-        for u_vals in product((1, -1), repeat=2):
-            for d_vals in product((1, -1), repeat=2):
-                s = _strategy(FACTORIZABLE, U_TOKENS_CHSH, u_vals, D_TOKENS_CHSH, d_vals)
-                seen.add(lhv.evaluate_strategy(op, s))
+        seen = {lhv.evaluate_strategy(op, LhvStrategy(FACTORIZABLE, ui, di))
+                for ui in range(4) for di in range(4)}
         assert seen == {-2, 2}
 
-    def test_missing_assignment_rejected(self):
-        op = bell.canonical_product(1)
-        incomplete = LhvStrategy(FACTORIZABLE, side_u={"A_pi": 1}, side_d={"B_pi": 1, "b_pi": 1})
-        with pytest.raises(ValueError, match="no assignment for 'a_pi'"):
-            lhv.evaluate_strategy(op, incomplete)
-
-    def test_non_sign_value_rejected(self):
-        op = bell.canonical_product(1)
-        bad = _strategy(FACTORIZABLE, U_TOKENS_CHSH, [1, 0], D_TOKENS_CHSH, [1, 1])
-        with pytest.raises(ValueError, match="must be \\+-1"):
-            lhv.evaluate_strategy(op, bad)
-
-    @pytest.mark.parametrize("value", [True, 1.0, np.float64(1.0), np.True_])
-    def test_plus_one_that_is_no_integer_rejected(self, value):
-        """True == 1 and 1.0 == 1, so a check by value alone let both
-        replay the N = 2 witness to its bound 4."""
+    @pytest.mark.parametrize("photon", model.PHOTONS)
+    @pytest.mark.parametrize("cls", [FACTORIZABLE, UNRESTRICTED])
+    @pytest.mark.parametrize("bad", ["bool", "float", "numpy bool", "-1", "2^slots", "str"])
+    def test_bad_index_rejected_naming_the_photon(self, photon, cls, bad):
+        """An assignment index must be an integer in [0, 2^slots - 1]: True
+        and 1.0 equal 1, so a check by value alone would let both through."""
         op = bell.canonical_product(2)
-        witness = lhv.max_bound(op, FACTORIZABLE).witness
-        token = next(tok for tok, val in witness.side_u.items() if val == 1)
-        bad = LhvStrategy(FACTORIZABLE, {**witness.side_u, token: value}, witness.side_d)
-        with pytest.raises(ValueError, match=re.escape(
-            f"assignment for {token!r} must be +-1 as an integer, got {value!r}"
-        )):
-            lhv.evaluate_strategy(op, bad)
-
-    @pytest.mark.parametrize(
-        "cls,foreign", [(FACTORIZABLE, "A_pi A_k"), (FACTORIZABLE, "B_pi3"), (UNRESTRICTED, "b_k")]
-    )
-    def test_foreign_token_rejected(self, cls, foreign):
-        """A key that is no slot of the class was ignored before."""
-        op = bell.canonical_product(2)
+        top = 2 ** _n_slots(cls, 2) - 1
+        value, why = {
+            "bool": (True, "be an integer (got True)"),
+            "float": (1.0, "be an integer (got 1.0)"),
+            "numpy bool": (np.True_, f"be an integer (got {np.True_!r})"),
+            "-1": (-1, f"be in [0, {top}] (got -1)"),
+            "2^slots": (top + 1, f"be in [0, {top}] (got {top + 1})"),
+            "str": ("0", "be an integer (got '0')"),
+        }[bad]
         witness = lhv.max_bound(op, cls).witness
-        bad = LhvStrategy(cls, witness.side_u, {**witness.side_d, foreign: 1})
-        message = f"{foreign!r} is no {cls} token of photon d"
+        strategy = dataclasses.replace(witness, **{f"{photon}_index": value})
+        message = f"the assignment index of photon {photon} must {why}"
         with pytest.raises(ValueError, match=re.escape(message)):
-            lhv.evaluate_strategy(op, bad)
+            lhv.evaluate_strategy(op, strategy)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            lhv.witness_sides(op, strategy)
 
-    @pytest.mark.parametrize("photon", ["u", "d"])
-    def test_side_that_is_no_dict_rejected(self, photon):
-        """A list side escaped as TypeError: list indices must be integers."""
-        op = bell.canonical_product(1)
-        listed, side_u, side_d = ["A_pi", "a_pi"], {"A_pi": 1, "a_pi": 1}, {"B_pi": 1, "b_pi": 1}
-        sides = (listed, side_d) if photon == "u" else (side_u, listed)
-        message = f"the side of photon {photon} must be a dict, got ['A_pi', 'a_pi']"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            lhv.evaluate_strategy(op, LhvStrategy(FACTORIZABLE, *sides))
+    @pytest.mark.parametrize("cls", [FACTORIZABLE, UNRESTRICTED])
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint16, np.int32])
+    def test_numpy_integer_index_accepted(self, cls, dtype):
+        op = bell.canonical_product(2)
+        res = lhv.max_bound(op, cls)
+        strategy = LhvStrategy(cls, dtype(res.witness.u_index), dtype(res.witness.d_index))
+        assert lhv.evaluate_strategy(op, strategy) == res.bound
+        assert lhv.witness_sides(op, strategy) == lhv.witness_sides(op, res.witness)
+
+    def test_witness_sides_pair_tokens_with_index_bits(self):
+        """Slot or context 0 is the most significant bit, and bit 0 means +1."""
+        op = bell.canonical_product(2)
+        u_side, _ = lhv.witness_sides(op, LhvStrategy(FACTORIZABLE, 0b0110, 0))
+        assert u_side == tuple(zip(U_TOKENS_N2, (1, -1, -1, 1)))
+        _, d_side = lhv.witness_sides(op, LhvStrategy(UNRESTRICTED, 0, 0b1000))
+        assert d_side == tuple(zip(D_CONTEXTS_N2, (-1, 1, 1, 1)))
 
     @pytest.mark.parametrize("cls", [FACTORIZABLE, UNRESTRICTED])
     def test_unknown_class_rejected(self, cls):
         """It was read as unrestricted, or refused for a missing context token."""
         op = bell.canonical_product(2)
-        witness = lhv.max_bound(op, cls).witness
+        strategy = dataclasses.replace(lhv.max_bound(op, cls).witness, strategy_class="contextual")
         with pytest.raises(ValueError, match="unknown strategy class 'contextual'"):
-            lhv.evaluate_strategy(op, LhvStrategy("contextual", witness.side_u, witness.side_d))
+            lhv.evaluate_strategy(op, strategy)
+        with pytest.raises(ValueError, match="unknown strategy class 'contextual'"):
+            lhv.witness_sides(op, strategy)
 
     def test_strategy_that_is_no_lhv_strategy_rejected(self):
         """It escaped as an AttributeError on ``strategy_class``."""
         with pytest.raises(ValueError, match="must be an LhvStrategy, got dict"):
             lhv.evaluate_strategy(bell.canonical_product(1), {"A_pi": 1})
 
-    @pytest.mark.parametrize("type_name", sorted(_NOT_OPERATORS))
+    @pytest.mark.parametrize("type_name", sorted(NOT_OPERATORS))
     def test_operator_that_is_no_bell_operator_rejected(self, type_name):
         """It escaped as an AttributeError on ``kinds``; it is named before the
         strategy's class is read."""
         op = bell.canonical_product(2)
         witness = lhv.max_bound(op, FACTORIZABLE).witness
         message = f"the operator must be a BellOperator, got {type_name}"
-        for strategy in (witness, LhvStrategy("contextual", witness.side_u, witness.side_d)):
+        for strategy in (witness, dataclasses.replace(witness, strategy_class="contextual")):
             with pytest.raises(ValueError, match=re.escape(message)):
-                lhv.evaluate_strategy(_NOT_OPERATORS[type_name](op), strategy)
+                lhv.evaluate_strategy(NOT_OPERATORS[type_name](op), strategy)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                lhv.witness_sides(NOT_OPERATORS[type_name](op), strategy)
 
 
 class TestSignSymmetry:
@@ -152,8 +140,8 @@ class TestSignSymmetry:
         for _ in range(20):
             u_vals = rng.choice([1, -1], size=4)
             d_vals = rng.choice([1, -1], size=4)
-            s = _strategy(UNRESTRICTED, U_CONTEXTS_N2, u_vals, D_CONTEXTS_N2, d_vals)
-            flipped = _strategy(UNRESTRICTED, U_CONTEXTS_N2, -u_vals, D_CONTEXTS_N2, d_vals)
+            s = _strategy(UNRESTRICTED, u_vals, d_vals)
+            flipped = _strategy(UNRESTRICTED, -u_vals, d_vals)
             assert lhv.evaluate_strategy(op, flipped) == -lhv.evaluate_strategy(op, s)
 
     def test_factorizable_single_dof_flip_negates(self):
@@ -165,36 +153,21 @@ class TestSignSymmetry:
         for _ in range(20):
             u_vals = rng.choice([1, -1], size=4)
             d_vals = rng.choice([1, -1], size=4)
-            s = _strategy(FACTORIZABLE, U_TOKENS_N2, u_vals, D_TOKENS_N2, d_vals)
-            base = lhv.evaluate_strategy(op, s)
+            base = lhv.evaluate_strategy(op, _strategy(FACTORIZABLE, u_vals, d_vals))
             pol_flip = u_vals * np.array([-1, -1, 1, 1])
-            assert (
-                lhv.evaluate_strategy(
-                    op, _strategy(FACTORIZABLE, U_TOKENS_N2, pol_flip, D_TOKENS_N2, d_vals)
-                )
-                == -base
-            )
-            assert (
-                lhv.evaluate_strategy(
-                    op, _strategy(FACTORIZABLE, U_TOKENS_N2, -u_vals, D_TOKENS_N2, d_vals)
-                )
-                == base
-            )
+            assert lhv.evaluate_strategy(op, _strategy(FACTORIZABLE, pol_flip, d_vals)) == -base
+            assert lhv.evaluate_strategy(op, _strategy(FACTORIZABLE, -u_vals, d_vals)) == base
 
     def test_pinned_search_equals_full_search(self):
         """Pinning the first u value to +1 halves the search without changing
         the maximum of |value| (N <= 2)."""
-        for op, cls, u_tokens, d_tokens in (
-            (bell.canonical_product(1), FACTORIZABLE, U_TOKENS_CHSH, D_TOKENS_CHSH),
-            (bell.canonical_product(2), FACTORIZABLE, U_TOKENS_N2, D_TOKENS_N2),
-            (bell.canonical_product(2), UNRESTRICTED, U_CONTEXTS_N2, D_CONTEXTS_N2),
-        ):
+        for n, cls in ((1, FACTORIZABLE), (2, FACTORIZABLE), (2, UNRESTRICTED)):
+            op = bell.canonical_product(n)
             full = []
             pinned = []
-            for u_vals in product((1, -1), repeat=len(u_tokens)):
-                for d_vals in product((1, -1), repeat=len(d_tokens)):
-                    s = _strategy(cls, u_tokens, u_vals, d_tokens, d_vals)
-                    v = abs(lhv.evaluate_strategy(op, s))
+            for u_vals in product((1, -1), repeat=_n_slots(cls, n)):
+                for d_vals in product((1, -1), repeat=_n_slots(cls, n)):
+                    v = abs(lhv.evaluate_strategy(op, _strategy(cls, u_vals, d_vals)))
                     full.append(v)
                     if u_vals[0] == 1:
                         pinned.append(v)
@@ -237,7 +210,7 @@ class TestMaxBound:
         best = 0
         for u_vals in product((1, -1), repeat=4):
             for d_vals in product((1, -1), repeat=4):
-                s = _strategy(UNRESTRICTED, U_CONTEXTS_N2, u_vals, D_CONTEXTS_N2, d_vals)
+                s = _strategy(UNRESTRICTED, u_vals, d_vals)
                 best = max(best, abs(lhv.evaluate_strategy(op, s)))
         assert best == lhv.max_bound(op, UNRESTRICTED).bound == 8
 
@@ -315,11 +288,11 @@ class TestMaxBound:
         with pytest.raises(ValueError, match="strategy class"):
             lhv.max_bound(bell.canonical_product(1), "nonlocal")
 
-    @pytest.mark.parametrize("type_name", sorted(_NOT_OPERATORS))
+    @pytest.mark.parametrize("type_name", sorted(NOT_OPERATORS))
     def test_operator_that_is_no_bell_operator_rejected(self, type_name, monkeypatch):
         """It escaped as an AttributeError on ``dof_count``; it is named before
         the class check and before the guard."""
-        bad = _NOT_OPERATORS[type_name](bell.canonical_product(2))
+        bad = NOT_OPERATORS[type_name](bell.canonical_product(2))
         message = f"the operator must be a BellOperator, got {type_name}"
         monkeypatch.setattr(lhv, "MAX_STRATEGY_PAIRS", 0)
         for cls in (FACTORIZABLE, "nonlocal"):
@@ -331,8 +304,8 @@ class TestMaxBound:
     )
     def test_search_and_replay_run_once(self, cls, search, monkeypatch):
         """The search and the replay of its witness run once per (kinds,
-        class), also for an operator that is not the shared one; every call
-        returns fresh witness dicts."""
+        class), also for an operator that is not the shared one, and every
+        call's witness holds the cached indices."""
         searches, replays = [], []
         run_search, replay = getattr(lhv, search), lhv.evaluate_strategy
         monkeypatch.setattr(lhv, search, lambda t: searches.append(t) or run_search(t))
@@ -344,10 +317,11 @@ class TestMaxBound:
         first = lhv.max_bound(op, cls)
         second = lhv.max_bound(op, cls)
         third = lhv.max_bound(bell.BellOperator(kinds=op.kinds), cls)
-        assert (len(searches), len(replays)) == (1, 1)
         assert first == second == third
-        for side in ("side_u", "side_d"):
-            assert len({id(getattr(res.witness, side)) for res in (first, second, third)}) == 3
+        assert lhv._search(op.kinds, cls) == (
+            first.bound, first.witness.u_index, first.witness.d_index
+        )
+        assert (len(searches), len(replays)) == (1, 1)
 
     def test_guard_refuses_with_the_search_cached(self, monkeypatch):
         op = bell.canonical_product(2)
@@ -358,16 +332,18 @@ class TestMaxBound:
         assert err.value.count == 256
 
     @pytest.mark.parametrize("cls", [FACTORIZABLE, UNRESTRICTED])
-    def test_mutated_witness_leaves_the_next_call(self, cls):
+    def test_witness_is_frozen_cached_ints(self, cls):
+        """The witness is the cached Python ints and cannot be changed, so no
+        caller reaches what the next call returns."""
         op = bell.canonical_product(2)
         first = lhv.max_bound(op, cls)
-        side_u, side_d = dict(first.witness.side_u), dict(first.witness.side_d)
-        for token in first.witness.side_u:
-            first.witness.side_u[token] *= -1
-        first.witness.side_d.clear()
-        second = lhv.max_bound(op, cls)
-        assert (second.witness.side_u, second.witness.side_d) == (side_u, side_d)
-        assert lhv.evaluate_strategy(op, second.witness) == second.bound
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.witness.u_index = 0
+        cached = lhv._search(op.kinds, cls)
+        assert cached == (first.bound, first.witness.u_index, first.witness.d_index)
+        assert [type(x) for x in cached] == [int, int, int]
+        assert lhv.max_bound(op, cls) == first
+        assert lhv.evaluate_strategy(op, first.witness) == first.bound
 
     @pytest.mark.parametrize("n", range(1, bell.MAX_DOF + 1))
     def test_tables_built_once_read_only(self, n):
@@ -409,9 +385,8 @@ class TestMaxBound:
 
     @pytest.mark.parametrize("cls,tokens", [(FACTORIZABLE, 2 * 4), (UNRESTRICTED, 2**4)])
     def test_side_tokens_built_once_per_labels(self, cls, tokens, monkeypatch):
-        """The witness and its replay share one token tuple per photon: a
-        first max_bound, on a cold search cache, labels each side's tokens
-        once, a second none."""
+        """max_bound labels no token, even on cold caches; the first printed
+        witness labels each side's tokens once, a second print none."""
         calls, side_label = [], model.side_label
 
         def counting(names, labels):
@@ -423,8 +398,10 @@ class TestMaxBound:
         monkeypatch.setattr(model, "side_label", counting)
         op = bell.canonical_product(4)
         first = lhv.max_bound(op, cls)
+        assert calls == []
+        printed = lhv.witness_sides(op, first.witness)
         assert len(calls) == 2 * tokens
-        assert lhv.max_bound(op, cls) == first
+        assert lhv.witness_sides(op, first.witness) == printed
         assert len(calls) == 2 * tokens
 
 
@@ -442,20 +419,33 @@ _BOUNDS = {FACTORIZABLE: (2, 4, 8, 16), UNRESTRICTED: (2, 8, 20, 64)}  # at N = 
 )
 def test_every_kinds_tuple_replays_its_witness(kinds, cls):
     """At each of the 30 kinds tuples the bound is the canonical one of its N
-    and class, over the whole search, and the witness assigns exactly the
-    operator's side tokens (in term order, from the reference labels) and
-    replays to the bound."""
+    and class, over the whole search; the printed witness pairs the reference
+    tokens (slot or context order) with the index bits, and replays to the
+    bound in both replays."""
     op = bell.BellOperator(kinds=kinds)
     res = lhv.max_bound(op, cls)
     n = len(kinds)
     n_side = 4**n if cls == FACTORIZABLE else 2 ** (2**n)
     assert (res.bound, res.strategies_evaluated) == (_BOUNDS[cls][n - 1], n_side**2)
-    for photon, side in enumerate((res.witness.side_u, res.witness.side_d)):
-        contexts = [setting_labels(s)[photon] for s in term_settings(kinds)]
-        if cls == FACTORIZABLE:  # each factor's two tokens, factor 0 first
-            contexts = [c.split()[f] for f in range(n) for c in contexts]
-        assert list(side) == list(dict.fromkeys(contexts))
+    sides = []
+    printed = lhv.witness_sides(op, res.witness)
+    for photon, index, pairs in zip(
+        model.PHOTONS, (res.witness.u_index, res.witness.d_index), printed
+    ):
+        assert [token for token, _ in pairs] == _reference_tokens(kinds, cls, photon)
+        assert [value for _, value in pairs] == _index_values(index, _n_slots(cls, n))
+        sides.append(dict(pairs))
     assert lhv.evaluate_strategy(op, res.witness) == res.bound
+    assert _reference_evaluate(op, cls, *sides) == res.bound
+
+
+def _reference_tokens(kinds, cls, photon):
+    """A side's tokens read off the string term table: its contexts in term
+    order, or each factor's two observable tokens, factor 0 first."""
+    contexts = [setting_labels(s)[photon == model.PHOTON_D] for s in term_settings(kinds)]
+    if cls == FACTORIZABLE:
+        contexts = [c.split()[f] for f in range(len(kinds)) for c in contexts]
+    return list(dict.fromkeys(contexts))
 
 
 def _reference_unrestricted(t):
@@ -556,39 +546,21 @@ class TestFactorizableSearch:
         assert all(type(x) is int for x in result)
 
 
-def _reference_evaluate(op, strategy):
-    """The former string replay: every term's tokens looked up per term."""
-    def lookup(side, token):
-        try:
-            val = side[token]
-        except KeyError:
-            raise ValueError(f"strategy has no assignment for {token!r}") from None
-        if val not in (-1, 1):
-            raise ValueError(f"assignment for {token!r} must be +-1, got {val!r}")
-        return val
-
+def _reference_evaluate(op, cls, u_side, d_side):
+    """The former string replay over token dicts: every term's tokens looked
+    up per term, from the reference term table."""
     total = 0
     for term, sign in zip(term_settings(op.kinds), op.term_signs, strict=True):
-        if strategy.strategy_class == FACTORIZABLE:
-            u_val = d_val = 1
-            for obs, lab in zip(term.u_ids, op.factor_labels):
-                u_val *= lookup(strategy.side_u, f"{obs.name}_{lab}")
-            for obs, lab in zip(term.d_ids, op.factor_labels):
-                d_val *= lookup(strategy.side_d, f"{obs.name}_{lab}")
+        if cls == FACTORIZABLE:
+            u_val = math.prod(u_side[f"{obs.name}_{lab}"]
+                              for obs, lab in zip(term.u_ids, op.factor_labels))
+            d_val = math.prod(d_side[f"{obs.name}_{lab}"]
+                              for obs, lab in zip(term.d_ids, op.factor_labels))
         else:
             u_label, d_label = setting_labels(term)
-            u_val = lookup(strategy.side_u, u_label)
-            d_val = lookup(strategy.side_d, d_label)
+            u_val, d_val = u_side[u_label], d_side[d_label]
         total += sign * u_val * d_val
     return total
-
-
-def _reference_tokens(op, cls, photon):
-    """A side's keys read off the string term table, in first-use order."""
-    labels = [setting_labels(t)[photon == "d"] for t in term_settings(op.kinds)]
-    if cls == FACTORIZABLE:
-        labels = [tok for label in labels for tok in label.split()]
-    return list(dict.fromkeys(labels))
 
 
 @st.composite
@@ -596,39 +568,25 @@ def _random_strategies(draw):
     kinds = draw(st.lists(st.sampled_from(sorted(_CHSH)), min_size=1, max_size=bell.MAX_DOF))
     op = bell.build_beta_product([_CHSH[k]() for k in kinds])
     cls = draw(st.sampled_from([FACTORIZABLE, UNRESTRICTED]))
-    sides = []
-    for photon in ("u", "d"):
-        tokens = _reference_tokens(op, cls, photon)
-        values = draw(st.lists(st.sampled_from([1, -1]), min_size=len(tokens),
-                               max_size=len(tokens)))
-        sides.append(dict(zip(tokens, values)))
-    return op, LhvStrategy(cls, side_u=sides[0], side_d=sides[1]), draw(st.randoms())
+    n_slots = _n_slots(cls, len(kinds))
+    indices = [draw(st.integers(0, 2**n_slots - 1)) for _ in model.PHOTONS]
+    return op, LhvStrategy(cls, *indices)
 
 
 class TestIntegerReplay:
-    """The integer term table replays every strategy as the string replay did."""
+    """The index replay gives every strategy the value of the string replay
+    over token dicts, each side's reference tokens paired with its index bits."""
 
     @settings(max_examples=300, deadline=None)
     @given(_random_strategies())
+    @example((bell.canonical_product(4), LhvStrategy(UNRESTRICTED, 2**16 - 1, 0)))
+    @example((bell.canonical_product(4), LhvStrategy(FACTORIZABLE, 0, 2**8 - 1)))
     def test_equals_string_replay(self, case):
-        op, strategy, _ = case
+        op, strategy = case
+        cls, n_slots = strategy.strategy_class, _n_slots(strategy.strategy_class, op.dof_count)
+        sides = [dict(zip(_reference_tokens(op.kinds, cls, photon), _index_values(index, n_slots)))
+                 for photon, index in zip(model.PHOTONS, (strategy.u_index, strategy.d_index))]
         value = lhv.evaluate_strategy(op, strategy)
         assert type(value) is int
-        assert value == _reference_evaluate(op, strategy)
-
-    @settings(max_examples=100, deadline=None)
-    @given(_random_strategies(), st.sampled_from([None, 0, 2, -2, 1.5]))
-    def test_bad_assignment_names_token(self, case, bad):
-        """A dropped token (``None``) or a non-+-1 value raises in both
-        replays, naming that token."""
-        op, strategy, rnd = case
-        side = rnd.choice([strategy.side_u, strategy.side_d])
-        token = rnd.choice(sorted(side))
-        if bad is None:
-            del side[token]
-        else:
-            side[token] = bad
-        for replay in (lhv.evaluate_strategy, _reference_evaluate):
-            with pytest.raises(ValueError, match=re.escape(repr(token))):
-                replay(op, strategy)
-
+        assert value == _reference_evaluate(op, cls, *sides)
+        assert lhv.witness_sides(op, strategy) == tuple(tuple(side.items()) for side in sides)

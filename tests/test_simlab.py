@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from hyperbell import bell, lhv, model, qcore, rng, simlab
 from hyperbell.model import NoiseModel, QuantumState
 from reference import (
+    NOT_OPERATORS,
     JointSetting,
     ObservableId,
     analytic_correlations,
@@ -1730,6 +1731,16 @@ class TestViolationReport:
         message = rf"labels must be a tuple of (2|1 to 4) strings, got {re.escape(repr(labels))}"
         with pytest.raises(ValueError, match=message):
             simlab.violation_report(records, bell.canonical_product(2), 4.0, labels)
+
+    @pytest.mark.parametrize("type_name", sorted(NOT_OPERATORS))
+    def test_operator_that_is_no_bell_operator_rejected(self, type_name):
+        """It escaped as an AttributeError on ``factor_labels``."""
+        bad = NOT_OPERATORS[type_name](bell.canonical_product(2))
+        message = f"the operator must be a BellOperator, got {type_name}"
+        records = simlab.run_simulated_experiment(IDEAL, 100, seed=0).joint_records
+        for given in ([], records):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                simlab.violation_report(given, bad, 4.0)
 
     def test_duplicate_labels_rejected(self):
         rec = simlab.CorrelationRecord(label=("A_pi", "B_pi"), E=0.5, std_err=0.01, n_events=10)
