@@ -16,6 +16,12 @@ Conventions (fixed, shared by every module):
 
 The eight dichotomic observables are stored in their ket-bra form; the
 equivalent Pauli combinations are asserted in tests, not assumed here.
+
+Every state the studies build is a product of one pair per factor
+(``product_state``), and every noise channel acts on one factor's 4x4 pair
+block, so a product state keeps its kinds and blocks, and noise maps and
+checks each block on its own; the dense 4^N density matrix is built only
+when an exact study reads it.
 """
 
 from __future__ import annotations
@@ -120,10 +126,18 @@ class QuantumState:
     """Pure or mixed state over N two-photon degrees of freedom (dim 4^N).
     Its arrays are read-only and its own: an input whose memory a writable
     array owns is copied, so no later write reaches a checked state.  A pure
-    state's ``rho = outer(v, v*)`` is built on first read."""
+    state's ``rho = outer(v, v*)`` is built on first read.
+
+    A product state (``product_state``, ``apply_noise``) also keeps each
+    factor's kind and its 4x4 pair block, factor 0 first (``blocks``): a
+    pure one builds its blocks from its pair vectors on first read, and a
+    mixed one's ``rho`` is the Kronecker product of its blocks, built on
+    first read.  A state built by ``pure`` or ``mixed`` has no blocks."""
 
     dof_count: int
     vector: np.ndarray | None
+    kinds: tuple | None = None  # a product state's factor kinds, else None
+    pairs: np.ndarray | None = None  # a pure product state's (N, 4) pair vectors
 
     @property
     def dim(self) -> int:
@@ -135,7 +149,21 @@ class QuantumState:
 
     @cached_property
     def rho(self) -> np.ndarray:
+        if self.vector is None:  # a mixed product state: ``mixed`` sets its own rho
+            # A copy owns its memory, where np.kron returns a view of a writable array.
+            return qcore.read_only(reduce(np.kron, self.blocks).copy())
         return qcore.read_only(np.outer(self.vector, self.vector.conj()))
+
+    @cached_property
+    def blocks(self) -> np.ndarray:
+        """A product state's read-only (N, 4, 4) pair density matrices,
+        factor 0 first; a ``ValueError`` for a state with none."""
+        if self.pairs is None:  # ``apply_noise`` sets a mixed product state's blocks
+            raise ValueError(
+                "a product state is needed (model.product_state, hyper_state or apply_noise);"
+                " this state has no pair blocks"
+            )
+        return qcore.read_only(self.pairs[:, :, None] * self.pairs[:, None, :].conj())
 
     @classmethod
     def pure(cls, vector) -> "QuantumState":
@@ -208,8 +236,10 @@ def product_state(kinds: tuple, phases: tuple) -> QuantumState:
     for phase in phases:
         if not _finite_real(phase):
             raise ValueError(f"phases must be finite real numbers, got {phase!r}")
-    vector = qcore.read_only(reduce(np.multiply.outer, map(pair_state, kinds, phases))).ravel()
-    return QuantumState.pure(vector)  # a view of a fresh read-only array: not copied
+    pairs = qcore.read_only(np.array([pair_state(k, p) for k, p in zip(kinds, phases)]))
+    # Finite and normalized, as each pair is, and a view of a fresh read-only array.
+    vector = qcore.read_only(reduce(np.multiply.outer, pairs)).ravel()
+    return QuantumState(dof_count=len(kinds), vector=vector, kinds=kinds, pairs=pairs)
 
 
 def hyper_state(theta: float, phi: float, dof_count: int = 2) -> QuantumState:
@@ -282,38 +312,21 @@ class NoiseModel:
 
 
 def apply_noise(state: QuantumState, noise: NoiseModel) -> QuantumState:
-    """Apply the noise channel to a pure N-DOF state, block by block: v_pi on
-    polarization factors and v_k on path factors (``canonical_kinds``).
-    Returns a mixed state."""
+    """Apply the noise channel to a pure product state, block by block: each
+    pair block through its 4x4 channel at v_pi if its kind is polarization,
+    v_k if path.  Each noisy block is checked (``qcore._check_density_matrix``)
+    and kept; the mixed state's dense ``rho`` is built only when read."""
+    blocks = state.blocks  # refuses a state with no blocks
     if not state.is_pure:
         raise ValueError("apply_noise expects a pure input state")
-    n = state.dof_count
-    rho = state.rho
-    if noise.kind != NOISE_NONE:
-        channel = _white_dof if noise.kind == NOISE_WHITE else _dephase_dof
-        for block, kind in enumerate(canonical_kinds(n)):
-            rho = channel(rho, noise.v_pi if kind == POLARIZATION else noise.v_k, block, n)
-    return QuantumState.mixed(qcore.read_only(rho))  # fresh or shared: not copied
-
-
-def _on_block(a: np.ndarray, block: int, n: int) -> np.ndarray:
-    """A 4x4 array over one block's (row, column) pair indices, with unit
-    axes for the other blocks, so it broadcasts against rho reshaped to
-    (4,) * 2n: the n row blocks, then the n column blocks."""
-    shape = [1] * (2 * n)
-    shape[block] = shape[block + n] = 4
-    return a.reshape(shape)
-
-
-def _white_dof(rho: np.ndarray, v: float, block: int, n: int) -> np.ndarray:
-    """v rho + (1 - v) (I/4 on the block) x (partial trace over the block)."""
-    rest = np.trace(rho.reshape((4,) * (2 * n)), axis1=block, axis2=block + n)
-    mixed = _on_block(np.eye(4) / 4.0, block, n) * np.expand_dims(rest, (block, block + n))
-    return v * rho + (1.0 - v) * mixed.reshape(rho.shape)
-
-
-def _dephase_dof(rho: np.ndarray, v: float, block: int, n: int) -> np.ndarray:
-    """Scale entries whose block row/column pair indices differ by v."""
-    factor = np.where(_on_block(np.eye(4, dtype=bool), block, n), 1.0, v)
-    # A view of a fresh read-only array: ``QuantumState.mixed`` keeps it uncopied.
-    return qcore.read_only(rho.reshape((4,) * (2 * n)) * factor).reshape(rho.shape)
+    v = np.array([noise.v_pi if kind == POLARIZATION else noise.v_k for kind in state.kinds])
+    v = v[:, None, None]
+    if noise.kind == NOISE_WHITE:
+        blocks = v * blocks + (1.0 - v) * np.eye(4) / 4.0
+    elif noise.kind == NOISE_DEPHASING:  # the coherences between a block's pair indices
+        blocks = blocks * np.where(np.eye(4, dtype=bool), 1.0, v)
+    for block in blocks:
+        qcore._check_density_matrix(block)
+    mixed = QuantumState(dof_count=state.dof_count, vector=None, kinds=state.kinds)
+    object.__setattr__(mixed, "blocks", qcore.read_only(blocks))  # fills the cached_property
+    return mixed

@@ -7,15 +7,15 @@ one sign per factor in ``product((1, -1), repeat=N)`` order, so a setting
 has 4^N outcome cells, ordered u-major.  The 4^N settings of the Bell test
 are the terms of ``bell.canonical_product(N)``.
 
-Born probabilities come from one contraction per setting: each photon's
-2^N joint-outcome projectors act on its own 2^N-dim space as one stack per
-tuple of name digits (``_side_projectors``, the one stack builder; a pass
-builds each distinct stack once and keeps it), the density
-matrix is permuted once into photon-local order, and the cells are
-``real((A @ R) @ B.T)``.  They agree with the trace over embedded projectors
-to about 1e-16, and sampled counts and every output byte are identical to
-that construction.  Every table of one N is built once, when first read
-(``_Layout``).
+Born probabilities need a product state (``model.QuantumState.blocks``):
+the Born row of a setting on it is the outer product of one 2x2 row per
+factor, ``T[f, u digit, :, d digit, :]``, where ``T[f, x, o, y, p] =
+Tr[rho_f (P_x^o x P_y^p)]`` is factor f's table of its 4x4 pair block
+against its kind's outcome projectors (``_Layout.factor_tables``, one small
+einsum per state).  The rows agree with the trace over embedded projectors
+to about 1e-16, and every golden count and output byte is that of the dense
+contraction they replaced.  Every table of one N is built once, when first
+read (``_Layout``).
 
 A sampled cell is a setting and a factor, kept as one integer row of name
 digits (``_Layout.cells``): the joint correlation of the setting, or the
@@ -25,19 +25,19 @@ Born distribution, driven by the seeded generator in ``rng`` (identity
 i of the seed (``rng.derive_seeds``), so runs are reproducible cell by
 cell.  Each N has one array pass (``_Layout.cells``), a run's own cells then
 the assumption cells (56 at N = 2), read by position over contiguous row
-ranges: ``A @ R`` once per distinct u stack the range reads, stacked Born
-contractions, one sampler call with one seed per row, and one weight
+ranges: the state's factor tables, one gather and outer product of their
+rows (``_born``), one sampler call with one seed per row, and one weight
 product.  A run reads the whole pass; ``assumption_test`` reads the
 assumption suffix and ``signaling_deviation`` the 4^N product terms, which
-come first.  ``born_distribution`` (one setting's two-stack contraction),
-``sample`` and ``estimate`` are the one-row calls of the same kernels.
+come first.  ``born_distribution``, ``sample`` and ``estimate`` are the
+one-row calls of the same kernels.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property
 from itertools import product
 
 import numpy as np
@@ -56,34 +56,10 @@ _ASSUMPTION_ROWS = {
 }
 
 
-# Projector entries gathered per photon for one Born block: a block holds 256
-# cells at N = 2 and 4 at N = 4, so no pass gathers a whole list's stacks
-# (about 85 MB a photon for the 1,296 cells of an N = 4 run).
-_BORN_BLOCK = 1 << 14
-
-
-# [kind index, name digit]: the observable's outcome projectors (I + M)/2, (I - M)/2.
+# [kind index, name digit, outcome]: the observable's outcome projectors (I + M)/2, (I - M)/2.
 _OUTCOME_PROJECTORS = qcore.read_only(
     (_I2 + np.array([1.0, -1.0])[:, None, None] * model.OBSERVABLES[:, :, None]) / 2.0
 )
-
-
-def _side_projectors(kinds: tuple, names) -> np.ndarray:
-    """One photon's 2^N outcome projectors on its own 2^N-dim space as a
-    read-only 2^N x 4^N stack: the Kronecker product of the (I +- M)/2 pairs
-    of the name digit ``names[f]`` on a factor of ``kinds[f]``, factor 0
-    slowest.  Built on each call; each N's one pass keeps its stacks
-    (``_Layout.stacks``).  The names need not belong to the photon."""
-    stack = reduce(_kron_stack, _OUTCOME_PROJECTORS[[model.KINDS.index(k) for k in kinds], names])
-    return qcore.read_only(stack.reshape(len(stack), -1))
-
-
-def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker products of two square projector stacks, entry by entry, on
-    every axis.  einsum, not np.kron: its zeros are all +0.0, where np.kron
-    keeps the -0.0 of a product like 0.5 * -0.0."""
-    dim = a.shape[1] * b.shape[1]
-    return np.einsum("sac,tbd->stabcd", a, b).reshape(len(a) * len(b), dim, dim)
 
 
 class _Layout:
@@ -99,8 +75,7 @@ class _Layout:
     factor by factor, each row of its kind under the 4^(N-1) contexts of the
     other factors (other factors in order, the first slowest).  At N = 2
     that is 0..15, 16..19, 20..23 and 24..55.  The other cell tables are
-    read from it by position; a photon has at most 80 distinct name codes
-    (at N = 4), each stack built once, so no stack is built per call.
+    read from it by position.
     """
 
     def __init__(self, n: int):
@@ -111,20 +86,15 @@ class _Layout:
         # [factor, name digit]: the token (A_pi2), for ``_per_cell`` and ``estimate``.
         tokens = [[model.side_label(x, (label,)) for x in model.NAMES] for label in self.labels]
         self.tokens = qcore.read_only(np.array(tokens))
-        # rho's 4N qubit indices, row then column, each factor by factor with
-        # photon u first, go to (u columns, u rows, d columns, d rows), factor
-        # 0 first, so that Tr[(P_u x P_d) rho] is A @ R @ B.T.
-        self.born_axes = tuple(
-            base + 2 * f + side for side in (0, 1) for base in (2 * n, 0) for f in range(n)
-        )
+        # [factor, name digit, outcome]: the outcome projectors of the factor's kind.
+        kinds = [model.KINDS.index(kind) for kind in self.kinds]
+        self.projectors = qcore.read_only(_OUTCOME_PROJECTORS[kinds])
         # Row f + 1: the product of the two photons' signs on factor f, over
         # the cells u-major, each side in ``product((1, -1), repeat=N)``
         # order; row 0, the joint weights, is their product (a cell's factor + 1).
         signs = np.array(list(product((1, -1), repeat=n)), dtype=float).T
         weights = (signs[:, :, None] * signs[:, None, :]).reshape(n, -1)
         self.weight_rows = qcore.read_only(np.vstack([weights.prod(axis=0), weights]))
-        # Cells per Born block: each photon's stack of a cell has 8^N entries.
-        self.born_block = max(1, _BORN_BLOCK // 8**n)
 
     @cached_property
     def cells(self) -> np.ndarray:
@@ -143,21 +113,6 @@ class _Layout:
             names = np.insert(block, f, np.array(rows)[:, None], axis=3).reshape(-1, 2 * n)
             table.append(np.column_stack([names, np.full(len(names), factor)]))
         return qcore.read_only(np.vstack(table))
-
-    @cached_property
-    def stacks(self) -> tuple:
-        """Per photon, u then d: the read-only projector stack of its distinct
-        base-4 name codes (factor 0 first), in first-use order, and each
-        cell's index into it."""
-        n, sides = len(self.kinds), []
-        for side in np.split(self.cells[:, :-1], 2, axis=1):
-            codes = (side @ 4 ** np.arange(n - 1, -1, -1)).tolist()
-            # Each distinct code's first cell, in first-use order, and its rank in that order.
-            first = sorted({code: i for i, code in reversed(list(enumerate(codes)))}.values())
-            rank = {codes[i]: k for k, i in enumerate(first)}
-            stack = np.stack([_side_projectors(self.kinds, names) for names in side[first]])
-            sides.append((qcore.read_only(stack), np.array([rank[code] for code in codes])))
-        return tuple(sides)
 
     @cached_property
     def record_labels(self) -> tuple:
@@ -186,23 +141,18 @@ class _Layout:
         entries = self.tokens[np.arange(cells.shape[1] - 1) % len(self.kinds), cells[:, :-1]]
         return zip(entries.tolist(), cells[:, -1].tolist())
 
-    def local_rho(self, state: QuantumState) -> np.ndarray:
-        """rho permuted to photon-local order (``born_axes``)."""
-        axes = self.born_axes
-        return state.rho.reshape((2,) * len(axes)).transpose(axes).reshape(state.rho.shape)
+    def factor_tables(self, state: QuantumState) -> np.ndarray:
+        """``T[f, u digit, u outcome, d digit, d outcome] = Tr[rho_f (P x Q)]``
+        of the product state's pair blocks ``rho_f`` (a state with none is
+        refused) against the outcome projectors P of photon u's name digit
+        and Q of photon d's on factor f's kind, outcomes in (+1, -1) order."""
+        rho = state.blocks.reshape(-1, 2, 2, 2, 2)  # [f, u row, d row, u column, d column]
+        p = self.projectors
+        return np.real(np.einsum("fijkl,fxoki,fyplj->fxoyp", rho, p, p))
 
     def born(self, state: QuantumState, rows: slice = slice(None)) -> np.ndarray:
-        """The Born rows of the contiguous cell range ``rows``: ``U @ R`` for
-        the u stacks up to the last one the range reads, then ``_born`` on
-        blocks of ``born_block`` cells, whose gathered stacks stay small."""
-        (u_stacks, u_index), (d_stacks, d_index) = self.stacks
-        u_index, d_index = u_index[rows], d_index[rows]
-        ur = u_stacks[: u_index.max() + 1] @ self.local_rho(state)
-        probs = np.empty((len(u_index), self.weight_rows.shape[1]))
-        for lo in range(0, len(u_index), self.born_block):
-            block = slice(lo, lo + self.born_block)
-            probs[block] = _born(ur[u_index[block]], d_stacks[d_index[block]])
-        return probs
+        """The Born rows of the contiguous cell range ``rows`` (``_born``)."""
+        return _born(self.factor_tables(state), self.cells[rows, :-1])
 
 
 _layout = cache(_Layout)
@@ -222,16 +172,24 @@ def _checked_setting(u, d) -> tuple:
     return _layout(len(u)), *checked
 
 
-def _born(ur: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Born rows ``real((A @ R) @ B.T)`` of stacked settings, one row of 4^N
-    cells per setting: ``ur`` is each setting's u projector stack times rho
-    in photon-local order, and ``d`` its d stack, both (settings, 2^N, 4^N).
+def _born(tables: np.ndarray, settings: np.ndarray) -> np.ndarray:
+    """Born rows of stacked settings, one row of 4^N cells per setting,
+    u-major: ``settings`` holds each one's u name digits, then its d digits,
+    factor 0 first, and ``tables`` the state's factor tables
+    (``_Layout.factor_tables``).  A row is the outer product of the 2x2 rows
+    ``tables[f, u_f, :, d_f, :]``, factor 0 slowest on each photon.
 
     Probabilities more negative than -1e-12 are an error; smaller negative
     rounding residue is clamped to zero and each row renormalized.  The
     first row failing a check is reported.
     """
-    probs = np.real(ur @ d.transpose(0, 2, 1)).reshape(len(ur), -1)
+    n, m = len(tables), len(settings)
+    factor_rows = tables[np.arange(n), settings[:, :n], :, settings[:, n:], :]  # (m, N, 2, 2)
+    probs = factor_rows[:, 0]
+    for f in range(1, n):
+        grid = probs[:, :, None, :, None] * factor_rows[:, f, None, :, None, :]
+        probs = grid.reshape(m, 2 ** (f + 1), -1)
+    probs = probs.reshape(m, -1)
     lows = probs.min(axis=1)
     probs = np.clip(probs, 0.0, None)
     totals = probs.sum(axis=1)
@@ -246,8 +204,8 @@ def _born(ur: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 def born_distribution(state: QuantumState, u: tuple, d: tuple) -> np.ndarray:
     """Joint outcome probabilities Tr[rho (P_u x P_d)] of the setting of name
-    digits ``u`` and ``d`` (``_checked_setting``), 4^N cells u-major: the two
-    photons' stacks contracted with rho in photon-local order, bitwise the
+    digits ``u`` and ``d`` (``_checked_setting``) on a product state, 4^N
+    cells u-major: the one-row call of the pass's kernel, so bitwise the
     setting's row of the pass.  The reference is the trace over
     ``model.pair_projectors``."""
     layout, u, d = _checked_setting(u, d)
@@ -256,23 +214,26 @@ def born_distribution(state: QuantumState, u: tuple, d: tuple) -> np.ndarray:
             f"the setting measures {len(layout.kinds)} degrees of freedom,"
             f" the state has {state.dof_count}"
         )
-    u_stack, d_stack = (_side_projectors(layout.kinds, names) for names in (u, d))
-    return _born((u_stack @ layout.local_rho(state))[None], d_stack[None])[0]
+    return _born(layout.factor_tables(state), np.array([u + d]))[0]
 
 
 def signaling_deviation(state: QuantumState) -> float:
     """Largest marginal shift of one side under the other side's setting.
 
     Scans the canonical settings (the terms of ``canonical_product(N)``, the
-    first Born rows of a run's pass) grouped by each side's local setting;
+    first Born rows of a run's pass) grouped by each side's name digits;
     quantum states keep this at floating-point rounding scale.
     """
     layout = _layout(state.dof_count)
     n_terms = 4**state.dof_count
     grids = layout.born(state, slice(n_terms)).reshape(n_terms, 2**state.dof_count, -1)
-    # Each photon's marginals, grouped by its local setting: its stack index.
-    sides = zip((grids.sum(axis=2), grids.sum(axis=1)), [i[:n_terms] for _, i in layout.stacks])
-    return max(float(np.ptp(m[i == local], axis=0).max()) for m, i in sides for local in set(i))
+    # Each photon's marginals, grouped by its name digits.
+    names = np.split(layout.cells[:n_terms, :-1], 2, axis=1)
+    sides = zip((grids.sum(axis=2), grids.sum(axis=1)), names)
+    return max(
+        float(np.ptp(m[(side == local).all(axis=1)], axis=0).max())
+        for m, side in sides for local in np.unique(side, axis=0)
+    )
 
 
 def sample(probs: np.ndarray, n_events: int, seed: int) -> np.ndarray:

@@ -5,7 +5,12 @@ stream is written from the generator's definition, not from ``rng``.
 
 The oracle names an observable and a joint setting as objects
 (``ObservableId``, ``JointSetting``), where the package keeps only each
-photon's name digits per factor; ``JointSetting.digits`` gives those."""
+photon's name digits per factor; ``JointSetting.digits`` gives those.
+
+The dense Born path is the oracle of the per-factor one: the noise channels
+act on the whole 4^N density matrix (``dense_noise``), and a Born row is
+one photon's 2^N outcome projectors, contracted with that matrix in
+photon-local order and with the other photon's (``dense_born``)."""
 
 import dataclasses
 import functools
@@ -110,6 +115,84 @@ def marginals(probs):
     """(u-side, d-side) outcome marginals of a Born row, each of length 2^N."""
     grid = probs.reshape(int(np.sqrt(len(probs))), -1)
     return grid.sum(axis=1), grid.sum(axis=0)
+
+
+# [kind index, name digit, outcome]: (I + M)/2 and (I - M)/2 of each observable.
+_OUTCOME_PROJECTORS = (
+    np.eye(2, dtype=complex) + np.array([1.0, -1.0])[:, None, None] * model.OBSERVABLES[:, :, None]
+) / 2.0
+
+
+def _kron_stack(a, b):
+    """Kronecker products of two square projector stacks, entry by entry, on
+    every axis.  einsum, not np.kron: its zeros are all +0.0, where np.kron
+    keeps the -0.0 of a product like 0.5 * -0.0."""
+    dim = a.shape[1] * b.shape[1]
+    return np.einsum("sac,tbd->stabcd", a, b).reshape(len(a) * len(b), dim, dim)
+
+
+def side_projectors(kinds, names):
+    """One photon's 2^N outcome projectors on its own 2^N-dim space as a
+    2^N x 4^N stack: the Kronecker product of the (I +- M)/2 pairs of the
+    name digit ``names[f]`` on a factor of ``kinds[f]``, factor 0 slowest.
+    The names need not belong to the photon."""
+    pairs = _OUTCOME_PROJECTORS[[model.KINDS.index(k) for k in kinds], names]
+    stack = functools.reduce(_kron_stack, pairs)
+    return stack.reshape(len(stack), -1)
+
+
+def local_rho(rho):
+    """rho permuted to photon-local order: its 4N qubit indices, row then
+    column, each factor by factor with photon u first, go to (u columns,
+    u rows, d columns, d rows), factor 0 first, so that Tr[(P_u x P_d) rho]
+    is ``A @ R @ B.T``."""
+    n = (len(rho).bit_length() - 1) // 2
+    axes = [base + 2 * f + side for side in (0, 1) for base in (2 * n, 0) for f in range(n)]
+    return rho.reshape((2,) * 4 * n).transpose(axes).reshape(rho.shape)
+
+
+def dense_born(rho, u, d):
+    """The Born row of the setting of name digits ``u`` and ``d`` on the
+    canonical kinds, from the dense density matrix ``rho``: ``real(A @ R @
+    B.T)`` of the two photons' stacks, clamped at zero and renormalized."""
+    kinds = model.canonical_kinds(len(u))
+    a, b = (side_projectors(kinds, names) for names in (u, d))
+    probs = np.clip(np.real(a @ local_rho(rho) @ b.T).ravel(), 0.0, None)
+    return probs / float(probs.sum())
+
+
+def _on_block(a, block, n):
+    """A 4x4 array over one block's (row, column) pair indices, with unit
+    axes for the other blocks, so it broadcasts against rho reshaped to
+    (4,) * 2n: the n row blocks, then the n column blocks."""
+    shape = [1] * (2 * n)
+    shape[block] = shape[block + n] = 4
+    return a.reshape(shape)
+
+
+def _white_dof(rho, v, block, n):
+    """v rho + (1 - v) (I/4 on the block) x (partial trace over the block)."""
+    rest = np.trace(rho.reshape((4,) * (2 * n)), axis1=block, axis2=block + n)
+    mixed = _on_block(np.eye(4) / 4.0, block, n) * np.expand_dims(rest, (block, block + n))
+    return v * rho + (1.0 - v) * mixed.reshape(rho.shape)
+
+
+def _dephase_dof(rho, v, block, n):
+    """Scale entries whose block row/column pair indices differ by v."""
+    factor = np.where(_on_block(np.eye(4, dtype=bool), block, n), 1.0, v)
+    return (rho.reshape((4,) * (2 * n)) * factor).reshape(rho.shape)
+
+
+def dense_noise(state, noise):
+    """The dense density matrix of ``model.apply_noise(state, noise)``: each
+    channel applied to the whole 4^N matrix of the pure ``state``, block by
+    block, v_pi on its polarization factors and v_k on its path ones."""
+    rho, n = np.outer(state.vector, state.vector.conj()), state.dof_count
+    if noise.kind != model.NOISE_NONE:
+        channel = _white_dof if noise.kind == model.NOISE_WHITE else _dephase_dof
+        for block, kind in enumerate(state.kinds):
+            rho = channel(rho, noise.v_pi if kind == model.POLARIZATION else noise.v_k, block, n)
+    return rho
 
 
 def splitmix64(seed, n):

@@ -10,9 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperbell import bell, model, qcore, simlab
+from hyperbell import bell, model, qcore
 from hyperbell.model import NoiseModel, QuantumState
-from reference import ObservableId, assert_refused_before_allocating, observable
+from reference import (
+    ObservableId,
+    assert_refused_before_allocating,
+    dense_noise,
+    observable,
+    side_projectors,
+)
 
 SZ = np.diag([1, -1]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -272,7 +278,7 @@ class TestQuantumState:
         ideal = bell.ideal_state(2)
         assert QuantumState.pure(ideal.vector).vector is ideal.vector
         noisy = model.apply_noise(ideal, NoiseModel(model.NOISE_NONE))
-        assert noisy.rho is ideal.rho
+        assert noisy.blocks is ideal.blocks
 
     def test_pure_copies_a_read_only_view_of_a_writable_vector(self):
         v = np.zeros(16, dtype=complex)
@@ -396,13 +402,13 @@ class TestLocalSettingOperator:
 
 
 def _stack(ids):
-    """``simlab._side_projectors`` of one photon's observables."""
-    return simlab._side_projectors(tuple(o.kind for o in ids), tuple(o.digit for o in ids))
+    """``reference.side_projectors`` of one photon's observables."""
+    return side_projectors(tuple(o.kind for o in ids), tuple(o.digit for o in ids))
 
 
 class TestLocalProjectors:
     """A photon's joint-outcome projectors on its own space, the stacks the
-    Born kernel contracts (``simlab._side_projectors``)."""
+    dense Born oracle contracts (``reference.side_projectors``)."""
 
     @pytest.mark.parametrize("pol,path", [(A_PI, a_K), (b_PI, B_K), (B_K, A_PI)])
     def test_stack_is_a_complete_projective_measurement(self, pol, path):
@@ -447,9 +453,44 @@ def _embedded(op4: np.ndarray, block: int) -> np.ndarray:
 
 class TestApplyNoise:
     def test_identity_channel_is_exact_projector(self):
+        """The identity channel keeps the pure state's blocks themselves, and
+        their Kronecker product is the projector on the state vector."""
         state = model.hyper_state(np.pi, 0.0)
-        rho = model.apply_noise(state, NoiseModel(model.NOISE_NONE)).rho
-        np.testing.assert_array_equal(rho, np.outer(state.vector, state.vector.conj()))
+        noisy = model.apply_noise(state, NoiseModel(model.NOISE_NONE))
+        assert noisy.blocks is state.blocks and not noisy.is_pure
+        np.testing.assert_allclose(
+            noisy.rho, np.outer(state.vector, state.vector.conj()), rtol=0, atol=1e-16
+        )
+
+    @pytest.mark.parametrize("kind", [model.NOISE_WHITE, model.NOISE_DEPHASING])
+    def test_each_block_takes_its_own_kinds_visibility(self, kind):
+        """A path pair at v_k = 1 stays pure whatever v_pi is, on any factor:
+        the visibility is read from the state's kinds, not from the canonical
+        kinds of its DOF count."""
+        noise = NoiseModel(kind, v_pi=0.0, v_k=1.0)
+        path = model.apply_noise(model.product_state((model.PATH,), (0.0,)), noise)
+        assert np.trace(path.rho @ path.rho).real == pytest.approx(1.0, abs=1e-15)
+        kinds = (model.PATH, model.POLARIZATION, model.PATH)
+        mixed = model.apply_noise(model.product_state(kinds, (0.3, 0.0, -1.1)), noise)
+        purities = [np.trace(b @ b).real for b in mixed.blocks]
+        expected_pol = 0.25 if kind == model.NOISE_WHITE else 0.5
+        np.testing.assert_allclose(purities, [1.0, expected_pol, 1.0], rtol=0, atol=1e-15)
+
+    def test_noisy_rho_is_built_only_when_read(self):
+        state = model.apply_noise(bell.ideal_state(3), NoiseModel(model.NOISE_WHITE, 0.9, 0.8))
+        assert "rho" not in vars(state) and state.kinds == model.canonical_kinds(3)
+        expected = reduce(np.kron, state.blocks)
+        assert state.rho.tobytes() == expected.tobytes() and not state.rho.flags.writeable
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_each_noisy_block_is_checked(self, monkeypatch, n):
+        """The density check runs once per 4x4 block the channel returns, on
+        the block the state keeps, and never on a 4^N matrix."""
+        checked, check = [], qcore._check_density_matrix
+        monkeypatch.setattr(qcore, "_check_density_matrix", lambda a: checked.append(a) or check(a))
+        noisy = model.apply_noise(bell.ideal_state(n), NoiseModel(model.NOISE_WHITE, 0.9, 0.8))
+        assert [a.shape for a in checked] == [(4, 4)] * n
+        assert all(np.array_equal(a, b) for a, b in zip(checked, noisy.blocks, strict=True))
 
     def test_white_kills_polarization_correlations_at_zero_visibility(self):
         state = model.hyper_state(np.pi, 0.0)
@@ -513,33 +554,45 @@ class TestApplyNoise:
             NoiseModel(model.NOISE_WHITE, **{tag: v})
 
     def test_requires_pure_input(self):
-        mixed = QuantumState.mixed(np.eye(16, dtype=complex) / 16)
-        with pytest.raises(ValueError, match="pure"):
-            model.apply_noise(mixed, NoiseModel(model.NOISE_WHITE))
+        noisy = model.apply_noise(bell.ideal_state(2), NoiseModel(model.NOISE_WHITE, 0.9, 0.9))
+        with pytest.raises(ValueError, match="^apply_noise expects a pure input state$"):
+            model.apply_noise(noisy, NoiseModel(model.NOISE_WHITE))
+
+    @pytest.mark.parametrize("state", [
+        QuantumState.mixed(np.eye(16, dtype=complex) / 16),
+        QuantumState.pure(np.eye(16, dtype=complex)[0]),
+    ], ids=["mixed", "pure"])
+    def test_requires_a_product_state(self, state):
+        """A state with no pair blocks is refused, pure or mixed."""
+        with pytest.raises(ValueError, match="^a product state is needed"):
+            model.apply_noise(state, NoiseModel(model.NOISE_WHITE))
 
     @settings(max_examples=20, deadline=None)
     @given(
-        n=st.sampled_from([1, 2, 3]),
+        kinds=st.lists(st.sampled_from(model.KINDS), min_size=1, max_size=3),
         kind=st.sampled_from([model.NOISE_WHITE, model.NOISE_DEPHASING]),
         v_pi=st.floats(0.0, 1.0),
         v_k=st.floats(0.0, 1.0),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_explicit_reference_at_every_dof_count(self, n, kind, v_pi, v_k, seed):
+    def test_matches_explicit_reference_at_every_dof_count(self, kinds, kind, v_pi, v_k, seed):
         """Factor by factor, v_pi on polarization factors and v_k on path
         factors: white noise maps rho to v rho + (1 - v) I/4 x Tr_f rho on
         factor f, the Pauli twirl of that block; dephasing keeps the block's
-        diagonal and scales the rest by v."""
-        rng = np.random.default_rng(seed)
-        vec = rng.normal(size=4**n) + 1j * rng.normal(size=4**n)
-        state = QuantumState.pure(vec / np.linalg.norm(vec))
+        diagonal and scales the rest by v.  The dense channels of
+        ``reference.dense_noise`` give the same matrix."""
+        n, kinds = len(kinds), tuple(kinds)
+        phases = np.random.default_rng(seed).uniform(-np.pi, np.pi, size=n)
+        state = model.product_state(kinds, tuple(phases))
         expected = np.outer(state.vector, state.vector.conj())
-        for f, factor_kind in enumerate(model.canonical_kinds(n)):
+        for f, factor_kind in enumerate(kinds):
             v = v_pi if factor_kind == model.POLARIZATION else v_k
             expected = v * expected + (1 - v) * _reference_channel(expected, kind, f, n)
-        noisy = model.apply_noise(state, NoiseModel(kind, v_pi=v_pi, v_k=v_k))
-        assert noisy.dof_count == n
-        np.testing.assert_allclose(noisy.rho, expected, atol=1e-12)
+        noise = NoiseModel(kind, v_pi=v_pi, v_k=v_k)
+        noisy = model.apply_noise(state, noise)
+        assert noisy.dof_count == n and noisy.kinds == kinds
+        np.testing.assert_allclose(noisy.rho, expected, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(dense_noise(state, noise), expected, rtol=0, atol=1e-15)
 
 
 def _on_factor(op4: np.ndarray, f: int, n: int) -> np.ndarray:

@@ -9,6 +9,7 @@ import re
 import signal
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,6 +26,8 @@ from reference import (
     analytic_correlations,
     assert_refused_before_allocating,
     canonical_settings,
+    dense_born,
+    dense_noise,
     marginals,
     observable,
     setting_labels,
@@ -54,14 +57,9 @@ def _digits(up, uk, dp, dk):
     return _setting(up, uk, dp, dk).digits
 
 
-def _stack(ids):
-    """``simlab._side_projectors`` of one photon's observables."""
-    return simlab._side_projectors(tuple(o.kind for o in ids), tuple(o.digit for o in ids))
-
-
 IDEAL = model.hyper_state(np.pi, 0.0)
 NOISY = model.apply_noise(IDEAL, NoiseModel(model.NOISE_WHITE, 0.9, 0.9))
-MIXED_MAX = QuantumState.mixed(np.eye(16, dtype=complex) / 16)
+MIXED_MAX = model.apply_noise(IDEAL, NoiseModel(model.NOISE_WHITE, 0.0, 0.0))
 # (ideal, white v = 0.9) canonical states per DOF count.
 WHITE_09 = NoiseModel(model.NOISE_WHITE, 0.9, 0.9)
 STATES = {
@@ -113,7 +111,7 @@ class TestSettings:
     def test_setting_other_than_two_digit_tuples_refused(self, u, d, match):
         """Born and the estimator take a setting as two tuples of 1 to
         ``MAX_DOF`` name digits in 0..3, as many on each photon, and refuse
-        anything else naming the photon, before any table or stack is built."""
+        anything else naming the photon, before any table is built."""
         counts = np.full(16, 10, dtype=int)
         assert_refused_before_allocating(lambda: simlab.born_distribution(IDEAL, u, d), match)
         assert_refused_before_allocating(lambda: simlab.estimate(counts, u, d), match)
@@ -200,7 +198,7 @@ ALL_ASSIGNMENTS = tuple(
 
 def _reference_born(state, setting):
     """Born probabilities from 16x16 embedded joint-outcome projectors,
-    p = Tr[P_d P_u rho] cell by cell: the construction the contraction
+    p = Tr[P_d P_u rho] cell by cell: the construction the per-factor
     kernel must reproduce."""
     proj_u = model.pair_projectors(*map(observable, setting.u_ids), model.PHOTON_U)
     proj_d = model.pair_projectors(*map(observable, setting.d_ids), model.PHOTON_D)
@@ -390,7 +388,7 @@ class TestNoSignaling:
         state = model.apply_noise(bell.ideal_state(4), WHITE_09)
         expected = simlab.signaling_deviation(state)
         rows, born = [], simlab._born
-        monkeypatch.setattr(simlab, "_born", lambda ur, d: rows.append(len(ur)) or born(ur, d))
+        monkeypatch.setattr(simlab, "_born", lambda t, xs: rows.append(len(xs)) or born(t, xs))
         assert simlab.signaling_deviation(state) == expected
         assert sum(rows) == 4**4
 
@@ -1200,22 +1198,6 @@ class TestDerivedSeedArray:
             rng.multinomial(np.full((3, 4), 0.25), 10, seeds)
 
 
-def _fresh_side_projectors(pol, path):
-    """The stack as first built: one einsum of the polarization and path
-    (I +- M)/2 pairs."""
-    signs = np.array([1.0, -1.0])[:, None, None]
-    i2 = np.eye(2, dtype=complex)
-    pm = observable(_obs(pol, model.POLARIZATION))
-    km = observable(_obs(path, model.PATH))
-    return np.einsum("sac,tbd->stabcd", (i2 + signs * pm) / 2.0, (i2 + signs * km) / 2.0).reshape(
-        4, 16
-    )
-
-
-def _side_projectors(pol, path):
-    return simlab._side_projectors(model.canonical_kinds(2), (NAMES.index(pol), NAMES.index(path)))
-
-
 def _fresh_marginal_operator(n, f, kind, u_name, d_name):
     """The dense 4^N operator of names u and d on factor f, identity on the
     other factors: the reference for an assumption row's analytic value."""
@@ -1229,16 +1211,7 @@ NAMES = ("A", "a", "B", "b")
 
 
 class TestConstantTables:
-    """The projector stacks (once per pass) are built from N; at N = 2 every
-    entry must be bitwise what the first construction gives."""
-
-    @pytest.mark.parametrize("pol", NAMES)
-    @pytest.mark.parametrize("path", NAMES)
-    def test_side_projectors_equal_fresh_build(self, pol, path):
-        entry = _side_projectors(pol, path)
-        fresh = _fresh_side_projectors(pol, path)
-        assert np.array_equal(entry, fresh)
-        assert entry.tobytes() == fresh.tobytes()
+    """The tables each N builds once: outcome projectors and weight rows."""
 
     def test_tables_cover_exactly_the_used_keys(self):
         """One (I + M)/2, (I - M)/2 pair per kind index and name digit."""
@@ -1250,28 +1223,13 @@ class TestConstantTables:
         assert simlab._layout(3).weight_rows.shape == (4, 64)
 
     def test_entries_are_read_only(self):
-        entries = [_side_projectors(p, k) for p in NAMES for k in NAMES]
-        entries += [simlab._OUTCOME_PROJECTORS, model.OBSERVABLES]
+        entries = [simlab._OUTCOME_PROJECTORS, model.OBSERVABLES]
         for n in (1, 2, 3):
             layout = simlab._layout(n)
-            entries.append(layout.weight_rows)
+            entries += [layout.weight_rows, layout.projectors]
         for entry in entries:
             with pytest.raises(ValueError, match="read-only"):
                 entry[(0,) * entry.ndim] = 0.0
-
-    def test_second_run_builds_no_projector(self, monkeypatch):
-        """Each pass keeps the stacks it built, and each N keeps its one pass,
-        so no stack is built per run; there is no per-tuple stack cache."""
-        first = simlab.run_simulated_experiment(NOISY, n_events=100, seed=3)
-        first_report = simlab.assumption_test(NOISY, n_events=100, seed=3)
-
-        def boom(*args, **kwargs):
-            raise AssertionError("projector stack built per run")
-
-        monkeypatch.setattr(simlab, "_kron_stack", boom)
-        assert simlab.run_simulated_experiment(NOISY, n_events=100, seed=3) == first
-        assert simlab.assumption_test(NOISY, n_events=100, seed=3) == first_report
-        assert not hasattr(simlab._side_projectors, "cache_info")
 
     def test_second_assumption_test_builds_no_operator(self, monkeypatch):
         first = simlab.assumption_test(NOISY, n_events=100, seed=3)
@@ -1306,23 +1264,16 @@ class TestConstantTables:
         simlab.run_simulated_experiment(NOISY, n_events=100, seed=3)
 
 
-def _per_setting_born(state, setting):
-    """The Born row of one setting by the 2-D contraction alone:
-    ``real(A @ R @ B.T)`` of the photons' stacks, clamped and renormalized."""
-    axes = simlab._layout(len(setting.kinds)).born_axes
-    r = state.rho.reshape((2,) * len(axes)).transpose(axes).reshape(state.rho.shape)
-    u, d = (_stack(ids) for ids in (setting.u_ids, setting.d_ids))
-    probs = np.clip(np.real(u @ r @ d.T).ravel(), 0.0, None)
-    return probs / float(probs.sum())
-
-
-def _assert_pass_rows_bitwise(layout, state, rows=slice(None)):
-    """Every Born row of a range of the pass is bitwise the per-setting
-    contraction and the ``born_distribution`` row of its setting."""
+def _assert_pass_rows_bitwise(layout, pure, noise, rows=slice(None)):
+    """Every Born row of a range of the pass on ``apply_noise(pure, noise)``
+    is bitwise the ``born_distribution`` row of its setting, and within
+    1e-15 of the dense oracle's row (``reference.dense_born`` on the
+    ``reference.dense_noise`` matrix)."""
+    state, rho = model.apply_noise(pure, noise), dense_noise(pure, noise)
     got, settings = layout.born(state, rows), _canonical_layout(state.dof_count)[rows]
     assert got.shape == (len(settings), 4 ** state.dof_count)
     for (setting, _), row in zip(settings, got):
-        assert row.tobytes() == _per_setting_born(state, setting).tobytes()
+        np.testing.assert_allclose(row, dense_born(rho, *setting.digits), rtol=0, atol=1e-15)
         assert row.tobytes() == simlab.born_distribution(state, *setting.digits).tobytes()
 
 
@@ -1332,8 +1283,8 @@ def _assumption_suffix(layout):
 
 
 class TestArrayPass:
-    """A cell list is sampled in one pass; it must give what the per-setting
-    calls give, bit for bit."""
+    """A cell list is sampled in one pass; it must give what the one-setting
+    calls give, bit for bit, and what the dense oracle gives within 1e-15."""
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -1346,82 +1297,38 @@ class TestArrayPass:
     def test_batched_born_equals_per_setting_contraction(self, n, phases, kind, v_pi, v_k):
         if kind == model.NOISE_NONE:
             v_pi = v_k = 1.0
-        kinds = model.canonical_kinds(n)
-        noise = NoiseModel(kind, v_pi, v_k)
-        state = model.apply_noise(model.product_state(kinds, phases[:n]), noise)
+        pure = model.product_state(model.canonical_kinds(n), phases[:n])
         layout = simlab._layout(n)
         for rows in (slice(None), _assumption_suffix(layout)):
-            _assert_pass_rows_bitwise(layout, state, rows)
+            _assert_pass_rows_bitwise(layout, pure, NoiseModel(kind, v_pi, v_k), rows)
 
     @pytest.mark.parametrize("part", ["run_pass", "assumption_suffix"])
     def test_batched_born_equals_per_setting_contraction_at_four_dof(self, part):
-        state = model.apply_noise(bell.ideal_state(4), NoiseModel(model.NOISE_DEPHASING, 0.87, 0.93))
+        noise = NoiseModel(model.NOISE_DEPHASING, 0.87, 0.93)
         layout = simlab._layout(4)
         rows = _assumption_suffix(layout) if part == "assumption_suffix" else slice(None)
-        _assert_pass_rows_bitwise(layout, state, rows)
+        _assert_pass_rows_bitwise(layout, bell.ideal_state(4), noise, rows)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_block_stacks_equal_one_setting_stacks(self, n):
-        """Each photon keeps one read-only stack of its distinct observables
-        tuples, 4, 12, 32 and 80 of them at N = 1..4, in first-use order,
-        and each cell's index reads the one-setting stack of the tuple the
-        rule gives that cell.  The suffix after the run's own cells is the
-        assumption cells, and the 4^N product terms, which come first, read
-        the first 2^N u stacks alone."""
+    def test_assumption_suffix_follows_the_rule(self, n):
+        """The suffix after the run's own cells is the assumption cells the
+        rule gives, 4, 32, 192 and 1024 of them at N = 1..4."""
         layout, cells = simlab._layout(n), _canonical_layout(n)
         assert len(layout.cells) == len(cells) == (12, 56, 268, 1296)[n - 1]
         suffix = _table_cells(layout)[_assumption_suffix(layout)]
         assert suffix == [(*_setting_names(s), f) for s, f in cells[4**n + 4 * n :]]
         assert len(suffix) == (4, 32, 192, 1024)[n - 1]
-        assert sorted(set(layout.stacks[0][1][: 4**n].tolist())) == list(range(2**n))
-        for (stacks, index), photon in zip(layout.stacks, ("u_ids", "d_ids"), strict=True):
-            assert stacks.shape == ((4, 12, 32, 80)[n - 1], 2**n, 4**n)
-            first_use = list(dict.fromkeys(getattr(setting, photon) for setting, _ in cells))
-            assert [first_use.index(getattr(s, photon)) for s, _ in cells] == index.tolist()
-            for (setting, _), i in zip(cells, index, strict=True):
-                one = _stack(getattr(setting, photon))
-                assert stacks[i].tobytes() == one.tobytes()
-            with pytest.raises(ValueError, match="read-only"):
-                stacks[0, 0, 0] = 0.0
-
-    def test_second_born_builds_no_stack(self, monkeypatch):
-        layout = simlab._layout(3)
-        state = STATES[3][1]
-        ranges = (slice(None), _assumption_suffix(layout), slice(64))
-        expected = [layout.born(state, rows) for rows in ranges]
-
-        def boom(*args, **kwargs):
-            raise AssertionError("projector stack built per Born call")
-
-        monkeypatch.setattr(simlab, "_kron_stack", boom)
-        for rows, probs in zip(ranges, expected):
-            assert layout.born(state, rows).tobytes() == probs.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_row_ranges_equal_the_full_pass(self, n):
         """A prefix, a suffix and a middle range of the run pass give bitwise
-        the same rows as the whole pass, though they form ``U @ R`` for
-        fewer u stacks."""
+        the same rows as the whole pass."""
         layout = simlab._layout(n)
         state = model.apply_noise(bell.ideal_state(n), NoiseModel(model.NOISE_DEPHASING, 0.87, 0.93))
         full = layout.born(state)
         n_terms, n_run = 4**n, layout.n_run
         for rows in (slice(n_terms), slice(n_run, None), slice(n_terms - 1, n_run + 3)):
             assert layout.born(state, rows).tobytes() == full[rows].tobytes()
-
-    def test_assumption_test_after_run_builds_no_stack(self, monkeypatch):
-        """The assumption test samples the run pass's suffix, so after a run
-        of the same N it builds no projector stack."""
-        monkeypatch.setattr(simlab, "_layout", functools.cache(simlab._Layout))
-        state = STATES[3][1]
-        simlab.run_simulated_experiment(state, n_events=100, seed=3)
-
-        def boom(*args, **kwargs):
-            raise AssertionError("projector stack built for the assumption test")
-
-        monkeypatch.setattr(simlab, "_kron_stack", boom)
-        report = simlab.assumption_test(state, n_events=100, seed=3)
-        assert len(report.rows) == 12 and report.n_events == 100
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize(
@@ -1431,9 +1338,9 @@ class TestArrayPass:
         ids=["none", "white", "dephasing"],
     )
     def test_one_setting_born_equals_the_pass_row(self, n, noise):
-        """``born_distribution`` contracts one setting's two stacks without
-        the pass; every cell's pass row is bitwise the row of the u and d
-        name digits that its row of the cell table holds."""
+        """``born_distribution`` is the one-row call of the pass's kernel;
+        every cell's pass row is bitwise the row of the u and d name digits
+        that its row of the cell table holds."""
         layout = simlab._layout(n)
         state = model.apply_noise(model.hyper_state(0.7, -1.3, n), noise)
         one = {}
@@ -1453,12 +1360,6 @@ class TestArrayPass:
             factor = None if cell[-1] < 0 else cell[-1]
             record = simlab.estimate(counts, tuple(cell[:n]), tuple(cell[n : 2 * n]), factor)
             assert record.label == label
-
-    def test_born_blocks_stay_small(self):
-        """No pass gathers a whole list's projector stacks: a block holds
-        at most 2^14 entries a photon (all 56 cells at N = 2, 4 at N = 4)."""
-        for n, cells in ((2, 256), (3, 32), (4, 4)):
-            assert simlab._layout(n).born_block == cells
 
     def test_pass_makes_no_per_cell_call(self, monkeypatch):
         """A second run calls no one-setting kernel and builds no setting:
@@ -1487,7 +1388,7 @@ class TestArrayPass:
         record = simlab.estimate(counts, *setting.digits, 2)
         assert record.n_events == int(counts.sum())
         layout = simlab._layout(4)
-        tables = {"cells", "stacks", "record_labels", "assumption_labels"}
+        tables = {"cells", "record_labels", "assumption_labels"}
         assert not tables & set(vars(layout))
 
 
@@ -2047,3 +1948,52 @@ class TestSimulatedExperiment:
         b = simlab.run_simulated_experiment(NOISY, n_events=2000, seed=9)
         assert [r.E for r in a.joint_records] == [r.E for r in b.joint_records]
         assert a.beta == b.beta
+
+
+def _all_a_and_b(n):
+    """The setting (A, ..., A) on photon u and (B, ..., B) on photon d."""
+    return (0,) * n, (2,) * n
+
+
+# States with no pair blocks, built by the general constructors.
+GENERAL_STATES = {
+    "pure": lambda: QuantumState.pure(np.eye(16, dtype=complex)[5]),
+    "mixed": lambda: QuantumState.mixed(np.eye(16, dtype=complex) / 16),
+    "pure-four-dof": lambda: QuantumState.pure(bell.ideal_state(4).vector.copy()),
+}
+PRODUCT_ONLY_CALLS = {
+    "apply_noise": lambda s: model.apply_noise(s, WHITE_09),
+    "born_distribution": lambda s: simlab.born_distribution(s, *_all_a_and_b(s.dof_count)),
+    "signaling_deviation": simlab.signaling_deviation,
+    "assumption_test": lambda s: simlab.assumption_test(s, 100, 1),
+    "run_simulated_experiment": lambda s: simlab.run_simulated_experiment(s, 100, 1),
+}
+
+
+class TestProductStatesOnly:
+    """Sampling and noise read a product state's pair blocks; a state built
+    by ``QuantumState.pure`` or ``.mixed`` has none, and is refused."""
+
+    @pytest.mark.parametrize("call", PRODUCT_ONLY_CALLS.values(), ids=PRODUCT_ONLY_CALLS)
+    @pytest.mark.parametrize("state", GENERAL_STATES.values(), ids=GENERAL_STATES)
+    def test_state_with_no_blocks_refused(self, state, call):
+        state = state()
+        assert_refused_before_allocating(lambda: call(state), r"^a product state is needed")
+
+    def test_first_four_dof_run_builds_no_rho_and_holds_little(self, monkeypatch):
+        """A first N = 4 run on a noisy ideal state, every table of its N
+        built inside the window, never builds the state's dense matrix and
+        holds under 2 MiB beyond the state once it returns, its result
+        included (about 10.7 MiB of projector stacks when they were kept)."""
+        monkeypatch.setattr(simlab, "_layout", functools.cache(simlab._Layout))
+        state = model.apply_noise(bell.ideal_state(4), WHITE_09)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = simlab.run_simulated_experiment(state, 2000, 7)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(result.joint_records) == 256
+        assert "rho" not in vars(state)
+        assert held < 2 * 2**20, f"held {held} B"

@@ -121,10 +121,16 @@ class TestLazyDensityMatrix:
         shared = qcore.read_only(rho.copy())
         assert QuantumState.mixed(shared).rho is shared
 
-    def test_noise_reads_the_state_rho(self):
+    def test_noise_reads_the_state_blocks(self):
+        """Noise maps the pure state's blocks, built on first read from its
+        pair vectors; neither state builds its dense matrix."""
         state = model.hyper_state(0.7, -1.3)
+        assert "blocks" not in vars(state)
         noisy = model.apply_noise(state, NoiseModel(model.NOISE_NONE))
-        assert noisy.rho is state.rho
+        assert noisy.blocks is state.blocks
+        assert "rho" not in vars(state) and "rho" not in vars(noisy)
+        for block, pair in zip(state.blocks, state.pairs, strict=True):
+            assert block.tobytes() == np.outer(pair, pair.conj()).tobytes()
 
     def test_exact_studies_build_no_ideal_rho(self, capsys):
         """No exact study reads the density matrix of a shared ideal state, so
@@ -133,7 +139,7 @@ class TestLazyDensityMatrix:
         for argv in (["ideal"], ["bounds", "--dof", "4"], ["scaling", "--dof", "4"]):
             assert cli.main(argv + ["--format", "json"]) == 0
         capsys.readouterr()
-        assert "rho" not in vars(bell.ideal_state(4))
+        assert "rho" not in vars(bell.ideal_state(4)) and "blocks" not in vars(bell.ideal_state(4))
 
 
 class TestSharedIdealEmbeddings:

@@ -1,0 +1,113 @@
+"""The sampler's law, not only its bytes: seeded runs at N = 1..3 against
+exact values that do not come from the Born kernel under test.
+
+(a) The z of beta and of each factor's CHSH value, (estimate - exact) /
+    std_err, over a fixed seed range, with the exact values from
+    ``bell.quantum_value`` and ``bell.ideal_predictions`` (the dense matrix).
+(b) The Pearson chi-square of the run pass's counts, pooled over the same
+    seeds, against Born rows from the dense oracle (``reference.dense_born``
+    on ``reference.dense_noise``), not from the pass's own rows.
+
+Every bound comes from a false-alarm rate of 1e-6 per assertion, fixed in
+advance through a normal or chi-square quantile; no bound is fitted to the
+values it meets.  The seeds are fixed, so the tests are deterministic.
+"""
+
+import functools
+import math
+
+import numpy as np
+import pytest
+
+from hyperbell import bell, model, rng, simlab
+from reference import dense_born, dense_noise
+
+EVENTS = 2000
+WHITE_09 = model.NoiseModel(model.NOISE_WHITE, 0.9, 0.9)
+SEEDS = {1: range(1000, 1400), 2: range(1000, 1400), 3: range(1000, 1080)}
+
+# Standard normal quantiles at false-alarm rate 1e-6: two-sided (|z| above
+# it with probability 1e-6) and one-sided.
+Z_TWO_SIDED = 4.8916
+Z_ONE_SIDED = 4.7534
+
+
+def _chi2_upper(dof):
+    """The chi-square quantile of ``dof`` degrees of freedom exceeded with
+    probability 1e-6 (Wilson and Hilferty, PNAS 17, 684 (1931): the cube
+    root of chi2/dof is close to normal)."""
+    c = 2.0 / (9.0 * dof)
+    return dof * (1.0 - c + Z_ONE_SIDED * math.sqrt(c)) ** 3
+
+
+def _chi2_lower(dof):
+    """The chi-square quantile of ``dof`` degrees of freedom undercut with
+    probability 1e-6 (Wilson and Hilferty)."""
+    c = 2.0 / (9.0 * dof)
+    return dof * (1.0 - c - Z_ONE_SIDED * math.sqrt(c)) ** 3
+
+
+@functools.cache
+def _runs(n):
+    """The white-0.9 ideal state of N DOF, its run per seed of ``SEEDS[n]``,
+    and each run pass's counts, read from ``rng.multinomial`` as the pass
+    calls it."""
+    state = model.apply_noise(bell.ideal_state(n), WHITE_09)
+    counts, multinomial = [], rng.multinomial
+
+    def capture(probs, n_events, seeds):
+        counts.append(multinomial(probs, n_events, seeds))
+        return counts[-1]
+
+    rng.multinomial = capture
+    try:
+        results = [simlab.run_simulated_experiment(state, EVENTS, seed) for seed in SEEDS[n]]
+    finally:
+        rng.multinomial = multinomial
+    assert len(counts) == len(results)
+    return state, results, np.sum(counts, axis=0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_beta_and_chsh_z_are_standard_normal(n):
+    """Per series (beta, then each factor's CHSH), over K seeds: the mean z
+    times sqrt(K) is inside +-4.8916 (two-sided normal, 1e-6), and the sum
+    of z^2 inside the chi-square(K) quantiles at 1e-6 on each side."""
+    state, results, _ = _runs(n)
+    exact = [bell.quantum_value(bell.canonical_product(n), state)]
+    exact += bell.ideal_predictions(state).values[:n]
+    reports = [[r.beta, *r.chsh] for r in results]
+    k = len(results)
+    for series, value in enumerate(exact):
+        z = np.array([(rep[series].beta_estimate - value) / rep[series].beta_std_err
+                      for rep in reports])
+        assert abs(z.sum()) / math.sqrt(k) < Z_TWO_SIDED, (series, z.mean())
+        assert _chi2_lower(k) < float(z @ z) < _chi2_upper(k), (series, float(z @ z))
+
+
+def _pearson(observed, expected):
+    """Pearson chi-square of one row and its degrees of freedom; the
+    smallest cells are pooled into one until its expectation reaches 5."""
+    order = np.argsort(expected, kind="stable")
+    cum_e, cum_o = np.cumsum(expected[order]), np.cumsum(observed[order])
+    k = min(int(np.searchsorted(cum_e, 5.0)), len(order) - 1)
+    e = np.concatenate([[cum_e[k]], expected[order[k + 1:]]])
+    o = np.concatenate([[cum_o[k]], observed[order[k + 1:]]])
+    return float(((o - e) ** 2 / e).sum()), len(e) - 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pooled_counts_fit_the_dense_born_rows(n):
+    """The pass's counts, pooled over the seeds, against the dense oracle's
+    rows: the summed Pearson chi-square is below its chi-square quantile
+    at 1e-6 (Wilson-Hilferty)."""
+    _, results, pooled = _runs(n)
+    rho = dense_noise(bell.ideal_state(n), WHITE_09)
+    cells = simlab._layout(n).cells.tolist()
+    assert pooled.shape == (len(cells), 4**n)
+    chi2 = dof = 0
+    for row, cell in zip(pooled, cells, strict=True):
+        probs = dense_born(rho, tuple(cell[:n]), tuple(cell[n : 2 * n]))
+        stat, d = _pearson(row, len(results) * EVENTS * probs)
+        chi2, dof = chi2 + stat, dof + d
+    assert chi2 < _chi2_upper(dof), (chi2, dof)
