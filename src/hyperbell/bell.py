@@ -163,12 +163,6 @@ def _factor_embedding(n_dof: int, f: int) -> np.ndarray:
     return qcore.read_only(qcore.tensor_all(*[m for m in parts if m.shape[0] > 1]))
 
 
-def _expect_real(matrix: np.ndarray, state: QuantumState) -> float:
-    if state.is_pure:
-        return _real(qcore.expectation(matrix, state.vector))
-    return _real(qcore.expectation_mixed(matrix, state.rho))
-
-
 def _real(val: complex) -> float:
     if abs(val.imag) > 1e-10:
         raise qcore.NumericalFailure(
@@ -184,17 +178,21 @@ def check_operator(bell) -> None:
 
 
 def quantum_value(bell: BellOperator, state: QuantumState) -> float:
-    """Signed expectation value of the Bell operator on the state."""
+    """Signed expectation value of the Bell operator on a pure state; an
+    exact value of a noisy state is refused."""
     check_operator(bell)
+    model.check_state(state)
     if bell.dim != state.dim:
         raise ValueError(f"dimension mismatch: operator {bell.dim}, state {state.dim}")
-    return _expect_real(bell.matrix, state)
+    if state.pairs is None:
+        raise ValueError("an exact value needs a pure state, not a noisy one")
+    return _real(qcore.expectation(bell.matrix, state.vector))
 
 
 @dataclass(frozen=True)
 class IdealPredictions:
-    """Exact expectations and spectral radii on an N-DOF state, pure or
-    mixed: each factor's CHSH operator, factor 0 first, then their product."""
+    """Exact expectations and spectral radii on a pure N-DOF state: each
+    factor's CHSH operator, factor 0 first, then their product."""
 
     values: tuple  # signed <beta_f> per factor, then <beta>
     radii: tuple
@@ -204,18 +202,16 @@ def ideal_predictions(state: QuantumState) -> IdealPredictions:
     """Signed <beta_f> of each factor of ``canonical_product(N)`` and <beta>
     of the product, plus their spectral radii.
 
-    A pure state is checked once, by ``quantum_value`` of the product; each
+    The state is checked once, by ``quantum_value`` of the product; each
     factor value is then the arithmetic of ``qcore.expectation`` on that
     checked vector, since the factor tables were checked when built and are
-    read-only.  A mixed state goes through the checked path per table."""
+    read-only."""
+    model.check_state(state)
     n = state.dof_count
     product = canonical_product(n)
     value = quantum_value(product, state)
-    if state.is_pure:
-        v = np.asarray(state.vector, dtype=complex)  # as qcore.expectation read it
-        values = [_real(complex(np.vdot(v, _factor_embedding(n, f) @ v))) for f in range(n)]
-    else:
-        values = [_expect_real(_factor_embedding(n, f), state) for f in range(n)]
+    v = np.asarray(state.vector, dtype=complex)  # as qcore.expectation read it
+    values = [_real(complex(np.vdot(v, _factor_embedding(n, f) @ v))) for f in range(n)]
     return IdealPredictions(
         values=(*values, value),
         radii=tuple([op.radius for op in (*product.factors, product)]),

@@ -17,11 +17,11 @@ Conventions (fixed, shared by every module):
 The eight dichotomic observables are stored in their ket-bra form; the
 equivalent Pauli combinations are asserted in tests, not assumed here.
 
-Every state the studies build is a product of one pair per factor
-(``product_state``), and every noise channel acts on one factor's 4x4 pair
-block, so a product state keeps its kinds and blocks, and noise maps and
-checks each block on its own; the dense 4^N density matrix is built only
-when an exact study reads it.
+A state is a product of one pair per factor: its kinds and either its pair
+vectors (pure, ``product_state``) or its 4x4 pair blocks (noisy,
+``apply_noise``).  Every noise channel acts on one factor's block, so noise
+maps and checks each block on its own, and no 4^N density matrix is built;
+the exact studies read a pure state's dense vector.
 """
 
 from __future__ import annotations
@@ -123,82 +123,43 @@ def side_label(names, labels) -> str:
 
 @dataclass(frozen=True, eq=False)  # ndarray fields: identity equality and hash
 class QuantumState:
-    """Pure or mixed state over N two-photon degrees of freedom (dim 4^N).
-    Its arrays are read-only and its own: an input whose memory a writable
-    array owns is copied, so no later write reaches a checked state.  A pure
-    state's ``rho = outer(v, v*)`` is built on first read.
+    """A product state over N two-photon degrees of freedom (dim 4^N): its
+    factor kinds, factor 0 first, and either its read-only (N, 4) pair
+    vectors (a pure state, ``product_state``) or its (N, 4, 4) pair blocks
+    (a noisy one, ``apply_noise``).  A pure state builds its dense vector
+    and its blocks from its pairs on first read."""
 
-    A product state (``product_state``, ``apply_noise``) also keeps each
-    factor's kind and its 4x4 pair block, factor 0 first (``blocks``): a
-    pure one builds its blocks from its pair vectors on first read, and a
-    mixed one's ``rho`` is the Kronecker product of its blocks, built on
-    first read.  A state built by ``pure`` or ``mixed`` has no blocks."""
+    kinds: tuple
+    pairs: np.ndarray | None = None  # a pure state's pair vectors; None once noisy
 
-    dof_count: int
-    vector: np.ndarray | None
-    kinds: tuple | None = None  # a product state's factor kinds, else None
-    pairs: np.ndarray | None = None  # a pure product state's (N, 4) pair vectors
+    @property
+    def dof_count(self) -> int:
+        return len(self.kinds)
 
     @property
     def dim(self) -> int:
-        return 4**self.dof_count
-
-    @property
-    def is_pure(self) -> bool:
-        return self.vector is not None
+        return 4 ** len(self.kinds)
 
     @cached_property
-    def rho(self) -> np.ndarray:
-        if self.vector is None:  # a mixed product state: ``mixed`` sets its own rho
-            # A copy owns its memory, where np.kron returns a view of a writable array.
-            return qcore.read_only(reduce(np.kron, self.blocks).copy())
-        return qcore.read_only(np.outer(self.vector, self.vector.conj()))
+    def vector(self) -> np.ndarray | None:
+        """A pure state's read-only 4^N vector, the outer product of its pairs
+        factor 0 first; None for a noisy state."""
+        if self.pairs is None:
+            return None
+        # Finite and normalized, as each pair is, and a view of a fresh read-only array.
+        return qcore.read_only(reduce(np.multiply.outer, self.pairs)).ravel()
 
     @cached_property
     def blocks(self) -> np.ndarray:
-        """A product state's read-only (N, 4, 4) pair density matrices,
-        factor 0 first; a ``ValueError`` for a state with none."""
-        if self.pairs is None:  # ``apply_noise`` sets a mixed product state's blocks
-            raise ValueError(
-                "a product state is needed (model.product_state, hyper_state or apply_noise);"
-                " this state has no pair blocks"
-            )
+        """Read-only (N, 4, 4) pair density matrices, factor 0 first: a pure
+        state's built from its pairs, a noisy state's set by ``apply_noise``."""
         return qcore.read_only(self.pairs[:, :, None] * self.pairs[:, None, :].conj())
 
-    @classmethod
-    def pure(cls, vector) -> "QuantumState":
-        n = _dof_count(vector, 1)
-        v = _owned(qcore.as_vector(vector))
-        qcore.check_normalized(v)
-        return cls(dof_count=n, vector=v)
 
-    @classmethod
-    def mixed(cls, rho) -> "QuantumState":
-        state = cls(dof_count=_dof_count(rho, 2), vector=None)
-        r = _owned(qcore.as_matrix(rho))
-        qcore._check_density_matrix(r)
-        object.__setattr__(state, "rho", r)  # fills the cached_property: never built
-        return state
-
-
-def _owned(a: np.ndarray) -> np.ndarray:
-    """``a`` if it and the array owning its memory are read-only, as the shared
-    ideal states are, else a read-only copy.  A view's ``base`` is its owner."""
-    owner = a
-    while isinstance(owner, np.ndarray) and not owner.flags.writeable:
-        owner = owner.base
-    return a if owner is None else qcore.read_only(a.copy())
-
-
-def _dof_count(a, rank: int) -> int:
-    """N of an input of ``rank`` axes, 4^N long, read from its shape first."""
-    shape = np.shape(a)
-    if len(shape) != rank:
-        return 0  # ``qcore`` refuses the rank before any state is returned
-    n = (shape[0].bit_length() - 1) // 2
-    if 4**n != shape[0] or not 1 <= n <= MAX_DOF:
-        raise ValueError(f"dimension {shape[0]} is not 4^N for N in 1..{MAX_DOF}")
-    return n
+def check_state(state) -> None:
+    """The one state rule: anything but a ``QuantumState`` is refused, naming its type."""
+    if not isinstance(state, QuantumState):
+        raise ValueError(f"the state must be a QuantumState, got {type(state).__name__}")
 
 
 def _finite_real(x) -> bool:
@@ -215,8 +176,10 @@ def pair_state(kind: str, phase: float) -> np.ndarray:
     polarization: (|HH> + e^{i phase}|VV>)/sqrt(2)
     path:         (|lr> + e^{i phase}|rl>)/sqrt(2)
     """
-    if kind not in _PAIR_POSITIONS:
+    if not (isinstance(kind, str) and kind in KINDS):
         raise ValueError(f"unknown degree-of-freedom kind {kind!r}")
+    if not _finite_real(phase):
+        raise ValueError(f"phases must be finite real numbers, got {phase!r}")
     first, second = _PAIR_POSITIONS[kind]
     v = np.zeros(4, dtype=complex)
     v[first] = 1.0
@@ -227,19 +190,14 @@ def pair_state(kind: str, phase: float) -> np.ndarray:
 
 def product_state(kinds: tuple, phases: tuple) -> QuantumState:
     """Tensor product of ``pair_state(kinds[f], phases[f])``, factor 0 first:
-    one finite real phase per kind (``checked_kinds``)."""
+    one phase per kind (``checked_kinds``), each checked by ``pair_state``."""
     kinds, phases = checked_kinds(kinds), tuple(phases)
     if len(phases) != len(kinds):
         raise ValueError(
             f"phases must give one phase per kind: {len(kinds)} kinds, {len(phases)} phases"
         )
-    for phase in phases:
-        if not _finite_real(phase):
-            raise ValueError(f"phases must be finite real numbers, got {phase!r}")
-    pairs = qcore.read_only(np.array([pair_state(k, p) for k, p in zip(kinds, phases)]))
-    # Finite and normalized, as each pair is, and a view of a fresh read-only array.
-    vector = qcore.read_only(reduce(np.multiply.outer, pairs)).ravel()
-    return QuantumState(dof_count=len(kinds), vector=vector, kinds=kinds, pairs=pairs)
+    pairs = np.array([pair_state(k, p) for k, p in zip(kinds, phases)])
+    return QuantumState(kinds=kinds, pairs=qcore.read_only(pairs))
 
 
 def hyper_state(theta: float, phi: float, dof_count: int = 2) -> QuantumState:
@@ -312,13 +270,16 @@ class NoiseModel:
 
 
 def apply_noise(state: QuantumState, noise: NoiseModel) -> QuantumState:
-    """Apply the noise channel to a pure product state, block by block: each
-    pair block through its 4x4 channel at v_pi if its kind is polarization,
-    v_k if path.  Each noisy block is checked (``qcore._check_density_matrix``)
-    and kept; the mixed state's dense ``rho`` is built only when read."""
-    blocks = state.blocks  # refuses a state with no blocks
-    if not state.is_pure:
+    """Apply the noise channel to a pure state, block by block: each pair
+    block through its 4x4 channel at v_pi if its kind is polarization, v_k
+    if path.  Each noisy block is checked (``qcore._check_density_matrix``)
+    and kept by the noisy state, which has no pairs."""
+    check_state(state)
+    if not isinstance(noise, NoiseModel):
+        raise ValueError(f"the noise must be a NoiseModel, got {type(noise).__name__}")
+    if state.pairs is None:
         raise ValueError("apply_noise expects a pure input state")
+    blocks = state.blocks
     v = np.array([noise.v_pi if kind == POLARIZATION else noise.v_k for kind in state.kinds])
     v = v[:, None, None]
     if noise.kind == NOISE_WHITE:
@@ -327,6 +288,6 @@ def apply_noise(state: QuantumState, noise: NoiseModel) -> QuantumState:
         blocks = blocks * np.where(np.eye(4, dtype=bool), 1.0, v)
     for block in blocks:
         qcore._check_density_matrix(block)
-    mixed = QuantumState(dof_count=state.dof_count, vector=None, kinds=state.kinds)
-    object.__setattr__(mixed, "blocks", qcore.read_only(blocks))  # fills the cached_property
-    return mixed
+    noisy = QuantumState(kinds=state.kinds)
+    object.__setattr__(noisy, "blocks", qcore.read_only(blocks))  # fills the cached_property
+    return noisy

@@ -7,14 +7,14 @@ one sign per factor in ``product((1, -1), repeat=N)`` order, so a setting
 has 4^N outcome cells, ordered u-major.  The 4^N settings of the Bell test
 are the terms of ``bell.canonical_product(N)``.
 
-Born probabilities need a product state (``model.QuantumState.blocks``):
-the Born row of a setting on it is the outer product of one 2x2 row per
-factor, ``T[f, u digit, :, d digit, :]``, where ``T[f, x, o, y, p] =
-Tr[rho_f (P_x^o x P_y^p)]`` is factor f's table of its 4x4 pair block
-against its kind's outcome projectors (``_Layout.factor_tables``, one small
-einsum per state).  The rows agree with the trace over embedded projectors
-to about 1e-16, and every golden count and output byte is that of the dense
-contraction they replaced.  Every table of one N is built once, when first
+Every state is a product state (``model.QuantumState``), so the Born row
+of a setting is the outer product of one 2x2 row per factor, ``T[f, u
+digit, :, d digit, :]``, where ``T[f, x, o, y, p] = Tr[rho_f (P_x^o x
+P_y^p)]`` is factor f's table of its 4x4 pair block against its kind's
+outcome projectors (``_Layout.factor_tables``, one small einsum per state).
+The rows agree with the trace over embedded projectors to about 1e-16, and
+every golden count and output byte is that of the dense contraction they
+replaced.  Every table of one N is built once, when first
 read (``_Layout``).
 
 A sampled cell is a setting and a factor, kept as one integer row of name
@@ -143,9 +143,9 @@ class _Layout:
 
     def factor_tables(self, state: QuantumState) -> np.ndarray:
         """``T[f, u digit, u outcome, d digit, d outcome] = Tr[rho_f (P x Q)]``
-        of the product state's pair blocks ``rho_f`` (a state with none is
-        refused) against the outcome projectors P of photon u's name digit
-        and Q of photon d's on factor f's kind, outcomes in (+1, -1) order."""
+        of the state's pair blocks ``rho_f`` against the outcome projectors P
+        of photon u's name digit and Q of photon d's on factor f's kind,
+        outcomes in (+1, -1) order."""
         rho = state.blocks.reshape(-1, 2, 2, 2, 2)  # [f, u row, d row, u column, d column]
         p = self.projectors
         return np.real(np.einsum("fijkl,fxoki,fyplj->fxoyp", rho, p, p))
@@ -208,6 +208,7 @@ def born_distribution(state: QuantumState, u: tuple, d: tuple) -> np.ndarray:
     cells u-major: the one-row call of the pass's kernel, so bitwise the
     setting's row of the pass.  The reference is the trace over
     ``model.pair_projectors``."""
+    model.check_state(state)
     layout, u, d = _checked_setting(u, d)
     if state.dof_count != len(layout.kinds):
         raise ValueError(
@@ -224,6 +225,7 @@ def signaling_deviation(state: QuantumState) -> float:
     first Born rows of a run's pass) grouped by each side's name digits;
     quantum states keep this at floating-point rounding scale.
     """
+    model.check_state(state)
     layout = _layout(state.dof_count)
     n_terms = 4**state.dof_count
     grids = layout.born(state, slice(n_terms)).reshape(n_terms, 2**state.dof_count, -1)
@@ -413,6 +415,7 @@ def assumption_test(state: QuantumState, n_events: int, seed: int) -> Assumption
     row's pair on its own factor has the same exact marginal in every
     context, so the sampled spread across a row is purely statistical.
     """
+    model.check_state(state)
     layout = _layout(state.dof_count)
     n_events, seed = _checked_run(n_events, seed)
     records, exact = _sample_cells(state, layout, n_events, seed, slice(layout.n_run, None))
@@ -504,6 +507,7 @@ def run_simulated_experiment(state: QuantumState, n_events: int, seed: int) -> S
     the product.  Each CHSH run varies one factor over the four canonical
     pairs with the other factors held at the context (A, B).
     """
+    model.check_state(state)
     layout = _layout(state.dof_count)
     n_terms, n_run = 4 ** len(layout.kinds), layout.n_run
     n_events, seed = _checked_run(n_events, seed)

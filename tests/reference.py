@@ -7,10 +7,13 @@ The oracle names an observable and a joint setting as objects
 (``ObservableId``, ``JointSetting``), where the package keeps only each
 photon's name digits per factor; ``JointSetting.digits`` gives those.
 
-The dense Born path is the oracle of the per-factor one: the noise channels
-act on the whole 4^N density matrix (``dense_noise``), and a Born row is
-one photon's 2^N outcome projectors, contracted with that matrix in
-photon-local order and with the other photon's (``dense_born``)."""
+The dense path is the oracle of the per-factor one.  A state's 4^N density
+matrix is the outer product of its vector or the Kronecker product of its
+blocks (``dense_rho``), and an exact value is ``Tr[rho M]``
+(``exact_value``).  The noise channels act on the whole matrix
+(``dense_noise``), and a Born row is one photon's 2^N outcome projectors,
+contracted with that matrix in photon-local order and with the other
+photon's (``dense_born``)."""
 
 import dataclasses
 import functools
@@ -195,6 +198,28 @@ def dense_noise(state, noise):
     return rho
 
 
+def dense_rho(state):
+    """The 4^N density matrix of ``state``: the outer product of a pure
+    state's vector, or the Kronecker product of a noisy state's blocks."""
+    if state.pairs is not None:
+        return np.outer(state.vector, state.vector.conj())
+    return functools.reduce(np.kron, state.blocks)
+
+
+def factor_embedding(matrix, f, n):
+    """The 4x4 ``matrix`` on factor f of n, the identity on every other
+    factor, built with np.kron."""
+    return np.kron(np.kron(np.eye(4**f), matrix), np.eye(4 ** (n - f - 1)))
+
+
+def exact_value(matrix, rho):
+    """``Tr[rho M]`` of a dense density matrix, as a float: its imaginary
+    part must be rounding residue."""
+    value = complex(np.einsum("ij,ji->", rho, matrix))
+    assert abs(value.imag) < 1e-10, value
+    return value.real
+
+
 def splitmix64(seed, n):
     """The first ``n`` outputs, as uint64, of the SplitMix64 generator seeded
     with ``seed`` (Steele, Lea and Flood, "Fast splittable pseudorandom number
@@ -217,6 +242,12 @@ def splitmix64_uniform(seed, n):
 # A non-operator of each refused type, made from the operator ``op``.
 NOT_OPERATORS = {
     "NoneType": lambda op: None, "str": lambda op: "pi", "ndarray": lambda op: op.matrix
+}
+
+
+# A non-state of each refused type, made from the state ``state``.
+NOT_STATES = {
+    "NoneType": lambda state: None, "str": lambda state: "pi", "ndarray": lambda state: state.vector
 }
 
 

@@ -15,6 +15,9 @@ from reference import (
     NOT_OPERATORS,
     ObservableId,
     assert_refused_before_allocating,
+    dense_noise,
+    dense_rho,
+    exact_value,
     observable,
     term_settings,
 )
@@ -90,8 +93,10 @@ class TestChshOperators:
 
     def test_expectations_on_maximally_violating_states(self):
         """Term-by-term hand evaluation gives -2sqrt2 and +2sqrt2."""
-        val_pi = bell.quantum_value(bell.canonical_product(1), QuantumState.pure(PHI_MINUS))
-        val_k = bell.quantum_value(_beta_k(), QuantumState.pure(PSI_PLUS))
+        phi_minus = QuantumState(kinds=(model.POLARIZATION,), pairs=PHI_MINUS[None])
+        psi_plus = QuantumState(kinds=(model.PATH,), pairs=PSI_PLUS[None])
+        val_pi = bell.quantum_value(bell.canonical_product(1), phi_minus)
+        val_k = bell.quantum_value(_beta_k(), psi_plus)
         assert val_pi == pytest.approx(-2 * SQRT2, abs=1e-12)
         assert val_k == pytest.approx(2 * SQRT2, abs=1e-12)
 
@@ -339,7 +344,7 @@ class TestStructuredOperator:
     def test_shared_tables_refuse_writes(self, n):
         state, op = bell.ideal_state(n), bell.canonical_product(n)
         assert state is bell.ideal_state(n) and op is bell.canonical_product(n)
-        for table in (state.vector, state.rho, op.matrix, op.signs):
+        for table in (state.pairs, state.vector, state.blocks, op.matrix, op.signs):
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0
 
@@ -364,26 +369,18 @@ class TestStructuredOperator:
 
 
 class TestQuantumValue:
-    def test_maximally_mixed_gives_zero(self):
-        op = bell.canonical_product(2)
-        state = QuantumState.mixed(np.eye(16, dtype=complex) / 16)
-        assert bell.quantum_value(op, state) == pytest.approx(0.0, abs=1e-12)
-
     def test_white_noise_scales_product_value(self):
-        """Trace linearity: v_pi v_k * 8 at visibilities 0.9, cross-checked
-        against a direct expectation_mixed evaluation."""
-        op = bell.canonical_product(2)
-        noisy = model.apply_noise(
-            model.hyper_state(np.pi, 0.0), NoiseModel(model.NOISE_WHITE, 0.9, 0.9)
-        )
-        val = bell.quantum_value(op, noisy)
-        oracle = qcore.expectation_mixed(op.matrix, noisy.rho).real
-        assert val == pytest.approx(oracle, abs=1e-12)
+        """Trace linearity: v_pi v_k * 8 at visibilities 0.9, on the dense
+        matrix of the noisy blocks and on the dense channels alike."""
+        op, pure = bell.canonical_product(2), model.hyper_state(np.pi, 0.0)
+        noise = NoiseModel(model.NOISE_WHITE, 0.9, 0.9)
+        val = exact_value(op.matrix, dense_rho(model.apply_noise(pure, noise)))
+        assert val == pytest.approx(exact_value(op.matrix, dense_noise(pure, noise)), abs=1e-12)
         assert abs(val) == pytest.approx(8 * 0.81, abs=1e-10)
 
     def test_factorizes_on_product_states(self):
         """<beta_pi x beta_k> equals <beta_pi><beta_k> on product states,
-        including noisy ones."""
+        including noisy ones, on their dense matrices."""
         op = bell.canonical_product(2)
         pi_emb = np.kron(BETA_PI_REF, np.eye(4))
         k_emb = np.kron(np.eye(4), BETA_K_REF)
@@ -392,11 +389,21 @@ class TestQuantumValue:
             NoiseModel(model.NOISE_WHITE, 0.85, 0.7),
             NoiseModel(model.NOISE_DEPHASING, 0.9, 0.95),
         ):
-            state = model.apply_noise(model.hyper_state(np.pi, 0.0), noise)
-            joint = bell.quantum_value(op, state)
-            e_pi = qcore.expectation_mixed(pi_emb, state.rho).real
-            e_k = qcore.expectation_mixed(k_emb, state.rho).real
-            assert joint == pytest.approx(e_pi * e_k, abs=1e-10)
+            rho = dense_rho(model.apply_noise(model.hyper_state(np.pi, 0.0), noise))
+            joint = exact_value(op.matrix, rho)
+            assert joint == pytest.approx(exact_value(pi_emb, rho) * exact_value(k_emb, rho), abs=1e-10)
+
+    @pytest.mark.parametrize("kind", model.NOISE_KINDS)
+    def test_noisy_state_refused(self, kind):
+        """A noisy state keeps only its blocks, so an exact value, which reads
+        the dense vector, is refused; the identity channel's state too."""
+        v = 1.0 if kind == model.NOISE_NONE else 0.9
+        noisy = model.apply_noise(bell.ideal_state(2), NoiseModel(kind, v, v))
+        message = "^an exact value needs a pure state"
+        assert_refused_before_allocating(
+            lambda: bell.quantum_value(bell.canonical_product(2), noisy), message
+        )
+        assert_refused_before_allocating(lambda: bell.ideal_predictions(noisy), message)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
@@ -416,7 +423,8 @@ def _checked_values(state) -> list:
     path, as hex strings, so a comparison is bitwise."""
     n = state.dof_count
     tables = [bell._factor_embedding(n, f) for f in range(n)]
-    return [bell._expect_real(t, state).hex() for t in (*tables, bell.canonical_product(n).matrix)]
+    matrices = (*tables, bell.canonical_product(n).matrix)
+    return [bell._real(qcore.expectation(t, state.vector)).hex() for t in matrices]
 
 
 class TestIdealPredictions:
@@ -465,20 +473,15 @@ class TestIdealPredictions:
         assert [v.hex() for v in bell.ideal_predictions(state).values] == checked
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("vector,message", [
-        (np.full(16, 0.5, dtype=complex), "state vector is not normalized (norm 2.0)"),
-        (np.array([1, 0, 0, 0], dtype=complex), "dimension mismatch: operator 16, state 4"),
+    @pytest.mark.parametrize("pairs,message", [
+        (np.ones((2, 4), dtype=complex), "state vector is not normalized (norm 4.0)"),
+        (np.array([[1, 0, 0, 0]], dtype=complex), "dimension mismatch: operator 16, state 4"),
     ])
-    def test_unchecked_pure_state_refused(self, vector, message):
-        """A state built around ``QuantumState.pure``'s checks is still refused."""
+    def test_unchecked_pure_state_refused(self, pairs, message):
+        """A state built around ``product_state``'s checks is still refused."""
+        state = QuantumState(kinds=model.canonical_kinds(2), pairs=pairs)
         with pytest.raises(ValueError, match=re.escape(message)):
-            bell.ideal_predictions(QuantumState(dof_count=2, vector=vector))
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_mixed_state_takes_the_checked_path(self, n):
-        ideal = bell.ideal_state(n)
-        state = QuantumState.mixed(0.8 * ideal.rho + 0.2 * np.eye(ideal.dim) / ideal.dim)
-        assert [v.hex() for v in bell.ideal_predictions(state).values] == _checked_values(state)
+            bell.ideal_predictions(state)
 
     def test_radii_read_once(self, monkeypatch):
         def refuse(*_):

@@ -1,5 +1,6 @@
 """State builder, observables, measurement projectors, and noise channels."""
 
+import dataclasses
 import itertools
 import re
 from dataclasses import dataclass
@@ -16,6 +17,8 @@ from reference import (
     ObservableId,
     assert_refused_before_allocating,
     dense_noise,
+    dense_rho,
+    exact_value,
     observable,
     side_projectors,
 )
@@ -161,156 +164,54 @@ class TestHyperState:
             model.hyper_state(np.nan, 0.0)
 
 
+# One builder of each kind of state a caller can hold.
+STATES = {
+    "product": lambda: model.product_state((model.PATH, model.POLARIZATION), (0.3, -1.0)),
+    "one-factor": lambda: model.product_state((model.PATH,), (0.3,)),
+    "ideal-four-dof": lambda: bell.ideal_state(4),
+    **{
+        f"noisy-{kind}": lambda kind=kind: model.apply_noise(
+            model.hyper_state(0.7, -1.3, 3),
+            NoiseModel(kind, *(() if kind == model.NOISE_NONE else (0.8, 0.9))),
+        )
+        for kind in model.NOISE_KINDS
+    },
+}
+
+
 class TestQuantumState:
-    def test_pure_rejects_unnormalized(self):
-        with pytest.raises(ValueError, match="not normalized"):
-            QuantumState.pure(np.ones(4, dtype=complex))
+    def test_a_state_is_its_kinds_and_pairs(self):
+        """Its size is read from its kinds; a noisy state has no pairs and no
+        vector, only its blocks."""
+        assert [field.name for field in dataclasses.fields(QuantumState)] == ["kinds", "pairs"]
+        noisy = STATES["noisy-white"]()
+        assert (noisy.dof_count, noisy.dim) == (3, 64)
+        assert noisy.pairs is None and noisy.vector is None and noisy.blocks.shape == (3, 4, 4)
 
-    def test_rejects_non_power_of_four_dimension(self):
-        v = np.zeros(8, dtype=complex)
-        v[0] = 1.0
-        with pytest.raises(ValueError, match="4\\^N"):
-            QuantumState.pure(v)
-
-    @pytest.mark.parametrize("dim", [1024, 4096])
-    def test_pure_beyond_max_dof_refused(self, dim):
-        """4^5 and 4^6 passed as five- and six-DOF states, which no other
-        module takes."""
-        with pytest.raises(ValueError, match=f"dimension {dim} is not 4\\^N for N in 1..4"):
-            QuantumState.pure(np.ones(dim) / np.sqrt(dim))
-
-    @pytest.mark.parametrize("dim", [1024, 4096])
-    def test_mixed_beyond_max_dof_refused_before_the_check(self, dim, monkeypatch):
-        """Refused by its dimension before the eigenvalue check runs; the
-        all-equal matrix J/dim is a valid (pure) density matrix."""
-
-        def boom(*args, **kwargs):
-            raise AssertionError("check_density_matrix called")
-
-        monkeypatch.setattr(qcore, "check_density_matrix", boom)
-        monkeypatch.setattr(qcore, "_check_density_matrix", boom)
-        rho = np.broadcast_to(np.complex128(1.0 / dim), (dim, dim))
-        with pytest.raises(ValueError, match=f"dimension {dim} is not 4\\^N for N in 1..4"):
-            QuantumState.mixed(rho)
-
-    def test_pure_beyond_max_dof_refused_before_any_check(self):
-        """Refused by its shape before the vector is converted, copied or
-        checked; an unnormalized input was refused as not normalized."""
-        v = np.ones(1024, dtype=np.float32)
-        assert_refused_before_allocating(
-            lambda: QuantumState.pure(v), r"^dimension 1024 is not 4\^N for N in 1\.\.4$"
-        )
-
-    def test_mixed_beyond_max_dof_refused_before_any_copy(self):
-        """The complex copy of a 1024 x 1024 input took 25 MiB before the
-        dimension was refused."""
-        rho = np.full((1024, 1024), 1 / 1024, dtype=np.float32)
-        assert_refused_before_allocating(
-            lambda: QuantumState.mixed(rho), r"^dimension 1024 is not 4\^N for N in 1\.\.4$"
-        )
-
-    def test_mixed_validates_density_matrix(self):
-        with pytest.raises(ValueError):
-            QuantumState.mixed(np.eye(4, dtype=complex))  # trace 4
-        state = QuantumState.mixed(np.eye(4, dtype=complex) / 4)
-        assert state.dof_count == 1 and not state.is_pure
-
-    @pytest.mark.parametrize(
-        "entry,match",
-        [((0, 0), "finite"), ((0, 1), "Hermitian"), ((1, 1), "trace"),
-         (None, "negative eigenvalue")],
-    )
-    def test_mixed_keeps_every_refusal_of_the_density_check(self, entry, match):
-        rho = np.eye(16, dtype=complex) / 16
-        if entry == (0, 0):
-            rho[entry] = np.nan
-        elif entry is None:
-            rho[0, 0], rho[1, 1] = -1 / 16, 3 / 16
-        else:
-            rho[entry] += 0.25
-        with pytest.raises(ValueError, match=match):
-            qcore.check_density_matrix(rho)
-        with pytest.raises(ValueError, match=match):
-            QuantumState.mixed(rho)
-
-    @pytest.mark.parametrize("n", [2, 4])
-    def test_mixed_scans_its_matrix_once(self, monkeypatch, n):
-        """``as_matrix`` ran once in ``mixed`` and again in the density check."""
-        rho = np.eye(4**n, dtype=complex) / 4**n
-        calls, as_matrix = [], qcore.as_matrix
-        monkeypatch.setattr(qcore, "as_matrix", lambda m: calls.append(m) or as_matrix(m))
-        assert QuantumState.mixed(rho).dof_count == n
-        assert len(calls) == 1
-
-    def test_pure_keeps_its_own_vector(self):
-        """A write to the caller's vector after the check leaves the state as
-        it was; the state's own vector refuses writes."""
-        v = np.zeros(16, dtype=complex)
-        v[0] = 1.0
-        state = QuantumState.pure(v)
-        v[:] = 5.0
-        assert state.vector.tolist() == [1.0] + [0.0] * 15
+    @pytest.mark.parametrize("build", STATES.values(), ids=STATES)
+    def test_no_writable_array_owns_a_states_memory(self, build):
+        """Each array a state keeps or builds refuses writes, and so does every
+        array that owns its memory, so no later write reaches the state."""
+        state = build()
+        arrays = [a for a in (state.pairs, state.vector, state.blocks) if a is not None]
+        assert arrays
+        for owner in arrays:
+            while owner is not None:
+                assert not owner.flags.writeable
+                owner = owner.base
         with pytest.raises(ValueError, match="read-only"):
-            state.vector[0] = 0.0
+            state.blocks[0, 0, 0] = 0.0
 
-    def test_mixed_keeps_its_own_matrix(self):
-        r = np.eye(16) / 16
-        state = QuantumState.mixed(r)
-        r[0, 0] = 5
-        assert np.trace(state.rho).real == 1.0
-        with pytest.raises(ValueError, match="read-only"):
-            state.rho[0, 0] = 5
+    def test_pure_vector_is_built_from_its_pairs_on_first_read(self):
+        state = model.hyper_state(0.7, -1.3)
+        assert "vector" not in vars(state)
+        vector = state.vector
+        assert vector.tobytes() == np.kron(*state.pairs).tobytes() and state.vector is vector
 
-    def test_pure_rho_cannot_go_stale(self):
-        """The lazily built rho is the outer product of the checked vector,
-        whatever the caller writes before or after the first read."""
-        v = model.hyper_state(0.7, -1.3).vector.copy()
-        state = QuantumState.pure(v)
-        expected = np.outer(v, v.conj()).tobytes()
-        v[:] = 0.0
-        assert state.rho.tobytes() == expected
-        v[0] = 1.0
-        assert state.rho.tobytes() == expected
-        with pytest.raises(ValueError, match="read-only"):
-            state.rho[0, 0] = 0.0
-
-    def test_read_only_inputs_are_shared_not_copied(self):
+    def test_noise_shares_the_blocks_of_the_identity_channel(self):
         ideal = bell.ideal_state(2)
-        assert QuantumState.pure(ideal.vector).vector is ideal.vector
         noisy = model.apply_noise(ideal, NoiseModel(model.NOISE_NONE))
         assert noisy.blocks is ideal.blocks
-
-    def test_pure_copies_a_read_only_view_of_a_writable_vector(self):
-        v = np.zeros(16, dtype=complex)
-        v[0] = 1.0
-        w = v.view()
-        w.flags.writeable = False
-        state = QuantumState.pure(w)
-        v[0], v[5] = 0.0, 1.0
-        assert state.vector.tolist() == [1.0] + [0.0] * 15
-        assert np.trace(state.rho).real == 1.0 and state.rho[0, 0] == 1.0
-
-    def test_mixed_copies_a_read_only_view_of_a_writable_matrix(self):
-        r = np.eye(16, dtype=complex) / 16
-        w = r.view()
-        w.flags.writeable = False
-        state = QuantumState.mixed(w)
-        r[0, 0] = 5
-        assert np.trace(state.rho).real == 1.0
-        with pytest.raises(ValueError, match="read-only"):
-            state.rho[0, 0] = 5
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_shared_ideal_vector_kept_without_copy(self, n):
-        """The ideal vector is a view of a read-only array, so it is kept."""
-        shared = bell.ideal_state(n).vector
-        assert np.shares_memory(QuantumState.pure(shared).vector, shared)
-
-    @pytest.mark.parametrize("kind", model.NOISE_KINDS)
-    def test_noise_hands_over_an_array_kept_without_copy(self, kind):
-        v = 1.0 if kind == model.NOISE_NONE else 0.8
-        noisy = model.apply_noise(model.hyper_state(0.7, -1.3), NoiseModel(kind, v, v))
-        assert QuantumState.mixed(noisy.rho).rho is noisy.rho
 
     def test_equality_is_identity_and_hashable(self):
         """Field-wise equality compared the ndarray fields and raised."""
@@ -457,9 +358,9 @@ class TestApplyNoise:
         their Kronecker product is the projector on the state vector."""
         state = model.hyper_state(np.pi, 0.0)
         noisy = model.apply_noise(state, NoiseModel(model.NOISE_NONE))
-        assert noisy.blocks is state.blocks and not noisy.is_pure
+        assert noisy.blocks is state.blocks and noisy.pairs is None
         np.testing.assert_allclose(
-            noisy.rho, np.outer(state.vector, state.vector.conj()), rtol=0, atol=1e-16
+            dense_rho(noisy), np.outer(state.vector, state.vector.conj()), rtol=0, atol=1e-16
         )
 
     @pytest.mark.parametrize("kind", [model.NOISE_WHITE, model.NOISE_DEPHASING])
@@ -469,18 +370,18 @@ class TestApplyNoise:
         kinds of its DOF count."""
         noise = NoiseModel(kind, v_pi=0.0, v_k=1.0)
         path = model.apply_noise(model.product_state((model.PATH,), (0.0,)), noise)
-        assert np.trace(path.rho @ path.rho).real == pytest.approx(1.0, abs=1e-15)
+        assert np.trace(path.blocks[0] @ path.blocks[0]).real == pytest.approx(1.0, abs=1e-15)
         kinds = (model.PATH, model.POLARIZATION, model.PATH)
         mixed = model.apply_noise(model.product_state(kinds, (0.3, 0.0, -1.1)), noise)
         purities = [np.trace(b @ b).real for b in mixed.blocks]
         expected_pol = 0.25 if kind == model.NOISE_WHITE else 0.5
         np.testing.assert_allclose(purities, [1.0, expected_pol, 1.0], rtol=0, atol=1e-15)
 
-    def test_noisy_rho_is_built_only_when_read(self):
+    def test_noisy_state_keeps_its_kinds_and_blocks_alone(self):
+        """No dense matrix or vector is built or kept."""
         state = model.apply_noise(bell.ideal_state(3), NoiseModel(model.NOISE_WHITE, 0.9, 0.8))
-        assert "rho" not in vars(state) and state.kinds == model.canonical_kinds(3)
-        expected = reduce(np.kron, state.blocks)
-        assert state.rho.tobytes() == expected.tobytes() and not state.rho.flags.writeable
+        assert sorted(vars(state)) == ["blocks", "kinds", "pairs"]
+        assert state.kinds == model.canonical_kinds(3)
 
     @pytest.mark.parametrize("n", [1, 4])
     def test_each_noisy_block_is_checked(self, monkeypatch, n):
@@ -496,8 +397,7 @@ class TestApplyNoise:
         state = model.hyper_state(np.pi, 0.0)
         noisy = model.apply_noise(state, NoiseModel(model.NOISE_WHITE, v_pi=0.0, v_k=1.0))
         zz = _embedded(np.kron(SZ, SZ), block=0)
-        val = qcore.expectation_mixed(zz, noisy.rho)
-        assert val.real == pytest.approx(0.0, abs=1e-12)
+        assert exact_value(zz, dense_rho(noisy)) == pytest.approx(0.0, abs=1e-12)
 
     def test_white_scales_chsh_linearly(self):
         """At v = 0.9 the polarization CHSH expectation is 0.9 * (-2sqrt2)."""
@@ -509,8 +409,8 @@ class TestApplyNoise:
         )
         state = model.hyper_state(np.pi, 0.0)
         noisy = model.apply_noise(state, NoiseModel(model.NOISE_WHITE, v_pi=0.9, v_k=0.9))
-        val = qcore.expectation_mixed(_embedded(b_pi, 0), noisy.rho)
-        assert val.real == pytest.approx(0.9 * (-2 * SQRT2), abs=1e-12)
+        val = exact_value(_embedded(b_pi, 0), dense_rho(noisy))
+        assert val == pytest.approx(0.9 * (-2 * SQRT2), abs=1e-12)
 
     def test_white_joint_scales_by_both_visibilities(self):
         state = model.hyper_state(np.pi, 0.0)
@@ -518,16 +418,15 @@ class TestApplyNoise:
         zz_pol = _embedded(np.kron(SZ, SZ), 0)
         xx_path = _embedded(np.kron(SX, SX), 1)
         joint = zz_pol @ xx_path
-        val = qcore.expectation_mixed(joint, noisy.rho)
-        assert val.real == pytest.approx(0.8 * 0.6, abs=1e-12)
+        assert exact_value(joint, dense_rho(noisy)) == pytest.approx(0.8 * 0.6, abs=1e-12)
 
     def test_dephasing_keeps_diagonal_correlations(self):
         state = model.hyper_state(np.pi, 0.0)
         noisy = model.apply_noise(state, NoiseModel(model.NOISE_DEPHASING, v_pi=0.7, v_k=0.7))
         zz = _embedded(np.kron(SZ, SZ), 0)
         xx = _embedded(np.kron(SX, SX), 0)
-        assert qcore.expectation_mixed(zz, noisy.rho).real == pytest.approx(1.0, abs=1e-12)
-        assert qcore.expectation_mixed(xx, noisy.rho).real == pytest.approx(-0.7, abs=1e-12)
+        assert exact_value(zz, dense_rho(noisy)) == pytest.approx(1.0, abs=1e-12)
+        assert exact_value(xx, dense_rho(noisy)) == pytest.approx(-0.7, abs=1e-12)
 
     @pytest.mark.parametrize("kind", [model.NOISE_WHITE, model.NOISE_DEPHASING])
     def test_trace_preserving_and_positive(self, kind):
@@ -536,8 +435,9 @@ class TestApplyNoise:
         for _ in range(50):
             v_pi, v_k = rng.uniform(0, 1, size=2)
             noisy = model.apply_noise(state, NoiseModel(kind, v_pi=v_pi, v_k=v_k))
-            assert abs(np.trace(noisy.rho) - 1.0) < 1e-12
-            assert float(np.min(np.linalg.eigvalsh(noisy.rho))) > -1e-9
+            rho = dense_rho(noisy)
+            assert abs(np.trace(rho) - 1.0) < 1e-12
+            assert float(np.min(np.linalg.eigvalsh(rho))) > -1e-9
 
     def test_visibility_range_enforced(self):
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
@@ -558,14 +458,14 @@ class TestApplyNoise:
         with pytest.raises(ValueError, match="^apply_noise expects a pure input state$"):
             model.apply_noise(noisy, NoiseModel(model.NOISE_WHITE))
 
-    @pytest.mark.parametrize("state", [
-        QuantumState.mixed(np.eye(16, dtype=complex) / 16),
-        QuantumState.pure(np.eye(16, dtype=complex)[0]),
-    ], ids=["mixed", "pure"])
-    def test_requires_a_product_state(self, state):
-        """A state with no pair blocks is refused, pure or mixed."""
-        with pytest.raises(ValueError, match="^a product state is needed"):
-            model.apply_noise(state, NoiseModel(model.NOISE_WHITE))
+    @pytest.mark.parametrize("noise", [None, "white", model.NOISE_KINDS],
+                             ids=["NoneType", "str", "tuple"])
+    def test_noise_that_is_no_noise_model_refused(self, noise):
+        """A str died as "'str' object has no attribute 'v_pi'"."""
+        message = f"^the noise must be a NoiseModel, got {type(noise).__name__}$"
+        assert_refused_before_allocating(
+            lambda: model.apply_noise(bell.ideal_state(4), noise), message
+        )
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -591,7 +491,7 @@ class TestApplyNoise:
         noise = NoiseModel(kind, v_pi=v_pi, v_k=v_k)
         noisy = model.apply_noise(state, noise)
         assert noisy.dof_count == n and noisy.kinds == kinds
-        np.testing.assert_allclose(noisy.rho, expected, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(dense_rho(noisy), expected, rtol=0, atol=1e-15)
         np.testing.assert_allclose(dense_noise(state, noise), expected, rtol=0, atol=1e-15)
 
 
@@ -688,6 +588,20 @@ class TestProductState:
     def test_non_finite_phase_refused(self, phase):
         with pytest.raises(ValueError, match="phases must be finite real numbers"):
             model.product_state((model.PATH, model.POLARIZATION), (0.0, phase))
+
+    @pytest.mark.parametrize("kind", [[], "spin", None, (model.PATH,)],
+                             ids=["list", "unknown", "none", "tuple"])
+    def test_pair_state_refuses_a_kind_not_in_kinds(self, kind):
+        """A list escaped as "unhashable type" (``TypeError``)."""
+        with pytest.raises(ValueError, match=re.escape(f"unknown degree-of-freedom kind {kind!r}")):
+            model.pair_state(kind, 0.0)
+
+    @pytest.mark.parametrize("phase", [np.nan, np.inf, True, 1j, "0.5", None],
+                             ids=["nan", "inf", "bool", "complex", "str", "none"])
+    def test_pair_state_refuses_a_phase_that_is_no_finite_real(self, phase):
+        """NaN returned a NaN vector."""
+        with pytest.raises(ValueError, match="^phases must be finite real numbers, got "):
+            model.pair_state(model.PATH, phase)
 
     def test_three_factors_in_order(self):
         kinds = (model.PATH, model.POLARIZATION, model.PATH)

@@ -220,6 +220,22 @@ class TestDensityMatrixCheck:
         qcore.expectation_mixed(SZ, I2 / 2)
         assert len(calls) == 3
 
+    @pytest.mark.parametrize(
+        "entry,match",
+        [((0, 0), "finite"), ((0, 1), "Hermitian"), ((1, 1), "trace"),
+         (None, "negative eigenvalue")],
+    )
+    def test_every_refusal_at_two_dof(self, entry, match):
+        rho = np.eye(16, dtype=complex) / 16
+        if entry == (0, 0):
+            rho[entry] = np.nan
+        elif entry is None:
+            rho[0, 0], rho[1, 1] = -1 / 16, 3 / 16
+        else:
+            rho[entry] += 0.25
+        with pytest.raises(ValueError, match=match):
+            qcore.check_density_matrix(rho)
+
     @pytest.mark.parametrize("check", [qcore.check_density_matrix, qcore.spectral_radius])
     def test_non_finite_entries_refused(self, check):
         with pytest.raises(ValueError, match="finite"):

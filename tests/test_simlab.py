@@ -18,9 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperbell import bell, lhv, model, qcore, rng, simlab
-from hyperbell.model import NoiseModel, QuantumState
+from hyperbell.model import NoiseModel
 from reference import (
     NOT_OPERATORS,
+    NOT_STATES,
     JointSetting,
     ObservableId,
     analytic_correlations,
@@ -28,6 +29,7 @@ from reference import (
     canonical_settings,
     dense_born,
     dense_noise,
+    dense_rho,
     marginals,
     observable,
     setting_labels,
@@ -179,7 +181,7 @@ class TestBornDistribution:
     @pytest.mark.parametrize(
         "state,u,d,match",
         [
-            (QuantumState.mixed(np.eye(4, dtype=complex) / 4), (0, 0), (2, 2),
+            (model.hyper_state(0.0, 0.0, 1), (0, 0), (2, 2),
              "measures 2 degrees of freedom, the state has 1"),
             (IDEAL, (0,), (2,), "measures 1 degrees of freedom, the state has 2"),
             (IDEAL, (0, 0, 0), (2, 2, 2), "measures 3 degrees of freedom, the state has 2"),
@@ -202,9 +204,9 @@ def _reference_born(state, setting):
     kernel must reproduce."""
     proj_u = model.pair_projectors(*map(observable, setting.u_ids), model.PHOTON_U)
     proj_d = model.pair_projectors(*map(observable, setting.d_ids), model.PHOTON_D)
-    probs = np.empty(16)
+    probs, rho = np.empty(16), dense_rho(state)
     for i, u_out in enumerate(OUTCOME_PAIRS):
-        left = proj_u[u_out] @ state.rho
+        left = proj_u[u_out] @ rho
         for j, d_out in enumerate(OUTCOME_PAIRS):
             probs[4 * i + j] = np.real(np.trace(proj_d[d_out] @ left))
     return probs
@@ -285,10 +287,10 @@ def _kron_reference_born(state, setting):
             out = np.kron(out, np.kron(p, np.eye(2)) if photon == "u" else np.kron(np.eye(2), p))
         return out
 
-    outcomes = list(itertools.product((1, -1), repeat=n))
+    outcomes, rho = list(itertools.product((1, -1), repeat=n)), dense_rho(state)
     return np.array([
         np.real(np.trace(embedded(setting.u_ids, su, "u") @ embedded(setting.d_ids, sd, "d")
-                         @ state.rho))
+                         @ rho))
         for su in outcomes
         for sd in outcomes
     ])
@@ -1760,8 +1762,9 @@ class TestAssumptionTest:
         suffix = slice(layout.n_run, None)
         weights = layout.weight_rows[layout.cells[suffix, -1] + 1]
         firsts = np.einsum("ij,ij->i", layout.born(state, suffix), weights)[:: 4 ** (n - 1)]
+        rho = dense_rho(state)
         dense = [
-            np.trace(state.rho @ _fresh_marginal_operator(n, f, k, "AaBb"[u], "AaBb"[d])).real
+            np.trace(rho @ _fresh_marginal_operator(n, f, k, "AaBb"[u], "AaBb"[d])).real
             for f, k in enumerate(layout.kinds)
             for u, d in simlab._ASSUMPTION_ROWS[k]
         ]
@@ -1955,15 +1958,12 @@ def _all_a_and_b(n):
     return (0,) * n, (2,) * n
 
 
-# States with no pair blocks, built by the general constructors.
-GENERAL_STATES = {
-    "pure": lambda: QuantumState.pure(np.eye(16, dtype=complex)[5]),
-    "mixed": lambda: QuantumState.mixed(np.eye(16, dtype=complex) / 16),
-    "pure-four-dof": lambda: QuantumState.pure(bell.ideal_state(4).vector.copy()),
-}
-PRODUCT_ONLY_CALLS = {
+# Every library call that takes a state, on the two-DOF setting where it needs one.
+STATE_CALLS = {
+    "quantum_value": lambda s: bell.quantum_value(bell.canonical_product(2), s),
+    "ideal_predictions": bell.ideal_predictions,
     "apply_noise": lambda s: model.apply_noise(s, WHITE_09),
-    "born_distribution": lambda s: simlab.born_distribution(s, *_all_a_and_b(s.dof_count)),
+    "born_distribution": lambda s: simlab.born_distribution(s, *_all_a_and_b(2)),
     "signaling_deviation": simlab.signaling_deviation,
     "assumption_test": lambda s: simlab.assumption_test(s, 100, 1),
     "run_simulated_experiment": lambda s: simlab.run_simulated_experiment(s, 100, 1),
@@ -1971,14 +1971,17 @@ PRODUCT_ONLY_CALLS = {
 
 
 class TestProductStatesOnly:
-    """Sampling and noise read a product state's pair blocks; a state built
-    by ``QuantumState.pure`` or ``.mixed`` has none, and is refused."""
+    """Every call that takes a state reads a product state's pairs or
+    blocks; anything else is refused by the one state rule."""
 
-    @pytest.mark.parametrize("call", PRODUCT_ONLY_CALLS.values(), ids=PRODUCT_ONLY_CALLS)
-    @pytest.mark.parametrize("state", GENERAL_STATES.values(), ids=GENERAL_STATES)
-    def test_state_with_no_blocks_refused(self, state, call):
-        state = state()
-        assert_refused_before_allocating(lambda: call(state), r"^a product state is needed")
+    @pytest.mark.parametrize("call", STATE_CALLS.values(), ids=STATE_CALLS)
+    @pytest.mark.parametrize("type_name", sorted(NOT_STATES))
+    def test_state_that_is_no_quantum_state_refused(self, type_name, call):
+        """Each escaped as an ``AttributeError`` (on ``dim``, ``dof_count`` or
+        ``blocks``)."""
+        bad = NOT_STATES[type_name](bell.ideal_state(4))
+        message = f"^the state must be a QuantumState, got {type_name}$"
+        assert_refused_before_allocating(lambda: call(bad), message)
 
     def test_first_four_dof_run_builds_no_rho_and_holds_little(self, monkeypatch):
         """A first N = 4 run on a noisy ideal state, every table of its N
@@ -1995,5 +1998,5 @@ class TestProductStatesOnly:
         finally:
             tracemalloc.stop()
         assert len(result.joint_records) == 256
-        assert "rho" not in vars(state)
+        assert sorted(vars(state)) == ["blocks", "kinds", "pairs"]
         assert held < 2 * 2**20, f"held {held} B"

@@ -1,5 +1,5 @@
-"""State builders, the lazy density matrix and the shared ideal embeddings,
-each against the Kronecker construction it replaced."""
+"""State builders, the lazy vector and blocks and the shared ideal
+embeddings, each against the Kronecker construction it replaced."""
 
 import cmath
 from functools import reduce
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from hyperbell import bell, cli, model, qcore
 from hyperbell.bell import IdealPredictions
-from hyperbell.model import NoiseModel, QuantumState
+from hyperbell.model import NoiseModel
 
 SQRT2 = np.sqrt(2.0)
 
@@ -41,9 +41,7 @@ def _reference_ideal(state):
     product = bell.canonical_product(n)
 
     def value(matrix):
-        if state.is_pure:
-            return float(qcore.expectation(matrix, state.vector).real)
-        return float(qcore.expectation_mixed(matrix, state.rho).real)
+        return float(qcore.expectation(matrix, state.vector).real)
 
     def embedding(f, matrix):
         parts = (np.eye(4**f, dtype=complex), matrix, np.eye(4 ** (n - f - 1), dtype=complex))
@@ -100,59 +98,43 @@ class TestBuildersMatchKroneckerReference:
         assert model.hyper_state(theta, phi, n).vector.tobytes() == expected.tobytes()
 
 
-class TestLazyDensityMatrix:
+class TestLazyVectorAndBlocks:
     @settings(max_examples=100, deadline=None)
     @given(case=kinds_and_phases())
-    def test_pure_rho_built_on_first_read(self, case):
+    def test_pure_vector_built_on_first_read(self, case):
+        """The Kronecker product of the pairs, built once, read-only."""
         state = model.product_state(*case)
-        assert "rho" not in vars(state)
-        v = state.vector
-        rho = state.rho
-        assert rho.tobytes() == np.outer(v, v.conj()).tobytes()
-        assert state.rho is rho and not rho.flags.writeable
-
-    def test_mixed_rho_is_the_checked_matrix(self):
-        """The state keeps a read-only copy of a writable input, and a
-        read-only input itself."""
-        rho = np.eye(16, dtype=complex) / 16
-        state = QuantumState.mixed(rho)
-        assert state.rho is not rho and state.rho.tobytes() == rho.tobytes()
-        assert not state.rho.flags.writeable and state.dim == 16 and not state.is_pure
-        shared = qcore.read_only(rho.copy())
-        assert QuantumState.mixed(shared).rho is shared
+        assert "vector" not in vars(state)
+        vector = state.vector
+        assert vector.tobytes() == reduce(np.kron, state.pairs).tobytes()
+        assert state.vector is vector and not vector.flags.writeable
 
     def test_noise_reads_the_state_blocks(self):
         """Noise maps the pure state's blocks, built on first read from its
-        pair vectors; neither state builds its dense matrix."""
+        pair vectors; neither state builds a dense vector."""
         state = model.hyper_state(0.7, -1.3)
         assert "blocks" not in vars(state)
         noisy = model.apply_noise(state, NoiseModel(model.NOISE_NONE))
         assert noisy.blocks is state.blocks
-        assert "rho" not in vars(state) and "rho" not in vars(noisy)
+        assert "vector" not in vars(state) and "vector" not in vars(noisy)
         for block, pair in zip(state.blocks, state.pairs, strict=True):
             assert block.tobytes() == np.outer(pair, pair.conj()).tobytes()
 
-    def test_exact_studies_build_no_ideal_rho(self, capsys):
-        """No exact study reads the density matrix of a shared ideal state, so
-        the 256x256 one of N = 4 is never built."""
+    def test_exact_studies_build_no_ideal_blocks(self, capsys):
+        """No exact study reads the blocks of a shared ideal state."""
         bell._ideal_state.cache_clear()
         for argv in (["ideal"], ["bounds", "--dof", "4"], ["scaling", "--dof", "4"]):
             assert cli.main(argv + ["--format", "json"]) == 0
         capsys.readouterr()
-        assert "rho" not in vars(bell.ideal_state(4)) and "blocks" not in vars(bell.ideal_state(4))
+        assert "blocks" not in vars(bell.ideal_state(4))
 
 
 class TestSharedIdealEmbeddings:
     @settings(max_examples=150, deadline=None)
-    @given(n=st.integers(1, model.MAX_DOF), theta=phases, phi=phases, v_pi=st.floats(0.0, 1.0),
-           v_k=st.floats(0.0, 1.0), noise=st.sampled_from(model.NOISE_KINDS))
-    def test_predictions_equal_per_call_embeddings(self, n, theta, phi, v_pi, v_k, noise):
-        pure = model.hyper_state(theta, phi, n)
-        states = [pure]
-        if noise != model.NOISE_NONE:
-            states.append(model.apply_noise(pure, NoiseModel(noise, v_pi, v_k)))
-        for state in states:
-            assert repr(bell.ideal_predictions(state)) == repr(_reference_ideal(state))
+    @given(n=st.integers(1, model.MAX_DOF), theta=phases, phi=phases)
+    def test_predictions_equal_per_call_embeddings(self, n, theta, phi):
+        state = model.hyper_state(theta, phi, n)
+        assert repr(bell.ideal_predictions(state)) == repr(_reference_ideal(state))
 
     @pytest.mark.parametrize("n", range(1, model.MAX_DOF + 1))
     def test_embedding_tables_are_shared_and_read_only(self, n):

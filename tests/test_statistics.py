@@ -2,11 +2,15 @@
 exact values that do not come from the Born kernel under test.
 
 (a) The z of beta and of each factor's CHSH value, (estimate - exact) /
-    std_err, over a fixed seed range, with the exact values from
-    ``bell.quantum_value`` and ``bell.ideal_predictions`` (the dense matrix).
+    std_err, over a fixed seed range, with the exact values ``Tr[rho M]`` on
+    the dense oracle's matrix (``reference.exact_value`` on
+    ``reference.dense_noise``).
 (b) The Pearson chi-square of the run pass's counts, pooled over the same
     seeds, against Born rows from the dense oracle (``reference.dense_born``
     on ``reference.dense_noise``), not from the pass's own rows.
+(d) Each assumption row's analytic value against the exact correlation of
+    each of its cells on the dense oracle's Born rows, and the z of its
+    cells' estimates over the same seeds, as in (a).
 
 Every bound comes from a false-alarm rate of 1e-6 per assertion, fixed in
 advance through a normal or chi-square quantile; no bound is fitted to the
@@ -20,7 +24,7 @@ import numpy as np
 import pytest
 
 from hyperbell import bell, model, rng, simlab
-from reference import dense_born, dense_noise
+from reference import analytic_correlations, dense_born, dense_noise, exact_value, factor_embedding
 
 EVENTS = 2000
 WHITE_09 = model.NoiseModel(model.NOISE_WHITE, 0.9, 0.9)
@@ -73,16 +77,24 @@ def test_beta_and_chsh_z_are_standard_normal(n):
     """Per series (beta, then each factor's CHSH), over K seeds: the mean z
     times sqrt(K) is inside +-4.8916 (two-sided normal, 1e-6), and the sum
     of z^2 inside the chi-square(K) quantiles at 1e-6 on each side."""
-    state, results, _ = _runs(n)
-    exact = [bell.quantum_value(bell.canonical_product(n), state)]
-    exact += bell.ideal_predictions(state).values[:n]
+    _, results, _ = _runs(n)
+    rho, op = dense_noise(bell.ideal_state(n), WHITE_09), bell.canonical_product(n)
+    matrices = [op.matrix] + [factor_embedding(f.matrix, i, n) for i, f in enumerate(op.factors)]
     reports = [[r.beta, *r.chsh] for r in results]
-    k = len(results)
-    for series, value in enumerate(exact):
-        z = np.array([(rep[series].beta_estimate - value) / rep[series].beta_std_err
-                      for rep in reports])
-        assert abs(z.sum()) / math.sqrt(k) < Z_TWO_SIDED, (series, z.mean())
-        assert _chi2_lower(k) < float(z @ z) < _chi2_upper(k), (series, float(z @ z))
+    for series, matrix in enumerate(matrices):
+        value = exact_value(matrix, rho)
+        _assert_standard_normal(
+            [(rep[series].beta_estimate - value) / rep[series].beta_std_err for rep in reports],
+            series,
+        )
+
+
+def _assert_standard_normal(z, series):
+    """K values of z: the mean times sqrt(K) inside +-4.8916, and the sum of
+    z^2 inside the chi-square(K) quantiles at 1e-6 on each side."""
+    z, k = np.array(z), len(z)
+    assert abs(z.sum()) / math.sqrt(k) < Z_TWO_SIDED, (series, z.mean())
+    assert _chi2_lower(k) < float(z @ z) < _chi2_upper(k), (series, float(z @ z))
 
 
 def _pearson(observed, expected):
@@ -111,3 +123,29 @@ def test_pooled_counts_fit_the_dense_born_rows(n):
         stat, d = _pearson(row, len(results) * EVENTS * probs)
         chi2, dof = chi2 + stat, dof + d
     assert chi2 < _chi2_upper(dof), (chi2, dof)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_assumption_rows_match_the_dense_oracle(n):
+    """(d) Every cell of a row measures the row's pair on its factor, so the
+    exact correlation of each, read from the dense oracle's Born row of its
+    setting, equals the row's analytic value within 1e-12.  Per row, the z
+    of its cells' estimates over the seeds, against those exact values,
+    passes the bounds of (a)."""
+    _, results, _ = _runs(n)
+    rho, layout = dense_noise(bell.ideal_state(n), WHITE_09), simlab._layout(n)
+    exact = [
+        analytic_correlations(dense_born(rho, tuple(cell[:n]), tuple(cell[n:-1])))[1 + cell[-1]]
+        for cell in layout.cells[layout.n_run :].tolist()
+    ]
+    size = 4 ** (n - 1)
+    rows = [result.assumptions.rows for result in results]
+    assert len(rows[0]) * size == len(exact)
+    for i, row in enumerate(rows[0]):
+        values = exact[i * size : (i + 1) * size]
+        assert max(abs(value - row.analytic_E) for value in values) < 1e-12, (i, row.analytic_E)
+        _assert_standard_normal(
+            [(cell.record.E - value) / cell.record.std_err
+             for report in rows for cell, value in zip(report[i].cells, values, strict=True)],
+            row.row_label,
+        )
