@@ -153,13 +153,13 @@ def _ideal_state(n_dof: int) -> QuantumState:
     return model.hyper_state(np.pi, 0.0, n_dof)
 
 
-@cache  # at most 1 + 2 + 3 + 4 tables; a factor outside 0..n_dof-1 raises
-def _factor_embedding(n_dof: int, f: int) -> np.ndarray:
-    """The CHSH matrix of factor f of ``canonical_product(n_dof)`` on the
-    whole 4^n_dof space, the identity on every other factor; read-only,
-    built once per (n_dof, f)."""
-    matrix = canonical_product(n_dof).factors[f].matrix
-    parts = (np.eye(4**f), matrix, np.eye(4 ** (n_dof - f - 1)))
+@cache  # keyed by checked kinds: a factor outside them raises
+def _factor_embedding(kinds: tuple, f: int) -> np.ndarray:
+    """The CHSH matrix of factor f of the product operator of ``kinds`` on
+    the whole 4^N space, the identity on every other factor; read-only,
+    built once per (kinds, f)."""
+    matrix = _shared(kinds).factors[f].matrix
+    parts = (np.eye(4**f), matrix, np.eye(4 ** (len(kinds) - f - 1)))
     return qcore.read_only(qcore.tensor_all(*[m for m in parts if m.shape[0] > 1]))
 
 
@@ -199,19 +199,19 @@ class IdealPredictions:
 
 
 def ideal_predictions(state: QuantumState) -> IdealPredictions:
-    """Signed <beta_f> of each factor of ``canonical_product(N)`` and <beta>
-    of the product, plus their spectral radii.
+    """Signed <beta_f> of each factor of the product operator of the state's
+    own kinds and <beta> of the product, plus their spectral radii.
 
     The state is checked once, by ``quantum_value`` of the product; each
     factor value is then the arithmetic of ``qcore.expectation`` on that
     checked vector, since the factor tables were checked when built and are
     read-only."""
     model.check_state(state)
-    n = state.dof_count
-    product = canonical_product(n)
+    product = _shared(state.kinds)
     value = quantum_value(product, state)
     v = np.asarray(state.vector, dtype=complex)  # as qcore.expectation read it
-    values = [_real(complex(np.vdot(v, _factor_embedding(n, f) @ v))) for f in range(n)]
+    values = [_real(complex(np.vdot(v, _factor_embedding(state.kinds, f) @ v)))
+              for f in range(state.dof_count)]
     return IdealPredictions(
         values=(*values, value),
         radii=tuple([op.radius for op in (*product.factors, product)]),

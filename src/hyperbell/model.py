@@ -17,11 +17,11 @@ Conventions (fixed, shared by every module):
 The eight dichotomic observables are stored in their ket-bra form; the
 equivalent Pauli combinations are asserted in tests, not assumed here.
 
-A state is a product of one pair per factor: its kinds and either its pair
-vectors (pure, ``product_state``) or its 4x4 pair blocks (noisy,
-``apply_noise``).  Every noise channel acts on one factor's block, so noise
-maps and checks each block on its own, and no 4^N density matrix is built;
-the exact studies read a pure state's dense vector.
+A state is a product of one pair per factor: its kinds, on which every
+study measures it, and its pair vectors (pure, ``product_state``) or 4x4
+pair blocks (noisy, ``apply_noise``).  Each noise channel maps and checks
+(``qcore.check_density_matrix``) one factor's block on its own, and no 4^N
+density matrix is built; the exact studies read a pure state's vector.
 """
 
 from __future__ import annotations
@@ -272,7 +272,7 @@ class NoiseModel:
 def apply_noise(state: QuantumState, noise: NoiseModel) -> QuantumState:
     """Apply the noise channel to a pure state, block by block: each pair
     block through its 4x4 channel at v_pi if its kind is polarization, v_k
-    if path.  Each noisy block is checked (``qcore._check_density_matrix``)
+    if path.  Each noisy block is checked (``qcore.check_density_matrix``)
     and kept by the noisy state, which has no pairs."""
     check_state(state)
     if not isinstance(noise, NoiseModel):
@@ -287,7 +287,7 @@ def apply_noise(state: QuantumState, noise: NoiseModel) -> QuantumState:
     elif noise.kind == NOISE_DEPHASING:  # the coherences between a block's pair indices
         blocks = blocks * np.where(np.eye(4, dtype=bool), 1.0, v)
     for block in blocks:
-        qcore._check_density_matrix(block)
+        qcore.check_density_matrix(block)
     noisy = QuantumState(kinds=state.kinds)
     object.__setattr__(noisy, "blocks", qcore.read_only(blocks))  # fills the cached_property
     return noisy

@@ -8,7 +8,8 @@ complex numpy arrays.  Conventions fixed here and shared globally:
   varies slowest);
 - one size rule: every dimension is at most ``MAX_DIM`` = 4^MAX_DOF = 256,
   checked on an input's shape before it is converted or multiplied out;
-- Hermiticity and normalization are checked to 1e-9 absolute.
+- Hermiticity and normalization are checked to 1e-9 absolute, and every
+  density matrix, each noisy pair block included, by ``check_density_matrix``.
 
 Only the extremal eigenvalue magnitude is ever needed, so there is no full
 diagonalization API.
@@ -93,13 +94,9 @@ def check_normalized(psi: np.ndarray) -> None:
         raise ValueError(f"state vector is not normalized (norm {norm!r})")
 
 
-def check_density_matrix(rho: np.ndarray) -> None:
-    """Hermitian, unit trace, positive semidefinite (within tolerances)."""
-    _check_density_matrix(as_matrix(rho))
-
-
-def _check_density_matrix(a: np.ndarray) -> None:
-    """``check_density_matrix`` of a matrix ``as_matrix`` has already returned."""
+def check_density_matrix(rho) -> np.ndarray:
+    """``rho`` as a matrix, if Hermitian, unit-trace and positive semidefinite."""
+    a = as_matrix(rho)
     if not _is_hermitian(a):
         raise ValueError("density matrix must be Hermitian")
     tr = complex(np.trace(a))
@@ -108,6 +105,7 @@ def _check_density_matrix(a: np.ndarray) -> None:
     lo = float(np.min(np.linalg.eigvalsh(a)))
     if lo < -PSD_TOL:
         raise ValueError(f"density matrix has negative eigenvalue {lo!r}")
+    return a
 
 
 def expectation(op, psi) -> complex:
@@ -126,11 +124,9 @@ def expectation(op, psi) -> complex:
 
 def expectation_mixed(op, rho) -> complex:
     """Tr[rho . op] for a valid density matrix."""
-    a = as_matrix(op)
-    r = as_matrix(rho)
+    a, r = as_matrix(op), check_density_matrix(rho)
     if a.shape != r.shape:
         raise ValueError(f"dimension mismatch: operator {a.shape[0]}, rho {r.shape[0]}")
-    _check_density_matrix(r)
     return complex(np.trace(r @ a))
 
 

@@ -12,8 +12,9 @@ Sub-streams (one per measurement setting) are derived as
     derived_seed = mix(seed XOR ((index + 1) * 0x9E3779B97F4A7C15 mod 2^64))
 
 which is the documented seed/index mix referenced in every report;
-``derive_seeds`` derives a range of indices as one array.  A stream or a
-seed range is at most one pass long, ``LONG_PASS`` = 2^15, checked first.
+``derive_seeds`` derives a range of indices (one index: a range of one) as
+one array.  A stream or a seed range is at most one pass long,
+``LONG_PASS`` = 2^15, checked first.
 
 Multinomial counts are inverse-CDF counts: an event whose uniform ``u``
 satisfies ``cdf[k-1] <= u < cdf[k]`` lands in cell ``k``.  They are counted
@@ -142,14 +143,9 @@ def checked_seed(seed) -> int:
     return checked_int("seed", seed, 0, _MASK64)
 
 
-def derive_seed(seed: int, index: int) -> int:
-    """Sub-stream seed from a master seed and a setting index, both in [0, 2^64 - 1]."""
-    return int(derive_seeds(seed, checked_int("index", index, 0, _MASK64), 1)[0])
-
-
 def derive_seeds(seed: int, start: int, count: int) -> np.ndarray:
-    """``derive_seed(seed, start + i)`` for i in [0, ``count``) as one uint64
-    array, ``count`` at most ``LONG_PASS``; the last index must not pass 2^64 - 1."""
+    """The sub-stream seeds of indices ``start`` to ``start + count - 1`` of a master
+    seed as one uint64 array: all in [0, 2^64 - 1], ``count`` at most ``LONG_PASS``."""
     seed = checked_seed(seed)
     start = checked_int("start", start, 0, _MASK64)
     count = checked_int("count", count, 0, min(LONG_PASS, _MASK64 + 1 - start))

@@ -1,21 +1,20 @@
 """Simulated experiment: Born probabilities, coincidence sampling, estimators.
 
 A joint setting is each photon's name digit per factor (A, a, B, b as 0..3,
-``model.NAMES``, factor 0 first) on the kinds ``model.canonical_kinds(N)``:
+``model.NAMES``, factor 0 first) on the factor's kind in ``state.kinds``:
 the digits a row of the cell table holds.  Each photon has 2^N outcomes,
 one sign per factor in ``product((1, -1), repeat=N)`` order, so a setting
 has 4^N outcome cells, ordered u-major.  The 4^N settings of the Bell test
-are the terms of ``bell.canonical_product(N)``.
+are the terms of the operator of the state's kinds.
 
 Every state is a product state (``model.QuantumState``), so the Born row
 of a setting is the outer product of one 2x2 row per factor, ``T[f, u
 digit, :, d digit, :]``, where ``T[f, x, o, y, p] = Tr[rho_f (P_x^o x
 P_y^p)]`` is factor f's table of its 4x4 pair block against its kind's
-outcome projectors (``_Layout.factor_tables``, one small einsum per state).
+outcome projectors, outcomes in (+1, -1) order: one small einsum per call.
 The rows agree with the trace over embedded projectors to about 1e-16, and
 every golden count and output byte is that of the dense contraction they
-replaced.  Every table of one N is built once, when first
-read (``_Layout``).
+replaced; ``_Layout`` builds each table of a kinds tuple once.
 
 A sampled cell is a setting and a factor, kept as one integer row of name
 digits (``_Layout.cells``): the joint correlation of the setting, or the
@@ -23,14 +22,14 @@ correlation of that one degree of freedom.  Sampling is multinomial on the
 Born distribution, driven by the seeded generator in ``rng`` (identity
 ``rng.GENERATOR_ID``); cell i of a sampled range draws from the sub-stream
 i of the seed (``rng.derive_seeds``), so runs are reproducible cell by
-cell.  Each N has one array pass (``_Layout.cells``), a run's own cells then
-the assumption cells (56 at N = 2), read by position over contiguous row
-ranges: the state's factor tables, one gather and outer product of their
-rows (``_born``), one sampler call with one seed per row, and one weight
-product.  A run reads the whole pass; ``assumption_test`` reads the
-assumption suffix and ``signaling_deviation`` the 4^N product terms, which
-come first.  ``born_distribution``, ``sample`` and ``estimate`` are the
-one-row calls of the same kernels.
+cell.  Each kinds tuple has one array pass (``_Layout.cells``), a run's own
+cells then the assumption cells (56 at N = 2), read by position over
+contiguous row ranges: one ``born_distribution`` call on their stacked
+settings (the one Born kernel), one sampler call with one seed per row, and
+one weight product.  A run reads the whole pass; ``assumption_test`` reads
+the assumption suffix and ``signaling_deviation`` the 4^N product terms,
+which come first.  ``sample`` and ``estimate`` are one-row calls; having no
+state, ``estimate`` reads the canonical kinds of its N.
 """
 
 from __future__ import annotations
@@ -63,10 +62,10 @@ _OUTCOME_PROJECTORS = qcore.read_only(
 
 
 class _Layout:
-    """The tables of the canonical N-DOF experiment, built from N alone;
-    ``_layout(n)`` builds each N once, and each table when first read.
+    """The tables of the experiment on the kinds of one product operator;
+    ``_layout(kinds)`` builds each kinds tuple once, each table when first read.
 
-    ``cells``, this N's one pass, is a read-only integer table with one row
+    ``cells``, these kinds' one pass, is a read-only integer table with one row
     per cell in sub-stream order: photon u's name digit (A, a, B, b as 0..3)
     on each factor, then photon d's, then the cell's factor, -1 for the
     joint correlation.  A run's cells come from offset 0: the product terms
@@ -78,17 +77,16 @@ class _Layout:
     read from it by position.
     """
 
-    def __init__(self, n: int):
-        self.operator = bell_mod.canonical_product(n)
-        self.kinds = self.operator.kinds
-        self.labels = model.factor_labels(self.kinds)
+    def __init__(self, kinds: tuple):
+        self.operator = bell_mod.BellOperator(kinds)  # checks the kinds
+        self.kinds, self.labels = self.operator.kinds, self.operator.factor_labels
+        n = len(kinds)
         self.n_run = 4**n + 4 * n  # a run's own cells; the assumption cells follow
         # [factor, name digit]: the token (A_pi2), for ``_per_cell`` and ``estimate``.
         tokens = [[model.side_label(x, (label,)) for x in model.NAMES] for label in self.labels]
         self.tokens = qcore.read_only(np.array(tokens))
         # [factor, name digit, outcome]: the outcome projectors of the factor's kind.
-        kinds = [model.KINDS.index(kind) for kind in self.kinds]
-        self.projectors = qcore.read_only(_OUTCOME_PROJECTORS[kinds])
+        self.projectors = qcore.read_only(_OUTCOME_PROJECTORS[list(map(model.KINDS.index, kinds))])
         # Row f + 1: the product of the two photons' signs on factor f, over
         # the cells u-major, each side in ``product((1, -1), repeat=N)``
         # order; row 0, the joint weights, is their product (a cell's factor + 1).
@@ -98,7 +96,7 @@ class _Layout:
 
     @cached_property
     def cells(self) -> np.ndarray:
-        """The one pass of this N: a run's own cells, then the assumption cells."""
+        """The one pass of these kinds: a run's own cells, then the assumption cells."""
         n = len(self.kinds)
         pairs = np.array(list(product(_PAIRS, repeat=n - 1)), dtype=np.int64)
         contexts = pairs.reshape(4 ** (n - 1), n - 1, 2).transpose(0, 2, 1)
@@ -141,50 +139,57 @@ class _Layout:
         entries = self.tokens[np.arange(cells.shape[1] - 1) % len(self.kinds), cells[:, :-1]]
         return zip(entries.tolist(), cells[:, -1].tolist())
 
-    def factor_tables(self, state: QuantumState) -> np.ndarray:
-        """``T[f, u digit, u outcome, d digit, d outcome] = Tr[rho_f (P x Q)]``
-        of the state's pair blocks ``rho_f`` against the outcome projectors P
-        of photon u's name digit and Q of photon d's on factor f's kind,
-        outcomes in (+1, -1) order."""
-        rho = state.blocks.reshape(-1, 2, 2, 2, 2)  # [f, u row, d row, u column, d column]
-        p = self.projectors
-        return np.real(np.einsum("fijkl,fxoki,fyplj->fxoyp", rho, p, p))
-
-    def born(self, state: QuantumState, rows: slice = slice(None)) -> np.ndarray:
-        """The Born rows of the contiguous cell range ``rows`` (``_born``)."""
-        return _born(self.factor_tables(state), self.cells[rows, :-1])
-
 
 _layout = cache(_Layout)
 
 
 def _checked_setting(u, d) -> tuple:
-    """``(layout, u, d)`` of a setting given as each photon's name digits,
-    factor 0 first: ``u`` and ``d`` must be tuples of 1 to ``MAX_DOF``
-    digits, as many as each other, each in 0..3 (``rng.checked_int``)."""
+    """``(u, d)``, each photon's name digits in 0..3, factor 0 first, as (m,
+    N) integer arrays: one setting is two tuples of 1 to ``MAX_DOF`` digits
+    (``rng.checked_int``), stacked ones two such arrays, as the pass holds
+    them.  The photons must name as many factors and settings."""
     checked = []
     for name, xs in (("u", u), ("d", d)):
-        if not (isinstance(xs, tuple) and 1 <= len(xs) <= MAX_DOF):
+        if isinstance(xs, tuple) and 1 <= len(xs) <= MAX_DOF:
+            xs = np.array([[rng.checked_int(f"{name} name digit", x, 0, 3) for x in xs]])
+        elif not isinstance(xs, np.ndarray):
             raise ValueError(f"{name} must be a tuple of 1 to {MAX_DOF} name digits, got {xs!r}")
-        checked.append([rng.checked_int(f"{name} name digit", x, 0, 3) for x in xs])
-    if len(u) != len(d):
-        raise ValueError(f"u and d must name as many factors, got {len(u)} and {len(d)}")
-    return _layout(len(u)), *checked
+        elif not (xs.dtype.kind in "iu" and xs.ndim == 2 and xs.size and xs.shape[1] <= MAX_DOF
+                  and 0 <= xs.min() and xs.max() <= 3):
+            raise ValueError(f"{name} must be (m, N) integers in 0..3, N <= {MAX_DOF}, got {xs!r}")
+        checked.append(xs)
+    (m, n), (m_d, n_d) = checked[0].shape, checked[1].shape
+    if n != n_d:
+        raise ValueError(f"u and d must name as many factors, got {n} and {n_d}")
+    if m != m_d:
+        raise ValueError(f"u and d must stack as many settings, got {m} and {m_d}")
+    return checked
 
 
-def _born(tables: np.ndarray, settings: np.ndarray) -> np.ndarray:
-    """Born rows of stacked settings, one row of 4^N cells per setting,
-    u-major: ``settings`` holds each one's u name digits, then its d digits,
-    factor 0 first, and ``tables`` the state's factor tables
-    (``_Layout.factor_tables``).  A row is the outer product of the 2x2 rows
-    ``tables[f, u_f, :, d_f, :]``, factor 0 slowest on each photon.
+def born_distribution(state: QuantumState, u, d) -> np.ndarray:
+    """Joint outcome probabilities Tr[rho (P_u x P_d)] of a product state on
+    its own kinds, 4^N cells u-major: one row for one setting of name digits
+    ``u`` and ``d``, an (m, 4^N) array for m stacked ones
+    (``_checked_setting``).  A row is the outer product of the 2x2 rows
+    ``T[f, u_f, :, d_f, :]`` of the state's factor tables (module
+    docstring), factor 0 slowest on each photon, so a setting's row is
+    bitwise its row of the pass.  The reference is the trace over
+    ``model.pair_projectors``.
 
     Probabilities more negative than -1e-12 are an error; smaller negative
     rounding residue is clamped to zero and each row renormalized.  The
     first row failing a check is reported.
     """
-    n, m = len(tables), len(settings)
-    factor_rows = tables[np.arange(n), settings[:, :n], :, settings[:, n:], :]  # (m, N, 2, 2)
+    model.check_state(state)
+    us, ds = _checked_setting(u, d)
+    m, n = us.shape
+    if state.dof_count != n:
+        raise ValueError(f"the setting measures {n} degrees of freedom,"
+                         f" the state has {state.dof_count}")
+    rho = state.blocks.reshape(-1, 2, 2, 2, 2)  # [f, u row, d row, u column, d column]
+    p = _layout(state.kinds).projectors  # [f, name digit, outcome, row, column]
+    tables = np.real(np.einsum("fijkl,fxoki,fyplj->fxoyp", rho, p, p))
+    factor_rows = tables[np.arange(n), us, :, ds, :]  # (m, N, 2, 2)
     probs = factor_rows[:, 0]
     for f in range(1, n):
         grid = probs[:, :, None, :, None] * factor_rows[:, f, None, :, None, :]
@@ -199,38 +204,23 @@ def _born(tables: np.ndarray, settings: np.ndarray) -> np.ndarray:
         if lows[i] < -1e-12:
             raise ValueError(f"Born probability {float(lows[i])!r} below the clamping tolerance")
         raise ValueError(f"Born probabilities sum to {float(totals[i])!r}, expected 1")
-    return probs / totals[:, None]
-
-
-def born_distribution(state: QuantumState, u: tuple, d: tuple) -> np.ndarray:
-    """Joint outcome probabilities Tr[rho (P_u x P_d)] of the setting of name
-    digits ``u`` and ``d`` (``_checked_setting``) on a product state, 4^N
-    cells u-major: the one-row call of the pass's kernel, so bitwise the
-    setting's row of the pass.  The reference is the trace over
-    ``model.pair_projectors``."""
-    model.check_state(state)
-    layout, u, d = _checked_setting(u, d)
-    if state.dof_count != len(layout.kinds):
-        raise ValueError(
-            f"the setting measures {len(layout.kinds)} degrees of freedom,"
-            f" the state has {state.dof_count}"
-        )
-    return _born(layout.factor_tables(state), np.array([u + d]))[0]
+    probs /= totals[:, None]
+    return probs[0] if isinstance(u, tuple) else probs
 
 
 def signaling_deviation(state: QuantumState) -> float:
     """Largest marginal shift of one side under the other side's setting.
 
-    Scans the canonical settings (the terms of ``canonical_product(N)``, the
-    first Born rows of a run's pass) grouped by each side's name digits;
-    quantum states keep this at floating-point rounding scale.
+    Scans the settings of the Bell test on the state's kinds (the first
+    Born rows of a run's pass) grouped by each side's name digits; quantum
+    states keep this at floating-point rounding scale.
     """
     model.check_state(state)
-    layout = _layout(state.dof_count)
-    n_terms = 4**state.dof_count
-    grids = layout.born(state, slice(n_terms)).reshape(n_terms, 2**state.dof_count, -1)
-    # Each photon's marginals, grouped by its name digits.
-    names = np.split(layout.cells[:n_terms, :-1], 2, axis=1)
+    n = state.dof_count
+    cells = _layout(state.kinds).cells[: 4**n]
+    # Each photon's name digits, and its marginals grouped by them.
+    names = cells[:, :n], cells[:, n:-1]
+    grids = born_distribution(state, *names).reshape(4**n, 2**n, -1)
     sides = zip((grids.sum(axis=2), grids.sum(axis=1)), names)
     return max(
         float(np.ptp(m[(side == local).all(axis=1)], axis=0).max())
@@ -254,14 +244,18 @@ class CorrelationRecord:
 
 def estimate(counts, u: tuple, d: tuple, factor: int | None = None) -> CorrelationRecord:
     """Correlation estimate with std_err = sqrt((1 - E^2)/n) from the counts
-    of the setting of name digits ``u`` and ``d`` (``_checked_setting``).
+    of one setting of name digits ``u`` and ``d`` (``_checked_setting``) on
+    the canonical kinds of its N.
 
     ``factor=None`` gives the joint correlation, labelled by the two photon
     labels; factor f gives that degree of freedom's correlation, labelled by
     the two photons' tokens on factor f alone with its numbered label
     (``a_pi2``).  Counts must have an integer dtype: floats, whole or not,
     are refused rather than truncated, and they must total below 2^53."""
-    layout, u, d = _checked_setting(u, d)
+    u, d = _checked_setting(u, d)
+    if len(u) != 1:
+        raise ValueError(f"estimate takes one setting, got {len(u)}")
+    layout = _layout(model.canonical_kinds(u.shape[1]))
     if factor is not None:
         factor = rng.checked_int("factor", factor, 0, len(layout.kinds) - 1)
     weights = layout.weight_rows[0 if factor is None else factor + 1]
@@ -271,7 +265,7 @@ def estimate(counts, u: tuple, d: tuple, factor: int | None = None) -> Correlati
     if sum(c.tolist()) >= 1 << 53:  # summed in Python ints: an int64 sum can wrap
         raise ValueError("counts must total below 2^53, where estimates are exact")
     factors = list(range(len(layout.kinds))) if factor is None else [factor]
-    label = tuple(" ".join(layout.tokens[factors, np.take(xs, factors)].tolist()) for xs in (u, d))
+    label = tuple(" ".join(layout.tokens[factors, xs[0, factors]].tolist()) for xs in (u, d))
     return _records(c.astype(np.int64, copy=False)[None], weights[None], (label,))[0]
 
 
@@ -382,11 +376,13 @@ class AssumptionReport:
         return tuple(row for rows in self.factor_rows for row in rows)
 
 
-def _checked_run(n_events, seed) -> tuple:
-    """``(n_events, seed)`` as Python ints: the seed in [0, 2^64 - 1], then
-    the event count in [2, ``rng.MAX_EVENTS``]."""
+def _checked_run(state: QuantumState, n_events, seed) -> tuple:
+    """``(layout, n_events, seed)`` of a run: the state checked, then the
+    seed in [0, 2^64 - 1] and the event count in [2, ``rng.MAX_EVENTS``] as
+    Python ints, and the layout of the state's kinds."""
+    model.check_state(state)
     seed = rng.checked_seed(seed)
-    return rng.checked_int("n_events", n_events, 2, rng.MAX_EVENTS), seed
+    return _layout(state.kinds), rng.checked_int("n_events", n_events, 2, rng.MAX_EVENTS), seed
 
 
 def _sample_cells(
@@ -397,10 +393,10 @@ def _sample_cells(
     its Born rows, one sampler call on which its cell i reads sub-stream i
     of ``seed``, one weight product.  The callers check the ints first
     (``_checked_run``), so no refusal comes after Born."""
-    labels = layout.record_labels[rows]
-    probs = layout.born(state, rows)
+    labels, cells, n = layout.record_labels[rows], layout.cells[rows], len(layout.kinds)
+    probs = born_distribution(state, cells[:, :n], cells[:, n:-1])
     counts = rng.multinomial(probs, n_events, rng.derive_seeds(seed, 0, len(labels)))
-    weights = layout.weight_rows[layout.cells[rows, -1] + 1]
+    weights = layout.weight_rows[cells[:, -1] + 1]
     return _records(counts, weights, labels), np.einsum("ij,ij->i", probs, weights).tolist()
 
 
@@ -415,9 +411,7 @@ def assumption_test(state: QuantumState, n_events: int, seed: int) -> Assumption
     row's pair on its own factor has the same exact marginal in every
     context, so the sampled spread across a row is purely statistical.
     """
-    model.check_state(state)
-    layout = _layout(state.dof_count)
-    n_events, seed = _checked_run(n_events, seed)
+    layout, n_events, seed = _checked_run(state, n_events, seed)
     records, exact = _sample_cells(state, layout, n_events, seed, slice(layout.n_run, None))
     return _assumption_report(layout, records, exact, n_events, seed)
 
@@ -507,10 +501,8 @@ def run_simulated_experiment(state: QuantumState, n_events: int, seed: int) -> S
     the product.  Each CHSH run varies one factor over the four canonical
     pairs with the other factors held at the context (A, B).
     """
-    model.check_state(state)
-    layout = _layout(state.dof_count)
+    layout, n_events, seed = _checked_run(state, n_events, seed)
     n_terms, n_run = 4 ** len(layout.kinds), layout.n_run
-    n_events, seed = _checked_run(n_events, seed)
     records, exact = _sample_cells(state, layout, n_events, seed)
     assumptions = _assumption_report(layout, records[n_run:], exact[n_run:], n_events, seed)
     chsh = tuple(

@@ -154,11 +154,12 @@ def local_rho(rho):
     return rho.reshape((2,) * 4 * n).transpose(axes).reshape(rho.shape)
 
 
-def dense_born(rho, u, d):
-    """The Born row of the setting of name digits ``u`` and ``d`` on the
-    canonical kinds, from the dense density matrix ``rho``: ``real(A @ R @
-    B.T)`` of the two photons' stacks, clamped at zero and renormalized."""
-    kinds = model.canonical_kinds(len(u))
+def dense_born(rho, u, d, kinds=None):
+    """The Born row of the setting of name digits ``u`` and ``d`` on
+    ``kinds``, the canonical kinds by default, from the dense density matrix
+    ``rho``: ``real(A @ R @ B.T)`` of the two photons' stacks, clamped at
+    zero and renormalized."""
+    kinds = model.canonical_kinds(len(u)) if kinds is None else kinds
     a, b = (side_projectors(kinds, names) for names in (u, d))
     probs = np.clip(np.real(a @ local_rho(rho) @ b.T).ravel(), 0.0, None)
     return probs / float(probs.sum())

@@ -160,14 +160,15 @@ def test_criterion_6_assumption_context_independence():
         NoiseModel(model.NOISE_DEPHASING, v_pi=v_pi, v_k=v_k),
     )
     for n in (1, 2, 3, 4):
-        layout = simlab._layout(n)
-        suffix = slice(layout.n_run, None)
-        weights = layout.weight_rows[layout.cells[suffix, -1] + 1]
+        layout = simlab._layout(model.canonical_kinds(n))
+        cells = layout.cells[layout.n_run :]  # the assumption cells of the pass
+        weights = layout.weight_rows[cells[:, -1] + 1]
         # Each assumption cell's (u names, d names) as its row of the table reads them.
-        table = [(row[:n], row[n : 2 * n]) for row in layout.cells[suffix].tolist()]
+        table = [(row[:n], row[n : 2 * n]) for row in cells.tolist()]
         for noise in noises:
             state = model.apply_noise(bell.ideal_state(n), noise)
-            exact = np.einsum("ij,ij->i", layout.born(state, suffix), weights)
+            probs = simlab.born_distribution(state, cells[:, :n], cells[:, n:-1])
+            exact = np.einsum("ij,ij->i", probs, weights)
             report = simlab.assumption_test(state, n_events=100, seed=0)
             # Each cell's two photon labels, a name_label token per factor.
             tokens = [[side.split() for side in c.labels] for r in report.rows for c in r.cells]
@@ -241,7 +242,7 @@ def test_criterion_7_property_suites():
     for seed in (11, 22, 33, 44, 55):
         for idx, setting in enumerate(canonical_settings(2)):
             probs = simlab.born_distribution(state, *setting.digits)
-            counts = simlab.sample(probs, 10**6, simlab.rng.derive_seed(seed, idx))
+            counts = simlab.sample(probs, 10**6, simlab.rng.derive_seeds(seed, idx, 1)[0])
             est = simlab.estimate(counts, *setting.digits)
             analytic = analytic_correlations(probs)[0]
             consistent = consistent and abs(est.E - analytic) < 5 * est.std_err

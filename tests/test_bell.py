@@ -18,6 +18,7 @@ from reference import (
     dense_noise,
     dense_rho,
     exact_value,
+    factor_embedding,
     observable,
     term_settings,
 )
@@ -422,7 +423,7 @@ def _checked_values(state) -> list:
     """Each factor's and the product's value through the checked per-table
     path, as hex strings, so a comparison is bitwise."""
     n = state.dof_count
-    tables = [bell._factor_embedding(n, f) for f in range(n)]
+    tables = [bell._factor_embedding(state.kinds, f) for f in range(n)]
     matrices = (*tables, bell.canonical_product(n).matrix)
     return [bell._real(qcore.expectation(t, state.vector)).hex() for t in matrices]
 
@@ -482,6 +483,30 @@ class TestIdealPredictions:
         state = QuantumState(kinds=model.canonical_kinds(2), pairs=pairs)
         with pytest.raises(ValueError, match=re.escape(message)):
             bell.ideal_predictions(state)
+
+    @pytest.mark.parametrize(
+        "kinds", [k for k in ALL_PRODUCTS if len(k) < 4 and k != model.canonical_kinds(len(k))],
+        ids="-".join,
+    )
+    def test_values_are_the_dense_traces_of_the_kinds_operator(self, kinds):
+        """Every non-canonical kinds tuple at N = 1..3: each factor's value
+        and the product's are Tr[rho M] on the dense oracle, M built from the
+        Pauli forms of the state's own kinds, within 1e-12."""
+        n = len(kinds)
+        state = model.product_state(kinds, (0.4, -1.1, 2.3)[:n])
+        chsh = [BETA_PI_REF if kind == model.POLARIZATION else BETA_K_REF for kind in kinds]
+        matrices = [factor_embedding(m, f, n) for f, m in enumerate(chsh)] + [reduce(np.kron, chsh)]
+        expected = [exact_value(m, dense_rho(state)) for m in matrices]
+        values = bell.ideal_predictions(state).values
+        np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12)
+
+    def test_path_then_polarization_reads_its_own_operator(self):
+        """(path, polarization) at (0, pi) gives (2.83, -2.83, -8), where the
+        canonical operator of N = 2 gave (2.83, 0, 0)."""
+        state = model.product_state((model.PATH, model.POLARIZATION), (0.0, np.pi))
+        pred = bell.ideal_predictions(state)
+        np.testing.assert_allclose(pred.values, (2 * SQRT2, -2 * SQRT2, -8.0), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pred.radii, (2 * SQRT2, 2 * SQRT2, 8.0), rtol=0, atol=1e-7)
 
     def test_radii_read_once(self, monkeypatch):
         def refuse(*_):

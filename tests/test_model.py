@@ -387,8 +387,8 @@ class TestApplyNoise:
     def test_each_noisy_block_is_checked(self, monkeypatch, n):
         """The density check runs once per 4x4 block the channel returns, on
         the block the state keeps, and never on a 4^N matrix."""
-        checked, check = [], qcore._check_density_matrix
-        monkeypatch.setattr(qcore, "_check_density_matrix", lambda a: checked.append(a) or check(a))
+        checked, check = [], qcore.check_density_matrix
+        monkeypatch.setattr(qcore, "check_density_matrix", lambda a: checked.append(a) or check(a))
         noisy = model.apply_noise(bell.ideal_state(n), NoiseModel(model.NOISE_WHITE, 0.9, 0.8))
         assert [a.shape for a in checked] == [(4, 4)] * n
         assert all(np.array_equal(a, b) for a, b in zip(checked, noisy.blocks, strict=True))

@@ -86,7 +86,7 @@ class TestSettings:
         """The first 16 cells of the pass measure the operator's own terms, in
         term order, each for its joint correlation."""
         terms = [(*_setting_names(s), None) for s in canonical_settings(2)]
-        assert _table_cells(simlab._layout(2))[:16] == terms
+        assert _table_cells(simlab._layout(model.canonical_kinds(2)))[:16] == terms
 
     @pytest.mark.parametrize(
         "u,d,match",
@@ -190,6 +190,125 @@ class TestBornDistribution:
     )
     def test_state_must_match_setting_dof_count(self, state, u, d, match):
         assert_refused_before_allocating(lambda: simlab.born_distribution(state, u, d), match)
+
+
+ROW_U, ROW_D = np.array([[0, 1]]), np.array([[2, 3]])
+
+
+class TestStackedSettings:
+    """One setting rule serves ``born_distribution`` and ``estimate``: one
+    setting is two tuples of name digits, stacked settings two (m, N)
+    integer arrays, as the rows of the pass hold them."""
+
+    def test_stacked_rows_are_the_one_setting_rows(self):
+        """Row i of a stacked call is bitwise the one-setting row of setting
+        i, whatever the integer dtype of the digits."""
+        state, settings = STATES[3][1], canonical_settings(3)[::7]
+        u, d = (np.array(digits) for digits in zip(*(s.digits for s in settings)))
+        rows = simlab.born_distribution(state, u, d)
+        assert rows.shape == (len(settings), 64)
+        for row, setting in zip(rows, settings, strict=True):
+            assert row.tobytes() == simlab.born_distribution(state, *setting.digits).tobytes()
+        narrow = simlab.born_distribution(state, u.astype(np.uint8), d.astype(np.int32))
+        assert narrow.tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize(
+        "u,d,match",
+        [
+            (ROW_U.astype(float), ROW_D, r"^u must be \(m, N\) integers in 0\.\.3, N <= 4, got"),
+            (ROW_U, ROW_D.astype(bool), r"^d must be \(m, N\) integers in 0\.\.3, N <= 4, got"),
+            (ROW_U[0], ROW_D, r"^u must be \(m, N\) integers"),
+            (ROW_U[None], ROW_D, r"^u must be \(m, N\) integers"),
+            (ROW_U[:0], ROW_D[:0], r"^u must be \(m, N\) integers"),
+            (np.zeros((1, 5), int), np.full((1, 5), 2), r"^u must be \(m, N\) integers"),
+            (np.array([[0, 4]]), ROW_D, r"^u must be \(m, N\) integers"),
+            (ROW_U, np.array([[2, -1]]), r"^d must be \(m, N\) integers"),
+            (ROW_U, np.array([[2, 3, 2]]), r"^u and d must name as many factors, got 2 and 3"),
+            (ROW_U, np.vstack([ROW_D] * 2), r"^u and d must stack as many settings, got 1 and 2"),
+            (ROW_U.tolist(), ROW_D, r"^u must be a tuple of 1 to 4 name digits, got \[\[0, 1\]\]"),
+        ],
+        ids=["float", "bool", "one-dimensional", "three-dimensional", "no-rows", "five-factors",
+             "digit-4", "digit-minus-1", "factors", "settings", "nested-list"],
+    )
+    def test_stacked_settings_other_than_integer_rows_refused(self, u, d, match):
+        """Each refusal names the photon, before any table is built."""
+        counts = np.full(16, 10, dtype=int)
+        assert_refused_before_allocating(lambda: simlab.born_distribution(IDEAL, u, d), match)
+        assert_refused_before_allocating(lambda: simlab.estimate(counts, u, d), match)
+
+    def test_estimate_takes_one_setting(self):
+        """A one-row stack is the tuple setting; two rows are refused."""
+        counts = np.full(16, 10, dtype=int)
+        assert simlab.estimate(counts, ROW_U, ROW_D) == simlab.estimate(counts, (0, 1), (2, 3))
+        with pytest.raises(ValueError, match="^estimate takes one setting, got 2"):
+            simlab.estimate(counts, np.vstack([ROW_U] * 2), np.vstack([ROW_D] * 2))
+
+
+# Every kinds tuple at N = 1..3 other than the canonical one of its N.
+NON_CANONICAL_KINDS = [
+    kinds for n in (1, 2, 3) for kinds in itertools.product(model.KINDS, repeat=n)
+    if kinds != model.canonical_kinds(n)
+]
+
+
+class TestOwnKinds:
+    """A state is measured on its own kinds: a factor's name digits name the
+    observables of its kind, and its Bell test is the operator of its kinds,
+    with that operator's labels.  A kernel reading the canonical kinds of N
+    measured (path, polarization) at phases (0, pi), whose beta is -8, at
+    0.012 +- 0.011."""
+
+    @pytest.mark.parametrize("kinds", NON_CANONICAL_KINDS, ids="-".join)
+    def test_pass_rows_match_the_dense_oracle_on_the_kinds(self, kinds):
+        """Every Born row of the pass within 1e-15 of the dense oracle's on
+        the same kinds, and no signaling across the product terms."""
+        n = len(kinds)
+        pure = model.product_state(kinds, (0.7, -1.3, 2.2)[:n])
+        noise = NoiseModel(model.NOISE_DEPHASING, 0.77, 0.94)
+        state, rho = model.apply_noise(pure, noise), dense_noise(pure, noise)
+        layout = simlab._layout(kinds)
+        for cell, row in zip(layout.cells.tolist(), _pass_born(layout, state), strict=True):
+            expected = dense_born(rho, tuple(cell[:n]), tuple(cell[n:-1]), kinds)
+            np.testing.assert_allclose(row, expected, rtol=0, atol=1e-15)
+        assert simlab.signaling_deviation(state) < 1e-10
+
+    def test_run_reads_the_operator_of_the_kinds(self):
+        """Path then polarization at (0, pi): the joint records carry the
+        k-then-pi term labels, and beta is within 5 sigma of -8, each CHSH
+        value within 5 sigma of +-2 sqrt 2."""
+        state = model.product_state((model.PATH, model.POLARIZATION), (0.0, np.pi))
+        result = simlab.run_simulated_experiment(state, n_events=10**5, seed=0)
+        assert result.joint_records[0].label == ("A_k A_pi", "B_k B_pi")
+        assert tuple(r.label for r in result.joint_records) == bell.term_labels(("k", "pi"))
+        assert abs(result.beta.beta_estimate + 8.0) < 5 * result.beta.beta_std_err
+        for rep, value in zip(result.chsh, (2 * SQRT2, -2 * SQRT2), strict=True):
+            assert abs(rep.beta_estimate - value) < 5 * rep.beta_std_err
+
+    def test_one_path_pair_at_half_pi_violates_nothing(self):
+        """The path pair at phase pi/2 has beta = 0 on the path operator."""
+        state = model.product_state((model.PATH,), (np.pi / 2,))
+        result = simlab.run_simulated_experiment(state, n_events=10**5, seed=0)
+        assert result.joint_records[0].label == ("A_k", "B_k")
+        assert abs(result.beta.beta_estimate) < 5 * result.beta.beta_std_err
+
+    @pytest.mark.parametrize("kinds", [k for k in NON_CANONICAL_KINDS if len(k) < 3], ids="-".join)
+    def test_assumption_rows_carry_the_kinds(self, kinds):
+        """Each factor's rows are the predictable pairs of its own kind,
+        labelled with its own label, and each analytic value is the dense
+        trace of the row's pair on that factor."""
+        n, pairs = len(kinds), {model.POLARIZATION: ("AA", "aa", "Bb", "bB"),
+                                model.PATH: ("AA", "aa", "BB", "bb")}
+        state = model.product_state(kinds, (0.3, -0.4)[:n])
+        report = simlab.assumption_test(state, n_events=100, seed=1)
+        labels, rho = model.factor_labels(kinds), dense_rho(state)
+        for f, (kind, rows) in enumerate(zip(kinds, report.factor_rows, strict=True)):
+            assert [row.dof for row in rows] == [kind] * 4
+            assert [row.row_label for row in rows] == [
+                f"{u}_{labels[f]} {d}_{labels[f]}" for u, d in pairs[kind]
+            ]
+            for row, (u, d) in zip(rows, pairs[kind], strict=True):
+                exact = np.trace(rho @ _fresh_marginal_operator(n, f, kind, u, d)).real
+                assert abs(row.analytic_E - exact) < 1e-12
 
 
 NAMES = ("A", "a", "B", "b")
@@ -385,14 +504,16 @@ class TestNoSignaling:
         assert simlab.signaling_deviation(state) == expected
 
     def test_deviation_reads_only_the_product_rows(self, monkeypatch):
-        """At N = 4 the scan sends the 256 product-term rows through ``_born``,
-        not the 1,296 rows of the whole run pass."""
+        """At N = 4 the scan sends the 256 product-term rows through one
+        ``born_distribution`` call, not the 1,296 rows of the whole run pass."""
         state = model.apply_noise(bell.ideal_state(4), WHITE_09)
         expected = simlab.signaling_deviation(state)
-        rows, born = [], simlab._born
-        monkeypatch.setattr(simlab, "_born", lambda t, xs: rows.append(len(xs)) or born(t, xs))
+        rows, born = [], simlab.born_distribution
+        monkeypatch.setattr(
+            simlab, "born_distribution", lambda s, u, d: rows.append(len(u)) or born(s, u, d)
+        )
         assert simlab.signaling_deviation(state) == expected
-        assert sum(rows) == 4**4
+        assert rows == [4**4]
 
 
 class TestSample:
@@ -438,7 +559,7 @@ class TestSample:
         assert np.all(np.abs(counts - 62500) < 5 * sigma)
 
     def test_derived_seeds_distinct(self):
-        seeds = {rng.derive_seed(0, k) for k in range(56)}
+        seeds = {rng.derive_seeds(0, k, 1)[0] for k in range(56)}
         assert len(seeds) == 56
 
 
@@ -627,7 +748,7 @@ class TestRowMultinomial:
     def test_one_event_many_rows(self):
         probs = np.tile(SKEWED, (300, 1))
         probs[::7] = np.roll(SKEWED, 3)
-        seeds = [rng.derive_seed(5, i) for i in range(300)]
+        seeds = [rng.derive_seeds(5, i, 1)[0] for i in range(300)]
         _assert_rows_match(probs, 1, seeds)
         assert rng.multinomial(probs, 1, seeds).sum(axis=1).tolist() == [1] * 300
 
@@ -740,7 +861,7 @@ class TestBlockWideSearch:
         in the second of two rows, between rows whose edges have the top
         words 0 and 0xFFFFFFFF."""
         n_rows = max(tie + 2, 3)
-        seeds = [rng.derive_seed(21, i) for i in range(n_rows)]
+        seeds = [rng.derive_seeds(21, i, 1)[0] for i in range(n_rows)]
         probs = np.array([_exact_row(EXTREME_EDGES)] * n_rows)
         probs[tie] = _exact_row(np.cumsum(_tie_probs(case, n_events, seeds[tie]))[:-1])
         assert tie % min(n_rows, rng.CHUNK // n_events) != 0
@@ -792,7 +913,7 @@ class TestLongRowWorkers:
         """Three workers: rows fewer than, as many as and more than them."""
         monkeypatch.setattr(rng, "_WORKERS", 3)
         probs = np.array([np.roll(SKEWED, i) for i in range(n_rows)])
-        seeds = [rng.derive_seed(9, i) for i in range(n_rows)]
+        seeds = [rng.derive_seeds(9, i, 1)[0] for i in range(n_rows)]
         _assert_rows_match(probs, n_events, seeds)
         _assert_matches_reference(probs[0], n_events, seeds[0])
         assert forks or (n_rows == 1 and n_events <= rng.LONG_PASS)
@@ -816,7 +937,7 @@ class TestLongRowWorkers:
     def test_worker_count_leaves_counts_unchanged(self, monkeypatch, forks):
         """Also with more worker processes than cores."""
         probs = np.array([np.roll(SKEWED, i) for i in range(7)])
-        seeds = [rng.derive_seed(3, i) for i in range(7)]
+        seeds = [rng.derive_seeds(3, i, 1)[0] for i in range(7)]
         n_events = 3 * rng.LONG_PASS + 7
         monkeypatch.setattr(rng, "_WORKERS", 1)
         serial = rng.multinomial(probs, n_events, seeds)
@@ -874,7 +995,7 @@ class TestLongRowWorkers:
         """With ``os.fork`` missing, or raising OSError for every worker or
         from the second on, the caller counts those workers' passes."""
         probs = np.array([np.roll(SKEWED, i) for i in range(5)])
-        seeds = [rng.derive_seed(6, i) for i in range(5)]
+        seeds = [rng.derive_seeds(6, i, 1)[0] for i in range(5)]
         n_events = 3 * rng.LONG_PASS + 7
         monkeypatch.setattr(rng, "_WORKERS", 1)
         expected = rng.multinomial(probs, n_events, seeds)
@@ -898,7 +1019,7 @@ class TestLongRowWorkers:
         """A Python thread that stands in for a BLAS pool runs through the
         fork; the counts are the same and no child is left."""
         probs = np.array([np.roll(SKEWED, i) for i in range(3)])
-        seeds = [rng.derive_seed(2, i) for i in range(3)]
+        seeds = [rng.derive_seeds(2, i, 1)[0] for i in range(3)]
         n_events = 5 * rng.LONG_PASS + 3
         monkeypatch.setattr(rng, "_WORKERS", 1)
         expected = rng.multinomial(probs, n_events, seeds)
@@ -932,7 +1053,7 @@ class TestLongRowWorkers:
         where ``-W error`` would neither raise nor show it), and the fork
         still returns the one-worker counts."""
         probs = np.array([np.roll(SKEWED, i) for i in range(2)])
-        seeds = [rng.derive_seed(4, i) for i in range(2)]
+        seeds = [rng.derive_seeds(4, i, 1)[0] for i in range(2)]
         n_events = rng.FORK_PASSES * rng.LONG_PASS // 2
         monkeypatch.setattr(rng, "_WORKERS", 1)
         expected = rng.multinomial(probs, n_events, seeds)
@@ -1053,7 +1174,7 @@ class TestSeedAndCountRefusals:
     )
     def test_bad_seed_refused_by_every_entry(self, seed):
         calls = (
-            lambda: rng.derive_seed(seed, 0),
+            lambda: rng.derive_seeds(seed, 0, 1),
             lambda: rng.random_uint64(seed, 3),
             lambda: rng.multinomial(self.PROBS, 10, seed),
             lambda: rng.multinomial(np.vstack([self.PROBS] * 2), 10, [1, seed]),
@@ -1089,7 +1210,7 @@ class TestSeedAndCountRefusals:
         def no_born(*args):
             raise AssertionError("Born pass before the refusal")
 
-        monkeypatch.setattr(simlab, "_born", no_born)
+        monkeypatch.setattr(simlab, "born_distribution", no_born)
         with pytest.raises(ValueError, match=match):
             run(model.hyper_state(0.3, 0.2, 4), n_events, seed)
 
@@ -1105,7 +1226,7 @@ class TestSeedAndCountRefusals:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("dtype", [np.uint64, np.int64, np.uint32, np.int8])
     def test_numpy_integer_seeds_count_as_python_ints(self, dtype):
-        assert rng.derive_seed(dtype(3), 5) == rng.derive_seed(3, 5)
+        assert rng.derive_seeds(dtype(3), 5, 1)[0] == rng.derive_seeds(3, 5, 1)[0]
         assert rng.random_uint64(dtype(3), 4).tobytes() == rng.random_uint64(3, 4).tobytes()
         counts = rng.multinomial(self.PROBS, dtype(50), dtype(3))
         assert counts.tobytes() == rng.multinomial(self.PROBS, 50, 3).tobytes()
@@ -1113,7 +1234,7 @@ class TestSeedAndCountRefusals:
         counts = rng.multinomial(rows, 50, np.array([3, 4], dtype=dtype))
         assert counts.tobytes() == rng.multinomial(rows, 50, [3, 4]).tobytes()
         top = np.uint64(2**64 - 1)
-        assert rng.derive_seed(top, 0) == rng.derive_seed(2**64 - 1, 0)
+        assert rng.derive_seeds(top, 0, 1)[0] == rng.derive_seeds(2**64 - 1, 0, 1)[0]
 
     @pytest.mark.parametrize(
         "call",
@@ -1133,13 +1254,13 @@ class TestSeedAndCountRefusals:
         "index", [True, 1.5, -1, 2**64], ids=["bool", "fraction", "negative", "2^64"]
     )
     def test_bad_sub_stream_index_refused(self, index):
-        with pytest.raises(ValueError, match="^index must be"):
-            rng.derive_seed(0, index)
+        with pytest.raises(ValueError, match="^start must be"):
+            rng.derive_seeds(0, index, 1)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("dtype", [np.uint64, np.int64, np.uint32, np.int8])
     def test_numpy_integer_index_and_length_count_as_python_ints(self, dtype):
-        assert rng.derive_seed(3, dtype(5)) == rng.derive_seed(3, 5)
+        assert rng.derive_seeds(3, dtype(5), 1)[0] == rng.derive_seeds(3, 5, 1)[0]
         assert rng.random_uint64(3, dtype(4)).tobytes() == rng.random_uint64(3, 4).tobytes()
 
 
@@ -1153,8 +1274,9 @@ def _derive_seed_reference(seed, index):
 
 
 class TestDerivedSeedArray:
-    """``derive_seeds`` gives ``derive_seed`` over a range of indices as one
-    uint64 array, which ``multinomial`` takes without per-seed checks."""
+    """``derive_seeds`` of a range of indices gives each index's one-index
+    range, as one uint64 array, which ``multinomial`` takes without
+    per-seed checks."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1168,7 +1290,7 @@ class TestDerivedSeedArray:
         start = last if start is None else min(start, last)
         seeds = rng.derive_seeds(seed, start, count)
         assert seeds.dtype == np.uint64 and seeds.shape == (count,)
-        assert seeds.tolist() == [rng.derive_seed(seed, start + i) for i in range(count)]
+        assert seeds.tolist() == [rng.derive_seeds(seed, start + i, 1)[0] for i in range(count)]
         assert seeds.tolist() == [_derive_seed_reference(seed, start + i) for i in range(count)]
 
     @pytest.mark.parametrize(
@@ -1222,12 +1344,12 @@ class TestConstantTables:
         for (k, kind), (x, name) in itertools.product(enumerate(model.KINDS), enumerate(NAMES)):
             pair = (np.eye(2, dtype=complex) + signs * observable(_obs(name, kind))) / 2.0
             assert table[k, x].tobytes() == pair.tobytes()
-        assert simlab._layout(3).weight_rows.shape == (4, 64)
+        assert simlab._layout(model.canonical_kinds(3)).weight_rows.shape == (4, 64)
 
     def test_entries_are_read_only(self):
         entries = [simlab._OUTCOME_PROJECTORS, model.OBSERVABLES]
         for n in (1, 2, 3):
-            layout = simlab._layout(n)
+            layout = simlab._layout(model.canonical_kinds(n))
             entries += [layout.weight_rows, layout.projectors]
         for entry in entries:
             with pytest.raises(ValueError, match="read-only"):
@@ -1252,7 +1374,6 @@ class TestConstantTables:
             raise AssertionError("check_density_matrix called per assumption test")
 
         monkeypatch.setattr(qcore, "check_density_matrix", boom)
-        monkeypatch.setattr(qcore, "_check_density_matrix", boom)
         simlab.assumption_test(NOISY, n_events=100, seed=3)
 
     def test_run_builds_no_operator(self, monkeypatch):
@@ -1266,13 +1387,20 @@ class TestConstantTables:
         simlab.run_simulated_experiment(NOISY, n_events=100, seed=3)
 
 
+def _pass_born(layout, state, rows=slice(None)):
+    """The Born rows of a range of the pass: one ``born_distribution`` call
+    on the stacked name digits of its cells, as the pass makes it."""
+    cells, n = layout.cells[rows], len(layout.kinds)
+    return simlab.born_distribution(state, cells[:, :n], cells[:, n:-1])
+
+
 def _assert_pass_rows_bitwise(layout, pure, noise, rows=slice(None)):
     """Every Born row of a range of the pass on ``apply_noise(pure, noise)``
     is bitwise the ``born_distribution`` row of its setting, and within
     1e-15 of the dense oracle's row (``reference.dense_born`` on the
     ``reference.dense_noise`` matrix)."""
     state, rho = model.apply_noise(pure, noise), dense_noise(pure, noise)
-    got, settings = layout.born(state, rows), _canonical_layout(state.dof_count)[rows]
+    got, settings = _pass_born(layout, state, rows), _canonical_layout(state.dof_count)[rows]
     assert got.shape == (len(settings), 4 ** state.dof_count)
     for (setting, _), row in zip(settings, got):
         np.testing.assert_allclose(row, dense_born(rho, *setting.digits), rtol=0, atol=1e-15)
@@ -1300,14 +1428,14 @@ class TestArrayPass:
         if kind == model.NOISE_NONE:
             v_pi = v_k = 1.0
         pure = model.product_state(model.canonical_kinds(n), phases[:n])
-        layout = simlab._layout(n)
+        layout = simlab._layout(model.canonical_kinds(n))
         for rows in (slice(None), _assumption_suffix(layout)):
             _assert_pass_rows_bitwise(layout, pure, NoiseModel(kind, v_pi, v_k), rows)
 
     @pytest.mark.parametrize("part", ["run_pass", "assumption_suffix"])
     def test_batched_born_equals_per_setting_contraction_at_four_dof(self, part):
         noise = NoiseModel(model.NOISE_DEPHASING, 0.87, 0.93)
-        layout = simlab._layout(4)
+        layout = simlab._layout(model.canonical_kinds(4))
         rows = _assumption_suffix(layout) if part == "assumption_suffix" else slice(None)
         _assert_pass_rows_bitwise(layout, bell.ideal_state(4), noise, rows)
 
@@ -1315,7 +1443,7 @@ class TestArrayPass:
     def test_assumption_suffix_follows_the_rule(self, n):
         """The suffix after the run's own cells is the assumption cells the
         rule gives, 4, 32, 192 and 1024 of them at N = 1..4."""
-        layout, cells = simlab._layout(n), _canonical_layout(n)
+        layout, cells = simlab._layout(model.canonical_kinds(n)), _canonical_layout(n)
         assert len(layout.cells) == len(cells) == (12, 56, 268, 1296)[n - 1]
         suffix = _table_cells(layout)[_assumption_suffix(layout)]
         assert suffix == [(*_setting_names(s), f) for s, f in cells[4**n + 4 * n :]]
@@ -1325,12 +1453,12 @@ class TestArrayPass:
     def test_row_ranges_equal_the_full_pass(self, n):
         """A prefix, a suffix and a middle range of the run pass give bitwise
         the same rows as the whole pass."""
-        layout = simlab._layout(n)
+        layout = simlab._layout(model.canonical_kinds(n))
         state = model.apply_noise(bell.ideal_state(n), NoiseModel(model.NOISE_DEPHASING, 0.87, 0.93))
-        full = layout.born(state)
+        full = _pass_born(layout, state)
         n_terms, n_run = 4**n, layout.n_run
         for rows in (slice(n_terms), slice(n_run, None), slice(n_terms - 1, n_run + 3)):
-            assert layout.born(state, rows).tobytes() == full[rows].tobytes()
+            assert _pass_born(layout, state, rows).tobytes() == full[rows].tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize(
@@ -1343,10 +1471,10 @@ class TestArrayPass:
         """``born_distribution`` is the one-row call of the pass's kernel;
         every cell's pass row is bitwise the row of the u and d name digits
         that its row of the cell table holds."""
-        layout = simlab._layout(n)
+        layout = simlab._layout(model.canonical_kinds(n))
         state = model.apply_noise(model.hyper_state(0.7, -1.3, n), noise)
         one = {}
-        for cell, row in zip(layout.cells.tolist(), layout.born(state), strict=True):
+        for cell, row in zip(layout.cells.tolist(), _pass_born(layout, state), strict=True):
             u, d = tuple(cell[:n]), tuple(cell[n : 2 * n])
             if (u, d) not in one:
                 one[u, d] = simlab.born_distribution(state, u, d).tobytes()
@@ -1356,7 +1484,7 @@ class TestArrayPass:
     def test_one_setting_estimate_labels_equal_the_pass_labels(self, n):
         """``estimate`` of every cell's name digits and factor, read from the
         cell table, carries that cell's record label in the pass."""
-        layout = simlab._layout(n)
+        layout = simlab._layout(model.canonical_kinds(n))
         counts = np.full(4**n, 10, dtype=np.int64)
         for cell, label in zip(layout.cells.tolist(), layout.record_labels, strict=True):
             factor = None if cell[-1] < 0 else cell[-1]
@@ -1364,22 +1492,26 @@ class TestArrayPass:
             assert record.label == label
 
     def test_pass_makes_no_per_cell_call(self, monkeypatch):
-        """A second run calls no one-setting kernel and builds no setting:
-        its labels and assumption settings are read from its N's tables."""
+        """A second run makes one ``born_distribution`` call on the 56 stacked
+        settings of its pass, one sampler call, and no one-setting call; its
+        labels and assumption settings are read from its kinds' tables."""
         expected = simlab.run_simulated_experiment(NOISY, n_events=300, seed=4)
 
         def boom(*args, **kwargs):
             raise AssertionError("per-cell call in the array pass")
 
-        for name in ("born_distribution", "sample", "estimate"):
+        for name in ("sample", "estimate"):
             monkeypatch.setattr(simlab, name, boom)
-        calls = []
-        multinomial = rng.multinomial
+        calls, born, multinomial = [], simlab.born_distribution, rng.multinomial
+        monkeypatch.setattr(
+            simlab, "born_distribution",
+            lambda s, u, d: calls.append(("born", u.shape, d.shape)) or born(s, u, d),
+        )
         monkeypatch.setattr(
             rng, "multinomial", lambda p, n, s: calls.append(p.shape) or multinomial(p, n, s)
         )
         assert simlab.run_simulated_experiment(NOISY, n_events=300, seed=4) == expected
-        assert calls == [(56, 16)]
+        assert calls == [("born", (56, 2), (56, 2)), (56, 16)]
 
     def test_estimate_builds_no_marginal_operator(self, monkeypatch):
         """One N = 4 estimate builds neither the cell table of the 1,296
@@ -1389,7 +1521,7 @@ class TestArrayPass:
         counts = np.arange(256, dtype=np.int64)
         record = simlab.estimate(counts, *setting.digits, 2)
         assert record.n_events == int(counts.sum())
-        layout = simlab._layout(4)
+        layout = simlab._layout(model.canonical_kinds(4))
         tables = {"cells", "record_labels", "assumption_labels"}
         assert not tables & set(vars(layout))
 
@@ -1659,7 +1791,7 @@ class TestViolationReport:
             raise AssertionError("a label was built")
 
         monkeypatch.setattr(model, "side_label", boom)
-        operator = simlab._layout(2).operator
+        operator = simlab._layout(model.canonical_kinds(2)).operator
         report = simlab.violation_report(result.joint_records, operator, bound=4.0)
         assert report == result.beta
 
@@ -1758,10 +1890,10 @@ class TestAssumptionTest:
         agrees within 1e-12."""
         noise = NoiseModel(kind) if kind == model.NOISE_NONE else NoiseModel(kind, 0.87, 0.93)
         state = model.apply_noise(model.hyper_state(0.7, -1.3, n), noise)
-        layout = simlab._layout(n)
+        layout = simlab._layout(model.canonical_kinds(n))
         suffix = slice(layout.n_run, None)
         weights = layout.weight_rows[layout.cells[suffix, -1] + 1]
-        firsts = np.einsum("ij,ij->i", layout.born(state, suffix), weights)[:: 4 ** (n - 1)]
+        firsts = np.einsum("ij,ij->i", _pass_born(layout, state, suffix), weights)[:: 4 ** (n - 1)]
         rho = dense_rho(state)
         dense = [
             np.trace(rho @ _fresh_marginal_operator(n, f, k, "AaBb"[u], "AaBb"[d])).real
@@ -1844,7 +1976,7 @@ def _assert_cells_replay(state, n, layout):
     expected = []
     for i, (setting, factor) in enumerate(layout):
         probs = simlab.born_distribution(state, *setting.digits)
-        counts = simlab.sample(probs, events, rng.derive_seed(seed, i))
+        counts = simlab.sample(probs, events, rng.derive_seeds(seed, i, 1)[0])
         expected.append(simlab.estimate(counts, *setting.digits, factor))
     result = simlab.run_simulated_experiment(state, n_events=events, seed=seed)
     n_terms = 4**n
@@ -1866,11 +1998,11 @@ class TestSimulatedExperiment:
         the rule's cell list, cell by cell: names, factor, record label,
         weight row, and each assumption cell's labels and context."""
         layout = [(*_setting_names(s), f) for s, f in _stream_layout()]
-        assert _table_cells(simlab._layout(2)) == layout
+        assert _table_cells(simlab._layout(model.canonical_kinds(2))) == layout
         assert [(*_setting_names(s), f) for s, f in _canonical_layout(2)] == layout
         sizes = ((1, (8, 4)), (2, (24, 32)), (3, (76, 192)), (4, (272, 1024)))
         for n, (n_run, n_assumption) in sizes:
-            rule, built = _canonical_layout(n), simlab._layout(n)
+            rule, built = _canonical_layout(n), simlab._layout(model.canonical_kinds(n))
             labels = model.factor_labels(built.kinds)
             assert (built.n_run, len(built.cells) - built.n_run) == (n_run, n_assumption)
             assert _table_cells(built) == [(*_setting_names(s), f) for s, f in rule]
@@ -1900,7 +2032,7 @@ class TestSimulatedExperiment:
         those contexts gives lhv's signs, as do its ``term_signs``.  The two
         are built apart, so each checks the other.  ``bell.term_labels`` of
         the factor labels are the record labels of the first 4^N cells."""
-        layout = simlab._layout(n)
+        layout = simlab._layout(model.canonical_kinds(n))
         terms = layout.cells[: 4**n]
         assert set(terms[:, :n].flat) <= {0, 1} and set(terms[:, n : 2 * n].flat) <= {2, 3}
         assert set(terms[:, -1].tolist()) == {-1}
@@ -1913,7 +2045,7 @@ class TestSimulatedExperiment:
         assert bell.term_labels(layout.labels) == layout.record_labels[: 4**n]
 
     def test_every_cell_replays_alone_on_its_sub_stream(self):
-        """Cell i of one run is sampled on derive_seed(seed, i) and nothing
+        """Cell i of one run is sampled on sub-stream i of the seed and nothing
         else, at N = 1, 2 and 3 (8 + 4, 24 + 32 and 76 + 192 cells)."""
         for n in (1, 2, 3):
             layout = _stream_layout() if n == 2 else _canonical_layout(n)

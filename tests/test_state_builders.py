@@ -138,16 +138,18 @@ class TestSharedIdealEmbeddings:
 
     @pytest.mark.parametrize("n", range(1, model.MAX_DOF + 1))
     def test_embedding_tables_are_shared_and_read_only(self, n):
+        kinds = model.canonical_kinds(n)
         for f, op in enumerate(bell.canonical_product(n).factors):
-            table = bell._factor_embedding(n, f)
+            table = bell._factor_embedding(kinds, f)
             expected = np.kron(np.kron(np.eye(4**f), op.matrix), np.eye(4 ** (n - f - 1)))
             np.testing.assert_array_equal(table, expected)
-            assert table is bell._factor_embedding(n, f)
+            assert table is bell._factor_embedding(kinds, f)
             with pytest.raises(ValueError, match="read-only"):
                 table[0, 0] = 0
 
     def test_two_dof_tables_are_the_per_call_bytes(self):
         eye = np.eye(4, dtype=complex)
         pi, k = bell.canonical_product(1).matrix, bell.canonical_product(2).factors[1].matrix
-        assert bell._factor_embedding(2, 0).tobytes() == qcore.tensor(pi, eye).tobytes()
-        assert bell._factor_embedding(2, 1).tobytes() == qcore.tensor(eye, k).tobytes()
+        kinds = model.canonical_kinds(2)
+        assert bell._factor_embedding(kinds, 0).tobytes() == qcore.tensor(pi, eye).tobytes()
+        assert bell._factor_embedding(kinds, 1).tobytes() == qcore.tensor(eye, k).tobytes()

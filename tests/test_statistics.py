@@ -1,5 +1,8 @@
 """The sampler's law, not only its bytes: seeded runs at N = 1..3 against
-exact values that do not come from the Born kernel under test.
+exact values that do not come from the Born kernel under test.  (a) and (b)
+also run on one non-canonical kinds tuple at N = 2 and at N = 3, which a
+kernel reading the canonical kinds of N in place of the state's own would
+fail.
 
 (a) The z of beta and of each factor's CHSH value, (estimate - exact) /
     std_err, over a fixed seed range, with the exact values ``Tr[rho M]`` on
@@ -29,6 +32,15 @@ from reference import analytic_correlations, dense_born, dense_noise, exact_valu
 EVENTS = 2000
 WHITE_09 = model.NoiseModel(model.NOISE_WHITE, 0.9, 0.9)
 SEEDS = {1: range(1000, 1400), 2: range(1000, 1400), 3: range(1000, 1080)}
+POL, PATH = model.POLARIZATION, model.PATH
+CANONICAL = [model.canonical_kinds(n) for n in (1, 2, 3)]
+# The canonical kinds at N = 1..3, then one non-canonical tuple at N = 2 and at N = 3.
+KINDS = CANONICAL + [(PATH, POL), (PATH, PATH, POL)]
+
+
+def _kinds_id(kinds):
+    """A canonical tuple's test id is its N; any other tuple's, its kinds."""
+    return str(len(kinds)) if kinds in CANONICAL else "-".join(kinds)
 
 # Standard normal quantiles at false-alarm rate 1e-6: two-sided (|z| above
 # it with probability 1e-6) and one-sided.
@@ -51,12 +63,18 @@ def _chi2_lower(dof):
     return dof * (1.0 - c - Z_ONE_SIDED * math.sqrt(c)) ** 3
 
 
+def _ideal(kinds):
+    """The maximally violating pure state of the kinds' own operator: phase
+    pi on every polarization pair, 0 on every path pair."""
+    return model.product_state(kinds, [np.pi if kind == POL else 0.0 for kind in kinds])
+
+
 @functools.cache
-def _runs(n):
-    """The white-0.9 ideal state of N DOF, its run per seed of ``SEEDS[n]``,
-    and each run pass's counts, read from ``rng.multinomial`` as the pass
-    calls it."""
-    state = model.apply_noise(bell.ideal_state(n), WHITE_09)
+def _runs(kinds):
+    """The white-0.9 ideal state of the kinds, its run per seed of
+    ``SEEDS[N]``, and each run pass's counts, read from ``rng.multinomial``
+    as the pass calls it."""
+    state = model.apply_noise(_ideal(kinds), WHITE_09)
     counts, multinomial = [], rng.multinomial
 
     def capture(probs, n_events, seeds):
@@ -65,20 +83,21 @@ def _runs(n):
 
     rng.multinomial = capture
     try:
-        results = [simlab.run_simulated_experiment(state, EVENTS, seed) for seed in SEEDS[n]]
+        results = [simlab.run_simulated_experiment(state, EVENTS, s) for s in SEEDS[len(kinds)]]
     finally:
         rng.multinomial = multinomial
     assert len(counts) == len(results)
     return state, results, np.sum(counts, axis=0)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_beta_and_chsh_z_are_standard_normal(n):
+@pytest.mark.parametrize("kinds", KINDS, ids=_kinds_id)
+def test_beta_and_chsh_z_are_standard_normal(kinds):
     """Per series (beta, then each factor's CHSH), over K seeds: the mean z
     times sqrt(K) is inside +-4.8916 (two-sided normal, 1e-6), and the sum
-    of z^2 inside the chi-square(K) quantiles at 1e-6 on each side."""
-    _, results, _ = _runs(n)
-    rho, op = dense_noise(bell.ideal_state(n), WHITE_09), bell.canonical_product(n)
+    of z^2 inside the chi-square(K) quantiles at 1e-6 on each side.  The
+    operator is that of the state's own kinds."""
+    _, results, _ = _runs(kinds)
+    rho, op, n = dense_noise(_ideal(kinds), WHITE_09), bell.BellOperator(kinds), len(kinds)
     matrices = [op.matrix] + [factor_embedding(f.matrix, i, n) for i, f in enumerate(op.factors)]
     reports = [[r.beta, *r.chsh] for r in results]
     for series, matrix in enumerate(matrices):
@@ -108,32 +127,32 @@ def _pearson(observed, expected):
     return float(((o - e) ** 2 / e).sum()), len(e) - 1
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_pooled_counts_fit_the_dense_born_rows(n):
+@pytest.mark.parametrize("kinds", KINDS, ids=_kinds_id)
+def test_pooled_counts_fit_the_dense_born_rows(kinds):
     """The pass's counts, pooled over the seeds, against the dense oracle's
-    rows: the summed Pearson chi-square is below its chi-square quantile
-    at 1e-6 (Wilson-Hilferty)."""
-    _, results, pooled = _runs(n)
-    rho = dense_noise(bell.ideal_state(n), WHITE_09)
-    cells = simlab._layout(n).cells.tolist()
+    rows on the state's own kinds: the summed Pearson chi-square is below
+    its chi-square quantile at 1e-6 (Wilson-Hilferty)."""
+    _, results, pooled = _runs(kinds)
+    rho, n = dense_noise(_ideal(kinds), WHITE_09), len(kinds)
+    cells = simlab._layout(kinds).cells.tolist()
     assert pooled.shape == (len(cells), 4**n)
     chi2 = dof = 0
     for row, cell in zip(pooled, cells, strict=True):
-        probs = dense_born(rho, tuple(cell[:n]), tuple(cell[n : 2 * n]))
+        probs = dense_born(rho, tuple(cell[:n]), tuple(cell[n : 2 * n]), kinds)
         stat, d = _pearson(row, len(results) * EVENTS * probs)
         chi2, dof = chi2 + stat, dof + d
     assert chi2 < _chi2_upper(dof), (chi2, dof)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_assumption_rows_match_the_dense_oracle(n):
+@pytest.mark.parametrize("kinds", CANONICAL, ids=_kinds_id)
+def test_assumption_rows_match_the_dense_oracle(kinds):
     """(d) Every cell of a row measures the row's pair on its factor, so the
     exact correlation of each, read from the dense oracle's Born row of its
     setting, equals the row's analytic value within 1e-12.  Per row, the z
     of its cells' estimates over the seeds, against those exact values,
     passes the bounds of (a)."""
-    _, results, _ = _runs(n)
-    rho, layout = dense_noise(bell.ideal_state(n), WHITE_09), simlab._layout(n)
+    _, results, _ = _runs(kinds)
+    rho, layout, n = dense_noise(_ideal(kinds), WHITE_09), simlab._layout(kinds), len(kinds)
     exact = [
         analytic_correlations(dense_born(rho, tuple(cell[:n]), tuple(cell[n:-1])))[1 + cell[-1]]
         for cell in layout.cells[layout.n_run :].tolist()
