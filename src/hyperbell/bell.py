@@ -231,34 +231,25 @@ class ScalingReport:
     bound_source: str
 
 
-def scaling_report(n_dof: int, bound_source: str = ANALYTIC) -> ScalingReport:
+def scaling_report(n_dof: int) -> ScalingReport:
     """Quantum-to-classical ratio for the N-fold product at the ideal state.
 
-    The classical bound is either the analytic product bound 2^N for the
-    factorizable class, or the exhaustively enumerated one.  Both arguments
-    are checked on every call; the report is worked out once per checked
-    (n_dof, bound_source) per process.
+    The classical bound of the factorizable class is enumerated exhaustively
+    for N <= 3 and is the analytic product bound 2^N at N = 4; the report's
+    ``bound_source`` says which.  The DOF count is checked on every call;
+    the report is worked out once per checked N per process.
     """
-    n_dof = model.checked_dof_count(n_dof)
-    if bound_source not in (ANALYTIC, LHV_BRUTEFORCE):
-        raise ValueError(f"unknown bound source {bound_source!r}")
-    return _scaling_report(n_dof, bound_source == LHV_BRUTEFORCE)
+    return _scaling_report(model.checked_dof_count(n_dof))
 
 
-@cache  # keyed by the checked int and a bool: at most 2 * MAX_DOF reports
-def _scaling_report(n_dof: int, enumerated: bool) -> ScalingReport:
+@cache  # keyed by the checked int: at most MAX_DOF reports
+def _scaling_report(n_dof: int) -> ScalingReport:
     op = canonical_product(n_dof)
     q = abs(quantum_value(op, ideal_state(n_dof)))
-    if enumerated:
+    if n_dof <= 3:
         from . import lhv  # deferred: lhv depends on this module
 
-        bound = float(lhv.max_bound(op, lhv.FACTORIZABLE).bound)
+        bound, source = float(lhv.max_bound(op, lhv.FACTORIZABLE).bound), LHV_BRUTEFORCE
     else:
-        bound = float(2**n_dof)
-    return ScalingReport(
-        dof_count=n_dof,
-        quantum_value=q,
-        classical_bound=bound,
-        ratio=q / bound,
-        bound_source=LHV_BRUTEFORCE if enumerated else ANALYTIC,
-    )
+        bound, source = float(2**n_dof), ANALYTIC
+    return ScalingReport(n_dof, q, bound, q / bound, source)

@@ -1,7 +1,7 @@
 """Batch command line for the canonical studies.
 
     hyperbell <study> [--config PATH] [--theta R] [--phi R]
-              [--noise none|white|dephasing] [--v X] [--v-pi X] [--v-k X]
+              [--noise none|white|dephasing] [--v-pi X] [--v-k X]
               [--events N] [--seed N] [--dof N]
               [--class factorizable|unrestricted]
               [--format table|csv|json] [--out PATH]
@@ -17,8 +17,8 @@ help): the ``--flag`` (key with ``-`` for ``_``), the config-file key and
 the default come from it, and flag and file values go through the same
 parser, so a bad value, a choice included, is a config error naming the key.
 A run's record, ``RunConfig``, holds the merged values under the same keys
-(``config["seed"]``), with ``v`` expanded into ``v_pi`` and ``v_k``, and the
-JSON ``config`` is read from it: every key but ``out``, plus ``study``.
+(``config["seed"]``), and the JSON ``config`` is read from it: every key
+but ``out``, plus ``study``.  No option is an alias of another.
 ``STUDIES`` has one row per study: the keys it reads, its runner and its
 table renderer.  Ideal reads theta, phi and dof; bounds dof and class;
 scaling dof; simulate and assumptions all but class; every study reads
@@ -33,14 +33,13 @@ like (``--theta -pi``); ``--help`` lists the table's flags, metavars and help.
 Option precedence: command-line flags override the config file, which
 overrides the defaults.  The config file is flat ``key = value`` UTF-8 text
 with ``#`` comments, at most ``MAX_CONFIG_BYTES`` long; a key repeated in
-one file, a flag repeated on the command line (``--config`` included),
-``v`` together with ``v_pi`` or ``v_k`` in one file, or a ``study`` key
-that differs from the positional study is refused.  ``--dof`` ranges over
-1..MAX_DOF for ideal, bounds and scaling; simulate and assumptions take
-only 2; ideal at one DOF has no path pair and refuses phi; an empty ``out``
-is refused.  All output is byte-deterministic for a fixed config and seed.
-Exit codes: 0 success, 2 configuration error, 3 numerical failure, 4
-enumeration guard exceeded.
+one file, a flag repeated on the command line (``--config`` included), or a
+``study`` key that differs from the positional study is refused.
+``--dof`` ranges over 1..MAX_DOF for ideal, bounds and scaling; simulate
+and assumptions take only 2; ideal at one DOF has no path pair and refuses
+phi; an empty ``out`` is refused.  All output is byte-deterministic for a
+fixed config and seed.  Exit codes: 0 success, 2 configuration error, 3
+numerical failure, 4 enumeration guard exceeded.
 """
 
 from __future__ import annotations
@@ -70,9 +69,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A study, its merged option values keyed as in ``OPTIONS`` (``v``
-    expanded into ``v_pi`` and ``v_k``), and the checked noise channel;
-    ``config[key]`` reads a value."""
+    """A study, its merged option values keyed as in ``OPTIONS``, and the
+    checked noise channel; ``config[key]`` reads a value."""
 
     study: str
     values: Mapping
@@ -164,7 +162,6 @@ OPTIONS = {
         Option("theta", math.pi, _parse_angle, "R", "polarization pair phase in radians"),
         Option("phi", 0.0, _parse_angle, "R", "path pair phase in radians"),
         Option("noise", model.NOISE_WHITE, *_choice(model.NOISE_KINDS)),
-        Option("v", None, _parse_unit, "X", "set both visibilities at once"),
         Option("v_pi", 0.9, _parse_unit, "X", "polarization visibility in [0, 1]"),
         Option("v_k", 0.9, _parse_unit, "X", "path visibility in [0, 1]"),
         Option("events", 100_000, partial(_parse_int, minimum=2, maximum=rng.MAX_EVENTS),
@@ -188,9 +185,6 @@ def _parse_file_value(key: str, text: str):
     if key not in OPTIONS:
         raise ConfigError(f"unknown key '{key}'")
     return OPTIONS[key].parse(key, text)
-
-
-_VISIBILITY_RIVALS = {"v": ("v_pi", "v_k"), "v_pi": ("v",), "v_k": ("v",)}
 
 
 def _read_config_file(path: str) -> dict:
@@ -218,14 +212,6 @@ def _read_config_file(path: str) -> dict:
             raise ConfigError(
                 f"{path}:{lineno}: key '{key}' repeated (first set on line {first_line[key]})"
             )
-        # The shorthand v and a specific visibility in one file leave the
-        # intended value ambiguous.
-        rival = next((k for k in _VISIBILITY_RIVALS.get(key, ()) if k in first_line), None)
-        if rival is not None:
-            raise ConfigError(
-                f"{path}:{lineno}: key '{key}' conflicts with key '{rival}'"
-                f" on line {first_line[rival]}"
-            )
         try:
             values[key] = _parse_file_value(key, text)
         except ConfigError as exc:
@@ -241,18 +227,9 @@ def build_config(study: str, file_values: dict, flag_values: dict) -> RunConfig:
         raise ConfigError(
             f"key 'study': config file names study '{file_study}', command line '{study}'"
         )
-    merged = {key: option.default for key, option in OPTIONS.items()}
-    given = set()  # keys as written, with the shorthand v not expanded
-    for source in (file_values, flag_values):
-        source = dict(source)
-        source.pop("study", None)  # only ever restates the positional study
-        given.update(source)
-        if "v" in source:  # shorthand for both visibilities
-            shared = source.pop("v")
-            source.setdefault("v_pi", shared)
-            source.setdefault("v_k", shared)
-        merged.update(source)
-    del merged["v"]  # expanded above: the run reads v_pi and v_k
+    given = {**file_values, **flag_values}
+    given.pop("study", None)  # only ever restates the positional study
+    merged = {key: option.default for key, option in OPTIONS.items()} | given
     reads = set(STUDIES[study].keys)
     if study in ("simulate", "assumptions") and merged["dof"] != 2:
         raise ConfigError(
@@ -261,7 +238,7 @@ def build_config(study: str, file_values: dict, flag_values: dict) -> RunConfig:
         )
     if merged["dof"] == 1:
         reads.discard("phi")  # one DOF is a polarization pair alone: no path phase
-    unread = given - reads - {"format", "out"}
+    unread = given.keys() - reads - {"format", "out"}
     if STUDIES[study].noise_free and merged["noise"] == model.NOISE_NONE:
         unread.discard("noise")  # restates what the study computes
     if unread:
@@ -272,7 +249,7 @@ def build_config(study: str, file_values: dict, flag_values: dict) -> RunConfig:
     # run means unit visibility unless the user explicitly contradicts that.
     if merged["noise"] == model.NOISE_NONE:
         for key in ("v_pi", "v_k"):
-            if key not in given and "v" not in given:
+            if key not in given:
                 merged[key] = 1.0
     try:
         noise = model.NoiseModel(kind=merged["noise"], v_pi=merged["v_pi"], v_k=merged["v_k"])
@@ -335,8 +312,7 @@ def _run_bounds(config: RunConfig) -> StudyResult:
 
 
 def _run_scaling(config: RunConfig) -> StudyResult:
-    reports = [bell.scaling_report(n, bell.LHV_BRUTEFORCE if n <= 3 else bell.ANALYTIC)
-               for n in range(1, config["dof"] + 1)]
+    reports = [bell.scaling_report(n) for n in range(1, config["dof"] + 1)]
     rows = [
         {
             "dof": rep.dof_count,
@@ -509,7 +485,7 @@ class Study:
     noise_free: bool = False
 
 
-_SAMPLED_KEYS = ("theta", "phi", "noise", "v", "v_pi", "v_k", "events", "seed", "dof")
+_SAMPLED_KEYS = ("theta", "phi", "noise", "v_pi", "v_k", "events", "seed", "dof")
 
 STUDIES = {
     "ideal": Study(("theta", "phi", "dof"), _run_ideal, _ideal_table, noise_free=True),

@@ -72,7 +72,7 @@ def test_criterion_2_enumerated_classical_bounds():
 
 def test_criterion_3_scaling_law_from_enumeration():
     expected = {1: SQRT2, 2: 2.0, 3: 2 * SQRT2}
-    reports = {n: bell.scaling_report(n, bell.LHV_BRUTEFORCE) for n in (1, 2, 3)}
+    reports = {n: bell.scaling_report(n) for n in (1, 2, 3)}
     ok = all(abs(reports[n].ratio - expected[n]) < 1e-10 for n in (1, 2, 3))
     _report(
         3,

@@ -519,12 +519,12 @@ class TestIdealPredictions:
 
 
 class TestScaling:
-    def test_analytic_rows(self):
-        r1 = bell.scaling_report(1, bell.ANALYTIC)
+    def test_rows_at_one_and_two_dof(self):
+        r1 = bell.scaling_report(1)
         assert r1.quantum_value == pytest.approx(2 * SQRT2, abs=1e-10)
         assert r1.classical_bound == 2.0
         assert r1.ratio == pytest.approx(SQRT2, abs=1e-10)
-        r2 = bell.scaling_report(2, bell.ANALYTIC)
+        r2 = bell.scaling_report(2)
         assert (r2.quantum_value, r2.classical_bound) == (
             pytest.approx(8.0, abs=1e-10),
             4.0,
@@ -532,26 +532,31 @@ class TestScaling:
         assert r2.ratio == pytest.approx(2.0, abs=1e-10)
 
     def test_enumerated_bound_rows(self):
-        r3 = bell.scaling_report(3, bell.LHV_BRUTEFORCE)
+        r3 = bell.scaling_report(3)
         assert r3.quantum_value == pytest.approx(16 * SQRT2, abs=1e-9)
         assert r3.classical_bound == 8.0
         assert r3.ratio == pytest.approx(2 * SQRT2, abs=1e-10)
         assert r3.bound_source == bell.LHV_BRUTEFORCE
 
+    def test_bound_source_follows_the_dof_count(self):
+        """Enumerated for N <= 3, the analytic 2^N at N = 4, as the scaling
+        study prints it."""
+        reports = [bell.scaling_report(n) for n in range(1, 5)]
+        assert [rep.bound_source for rep in reports] == [bell.LHV_BRUTEFORCE] * 3 + [bell.ANALYTIC]
+        assert [rep.classical_bound for rep in reports] == [2.0, 4.0, 8.0, 16.0]
+
     def test_ratio_advances_by_sqrt2(self):
-        ratios = [bell.scaling_report(n, bell.ANALYTIC).ratio for n in range(1, 5)]
+        ratios = [bell.scaling_report(n).ratio for n in range(1, 5)]
         for prev, nxt in zip(ratios, ratios[1:]):
             assert nxt / prev == pytest.approx(SQRT2, abs=1e-10)
 
     def test_ratio_consistency_invariant(self):
-        rep = bell.scaling_report(2, bell.LHV_BRUTEFORCE)
+        rep = bell.scaling_report(2)
         assert rep.ratio == pytest.approx(rep.quantum_value / rep.classical_bound, abs=1e-12)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             bell.scaling_report(0)
-        with pytest.raises(ValueError, match="bound source"):
-            bell.scaling_report(2, "guess")
 
     def test_checks_run_with_the_row_cached(self):
         """A bare cache on scaling_report would hand True the cached N = 1
@@ -560,17 +565,15 @@ class TestScaling:
         for bad in (True, np.True_):
             with pytest.raises(ValueError, match="dof count must be an integer"):
                 bell.scaling_report(bad)
-        with pytest.raises(ValueError, match="bound source"):
-            bell.scaling_report(1, "guess")
 
     def test_row_worked_out_once_per_checked_key(self, monkeypatch):
         def refuse(*_):
             raise AssertionError("a cached scaling row was worked out again")
 
         bell._scaling_report.cache_clear()
-        first = bell.scaling_report(2, bell.LHV_BRUTEFORCE)
+        first = bell.scaling_report(2)
         monkeypatch.setattr(bell, "quantum_value", refuse)
         monkeypatch.setattr(lhv, "max_bound", refuse)
-        assert bell.scaling_report(np.int64(2), np.str_(bell.LHV_BRUTEFORCE)) is first
+        assert bell.scaling_report(np.int64(2)) is first
         assert type(first.bound_source) is str and type(first.dof_count) is int
         assert bell._scaling_report.cache_info().currsize == 1

@@ -38,7 +38,6 @@ OPTION_SAMPLES = {
     "theta": ("ideal", "pi/2"),
     "phi": ("ideal", "-0.5"),
     "noise": ("simulate", "dephasing"),
-    "v": ("simulate", "0.8"),
     "v_pi": ("simulate", "0.7"),
     "v_k": ("assumptions", "0.6"),
     "events": ("simulate", "50"),
@@ -154,7 +153,7 @@ class TestSimulateStudy:
 
     def test_ideal_visibility_hits_eight_within_five_sigma(self):
         code, out, _ = run_cli(
-            "simulate", "--v", "1.0", "--events", "1000000", "--seed", "7",
+            "simulate", "--v-pi", "1.0", "--v-k", "1.0", "--events", "1000000", "--seed", "7",
             "--format", "json",
         )
         assert code == 0
@@ -163,7 +162,7 @@ class TestSimulateStudy:
         assert abs(abs(doc["beta"]) - 8.0) < 5 * doc["std_err"] + 1e-12
 
     @pytest.mark.parametrize("seed", [0, 5])
-    @pytest.mark.parametrize("noise", [["--noise", "white", "--v", "0.8"],
+    @pytest.mark.parametrize("noise", [["--noise", "white", "--v-pi", "0.8", "--v-k", "0.8"],
                                        ["--noise", "dephasing", "--theta", "0.5"]])
     def test_joint_grid_cells_match_json_rows_by_label(self, seed, noise, capsys):
         # A grid cell sits at (row u d, column u d); its JSON row measures the
@@ -206,15 +205,6 @@ class TestSimulateStudy:
                 label = (" ".join(row_u + [col_u]), " ".join(row_d + [col_d]))
                 assert text == f"{by_label.pop(label):.6f}"
         assert not by_label
-
-    def test_shared_visibility_yields_to_specific_flag(self):
-        code, out, _ = run_cli(
-            "simulate", "--v", "0.8", "--v-k", "0.6", "--events", "100",
-            "--seed", "1", "--format", "json",
-        )
-        assert code == 0
-        doc = json.loads(out)
-        assert (doc["config"]["v_pi"], doc["config"]["v_k"]) == (0.8, 0.6)
 
 
 class TestAssumptionsStudy:
@@ -322,19 +312,14 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert "'seed'" in err and "line 1" in err and ":4:" in err
 
-    @pytest.mark.parametrize(
-        "body,key",
-        [("seed = 1\nseed = x\n", "seed"), ("v = 0.5\nv_pi = x\n", "v_pi")],
-        ids=["repeated", "shorthand-conflict"],
-    )
-    def test_repeat_reported_before_the_value_is_read(self, body, key, tmp_path, capsys):
+    def test_repeat_reported_before_the_value_is_read(self, tmp_path, capsys):
         """The value used to be parsed first, so a bad second value hid the
         repeat and gave no file or line."""
         cfg = tmp_path / "twice.cfg"
-        cfg.write_text(body)
+        cfg.write_text("seed = 1\nseed = x\n")
         assert run_inproc("simulate", "--config", str(cfg)) == 2
         err = capsys.readouterr().err
-        assert f"{cfg}:2: key '{key}'" in err and "line 1" in err and "expected" not in err
+        assert f"{cfg}:2: key 'seed'" in err and "line 1" in err and "expected" not in err
 
     def test_bad_file_value_names_path_and_line(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -351,7 +336,7 @@ class TestConfigHandling:
         [
             (["simulate", "--events", "100", "--seed", "1", "--seed", "2"], "seed"),
             (["bounds", "--dof", "1", "--dof", "3"], "dof"),
-            (["simulate", "--v-pi", "0.8", "--v", "0.9", "--v-pi", "0.7"], "v_pi"),
+            (["simulate", "--v-pi", "0.8", "--v-k", "0.9", "--v-pi", "0.7"], "v_pi"),
             (["ideal", "--config", "a.cfg", "--config", "b.cfg"], "config"),
             (["simulate", "--seed", "1", "--seed=2"], "seed"),
             (["ideal", "--config=a.cfg", "--config", "b.cfg"], "config"),
@@ -380,16 +365,6 @@ class TestConfigHandling:
         assert captured.out == "" and "cannot read config file" in captured.err
         assert f"longer than {cli.MAX_CONFIG_BYTES} bytes" in captured.err
 
-    @pytest.mark.parametrize("specific", ["v_pi", "v_k"])
-    def test_config_shorthand_with_specific_visibility_refused(self, tmp_path, capsys, specific):
-        """In one file, v and v_pi/v_k used to resolve silently to the
-        specific key; the file is now ambiguous and refused."""
-        cfg = tmp_path / "both.cfg"
-        cfg.write_text(f"{specific} = 0.7\nv = 0.9\n")
-        assert run_inproc("simulate", "--config", str(cfg)) == 2
-        err = capsys.readouterr().err
-        assert f"'{specific}'" in err and "'v'" in err and "line 1" in err and ":2:" in err
-
     def test_config_study_must_match_positional(self, tmp_path, capsys):
         """A differing study key in the file used to be dropped silently, so
         the run went on as the positional study."""
@@ -401,12 +376,19 @@ class TestConfigHandling:
         cfg.write_text("study = ideal\n")
         assert run_inproc("ideal", "--config", str(cfg)) == 0
 
-    def test_config_shorthand_overridden_by_flag(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv,named", [
+        (["simulate", "--v", "0.8"], "unknown flag '--v'"),
+        (["simulate", "--v=0.8"], "unknown flag '--v'"),
+        (["simulate", "--config", "{cfg}"], "{cfg}:1: unknown key 'v'"),
+    ], ids=["flag", "flag-equals", "config-file"])
+    def test_visibility_shorthand_refused(self, argv, named, tmp_path, capsys):
+        """v used to set both visibilities at once, an alias the specific
+        flags silently overrode; each visibility now has one spelling."""
         cfg = tmp_path / "shared.cfg"
-        cfg.write_text("v = 0.8\nevents = 100\nformat = json\n")
-        assert run_inproc("simulate", "--config", str(cfg), "--v-k", "0.6") == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert (doc["config"]["v_pi"], doc["config"]["v_k"]) == (0.8, 0.6)
+        cfg.write_text("v = 0.8\n")
+        assert run_inproc(*[arg.format(cfg=cfg) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and named.format(cfg=cfg) in captured.err
 
 
 class TestDofScope:
@@ -474,7 +456,6 @@ class TestUnreadKeys:
         [
             (["ideal", "--noise", "dephasing"], "noise"),
             (["ideal", "--noise", "white"], "noise"),
-            (["ideal", "--v", "0.5"], "v"),
             (["ideal", "--v-pi", "0.5"], "v_pi"),
             (["ideal", "--v-k", "0.5"], "v_k"),
             (["ideal", "--events", "77"], "events"),
@@ -519,7 +500,7 @@ class TestUnreadKeys:
             ["ideal", "--theta", "0.3", "--phi", "1", "--dof", "2", "--noise", "none"],
             ["bounds", "--dof", "2", "--class", "unrestricted"],
             ["scaling", "--dof", "3"],
-            ["simulate", "--theta", "1", "--phi", "2", "--noise", "white", "--v", "0.9",
+            ["simulate", "--theta", "1", "--phi", "2", "--noise", "white", "--v-pi", "0.9",
              "--v-k", "0.8", "--events", "100", "--seed", "4", "--dof", "2"],
             ["assumptions", "--noise", "dephasing", "--v-pi", "0.9", "--events", "100",
              "--seed", "4"],
@@ -565,22 +546,22 @@ class TestOptionTable:
         assert report() != by_flag  # the option changes the run
         config = json.loads(by_flag[1] or by_flag[0])["config"]
         expected = cli.OPTIONS[key].parse(key, text)
-        for name in {"v": ("v_pi", "v_k"), "out": ()}.get(key, (key,)):
-            assert config[name] == expected
+        if key != "out":
+            assert config[key] == expected
 
     @pytest.mark.parametrize("study", list(cli.STUDIES))
     def test_json_config_records_every_option(self, study, capsys):
-        """Every option but v, which the run reads as v_pi and v_k, and out,
-        which says where the report goes, plus the study."""
+        """Every option but out, which says where the report goes, plus the
+        study."""
         extra = ["--events", "40"] if study in ("simulate", "assumptions") else []
         assert run_inproc(study, *extra, "--format", "json") == 0
         config = json.loads(capsys.readouterr().out)["config"]
-        assert set(config) == set(cli.OPTIONS) - {"v", "out"} | {"study"}
+        assert set(config) == set(cli.OPTIONS) - {"out"} | {"study"}
 
     def test_run_config_values_are_read_only(self):
-        config = cli.build_config("simulate", {}, {"v": 0.8, "seed": 4})
-        assert config["seed"] == 4 and config["v_pi"] == config["v_k"] == 0.8
-        assert "v" not in config.values
+        config = cli.build_config("simulate", {"v_pi": 0.8}, {"seed": 4})
+        assert config["seed"] == 4 and (config["v_pi"], config["v_k"]) == (0.8, 0.9)
+        assert set(config.values) == set(cli.OPTIONS)
         with pytest.raises(TypeError):
             config.values["seed"] = 5
 

@@ -44,7 +44,8 @@ CORPUS = {
         "5cc24a85af8a3a08a90b81c6dac970bd810e88953f22135d5366fb462d2a8c34",
     ),
     "assumptions-white": (
-        ["assumptions", "--events", "2000", "--seed", "3", "--noise", "white", "--v", "0.8"],
+        ["assumptions", "--events", "2000", "--seed", "3", "--noise", "white",
+         "--v-pi", "0.8", "--v-k", "0.8"],
         "95bb1c72abcde9ddf3aa5b9538c20af7c9bd5e34ca18dd91d58ae71d83c4136a",
     ),
     "assumptions-white-csv": (
@@ -125,14 +126,16 @@ CORPUS = {
         ["ideal", "--format", "csv"],
         "45143d35798edaeed8b6af1431a55bd77656ba8eadcbe1c2d07deb02246c6fab",
     ),
-    # JSON configs whose values the run derives: the unit visibilities of a
-    # noise-free run, the v shorthand expanded, and the noise-free ideal.
+    # JSON configs whose values the run derives or restates: the unit
+    # visibilities of a noise-free run, two equal visibilities, and the
+    # noise-free ideal.
     "simulate-none-json": (
         ["simulate", "--events", "2000", "--seed", "5", "--noise", "none", "--format", "json"],
         "ce9907067e23a3c2b0428f6442f67b9cbeec71311ac55f94afc5a286961285bb",
     ),
     "assumptions-v-json": (
-        ["assumptions", "--events", "2000", "--seed", "3", "--v", "0.8", "--format", "json"],
+        ["assumptions", "--events", "2000", "--seed", "3", "--v-pi", "0.8", "--v-k", "0.8",
+         "--format", "json"],
         "a045df26654769b7cd4c70f06aaa8c7aabcac199e17887aa50228050d88beea6",
     ),
     "ideal-none-json": (

@@ -11,9 +11,16 @@ fail.
 (b) The Pearson chi-square of the run pass's counts, pooled over the same
     seeds, against Born rows from the dense oracle (``reference.dense_born``
     on ``reference.dense_noise``), not from the pass's own rows.
+(c) The correlation of sub-streams: of adjacent and of distant indices of
+    ``rng.derive_seeds`` over fixed master seeds, and of every pair of the
+    streams the run pass hands its cells, so a pass that gave two cells one
+    sub-stream index would fail.
 (d) Each assumption row's analytic value against the exact correlation of
     each of its cells on the dense oracle's Born rows, and the z of its
     cells' estimates over the same seeds, as in (a).
+
+(a) and (b) at N = 4 take about 7 s, over the tier-1 budget, so they run
+only from ``dof4_statistics.py``, which tier-1 does not collect.
 
 Every bound comes from a false-alarm rate of 1e-6 per assertion, fixed in
 advance through a normal or chi-square quantile; no bound is fitted to the
@@ -31,7 +38,7 @@ from reference import analytic_correlations, dense_born, dense_noise, exact_valu
 
 EVENTS = 2000
 WHITE_09 = model.NoiseModel(model.NOISE_WHITE, 0.9, 0.9)
-SEEDS = {1: range(1000, 1400), 2: range(1000, 1400), 3: range(1000, 1080)}
+SEEDS = {1: range(1000, 1400), 2: range(1000, 1400), 3: range(1000, 1080), 4: range(1000, 1040)}
 POL, PATH = model.POLARIZATION, model.PATH
 CANONICAL = [model.canonical_kinds(n) for n in (1, 2, 3)]
 # The canonical kinds at N = 1..3, then one non-canonical tuple at N = 2 and at N = 3.
@@ -72,22 +79,24 @@ def _ideal(kinds):
 @functools.cache
 def _runs(kinds):
     """The white-0.9 ideal state of the kinds, its run per seed of
-    ``SEEDS[N]``, and each run pass's counts, read from ``rng.multinomial``
-    as the pass calls it."""
+    ``SEEDS[N]``, the run passes' counts summed over the runs, and each run
+    pass's cell seeds, read from ``rng.multinomial`` as the pass calls it."""
     state = model.apply_noise(_ideal(kinds), WHITE_09)
-    counts, multinomial = [], rng.multinomial
+    pooled, cell_seeds, multinomial = [0], [], rng.multinomial
 
     def capture(probs, n_events, seeds):
-        counts.append(multinomial(probs, n_events, seeds))
-        return counts[-1]
+        cell_seeds.append(seeds)
+        counts = multinomial(probs, n_events, seeds)
+        pooled[0] = pooled[0] + counts  # summed as they come: N = 4 holds 2.6 MB per run
+        return counts
 
     rng.multinomial = capture
     try:
         results = [simlab.run_simulated_experiment(state, EVENTS, s) for s in SEEDS[len(kinds)]]
     finally:
         rng.multinomial = multinomial
-    assert len(counts) == len(results)
-    return state, results, np.sum(counts, axis=0)
+    assert len(cell_seeds) == len(results)
+    return state, results, pooled[0], cell_seeds
 
 
 @pytest.mark.parametrize("kinds", KINDS, ids=_kinds_id)
@@ -96,7 +105,7 @@ def test_beta_and_chsh_z_are_standard_normal(kinds):
     times sqrt(K) is inside +-4.8916 (two-sided normal, 1e-6), and the sum
     of z^2 inside the chi-square(K) quantiles at 1e-6 on each side.  The
     operator is that of the state's own kinds."""
-    _, results, _ = _runs(kinds)
+    _, results, _, _ = _runs(kinds)
     rho, op, n = dense_noise(_ideal(kinds), WHITE_09), bell.BellOperator(kinds), len(kinds)
     matrices = [op.matrix] + [factor_embedding(f.matrix, i, n) for i, f in enumerate(op.factors)]
     reports = [[r.beta, *r.chsh] for r in results]
@@ -132,7 +141,7 @@ def test_pooled_counts_fit_the_dense_born_rows(kinds):
     """The pass's counts, pooled over the seeds, against the dense oracle's
     rows on the state's own kinds: the summed Pearson chi-square is below
     its chi-square quantile at 1e-6 (Wilson-Hilferty)."""
-    _, results, pooled = _runs(kinds)
+    _, results, pooled, _ = _runs(kinds)
     rho, n = dense_noise(_ideal(kinds), WHITE_09), len(kinds)
     cells = simlab._layout(kinds).cells.tolist()
     assert pooled.shape == (len(cells), 4**n)
@@ -144,6 +153,39 @@ def test_pooled_counts_fit_the_dense_born_rows(kinds):
     assert chi2 < _chi2_upper(dof), (chi2, dof)
 
 
+def _stream_z(seeds):
+    """sqrt(m) times the Pearson correlation of each pair of the streams of
+    ``seeds``, over the first m = EVENTS uniforms of each (the top bits of
+    the outputs a run's cell compares): about standard normal for a pair of
+    independent streams, and uncorrelated across pairs."""
+    streams = np.array([rng.random_uniform(int(seed), EVENTS) for seed in seeds])
+    return math.sqrt(EVENTS) * np.corrcoef(streams)[np.triu_indices(len(streams), 1)]
+
+
+# Sub-stream index gaps: adjacent, and distant by 2^32 and by half the index range.
+GAPS = {"adjacent": 1, "distant-2^32": 2**32, "distant-2^63": 2**63}
+
+
+@pytest.mark.parametrize("gap", GAPS.values(), ids=GAPS)
+def test_derived_sub_streams_are_uncorrelated(gap):
+    """(c) Over master seeds 0..255, the streams of sub-streams s and s + gap
+    of master seed s: the z of their correlation passes the bounds of (a)."""
+    z = [_stream_z([rng.derive_seeds(seed, index, 1)[0] for index in (seed, seed + gap)])[0]
+         for seed in range(256)]
+    _assert_standard_normal(z, gap)
+
+
+@pytest.mark.parametrize("kinds", CANONICAL, ids=_kinds_id)
+def test_run_cells_read_uncorrelated_sub_streams(kinds):
+    """(c) In each of the first 4 runs of ``SEEDS[N]``, the z of the
+    correlation of every pair of the streams the pass hands its cells,
+    adjacent and distant, passes the bounds of (a); a duplicated index
+    gives a pair the z sqrt(EVENTS), about 45."""
+    seeds = _runs(kinds)[3]
+    assert len(seeds) == len(SEEDS[len(kinds)])
+    _assert_standard_normal(np.concatenate([_stream_z(run) for run in seeds[:4]]), "cells")
+
+
 @pytest.mark.parametrize("kinds", CANONICAL, ids=_kinds_id)
 def test_assumption_rows_match_the_dense_oracle(kinds):
     """(d) Every cell of a row measures the row's pair on its factor, so the
@@ -151,7 +193,7 @@ def test_assumption_rows_match_the_dense_oracle(kinds):
     setting, equals the row's analytic value within 1e-12.  Per row, the z
     of its cells' estimates over the seeds, against those exact values,
     passes the bounds of (a)."""
-    _, results, _ = _runs(kinds)
+    _, results, _, _ = _runs(kinds)
     rho, layout, n = dense_noise(_ideal(kinds), WHITE_09), simlab._layout(kinds), len(kinds)
     exact = [
         analytic_correlations(dense_born(rho, tuple(cell[:n]), tuple(cell[n:-1])))[1 + cell[-1]]
