@@ -80,18 +80,24 @@ class RunConfig:
         return self.values[key]
 
 
+def _plain(text: str) -> str:
+    """``text`` if it is ASCII with no ``_`` and no surrounding whitespace, the
+    one spelling of a number; ``int`` and ``float`` read more."""
+    if not text.isascii() or "_" in text or text != text.strip():
+        raise ValueError(text)
+    return text
+
+
 def _parse_angle(key: str, text: str) -> float:
     """Radians, as a float literal or a pi expression like pi, -pi, pi/2, 0.5pi."""
-    token = text.strip().lower().replace(" ", "")
     try:
+        token = _plain(text.strip()).lower().replace(" ", "")
         if "pi" not in token:
             value = float(token)
         else:
             coef_s, _, div_s = token.partition("pi")
             coef_s = coef_s.rstrip("*")
-            coef = {"": 1.0, "-": -1.0, "+": 1.0}.get(coef_s)
-            if coef is None:
-                coef = float(coef_s)
+            coef = {"": 1.0, "-": -1.0, "+": 1.0}.get(coef_s) or float(coef_s)
             value = coef * math.pi
             if div_s:
                 if not div_s.startswith("/"):
@@ -109,7 +115,7 @@ def _parse_angle(key: str, text: str) -> float:
 
 def _parse_unit(key: str, text: str) -> float:
     try:
-        value = float(text)
+        value = float(_plain(text))
     except ValueError:
         raise ConfigError(f"key '{key}': expected a number in [0, 1], got {text!r}")
     if not (math.isfinite(value) and 0.0 <= value <= 1.0):
@@ -119,7 +125,7 @@ def _parse_unit(key: str, text: str) -> float:
 
 def _parse_int(key: str, text: str, minimum: int, maximum: int) -> int:
     try:
-        value = int(text)
+        value = int(_plain(text))
     except ValueError:
         raise ConfigError(f"key '{key}': expected an integer, got {text!r}")
     if not minimum <= value <= maximum:

@@ -27,37 +27,36 @@ The comparison is made on the raw 64-bit outputs, which is exact:
 ``x >= ceil(c * 2^53) << 11`` for ``c < 1``, and an edge at or above 1.0 is
 never reached.
 
-Each chunk is counted with one sort instead of one compare pass per edge.
-The top 32-bit words ``hi(x)`` of the chunk are sorted, and every integer
-threshold ``t`` is looked up by its top word ``hi(t)`` on both sides:
-``left = #(hi(x) < hi(t))`` and ``right = #(hi(x) <= hi(t))``.  Since
-``x >= t`` holds whenever ``hi(x) > hi(t)`` and fails whenever
-``hi(x) < hi(t)``, ``#(x >= t)`` lies between ``m - right`` and
-``m - left``; when ``left == right`` no output shares the threshold's top
-word and the count is ``m - left`` exactly.  Only for an edge that ties
-(about 2^-32 per output per edge) is ``#(x >= t)`` recounted on the full
-64-bit chunk, so the lower words decide.  The counts are therefore
-identical to looking each uniform up in the CDF one event at a time, and
-they stay pinned to ``GENERATOR_ID``.
+Each chunk is counted with one sort and one search instead of one compare
+pass per edge.  An output ``x`` becomes a 32-bit key: the top ``bits`` bits
+hold its row's place in its block (see below), and the ``w = 32 - bits``
+bits under them hold ``top(x)``, the top ``w`` bits of ``x``; an integer
+threshold ``t`` becomes a needle of the same form.  Since ``x >= t`` holds whenever
+``top(x) > top(t)`` and fails whenever ``top(x) < top(t)``, the row's
+``at`` keys below the needle are ``#(x < t)`` unless an output shares
+``top(t)``, which is exactly when the first key at or above the needle,
+the one the search finds, equals it.  Only such a tie, about 2^-w per
+output per edge (w = 29 in the 8-row blocks of 2000 events, 19 in a full
+block of 2-event rows, 32 in a long row), is recounted as ``#(x >= t)`` on
+the 64-bit chunk, so the counts are identical to looking each uniform up
+in the CDF one event at a time, and they stay pinned to ``GENERATOR_ID``.
 
 Many distributions, each on its own stream, are counted in one call (2-D
 ``probs``, one seed per row); a single distribution is the one-row case.
 Rows of ``n < CHUNK`` events share a block of ``CHUNK // n`` rows, so a
 block never holds more than ``CHUNK`` outputs, and the blocks are counted
 on the calling thread.  The block's outputs are generated and mixed
-together, each row's top words are sorted along their own axis, and the
-block is searched once.  Row r's sorted words become the keys
-``(r << 32) | hi(x)`` and its edges the needles ``(r << 32) | hi(t)``.
-Every key of an earlier row lies below each of row r's needles and every
-key of a later row above, even for ``hi(t)`` of 0 or 2^32 - 1, so the
-keys are sorted across the block and a two-sided search of them gives row
-r's ``left`` and ``right`` plus the ``r * n`` keys of the rows before it;
-that offset is subtracted.  Ties are recounted on the row's own 64-bit
-outputs.  Every row is therefore counted exactly as it would be alone, and
-the argument above holds row by row.  The keys go to the block's 64-bit
-scratch buffer, which is free once the top words are sorted, so they need
-no buffer of their own.  A one-row block, which every long row is,
-searches its bare top words.
+together; row r of a block of ``b`` rows takes place r in
+``bits = (b - 1).bit_length()`` bits.  Every key of an earlier row lies
+below each of row r's needles and every key of a later row above, so
+sorting each row's keys along their own axis sorts the block, and one
+``searchsorted(side="left")`` gives each row's ``at`` plus the ``r * n``
+keys before it, which are subtracted.  A key found in a later row carries
+another place, and a needle above every key reads the block's last key
+(``mode="clip"``), which is smaller, so neither is a tie; a tie is
+recounted on its row's own outputs, and each row is counted as if alone.
+The keys are built in the buffer of 32-bit words; a long row, alone in its
+block, has ``bits = 0`` and keys its bare top words.
 
 A row of ``n >= CHUNK`` events is cut into passes of ``LONG_PASS``
 outputs.  A call of at least ``FORK_PASSES`` such passes deals the passes of
@@ -83,7 +82,7 @@ is reaped: it raises the first exception, or a ``ChildProcessError`` for a
 child that left without its message, or sums the partials.  No child
 outlives the call.  Each process holds its own in-flight buffers, below
 ``LONG_PASS`` outputs at 20 B each, 640 KiB, whatever ``n``, the row count
-or the core count.
+or the core count; a block of short rows holds at most ``CHUNK``, 320 KiB.
 """
 
 from __future__ import annotations
@@ -191,13 +190,13 @@ def multinomial(probs: np.ndarray, n_events: int, seed) -> np.ndarray:
     buffers stay below 640 KiB whatever ``n_events``, the row count or the
     core count.  Every child is reaped before any child's one message, its
     partial or its exception, is loaded: no child outlives the call.  Per
-    pass, each row's top 32-bit words are sorted once, and each reachable
-    CDF edge ``c < 1``, as the integer threshold ``t = ceil(c * 2^53) << 11``,
-    is counted by a two-sided ``searchsorted`` of its top word among its own
-    row's, one search per block of rows with the words prefixed by the row's
-    place in the block; an edge whose top word some output of its row shares
-    is recounted as ``#(x >= t)`` on that row's 64-bit outputs (see the
-    module docstring for why both are exact).  Cell ``k`` receives
+    pass, each row's 32-bit keys, its place in its block above the top bits
+    of each output, are sorted once, and each reachable CDF edge ``c < 1``,
+    as the integer threshold ``t = ceil(c * 2^53) << 11``, is counted by a
+    one-sided ``searchsorted`` of its needle, ``t`` in the key's form, one
+    search per block of rows; an edge whose needle equals the key found is
+    recounted as ``#(x >= t)`` on its row's 64-bit outputs (see the module
+    docstring for why both are exact).  Cell ``k`` receives
     ``#(u >= cdf[k-1]) - #(u >= cdf[k])``.  The counts equal those of an
     event-by-event ``searchsorted(cdf, u, side="right")``.
     """
@@ -227,7 +226,6 @@ def multinomial(probs: np.ndarray, n_events: int, seed) -> np.ndarray:
     reachable = edges < 1.0  # an edge at or above 1.0 is never reached
     thresholds = np.ceil(np.where(reachable, edges, 0.0) * 2.0**53).astype(np.uint64)
     thresholds <<= np.uint64(11)
-    thresholds_hi = (thresholds >> np.uint64(32)).astype(np.uint32)
 
     # A block is as many rows as fit one chunk of every row's outputs; a row
     # of at least CHUNK events is a block of its own, cut into long passes.
@@ -237,9 +235,12 @@ def multinomial(probs: np.ndarray, n_events: int, seed) -> np.ndarray:
     n_passes = per_block * -(-len(rows) // block)
     steps = np.arange(1, size + 1, dtype=np.uint64)
     steps *= np.uint64(_GAMMA)
-    # Row r of a block prefixes its keys and needles with r (bare in a
-    # one-row block), and its keys start at r * size.
-    prefixes = np.arange(block, dtype=np.uint64)[:, None] << np.uint64(32)
+    # Keys and needles hold the row's place in its block in their top ``bits``
+    # bits (see the module docstring), and row r's keys start at r * size.
+    bits = (block - 1).bit_length()
+    shift = np.uint64(32 + bits)
+    places = np.arange(block, dtype=np.uint32)[:, None] << np.uint32(32 - bits)
+    needles = (thresholds >> shift).astype(np.uint32) | places[np.arange(len(rows)) % block]
     offsets = np.arange(block)[:, None] * size
 
     def count(passes):
@@ -248,25 +249,22 @@ def multinomial(probs: np.ndarray, n_events: int, seed) -> np.ndarray:
         reached = np.zeros(thresholds.shape, dtype=np.int64)
         x = np.empty((block, size), dtype=np.uint64)
         tmp = np.empty((block, size), dtype=np.uint64)
-        hi = np.empty((block, size), dtype=np.uint32)
+        keys = np.empty((block, size), dtype=np.uint32)
         for i in passes:
             r0, start = i // per_block * block, i % per_block * size
             b = min(block, len(rows) - r0)
             m = min(size, n_events - start)
             bases = seeds[r0 : r0 + b, None] + np.uint64((_GAMMA * start) & _MASK64)
             chunk = _mix(np.add(steps[:m], bases, out=x[:b, :m]), tmp[:b, :m])
-            top = hi[:b, :m]
-            np.copyto(top, np.right_shift(chunk, np.uint64(32), out=tmp[:b, :m]), casting="unsafe")
-            top.sort(axis=1)
-            words, needles = top[0], thresholds_hi[r0 : r0 + b]
-            if block > 1:  # the keys go to the free scratch; one pass a row, so m == size
-                words = np.bitwise_or(top, prefixes[:b], out=tmp[:b, :m]).ravel()
-                needles = needles | prefixes[:b]
-            left = np.searchsorted(words, needles, side="left") - offsets[:b]
-            right = np.searchsorted(words, needles, side="right") - offsets[:b]
-            counts = m - left
-            # An output shares this edge's top word: its lower word decides.
-            for r, k in zip(*np.nonzero(left != right)):
+            top = keys[:b, :m]  # a block of rows has m == size, so its ravel is a view
+            np.copyto(top, np.right_shift(chunk, shift, out=tmp[:b, :m]), casting="unsafe")
+            top |= places[:b]
+            top.sort(axis=1)  # a row's keys share its place, so the block is sorted
+            words, edge = top.ravel(), needles[r0 : r0 + b]
+            at = np.searchsorted(words, edge, side="left")
+            counts = m - (at - offsets[:b])
+            # An output's key equals this edge's needle: its lower bits decide.
+            for r, k in zip(*np.nonzero(words.take(at, mode="clip") == edge)):
                 counts[r, k] = np.count_nonzero(chunk[r] >= thresholds[r0 + r, k])
             reached[r0 : r0 + b] += counts
         return reached

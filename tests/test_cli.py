@@ -590,6 +590,57 @@ class TestOptionTable:
         assert f"`{header}`" in README.read_text()
 
 
+class TestNumberSpelling:
+    """A number has one spelling.  Python's ``int`` and ``float`` also read
+    non-ASCII digits, ``_`` separators and surrounding whitespace; the
+    integer and unit parsers refuse all three, the angle parser the first
+    two, and each refusal names its key."""
+
+    @pytest.mark.parametrize(
+        "argv,key",
+        [
+            (["bounds", "--dof", "\u0663"], "dof"),  # Arabic-Indic 3
+            (["bounds", "--dof", "\uff13"], "dof"),  # fullwidth 3
+            (["simulate", "--events", "1_000"], "events"),
+            (["simulate", "--events", "1_000", "--seed", " 7 "], "events"),
+            (["simulate", "--events", " 1000"], "events"),
+            (["simulate", "--seed", " 7 "], "seed"),
+            (["simulate", "--seed", "7\n"], "seed"),
+            (["simulate", "--seed", "7\u00a0"], "seed"),  # a non-ASCII space
+            (["simulate", "--v-pi", "0.9 "], "v_pi"),
+            (["simulate", "--v-pi", "0.9_5"], "v_pi"),
+            (["assumptions", "--v-k", "\u0660.\u0665"], "v_k"),  # Arabic-Indic 0.5
+            (["ideal", "--theta", "\u0663"], "theta"),
+            (["ideal", "--theta", "1_0"], "theta"),
+            (["ideal", "--phi", "pi/1_0"], "phi"),
+            (["ideal", "--phi", "\u0662pi"], "phi"),
+        ],
+    )
+    def test_refused_naming_the_key(self, argv, key, capsys):
+        """Each value here ran before, as the number Python reads from it."""
+        code, out, err = _outcome(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"hyperbell: config error: key '{key}': expected ")
+
+    @pytest.mark.parametrize("text,value", [
+        ("pi", math.pi), ("-pi", -math.pi), ("+pi", math.pi), ("pi/2", math.pi / 2),
+        ("0.5pi", 0.5 * math.pi), ("2*pi", 2 * math.pi), (" PI / 4 ", math.pi / 4),
+        ("1.57", 1.57), ("-0", 0.0),
+    ])
+    def test_angle_keeps_its_pi_forms(self, text, value):
+        assert cli._parse_angle("theta", text) == value
+
+    def test_file_values_follow_the_same_rule(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("events = 1_000\n")
+        assert run_inproc("simulate", "--config", str(cfg)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"hyperbell: config error: {cfg}:1: key 'events': expected an integer, got '1_000'\n"
+        )
+
+
 class TestOutput:
     def test_out_writes_identical_bytes(self, tmp_path):
         target = tmp_path / "report.json"

@@ -168,6 +168,24 @@ CORPUS = {
         ["ideal", "--dof", "4", "--format", "json"],
         "4c2b49f0439f8288ae26da4f457fbe4b17aa60cb8be0e9bcd5f0d769669c3ff4",
     ),
+    # The sampler's block edges: all 56 rows in one block (6-bit places), 2
+    # rows a block, one short row a block, and the first long row.
+    "simulate-events2-csv": (
+        ["simulate", "--events", "2", "--seed", "9", "--format", "csv"],
+        "9b70c2bbe07274d8975b763c1da7bc6e4066a0e8caef73fbb213395ea52bbdd9",
+    ),
+    "assumptions-events8192": (
+        ["assumptions", "--events", "8192", "--seed", "9"],
+        "ea52d9e833689872fbe42c579938f697846b9a0e78c925386c942ddea7629566",
+    ),
+    "assumptions-events16383": (
+        ["assumptions", "--events", "16383", "--seed", "9"],
+        "ceeaefa02f0eed578a77f8f7ecf620bec0654774933ab33304355f2e55469a6b",
+    ),
+    "assumptions-events16384": (
+        ["assumptions", "--events", "16384", "--seed", "9"],
+        "a3cc831508b9ab3b0efa7a04326407338e466ba0cd1f752010d10d40dff45035",
+    ),
 }
 
 

@@ -809,16 +809,17 @@ def _exact_row(edges, cells=8):
 
 
 # Edges whose integer thresholds have the top word 0 (the first three) and
-# 0xFFFFFFFF (the last three): their prefixed needles sit next to the keys
-# of the row before and of the row after.
+# 0xFFFFFFFF (the last three): their needles, which carry the row's place,
+# sit next to the keys of the row before and of the row after.
 EXTREME_EDGES = [2.0**-53, 2.0**-40, 2.0**-33, 0.5, 1 - 2.0**-33, 1 - 2.0**-40, 1 - 2.0**-53]
 UNREACHABLE = np.array([0.5, 0.5 + 5e-10] + [0.0] * 6)
 TIE_CASES = ["output-above", "output-below", "zero-low-word", "shared-top-word"]
 
 
 class TestBlockWideSearch:
-    """Rows of fewer than CHUNK events share a block whose sorted top words
-    are searched once, as keys prefixed by the row's place in the block."""
+    """Rows of fewer than CHUNK events share a block whose 32-bit keys, each
+    row's place in the block above the top bits of its outputs, are sorted
+    row by row and searched once."""
 
     def test_extreme_edges_have_extreme_top_words(self):
         thresholds = [(math.ceil(c * 2.0**53) << 11) >> 32 for c in EXTREME_EDGES]
@@ -866,6 +867,86 @@ class TestBlockWideSearch:
         probs[tie] = _exact_row(np.cumsum(_tie_probs(case, n_events, seeds[tie]))[:-1])
         assert tie % min(n_rows, rng.CHUNK // n_events) != 0
         _assert_rows_match(probs, n_events, seeds)
+
+
+def _key_bits(rows, n_events):
+    """Bits of a row's place in the 32-bit keys of its block."""
+    return (min(rows, rng.CHUNK // min(n_events, rng.CHUNK)) - 1).bit_length()
+
+
+def _assert_reference_rows(probs, n_events, seeds):
+    counts = rng.multinomial(probs, n_events, seeds)
+    for row, seed, got in zip(probs, seeds, counts):
+        np.testing.assert_array_equal(got, _reference_multinomial(row, n_events, seed))
+
+
+class TestOneSearchPerBlock:
+    """One left-hand search per block: an edge ties exactly when the key the
+    search found equals its needle, and only then is it recounted."""
+
+    @pytest.mark.parametrize("rows,n_events,tie,bits", [(8, 2000, 5, 3), (8192, 2, 4097, 13)])
+    def test_tie_in_the_key_word_only(self, rows, n_events, tie, bits):
+        """Thresholds that share the top 32 - bits bits of an output of their
+        row, but not its top 32 bits (one above the output, one below): a
+        tie for the keys that the 64-bit recount settles."""
+        assert _key_bits(rows, n_events) == bits and tie % (rng.CHUNK // n_events) != 0
+        seeds = [rng.derive_seeds(31, i, 1)[0] for i in range(rows)]
+        x = [int(v) for v in splitmix64(seeds[tie], n_events)]
+        picks = sorted(next(v for v in x if v >> 32 & 1 == bit) for bit in (0, 1))
+        thresholds = [(v ^ 1 << 32) & ~0x7FF for v in picks]  # above the first, below the second
+        assert thresholds == sorted(thresholds)
+        for t, v in zip(thresholds, picks):
+            assert t >> (32 + bits) == v >> (32 + bits) and t >> 32 != v >> 32
+        probs = np.full((rows, 8), 1 / 8)
+        probs[tie] = _exact_row([(t >> 11) / 2.0**53 for t in thresholds])
+        _assert_reference_rows(probs, n_events, seeds)
+
+    @pytest.mark.parametrize("rows,n_events", [(8, 2000), (11, 2000), (3, 2)])
+    def test_needle_above_every_key_of_its_block(self, rows, n_events):
+        """The last row of a full block, of a partial last block and of a
+        one-block call: an edge just below 1 has a needle above every key of
+        the block, and the search's clipped read of the last key is no tie."""
+        bits = _key_bits(rows, n_events)
+        seeds = [rng.derive_seeds(41, i, 1)[0] for i in range(rows)]
+        t = math.ceil((1 - 2.0**-53) * 2.0**53) << 11
+        assert int(splitmix64(seeds[-1], n_events).max()) >> (32 + bits) < t >> (32 + bits)
+        probs = np.array([_exact_row(EXTREME_EDGES[:4])] * rows)
+        probs[-1] = _exact_row([0.5, 1 - 2.0**-53])
+        _assert_reference_rows(probs, n_events, seeds)
+
+    @pytest.mark.parametrize("rows,n_events,searches", [(56, 2000, 7), (1, 10**5, 4)])
+    def test_one_search_per_pass(self, rows, n_events, searches, monkeypatch):
+        sides, search = [], np.searchsorted
+
+        def counting(*args, **kwargs):
+            sides.append(kwargs.get("side"))
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(np, "searchsorted", counting)
+        rng.multinomial(np.full((rows, 16), 1 / 16), n_events, list(range(rows)))
+        assert sides == ["left"] * searches
+
+    @pytest.mark.parametrize(
+        "n,n_events", [(n, e) for n in (1, 2, 3) for e in (2000, 20_000)] + [(4, 2000)]
+    )
+    @pytest.mark.parametrize("kind", model.NOISE_KINDS)
+    def test_run_pass_counts_equal_the_reference(self, n, n_events, kind, monkeypatch):
+        """Every row the run pass samples, at N = 1..4, counted event by event."""
+        noise = NoiseModel(kind) if kind == model.NOISE_NONE else NoiseModel(kind, 0.87, 0.93)
+        state = model.apply_noise(model.hyper_state(0.7, -1.3, n), noise)
+        calls, multinomial = [], rng.multinomial
+
+        def capture(probs, n_events, seeds):
+            counts = multinomial(probs, n_events, seeds)
+            calls.append((probs, n_events, seeds, counts))
+            return counts
+
+        monkeypatch.setattr(rng, "multinomial", capture)
+        simlab.run_simulated_experiment(state, n_events, seed=n * 100 + 7)
+        [(probs, events, seeds, counts)] = calls
+        assert events == n_events
+        for row, seed, got in zip(probs, seeds, counts):
+            np.testing.assert_array_equal(got, _reference_multinomial(row, n_events, seed))
 
 
 def _assert_no_child():
