@@ -81,8 +81,7 @@ class RunConfig:
 
 
 def _plain(text: str) -> str:
-    """``text`` if it is ASCII with no ``_`` and no surrounding whitespace, the
-    one spelling of a number; ``int`` and ``float`` read more."""
+    """``text`` if it is ASCII with no ``_`` or surrounding whitespace; ``float`` reads more."""
     if not text.isascii() or "_" in text or text != text.strip():
         raise ValueError(text)
     return text
@@ -125,7 +124,8 @@ def _parse_unit(key: str, text: str) -> float:
 
 def _parse_int(key: str, text: str, minimum: int, maximum: int) -> int:
     try:
-        value = int(_plain(text))
+        if str(value := int(text)) != text:  # refuses +7, 007, -0, 1_000, ' 7 ', non-ASCII digits
+            raise ValueError(text)
     except ValueError:
         raise ConfigError(f"key '{key}': expected an integer, got {text!r}")
     if not minimum <= value <= maximum:

