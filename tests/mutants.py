@@ -5,7 +5,6 @@ collect it (its name does not match ``test_*.py``).  Run it from anywhere:
 
     python tests/mutants.py                  # every mutant, then the kill matrix
     python tests/mutants.py tie-recount ...  # the named mutants only
-    python tests/mutants.py --tests DIR      # against the test files of DIR
 
 It first runs every selection once on an unchanged copy, which must pass.
 Then, for each mutant, it copies ``src/``, the tests, ``perfbench/``,
@@ -13,10 +12,10 @@ Then, for each mutant, it copies ``src/``, the tests, ``perfbench/``,
 edit there, refusing an old text that does not occur exactly once, and runs
 the selection with pytest in a subprocess whose working directory and
 ``PYTHONPATH`` are the copy, so nothing, ``.hypothesis`` included, is written
-to the checkout.  Hypothesis runs its examples without shrinking a failure
-and without its example database: a kill needs a failure, not the smallest
-one.  A mutant is killed when its selection fails (pytest exit 1).  The
-script exits 1 if any mutant survives or a run ends otherwise.
+to the checkout.  Hypothesis runs its examples without shrinking a failure:
+a kill needs a failure, not the smallest one.  A mutant is killed when its
+selection fails (pytest exit 1).  The script exits 1 if any mutant survives
+or a run ends otherwise.
 """
 
 import argparse
@@ -31,10 +30,10 @@ import time
 from typing import NamedTuple
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-COPIED = ("src", "perfbench", "README.md", "pyproject.toml")
+COPIED = ("src", "tests", "perfbench", "README.md", "pyproject.toml")
 PROFILE = '''from hypothesis import Phase, settings
 
-settings.register_profile("mutants", database=None, phases=(Phase.explicit, Phase.generate))
+settings.register_profile("mutants", phases=(Phase.explicit, Phase.generate))
 settings.load_profile("mutants")
 '''
 
@@ -175,10 +174,10 @@ MUTANTS = (
 )
 
 
-def stale(mutant, tests=ROOT / "tests") -> list:
+def stale(mutant) -> list:
     """What keeps ``mutant`` from running: an old text that does not occur
     exactly once in its file under ``src/``, or a test file its selection
-    names that ``tests`` lacks.  Empty when it can run."""
+    names that does not exist.  Empty when it can run."""
     problems = []
     path = ROOT / mutant.path
     count = path.read_text(encoding="utf-8").count(mutant.old) if path.is_file() else 0
@@ -186,13 +185,13 @@ def stale(mutant, tests=ROOT / "tests") -> list:
         problems.append(f"{mutant.path}: old text occurs {count} times, not once")
     for node in mutant.tests:
         name = node.split("::")[0]
-        if not (name.startswith("tests/") and (tests / name.removeprefix("tests/")).is_file()):
+        if not (name.startswith("tests/") and (ROOT / name).is_file()):
             problems.append(f"{name} does not exist")
     return problems
 
 
-def _copy(tests, target, mutant=None):
-    """The checkout's copied files and ``tests`` under ``target``, with
+def _copy(target, mutant=None):
+    """The checkout's copied files and tests under ``target``, with
     ``mutant`` applied, and the hypothesis profile module."""
     ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
     for name in COPIED:
@@ -201,7 +200,6 @@ def _copy(tests, target, mutant=None):
             shutil.copytree(source, target / name, ignore=ignore)
         else:
             shutil.copy2(source, target / name)
-    shutil.copytree(tests, target / "tests", ignore=ignore)
     (target / "mutant_profile.py").write_text(PROFILE, encoding="utf-8")
     if mutant is not None:  # its old text occurs once (``stale``)
         path = target / mutant.path
@@ -209,16 +207,15 @@ def _copy(tests, target, mutant=None):
                         encoding="utf-8")
 
 
-def _run(tests, selection, mutant=None) -> tuple:
+def _run(selection, mutant=None) -> tuple:
     """``(exit code, summary counts, failed node ids, seconds, output)`` of
     pytest over ``selection`` in a fresh copy, ``mutant`` applied."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         target = pathlib.Path(tmp)
-        _copy(tests, target, mutant)
-        env = dict(os.environ, PYTHONPATH=f"{target / 'src'}{os.pathsep}{target}",
-                   PYTHONDONTWRITEBYTECODE="1")
-        command = [sys.executable, "-m", "pytest", "-q", "-W", "error", "-p", "no:cacheprovider",
-                   "-p", "mutant_profile", "--tb=no", "-rf", *selection]
+        _copy(target, mutant)
+        env = dict(os.environ, PYTHONPATH=f"{target / 'src'}{os.pathsep}{target}")
+        command = [sys.executable, "-m", "pytest", "-q", "-W", "error", "-p", "mutant_profile",
+                   "--tb=no", "-rf", *selection]
         start = time.perf_counter()
         run = subprocess.run(command, cwd=target, env=env, capture_output=True, text=True)
         seconds = time.perf_counter() - start
@@ -231,20 +228,17 @@ def _run(tests, selection, mutant=None) -> tuple:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    parser.add_argument("--tests", type=pathlib.Path, default=ROOT / "tests",
-                        help="directory of the test files to run (default: this checkout's)")
     args = parser.parse_args(argv)
     unknown = set(args.names) - {m.name for m in MUTANTS}
     if unknown:
         parser.error(f"unknown mutants: {', '.join(sorted(unknown))}")
     chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
-    tests = args.tests.resolve()
-    problems = [f"{m.name}: {p}" for m in chosen for p in stale(m, tests)]
+    problems = [f"{m.name}: {p}" for m in chosen for p in stale(m)]
     if problems:
         print("\n".join(problems), file=sys.stderr)
         return 2
     selection = list(dict.fromkeys(node for m in chosen for node in m.tests))
-    code, counts, _, seconds, output = _run(tests, selection)
+    code, counts, _, seconds, output = _run(selection)
     if code != 0:
         print(output, file=sys.stderr)
         print(f"the unchanged copy fails its selections (pytest exit {code})", file=sys.stderr)
@@ -254,7 +248,7 @@ def main(argv=None) -> int:
     print(f"{'mutant':{width}}  result    failed/run  seconds  first failing test")
     survivors = 0
     for mutant in chosen:
-        code, counts, failed, seconds, _ = _run(tests, mutant.tests, mutant)
+        code, counts, failed, seconds, _ = _run(mutant.tests, mutant)
         result = {0: "SURVIVED", 1: "killed"}.get(code, f"exit {code}")
         survivors += code != 1
         ran = counts.get("failed", 0) + counts.get("passed", 0)

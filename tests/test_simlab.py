@@ -132,12 +132,13 @@ class TestBornDistribution:
     def test_rounding_residue_clamped_and_row_renormalized(self):
         """A pair on the (+1, +1) eigenvector of a_pi x B_pi, its squared norm
         1 + 1e-10: its (a, B) row has outcome (-1, +1) at probability 0, which
-        the kernel's sum reads as about -4e-17.  The row has no negative entry
-        and sums to 1."""
+        the kernel's sum reads as about -4e-17 on x86-64 (the sign of such a
+        residue may differ elsewhere).  The row has no negative entry and sums
+        to 1."""
         pair = np.kron([1, 1], [np.cos(np.pi / 8), np.sin(np.pi / 8)]) * np.sqrt((1 + 1e-10) / 2)
         state = QuantumState(kinds=(model.POLARIZATION,), pairs=pair[None].astype(complex))
         probs = simlab.born_distribution(state, (1,), (2,))
-        assert probs.min() == 0.0 and abs(probs.sum() - 1.0) < 1e-15
+        assert probs.min() >= 0.0 and abs(probs.sum() - 1.0) < 1e-15
 
     def test_analytic_joint_correlation_is_half(self):
         """Product state: E_joint = (1/sqrt2) * (1/sqrt2) = 0.5 on the first
