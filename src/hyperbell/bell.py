@@ -3,14 +3,14 @@
 A Bell operator is kept as its factor kinds; sign table, term signs, matrix
 and spectral radius built on first read, and its arrays read-only (Van
 Loan, "The ubiquitous Kronecker product", J. Comput. Appl. Math. 123, 85-100
-(2000): keep the factors, form the product only when needed).  The builders
-return one shared operator per kinds tuple, so each table is built once per
-process.  The classical bounds read only the context sign table, the
-Kronecker product of the factors' 2x2 tables.  A term is its base-4
-digits, factor 0 first, each its pair's place in AB, Ab, aB, ab: its sign
-is read from that table (``term_signs``) and its labels from one table per
-factor-labels tuple (``term_labels``).  The canonical ideal states are
-shared and read-only in the same way; each scaling row is worked out once.
+(2000): keep the factors, form the product only when needed).  Every operator
+of the package comes from ``product_operator``, one shared operator per
+kinds tuple, so each table is built once per process.  The classical bounds
+read only the context sign table, the Kronecker product of the factors' 2x2
+tables.  A term is its base-4 digits, factor 0 first, each its pair's place
+in AB, Ab, aB, ab: its sign is read from that table (``term_signs``) and its
+labels from one table per factor-labels tuple (``term_labels``).  Each
+scaling row is worked out once.
 The two single-factor operators have the signs
 
     polarization:  -A B + A b + a B + a b
@@ -65,7 +65,7 @@ class BellOperator:
     @cached_property
     def factors(self) -> tuple:
         """The shared single-DOF operators, one per factor."""
-        return tuple(_shared((kind,)) for kind in self.kinds)
+        return tuple(product_operator((kind,)) for kind in self.kinds)
 
     @cached_property
     def signs(self) -> np.ndarray:
@@ -117,10 +117,13 @@ def _term_labels(labels: tuple) -> tuple:
     )
 
 
-@cache
-def _shared(kinds: tuple) -> BellOperator:
-    """The one shared operator of ``kinds``; at most 2 + 4 + 8 + 16 of them."""
-    return BellOperator(kinds=kinds)
+def product_operator(kinds: tuple) -> BellOperator:
+    """The one shared operator of ``kinds``, checked first
+    (``model.checked_kinds``): every module takes its operator from here."""
+    return _operator(model.checked_kinds(kinds))
+
+
+_operator = cache(BellOperator)  # keyed by checked kinds: at most 2 + 4 + 8 + 16 of them
 
 
 def build_beta_product(factors) -> BellOperator:
@@ -133,23 +136,18 @@ def build_beta_product(factors) -> BellOperator:
     factors = list(factors)
     if any(f.dof_count != 1 for f in factors):
         raise ValueError("factors must be single degree-of-freedom operators")
-    return _shared(tuple([f.kinds[0] for f in factors]))  # kinds checked by the operator
+    return product_operator(tuple([f.kinds[0] for f in factors]))
 
 
 def canonical_product(n_dof: int) -> BellOperator:
     """N-fold product operator of the factor kinds ``model.canonical_kinds``;
     shared, read-only."""
-    return _shared(model.canonical_kinds(model.checked_dof_count(n_dof)))
+    return product_operator(model.canonical_kinds(model.checked_dof_count(n_dof)))
 
 
 def ideal_state(n_dof: int) -> QuantumState:
     """``model.hyper_state(pi, 0, n_dof)``, the maximally violating state of
-    canonical_product(n_dof); shared, read-only, built once per n_dof."""
-    return _ideal_state(model.checked_dof_count(n_dof))
-
-
-@cache  # keyed by the checked int, so only 1..MAX_DOF are ever stored
-def _ideal_state(n_dof: int) -> QuantumState:
+    canonical_product(n_dof), its DOF count checked there."""
     return model.hyper_state(np.pi, 0.0, n_dof)
 
 
@@ -158,7 +156,7 @@ def _factor_embedding(kinds: tuple, f: int) -> np.ndarray:
     """The CHSH matrix of factor f of the product operator of ``kinds`` on
     the whole 4^N space, the identity on every other factor; read-only,
     built once per (kinds, f)."""
-    matrix = _shared(kinds).factors[f].matrix
+    matrix = product_operator(kinds).factors[f].matrix
     parts = (np.eye(4**f), matrix, np.eye(4 ** (len(kinds) - f - 1)))
     return qcore.read_only(qcore.tensor_all(*[m for m in parts if m.shape[0] > 1]))
 
@@ -207,7 +205,7 @@ def ideal_predictions(state: QuantumState) -> IdealPredictions:
     checked vector, since the factor tables were checked when built and are
     read-only."""
     model.check_state(state)
-    product = _shared(state.kinds)
+    product = product_operator(state.kinds)
     value = quantum_value(product, state)
     v = np.asarray(state.vector, dtype=complex)  # as qcore.expectation read it
     values = [_real(complex(np.vdot(v, _factor_embedding(state.kinds, f) @ v)))

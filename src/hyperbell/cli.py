@@ -403,15 +403,17 @@ def _joint_grid_lines(records: tuple, operator: bell.BellOperator) -> list:
     """The 4^N correlations, ``records`` in the operator's term order: a
     term's index has one base-4 digit per factor, factor 0 first, its pair's
     offset in AB, Ab, aB, ab.  Rows run over factors 0..N-2 in pair order
-    AB, aB, Ab, ab (digits 0, 2, 1, 3), columns over the last factor."""
+    AB, aB, Ab, ab (digits 0, 2, 1, 3), columns over the last factor; at
+    N = 1 one unlabelled row under factor 0's four pairs."""
     labels, n = operator.factor_labels, operator.dof_count
     row_pairs = product((0, 2, 1, 3), repeat=n - 1)  # each row's digits, the last factor's 0
     starts = [sum(d * 4 ** (n - 1 - f) for f, d in enumerate(pairs)) for pairs in row_pairs]
-    rows, cols = "-".join(operator.kinds[:-1]), operator.kinds[-1]
+    heads = bell.term_labels(labels[:-1]) if n > 1 else [()]  # N = 1: one unlabelled row
+    rows = f"rows: {'-'.join(operator.kinds[:-1])} pair, " if n > 1 else ""
     return _grid_lines(
-        f"Joint correlations (rows: {rows} pair, columns: {cols} pair)",
+        f"Joint correlations ({rows}columns: {operator.kinds[-1]} pair)",
         [" ".join(pair) for pair in bell.term_labels(labels[-1:])],
-        [" ".join(bell.term_labels(labels[:-1])[s // 4]) for s in starts],
+        [" ".join(heads[s // 4]) for s in starts],
         [[rec.E for rec in records[s : s + 4]] for s in starts],
     )
 
@@ -459,7 +461,8 @@ def _simulate_table(result: StudyResult) -> list:
     lines += [
         _violation_line("beta", sim.beta),
         "",
-        f"events per setting: {sim.n_events}   seed: {sim.seed}   generator: {sim.generator_id}",
+        f"events per setting: {result.config['events']}   seed: {result.config['seed']}"
+        f"   generator: {rng.GENERATOR_ID}",
         "",
         "Reference experimental values (significance recomputed):",
     ]

@@ -31,13 +31,13 @@ as an independent check, over an integer term table that holds each photon's
 context index of every term and signs that are products of the factors'
 ``term_signs``.  It is built apart from ``simlab``'s cell table, which holds
 the same terms, so that the check shares no construction with what it checks
-(a test compares the two).  The term table (per kinds tuple), the context
-slot table and the factorizable side table (per N) are built once, read-only,
-and the search and its replay run once per (kinds, class) per process; the
-guard comes on every call, and ``strategies_evaluated`` is the size of the
-exhaustive search the bound rests on.  Witness tokens are built from the
-factor labels with the label rule in ``model`` (a context token joins one
-observable token per factor), never from ``bell.term_labels``.
+(a test compares the two).  The search and its replay, with every table
+they read, run once per (kinds, class) per process, on the operator of
+``bell.product_operator``; the guard comes on every call, and
+``strategies_evaluated`` is the size of the exhaustive search the bound
+rests on.  Witness tokens are built from the factor labels with the label
+rule in ``model`` (a context token joins one observable token per factor),
+never from ``bell.term_labels``.
 
 The unrestricted search never builds all 2^n u assignments: each u is split
 into its first and last halves of slots, whose weight tables (2^(n/2) rows
@@ -54,8 +54,8 @@ from itertools import product
 
 import numpy as np
 
-from . import model, qcore, rng
-from .bell import BellOperator, check_operator
+from . import model, rng
+from .bell import BellOperator, check_operator, product_operator
 
 FACTORIZABLE = "factorizable"
 UNRESTRICTED = "unrestricted"
@@ -106,20 +106,17 @@ def _side_tokens(labels: tuple, strategy_class: str, photon: str) -> tuple:
     return tuple(model.side_label(context, labels) for context in contexts)
 
 
-@cache
 def _term_table(kinds: tuple) -> tuple:
     """``(u contexts, d contexts, signs)`` of the 4^N terms of the operator of
     ``kinds``, factor 0 slowest: each photon's context index of every term
     (factor 0 most significant, bit 1 = alternate name), and each sign the
-    product of the factor term signs (order AB, Ab, aB, ab).  Built once per
-    kinds tuple, read-only."""
+    product of the factor term signs (order AB, Ab, aB, ab)."""
     n = len(kinds)
     bits = _bits(np.arange(4**n), 2 * n)  # per factor: u bit, d bit
-    factor_signs = np.array([f.term_signs for f in BellOperator(kinds=kinds).factors])
+    factor_signs = np.array([f.term_signs for f in product_operator(kinds).factors])
     cells = 2 * bits[:, 0::2] + bits[:, 1::2]
     signs = factor_signs[np.arange(n), cells].prod(axis=1)
-    contexts = (_bits_index(bits[:, 0::2]), _bits_index(bits[:, 1::2]))
-    return tuple(qcore.read_only(a) for a in (*contexts, signs))
+    return _bits_index(bits[:, 0::2]), _bits_index(bits[:, 1::2]), signs
 
 
 def evaluate_strategy(bell: BellOperator, strategy: LhvStrategy) -> int:
@@ -179,19 +176,10 @@ def _assignment_values(n_slots: int) -> np.ndarray:
     return 1 - 2 * _bits(np.arange(2**n_slots, dtype=np.int64), n_slots)
 
 
-@cache
 def _context_slots(n: int) -> np.ndarray:
     """``[context, factor]``: the factorizable slot (factor, primary/alternate)
-    each of the 2^n contexts reads; built once per n, read-only."""
-    return qcore.read_only(2 * np.arange(n) + _bits(np.arange(2**n), n))
-
-
-@cache
-def _factorizable_context_values(n: int) -> np.ndarray:
-    """Per-context products of every factorizable side assignment at N = n,
-    as float64 for the BLAS search; built once per n, read-only."""
-    vals = _assignment_values(2 * n)  # slots: (factor, primary/alternate)
-    return qcore.read_only(vals[:, _context_slots(n)].prod(axis=2).astype(np.float64))
+    each of the 2^n contexts reads."""
+    return 2 * np.arange(n) + _bits(np.arange(2**n), n)
 
 
 def max_bound(bell: BellOperator, strategy_class: str) -> BoundResult:
@@ -235,7 +223,7 @@ def _search(kinds: tuple, strategy_class: str) -> tuple:
     value, so both signs are always attained.  Maximizing the signed value
     lets the witness replay to +bound exactly.
     """
-    bell = BellOperator(kinds=kinds)
+    bell = product_operator(kinds)
     search = _factorizable_search if strategy_class == FACTORIZABLE else _unrestricted_search
     bound, ui, di = search(bell.signs)
     replay = evaluate_strategy(bell, LhvStrategy(strategy_class, ui, di))
@@ -249,10 +237,12 @@ def _factorizable_search(t: np.ndarray) -> tuple:
     over factorizable side assignments and its smallest maximizer in
     (u index, d index) order (C-order argmax).
 
-    ``t`` is a square table of side 2^N with entries in {-1, 0, 1}; the
-    product runs in float64 BLAS and is exact (module docstring).
+    ``t`` is a square table of side 2^N with entries in {-1, 0, 1}; each
+    side assignment's per-context products meet it in one float64 BLAS
+    product, which is exact (module docstring).
     """
-    side = _factorizable_context_values(t.shape[0].bit_length() - 1)
+    n = t.shape[0].bit_length() - 1
+    side = _assignment_values(2 * n)[:, _context_slots(n)].prod(axis=2).astype(np.float64)
     values = side @ t.astype(np.float64) @ side.T
     ui, di = np.unravel_index(int(np.argmax(values)), values.shape)
     return int(values[ui, di]), int(ui), int(di)

@@ -44,7 +44,6 @@ import numpy as np
 from . import bell as bell_mod
 from . import model, qcore, rng
 from .model import MAX_DOF, QuantumState
-from .rng import GENERATOR_ID
 
 _I2 = np.eye(2, dtype=complex)
 _PAIRS = ((0, 2), (0, 3), (1, 2), (1, 3))  # AB, Ab, aB, ab: a term's base-4 digits index these
@@ -78,7 +77,7 @@ class _Layout:
     """
 
     def __init__(self, kinds: tuple):
-        self.operator = bell_mod.BellOperator(kinds)  # checks the kinds
+        self.operator = bell_mod.product_operator(kinds)  # checks the kinds
         self.kinds, self.labels = self.operator.kinds, self.operator.factor_labels
         n = len(kinds)
         self.n_run = 4**n + 4 * n  # a run's own cells; the assumption cells follow
@@ -368,8 +367,6 @@ class AssumptionRow:
 @dataclass(frozen=True)
 class AssumptionReport:
     factor_rows: tuple  # one tuple of rows per factor, factor 0 first
-    n_events: int
-    seed: int
 
     @property
     def rows(self) -> tuple:
@@ -413,12 +410,10 @@ def assumption_test(state: QuantumState, n_events: int, seed: int) -> Assumption
     """
     layout, n_events, seed = _checked_run(state, n_events, seed)
     records, exact = _sample_cells(state, layout, n_events, seed, slice(layout.n_run, None))
-    return _assumption_report(layout, records, exact, n_events, seed)
+    return _assumption_report(layout, records, exact)
 
 
-def _assumption_report(
-    layout: _Layout, records: list, exact: list, n_events: int, seed: int
-) -> AssumptionReport:
+def _assumption_report(layout: _Layout, records: list, exact: list) -> AssumptionReport:
     """The assumption test's rows from the records and exact correlations
     of its cells, in cell order: per factor, its 4 rows of 4^(N-1) cells,
     each measuring the row's pair on that factor; a row's analytic value is
@@ -438,7 +433,7 @@ def _assumption_report(
         for i in range(0, len(cells), size)
     ]
     factor_rows = tuple(tuple(rows[f : f + 4]) for f in range(0, len(rows), 4))
-    return AssumptionReport(factor_rows=factor_rows, n_events=n_events, seed=seed)
+    return AssumptionReport(factor_rows=factor_rows)
 
 
 @dataclass(frozen=True)
@@ -489,9 +484,6 @@ class SimulationResult:
     beta: ViolationReport
     chsh: tuple  # one CHSH ViolationReport per factor, factor 0 first
     assumptions: AssumptionReport
-    n_events: int
-    seed: int
-    generator_id: str
 
 
 def run_simulated_experiment(state: QuantumState, n_events: int, seed: int) -> SimulationResult:
@@ -504,7 +496,7 @@ def run_simulated_experiment(state: QuantumState, n_events: int, seed: int) -> S
     layout, n_events, seed = _checked_run(state, n_events, seed)
     n_terms, n_run = 4 ** len(layout.kinds), layout.n_run
     records, exact = _sample_cells(state, layout, n_events, seed)
-    assumptions = _assumption_report(layout, records[n_run:], exact[n_run:], n_events, seed)
+    assumptions = _assumption_report(layout, records[n_run:], exact[n_run:])
     chsh = tuple(
         violation_report(records[n_terms + 4 * f : n_terms + 4 * f + 4], op, 2.0, (label,))
         for f, (op, label) in enumerate(zip(layout.operator.factors, layout.labels))
@@ -514,7 +506,4 @@ def run_simulated_experiment(state: QuantumState, n_events: int, seed: int) -> S
         beta=violation_report(records[:n_terms], layout.operator, bound=2.0 ** len(chsh)),
         chsh=chsh,
         assumptions=assumptions,
-        n_events=n_events,
-        seed=seed,
-        generator_id=GENERATOR_ID,
     )

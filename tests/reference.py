@@ -72,6 +72,17 @@ def setting_labels(kinds, digits, factors=None):
                                   [labels[f] for f in factors]) for side in digits)
 
 
+def random_product_state(kinds, seed):
+    """A pure state on ``kinds`` whose pairs are random unit vectors.  A
+    ``model.pair_state`` pair is maximally entangled, so every one-photon
+    marginal of it is uniform, and a kernel that let one photon's setting
+    choose the other's observable would show no signaling on it; on these
+    pairs it does."""
+    pairs = np.random.default_rng(seed).normal(size=(len(kinds), 4, 2)) @ np.array([1, 1j])
+    pairs /= np.linalg.norm(pairs, axis=1, keepdims=True)
+    return model.QuantumState(kinds=kinds, pairs=pairs)
+
+
 def analytic_correlations(probs):
     """The joint correlation of a Born row of 4^N cells, u-major, then each
     factor's: the row times the product of the two photons' outcome signs,

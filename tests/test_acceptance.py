@@ -11,7 +11,7 @@ import numpy as np
 
 from hyperbell import bell, cli, lhv, model, qcore, simlab
 from hyperbell.model import NoiseModel
-from reference import analytic_correlations, canonical_settings
+from reference import analytic_correlations, canonical_settings, random_product_state
 
 SQRT2 = math.sqrt(2.0)
 
@@ -191,9 +191,13 @@ def test_criterion_6_assumption_context_independence():
 def test_criterion_7_property_suites():
     checks = {}
 
-    # No-signaling at 1e-10 on ideal and noisy states.
+    # No-signaling at 1e-10 on ideal and noisy states, and on random unit pairs,
+    # whose one-photon marginals are not uniform.
+    pures = [model.hyper_state(math.pi, 0.0)]
+    pures += [random_product_state(model.canonical_kinds(n), n) for n in (1, 2, 3)]
     dev = max(
-        simlab.signaling_deviation(model.apply_noise(model.hyper_state(math.pi, 0.0), n))
+        simlab.signaling_deviation(model.apply_noise(pure, n))
+        for pure in pures
         for n in (
             NoiseModel(model.NOISE_NONE),
             NoiseModel(model.NOISE_WHITE, 0.9, 0.8),

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hyperbell import bell, lhv, model, qcore
+from hyperbell import bell, cli, lhv, model, qcore, simlab
 from hyperbell.model import NoiseModel, QuantumState
 from reference import (
     CHSH,
@@ -165,29 +165,24 @@ class TestProductOperator:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_numpy_integer_dof_count_is_the_int(self, n):
         assert bell.canonical_product(np.int64(n)) is bell.canonical_product(n)
-        assert bell.ideal_state(np.int64(n)) is bell.ideal_state(n)
+        state = bell.ideal_state(np.int64(n))
+        assert state.kinds == model.canonical_kinds(n)
+        assert state.vector.tobytes() == bell.ideal_state(n).vector.tobytes()
         report = bell.scaling_report(np.int32(n))
         assert type(report.dof_count) is int and report == bell.scaling_report(n)
 
-    def test_ideal_state_cache_holds_only_checked_counts(self):
-        bell._ideal_state.cache_clear()
-        for n in (1, np.int64(1), np.uint8(1), 2, np.int64(2)):
-            bell.ideal_state(n)
-        for bad in (True, 1.0):
-            with pytest.raises(ValueError):
-                bell.ideal_state(bad)
-        assert bell._ideal_state.cache_info().currsize == 2
-
+    @pytest.mark.parametrize("build", [bell.BellOperator, bell.product_operator])
     @pytest.mark.parametrize("kinds", [
         ("spin",), (), (model.PATH,) * 5, [model.POLARIZATION],
         ([model.POLARIZATION],), (model.POLARIZATION, {}),
     ])
-    def test_operator_kinds_refused(self, kinds):
+    def test_operator_kinds_refused(self, build, kinds):
         """They failed on first read, with a KeyError or an empty reduce; a
         list failed as an unhashable key in ``lhv.max_bound``, and a list or
-        dict entry as an unhashable set member (``TypeError``)."""
+        dict entry as an unhashable set member (``TypeError``).  The builder
+        checks before its cache is read."""
         with pytest.raises(ValueError, match=re.escape(f"got {kinds!r}")):
-            bell.BellOperator(kinds=kinds)
+            build(kinds)
 
 
 def _context(digits) -> int:
@@ -324,7 +319,7 @@ class TestStructuredOperator:
     @pytest.mark.parametrize("n", range(1, bell.MAX_DOF + 1))
     def test_shared_tables_refuse_writes(self, n):
         state, op = bell.ideal_state(n), bell.canonical_product(n)
-        assert state is bell.ideal_state(n) and op is bell.canonical_product(n)
+        assert op is bell.canonical_product(n)
         for table in (state.pairs, state.vector, state.blocks, op.matrix, op.signs):
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0
@@ -347,6 +342,35 @@ class TestStructuredOperator:
         expected = reduce(np.kron, [_reference_chsh(kind, "").signs for kind in op.kinds])
         assert op.signs.dtype == np.int64 and op.signs.shape == expected.shape
         assert op.signs.tobytes() == expected.tobytes()
+
+
+class TestOneOperatorPerKinds:
+    def test_five_studies_build_each_kinds_operator_once(self, monkeypatch, capsys):
+        """With the per-kinds caches cleared, the five studies at N = 2 in one
+        process construct one operator per kinds tuple: (polarization, path)
+        and its two factors.  ``lhv``'s search and a run's layout each built
+        their own (polarization, path) operator, so its sign table was built
+        twice."""
+        built, post_init = [], bell.BellOperator.__post_init__
+        monkeypatch.setattr(bell.BellOperator, "__post_init__",
+                            lambda op: built.append(op.kinds) or post_init(op))
+        for cached in (bell._operator, bell._factor_embedding, bell._scaling_report,
+                       simlab._layout, lhv._search):
+            cached.cache_clear()
+        for argv in (["simulate", "--events", "2000"], ["assumptions", "--events", "2000"],
+                     ["ideal"], ["bounds"], ["scaling"]):
+            assert cli.main(argv + ["--dof", "2"]) == 0
+        capsys.readouterr()
+        kinds = model.canonical_kinds(2)
+        assert sorted(built) == sorted([kinds, kinds[:1], kinds[1:]])
+
+    @pytest.mark.parametrize("n", range(1, bell.MAX_DOF + 1))
+    def test_every_module_reads_the_builders_operator(self, n):
+        for kinds in product(model.KINDS, repeat=n):
+            op = bell.product_operator(kinds)
+            assert simlab._layout(kinds).operator is op
+            assert op.factors == tuple(bell.product_operator((kind,)) for kind in kinds)
+        assert bell.canonical_product(n) is bell.product_operator(model.canonical_kinds(n))
 
 
 class TestQuantumValue:

@@ -185,14 +185,18 @@ class TestSimulateStudy:
                 cells += 1
         assert cells == len(by_label) == 16
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_joint_grid_renders_any_dof_count(self, n):
-        # Rows: factors 0..N-2 (u tokens, then d tokens); columns: the last factor.
+        # Rows: factors 0..N-2 (u tokens, then d tokens); columns: the last factor.  At
+        # N = 1 one unlabelled row; term_labels(()) raised there.
         sim = simlab.run_simulated_experiment(bell.ideal_state(n), 50, 4)
         lines = cli._joint_grid_lines(sim.joint_records, bell.canonical_product(n))
         assert lines[0] == {
+            1: "Joint correlations (columns: polarization pair)",
             2: "Joint correlations (rows: polarization pair, columns: path pair)",
             3: "Joint correlations (rows: polarization-path pair, columns: polarization pair)",
+            4: "Joint correlations (rows: polarization-path-polarization pair,"
+               " columns: path pair)",
         }[n]
         by_label = {rec.label: rec.E for rec in sim.joint_records}
         header = lines[1].split()

@@ -268,11 +268,11 @@ class TestMaxBound:
         assert "256" in str(err.value)
 
     def test_factorizable_guard_refuses_before_building_side_table(self, monkeypatch):
-        def refuse(_bell):
+        def refuse(_t):
             raise AssertionError("side table built before the guard check")
 
         lhv._search.cache_clear()  # else the guard is tested against a cache hit
-        monkeypatch.setattr(lhv, "_factorizable_context_values", refuse)
+        monkeypatch.setattr(lhv, "_factorizable_search", refuse)
         monkeypatch.setattr(lhv, "MAX_STRATEGY_PAIRS", 10)
         with pytest.raises(lhv.EnumerationGuardError) as err:
             lhv.max_bound(bell.canonical_product(2), FACTORIZABLE)
@@ -344,17 +344,6 @@ class TestMaxBound:
         assert [type(x) for x in cached] == [int, int, int]
         assert lhv.max_bound(op, cls) == first
         assert lhv.evaluate_strategy(op, first.witness) == first.bound
-
-    @pytest.mark.parametrize("n", range(1, bell.MAX_DOF + 1))
-    def test_tables_built_once_read_only(self, n):
-        kinds = model.canonical_kinds(n)
-        assert lhv._term_table(kinds) is lhv._term_table(kinds)
-        assert lhv._factorizable_context_values(n) is lhv._factorizable_context_values(n)
-        assert lhv._context_slots(n) is lhv._context_slots(n)
-        per_n = (lhv._context_slots(n), lhv._factorizable_context_values(n))
-        for table in (*lhv._term_table(kinds), *per_n):
-            with pytest.raises(ValueError, match="read-only"):
-                table[0] = 0
 
     @pytest.mark.parametrize("n", range(1, bell.MAX_DOF + 1))
     @pytest.mark.parametrize("cls", [FACTORIZABLE, UNRESTRICTED])

@@ -1,8 +1,8 @@
 """Born distributions, sampling, estimators, and the experiment pipeline."""
 
+import dataclasses
 import functools
 import itertools
-import json
 import math
 import os
 import re
@@ -36,6 +36,7 @@ from reference import (
     factor_embedding,
     marginals,
     multinomial,
+    random_product_state,
     setting,
     setting_labels,
     splitmix64,
@@ -232,7 +233,8 @@ class TestOwnKinds:
     @pytest.mark.parametrize("kinds", NON_CANONICAL_KINDS, ids="-".join)
     def test_pass_rows_match_the_dense_oracle_on_the_kinds(self, kinds):
         """Every Born row of the pass within 1e-15 of the dense oracle's on
-        the same kinds, and no signaling across the product terms."""
+        the same kinds, and no signaling across the product terms, there and
+        on random unit pairs of the kinds."""
         n = len(kinds)
         pure = model.product_state(kinds, (0.7, -1.3, 2.2)[:n])
         noise = NoiseModel(model.NOISE_DEPHASING, 0.77, 0.94)
@@ -242,6 +244,8 @@ class TestOwnKinds:
             expected = dense_born(rho, tuple(cell[:n]), tuple(cell[n:-1]), kinds)
             np.testing.assert_allclose(row, expected, rtol=0, atol=1e-15)
         assert simlab.signaling_deviation(state) < 1e-10
+        assert simlab.signaling_deviation(
+            model.apply_noise(random_product_state(kinds, n), noise)) < 1e-10
 
     def test_run_reads_the_operator_of_the_kinds(self):
         """Path then polarization at (0, pi): the joint records carry the
@@ -327,16 +331,11 @@ class TestBornInvariantsProperty:
     def test_normalized_nonnegative_no_signaling(self, n, seed, kind, v_pi, v_k):
         """Over every assignment, in one stacked call: each row sums to 1
         within 1e-12 and has no negative entry, and each photon's marginal is
-        the same, within 1e-12, under every setting of the other photon.  The
-        pairs are random unit vectors: a pair of ``model.pair_state`` is
-        maximally entangled, so every one-photon marginal of it is uniform,
-        and a kernel that let one photon's setting choose the other's
-        observable would pass on it."""
+        the same, within 1e-12, under every setting of the other photon, on
+        random unit pairs (``reference.random_product_state``)."""
         if kind == model.NOISE_NONE:
             v_pi = v_k = 1.0
-        pairs = np.random.default_rng(seed).normal(size=(n, 4, 2)) @ np.array([1, 1j])
-        pairs /= np.linalg.norm(pairs, axis=1, keepdims=True)
-        pure = QuantumState(kinds=model.canonical_kinds(n), pairs=pairs)
+        pure = random_product_state(model.canonical_kinds(n), seed)
         state = model.apply_noise(pure, NoiseModel(kind, v_pi, v_k))
         rows = simlab.born_distribution(state, *_all_settings(n))
         assert np.abs(rows.sum(axis=1) - 1.0).max() < 1e-12 and rows.min() >= 0.0
@@ -347,7 +346,7 @@ class TestBornInvariantsProperty:
 
 class TestNoSignaling:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    @pytest.mark.parametrize("theta,phi", [(np.pi, 0.0), (0.7, -1.3)])
+    @pytest.mark.parametrize("theta,phi", [(np.pi, 0.0), (0.7, -1.3), (None, None)])
     @pytest.mark.parametrize(
         "noise",
         [NoiseModel(model.NOISE_NONE), NoiseModel(model.NOISE_WHITE, 0.87, 0.93),
@@ -357,8 +356,11 @@ class TestNoSignaling:
     def test_deviation_equals_per_setting_reference(self, n, theta, phi, noise):
         """The deviation read from a run pass's first 4^N Born rows equals the
         one built from a ``born_distribution`` call per canonical setting, and
-        is below 1e-10."""
-        state = model.apply_noise(model.hyper_state(theta, phi, n), noise)
+        is below 1e-10; theta None takes random unit pairs, whose one-photon
+        marginals are not uniform (``reference.random_product_state``)."""
+        pure = (random_product_state(model.canonical_kinds(n), n) if theta is None
+                else model.hyper_state(theta, phi, n))
+        state = model.apply_noise(pure, noise)
         groups = {}
         for setting in canonical_settings(n):
             margs = marginals(simlab.born_distribution(state, *setting))
@@ -1122,15 +1124,6 @@ class TestSeedAndCountRefusals:
         monkeypatch.setattr(simlab, "born_distribution", no_born)
         with pytest.raises(ValueError, match=match):
             run(model.hyper_state(0.3, 0.2, 4), n_events, seed)
-
-    @pytest.mark.parametrize("run", [simlab.run_simulated_experiment, simlab.assumption_test])
-    def test_library_run_stores_the_checked_ints(self, run):
-        """The numpy seed and count were stored as given, and json.dumps
-        refused both."""
-        result = run(model.hyper_state(0.3, 0.2), np.int64(100), np.uint64(3))
-        for report in (result, getattr(result, "assumptions", result)):
-            assert type(report.n_events) is int and type(report.seed) is int
-            assert json.dumps([report.n_events, report.seed]) == "[100, 3]"
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("dtype", [np.uint64, np.int64, np.uint32, np.int8])
@@ -1915,7 +1908,15 @@ class TestSimulatedExperiment:
         for rep in result.chsh:
             assert abs(abs(rep.beta_estimate) - 0.9 * 2 * SQRT2) < 5 * rep.beta_std_err
         assert abs(abs(result.beta.beta_estimate) - 8 * 0.81) < 5 * result.beta.beta_std_err
-        assert result.generator_id == rng.GENERATOR_ID
+
+    def test_results_do_not_restate_their_run(self):
+        """The event count and the seed are the caller's, checked, and the
+        generator is ``rng.GENERATOR_ID``: neither result keeps a copy."""
+        names = [field.name for field in dataclasses.fields(simlab.SimulationResult)]
+        assert names == ["joint_records", "beta", "chsh", "assumptions"]
+        assert [field.name for field in dataclasses.fields(simlab.AssumptionReport)] == [
+            "factor_rows"
+        ]
 
     def test_three_dof_white_run_scales_by_each_visibility(self):
         """The CHSH operators are traceless, so white noise scales the

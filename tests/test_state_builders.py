@@ -119,13 +119,18 @@ class TestLazyVectorAndBlocks:
         for block, pair in zip(state.blocks, state.pairs, strict=True):
             assert block.tobytes() == np.outer(pair, pair.conj()).tobytes()
 
-    def test_exact_studies_build_no_ideal_blocks(self, capsys):
-        """No exact study reads the blocks of a shared ideal state."""
-        bell._ideal_state.cache_clear()
+    def test_exact_studies_build_no_ideal_blocks(self, capsys, monkeypatch):
+        """No exact study reads the blocks of an ideal state: scaling builds
+        one per N, and only its vector."""
+        states, ideal_state = [], bell.ideal_state
+        monkeypatch.setattr(bell, "ideal_state",
+                            lambda n: states.append(ideal_state(n)) or states[-1])
+        bell._scaling_report.cache_clear()
         for argv in (["ideal"], ["bounds", "--dof", "4"], ["scaling", "--dof", "4"]):
             assert cli.main(argv + ["--format", "json"]) == 0
         capsys.readouterr()
-        assert "blocks" not in vars(bell.ideal_state(4))
+        assert [state.dof_count for state in states] == [1, 2, 3, 4]
+        assert all("blocks" not in vars(state) for state in states)
 
 
 class TestSharedIdealEmbeddings:
