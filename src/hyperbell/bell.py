@@ -8,9 +8,9 @@ of the package comes from ``product_operator``, one shared operator per
 kinds tuple, so each table is built once per process.  The classical bounds
 read only the context sign table, the Kronecker product of the factors' 2x2
 tables.  A term is its base-4 digits, factor 0 first, each its pair's place
-in AB, Ab, aB, ab: its sign is read from that table (``term_signs``) and its
-labels from one table per factor-labels tuple (``term_labels``).  Each
-scaling row is worked out once.
+in AB, Ab, aB, ab (``model.PAIRS``): its sign is read from that table
+(``term_signs``) and its labels from one table per factor-labels tuple
+(``term_labels``).  Each scaling row is worked out once.
 The two single-factor operators have the signs
 
     polarization:  -A B + A b + a B + a b
@@ -90,7 +90,7 @@ class BellOperator:
         table = model.OBSERVABLES[model.KINDS.index(self.kinds[0])]  # by name digit
         return qcore.read_only(sum(
             sign * qcore.tensor(table[u], table[d])
-            for sign, (u, d) in zip(self.term_signs, product((0, 1), (2, 3)))
+            for sign, (u, d) in zip(self.term_signs, model.PAIRS)
         ))
 
     @cached_property

@@ -19,9 +19,10 @@ equivalent Pauli combinations are asserted in tests, not assumed here.
 
 A state is a product of one pair per factor: its kinds, on which every
 study measures it, and its pair vectors (pure, ``product_state``) or 4x4
-pair blocks (noisy, ``apply_noise``).  Each noise channel maps and checks
-(``qcore.check_density_matrix``) one factor's block on its own, and no 4^N
-density matrix is built; the exact studies read a pure state's vector.
+pair blocks (noisy, ``apply_noise``), checked when it is made.  Each noise
+channel maps one factor's block on its own, the noisy state checks each
+block (``qcore.check_density_matrix``), and no 4^N density matrix is
+built; the exact studies read a pure state's vector.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ PHOTON_D = "d"
 PHOTONS = (PHOTON_U, PHOTON_D)
 
 NAMES = ("A", "a", "B", "b")  # a name's digit is its place here, 0..3
+PAIRS = ((0, 2), (0, 3), (1, 2), (1, 3))  # AB, Ab, aB, ab: a factor's (u, d) digits in term order
 U_SIDE_NAMES = NAMES[:2]
 D_SIDE_NAMES = NAMES[2:]
 
@@ -124,13 +126,32 @@ def side_label(names, labels) -> str:
 @dataclass(frozen=True, eq=False)  # ndarray fields: identity equality and hash
 class QuantumState:
     """A product state over N two-photon degrees of freedom (dim 4^N): its
-    factor kinds, factor 0 first, and either its read-only (N, 4) pair
-    vectors (a pure state, ``product_state``) or its (N, 4, 4) pair blocks
-    (a noisy one, ``apply_noise``).  A pure state builds its dense vector
-    and its blocks from its pairs on first read."""
+    factor kinds, factor 0 first (``checked_kinds``), and its read-only
+    (N, 4, 4) pair blocks, made from exactly one of its (N, 4) pair vectors
+    (a pure state, ``product_state``) or its blocks, each a checked density
+    matrix (a noisy one, ``apply_noise``).  A pure state builds its dense
+    vector from its pairs on first read."""
 
     kinds: tuple
-    pairs: np.ndarray | None = None  # a pure state's pair vectors; None once noisy
+    pairs: np.ndarray | None = None  # a pure state's pair vectors; None for a noisy one
+    blocks: np.ndarray | None = None
+
+    def __post_init__(self):
+        n, pure = len(checked_kinds(self.kinds)), self.blocks is None
+        if pure == (self.pairs is None):
+            raise ValueError("a state is made with exactly one of its pairs and its blocks")
+        given, shape = (self.pairs, (n, 4)) if pure else (self.blocks, (n, 4, 4))
+        got = given.shape if isinstance(given, np.ndarray) else type(given).__name__
+        if got != shape:
+            name = "pairs" if pure else "blocks"
+            raise ValueError(f"{name} of {n} kinds must be an array of shape {shape}, got {got}")
+        if pure:
+            blocks = self.pairs[:, :, None] * self.pairs[:, None, :].conj()
+        else:
+            blocks = self.blocks
+            for block in blocks:
+                qcore.check_density_matrix(block)
+        object.__setattr__(self, "blocks", qcore.read_only(blocks))
 
     @property
     def dof_count(self) -> int:
@@ -148,12 +169,6 @@ class QuantumState:
             return None
         # Finite and normalized, as each pair is, and a view of a fresh read-only array.
         return qcore.read_only(reduce(np.multiply.outer, self.pairs)).ravel()
-
-    @cached_property
-    def blocks(self) -> np.ndarray:
-        """Read-only (N, 4, 4) pair density matrices, factor 0 first: a pure
-        state's built from its pairs, a noisy state's set by ``apply_noise``."""
-        return qcore.read_only(self.pairs[:, :, None] * self.pairs[:, None, :].conj())
 
 
 def check_state(state) -> None:
@@ -190,8 +205,11 @@ def pair_state(kind: str, phase: float) -> np.ndarray:
 
 def product_state(kinds: tuple, phases: tuple) -> QuantumState:
     """Tensor product of ``pair_state(kinds[f], phases[f])``, factor 0 first:
-    one phase per kind (``checked_kinds``), each checked by ``pair_state``."""
-    kinds, phases = checked_kinds(kinds), tuple(phases)
+    a tuple or list of one phase per kind (``checked_kinds``), each checked
+    by ``pair_state``."""
+    kinds = checked_kinds(kinds)
+    if not isinstance(phases, (tuple, list)):
+        raise ValueError(f"phases must be a tuple or list of one phase per kind, got {phases!r}")
     if len(phases) != len(kinds):
         raise ValueError(
             f"phases must give one phase per kind: {len(kinds)} kinds, {len(phases)} phases"
@@ -272,8 +290,8 @@ class NoiseModel:
 def apply_noise(state: QuantumState, noise: NoiseModel) -> QuantumState:
     """Apply the noise channel to a pure state, block by block: each pair
     block through its 4x4 channel at v_pi if its kind is polarization, v_k
-    if path.  Each noisy block is checked (``qcore.check_density_matrix``)
-    and kept by the noisy state, which has no pairs."""
+    if path.  The noisy state is made with the noisy blocks, which it checks
+    (``QuantumState``), and has no pairs."""
     check_state(state)
     if not isinstance(noise, NoiseModel):
         raise ValueError(f"the noise must be a NoiseModel, got {type(noise).__name__}")
@@ -286,8 +304,4 @@ def apply_noise(state: QuantumState, noise: NoiseModel) -> QuantumState:
         blocks = v * blocks + (1.0 - v) * np.eye(4) / 4.0
     elif noise.kind == NOISE_DEPHASING:  # the coherences between a block's pair indices
         blocks = blocks * np.where(np.eye(4, dtype=bool), 1.0, v)
-    for block in blocks:
-        qcore.check_density_matrix(block)
-    noisy = QuantumState(kinds=state.kinds)
-    object.__setattr__(noisy, "blocks", qcore.read_only(blocks))  # fills the cached_property
-    return noisy
+    return QuantumState(kinds=state.kinds, blocks=blocks)

@@ -26,15 +26,15 @@ cell.  Each kinds tuple has one array pass (``_Layout.cells``), a run's own
 cells then the assumption cells (56 at N = 2), read by position over
 contiguous row ranges: one ``born_distribution`` call on their stacked
 settings (the one Born kernel), one sampler call with one seed per row, and
-one weight product.  A run reads the whole pass; ``assumption_test`` reads
-the assumption suffix and ``signaling_deviation`` the 4^N product terms,
-which come first.  ``sample`` and ``estimate`` are one-row calls; having no
-state, ``estimate`` reads the canonical kinds of its N.
+one weight product.  A run reads the whole pass and ``assumption_test`` its
+assumption suffix.  ``sample`` and ``estimate`` are one-row calls; having
+no state, ``estimate`` reads the canonical kinds of its N.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import product
@@ -43,10 +43,9 @@ import numpy as np
 
 from . import bell as bell_mod
 from . import model, qcore, rng
-from .model import MAX_DOF, QuantumState
+from .model import MAX_DOF, PAIRS, QuantumState
 
 _I2 = np.eye(2, dtype=complex)
-_PAIRS = ((0, 2), (0, 3), (1, 2), (1, 3))  # AB, Ab, aB, ab: a term's base-4 digits index these
 # The (u, d) name digits each kind predicts: the rows of the assumption test.
 _ASSUMPTION_ROWS = {
     model.POLARIZATION: ((0, 0), (1, 1), (2, 3), (3, 2)),  # AA, aa, Bb, bB
@@ -68,8 +67,8 @@ class _Layout:
     per cell in sub-stream order: photon u's name digit (A, a, B, b as 0..3)
     on each factor, then photon d's, then the cell's factor, -1 for the
     joint correlation.  A run's cells come from offset 0: the product terms
-    in term order, then factor by factor its 4 CHSH cells (the canonical
-    pairs, the other factors held at (A, B)).  Then the assumption cells:
+    in term order, then factor by factor its 4 CHSH cells (the pairs of
+    ``model.PAIRS``, the other factors held at (A, B)).  Then the assumption cells:
     factor by factor, each row of its kind under the 4^(N-1) contexts of the
     other factors (other factors in order, the first slowest).  At N = 2
     that is 0..15, 16..19, 20..23 and 24..55.  The other cell tables are
@@ -97,12 +96,12 @@ class _Layout:
     def cells(self) -> np.ndarray:
         """The one pass of these kinds: a run's own cells, then the assumption cells."""
         n = len(self.kinds)
-        pairs = np.array(list(product(_PAIRS, repeat=n - 1)), dtype=np.int64)
+        pairs = np.array(list(product(PAIRS, repeat=n - 1)), dtype=np.int64)
         contexts = pairs.reshape(4 ** (n - 1), n - 1, 2).transpose(0, 2, 1)
         # A block (factor, f, rows, contexts [photon, other factor]) is factor f at each pair
         # of rows, the slowest, under each context: the product terms are factor 0's under
         # every context, and a CHSH block's one context is the first, (A, B) on every factor.
-        blocks = [(-1, 0, _PAIRS, contexts)] + [(f, f, _PAIRS, contexts[:1]) for f in range(n)]
+        blocks = [(-1, 0, PAIRS, contexts)] + [(f, f, PAIRS, contexts[:1]) for f in range(n)]
         blocks += [(f, f, _ASSUMPTION_ROWS[kind], contexts) for f, kind in enumerate(self.kinds)]
         table = []
         for factor, f, rows, block in blocks:
@@ -207,26 +206,6 @@ def born_distribution(state: QuantumState, u, d) -> np.ndarray:
     return probs[0] if isinstance(u, tuple) else probs
 
 
-def signaling_deviation(state: QuantumState) -> float:
-    """Largest marginal shift of one side under the other side's setting.
-
-    Scans the settings of the Bell test on the state's kinds (the first
-    Born rows of a run's pass) grouped by each side's name digits; quantum
-    states keep this at floating-point rounding scale.
-    """
-    model.check_state(state)
-    n = state.dof_count
-    cells = _layout(state.kinds).cells[: 4**n]
-    # Each photon's name digits, and its marginals grouped by them.
-    names = cells[:, :n], cells[:, n:-1]
-    grids = born_distribution(state, *names).reshape(4**n, 2**n, -1)
-    sides = zip((grids.sum(axis=2), grids.sum(axis=1)), names)
-    return max(
-        float(np.ptp(m[(side == local).all(axis=1)], axis=0).max())
-        for m, side in sides for local in np.unique(side, axis=0)
-    )
-
-
 def sample(probs: np.ndarray, n_events: int, seed: int) -> np.ndarray:
     """Multinomial counts over the cells of a Born row; determined by
     (probs, n_events, seed)."""
@@ -305,19 +284,22 @@ def violation_report(
 ) -> ViolationReport:
     """Combine per-setting correlations into a Bell-operator estimate.
 
-    ``records`` must carry the operator's term labels (``bell.term_labels``)
-    in term order, one record per term.  By default the terms carry the
-    operator's factor labels; ``labels``, one string per factor, relabels
-    them with the ones the records carry instead: factor 2 of a three-DOF
-    run carries ``pi2`` where its CHSH operator alone says ``pi``.
+    ``records``, an iterable of ``CorrelationRecord``, must carry the
+    operator's term labels (``bell.term_labels``) in term order, one record
+    per term.  By default the terms carry the operator's factor labels;
+    ``labels``, one string per factor, relabels them with the ones the
+    records carry instead: factor 2 of a three-DOF run carries ``pi2``
+    where its CHSH operator alone says ``pi``.
     """
     bell_mod.check_operator(bell)
     labels = bell.factor_labels if labels is None else labels
     keys = list(bell_mod.term_labels(labels))
     if len(labels) != bell.dof_count:
         raise ValueError(f"labels must be a tuple of {bell.dof_count} strings, got {labels!r}")
-    records = list(records)
-    given = [rec.label for rec in records]
+    rows = list(records) if isinstance(records, Iterable) else None
+    if rows is None or not all(isinstance(rec, CorrelationRecord) for rec in rows):
+        raise ValueError(f"records must be an iterable of CorrelationRecords, got {records!r}")
+    records, given = rows, [rec.label for rec in rows]
     if given != keys:
         raise ValueError(f"record/term mismatch: expected {keys} in term order, got {given}")
     beta = sum(sign * rec.E for sign, rec in zip(bell.term_signs, records))

@@ -54,6 +54,13 @@ MUTANTS = (
     Mutant("vector-factor-order", "src/hyperbell/model.py",
            "reduce(np.multiply.outer, self.pairs)", "reduce(np.multiply.outer, self.pairs[::-1])",
            ("tests/test_state_builders.py", "tests/test_model.py")),
+    Mutant("state-shape-unchecked", "src/hyperbell/model.py",
+           "if got != shape:", "if not isinstance(given, np.ndarray):",
+           ("tests/test_model.py::TestQuantumState::test_malformed_state_refused_when_made",)),
+    Mutant("given-blocks-unchecked", "src/hyperbell/model.py",
+           "qcore.check_density_matrix(block)", "qcore.as_matrix(block)",
+           ("tests/test_model.py::TestQuantumState::test_malformed_state_refused_when_made",
+            "tests/test_model.py::TestApplyNoise::test_each_noisy_block_is_checked")),
     # Bell operators and bounds.
     Mutant("factor-table-sign", "src/hyperbell/bell.py",
            "model.POLARIZATION: ((-1, 1), (1, 1)),", "model.POLARIZATION: ((1, 1), (1, 1)),",
@@ -75,9 +82,9 @@ MUTANTS = (
     Mutant("witness-no-replay", "src/hyperbell/lhv.py",
            "return bound, ui, di", "return bound, ui, di ^ 1",
            ("tests/test_lhv.py::test_every_kinds_tuple_replays_its_witness",)),
-    # The cell table of the pass.
-    Mutant("permuted-chsh-pair", "src/hyperbell/simlab.py",
-           "_PAIRS = ((0, 2), (0, 3), (1, 2), (1, 3))", "_PAIRS = ((0, 3), (0, 2), (1, 2), (1, 3))",
+    # The pair order and the cell table of the pass.
+    Mutant("permuted-chsh-pair", "src/hyperbell/model.py",
+           "PAIRS = ((0, 2), (0, 3), (1, 2), (1, 3))", "PAIRS = ((0, 3), (0, 2), (1, 2), (1, 3))",
            ("tests/test_simlab.py::TestSimulatedExperiment",)),
     Mutant("permuted-assumption-row", "src/hyperbell/simlab.py",
            "model.POLARIZATION: ((0, 0), (1, 1), (2, 3), (3, 2)),",

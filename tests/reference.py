@@ -15,7 +15,11 @@ blocks (``dense_rho``), and an exact value is ``Tr[rho M]``
 (``exact_value``).  The noise channels act on the whole matrix
 (``dense_noise``), and a Born row is one photon's 2^N outcome projectors,
 contracted with that matrix in photon-local order and with the other
-photon's (``dense_born``)."""
+photon's (``dense_born``).
+
+The no-signalling deviation (``signaling_deviation``) is read from one
+``simlab.born_distribution`` call per term setting of ``term_settings``,
+built apart from the cell table of the run pass."""
 
 import functools
 import itertools
@@ -24,7 +28,7 @@ import tracemalloc
 
 import numpy as np
 
-from hyperbell import model
+from hyperbell import model, simlab
 
 SQRT2 = np.sqrt(2.0)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -98,6 +102,19 @@ def marginals(probs):
     """(u-side, d-side) outcome marginals of a Born row, each of length 2^N."""
     grid = probs.reshape(int(np.sqrt(len(probs))), -1)
     return grid.sum(axis=1), grid.sum(axis=0)
+
+
+def signaling_deviation(state):
+    """The largest shift of one photon's outcome marginals under the other
+    photon's setting: over the term settings of the state's kinds
+    (``term_settings``), one ``simlab.born_distribution`` call each, the
+    marginals grouped by each photon's name digits."""
+    groups = {}
+    for digits in term_settings(state.kinds):
+        margs = marginals(simlab.born_distribution(state, *digits))
+        for key, marg in zip(zip("ud", digits), margs):
+            groups.setdefault(key, []).append(marg)
+    return max(float(np.ptp(np.stack(m), axis=0).max()) for m in groups.values())
 
 
 # [kind index, name digit, outcome]: (I + M)/2 and (I - M)/2 of each observable.

@@ -11,7 +11,12 @@ import numpy as np
 
 from hyperbell import bell, cli, lhv, model, qcore, simlab
 from hyperbell.model import NoiseModel
-from reference import analytic_correlations, canonical_settings, random_product_state
+from reference import (
+    analytic_correlations,
+    canonical_settings,
+    random_product_state,
+    signaling_deviation,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -196,7 +201,7 @@ def test_criterion_7_property_suites():
     pures = [model.hyper_state(math.pi, 0.0)]
     pures += [random_product_state(model.canonical_kinds(n), n) for n in (1, 2, 3)]
     dev = max(
-        simlab.signaling_deviation(model.apply_noise(pure, n))
+        signaling_deviation(model.apply_noise(pure, n))
         for pure in pures
         for n in (
             NoiseModel(model.NOISE_NONE),

@@ -480,13 +480,15 @@ class TestIdealPredictions:
 
     @pytest.mark.parametrize("pairs,message", [
         (np.ones((2, 4), dtype=complex), "state vector is not normalized (norm 4.0)"),
-        (np.array([[1, 0, 0, 0]], dtype=complex), "dimension mismatch: operator 16, state 4"),
+        (np.array([[1, 0, 0, 0]], dtype=complex),
+         "pairs of 2 kinds must be an array of shape (2, 4), got (1, 4)"),
     ])
     def test_unchecked_pure_state_refused(self, pairs, message):
-        """A state built around ``product_state``'s checks is still refused."""
-        state = QuantumState(kinds=model.canonical_kinds(2), pairs=pairs)
+        """A state built around ``product_state``'s checks is still refused:
+        pairs that are no unit vectors by the exact value, one pair for two
+        kinds when the state is made."""
         with pytest.raises(ValueError, match=re.escape(message)):
-            bell.ideal_predictions(state)
+            bell.ideal_predictions(QuantumState(kinds=model.canonical_kinds(2), pairs=pairs))
 
     @pytest.mark.parametrize(
         "kinds", [k for k in ALL_PRODUCTS if len(k) < 4 and k != model.canonical_kinds(len(k))],

@@ -145,14 +145,50 @@ STATES = {
 }
 
 
+POL_PATH = (model.POLARIZATION, model.PATH)
+# A state made with malformed content, and the text its refusal holds.
+MALFORMED_STATES = {
+    "neither": (lambda: QuantumState(kinds=POL_PATH),
+                "a state is made with exactly one of its pairs and its blocks"),
+    "both": (lambda: QuantumState(kinds=POL_PATH, pairs=np.eye(2, 4), blocks=np.ones((2, 4, 4))),
+             "a state is made with exactly one of its pairs and its blocks"),
+    "list-kinds": (lambda: QuantumState(kinds=list(POL_PATH), pairs=np.eye(2, 4)),
+                   f"kinds must be 1 to 4 of {model.KINDS}, got {list(POL_PATH)!r}"),
+    "two-pairs-one-kind": (
+        lambda: QuantumState(kinds=POL_PATH[:1], pairs=model.hyper_state(0.0, 0.0).pairs),
+        "pairs of 1 kinds must be an array of shape (1, 4), got (2, 4)"),
+    "one-d-pairs": (lambda: QuantumState(kinds=POL_PATH[:1], pairs=np.eye(4)[0]),
+                    "pairs of 1 kinds must be an array of shape (1, 4), got (4,)"),
+    "list-pairs": (lambda: QuantumState(kinds=POL_PATH[:1], pairs=[[1, 0, 0, 0]]),
+                   "pairs of 1 kinds must be an array of shape (1, 4), got list"),
+    "pair-blocks": (lambda: QuantumState(kinds=POL_PATH, blocks=np.eye(2, 4)),
+                    "blocks of 2 kinds must be an array of shape (2, 4, 4), got (2, 4)"),
+    "block-no-density-matrix": (
+        lambda: QuantumState(kinds=POL_PATH[:1], blocks=np.diag([1.5, -0.5, 0.0, 0.0])[None]),
+        "density matrix has negative eigenvalue"),
+}
+
+
 class TestQuantumState:
     def test_a_state_is_its_kinds_and_pairs(self):
         """Its size is read from its kinds; a noisy state has no pairs and no
         vector, only its blocks."""
-        assert [field.name for field in dataclasses.fields(QuantumState)] == ["kinds", "pairs"]
+        fields = [field.name for field in dataclasses.fields(QuantumState)]
+        assert fields == ["kinds", "pairs", "blocks"]
         noisy = STATES["noisy-white"]()
         assert (noisy.dof_count, noisy.dim) == (3, 64)
         assert noisy.pairs is None and noisy.vector is None and noisy.blocks.shape == (3, 4, 4)
+
+    @pytest.mark.parametrize("build,message", MALFORMED_STATES.values(), ids=MALFORMED_STATES)
+    def test_malformed_state_refused_when_made(self, build, message):
+        """Each is refused as it is made.  Made unchecked, a state of neither
+        pairs nor blocks failed every sampled study with ``TypeError:
+        'NoneType' object is not subscriptable``, list kinds escaped
+        ``simlab`` as unhashable, a one-kind state of two pairs ran as its
+        first pair alone, bit for bit, and 1-D pairs raised ``IndexError``;
+        only ``apply_noise`` checked blocks."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
 
     @pytest.mark.parametrize("build", STATES.values(), ids=STATES)
     def test_no_writable_array_owns_a_states_memory(self, build):
@@ -477,6 +513,13 @@ class TestProductState:
         character (4 kinds for "path", a ``KeyError`` on 'p' for labels), and
         a list escaped as an unhashable cache key (``TypeError``)."""
         assert_refused_before_allocating(call, r"^kinds must be 1 to 4 of \('polarization', 'path'\), got ")
+
+    @pytest.mark.parametrize("phases", [None, 0.3], ids=["none", "number"])
+    def test_phases_that_are_no_tuple_or_list_refused(self, phases):
+        """Each escaped as ``TypeError: ... not iterable``."""
+        message = f"phases must be a tuple or list of one phase per kind, got {phases!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            model.product_state((model.POLARIZATION,), phases)
 
     def test_too_many_phases_refused(self):
         """The second phase was dropped and an N = 1 state built."""

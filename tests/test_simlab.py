@@ -34,11 +34,11 @@ from reference import (
     derive_seed,
     exact_value,
     factor_embedding,
-    marginals,
     multinomial,
     random_product_state,
     setting,
     setting_labels,
+    signaling_deviation,
     splitmix64,
     splitmix64_uniform,
     traced_peak,
@@ -243,9 +243,8 @@ class TestOwnKinds:
         for cell, row in zip(layout.cells.tolist(), _pass_born(layout, state), strict=True):
             expected = dense_born(rho, tuple(cell[:n]), tuple(cell[n:-1]), kinds)
             np.testing.assert_allclose(row, expected, rtol=0, atol=1e-15)
-        assert simlab.signaling_deviation(state) < 1e-10
-        assert simlab.signaling_deviation(
-            model.apply_noise(random_product_state(kinds, n), noise)) < 1e-10
+        assert signaling_deviation(state) < 1e-10
+        assert signaling_deviation(model.apply_noise(random_product_state(kinds, n), noise)) < 1e-10
 
     def test_run_reads_the_operator_of_the_kinds(self):
         """Path then polarization at (0, pi): the joint records carry the
@@ -353,33 +352,13 @@ class TestNoSignaling:
          NoiseModel(model.NOISE_DEPHASING, 0.9, 0.8)],
         ids=["none", "white", "dephasing"],
     )
-    def test_deviation_equals_per_setting_reference(self, n, theta, phi, noise):
-        """The deviation read from a run pass's first 4^N Born rows equals the
-        one built from a ``born_distribution`` call per canonical setting, and
+    def test_no_marginal_moves_with_the_other_photons_setting(self, n, theta, phi, noise):
+        """The deviation over the term settings (``reference.signaling_deviation``)
         is below 1e-10; theta None takes random unit pairs, whose one-photon
         marginals are not uniform (``reference.random_product_state``)."""
         pure = (random_product_state(model.canonical_kinds(n), n) if theta is None
                 else model.hyper_state(theta, phi, n))
-        state = model.apply_noise(pure, noise)
-        groups = {}
-        for setting in canonical_settings(n):
-            margs = marginals(simlab.born_distribution(state, *setting))
-            for key, marg in zip(zip("ud", setting), margs):
-                groups.setdefault(key, []).append(marg)
-        expected = max(float(np.ptp(np.stack(m), axis=0).max()) for m in groups.values())
-        assert simlab.signaling_deviation(state) == expected < 1e-10
-
-    def test_deviation_reads_only_the_product_rows(self, monkeypatch):
-        """At N = 4 the scan sends the 256 product-term rows through one
-        ``born_distribution`` call, not the 1,296 rows of the whole run pass."""
-        state = model.apply_noise(bell.ideal_state(4), WHITE_09)
-        expected = simlab.signaling_deviation(state)
-        rows, born = [], simlab.born_distribution
-        monkeypatch.setattr(
-            simlab, "born_distribution", lambda s, u, d: rows.append(len(u)) or born(s, u, d)
-        )
-        assert simlab.signaling_deviation(state) == expected
-        assert rows == [4**4]
+        assert signaling_deviation(model.apply_noise(pure, noise)) < 1e-10
 
 
 class TestSample:
@@ -1587,6 +1566,14 @@ class TestViolationReport:
         with self._refused(given):
             simlab.violation_report(records, bell.canonical_product(1), bound=2.0)
 
+    @pytest.mark.parametrize("records", [None, [1, 2, 3, 4]], ids=["none", "ints"])
+    def test_records_that_are_no_records_refused(self, records):
+        """None escaped as ``TypeError: 'NoneType' object is not iterable``,
+        ints as ``AttributeError`` on ``label``."""
+        message = f"records must be an iterable of CorrelationRecords, got {records!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            simlab.violation_report(records, bell.canonical_product(1), bound=2.0)
+
     def test_records_may_come_as_an_iterator(self):
         records = [simlab.CorrelationRecord(label, 0.5, 0.01, 100) for label in self.CHSH_LABELS]
         rep = simlab.violation_report(iter(records), bell.canonical_product(1), bound=2.0)
@@ -1949,7 +1936,6 @@ STATE_CALLS = {
     "ideal_predictions": bell.ideal_predictions,
     "apply_noise": lambda s: model.apply_noise(s, WHITE_09),
     "born_distribution": lambda s: simlab.born_distribution(s, *_all_a_and_b(2)),
-    "signaling_deviation": simlab.signaling_deviation,
     "assumption_test": lambda s: simlab.assumption_test(s, 100, 1),
     "run_simulated_experiment": lambda s: simlab.run_simulated_experiment(s, 100, 1),
 }

@@ -1,4 +1,4 @@
-"""State builders, the lazy vector and blocks and the shared ideal
+"""State builders, the lazy vector, the pair blocks and the shared ideal
 embeddings, each against the Kronecker construction it replaced."""
 
 import cmath
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperbell import bell, cli, model, qcore
+from hyperbell import bell, model, qcore
 from hyperbell.bell import IdealPredictions
 from hyperbell.model import NoiseModel
 from reference import SQRT2, factor_embedding
@@ -109,28 +109,14 @@ class TestLazyVectorAndBlocks:
         assert state.vector is vector and not vector.flags.writeable
 
     def test_noise_reads_the_state_blocks(self):
-        """Noise maps the pure state's blocks, built on first read from its
-        pair vectors; neither state builds a dense vector."""
+        """Noise maps the pure state's blocks, built from its pair vectors;
+        neither state builds a dense vector."""
         state = model.hyper_state(0.7, -1.3)
-        assert "blocks" not in vars(state)
         noisy = model.apply_noise(state, NoiseModel(model.NOISE_NONE))
         assert noisy.blocks is state.blocks
         assert "vector" not in vars(state) and "vector" not in vars(noisy)
         for block, pair in zip(state.blocks, state.pairs, strict=True):
             assert block.tobytes() == np.outer(pair, pair.conj()).tobytes()
-
-    def test_exact_studies_build_no_ideal_blocks(self, capsys, monkeypatch):
-        """No exact study reads the blocks of an ideal state: scaling builds
-        one per N, and only its vector."""
-        states, ideal_state = [], bell.ideal_state
-        monkeypatch.setattr(bell, "ideal_state",
-                            lambda n: states.append(ideal_state(n)) or states[-1])
-        bell._scaling_report.cache_clear()
-        for argv in (["ideal"], ["bounds", "--dof", "4"], ["scaling", "--dof", "4"]):
-            assert cli.main(argv + ["--format", "json"]) == 0
-        capsys.readouterr()
-        assert [state.dof_count for state in states] == [1, 2, 3, 4]
-        assert all("blocks" not in vars(state) for state in states)
 
 
 class TestSharedIdealEmbeddings:
