@@ -9,8 +9,8 @@ kinds tuple, so each table is built once per process.  The classical bounds
 read only the context sign table, the Kronecker product of the factors' 2x2
 tables.  A term is its base-4 digits, factor 0 first, each its pair's place
 in AB, Ab, aB, ab (``model.PAIRS``): its sign is read from that table
-(``term_signs``) and its labels from one table per factor-labels tuple
-(``term_labels``).  Each scaling row is worked out once.
+(``term_signs``); its labels are made only where they are printed, in
+``cli``.  Each scaling row is worked out once.
 The two single-factor operators have the signs
 
     polarization:  -A B + A b + a B + a b
@@ -24,8 +24,7 @@ the experimental configurations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache, reduce
-from itertools import product
+from functools import cache, cached_property, reduce
 
 import numpy as np
 
@@ -97,24 +96,6 @@ class BellOperator:
     def radius(self) -> float:
         """Largest |eigenvalue| of the matrix (``qcore.spectral_radius``)."""
         return qcore.spectral_radius(self.matrix)
-
-
-def term_labels(labels: tuple) -> tuple:
-    """Each term's (u label, d label) for the factor ``labels``, a tuple of 1 to
-    ``MAX_DOF`` strings checked first, in term order; built once per tuple."""
-    if not (isinstance(labels, tuple) and 1 <= len(labels) <= MAX_DOF
-            and all(isinstance(label, str) for label in labels)):
-        raise ValueError(f"labels must be a tuple of 1 to {MAX_DOF} strings, got {labels!r}")
-    return _term_labels(labels)
-
-
-@lru_cache(maxsize=64)  # labels come from callers: the run path reads about a dozen
-def _term_labels(labels: tuple) -> tuple:
-    pairs = product(product(model.U_SIDE_NAMES, model.D_SIDE_NAMES), repeat=len(labels))
-    return tuple(
-        (model.side_label([u for u, _ in p], labels), model.side_label([d for _, d in p], labels))
-        for p in pairs
-    )
 
 
 def product_operator(kinds: tuple) -> BellOperator:

@@ -25,6 +25,8 @@ scaling dof; simulate and assumptions all but class; every study reads
 format and out.  Any other key set by a flag or the config file is refused
 with the key named, except ``noise = none`` for ideal, which states what
 that study computes.  A CSV header is the key order of the study's row dicts.
+A record is its kinds and cell; every label printed of one is made here
+(``_labels``), from one token table per kinds tuple.
 The command line is read against the same two tables: one study name in
 any position, and per option ``--flag value`` or ``--flag=value`` with the
 flag spelt in full and the next token taken as the value whatever it looks
@@ -50,7 +52,7 @@ import math
 import sys
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import product
 from json.encoder import encode_basestring_ascii
 from types import MappingProxyType
@@ -332,7 +334,23 @@ def _run_scaling(config: RunConfig) -> StudyResult:
     return StudyResult(config, rows, reports)
 
 
-def _correlation_row(record: simlab.CorrelationRecord, setting_u: str, setting_d: str) -> dict:
+@cache  # keyed by a record's kinds: at most 2 + 4 + 8 + 16 tables
+def _tokens(kinds: tuple) -> tuple:
+    """The token table of ``kinds``: ``[factor][name digit]`` -> ``A_pi2``."""
+    labels = model.factor_labels(kinds)
+    return tuple(tuple(model.side_label((x,), (label,)) for x in model.NAMES) for label in labels)
+
+
+def _labels(record: simlab.CorrelationRecord, factors) -> tuple:
+    """A record's (u label, d label): each photon's tokens on ``factors``,
+    in the given order, joined by a space."""
+    tokens, cell, n = _tokens(record.kinds), record.cell, len(record.kinds)
+    return (" ".join([tokens[f][cell[f]] for f in factors]),
+            " ".join([tokens[f][cell[n + f]] for f in factors]))
+
+
+def _correlation_row(record: simlab.CorrelationRecord) -> dict:
+    setting_u, setting_d = _labels(record, range(len(record.kinds)))
     return {
         "setting_u": setting_u,
         "setting_d": setting_d,
@@ -345,7 +363,7 @@ def _correlation_row(record: simlab.CorrelationRecord, setting_u: str, setting_d
 def _run_simulate(config: RunConfig) -> StudyResult:
     state = _prepared_state(config)
     result = simlab.run_simulated_experiment(state, config["events"], config["seed"])
-    rows = [_correlation_row(rec, *rec.label) for rec in result.joint_records]
+    rows = [_correlation_row(rec) for rec in result.joint_records]
     return StudyResult(
         config, rows, result,
         beta=result.beta.beta_estimate,
@@ -357,10 +375,7 @@ def _run_simulate(config: RunConfig) -> StudyResult:
 
 def _run_assumptions(config: RunConfig) -> StudyResult:
     report = simlab.assumption_test(_prepared_state(config), config["events"], config["seed"])
-    rows = [  # a cell's record carries its own factor's labels; a row names the whole setting
-        _correlation_row(cell.record, *cell.labels)
-        for row in report.rows for cell in row.cells
-    ]
+    rows = [_correlation_row(cell) for row in report.rows for cell in row.cells]
     return StudyResult(config, rows, report)
 
 
@@ -375,23 +390,25 @@ def _grid_lines(title, col_labels, row_labels, values) -> list:
     width = max([len(lab) for lab in col_labels] + [10]) + 2
     left = max(len(r) for r in row_labels) + 2
     lines = [title, " " * left + "".join(lab.rjust(width) for lab in col_labels)]
-    for row_label, row in zip(row_labels, values):
-        lines.append(row_label.ljust(left) + "".join(_f(v).rjust(width) for v in row))
+    for head, row in zip(row_labels, values):
+        lines.append(head.ljust(left) + "".join(_f(v).rjust(width) for v in row))
     return lines
 
 
 def _assumption_lines(report: simlab.AssumptionReport) -> list:
+    """Per factor, rows headed by their pair on it, columns by the other factors' tokens."""
     lines = []
     for f, rows in enumerate(report.factor_rows):
-        contexts = " and ".join(r[0].dof for g, r in enumerate(report.factor_rows) if g != f)
+        others = [g for g in range(len(report.factor_rows)) if g != f]
+        contexts = " and ".join(report.factor_rows[g][0].dof for g in others)
         lines += _grid_lines(
             f"Assumption check: {rows[0].dof} correlations under {contexts} contexts"
             " (sampled E per cell)",
-            [cell.context_label for cell in rows[0].cells]
+            [" ".join(_labels(cell, others)) for cell in rows[0].cells]
             + ["mean", "spread", "predictability", "analytic"],
-            [row.row_label for row in rows],
+            [" ".join(_labels(row.cells[0], (f,))) for row in rows],
             # An analytic zero prints unsigned: its sign is residue of the summation order.
-            [[cell.record.E for cell in row.cells]
+            [[cell.E for cell in row.cells]
              + [row.mean_E, row.spread, row.predictability, round(row.analytic_E, 6) or 0.0]
              for row in rows],
         )
@@ -404,16 +421,16 @@ def _joint_grid_lines(records: tuple, operator: bell.BellOperator) -> list:
     term's index has one base-4 digit per factor, factor 0 first, its pair's
     offset in AB, Ab, aB, ab.  Rows run over factors 0..N-2 in pair order
     AB, aB, Ab, ab (digits 0, 2, 1, 3), columns over the last factor; at
-    N = 1 one unlabelled row under factor 0's four pairs."""
-    labels, n = operator.factor_labels, operator.dof_count
+    N = 1 one unlabelled row under factor 0's four pairs.  Heads are the
+    tokens of a row's first record, a column's on the last factor alone."""
+    n = operator.dof_count
     row_pairs = product((0, 2, 1, 3), repeat=n - 1)  # each row's digits, the last factor's 0
     starts = [sum(d * 4 ** (n - 1 - f) for f, d in enumerate(pairs)) for pairs in row_pairs]
-    heads = bell.term_labels(labels[:-1]) if n > 1 else [()]  # N = 1: one unlabelled row
     rows = f"rows: {'-'.join(operator.kinds[:-1])} pair, " if n > 1 else ""
     return _grid_lines(
         f"Joint correlations ({rows}columns: {operator.kinds[-1]} pair)",
-        [" ".join(pair) for pair in bell.term_labels(labels[-1:])],
-        [" ".join(heads[s // 4]) for s in starts],
+        [" ".join(_labels(rec, (n - 1,))) for rec in records[:4]],
+        [" ".join(_labels(records[s], range(n - 1))) if n > 1 else "" for s in starts],
         [[rec.E for rec in records[s : s + 4]] for s in starts],
     )
 

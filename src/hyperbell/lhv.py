@@ -37,7 +37,7 @@ they read, run once per (kinds, class) per process, on the operator of
 ``strategies_evaluated`` is the size of the exhaustive search the bound
 rests on.  Witness tokens are built from the factor labels with the label
 rule in ``model`` (a context token joins one observable token per factor),
-never from ``bell.term_labels``.
+apart from the token table with which ``cli`` prints records.
 
 The unrestricted search never builds all 2^n u assignments: each u is split
 into its first and last halves of slots, whose weight tables (2^(n/2) rows

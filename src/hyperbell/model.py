@@ -129,8 +129,10 @@ class QuantumState:
     factor kinds, factor 0 first (``checked_kinds``), and its read-only
     (N, 4, 4) pair blocks, made from exactly one of its (N, 4) pair vectors
     (a pure state, ``product_state``) or its blocks, each a checked density
-    matrix (a noisy one, ``apply_noise``).  A pure state builds its dense
-    vector from its pairs on first read."""
+    matrix (a noisy one, ``apply_noise``).  It keeps read-only complex
+    copies of the arrays it is given, so a later write to the caller's array
+    reaches neither.  A pure state builds its dense vector from its pairs on
+    first read."""
 
     kinds: tuple
     pairs: np.ndarray | None = None  # a pure state's pair vectors; None for a noisy one
@@ -140,18 +142,22 @@ class QuantumState:
         n, pure = len(checked_kinds(self.kinds)), self.blocks is None
         if pure == (self.pairs is None):
             raise ValueError("a state is made with exactly one of its pairs and its blocks")
+        name = "pairs" if pure else "blocks"
         given, shape = (self.pairs, (n, 4)) if pure else (self.blocks, (n, 4, 4))
         got = given.shape if isinstance(given, np.ndarray) else type(given).__name__
         if got != shape:
-            name = "pairs" if pure else "blocks"
             raise ValueError(f"{name} of {n} kinds must be an array of shape {shape}, got {got}")
+        if given.dtype.kind not in "biufc":
+            raise ValueError(f"{name} must be an array of numbers, got dtype {given.dtype}")
+        given = qcore.read_only(given.astype(complex))  # a copy: the caller keeps its array
         if pure:
-            blocks = self.pairs[:, :, None] * self.pairs[:, None, :].conj()
+            blocks = qcore.read_only(given[:, :, None] * given[:, None, :].conj())
         else:
-            blocks = self.blocks
+            blocks = given
             for block in blocks:
                 qcore.check_density_matrix(block)
-        object.__setattr__(self, "blocks", qcore.read_only(blocks))
+        for field, value in (("pairs", given if pure else None), ("blocks", blocks)):
+            object.__setattr__(self, field, value)
 
     @property
     def dof_count(self) -> int:

@@ -18,17 +18,20 @@ replaced; ``_Layout`` builds each table of a kinds tuple once.
 
 A sampled cell is a setting and a factor, kept as one integer row of name
 digits (``_Layout.cells``): the joint correlation of the setting, or the
-correlation of that one degree of freedom.  Sampling is multinomial on the
-Born distribution, driven by the seeded generator in ``rng`` (identity
-``rng.GENERATOR_ID``); cell i of a sampled range draws from the sub-stream
-i of the seed (``rng.derive_seeds``), so runs are reproducible cell by
-cell.  Each kinds tuple has one array pass (``_Layout.cells``), a run's own
-cells then the assumption cells (56 at N = 2), read by position over
-contiguous row ranges: one ``born_distribution`` call on their stacked
-settings (the one Born kernel), one sampler call with one seed per row, and
-one weight product.  A run reads the whole pass and ``assumption_test`` its
-assumption suffix.  ``sample`` and ``estimate`` are one-row calls; having
-no state, ``estimate`` reads the canonical kinds of its N.
+correlation of that one degree of freedom.  A record is its kinds, its cell
+and its numbers; no label is made here, only where ``cli`` prints one, and
+``violation_report`` matches records to terms as digits on kinds.  Sampling
+is multinomial on the Born distribution, driven by the seeded generator in
+``rng`` (identity ``rng.GENERATOR_ID``); cell i of a sampled range draws
+from the sub-stream i of the seed (``rng.derive_seeds``), so runs are
+reproducible cell by cell.  Each kinds tuple has one array pass
+(``_Layout.cells``), a run's own cells then the assumption cells (56 at
+N = 2), read by position over contiguous row ranges: one
+``born_distribution`` call on their stacked settings (the one Born kernel),
+one sampler call with one seed per row, and one weight product.  A run
+reads the whole pass and ``assumption_test`` its assumption suffix.
+``sample`` and ``estimate`` are one-row calls; having no state,
+``estimate`` reads the canonical kinds of its N.
 """
 
 from __future__ import annotations
@@ -46,6 +49,8 @@ from . import model, qcore, rng
 from .model import MAX_DOF, PAIRS, QuantumState
 
 _I2 = np.eye(2, dtype=complex)
+# Per N, each term's (u digits, d digits) in term order: built apart from the cell table.
+_TERMS = {n: [tuple(zip(*p)) for p in product(PAIRS, repeat=n)] for n in range(1, MAX_DOF + 1)}
 # The (u, d) name digits each kind predicts: the rows of the assumption test.
 _ASSUMPTION_ROWS = {
     model.POLARIZATION: ((0, 0), (1, 1), (2, 3), (3, 2)),  # AA, aa, Bb, bB
@@ -71,18 +76,15 @@ class _Layout:
     ``model.PAIRS``, the other factors held at (A, B)).  Then the assumption cells:
     factor by factor, each row of its kind under the 4^(N-1) contexts of the
     other factors (other factors in order, the first slowest).  At N = 2
-    that is 0..15, 16..19, 20..23 and 24..55.  The other cell tables are
-    read from it by position.
+    that is 0..15, 16..19, 20..23 and 24..55.  A record carries its row of
+    this table, and the weight rows are read from it by position.
     """
 
     def __init__(self, kinds: tuple):
         self.operator = bell_mod.product_operator(kinds)  # checks the kinds
-        self.kinds, self.labels = self.operator.kinds, self.operator.factor_labels
+        self.kinds = self.operator.kinds
         n = len(kinds)
         self.n_run = 4**n + 4 * n  # a run's own cells; the assumption cells follow
-        # [factor, name digit]: the token (A_pi2), for ``_per_cell`` and ``estimate``.
-        tokens = [[model.side_label(x, (label,)) for x in model.NAMES] for label in self.labels]
-        self.tokens = qcore.read_only(np.array(tokens))
         # [factor, name digit, outcome]: the outcome projectors of the factor's kind.
         self.projectors = qcore.read_only(_OUTCOME_PROJECTORS[list(map(model.KINDS.index, kinds))])
         # Row f + 1: the product of the two photons' signs on factor f, over
@@ -109,33 +111,6 @@ class _Layout:
             names = np.insert(block, f, np.array(rows)[:, None], axis=3).reshape(-1, 2 * n)
             table.append(np.column_stack([names, np.full(len(names), factor)]))
         return qcore.read_only(np.vstack(table))
-
-    @cached_property
-    def record_labels(self) -> tuple:
-        """Each cell's record label: the two photon labels for the joint
-        correlation, the two tokens on factor f alone for factor f."""
-        n, labels = len(self.kinds), []
-        for t, f in self._per_cell():
-            labels.append((" ".join(t[:n]), " ".join(t[n:])) if f < 0 else (t[f], t[n + f]))
-        return tuple(labels)
-
-    @cached_property
-    def assumption_labels(self) -> tuple:
-        """Per assumption cell, its whole setting's two photon labels and its
-        context label: the two photons' tokens on every factor but its own."""
-        n, cells = len(self.kinds), []
-        for t, f in self._per_cell(slice(self.n_run, None)):
-            labels = (" ".join(t[:n]), " ".join(t[n:]))
-            del t[n + f], t[f]
-            cells.append((labels, f"{' '.join(t[: n - 1])} {' '.join(t[n - 1 :])}"))
-        return tuple(cells)
-
-    def _per_cell(self, rows=slice(None)) -> zip:
-        """Per cell of ``rows``: a new list of the tokens of photon u's name
-        digits, then of photon d's, and its factor."""
-        cells = self.cells[rows]
-        entries = self.tokens[np.arange(cells.shape[1] - 1) % len(self.kinds), cells[:, :-1]]
-        return zip(entries.tolist(), cells[:, -1].tolist())
 
 
 _layout = cache(_Layout)
@@ -214,7 +189,10 @@ def sample(probs: np.ndarray, n_events: int, seed: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CorrelationRecord:
-    label: tuple  # (u setting label, d setting label)
+    """An estimate and what it measures: kinds, and its row of the cell table as ints."""
+
+    kinds: tuple
+    cell: tuple
     E: float
     std_err: float
     n_events: int
@@ -225,41 +203,40 @@ def estimate(counts, u: tuple, d: tuple, factor: int | None = None) -> Correlati
     of one setting of name digits ``u`` and ``d`` (``_checked_setting``) on
     the canonical kinds of its N.
 
-    ``factor=None`` gives the joint correlation, labelled by the two photon
-    labels; factor f gives that degree of freedom's correlation, labelled by
-    the two photons' tokens on factor f alone with its numbered label
-    (``a_pi2``).  Counts must have an integer dtype: floats, whole or not,
-    are refused rather than truncated, and they must total below 2^53."""
+    ``factor=None`` gives the joint correlation, factor f that degree of
+    freedom's; the record's cell is ``(*u, *d, factor)``, -1 for the joint
+    one, as in the cell table.  Counts must have an integer dtype: floats,
+    whole or not, are refused rather than truncated, and they must total
+    below 2^53."""
     u, d = _checked_setting(u, d)
     if len(u) != 1:
         raise ValueError(f"estimate takes one setting, got {len(u)}")
     layout = _layout(model.canonical_kinds(u.shape[1]))
-    if factor is not None:
-        factor = rng.checked_int("factor", factor, 0, len(layout.kinds) - 1)
-    weights = layout.weight_rows[0 if factor is None else factor + 1]
+    factor = -1 if factor is None else rng.checked_int("factor", factor, 0, len(layout.kinds) - 1)
+    weights = layout.weight_rows[factor + 1]
     c = np.asarray(counts)
     if c.shape != weights.shape or c.dtype.kind not in "iu" or np.any(c < 0):
         raise ValueError(f"counts must be {weights.size} nonnegative integers")
     if sum(c.tolist()) >= 1 << 53:  # summed in Python ints: an int64 sum can wrap
         raise ValueError("counts must total below 2^53, where estimates are exact")
-    factors = list(range(len(layout.kinds))) if factor is None else [factor]
-    label = tuple(" ".join(layout.tokens[factors, xs[0, factors]].tolist()) for xs in (u, d))
-    return _records(c.astype(np.int64, copy=False)[None], weights[None], (label,))[0]
+    cell = (*u[0].tolist(), *d[0].tolist(), factor)
+    return _records(c.astype(np.int64, copy=False)[None], weights[None], layout.kinds, [cell])[0]
 
 
-def _records(counts: np.ndarray, weights: np.ndarray, labels: tuple) -> list:
-    """One ``CorrelationRecord`` per row of counts: E is the row's weighted
-    sum over its event count n, std_err = sqrt((1 - E^2)/n).  The weighted
-    sums are integers below 2^53, so no summation order can change them."""
+def _records(counts: np.ndarray, weights: np.ndarray, kinds: tuple, cells: list) -> list:
+    """One ``CorrelationRecord`` per row of counts, on ``kinds`` and its cell
+    of ``cells``: E is the row's weighted sum over its event count n,
+    std_err = sqrt((1 - E^2)/n).  The weighted sums are integers below 2^53,
+    so no summation order can change them."""
     n = counts.sum(axis=1)
     if n.min() < 2:
         raise ValueError(f"need at least 2 events to estimate, got {int(n.min())}")
     records = []
     totals = (weights * counts).sum(axis=1).tolist()
-    for label, total, n_events in zip(labels, totals, n.tolist()):
+    for cell, total, n_events in zip(cells, totals, n.tolist()):
         e = total / n_events
         std_err = math.sqrt(max(0.0, 1.0 - e * e) / n_events)
-        records.append(CorrelationRecord(label, e, std_err, n_events))
+        records.append(CorrelationRecord(kinds, tuple(cell), e, std_err, n_events))
     return records
 
 
@@ -271,6 +248,14 @@ def significance(value: float, std_err: float, bound: float) -> float:
     return excess / std_err
 
 
+def _measured(record: CorrelationRecord) -> tuple:
+    """A record's kinds and photon digits: on every factor if joint, else on its factor alone."""
+    n, f = len(record.kinds), record.cell[-1]
+    if f < 0:
+        return record.kinds, record.cell[:n], record.cell[n:-1]
+    return (record.kinds[f],), (record.cell[f],), (record.cell[n + f],)
+
+
 @dataclass(frozen=True)
 class ViolationReport:
     beta_estimate: float  # signed
@@ -279,27 +264,23 @@ class ViolationReport:
     sigmas: float
 
 
-def violation_report(
-    records, bell: bell_mod.BellOperator, bound: float, labels: tuple | None = None
-) -> ViolationReport:
+def violation_report(records, bell: bell_mod.BellOperator, bound: float) -> ViolationReport:
     """Combine per-setting correlations into a Bell-operator estimate.
 
-    ``records``, an iterable of ``CorrelationRecord``, must carry the
-    operator's term labels (``bell.term_labels``) in term order, one record
-    per term.  By default the terms carry the operator's factor labels;
-    ``labels``, one string per factor, relabels them with the ones the
-    records carry instead: factor 2 of a three-DOF run carries ``pi2``
-    where its CHSH operator alone says ``pi``.
+    ``records``, an iterable of ``CorrelationRecord``, must measure the
+    operator's terms in term order, one record per term, compared as kinds
+    and name digits: a joint record measures ``(kinds, u digits, d
+    digits)``, a record of factor f that factor alone, and a term is the
+    operator's kinds and one pair of ``model.PAIRS`` per factor.  So a
+    factor of a three-DOF run, numbered ``pi2`` where it is printed, is the
+    term of its CHSH operator alone, and records of other kinds are refused.
     """
     bell_mod.check_operator(bell)
-    labels = bell.factor_labels if labels is None else labels
-    keys = list(bell_mod.term_labels(labels))
-    if len(labels) != bell.dof_count:
-        raise ValueError(f"labels must be a tuple of {bell.dof_count} strings, got {labels!r}")
     rows = list(records) if isinstance(records, Iterable) else None
     if rows is None or not all(isinstance(rec, CorrelationRecord) for rec in rows):
         raise ValueError(f"records must be an iterable of CorrelationRecords, got {records!r}")
-    records, given = rows, [rec.label for rec in rows]
+    keys = [(bell.kinds, *term) for term in _TERMS[bell.dof_count]]
+    records, given = rows, [_measured(rec) for rec in rows]
     if given != keys:
         raise ValueError(f"record/term mismatch: expected {keys} in term order, got {given}")
     beta = sum(sign * rec.E for sign, rec in zip(bell.term_signs, records))
@@ -314,30 +295,18 @@ def violation_report(
 
 
 @dataclass(frozen=True)
-class AssumptionCell:
-    """A sampled cell of an assumption row: its whole setting's (u label,
-    d label), its context (the tokens on the other factors) and the record
-    of its own factor's correlation."""
-
-    labels: tuple
-    context_label: str
-    record: CorrelationRecord
-
-
-@dataclass(frozen=True)
 class AssumptionRow:
     dof: str  # which degree of freedom is being predicted
-    row_label: str
-    cells: tuple
+    cells: tuple  # its records, one per context
     analytic_E: float
 
     @property
     def mean_E(self) -> float:
-        return sum(c.record.E for c in self.cells) / len(self.cells)
+        return sum(c.E for c in self.cells) / len(self.cells)
 
     @property
     def spread(self) -> float:
-        es = [c.record.E for c in self.cells]
+        es = [c.E for c in self.cells]
         return max(es) - min(es)
 
     @property
@@ -372,11 +341,12 @@ def _sample_cells(
     its Born rows, one sampler call on which its cell i reads sub-stream i
     of ``seed``, one weight product.  The callers check the ints first
     (``_checked_run``), so no refusal comes after Born."""
-    labels, cells, n = layout.record_labels[rows], layout.cells[rows], len(layout.kinds)
+    cells, n = layout.cells[rows], len(layout.kinds)
     probs = born_distribution(state, cells[:, :n], cells[:, n:-1])
-    counts = rng.multinomial(probs, n_events, rng.derive_seeds(seed, 0, len(labels)))
+    counts = rng.multinomial(probs, n_events, rng.derive_seeds(seed, 0, len(cells)))
     weights = layout.weight_rows[cells[:, -1] + 1]
-    return _records(counts, weights, labels), np.einsum("ij,ij->i", probs, weights).tolist()
+    records = _records(counts, weights, layout.kinds, cells.tolist())
+    return records, np.einsum("ij,ij->i", probs, weights).tolist()
 
 
 def assumption_test(state: QuantumState, n_events: int, seed: int) -> AssumptionReport:
@@ -400,19 +370,14 @@ def _assumption_report(layout: _Layout, records: list, exact: list) -> Assumptio
     of its cells, in cell order: per factor, its 4 rows of 4^(N-1) cells,
     each measuring the row's pair on that factor; a row's analytic value is
     its first cell's exact correlation."""
-    cells = [
-        AssumptionCell(labels=labels, context_label=context, record=record)
-        for (labels, context), record in zip(layout.assumption_labels, records)
-    ]
     size = 4 ** (len(layout.kinds) - 1)
     rows = [
         AssumptionRow(
             dof=layout.kinds[i // (4 * size)],
-            row_label=" ".join(cells[i].record.label),
-            cells=tuple(cells[i : i + size]),
+            cells=tuple(records[i : i + size]),
             analytic_E=exact[i],
         )
-        for i in range(0, len(cells), size)
+        for i in range(0, len(records), size)
     ]
     factor_rows = tuple(tuple(rows[f : f + 4]) for f in range(0, len(rows), 4))
     return AssumptionReport(factor_rows=factor_rows)
@@ -480,8 +445,8 @@ def run_simulated_experiment(state: QuantumState, n_events: int, seed: int) -> S
     records, exact = _sample_cells(state, layout, n_events, seed)
     assumptions = _assumption_report(layout, records[n_run:], exact[n_run:])
     chsh = tuple(
-        violation_report(records[n_terms + 4 * f : n_terms + 4 * f + 4], op, 2.0, (label,))
-        for f, (op, label) in enumerate(zip(layout.operator.factors, layout.labels))
+        violation_report(records[n_terms + 4 * f : n_terms + 4 * f + 4], op, 2.0)
+        for f, op in enumerate(layout.operator.factors)
     )
     return SimulationResult(
         joint_records=tuple(records[:n_terms]),

@@ -61,6 +61,10 @@ MUTANTS = (
            "qcore.check_density_matrix(block)", "qcore.as_matrix(block)",
            ("tests/test_model.py::TestQuantumState::test_malformed_state_refused_when_made",
             "tests/test_model.py::TestApplyNoise::test_each_noisy_block_is_checked")),
+    Mutant("state-array-aliased", "src/hyperbell/model.py",
+           "given.astype(complex)", "given.astype(complex, copy=False)",
+           ("tests/test_model.py::TestQuantumState::"
+            "test_state_keeps_its_own_copy_of_the_given_array",)),
     # Bell operators and bounds.
     Mutant("factor-table-sign", "src/hyperbell/bell.py",
            "model.POLARIZATION: ((-1, 1), (1, 1)),", "model.POLARIZATION: ((1, 1), (1, 1)),",
@@ -75,10 +79,6 @@ MUTANTS = (
            "parts = (np.eye(4**f), matrix, np.eye(4 ** (len(kinds) - f - 1)))",
            "parts = (np.eye(4 ** (len(kinds) - f - 1)), matrix, np.eye(4**f))",
            ("tests/test_state_builders.py::TestSharedIdealEmbeddings",)),
-    Mutant("term-label-order", "src/hyperbell/bell.py",
-           "product(model.U_SIDE_NAMES, model.D_SIDE_NAMES)",
-           "product(model.U_SIDE_NAMES, model.D_SIDE_NAMES[::-1])",
-           ("tests/test_simlab.py::TestSettings",)),
     Mutant("witness-no-replay", "src/hyperbell/lhv.py",
            "return bound, ui, di", "return bound, ui, di ^ 1",
            ("tests/test_lhv.py::test_every_kinds_tuple_replays_its_witness",)),
@@ -127,8 +127,8 @@ MUTANTS = (
            ("tests/test_model.py::TestApplyNoise",)),
     # The seed mix and the sub-streams of a pass.
     Mutant("two-cells-one-sub-stream", "src/hyperbell/simlab.py",
-           "rng.derive_seeds(seed, 0, len(labels))",
-           "rng.derive_seeds(seed, 0, len(labels))[np.minimum(np.arange(len(labels)), 20)]",
+           "rng.derive_seeds(seed, 0, len(cells))",
+           "rng.derive_seeds(seed, 0, len(cells))[np.minimum(np.arange(len(cells)), 20)]",
            ("tests/test_simlab.py::TestSimulatedExperiment",)),
     Mutant("derive-seeds-pairs", "src/hyperbell/rng.py",
            "z = np.arange(count, dtype=np.uint64) + np.uint64((start + 1) & _MASK64)",
@@ -158,8 +158,8 @@ MUTANTS = (
            ("tests/test_simlab.py::TestLongRowWorkers",)),
     # Estimates and reports.
     Mutant("estimate-weight-row", "src/hyperbell/simlab.py",
-           "weights = layout.weight_rows[0 if factor is None else factor + 1]",
-           "weights = layout.weight_rows[0 if factor is None else factor]",
+           "weights = layout.weight_rows[factor + 1]",
+           "weights = layout.weight_rows[factor + (factor < 0)]",
            ("tests/test_simlab.py::TestEstimate",
             "tests/test_simlab.py::TestSimulatedExperiment::"
             "test_every_cell_replays_alone_on_its_sub_stream")),
@@ -167,6 +167,16 @@ MUTANTS = (
            "var = sum(rec.std_err**2 for rec in records)",
            "var = sum(rec.std_err for rec in records)",
            ("tests/test_simlab.py::TestViolationReport",)),
+    Mutant("record-kinds-unchecked", "src/hyperbell/simlab.py",
+           "    if given != keys:", "    if [g[1:] for g in given] != [k[1:] for k in keys]:",
+           ("tests/test_simlab.py::TestViolationReport::test_records_of_other_kinds_refused",)),
+    # Labels, made only where they are printed.
+    Mutant("term-label-order", "src/hyperbell/cli.py",
+           "[tokens[f][cell[f]] for f in factors]),\n"
+           "            \" \".join([tokens[f][cell[n + f]] for f in factors]))",
+           "[tokens[f][cell[n + f]] for f in factors]),\n"
+           "            \" \".join([tokens[f][cell[f]] for f in factors]))",
+           ("tests/test_cli.py::TestLabels", "tests/test_bell.py::TestStructuredOperator")),
     # Integers and the command line.
     Mutant("checked-int-bound", "src/hyperbell/rng.py",
            "if not low <= value <= high:", "if not low <= value <= high + 1:",

@@ -175,11 +175,14 @@ def test_criterion_6_assumption_context_independence():
             probs = simlab.born_distribution(state, cells[:, :n], cells[:, n:-1])
             exact = np.einsum("ij,ij->i", probs, weights)
             report = simlab.assumption_test(state, n_events=100, seed=0)
-            # Each cell's two photon labels, a name_label token per factor.
-            tokens = [[side.split() for side in c.labels] for r in report.rows for c in r.cells]
+            # Each cell's two photon labels as the command prints them, a name_label
+            # token per factor.
+            tokens = [[side.split() for side in cli._labels(c, range(n))]
+                      for r in report.rows for c in r.cells]
             names = [tuple(["AaBb".index(t[0]) for t in side] for side in c) for c in tokens]
             ok = ok and names == table and all(
-                [t[2:] for t in side] == list(layout.labels) for c in tokens for side in c
+                [t[2:] for t in side] == list(model.factor_labels(layout.kinds))
+                for c in tokens for side in c
             )
             analytic = np.repeat([row.analytic_E for row in report.rows], 4 ** (n - 1))
             worst_exact = max(worst_exact, float(np.abs(exact - analytic).max()))

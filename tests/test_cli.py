@@ -1,6 +1,7 @@
 """Command-line front end: studies, formats, config handling, exit codes."""
 
 import csv
+import functools
 import io
 import json
 import math
@@ -17,7 +18,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hyperbell
-from hyperbell import bell, cli, lhv, qcore, rng, simlab
+from hyperbell import bell, cli, lhv, model, qcore, rng, simlab
+from reference import setting_labels
 
 JSON_KEYS = {"study", "config", "rows", "beta", "std_err", "bound", "sigmas", "generator_id"}
 
@@ -188,7 +190,7 @@ class TestSimulateStudy:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_joint_grid_renders_any_dof_count(self, n):
         # Rows: factors 0..N-2 (u tokens, then d tokens); columns: the last factor.  At
-        # N = 1 one unlabelled row; term_labels(()) raised there.
+        # N = 1 one unlabelled row, whose head is empty.
         sim = simlab.run_simulated_experiment(bell.ideal_state(n), 50, 4)
         lines = cli._joint_grid_lines(sim.joint_records, bell.canonical_product(n))
         assert lines[0] == {
@@ -198,7 +200,7 @@ class TestSimulateStudy:
             4: "Joint correlations (rows: polarization-path-polarization pair,"
                " columns: path pair)",
         }[n]
-        by_label = {rec.label: rec.E for rec in sim.joint_records}
+        by_label = {cli._labels(rec, range(n)): rec.E for rec in sim.joint_records}
         header = lines[1].split()
         cols = list(zip(header[0::2], header[1::2]))
         assert len(lines) == 2 + 4 ** (n - 1) and len(cols) == 4
@@ -219,6 +221,75 @@ class TestAssumptionsStudy:
         lines = out.strip().split("\n")
         assert lines[0] == "setting_u,setting_d,E,std_err,n_events"
         assert len(lines) == 33
+
+
+LABEL_KINDS = [model.canonical_kinds(n) for n in (1, 2, 3, 4)] + [
+    (model.PATH, model.POLARIZATION), (model.PATH, model.PATH, model.POLARIZATION),
+]
+
+
+class TestLabels:
+    """Labels are made only where they are printed: ``cli._labels`` joins a
+    record's tokens ``name_label`` on the factors asked for, from one token
+    table per kinds tuple."""
+
+    def test_labels_split_by_degree_of_freedom(self):
+        record = simlab.estimate(np.full(16, 10), (1, 0), (3, 2))  # aA, bB
+        assert cli._labels(record, range(2)) == ("a_pi A_k", "b_pi B_k")
+        assert cli._labels(record, (0,)) == ("a_pi", "b_pi")
+        assert cli._labels(record, (1,)) == ("A_k", "B_k")
+
+    def test_repeated_kind_carries_its_factor_number(self):
+        """Factor 2 at N = 3 is the second polarization factor: pi2, so its
+        printed label cannot collide with factor 0's."""
+        record = simlab.estimate(np.full(64, 10), (0, 2, 1), (3, 1, 2))  # ABa, baB
+        assert cli._labels(record, range(3)) == ("A_pi B_k a_pi2", "b_pi a_k B_pi2")
+        assert cli._labels(record, (0,)) == ("A_pi", "b_pi")
+        assert cli._labels(record, (1,)) == ("B_k", "a_k")
+        assert cli._labels(record, (2,)) == ("a_pi2", "B_pi2")
+
+    @pytest.mark.parametrize("kinds", LABEL_KINDS, ids="-".join)
+    def test_every_cell_of_the_pass_against_the_oracle(self, kinds):
+        """Each cell of the pass on ``kinds``, as a record: its setting's
+        labels on every factor, on its own factor alone and on the others
+        (an assumption cell's context) are the oracle's."""
+        n = len(kinds)
+        for cell in simlab._layout(kinds).cells.tolist():
+            record = simlab.CorrelationRecord(kinds, tuple(cell), 0.0, 0.0, 2)
+            setting, f = (cell[:n], cell[n:-1]), cell[-1]
+            assert cli._labels(record, range(n)) == setting_labels(kinds, setting)
+            if f >= 0:
+                others = [g for g in range(n) if g != f]
+                assert cli._labels(record, (f,)) == setting_labels(kinds, setting, (f,))
+                assert cli._labels(record, others) == setting_labels(kinds, setting, others)
+
+    def test_three_dof_assumption_table_labels(self):
+        """Rows are labelled by the pair they predict on their factor,
+        columns by the tokens of the other two factors, each numbered by its
+        factor (pi2 for factor 2)."""
+        white = model.NoiseModel(model.NOISE_WHITE, 0.9, 0.9)
+        state = model.apply_noise(bell.ideal_state(3), white)
+        tables = "\n".join(cli._assumption_lines(simlab.assumption_test(state, 100, 2)))
+        heads, rows = [], []
+        for table in tables.strip("\n").split("\n\n"):
+            header, *lines = table.split("\n")[1:]
+            heads.append(re.split(r" {2,}", header.strip()))
+            rows.append([re.split(r" {2,}", line)[0] for line in lines])
+        assert [len(head) for head in heads] == [20, 20, 20]
+        assert rows[2] == ["A_pi2 A_pi2", "a_pi2 a_pi2", "B_pi2 b_pi2", "b_pi2 B_pi2"]
+        assert heads[0][:2] == ["A_k A_pi2 B_k B_pi2", "A_k A_pi2 B_k b_pi2"]
+        assert heads[2][1] == "A_pi A_k B_pi b_k"
+
+    def test_token_table_built_once_per_kinds(self, monkeypatch, capsys):
+        """A printed run makes its tokens once, four per factor, and a second
+        run of the same kinds makes none."""
+        made, side_label = [], model.side_label
+        monkeypatch.setattr(model, "side_label", lambda *a: made.append(a) or side_label(*a))
+        monkeypatch.setattr(cli, "_tokens", functools.cache(cli._tokens.__wrapped__))
+        for _ in range(2):
+            assert cli.main(["assumptions", "--events", "100", "--format", "csv"]) == 0
+            assert len(made) == 8
+        capsys.readouterr()
 
 
 class TestConfigHandling:

@@ -12,7 +12,7 @@ import hashlib
 
 import pytest
 
-from hyperbell import cli, lhv, model, simlab
+from hyperbell import bell, cli, lhv, model, simlab
 
 CORPUS = {
     "simulate-table": (
@@ -212,10 +212,12 @@ def test_stdout_digest(name, cache, capsys):
 
 
 # Library runs at the DOF counts the CLI cannot reach, pinned as the sha256 of
-# ``_library_text``: every record's label, E, std_err and event count, and
+# ``_library_text``: every record's labels, E, std_err and event count, and
 # each assumption cell's setting and context labels.  (study, N): (events,
 # seed, digest) on ``model.hyper_state(0.7, -1.3, N)`` under dephasing
-# (v_pi, v_k) = (0.87, 0.93).
+# (v_pi, v_k) = (0.87, 0.93).  The text is that of the code that recorded the
+# digests, whose records carried their labels: ``_record_text`` writes that
+# repr from a record's numbers and the labels of ``cli._labels``.
 LIBRARY = {
     ("run", 1): (2000, 11, "fe54a8df301a0270148cc00847b7af163e9966936684083d741b4f94e98247c0"),
     ("run", 3): (2000, 12, "148dd9bc42c71ca73646f342f67c11e1b13c9de18bcdf8d35359186d5d930b77"),
@@ -243,11 +245,22 @@ def _library_text(study, n, events, seed):
         report = result.assumptions
     else:
         records, report = (), simlab.assumption_test(state, events, seed)
-    lines += [repr(record) for record in records]
-    for row in report.rows:
-        for cell in row.cells:
-            lines.append(repr((*cell.labels, cell.context_label, cell.record)))
+    lines += [_record_text(record) for record in records]
+    for f, rows in enumerate(report.factor_rows):
+        others = [g for g in range(n) if g != f]
+        for cell in (cell for row in rows for cell in row.cells):
+            setting, context = cli._labels(cell, range(n)), " ".join(cli._labels(cell, others))
+            lines.append(f"({', '.join(map(repr, (*setting, context)))}, {_record_text(cell)})")
     return "\n".join(lines)
+
+
+def _record_text(record):
+    """A record as its repr read when it carried its labels: the joint
+    correlation's on every factor, factor f's on f alone."""
+    f = record.cell[-1]
+    label = cli._labels(record, range(len(record.kinds)) if f < 0 else (f,))
+    return (f"CorrelationRecord(label={label!r}, E={record.E!r}, std_err={record.std_err!r},"
+            f" n_events={record.n_events!r})")
 
 
 @pytest.mark.parametrize("study,n", sorted(LIBRARY))
@@ -255,3 +268,31 @@ def test_library_digest(study, n):
     events, seed, digest = LIBRARY[study, n]
     text = _library_text(study, n, events, seed)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+# The two table renderers at every DOF count, though the CLI reaches them only at
+# N = 2: the sha256 of the joint grid's lines and the assumption tables' lines
+# of ``run_simulated_experiment`` at N events 2000 and seed 30 + N, on the
+# library state above.
+RENDERED = {
+    1: "43f0b5e1aedd2e12f70591f31abaf5a96d88facf69b1425e22da9a61ab8fa1c0",
+    2: "d5a99a995f373621b1057057febfff8214ca5e75350451e99ce2f654f2f99c4a",
+    3: "6c3bbe7d50399d3633fff1592f15b853596f1113df3d4f07b9d7b06629143f83",
+    4: "dd0b7e02f471f94753b3365e67fc8050a802659b2285afd9911ed6de06ede237",
+}
+
+
+def _rendered_text(n):
+    noise = model.NoiseModel(model.NOISE_DEPHASING, 0.87, 0.93)
+    state = model.apply_noise(model.hyper_state(0.7, -1.3, n), noise)
+    result = simlab.run_simulated_experiment(state, 2000, 30 + n)
+    lines = cli._joint_grid_lines(result.joint_records, bell.canonical_product(n))
+    return "\n".join(lines + cli._assumption_lines(result.assumptions))
+
+
+@pytest.mark.parametrize("n", sorted(RENDERED))
+def test_renderer_digest(n):
+    """One space more or less in a row head moves the digest, where a test
+    that splits the lines on whitespace sees nothing."""
+    text = _rendered_text(n)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == RENDERED[n]

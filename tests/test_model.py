@@ -166,6 +166,10 @@ MALFORMED_STATES = {
     "block-no-density-matrix": (
         lambda: QuantumState(kinds=POL_PATH[:1], blocks=np.diag([1.5, -0.5, 0.0, 0.0])[None]),
         "density matrix has negative eigenvalue"),
+    "string-pairs": (lambda: QuantumState(kinds=POL_PATH[:1], pairs=np.full((1, 4), "1")),
+                     "pairs must be an array of numbers, got dtype <U1"),
+    "string-blocks": (lambda: QuantumState(kinds=POL_PATH[:1], blocks=np.full((1, 4, 4), "1")),
+                      "blocks must be an array of numbers, got dtype <U1"),
 }
 
 
@@ -186,7 +190,9 @@ class TestQuantumState:
         'NoneType' object is not subscriptable``, list kinds escaped
         ``simlab`` as unhashable, a one-kind state of two pairs ran as its
         first pair alone, bit for bit, and 1-D pairs raised ``IndexError``;
-        only ``apply_noise`` checked blocks."""
+        only ``apply_noise`` checked blocks.  String pairs escaped as
+        ``TypeError: cannot conjugate non-numeric dtype``, string blocks as
+        ``ValueError: complex() arg is a malformed string``."""
         with pytest.raises(ValueError, match=re.escape(message)):
             build()
 
@@ -203,6 +209,22 @@ class TestQuantumState:
                 owner = owner.base
         with pytest.raises(ValueError, match="read-only"):
             state.blocks[0, 0, 0] = 0.0
+
+    def test_state_keeps_its_own_copy_of_the_given_array(self):
+        """The pairs array was kept as the caller's, writable: after ``p[0] =
+        [1, 0, 0, 0]`` the vector read that product while the blocks kept the
+        Bell pair's diagonal 0.5, 0, 0, 0.5.  Given blocks were made
+        read-only in the caller's hands."""
+        bell_pair = model.pair_state(model.POLARIZATION, 0.0)[None]
+        pairs, blocks = bell_pair.copy(), model.product_state(POL_PATH[:1], (0.0,)).blocks.copy()
+        pure = QuantumState(kinds=POL_PATH[:1], pairs=pairs)
+        noisy = QuantumState(kinds=POL_PATH[:1], blocks=blocks)
+        pairs[0], blocks[0] = [1, 0, 0, 0], np.eye(4) / 4
+        np.testing.assert_array_equal(pure.vector, bell_pair[0])
+        for state in (pure, noisy):
+            np.testing.assert_allclose(np.diag(state.blocks[0]), [0.5, 0, 0, 0.5], atol=1e-15)
+        for array in (pure.pairs, pure.blocks, noisy.blocks):
+            assert array.dtype == complex and not array.flags.writeable
 
     def test_equality_is_identity_and_hashable(self):
         """Field-wise equality compared the ndarray fields and raised."""
@@ -340,11 +362,13 @@ class TestLocalProjectors:
 
 class TestApplyNoise:
     def test_identity_channel_is_exact_projector(self):
-        """The identity channel keeps the pure state's blocks themselves, and
-        their Kronecker product is the projector on the state vector."""
+        """The identity channel keeps the pure state's blocks bit for bit, in
+        a copy the noisy state owns, and their Kronecker product is the
+        projector on the state vector."""
         state = model.hyper_state(np.pi, 0.0)
         noisy = model.apply_noise(state, NoiseModel(model.NOISE_NONE))
-        assert noisy.blocks is state.blocks and noisy.pairs is None
+        assert noisy.blocks.tobytes() == state.blocks.tobytes() and noisy.pairs is None
+        assert noisy.blocks is not state.blocks
         np.testing.assert_allclose(
             dense_rho(noisy), np.outer(state.vector, state.vector.conj()), rtol=0, atol=1e-16
         )

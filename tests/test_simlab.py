@@ -37,10 +37,10 @@ from reference import (
     multinomial,
     random_product_state,
     setting,
-    setting_labels,
     signaling_deviation,
     splitmix64,
     splitmix64_uniform,
+    term_settings,
     traced_peak,
 )
 
@@ -58,14 +58,14 @@ class TestSettings:
     def test_sixteen_canonical_settings(self):
         """The first 16 cells of the pass measure the operator's own terms, in
         term order, each for its joint correlation, and the joint records of a
-        run carry those terms' labels."""
+        run carry the kinds and those cells."""
         kinds, settings = model.canonical_kinds(2), canonical_settings(2)
-        labels = bell.term_labels(bell.canonical_product(2).factor_labels)
-        assert len(labels) == 16 and len(set(labels)) == 16
-        assert labels == tuple(setting_labels(kinds, s) for s in settings)
+        assert len(settings) == 16 and len(set(settings)) == 16
         assert _table_cells(simlab._layout(kinds))[:16] == [(*s, None) for s in settings]
         result = simlab.run_simulated_experiment(IDEAL, 100, seed=0)
-        assert tuple(rec.label for rec in result.joint_records) == labels
+        assert [(rec.kinds, rec.cell) for rec in result.joint_records] == [
+            (kinds, (*u, *d, -1)) for u, d in settings
+        ]
 
     @pytest.mark.parametrize(
         "u,d,match",
@@ -247,13 +247,15 @@ class TestOwnKinds:
         assert signaling_deviation(model.apply_noise(random_product_state(kinds, n), noise)) < 1e-10
 
     def test_run_reads_the_operator_of_the_kinds(self):
-        """Path then polarization at (0, pi): the joint records carry the
-        k-then-pi term labels, and beta is within 5 sigma of -8, each CHSH
-        value within 5 sigma of +-2 sqrt 2."""
-        state = model.product_state((model.PATH, model.POLARIZATION), (0.0, np.pi))
+        """Path then polarization at (0, pi): the joint records carry those
+        kinds and the terms of their operator, and beta is within 5 sigma of
+        -8, each CHSH value within 5 sigma of +-2 sqrt 2."""
+        kinds = (model.PATH, model.POLARIZATION)
+        state = model.product_state(kinds, (0.0, np.pi))
         result = simlab.run_simulated_experiment(state, n_events=10**5, seed=0)
-        assert result.joint_records[0].label == ("A_k A_pi", "B_k B_pi")
-        assert tuple(r.label for r in result.joint_records) == bell.term_labels(("k", "pi"))
+        assert [(r.kinds, r.cell) for r in result.joint_records] == [
+            (kinds, (*u, *d, -1)) for u, d in term_settings(kinds)
+        ]
         assert abs(result.beta.beta_estimate + 8.0) < 5 * result.beta.beta_std_err
         for rep, value in zip(result.chsh, (2 * SQRT2, -2 * SQRT2), strict=True):
             assert abs(rep.beta_estimate - value) < 5 * rep.beta_std_err
@@ -262,23 +264,22 @@ class TestOwnKinds:
         """The path pair at phase pi/2 has beta = 0 on the path operator."""
         state = model.product_state((model.PATH,), (np.pi / 2,))
         result = simlab.run_simulated_experiment(state, n_events=10**5, seed=0)
-        assert result.joint_records[0].label == ("A_k", "B_k")
+        assert (result.joint_records[0].kinds, result.joint_records[0].cell) == (
+            (model.PATH,), (0, 2, -1))
         assert abs(result.beta.beta_estimate) < 5 * result.beta.beta_std_err
 
     @pytest.mark.parametrize("kinds", [k for k in NON_CANONICAL_KINDS if len(k) < 3], ids="-".join)
     def test_assumption_rows_carry_the_kinds(self, kinds):
-        """Each factor's rows are the predictable pairs of its own kind,
-        labelled with its own label (``TestAssumptionTest`` checks their
-        analytic values on these kinds)."""
+        """Each factor's rows are the predictable pairs of its own kind, its
+        records on those kinds (``TestAssumptionTest`` checks their analytic
+        values on these kinds)."""
         pairs = {model.POLARIZATION: ASSUMPTION_POL_ROWS, model.PATH: ASSUMPTION_PATH_ROWS}
         state = model.product_state(kinds, (0.3, -0.4)[: len(kinds)])
         report = simlab.assumption_test(state, n_events=100, seed=1)
-        labels = model.factor_labels(kinds)
         for f, (kind, rows) in enumerate(zip(kinds, report.factor_rows, strict=True)):
             assert [row.dof for row in rows] == [kind] * 4
-            assert [row.row_label for row in rows] == [
-                f"{u}_{labels[f]} {d}_{labels[f]}" for u, d in pairs[kind]
-            ]
+            assert [_row_pair(row) for row in rows] == [_digits(pair) for pair in pairs[kind]]
+            assert {cell.kinds for row in rows for cell in row.cells} == {kinds}
 
 
 def _all_settings(n):
@@ -1338,20 +1339,20 @@ class TestArrayPass:
             assert row.tobytes() == one[u, d]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_one_setting_estimate_labels_equal_the_pass_labels(self, n):
+    def test_one_setting_estimate_carries_the_pass_cell(self, n):
         """``estimate`` of every cell's name digits and factor, read from the
-        cell table, carries that cell's record label in the pass."""
+        cell table, carries that cell and the kinds of the pass."""
         layout = simlab._layout(model.canonical_kinds(n))
         counts = np.full(4**n, 10, dtype=np.int64)
-        for cell, label in zip(layout.cells.tolist(), layout.record_labels, strict=True):
+        for cell in layout.cells.tolist():
             factor = None if cell[-1] < 0 else cell[-1]
             record = simlab.estimate(counts, tuple(cell[:n]), tuple(cell[n : 2 * n]), factor)
-            assert record.label == label
+            assert (record.kinds, record.cell) == (layout.kinds, tuple(cell))
 
     def test_pass_makes_no_per_cell_call(self, monkeypatch):
         """A second run makes one ``born_distribution`` call on the 56 stacked
         settings of its pass, one sampler call, and no one-setting call; its
-        labels and assumption settings are read from its kinds' tables."""
+        cells are read from its kinds' table."""
         expected = simlab.run_simulated_experiment(NOISY, n_events=300, seed=4)
 
         def boom(*args, **kwargs):
@@ -1379,8 +1380,7 @@ class TestArrayPass:
         record = simlab.estimate(counts, *setting, 2)
         assert record.n_events == int(counts.sum())
         layout = simlab._layout(model.canonical_kinds(4))
-        tables = {"cells", "record_labels", "assumption_labels"}
-        assert not tables & set(vars(layout))
+        assert "cells" not in vars(layout)
 
 
 class TestEstimate:
@@ -1410,22 +1410,17 @@ class TestEstimate:
                 math.sqrt((1 - rec.E**2) / rec.n_events), abs=1e-12
             )
 
-    def test_labels_split_by_degree_of_freedom(self):
-        counts = np.full(16, 10, dtype=int)
-        u, d = setting("aA", "bB")
-        assert simlab.estimate(counts, u, d).label == ("a_pi A_k", "b_pi B_k")
-        assert simlab.estimate(counts, u, d, 0).label == ("a_pi", "b_pi")
-        assert simlab.estimate(counts, u, d, 1).label == ("A_k", "B_k")
-
-    def test_repeated_kind_carries_its_factor_number(self):
-        """Factor 2 at N = 3 is the second polarization factor: pi2, so its
-        record cannot collide with factor 0's."""
-        u, d = (0, 2, 1), (3, 1, 2)  # (A, B, a) and (b, a, B)
-        counts = np.full(64, 10, dtype=int)
-        assert simlab.estimate(counts, u, d).label == ("A_pi B_k a_pi2", "b_pi a_k B_pi2")
-        assert simlab.estimate(counts, u, d, 0).label == ("A_pi", "b_pi")
-        assert simlab.estimate(counts, u, d, 1).label == ("B_k", "a_k")
-        assert simlab.estimate(counts, u, d, 2).label == ("a_pi2", "B_pi2")
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_record_is_the_canonical_kinds_and_the_cell(self, n):
+        """A record's cell is photon u's digits, photon d's, then its factor,
+        -1 for the joint correlation, on the canonical kinds of its N."""
+        u, d = ((1, 0), (3, 2)) if n == 2 else ((0, 2, 1), (3, 1, 2))
+        counts = np.full(4**n, 10, dtype=int)
+        for factor in (None, *range(n)):
+            record = simlab.estimate(counts, u, d, factor)
+            assert record.kinds == model.canonical_kinds(n)
+            assert record.cell == (*u, *d, -1 if factor is None else factor)
+            assert all(type(x) is int for x in record.cell)
 
     @pytest.mark.parametrize("factor", [-1, 2])
     def test_factor_outside_setting_refused(self, factor):
@@ -1495,76 +1490,74 @@ class TestFactorization:
 
 
 class TestViolationReport:
-    # The term labels of beta_pi, in term order.
-    CHSH_LABELS = [("A_pi", "B_pi"), ("A_pi", "b_pi"), ("a_pi", "B_pi"), ("a_pi", "b_pi")]
+    POL = (model.POLARIZATION,)
+    # beta_pi's terms in term order: the cells of its joint records, and what each measures.
+    CHSH_CELLS = [(0, 2, -1), (0, 3, -1), (1, 2, -1), (1, 3, -1)]
+    CHSH_TERMS = [(POL, (0,), (2,)), (POL, (0,), (3,)), (POL, (1,), (2,)), (POL, (1,), (3,))]
+
+    def _records(self, order=range(4), es=None, kinds=POL):
+        """Records of the cells ``order`` on ``kinds``, each E 0.5 unless ``es`` says."""
+        es = [0.5] * len(order) if es is None else es
+        return [simlab.CorrelationRecord(kinds, self.CHSH_CELLS[i], E=e, std_err=0.01,
+                                         n_events=100) for i, e in zip(order, es, strict=True)]
 
     def test_ideal_analytic_records_sum_to_minus_eight(self):
         kinds = model.canonical_kinds(2)
         records = [
-            simlab.CorrelationRecord(setting_labels(kinds, setting), E=analytic_correlations(
-                simlab.born_distribution(IDEAL, *setting))[0], std_err=0.0, n_events=1)
-            for setting in canonical_settings(2)
+            simlab.CorrelationRecord(kinds, (*u, *d, -1), E=analytic_correlations(
+                simlab.born_distribution(IDEAL, u, d))[0], std_err=0.0, n_events=1)
+            for u, d in canonical_settings(2)
         ]
         rep = simlab.violation_report(records, bell.canonical_product(2), bound=4.0)
         assert rep.beta_estimate == pytest.approx(-8.0, abs=1e-10)
         assert rep.beta_std_err == 0.0
 
     def test_ideal_chsh_records_sum_to_tsirelson(self):
-        """Each factor's records, labelled by its tokens alone, one per pair."""
+        """Each factor's records, one per pair of its own CHSH operator, the
+        other factor at (A, B)."""
         kinds = model.canonical_kinds(2)
         for f, op in enumerate(bell.canonical_product(2).factors):
-            values = {
-                setting_labels(kinds, setting, (f,)):
-                    analytic_correlations(simlab.born_distribution(IDEAL, *setting))[1 + f]
-                for setting in canonical_settings(2)
-            }
-            records = [simlab.CorrelationRecord(k, v, 0.0, 1) for k, v in values.items()]
+            records = []
+            for (uf,), (df,) in term_settings(op.kinds):
+                u, d = [0, 0], [2, 2]
+                u[f], d[f] = uf, df
+                e = analytic_correlations(simlab.born_distribution(IDEAL, (*u,), (*d,)))[1 + f]
+                records.append(simlab.CorrelationRecord(kinds, (*u, *d, f), e, 0.0, 1))
             rep = simlab.violation_report(records, op, bound=2.0)
             assert abs(rep.beta_estimate) == pytest.approx(2 * SQRT2, abs=1e-10)
 
     def test_std_err_combines_in_quadrature(self):
-        records = [
-            simlab.CorrelationRecord(label=label, E=0.5, std_err=0.01, n_events=100)
-            for label in self.CHSH_LABELS
-        ]
-        rep = simlab.violation_report(records, bell.canonical_product(1), bound=2.0)
+        rep = simlab.violation_report(self._records(), bell.canonical_product(1), bound=2.0)
         assert rep.beta_std_err == pytest.approx(0.02, abs=1e-12)
         assert rep.sigmas == pytest.approx(
             (abs(rep.beta_estimate) - 2.0) / rep.beta_std_err, abs=1e-12
         )
 
     def test_estimate_at_bound_gives_zero_sigma(self):
-        es = [-0.5, 0.5, 0.5, 0.5]  # beta = 2 exactly
-        records = [
-            simlab.CorrelationRecord(label=label, E=e, std_err=0.01, n_events=100)
-            for label, e in zip(self.CHSH_LABELS, es)
-        ]
+        records = self._records(es=[-0.5, 0.5, 0.5, 0.5])  # beta = 2 exactly
         rep = simlab.violation_report(records, bell.canonical_product(1), bound=2.0)
         assert rep.beta_estimate == pytest.approx(2.0, abs=1e-12)
         assert rep.sigmas == pytest.approx(0.0, abs=1e-9)
 
     def _refused(self, given):
-        """The refusal of records carrying ``given``, naming both label lists."""
+        """The refusal of records measuring ``given``, naming both lists."""
         return pytest.raises(ValueError, match=re.escape(
-            f"record/term mismatch: expected {self.CHSH_LABELS} in term order, got {given}"
+            f"record/term mismatch: expected {self.CHSH_TERMS} in term order, got {given}"
         ))
 
-    def test_label_mismatch_rejected(self):
-        records = [
-            simlab.CorrelationRecord(label=("A_pi", "wrong"), E=0.5, std_err=0.01, n_events=10),
-        ]
-        with self._refused([("A_pi", "wrong")]):
+    def test_record_of_another_setting_rejected(self):
+        """B_pi measured on photon u, as a record's cell may name it."""
+        records = [simlab.CorrelationRecord(self.POL, (2, 2, -1), 0.5, 0.01, 10)]
+        with self._refused([(self.POL, (2,), (2,))]):
             simlab.violation_report(records, bell.canonical_product(1), bound=2.0)
 
     @pytest.mark.parametrize(
         "order", [(1, 0, 2, 3), (0, 1, 2), (0, 1, 2, 3, 3)], ids=["misplaced", "missing", "extra"]
     )
     def test_records_out_of_term_order_rejected(self, order):
-        """Records are read by position: each must carry its term's label."""
-        given = [self.CHSH_LABELS[i] for i in order]
-        records = [simlab.CorrelationRecord(label, 0.5, 0.01, 100) for label in given]
-        with self._refused(given):
-            simlab.violation_report(records, bell.canonical_product(1), bound=2.0)
+        """Records are read by position: each must measure its term."""
+        with self._refused([self.CHSH_TERMS[i] for i in order]):
+            simlab.violation_report(self._records(order), bell.canonical_product(1), bound=2.0)
 
     @pytest.mark.parametrize("records", [None, [1, 2, 3, 4]], ids=["none", "ints"])
     def test_records_that_are_no_records_refused(self, records):
@@ -1575,37 +1568,36 @@ class TestViolationReport:
             simlab.violation_report(records, bell.canonical_product(1), bound=2.0)
 
     def test_records_may_come_as_an_iterator(self):
-        records = [simlab.CorrelationRecord(label, 0.5, 0.01, 100) for label in self.CHSH_LABELS]
+        records = self._records()
         rep = simlab.violation_report(iter(records), bell.canonical_product(1), bound=2.0)
         assert rep == simlab.violation_report(records, bell.canonical_product(1), bound=2.0)
         assert rep.beta_estimate == pytest.approx(1.0, abs=1e-12)
 
-    def test_records_match_under_the_factor_labels_they_carry(self):
-        """A CHSH factor of a larger run: its records carry the factor's
-        numbered label, which ``labels`` names."""
-        op = bell.canonical_product(1)
-        records = [
-            simlab.CorrelationRecord(
-                label=(u.replace("pi", "pi2"), d.replace("pi", "pi2")),
-                E=0.5, std_err=0.01, n_events=100,
-            )
-            for u, d in self.CHSH_LABELS
-        ]
-        rep = simlab.violation_report(records, op, bound=2.0, labels=("pi2",))
+    def test_factor_records_of_a_larger_run_match_their_chsh_operator(self):
+        """Factor 2 of a three-DOF run, printed ``pi2``, measures the terms of
+        the polarization CHSH operator alone: no relabelling is asked for."""
+        kinds = model.canonical_kinds(3)
+        records = [simlab.CorrelationRecord(kinds, (0, 0, u, 2, 2, d, 2), 0.5, 0.01, 100)
+                   for u, d, _ in self.CHSH_CELLS]
+        rep = simlab.violation_report(records, bell.canonical_product(1), bound=2.0)
         assert rep.beta_estimate == pytest.approx(1.0, abs=1e-12)
-        with pytest.raises(ValueError, match="mismatch"):
-            simlab.violation_report(records, op, bound=2.0)
 
-    @pytest.mark.parametrize(
-        "labels", [("pi", "k", "extra"), "pk", (["pi"], "k")], ids=["extra", "string", "list"]
-    )
-    def test_labels_other_than_one_string_per_factor_refused(self, labels):
-        """An extra label failed as an IndexError, a string was read as one
-        label per character, and a list entry is unhashable as a cache key."""
-        records = simlab.run_simulated_experiment(IDEAL, 100, seed=0).joint_records
-        message = rf"labels must be a tuple of (2|1 to 4) strings, got {re.escape(repr(labels))}"
-        with pytest.raises(ValueError, match=message):
-            simlab.violation_report(records, bell.canonical_product(2), 4.0, labels)
+    def test_records_of_other_kinds_refused(self):
+        """Path records against the polarization operator, factor 2 of
+        (pi, k, pi) against the path one, and (pi, k) joint records against
+        the (k, pi) operator measure the operator's digits on other kinds."""
+        path = (model.PATH,)
+        with self._refused([(path, (u,), (d,)) for u, d, _ in self.CHSH_CELLS]):
+            simlab.violation_report(self._records(kinds=path), bell.canonical_product(1), 2.0)
+        kinds = model.canonical_kinds(3)
+        records = [simlab.CorrelationRecord(kinds, (0, 0, u, 2, 2, d, 2), 0.5, 0.01, 100)
+                   for u, d, _ in self.CHSH_CELLS]
+        with pytest.raises(ValueError, match="record/term mismatch"):
+            simlab.violation_report(records, bell.product_operator(path), 2.0)
+        joint = simlab.run_simulated_experiment(IDEAL, 100, seed=0).joint_records
+        swapped = bell.product_operator((model.PATH, model.POLARIZATION))
+        with pytest.raises(ValueError, match="record/term mismatch"):
+            simlab.violation_report(joint, swapped, 4.0)
 
     @pytest.mark.parametrize("type_name", sorted(NOT_OPERATORS))
     def test_operator_that_is_no_bell_operator_rejected(self, type_name):
@@ -1617,14 +1609,13 @@ class TestViolationReport:
             with pytest.raises(ValueError, match=re.escape(message)):
                 simlab.violation_report(given, bad, 4.0)
 
-    def test_duplicate_labels_rejected(self):
-        rec = simlab.CorrelationRecord(label=("A_pi", "B_pi"), E=0.5, std_err=0.01, n_events=10)
-        with self._refused([("A_pi", "B_pi")] * 2):
-            simlab.violation_report([rec, rec], bell.canonical_product(1), bound=2.0)
+    def test_duplicate_records_rejected(self):
+        with self._refused([self.CHSH_TERMS[0]] * 2):
+            simlab.violation_report(self._records((0, 0)), bell.canonical_product(1), bound=2.0)
 
     def test_beta_report_builds_no_label(self, monkeypatch):
         """After one run, the beta report of its 16 term records compares
-        each record with the labels its term carries and builds none."""
+        each record with its term as kinds and digits and builds no label."""
         result = simlab.run_simulated_experiment(NOISY, n_events=300, seed=4)
 
         def boom(*args, **kwargs):
@@ -1667,9 +1658,9 @@ class TestAssumptionTest:
     def test_ideal_rows_are_perfectly_predictable(self):
         report = simlab.assumption_test(IDEAL, n_events=2000, seed=1)
         first = report.factor_rows[0][0]
-        assert first.row_label == "A_pi A_pi"
+        assert _row_pair(first) == _digits("AA")
         for cell in first.cells:
-            assert cell.record.E == 1.0  # all mass on matching outcomes
+            assert cell.E == 1.0  # all mass on matching outcomes
         assert first.analytic_E == pytest.approx(1.0, abs=1e-12)
         assert first.spread == 0.0
         assert first.predictability == pytest.approx(1.0, abs=1e-12)
@@ -1678,25 +1669,27 @@ class TestAssumptionTest:
         """a_pi a_pi correlates to -1, the sign of the second measured row."""
         report = simlab.assumption_test(IDEAL, n_events=2000, seed=1)
         row = report.factor_rows[0][1]
-        assert row.row_label == "a_pi a_pi"
+        assert _row_pair(row) == _digits("aa")
         assert row.analytic_E == pytest.approx(-1.0, abs=1e-12)
         for cell in row.cells:
-            assert cell.record.E == -1.0
+            assert cell.E == -1.0
 
     def test_row_structure(self):
+        """Each factor's rows are its kind's pairs, each cell a record of that
+        factor, the other factor's pair its context."""
         report = simlab.assumption_test(NOISY, n_events=100, seed=2)
-        assert [r.row_label for r in report.factor_rows[0]] == [
-            "A_pi A_pi", "a_pi a_pi", "B_pi b_pi", "b_pi B_pi",
+        assert [_row_pair(r) for r in report.factor_rows[0]] == [
+            _digits(pair) for pair in ("AA", "aa", "Bb", "bB")
         ]
-        assert [r.row_label for r in report.factor_rows[1]] == [
-            "A_k A_k", "a_k a_k", "B_k B_k", "b_k b_k",
+        assert [_row_pair(r) for r in report.factor_rows[1]] == [
+            _digits(pair) for pair in ("AA", "aa", "BB", "bb")
         ]
-        for row in report.rows:
-            assert [c.context_label for c in row.cells] == (
-                ["A_k B_k", "A_k b_k", "a_k B_k", "a_k b_k"]
-                if row.dof == model.POLARIZATION
-                else ["A_pi B_pi", "A_pi b_pi", "a_pi B_pi", "a_pi b_pi"]
-            )
+        for f, rows in enumerate(report.factor_rows):
+            for row in rows:
+                assert {c.cell[-1] for c in row.cells} == {f}
+                assert [_context(c) for c in row.cells] == [
+                    _digits(pair) for pair in ("AB", "Ab", "aB", "ab")
+                ]
 
     def test_noisy_rows_match_visibility(self):
         report = simlab.assumption_test(NOISY, n_events=10**4, seed=4)
@@ -1708,16 +1701,16 @@ class TestAssumptionTest:
 
     def test_three_dof_rows_and_contexts(self):
         """Each factor's rows under the 16 contexts of the other two factors,
-        every token numbered by its factor (pi2 for factor 2)."""
+        the other factors in order, the first slowest."""
         report = simlab.assumption_test(STATES[3][1], n_events=100, seed=2)
         assert [len(rows) for rows in report.factor_rows] == [4, 4, 4]
-        assert [r.row_label for r in report.factor_rows[2]] == [
-            "A_pi2 A_pi2", "a_pi2 a_pi2", "B_pi2 b_pi2", "b_pi2 B_pi2",
+        assert [_row_pair(r) for r in report.factor_rows[2]] == [
+            _digits(pair) for pair in ("AA", "aa", "Bb", "bB")
         ]
-        contexts = [c.context_label for c in report.factor_rows[0][0].cells]
+        contexts = [_context(c) for c in report.factor_rows[0][0].cells]
         assert len(contexts) == 16
-        assert contexts[:2] == ["A_k A_pi2 B_k B_pi2", "A_k A_pi2 B_k b_pi2"]
-        assert report.factor_rows[2][0].cells[1].context_label == "A_pi A_k B_pi b_k"
+        assert contexts[:2] == [_digits("AABB"), _digits("AABb")]
+        assert _context(report.factor_rows[2][0].cells[1]) == _digits("AABb")
         for row in report.rows:
             assert abs(row.analytic_E) == pytest.approx(0.9, abs=1e-12)
 
@@ -1763,6 +1756,26 @@ PRODUCT_TERMS = [
 CHSH_PAIRS = ["AB", "Ab", "aB", "ab"]
 ASSUMPTION_POL_ROWS = ["AA", "aa", "Bb", "bB"]
 ASSUMPTION_PATH_ROWS = ["AA", "aa", "BB", "bb"]
+
+
+def _digits(names):
+    """Name digits of a string of names, ``"Bb"`` -> ``(2, 3)``."""
+    return tuple("AaBb".index(name) for name in names)
+
+
+def _row_pair(row):
+    """The one (u, d) pair of name digits an assumption row's records
+    measure on their own factor."""
+    pairs = {(c.cell[c.cell[-1]], c.cell[len(c.kinds) + c.cell[-1]]) for c in row.cells}
+    assert len(pairs) == 1, pairs
+    return pairs.pop()
+
+
+def _context(record):
+    """A factor record's context: photon u's digits on the other factors,
+    then photon d's."""
+    n, f = len(record.kinds), record.cell[-1]
+    return tuple(x for i, x in enumerate(record.cell[:-1]) if i % n != f)
 
 
 def _stream_layout():
@@ -1820,45 +1833,31 @@ def _assert_cells_replay(state, n, layout):
     result = simlab.run_simulated_experiment(state, n_events=events, seed=seed)
     n_terms = 4**n
     assert list(result.joint_records) == expected[:n_terms]
-    kinds = model.canonical_kinds(n)
-    labels = model.factor_labels(kinds)
     for f, (rep, op) in enumerate(zip(result.chsh, bell.canonical_product(n).factors)):
         records = expected[n_terms + 4 * f : n_terms + 4 * f + 4]
-        assert rep == simlab.violation_report(records, op, 2.0, (labels[f],))
+        assert rep == simlab.violation_report(records, op, 2.0)
     cells = [c for row in result.assumptions.rows for c in row.cells]
     n_run = n_terms + 4 * n
     assert len(cells) == len(layout) - n_run
-    assert [c.record for c in cells] == expected[n_run:]
-    assert [c.labels for c in cells] == [setting_labels(kinds, cell[:2]) for cell in layout[n_run:]]
+    assert cells == expected[n_run:]
 
 
 class TestSimulatedExperiment:
     def test_cell_tables_follow_the_stream_layout(self):
         """The cell table is the literal N = 2 stream layout, and at every N
-        the rule's cell list, cell by cell: names, factor, record label,
-        weight row, and each assumption cell's labels and context."""
+        the rule's cell list, cell by cell: names, factor and weight row
+        (``test_cli.TestLabels`` checks each cell's printed labels)."""
         layout = _stream_layout()
         assert _table_cells(simlab._layout(model.canonical_kinds(2))) == layout
         assert _canonical_layout(2) == layout
         sizes = ((1, (8, 4)), (2, (24, 32)), (3, (76, 192)), (4, (272, 1024)))
         for n, (n_run, n_assumption) in sizes:
             rule, built = _canonical_layout(n), simlab._layout(model.canonical_kinds(n))
-            kinds = built.kinds
             assert (built.n_run, len(built.cells) - built.n_run) == (n_run, n_assumption)
             assert _table_cells(built) == rule
             weights = built.weight_rows[built.cells[:, -1] + 1]
             rows = [built.weight_rows[0 if f is None else f + 1] for *_, f in rule]
             assert weights.tobytes() == np.array(rows).tobytes()
-            assert list(built.record_labels) == [
-                setting_labels(kinds, (u, d), None if f is None else (f,)) for u, d, f in rule
-            ]
-            assert [labels for labels, _ in built.assumption_labels] == [
-                setting_labels(kinds, cell[:2]) for cell in rule[n_run:]
-            ]
-            assert [context for _, context in built.assumption_labels] == [
-                " ".join(setting_labels(kinds, (u, d), [g for g in range(n) if g != f]))
-                for u, d, f in rule[n_run:]
-            ]
             with pytest.raises(ValueError, match="read-only"):
                 built.cells[0, 0] = 1
 
@@ -1868,8 +1867,7 @@ class TestSimulatedExperiment:
         each term the same u and d context index (bit 1 = alternate name,
         factor 0 most significant), and the operator's sign table read at
         those contexts gives lhv's signs, as do its ``term_signs``.  The two
-        are built apart, so each checks the other.  ``bell.term_labels`` of
-        the factor labels are the record labels of the first 4^N cells."""
+        are built apart, so each checks the other."""
         layout = simlab._layout(model.canonical_kinds(n))
         terms = layout.cells[: 4**n]
         assert set(terms[:, :n].flat) <= {0, 1} and set(terms[:, n : 2 * n].flat) <= {2, 3}
@@ -1880,7 +1878,6 @@ class TestSimulatedExperiment:
         assert (u.tolist(), d.tolist()) == (u_lhv.tolist(), d_lhv.tolist())
         assert layout.operator.signs[u, d].tolist() == signs.tolist()
         assert layout.operator.term_signs == tuple(signs.tolist())
-        assert bell.term_labels(layout.labels) == layout.record_labels[: 4**n]
 
     def test_every_cell_replays_alone_on_its_sub_stream(self):
         """Cell i of one run is sampled on sub-stream i of the seed and nothing

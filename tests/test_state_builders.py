@@ -109,11 +109,11 @@ class TestLazyVectorAndBlocks:
         assert state.vector is vector and not vector.flags.writeable
 
     def test_noise_reads_the_state_blocks(self):
-        """Noise maps the pure state's blocks, built from its pair vectors;
-        neither state builds a dense vector."""
+        """Noise maps the pure state's blocks, built from its pair vectors,
+        into the noisy state's own copy; neither state builds a dense vector."""
         state = model.hyper_state(0.7, -1.3)
         noisy = model.apply_noise(state, NoiseModel(model.NOISE_NONE))
-        assert noisy.blocks is state.blocks
+        assert noisy.blocks.tobytes() == state.blocks.tobytes()
         assert "vector" not in vars(state) and "vector" not in vars(noisy)
         for block, pair in zip(state.blocks, state.pairs, strict=True):
             assert block.tobytes() == np.outer(pair, pair.conj()).tobytes()

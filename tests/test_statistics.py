@@ -206,7 +206,7 @@ def test_assumption_rows_match_the_dense_oracle(kinds):
         values = exact[i * size : (i + 1) * size]
         assert max(abs(value - row.analytic_E) for value in values) < 1e-12, (i, row.analytic_E)
         _assert_standard_normal(
-            [(cell.record.E - value) / cell.record.std_err
+            [(cell.E - value) / cell.std_err
              for report in rows for cell, value in zip(report[i].cells, values, strict=True)],
-            row.row_label,
+            row.cells[0].cell,
         )
