@@ -46,6 +46,9 @@ class Mutant(NamedTuple):
     tests: tuple  # test files or node ids, relative to the repository root
 
 
+# The sampled studies' CSV bytes against the dense oracle, at N = 1..4.
+ORACLE_BYTES = "tests/test_cli.py::TestSampledBytes::test_csv_equals_the_oracle"
+
 MUTANTS = (
     # States.
     Mutant("pair-phase-sign", "src/hyperbell/model.py",
@@ -103,7 +106,7 @@ MUTANTS = (
     Mutant("a-on-photon-d", "src/hyperbell/simlab.py",
            "factor_rows = tables[np.arange(n), us, :, ds, :]",
            "factor_rows = tables[np.arange(n), us, :, np.where(ds == 0, 2, ds), :]",
-           ("tests/test_simlab.py::TestBornAgainstTheDenseOracle",)),
+           ("tests/test_simlab.py::TestBornAgainstTheDenseOracle", ORACLE_BYTES)),
     Mutant("b-on-photon-u", "src/hyperbell/simlab.py",
            "factor_rows = tables[np.arange(n), us, :, ds, :]",
            "factor_rows = tables[np.arange(n), us % 2, :, ds, :]",
@@ -129,7 +132,7 @@ MUTANTS = (
     Mutant("two-cells-one-sub-stream", "src/hyperbell/simlab.py",
            "rng.derive_seeds(seed, 0, len(cells))",
            "rng.derive_seeds(seed, 0, len(cells))[np.minimum(np.arange(len(cells)), 20)]",
-           ("tests/test_simlab.py::TestSimulatedExperiment",)),
+           ("tests/test_simlab.py::TestSimulatedExperiment", ORACLE_BYTES)),
     Mutant("derive-seeds-pairs", "src/hyperbell/rng.py",
            "z = np.arange(count, dtype=np.uint64) + np.uint64((start + 1) & _MASK64)",
            "z = (np.arange(count, dtype=np.uint64) + np.uint64(start)) | np.uint64(1)",

@@ -19,10 +19,15 @@ photon's (``dense_born``).
 
 The no-signalling deviation (``signaling_deviation``) is read from one
 ``simlab.born_distribution`` call per term setting of ``term_settings``,
-built apart from the cell table of the run pass."""
+built apart from the cell table of the run pass.
+
+The sampled studies' CSV bytes (``simulate_csv``, ``assumptions_csv``) are
+built from the dense path, the written sampler and seed mix, and the
+settings and labels above: nothing of ``simlab``, ``rng`` or ``cli``."""
 
 import functools
 import itertools
+import math
 import re
 import tracemalloc
 
@@ -255,6 +260,57 @@ def multinomial(probs, n_events, seed):
     cdf[-1] = 1.0
     cells = np.searchsorted(cdf, splitmix64_uniform(seed, n_events), side="right")
     return np.bincount(cells, minlength=cdf.size)
+
+
+# The (u, d) name digits each kind predicts with certainty on the ideal
+# pairs: the rows of the assumption test, in print order.
+PREDICTABLE_PAIRS = {
+    model.POLARIZATION: ((0, 0), (1, 1), (2, 3), (3, 2)),  # AA, aa, Bb, bB
+    model.PATH: ((0, 0), (1, 1), (2, 2), (3, 3)),  # AA, aa, BB, bb
+}
+CSV_HEADER = "setting_u,setting_d,E,std_err,n_events\n"
+
+
+def _csv_row(kinds, digits, factors, rho, n_events, seed):
+    """One sampled record as its CSV line: the setting's labels on every
+    factor, then E and std_err = sqrt((1 - E^2)/n) of the counts drawn at
+    ``seed`` from the dense Born row, each count weighted by the product of
+    the two photons' outcome signs on ``factors``, and the event count."""
+    counts = multinomial(dense_born(rho, *digits, kinds), n_events, seed)
+    signs = np.array(list(itertools.product((1, -1), repeat=len(kinds))))[:, factors]
+    weights = (signs[:, None, :] * signs[None, :, :]).prod(axis=2).ravel()
+    e = int(counts.astype(np.int64) @ weights) / n_events  # an exact integer sum, one division
+    std_err = math.sqrt(max(0.0, 1.0 - e * e) / n_events)
+    return ",".join([*setting_labels(kinds, digits), repr(e), repr(std_err), str(n_events)]) + "\n"
+
+
+def simulate_csv(pure, noise, n_events, seed):
+    """The CSV of ``hyperbell simulate`` on ``apply_noise(pure, noise)``: one
+    line per term setting of its kinds, in term order, the joint
+    correlation; term i is drawn from sub-stream i of ``seed``."""
+    kinds, rho = pure.kinds, dense_noise(pure, noise)
+    factors = list(range(len(kinds)))
+    return CSV_HEADER + "".join(
+        _csv_row(kinds, digits, factors, rho, n_events, derive_seed(seed, i))
+        for i, digits in enumerate(term_settings(kinds))
+    )
+
+
+def assumptions_csv(pure, noise, n_events, seed):
+    """The CSV of ``hyperbell assumptions`` on ``apply_noise(pure, noise)``:
+    per factor f, each predictable pair of its kind, under every setting of
+    the other factors on the term pairs (the first slowest), the correlation
+    of factor f alone; the i-th line is drawn from sub-stream i of ``seed``."""
+    kinds, rho = pure.kinds, dense_noise(pure, noise)
+    n, cells = len(kinds), []
+    for f, kind in enumerate(kinds):
+        for pair in PREDICTABLE_PAIRS[kind]:
+            for u, d in term_settings(kinds[:f] + kinds[f + 1 :]) if n > 1 else [((), ())]:
+                cells.append((f, ((*u[:f], pair[0], *u[f:]), (*d[:f], pair[1], *d[f:]))))
+    return CSV_HEADER + "".join(
+        _csv_row(kinds, digits, [f], rho, n_events, derive_seed(seed, i))
+        for i, (f, digits) in enumerate(cells)
+    )
 
 
 # A non-operator of each refused type, made from the operator ``op``.

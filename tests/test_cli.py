@@ -10,16 +10,16 @@ import re
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperbell
 from hyperbell import bell, cli, lhv, model, qcore, rng, simlab
-from reference import setting_labels
+from reference import assumptions_csv, setting_labels, simulate_csv
 
 JSON_KEYS = {"study", "config", "rows", "beta", "std_err", "bound", "sigmas", "generator_id"}
 
@@ -221,6 +221,47 @@ class TestAssumptionsStudy:
         lines = out.strip().split("\n")
         assert lines[0] == "setting_u,setting_d,E,std_err,n_events"
         assert len(lines) == 33
+
+
+@st.composite
+def _sampled_runs(draw):
+    """A sampled study, N, its phases, noise channel, event count and seed:
+    up to 10^5 events at N <= 2, up to 2000 at N = 3 and 4."""
+    n = draw(st.integers(1, 4))
+    noise = draw(st.sampled_from(model.NOISE_KINDS))
+    values = {
+        "theta": draw(st.floats(-2 * math.pi, 2 * math.pi)),
+        "phi": draw(st.floats(-2 * math.pi, 2 * math.pi)),
+        "noise": noise,
+        "events": draw(st.integers(2, 10**5 if n <= 2 else 2000)),
+        "seed": draw(st.integers(0, 2**64 - 1)),
+    }
+    if noise != model.NOISE_NONE:
+        values |= {"v_pi": draw(st.floats(0.0, 1.0)), "v_k": draw(st.floats(0.0, 1.0))}
+    return draw(st.sampled_from(["simulate", "assumptions"])), n, values
+
+
+class TestSampledBytes:
+    """The sampled studies' CSV bytes are the oracle's
+    (``reference.simulate_csv`` and ``reference.assumptions_csv``), built
+    from the dense Born rows, the written sampler and seed mix, and the
+    oracle's settings and labels, at N = 1..4.  ``build_config`` takes only
+    N = 2, so at other N the run's config is made directly."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(run=_sampled_runs())
+    def test_csv_equals_the_oracle(self, run):
+        study, n, values = run
+        noise = model.NoiseModel(values["noise"], values.get("v_pi", 1.0), values.get("v_k", 1.0))
+        if n == 2:
+            config = cli.build_config(study, {}, values)
+        else:
+            defaults = {key: option.default for key, option in cli.OPTIONS.items()}
+            config = cli.RunConfig(study, MappingProxyType(defaults | values | {"dof": n}), noise)
+        pure = model.hyper_state(values["theta"], values["phi"], n)
+        oracle = {"simulate": simulate_csv, "assumptions": assumptions_csv}[study]
+        expected = oracle(pure, noise, values["events"], values["seed"])
+        assert cli.emit(cli.run(config), "csv").decode("utf-8") == expected
 
 
 LABEL_KINDS = [model.canonical_kinds(n) for n in (1, 2, 3, 4)] + [
