@@ -25,8 +25,8 @@ scaling dof; simulate and assumptions all but class; every study reads
 format and out.  Any other key set by a flag or the config file is refused
 with the key named, except ``noise = none`` for ideal, which states what
 that study computes.  A CSV header is the key order of the study's row dicts.
-A record is its kinds and cell; every label printed of one is made here
-(``_labels``), from one token table per kinds tuple.
+A run's records are one table (``simlab.Records``); every label printed of
+its rows is made here (``_labels``), from one token table per kinds tuple.
 The command line is read against the same two tables: one study name in
 any position, and per option ``--flag value`` or ``--flag=value`` with the
 flag spelt in full and the next token taken as the value whatever it looks
@@ -49,6 +49,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 import sys
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
@@ -90,15 +91,16 @@ def _plain(text: str) -> str:
 
 
 def _parse_angle(key: str, text: str) -> float:
-    """Radians, as a float literal or a pi expression like pi, -pi, pi/2, 0.5pi."""
+    """Radians, as a float literal or a pi expression like pi, -pi, pi/2, 0.5pi,
+    2*pi; a space may stand only beside pi, * or /, and one * only after a number."""
     try:
-        token = _plain(text.strip()).lower().replace(" ", "")
+        token = re.sub(" *(pi|[*/]) *", r"\1", _plain(text.strip()).lower())
         if "pi" not in token:
             value = float(token)
         else:
             coef_s, _, div_s = token.partition("pi")
-            coef_s = coef_s.rstrip("*")
-            coef = {"": 1.0, "-": -1.0, "+": 1.0}.get(coef_s) or float(coef_s)
+            signs = {} if coef_s.endswith("*") else {"": 1.0, "-": -1.0, "+": 1.0}
+            coef = signs.get(coef_s) or float(coef_s.removesuffix("*"))
             value = coef * math.pi
             if div_s:
                 if not div_s.startswith("/"):
@@ -341,41 +343,34 @@ def _tokens(kinds: tuple) -> tuple:
     return tuple(tuple(model.side_label((x,), (label,)) for x in model.NAMES) for label in labels)
 
 
-def _labels(record: simlab.CorrelationRecord, factors) -> tuple:
-    """A record's (u label, d label): each photon's tokens on ``factors``,
-    in the given order, joined by a space."""
-    tokens, cell, n = _tokens(record.kinds), record.cell, len(record.kinds)
-    return (" ".join([tokens[f][cell[f]] for f in factors]),
-            " ".join([tokens[f][cell[n + f]] for f in factors]))
+def _labels(records: simlab.Records, factors) -> list:
+    """One (u label, d label) per row of ``records``: each photon's tokens
+    on ``factors``, in the given order, joined by a space."""
+    tokens, n = _tokens(records.kinds), len(records.kinds)
+    return [(" ".join([tokens[f][cell[f]] for f in factors]),
+             " ".join([tokens[f][cell[n + f]] for f in factors]))
+            for cell in records.cells.tolist()]
 
 
-def _correlation_row(record: simlab.CorrelationRecord) -> dict:
-    setting_u, setting_d = _labels(record, range(len(record.kinds)))
-    return {
-        "setting_u": setting_u,
-        "setting_d": setting_d,
-        "E": record.E,
-        "std_err": record.std_err,
-        "n_events": record.n_events,
-    }
+def _record_rows(records: simlab.Records) -> list:
+    """One CSV/JSON row per row of ``records``: its labels, E, std_err and event count."""
+    columns = (_labels(records, range(len(records.kinds))), records.E.tolist(),
+               records.std_err.tolist(), records.n_events.tolist())
+    return [{"setting_u": u, "setting_d": d, "E": e, "std_err": s, "n_events": k}
+            for (u, d), e, s, k in zip(*columns)]
 
 
 def _run_simulate(config: RunConfig) -> StudyResult:
     state = _prepared_state(config)
     result = simlab.run_simulated_experiment(state, config["events"], config["seed"])
-    rows = [_correlation_row(rec) for rec in result.joint_records]
-    return StudyResult(
-        config, rows, result,
-        beta=result.beta.beta_estimate,
-        std_err=result.beta.beta_std_err,
-        bound=result.beta.bound,
-        sigmas=result.beta.sigmas,
-    )
+    rows, beta = _record_rows(result.joint_records), result.beta
+    return StudyResult(config, rows, result, beta=beta.beta_estimate, std_err=beta.beta_std_err,
+                       bound=beta.bound, sigmas=beta.sigmas)
 
 
 def _run_assumptions(config: RunConfig) -> StudyResult:
     report = simlab.assumption_test(_prepared_state(config), config["events"], config["seed"])
-    rows = [_correlation_row(cell) for row in report.rows for cell in row.cells]
+    rows = [line for row in report.rows for line in _record_rows(row.cells)]
     return StudyResult(config, rows, report)
 
 
@@ -404,11 +399,11 @@ def _assumption_lines(report: simlab.AssumptionReport) -> list:
         lines += _grid_lines(
             f"Assumption check: {rows[0].dof} correlations under {contexts} contexts"
             " (sampled E per cell)",
-            [" ".join(_labels(cell, others)) for cell in rows[0].cells]
+            [" ".join(labels) for labels in _labels(rows[0].cells, others)]
             + ["mean", "spread", "predictability", "analytic"],
-            [" ".join(_labels(row.cells[0], (f,))) for row in rows],
+            [" ".join(_labels(row.cells[:1], (f,))[0]) for row in rows],
             # An analytic zero prints unsigned: its sign is residue of the summation order.
-            [[cell.E for cell in row.cells]
+            [row.cells.E.tolist()
              + [row.mean_E, row.spread, row.predictability, round(row.analytic_E, 6) or 0.0]
              for row in rows],
         )
@@ -416,22 +411,23 @@ def _assumption_lines(report: simlab.AssumptionReport) -> list:
     return lines
 
 
-def _joint_grid_lines(records: tuple, operator: bell.BellOperator) -> list:
+def _joint_grid_lines(records: simlab.Records, operator: bell.BellOperator) -> list:
     """The 4^N correlations, ``records`` in the operator's term order: a
     term's index has one base-4 digit per factor, factor 0 first, its pair's
     offset in AB, Ab, aB, ab.  Rows run over factors 0..N-2 in pair order
     AB, aB, Ab, ab (digits 0, 2, 1, 3), columns over the last factor; at
     N = 1 one unlabelled row under factor 0's four pairs.  Heads are the
     tokens of a row's first record, a column's on the last factor alone."""
-    n = operator.dof_count
+    n, es = operator.dof_count, records.E.tolist()
+    heads = _labels(records, range(n - 1))  # a row's head: its first record's tokens
     row_pairs = product((0, 2, 1, 3), repeat=n - 1)  # each row's digits, the last factor's 0
     starts = [sum(d * 4 ** (n - 1 - f) for f, d in enumerate(pairs)) for pairs in row_pairs]
     rows = f"rows: {'-'.join(operator.kinds[:-1])} pair, " if n > 1 else ""
     return _grid_lines(
         f"Joint correlations ({rows}columns: {operator.kinds[-1]} pair)",
-        [" ".join(_labels(rec, (n - 1,))) for rec in records[:4]],
-        [" ".join(_labels(records[s], range(n - 1))) if n > 1 else "" for s in starts],
-        [[rec.E for rec in records[s : s + 4]] for s in starts],
+        [" ".join(labels) for labels in _labels(records[:4], (n - 1,))],
+        [" ".join(heads[s]) if n > 1 else "" for s in starts],
+        [es[s : s + 4] for s in starts],
     )
 
 

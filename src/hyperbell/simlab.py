@@ -18,9 +18,10 @@ replaced; ``_Layout`` builds each table of a kinds tuple once.
 
 A sampled cell is a setting and a factor, kept as one integer row of name
 digits (``_Layout.cells``): the joint correlation of the setting, or the
-correlation of that one degree of freedom.  A record is its kinds, its cell
-and its numbers; no label is made here, only where ``cli`` prints one, and
-``violation_report`` matches records to terms as digits on kinds.  Sampling
+correlation of that one degree of freedom.  A run's records are one table
+of cells and their numbers (``Records``), and a row range of it is a table;
+no label is made here, only where ``cli`` prints one, and
+``violation_report`` matches a table to the terms as digits on kinds.  Sampling
 is multinomial on the Born distribution, driven by the seeded generator in
 ``rng`` (identity ``rng.GENERATOR_ID``); cell i of a sampled range draws
 from the sub-stream i of the seed (``rng.derive_seeds``), so runs are
@@ -37,10 +38,9 @@ reads the whole pass and ``assumption_test`` its assumption suffix.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import product
+from itertools import product, zip_longest
 
 import numpy as np
 
@@ -49,8 +49,9 @@ from . import model, qcore, rng
 from .model import MAX_DOF, PAIRS, QuantumState
 
 _I2 = np.eye(2, dtype=complex)
-# Per N, each term's (u digits, d digits) in term order: built apart from the cell table.
-_TERMS = {n: [tuple(zip(*p)) for p in product(PAIRS, repeat=n)] for n in range(1, MAX_DOF + 1)}
+# Per N, each term's u digits then d digits, in term order: built apart from the cell table.
+_TERMS = {n: qcore.read_only(np.array([sum(zip(*p), ()) for p in product(PAIRS, repeat=n)]))
+          for n in range(1, MAX_DOF + 1)}
 # The (u, d) name digits each kind predicts: the rows of the assumption test.
 _ASSUMPTION_ROWS = {
     model.POLARIZATION: ((0, 0), (1, 1), (2, 3), (3, 2)),  # AA, aa, Bb, bB
@@ -76,8 +77,8 @@ class _Layout:
     ``model.PAIRS``, the other factors held at (A, B)).  Then the assumption cells:
     factor by factor, each row of its kind under the 4^(N-1) contexts of the
     other factors (other factors in order, the first slowest).  At N = 2
-    that is 0..15, 16..19, 20..23 and 24..55.  A record carries its row of
-    this table, and the weight rows are read from it by position.
+    that is 0..15, 16..19, 20..23 and 24..55.  A table of records carries
+    its rows of this table, and the weight rows are read from it by position.
     """
 
     def __init__(self, kinds: tuple):
@@ -187,24 +188,40 @@ def sample(probs: np.ndarray, n_events: int, seed: int) -> np.ndarray:
     return rng.multinomial(probs, n_events, seed)
 
 
-@dataclass(frozen=True)
-class CorrelationRecord:
-    """An estimate and what it measures: kinds, and its row of the cell table as ints."""
+@dataclass(frozen=True, eq=False)
+class Records:
+    """Sampled estimates on ``kinds``, one read-only array entry per row in
+    each column: row i's cell of the cell table (``_Layout.cells``), its E,
+    std_err and event count.  ``records[a:b]`` is the table of a row range;
+    tables are equal when their kinds and columns are."""
 
     kinds: tuple
-    cell: tuple
-    E: float
-    std_err: float
-    n_events: int
+    cells: np.ndarray  # (rows, 2N + 1) integers
+    E: np.ndarray
+    std_err: np.ndarray
+    n_events: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.cells)
+
+    def __getitem__(self, rows: slice) -> Records:
+        if not isinstance(rows, slice):
+            raise TypeError(f"a table is indexed by a row range, got {rows!r}")
+        columns = self.cells, self.E, self.std_err, self.n_events
+        return Records(self.kinds, *(column[rows] for column in columns))
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Records and all(
+            map(np.array_equal, vars(self).values(), vars(other).values()))
 
 
-def estimate(counts, u: tuple, d: tuple, factor: int | None = None) -> CorrelationRecord:
+def estimate(counts, u: tuple, d: tuple, factor: int | None = None) -> Records:
     """Correlation estimate with std_err = sqrt((1 - E^2)/n) from the counts
     of one setting of name digits ``u`` and ``d`` (``_checked_setting``) on
-    the canonical kinds of its N.
+    the canonical kinds of its N, as a one-row table.
 
     ``factor=None`` gives the joint correlation, factor f that degree of
-    freedom's; the record's cell is ``(*u, *d, factor)``, -1 for the joint
+    freedom's; the row's cell is ``(*u, *d, factor)``, -1 for the joint
     one, as in the cell table.  Counts must have an integer dtype: floats,
     whole or not, are refused rather than truncated, and they must total
     below 2^53."""
@@ -219,25 +236,21 @@ def estimate(counts, u: tuple, d: tuple, factor: int | None = None) -> Correlati
         raise ValueError(f"counts must be {weights.size} nonnegative integers")
     if sum(c.tolist()) >= 1 << 53:  # summed in Python ints: an int64 sum can wrap
         raise ValueError("counts must total below 2^53, where estimates are exact")
-    cell = (*u[0].tolist(), *d[0].tolist(), factor)
-    return _records(c.astype(np.int64, copy=False)[None], weights[None], layout.kinds, [cell])[0]
+    cell = qcore.read_only(np.array([[*u[0].tolist(), *d[0].tolist(), factor]]))
+    return _records(c.astype(np.int64, copy=False)[None], weights[None], layout.kinds, cell)
 
 
-def _records(counts: np.ndarray, weights: np.ndarray, kinds: tuple, cells: list) -> list:
-    """One ``CorrelationRecord`` per row of counts, on ``kinds`` and its cell
-    of ``cells``: E is the row's weighted sum over its event count n,
-    std_err = sqrt((1 - E^2)/n).  The weighted sums are integers below 2^53,
-    so no summation order can change them."""
+def _records(counts: np.ndarray, weights: np.ndarray, kinds: tuple, cells: np.ndarray) -> Records:
+    """The table of ``cells`` on ``kinds``, one row of counts per cell: E is a
+    row's weighted sum over its event count n, std_err = sqrt((1 - E^2)/n).
+    The weighted sums are integers below 2^53, so no summation order can
+    change them, and each entry is the one division and square root."""
     n = counts.sum(axis=1)
     if n.min() < 2:
         raise ValueError(f"need at least 2 events to estimate, got {int(n.min())}")
-    records = []
-    totals = (weights * counts).sum(axis=1).tolist()
-    for cell, total, n_events in zip(cells, totals, n.tolist()):
-        e = total / n_events
-        std_err = math.sqrt(max(0.0, 1.0 - e * e) / n_events)
-        records.append(CorrelationRecord(kinds, tuple(cell), e, std_err, n_events))
-    return records
+    e = (weights * counts).sum(axis=1) / n
+    std_err = np.sqrt(np.maximum(0.0, 1.0 - e * e) / n)
+    return Records(kinds, cells, *map(qcore.read_only, (e, std_err, n)))
 
 
 def significance(value: float, std_err: float, bound: float) -> float:
@@ -246,14 +259,6 @@ def significance(value: float, std_err: float, bound: float) -> float:
     if std_err == 0.0:
         return 0.0 if excess == 0.0 else math.copysign(math.inf, excess)
     return excess / std_err
-
-
-def _measured(record: CorrelationRecord) -> tuple:
-    """A record's kinds and photon digits: on every factor if joint, else on its factor alone."""
-    n, f = len(record.kinds), record.cell[-1]
-    if f < 0:
-        return record.kinds, record.cell[:n], record.cell[n:-1]
-    return (record.kinds[f],), (record.cell[f],), (record.cell[n + f],)
 
 
 @dataclass(frozen=True)
@@ -267,24 +272,31 @@ class ViolationReport:
 def violation_report(records, bell: bell_mod.BellOperator, bound: float) -> ViolationReport:
     """Combine per-setting correlations into a Bell-operator estimate.
 
-    ``records``, an iterable of ``CorrelationRecord``, must measure the
-    operator's terms in term order, one record per term, compared as kinds
-    and name digits: a joint record measures ``(kinds, u digits, d
-    digits)``, a record of factor f that factor alone, and a term is the
-    operator's kinds and one pair of ``model.PAIRS`` per factor.  So a
-    factor of a three-DOF run, numbered ``pi2`` where it is printed, is the
-    term of its CHSH operator alone, and records of other kinds are refused.
+    ``records``, a ``Records`` table of one factor, must measure the
+    operator's terms in term order, one row per term, compared as kinds,
+    name digits and factor in one array comparison (``_TERMS``): joint rows
+    measure the table's kinds, rows of factor f that factor alone, and a
+    term is the operator's kinds and one pair of ``model.PAIRS`` per factor.
+    So a factor of a three-DOF run, numbered ``pi2`` where it is printed, is
+    the term of its CHSH operator alone; rows of other kinds or of another
+    factor are refused, naming the first row that differs.
     """
     bell_mod.check_operator(bell)
-    rows = list(records) if isinstance(records, Iterable) else None
-    if rows is None or not all(isinstance(rec, CorrelationRecord) for rec in rows):
-        raise ValueError(f"records must be an iterable of CorrelationRecords, got {records!r}")
-    keys = [(bell.kinds, *term) for term in _TERMS[bell.dof_count]]
-    records, given = rows, [_measured(rec) for rec in rows]
-    if given != keys:
-        raise ValueError(f"record/term mismatch: expected {keys} in term order, got {given}")
-    beta = sum(sign * rec.E for sign, rec in zip(bell.term_signs, records))
-    var = sum(rec.std_err**2 for rec in records)
+    if not isinstance(records, Records):
+        raise ValueError(f"records must be a Records table, got {type(records).__name__}")
+    n, f = len(records.kinds), int(records.cells[0, -1]) if len(records) else -1
+    on, kinds = ([f], (records.kinds[f],)) if f >= 0 else (list(range(n)), records.kinds)
+    # Each row's u and d digits on the factors it measures, then its factor: the first row's.
+    got = records.cells[:, [*on, *(n + g for g in on), -1]]
+    terms = np.column_stack([_TERMS[bell.dof_count], np.full(4**bell.dof_count, f)])
+    if kinds != bell.kinds or not np.array_equal(got, terms):
+        rows = list(zip_longest(got.tolist(), terms.tolist()))  # None for no row
+        i = next(i for i, (row, term) in enumerate(rows) if row != term or kinds != bell.kinds)
+        raise ValueError(f"record/term mismatch at row {i}: expected {bell.kinds} {rows[i][1]},"
+                         f" got {kinds} {rows[i][0]}")
+    # Python floats summed left to right in term order: a numpy sum could move the last bit.
+    beta = sum(sign * e for sign, e in zip(bell.term_signs, records.E.tolist()))
+    var = sum(s**2 for s in records.std_err.tolist())
     std = math.sqrt(var)
     return ViolationReport(
         beta_estimate=float(beta),
@@ -297,16 +309,16 @@ def violation_report(records, bell: bell_mod.BellOperator, bound: float) -> Viol
 @dataclass(frozen=True)
 class AssumptionRow:
     dof: str  # which degree of freedom is being predicted
-    cells: tuple  # its records, one per context
+    cells: Records  # its row range of the table, one row per context
     analytic_E: float
 
     @property
     def mean_E(self) -> float:
-        return sum(c.E for c in self.cells) / len(self.cells)
+        return sum(self.cells.E.tolist()) / len(self.cells)
 
     @property
     def spread(self) -> float:
-        es = [c.E for c in self.cells]
+        es = self.cells.E.tolist()
         return max(es) - min(es)
 
     @property
@@ -336,16 +348,16 @@ def _checked_run(state: QuantumState, n_events, seed) -> tuple:
 def _sample_cells(
     state: QuantumState, layout: _Layout, n_events: int, seed: int, rows: slice = slice(None)
 ) -> tuple:
-    """One record per cell of the range ``rows`` of the pass, in cell order,
-    and each cell's exact correlation (its Born row times its weight row):
-    its Born rows, one sampler call on which its cell i reads sub-stream i
-    of ``seed``, one weight product.  The callers check the ints first
-    (``_checked_run``), so no refusal comes after Born."""
+    """The table of the cells of the range ``rows`` of the pass, in cell
+    order, and beside it each cell's exact correlation (its Born row times
+    its weight row): its Born rows, one sampler call on which its cell i
+    reads sub-stream i of ``seed``, one weight product.  The callers check
+    the ints first (``_checked_run``), so no refusal comes after Born."""
     cells, n = layout.cells[rows], len(layout.kinds)
     probs = born_distribution(state, cells[:, :n], cells[:, n:-1])
     counts = rng.multinomial(probs, n_events, rng.derive_seeds(seed, 0, len(cells)))
     weights = layout.weight_rows[cells[:, -1] + 1]
-    records = _records(counts, weights, layout.kinds, cells.tolist())
+    records = _records(counts, weights, layout.kinds, cells)
     return records, np.einsum("ij,ij->i", probs, weights).tolist()
 
 
@@ -365,22 +377,15 @@ def assumption_test(state: QuantumState, n_events: int, seed: int) -> Assumption
     return _assumption_report(layout, records, exact)
 
 
-def _assumption_report(layout: _Layout, records: list, exact: list) -> AssumptionReport:
-    """The assumption test's rows from the records and exact correlations
-    of its cells, in cell order: per factor, its 4 rows of 4^(N-1) cells,
-    each measuring the row's pair on that factor; a row's analytic value is
-    its first cell's exact correlation."""
+def _assumption_report(layout: _Layout, records: Records, exact: list) -> AssumptionReport:
+    """The assumption test's rows from the table and exact correlations of
+    its cells, in cell order: per factor, its 4 rows of 4^(N-1) cells, each
+    a row range measuring the row's pair on that factor; a row's analytic
+    value is its first cell's exact correlation."""
     size = 4 ** (len(layout.kinds) - 1)
-    rows = [
-        AssumptionRow(
-            dof=layout.kinds[i // (4 * size)],
-            cells=tuple(records[i : i + size]),
-            analytic_E=exact[i],
-        )
-        for i in range(0, len(records), size)
-    ]
-    factor_rows = tuple(tuple(rows[f : f + 4]) for f in range(0, len(rows), 4))
-    return AssumptionReport(factor_rows=factor_rows)
+    rows = [AssumptionRow(layout.kinds[i // (4 * size)], records[i : i + size], exact[i])
+            for i in range(0, len(records), size)]
+    return AssumptionReport(tuple(tuple(rows[f : f + 4]) for f in range(0, len(rows), 4)))
 
 
 @dataclass(frozen=True)
@@ -427,7 +432,7 @@ def reference_significance() -> tuple:
 
 @dataclass(frozen=True)
 class SimulationResult:
-    joint_records: tuple
+    joint_records: Records  # the rows 0:4^N of the run's table, in term order
     beta: ViolationReport
     chsh: tuple  # one CHSH ViolationReport per factor, factor 0 first
     assumptions: AssumptionReport
@@ -448,9 +453,6 @@ def run_simulated_experiment(state: QuantumState, n_events: int, seed: int) -> S
         violation_report(records[n_terms + 4 * f : n_terms + 4 * f + 4], op, 2.0)
         for f, op in enumerate(layout.operator.factors)
     )
-    return SimulationResult(
-        joint_records=tuple(records[:n_terms]),
-        beta=violation_report(records[:n_terms], layout.operator, bound=2.0 ** len(chsh)),
-        chsh=chsh,
-        assumptions=assumptions,
-    )
+    joint = records[:n_terms]
+    beta = violation_report(joint, layout.operator, bound=2.0 ** len(chsh))
+    return SimulationResult(joint, beta, chsh, assumptions)

@@ -166,19 +166,31 @@ MUTANTS = (
            ("tests/test_simlab.py::TestEstimate",
             "tests/test_simlab.py::TestSimulatedExperiment::"
             "test_every_cell_replays_alone_on_its_sub_stream")),
+    Mutant("std-err-events", "src/hyperbell/simlab.py",
+           "std_err = np.sqrt(np.maximum(0.0, 1.0 - e * e) / n)",
+           "std_err = np.sqrt(np.maximum(0.0, 1.0 - e * e) / (n - 1))",
+           ("tests/test_simlab.py::TestRecords::test_each_entry_is_the_scalar_formula",
+            "tests/test_simlab.py::TestEstimate::test_std_err_formula")),
     Mutant("std-err-sum", "src/hyperbell/simlab.py",
-           "var = sum(rec.std_err**2 for rec in records)",
-           "var = sum(rec.std_err for rec in records)",
+           "var = sum(s**2 for s in records.std_err.tolist())",
+           "var = sum(s for s in records.std_err.tolist())",
            ("tests/test_simlab.py::TestViolationReport",)),
     Mutant("record-kinds-unchecked", "src/hyperbell/simlab.py",
-           "    if given != keys:", "    if [g[1:] for g in given] != [k[1:] for k in keys]:",
+           "    if kinds != bell.kinds or not np.array_equal(got, terms):",
+           "    if not np.array_equal(got, terms):",
            ("tests/test_simlab.py::TestViolationReport::test_records_of_other_kinds_refused",)),
+    Mutant("record-factor-unchecked", "src/hyperbell/simlab.py",
+           "    got = records.cells[:, [*on, *(n + g for g in on), -1]]\n"
+           "    terms = np.column_stack([_TERMS[bell.dof_count], np.full(4**bell.dof_count, f)])",
+           "    got = records.cells[:, [*on, *(n + g for g in on)]]\n"
+           "    terms = _TERMS[bell.dof_count]",
+           ("tests/test_simlab.py::TestViolationReport::test_table_that_mixes_factors_refused",)),
     # Labels, made only where they are printed.
     Mutant("term-label-order", "src/hyperbell/cli.py",
            "[tokens[f][cell[f]] for f in factors]),\n"
-           "            \" \".join([tokens[f][cell[n + f]] for f in factors]))",
+           "             \" \".join([tokens[f][cell[n + f]] for f in factors]))",
            "[tokens[f][cell[n + f]] for f in factors]),\n"
-           "            \" \".join([tokens[f][cell[f]] for f in factors]))",
+           "             \" \".join([tokens[f][cell[f]] for f in factors]))",
            ("tests/test_cli.py::TestLabels", "tests/test_bell.py::TestStructuredOperator")),
     # Integers and the command line.
     Mutant("checked-int-bound", "src/hyperbell/rng.py",

@@ -81,6 +81,23 @@ def setting_labels(kinds, digits, factors=None):
                                   [labels[f] for f in factors]) for side in digits)
 
 
+def table(kinds, cells, E=0.0, std_err=0.0, n_events=2):
+    """A ``simlab.Records`` table on ``kinds`` of ``cells``, each a row of the
+    cell table (u digits, d digits, factor), its E, std_err and event count
+    one value for every row or one per row."""
+    m = len(cells)
+    numbers = (np.broadcast_to(np.asarray(x), (m,)).copy() for x in (E, std_err, n_events))
+    return simlab.Records(kinds, np.array(cells, dtype=np.int64).reshape(m, -1), *numbers)
+
+
+def take(records, rows):
+    """The table of the rows ``rows`` of ``records``, in that order, repeats
+    allowed: a table the package's row ranges cannot make."""
+    rows = list(rows)
+    columns = (records.cells, records.E, records.std_err, records.n_events)
+    return simlab.Records(records.kinds, *(column[rows] for column in columns))
+
+
 def random_product_state(kinds, seed):
     """A pure state on ``kinds`` whose pairs are random unit vectors.  A
     ``model.pair_state`` pair is maximally entangled, so every one-photon

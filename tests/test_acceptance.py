@@ -177,8 +177,8 @@ def test_criterion_6_assumption_context_independence():
             report = simlab.assumption_test(state, n_events=100, seed=0)
             # Each cell's two photon labels as the command prints them, a name_label
             # token per factor.
-            tokens = [[side.split() for side in cli._labels(c, range(n))]
-                      for r in report.rows for c in r.cells]
+            tokens = [[side.split() for side in labels]
+                      for r in report.rows for labels in cli._labels(r.cells, range(n))]
             names = [tuple(["AaBb".index(t[0]) for t in side] for side in c) for c in tokens]
             ok = ok and names == table and all(
                 [t[2:] for t in side] == list(model.factor_labels(layout.kinds))
@@ -253,9 +253,10 @@ def test_criterion_7_property_suites():
         for idx, setting in enumerate(canonical_settings(2)):
             probs = simlab.born_distribution(state, *setting)
             counts = simlab.sample(probs, 10**6, simlab.rng.derive_seeds(seed, idx, 1)[0])
-            est = simlab.estimate(counts, *setting)
+            est = simlab.estimate(counts, *setting)  # a one-row table
+            (e,), (std_err,) = est.E.tolist(), est.std_err.tolist()
             analytic = analytic_correlations(probs)[0]
-            consistent = consistent and abs(est.E - analytic) < 5 * est.std_err
+            consistent = consistent and abs(e - analytic) < 5 * std_err
     checks["estimator-consistency"] = consistent
 
     # Byte-determinism of CLI output under a fixed seed.

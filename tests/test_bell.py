@@ -20,6 +20,7 @@ from reference import (
     dense_rho,
     exact_value,
     factor_embedding,
+    table,
     term_settings,
 )
 
@@ -49,10 +50,9 @@ def _reconstruct(op):
 
 def _term_labels(op):
     """Each term's (u label, d label) as the command prints it: the labels
-    (``cli._labels``) of a joint record of the term's setting, in term order."""
+    (``cli._labels``) of a table of joint rows of the terms' settings, in term order."""
     cells = [(*us, *ds, -1) for us, ds in term_settings(op.kinds)]
-    return [cli._labels(simlab.CorrelationRecord(op.kinds, cell, 0.0, 0.0, 2), range(op.dof_count))
-            for cell in cells]
+    return cli._labels(table(op.kinds, cells), range(op.dof_count))
 
 
 class TestChshOperators:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import hyperbell
 from hyperbell import bell, cli, lhv, model, qcore, rng, simlab
-from reference import assumptions_csv, setting_labels, simulate_csv
+from reference import assumptions_csv, setting_labels, simulate_csv, table, take
 
 JSON_KEYS = {"study", "config", "rows", "beta", "std_err", "bound", "sigmas", "generator_id"}
 
@@ -200,7 +200,7 @@ class TestSimulateStudy:
             4: "Joint correlations (rows: polarization-path-polarization pair,"
                " columns: path pair)",
         }[n]
-        by_label = {cli._labels(rec, range(n)): rec.E for rec in sim.joint_records}
+        by_label = dict(zip(cli._labels(sim.joint_records, range(n)), sim.joint_records.E.tolist()))
         header = lines[1].split()
         cols = list(zip(header[0::2], header[1::2]))
         assert len(lines) == 2 + 4 ** (n - 1) and len(cols) == 4
@@ -270,39 +270,44 @@ LABEL_KINDS = [model.canonical_kinds(n) for n in (1, 2, 3, 4)] + [
 
 
 class TestLabels:
-    """Labels are made only where they are printed: ``cli._labels`` joins a
-    record's tokens ``name_label`` on the factors asked for, from one token
-    table per kinds tuple."""
+    """Labels are made only where they are printed: ``cli._labels`` joins
+    each row's tokens ``name_label`` on the factors asked for, from one
+    token table per kinds tuple, one (u, d) pair per row of a table."""
 
     def test_labels_split_by_degree_of_freedom(self):
         record = simlab.estimate(np.full(16, 10), (1, 0), (3, 2))  # aA, bB
-        assert cli._labels(record, range(2)) == ("a_pi A_k", "b_pi B_k")
-        assert cli._labels(record, (0,)) == ("a_pi", "b_pi")
-        assert cli._labels(record, (1,)) == ("A_k", "B_k")
+        assert cli._labels(record, range(2)) == [("a_pi A_k", "b_pi B_k")]
+        assert cli._labels(record, (0,)) == [("a_pi", "b_pi")]
+        assert cli._labels(record, (1,)) == [("A_k", "B_k")]
 
     def test_repeated_kind_carries_its_factor_number(self):
         """Factor 2 at N = 3 is the second polarization factor: pi2, so its
         printed label cannot collide with factor 0's."""
         record = simlab.estimate(np.full(64, 10), (0, 2, 1), (3, 1, 2))  # ABa, baB
-        assert cli._labels(record, range(3)) == ("A_pi B_k a_pi2", "b_pi a_k B_pi2")
-        assert cli._labels(record, (0,)) == ("A_pi", "b_pi")
-        assert cli._labels(record, (1,)) == ("B_k", "a_k")
-        assert cli._labels(record, (2,)) == ("a_pi2", "B_pi2")
+        assert cli._labels(record, range(3)) == [("A_pi B_k a_pi2", "b_pi a_k B_pi2")]
+        assert cli._labels(record, (0,)) == [("A_pi", "b_pi")]
+        assert cli._labels(record, (1,)) == [("B_k", "a_k")]
+        assert cli._labels(record, (2,)) == [("a_pi2", "B_pi2")]
 
     @pytest.mark.parametrize("kinds", LABEL_KINDS, ids="-".join)
     def test_every_cell_of_the_pass_against_the_oracle(self, kinds):
-        """Each cell of the pass on ``kinds``, as a record: its setting's
-        labels on every factor, on its own factor alone and on the others
-        (an assumption cell's context) are the oracle's."""
-        n = len(kinds)
-        for cell in simlab._layout(kinds).cells.tolist():
-            record = simlab.CorrelationRecord(kinds, tuple(cell), 0.0, 0.0, 2)
-            setting, f = (cell[:n], cell[n:-1]), cell[-1]
-            assert cli._labels(record, range(n)) == setting_labels(kinds, setting)
-            if f >= 0:
-                others = [g for g in range(n) if g != f]
-                assert cli._labels(record, (f,)) == setting_labels(kinds, setting, (f,))
-                assert cli._labels(record, others) == setting_labels(kinds, setting, others)
+        """Each cell of the pass on ``kinds``, as a row of a table: its
+        setting's labels on every factor, and each factor's cells' on that
+        factor alone and on the others (an assumption cell's context), are
+        the oracle's."""
+        n, cells = len(kinds), simlab._layout(kinds).cells.tolist()
+        records = table(kinds, cells)
+        assert cli._labels(records, range(n)) == [
+            setting_labels(kinds, (cell[:n], cell[n:-1])) for cell in cells
+        ]
+        for f in range(n):
+            own = take(records, [i for i, cell in enumerate(cells) if cell[-1] == f])
+            others = [g for g in range(n) if g != f]
+            for factors in ((f,), others):
+                assert cli._labels(own, factors) == [
+                    setting_labels(kinds, (cell[:n], cell[n:-1]), factors)
+                    for cell in own.cells.tolist()
+                ]
 
     def test_three_dof_assumption_table_labels(self):
         """Rows are labelled by the pair they predict on their factor,
@@ -740,6 +745,17 @@ class TestNumberSpelling:
             (["simulate", "--config", "seed = +7"], "seed"),  # a config file's line
             (["simulate", "--config", "seed = 007"], "seed"),
             (["simulate", "--config", "seed = -0"], "seed"),
+            # An angle's digits never join across a space, and one * stands after a number.
+            (["ideal", "--theta", "1 5"], "theta"),
+            (["ideal", "--theta", "p i"], "theta"),
+            (["ideal", "--theta", "2**pi"], "theta"),
+            (["ideal", "--phi", "1 .5"], "phi"),
+            (["ideal", "--phi", "*pi"], "phi"),
+            (["ideal", "--config", "theta = 1 5"], "theta"),
+            (["ideal", "--config", "theta = p i"], "theta"),
+            (["ideal", "--config", "theta = 2**pi"], "theta"),
+            (["ideal", "--config", "phi = 1 .5"], "phi"),
+            (["ideal", "--config", "phi = *pi"], "phi"),
         ],
     )
     def test_refused_naming_the_key(self, argv, key, capsys, tmp_path):
@@ -760,6 +776,7 @@ class TestNumberSpelling:
     @pytest.mark.parametrize("text,value", [
         ("pi", math.pi), ("-pi", -math.pi), ("+pi", math.pi), ("pi/2", math.pi / 2),
         ("0.5pi", 0.5 * math.pi), ("2*pi", 2 * math.pi), (" PI / 4 ", math.pi / 4),
+        ("pi / 2", math.pi / 2), ("2 * pi", 2 * math.pi), ("- pi", -math.pi),
         ("1.57", 1.57), ("-0", 0.0),
     ])
     def test_angle_keeps_its_pi_forms(self, text, value):

@@ -216,8 +216,9 @@ def test_stdout_digest(name, cache, capsys):
 # each assumption cell's setting and context labels.  (study, N): (events,
 # seed, digest) on ``model.hyper_state(0.7, -1.3, N)`` under dephasing
 # (v_pi, v_k) = (0.87, 0.93).  The text is that of the code that recorded the
-# digests, whose records carried their labels: ``_record_text`` writes that
-# repr from a record's numbers and the labels of ``cli._labels``.
+# digests, whose records were objects that carried their labels:
+# ``_record_texts`` writes that repr of each row of a table from its columns
+# and the labels of ``cli._labels``.
 LIBRARY = {
     ("run", 1): (2000, 11, "fe54a8df301a0270148cc00847b7af163e9966936684083d741b4f94e98247c0"),
     ("run", 3): (2000, 12, "148dd9bc42c71ca73646f342f67c11e1b13c9de18bcdf8d35359186d5d930b77"),
@@ -240,27 +241,30 @@ def _library_text(study, n, events, seed):
     lines = []
     if study == "run":
         result = simlab.run_simulated_experiment(state, events, seed)
-        records = result.joint_records
         lines += [repr(rep) for rep in (*result.chsh, result.beta)]
+        lines += _record_texts(result.joint_records)
         report = result.assumptions
     else:
-        records, report = (), simlab.assumption_test(state, events, seed)
-    lines += [_record_text(record) for record in records]
+        report = simlab.assumption_test(state, events, seed)
     for f, rows in enumerate(report.factor_rows):
         others = [g for g in range(n) if g != f]
-        for cell in (cell for row in rows for cell in row.cells):
-            setting, context = cli._labels(cell, range(n)), " ".join(cli._labels(cell, others))
-            lines.append(f"({', '.join(map(repr, (*setting, context)))}, {_record_text(cell)})")
+        for row in rows:
+            settings, contexts = cli._labels(row.cells, range(n)), cli._labels(row.cells, others)
+            for setting, context, text in zip(settings, contexts, _record_texts(row.cells),
+                                              strict=True):
+                lines.append(f"({', '.join(map(repr, (*setting, ' '.join(context))))}, {text})")
     return "\n".join(lines)
 
 
-def _record_text(record):
-    """A record as its repr read when it carried its labels: the joint
-    correlation's on every factor, factor f's on f alone."""
-    f = record.cell[-1]
-    label = cli._labels(record, range(len(record.kinds)) if f < 0 else (f,))
-    return (f"CorrelationRecord(label={label!r}, E={record.E!r}, std_err={record.std_err!r},"
-            f" n_events={record.n_events!r})")
+def _record_texts(records):
+    """Each row of a table of one factor as its repr read when a record
+    carried its labels: the joint correlation's on every factor, factor f's
+    on f alone."""
+    (f,) = set(records.cells[:, -1].tolist())
+    labels = cli._labels(records, range(len(records.kinds)) if f < 0 else (f,))
+    columns = records.E.tolist(), records.std_err.tolist(), records.n_events.tolist()
+    return [f"CorrelationRecord(label={label!r}, E={e!r}, std_err={s!r}, n_events={k!r})"
+            for label, e, s, k in zip(labels, *columns, strict=True)]
 
 
 @pytest.mark.parametrize("study,n", sorted(LIBRARY))

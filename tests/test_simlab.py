@@ -40,6 +40,8 @@ from reference import (
     signaling_deviation,
     splitmix64,
     splitmix64_uniform,
+    table,
+    take,
     term_settings,
     traced_peak,
 )
@@ -62,10 +64,8 @@ class TestSettings:
         kinds, settings = model.canonical_kinds(2), canonical_settings(2)
         assert len(settings) == 16 and len(set(settings)) == 16
         assert _table_cells(simlab._layout(kinds))[:16] == [(*s, None) for s in settings]
-        result = simlab.run_simulated_experiment(IDEAL, 100, seed=0)
-        assert [(rec.kinds, rec.cell) for rec in result.joint_records] == [
-            (kinds, (*u, *d, -1)) for u, d in settings
-        ]
+        joint = simlab.run_simulated_experiment(IDEAL, 100, seed=0).joint_records
+        assert (joint.kinds, joint.cells.tolist()) == (kinds, [[*u, *d, -1] for u, d in settings])
 
     @pytest.mark.parametrize(
         "u,d,match",
@@ -106,7 +106,7 @@ class TestSettings:
         assert probs.shape == (4**n,)
         numpy_digits = tuple(np.int64(x) for x in u), tuple(np.uint8(x) for x in d)
         assert simlab.born_distribution(STATES[n][0], *numpy_digits).tobytes() == probs.tobytes()
-        assert simlab.estimate(np.full(4**n, 10, dtype=int), u, d).n_events == 10 * 4**n
+        assert simlab.estimate(np.full(4**n, 10, dtype=int), u, d).n_events.tolist() == [10 * 4**n]
 
 
 class TestBornDistribution:
@@ -253,9 +253,9 @@ class TestOwnKinds:
         kinds = (model.PATH, model.POLARIZATION)
         state = model.product_state(kinds, (0.0, np.pi))
         result = simlab.run_simulated_experiment(state, n_events=10**5, seed=0)
-        assert [(r.kinds, r.cell) for r in result.joint_records] == [
-            (kinds, (*u, *d, -1)) for u, d in term_settings(kinds)
-        ]
+        joint = result.joint_records
+        assert (joint.kinds, joint.cells.tolist()) == (
+            kinds, [[*u, *d, -1] for u, d in term_settings(kinds)])
         assert abs(result.beta.beta_estimate + 8.0) < 5 * result.beta.beta_std_err
         for rep, value in zip(result.chsh, (2 * SQRT2, -2 * SQRT2), strict=True):
             assert abs(rep.beta_estimate - value) < 5 * rep.beta_std_err
@@ -264,8 +264,8 @@ class TestOwnKinds:
         """The path pair at phase pi/2 has beta = 0 on the path operator."""
         state = model.product_state((model.PATH,), (np.pi / 2,))
         result = simlab.run_simulated_experiment(state, n_events=10**5, seed=0)
-        assert (result.joint_records[0].kinds, result.joint_records[0].cell) == (
-            (model.PATH,), (0, 2, -1))
+        joint = result.joint_records
+        assert (joint.kinds, joint.cells[0].tolist()) == ((model.PATH,), [0, 2, -1])
         assert abs(result.beta.beta_estimate) < 5 * result.beta.beta_std_err
 
     @pytest.mark.parametrize("kinds", [k for k in NON_CANONICAL_KINDS if len(k) < 3], ids="-".join)
@@ -279,7 +279,7 @@ class TestOwnKinds:
         for f, (kind, rows) in enumerate(zip(kinds, report.factor_rows, strict=True)):
             assert [row.dof for row in rows] == [kind] * 4
             assert [_row_pair(row) for row in rows] == [_digits(pair) for pair in pairs[kind]]
-            assert {cell.kinds for row in rows for cell in row.cells} == {kinds}
+            assert {row.cells.kinds for row in rows} == {kinds}
 
 
 def _all_settings(n):
@@ -1347,7 +1347,7 @@ class TestArrayPass:
         for cell in layout.cells.tolist():
             factor = None if cell[-1] < 0 else cell[-1]
             record = simlab.estimate(counts, tuple(cell[:n]), tuple(cell[n : 2 * n]), factor)
-            assert (record.kinds, record.cell) == (layout.kinds, tuple(cell))
+            assert (record.kinds, record.cells.tolist()) == (layout.kinds, [cell])
 
     def test_pass_makes_no_per_cell_call(self, monkeypatch):
         """A second run makes one ``born_distribution`` call on the 56 stacked
@@ -1378,7 +1378,7 @@ class TestArrayPass:
         setting = canonical_settings(4)[5]
         counts = np.arange(256, dtype=np.int64)
         record = simlab.estimate(counts, *setting, 2)
-        assert record.n_events == int(counts.sum())
+        assert record.n_events.tolist() == [int(counts.sum())]
         layout = simlab._layout(model.canonical_kinds(4))
         assert "cells" not in vars(layout)
 
@@ -1399,28 +1399,29 @@ class TestEstimate:
         counts[0] = 500  # (+,+ | +,+)
         for factor in (None, 0, 1):
             rec = simlab.estimate(counts, *setting("AA", "BB"), factor)
-            assert rec.E == 1.0 and rec.std_err == 0.0 and rec.n_events == 500
+            assert (rec.E.tolist(), rec.std_err.tolist(), rec.n_events.tolist()) == (
+                [1.0], [0.0], [500])
 
     def test_std_err_formula(self):
         u, d = setting("AA", "BB")
         counts = simlab.sample(simlab.born_distribution(NOISY, u, d), 10**4, seed=3)
         for factor in (None, 0, 1):
             rec = simlab.estimate(counts, u, d, factor)
-            assert rec.std_err == pytest.approx(
-                math.sqrt((1 - rec.E**2) / rec.n_events), abs=1e-12
-            )
+            (e,), (std_err,), (n,) = rec.E.tolist(), rec.std_err.tolist(), rec.n_events.tolist()
+            assert std_err == pytest.approx(math.sqrt((1 - e**2) / n), abs=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_record_is_the_canonical_kinds_and_the_cell(self, n):
-        """A record's cell is photon u's digits, photon d's, then its factor,
-        -1 for the joint correlation, on the canonical kinds of its N."""
+        """An estimate is a one-row table whose cell is photon u's digits,
+        photon d's, then its factor, -1 for the joint correlation, on the
+        canonical kinds of its N, in the cell table's integer dtype."""
         u, d = ((1, 0), (3, 2)) if n == 2 else ((0, 2, 1), (3, 1, 2))
         counts = np.full(4**n, 10, dtype=int)
         for factor in (None, *range(n)):
             record = simlab.estimate(counts, u, d, factor)
             assert record.kinds == model.canonical_kinds(n)
-            assert record.cell == (*u, *d, -1 if factor is None else factor)
-            assert all(type(x) is int for x in record.cell)
+            assert record.cells.tolist() == [[*u, *d, -1 if factor is None else factor]]
+            assert record.cells.dtype == simlab._layout(record.kinds).cells.dtype
 
     @pytest.mark.parametrize("factor", [-1, 2])
     def test_factor_outside_setting_refused(self, factor):
@@ -1432,7 +1433,8 @@ class TestEstimate:
         u, d = setting("AA", "BB")
         counts = simlab.sample(simlab.born_distribution(IDEAL, u, d), 10**5, seed=21)
         est = simlab.estimate(counts, u, d)
-        assert abs(est.E - 0.5) < 5 * est.std_err
+        (e,), (std_err,) = est.E.tolist(), est.std_err.tolist()
+        assert abs(e - 0.5) < 5 * std_err
 
     def test_white_noise_marginal_is_visibility(self):
         """Same-observable polarization correlation equals v_pi = 0.9 under
@@ -1476,7 +1478,60 @@ class TestEstimate:
         with pytest.raises(ValueError, match=r"total below 2\^53"):
             simlab.estimate(counts, u, d)
         counts[0] -= 1
-        assert simlab.estimate(counts, u, d).n_events == (1 << 53) - 1
+        assert simlab.estimate(counts, u, d).n_events.tolist() == [(1 << 53) - 1]
+
+
+class TestRecords:
+    """A run's records are one table: its kinds, and read-only columns of one
+    entry per row; a row range of a table is a table, and tables are equal
+    when their kinds and columns are."""
+
+    def test_columns_are_read_only_and_row_ranges_are_tables(self):
+        joint = simlab.run_simulated_experiment(NOISY, 300, seed=4).joint_records
+        columns = (joint.cells, joint.E, joint.std_err, joint.n_events)
+        assert len(joint) == 16 and [len(column) for column in columns] == [16] * 4
+        for column in columns:
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+        part = joint[3:7]
+        assert type(part) is simlab.Records and (part.kinds, len(part)) == (joint.kinds, 4)
+        for whole, rows in zip(columns, (part.cells, part.E, part.std_err, part.n_events)):
+            assert rows.tobytes() == whole[3:7].tobytes()
+        assert part[1:2] == joint[4:5] != joint[5:6]
+
+    @pytest.mark.parametrize("index", [0, -1, [0, 1], np.arange(2)], ids=repr)
+    def test_index_other_than_a_row_range_refused(self, index):
+        """An integer would give a table whose cell column is one row and
+        whose numbers are scalars; a table is not iterated row by row."""
+        joint = simlab.run_simulated_experiment(NOISY, 300, seed=4).joint_records
+        with pytest.raises(TypeError, match="a table is indexed by a row range"):
+            joint[index]
+        with pytest.raises(TypeError, match="a table is indexed by a row range"):
+            list(joint)
+
+    def test_equal_when_kinds_and_columns_are(self):
+        kinds = model.canonical_kinds(1)
+        first = table(kinds, [(0, 2, -1), (0, 3, -1)], [0.5, 0.25], 0.1, 10)
+        assert first == table(kinds, [(0, 2, -1), (0, 3, -1)], [0.5, 0.25], 0.1, 10)
+        for other in (table((model.PATH,), [(0, 2, -1), (0, 3, -1)], [0.5, 0.25], 0.1, 10),
+                      table(kinds, [(0, 2, -1), (0, 3, 0)], [0.5, 0.25], 0.1, 10),
+                      table(kinds, [(0, 2, -1), (0, 3, -1)], [0.5, 0.5], 0.1, 10),
+                      table(kinds, [(0, 2, -1), (0, 3, -1)], [0.5, 0.25], 0.2, 10),
+                      table(kinds, [(0, 2, -1), (0, 3, -1)], [0.5, 0.25], 0.1, 11),
+                      first[:1], (kinds, first.cells, first.E, first.std_err, first.n_events)):
+            assert first != other
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_each_entry_is_the_scalar_formula(self, n):
+        """Every row of a run's pass holds bitwise the scalar estimate: E the
+        integer weighted count sum over the event count, in one division,
+        and std_err = sqrt(max(0, 1 - E^2)/n) in Python floats."""
+        state = model.apply_noise(model.hyper_state(0.7, -1.3, n), WHITE_09)
+        records = simlab._sample_cells(state, simlab._layout(state.kinds), 2001, 5)[0]
+        columns = records.E.tolist(), records.std_err.tolist(), records.n_events.tolist()
+        for e, std_err, events in zip(*columns, strict=True):
+            assert events == 2001 and e == round(e * events) / events
+            assert std_err == math.sqrt(max(0.0, 1.0 - e * e) / events)
 
 
 class TestFactorization:
@@ -1491,39 +1546,35 @@ class TestFactorization:
 
 class TestViolationReport:
     POL = (model.POLARIZATION,)
-    # beta_pi's terms in term order: the cells of its joint records, and what each measures.
+    # beta_pi's terms in term order: the cells of its joint rows, each row's u digits, d
+    # digits and factor, as a refusal names them.
     CHSH_CELLS = [(0, 2, -1), (0, 3, -1), (1, 2, -1), (1, 3, -1)]
-    CHSH_TERMS = [(POL, (0,), (2,)), (POL, (0,), (3,)), (POL, (1,), (2,)), (POL, (1,), (3,))]
 
     def _records(self, order=range(4), es=None, kinds=POL):
-        """Records of the cells ``order`` on ``kinds``, each E 0.5 unless ``es`` says."""
+        """A table of the cells ``order`` on ``kinds``, each E 0.5 unless ``es`` says."""
         es = [0.5] * len(order) if es is None else es
-        return [simlab.CorrelationRecord(kinds, self.CHSH_CELLS[i], E=e, std_err=0.01,
-                                         n_events=100) for i, e in zip(order, es, strict=True)]
+        return table(kinds, [self.CHSH_CELLS[i] for i in order], es, 0.01, 100)
 
     def test_ideal_analytic_records_sum_to_minus_eight(self):
-        kinds = model.canonical_kinds(2)
-        records = [
-            simlab.CorrelationRecord(kinds, (*u, *d, -1), E=analytic_correlations(
-                simlab.born_distribution(IDEAL, u, d))[0], std_err=0.0, n_events=1)
-            for u, d in canonical_settings(2)
-        ]
+        settings = canonical_settings(2)
+        es = [analytic_correlations(simlab.born_distribution(IDEAL, u, d))[0] for u, d in settings]
+        records = table(model.canonical_kinds(2), [(*u, *d, -1) for u, d in settings], es, 0.0, 1)
         rep = simlab.violation_report(records, bell.canonical_product(2), bound=4.0)
         assert rep.beta_estimate == pytest.approx(-8.0, abs=1e-10)
         assert rep.beta_std_err == 0.0
 
     def test_ideal_chsh_records_sum_to_tsirelson(self):
-        """Each factor's records, one per pair of its own CHSH operator, the
+        """Each factor's rows, one per pair of its own CHSH operator, the
         other factor at (A, B)."""
         kinds = model.canonical_kinds(2)
         for f, op in enumerate(bell.canonical_product(2).factors):
-            records = []
+            cells, es = [], []
             for (uf,), (df,) in term_settings(op.kinds):
                 u, d = [0, 0], [2, 2]
                 u[f], d[f] = uf, df
-                e = analytic_correlations(simlab.born_distribution(IDEAL, (*u,), (*d,)))[1 + f]
-                records.append(simlab.CorrelationRecord(kinds, (*u, *d, f), e, 0.0, 1))
-            rep = simlab.violation_report(records, op, bound=2.0)
+                es.append(analytic_correlations(simlab.born_distribution(IDEAL, (*u,), (*d,)))[1 + f])
+                cells.append((*u, *d, f))
+            rep = simlab.violation_report(table(kinds, cells, es, 0.0, 1), op, bound=2.0)
             assert abs(rep.beta_estimate) == pytest.approx(2 * SQRT2, abs=1e-10)
 
     def test_std_err_combines_in_quadrature(self):
@@ -1539,65 +1590,112 @@ class TestViolationReport:
         assert rep.beta_estimate == pytest.approx(2.0, abs=1e-12)
         assert rep.sigmas == pytest.approx(0.0, abs=1e-9)
 
-    def _refused(self, given):
-        """The refusal of records measuring ``given``, naming both lists."""
+    def _refused(self, row, got, kinds=POL):
+        """The refusal naming ``row``: the term it should measure, on beta_pi's
+        kinds, and ``got``, what it measures on ``kinds`` (None: no row)."""
+        want = list(self.CHSH_CELLS[row]) if row < 4 else None
         return pytest.raises(ValueError, match=re.escape(
-            f"record/term mismatch: expected {self.CHSH_TERMS} in term order, got {given}"
+            f"record/term mismatch at row {row}: expected {self.POL} {want}, got {kinds} {got}"
         ))
 
     def test_record_of_another_setting_rejected(self):
-        """B_pi measured on photon u, as a record's cell may name it."""
-        records = [simlab.CorrelationRecord(self.POL, (2, 2, -1), 0.5, 0.01, 10)]
-        with self._refused([(self.POL, (2,), (2,))]):
+        """B_pi measured on photon u, as a row's cell may name it."""
+        records = table(self.POL, [(2, 2, -1)], 0.5, 0.01, 10)
+        with self._refused(0, [2, 2, -1]):
             simlab.violation_report(records, bell.canonical_product(1), bound=2.0)
 
     @pytest.mark.parametrize(
-        "order", [(1, 0, 2, 3), (0, 1, 2), (0, 1, 2, 3, 3)], ids=["misplaced", "missing", "extra"]
+        "order,row,got",
+        [((1, 0, 2, 3), 0, [0, 3, -1]), ((0, 1, 2), 3, None), ((0, 1, 2, 3, 3), 4, [1, 3, -1])],
+        ids=["misplaced", "missing", "extra"],
     )
-    def test_records_out_of_term_order_rejected(self, order):
-        """Records are read by position: each must measure its term."""
-        with self._refused([self.CHSH_TERMS[i] for i in order]):
+    def test_records_out_of_term_order_rejected(self, order, row, got):
+        """Rows are read by position: each must measure its term."""
+        with self._refused(row, got):
             simlab.violation_report(self._records(order), bell.canonical_product(1), bound=2.0)
 
-    @pytest.mark.parametrize("records", [None, [1, 2, 3, 4]], ids=["none", "ints"])
-    def test_records_that_are_no_records_refused(self, records):
+    @pytest.mark.parametrize(
+        "records,type_name",
+        [(None, "NoneType"), ([1, 2, 3, 4], "list"), ((), "tuple")],
+        ids=["none", "ints", "empty-tuple"],
+    )
+    def test_records_that_are_no_records_refused(self, records, type_name):
         """None escaped as ``TypeError: 'NoneType' object is not iterable``,
         ints as ``AttributeError`` on ``label``."""
-        message = f"records must be an iterable of CorrelationRecords, got {records!r}"
+        message = f"records must be a Records table, got {type_name}"
         with pytest.raises(ValueError, match=re.escape(message)):
             simlab.violation_report(records, bell.canonical_product(1), bound=2.0)
 
-    def test_records_may_come_as_an_iterator(self):
+    def test_records_come_as_one_table(self):
+        """The rows of a table, given one by one as one-row tables, are no
+        table: they are refused, naming their type; the table gives beta."""
         records = self._records()
-        rep = simlab.violation_report(iter(records), bell.canonical_product(1), bound=2.0)
-        assert rep == simlab.violation_report(records, bell.canonical_product(1), bound=2.0)
+        rows = [records[i : i + 1] for i in range(len(records))]
+        for given, type_name in ((iter(rows), "list_iterator"), (rows, "list")):
+            with pytest.raises(ValueError, match=f"got {type_name}$"):
+                simlab.violation_report(given, bell.canonical_product(1), bound=2.0)
+        rep = simlab.violation_report(records, bell.canonical_product(1), bound=2.0)
         assert rep.beta_estimate == pytest.approx(1.0, abs=1e-12)
 
     def test_factor_records_of_a_larger_run_match_their_chsh_operator(self):
         """Factor 2 of a three-DOF run, printed ``pi2``, measures the terms of
         the polarization CHSH operator alone: no relabelling is asked for."""
-        kinds = model.canonical_kinds(3)
-        records = [simlab.CorrelationRecord(kinds, (0, 0, u, 2, 2, d, 2), 0.5, 0.01, 100)
-                   for u, d, _ in self.CHSH_CELLS]
+        cells = [(0, 0, u, 2, 2, d, 2) for u, d, _ in self.CHSH_CELLS]
+        records = table(model.canonical_kinds(3), cells, 0.5, 0.01, 100)
         rep = simlab.violation_report(records, bell.canonical_product(1), bound=2.0)
         assert rep.beta_estimate == pytest.approx(1.0, abs=1e-12)
 
     def test_records_of_other_kinds_refused(self):
-        """Path records against the polarization operator, factor 2 of
-        (pi, k, pi) against the path one, and (pi, k) joint records against
+        """Path rows against the polarization operator, factor 2 of
+        (pi, k, pi) against the path one, and (pi, k) joint rows against
         the (k, pi) operator measure the operator's digits on other kinds."""
         path = (model.PATH,)
-        with self._refused([(path, (u,), (d,)) for u, d, _ in self.CHSH_CELLS]):
+        with self._refused(0, [0, 2, -1], kinds=path):
             simlab.violation_report(self._records(kinds=path), bell.canonical_product(1), 2.0)
-        kinds = model.canonical_kinds(3)
-        records = [simlab.CorrelationRecord(kinds, (0, 0, u, 2, 2, d, 2), 0.5, 0.01, 100)
-                   for u, d, _ in self.CHSH_CELLS]
+        cells = [(0, 0, u, 2, 2, d, 2) for u, d, _ in self.CHSH_CELLS]
+        records = table(model.canonical_kinds(3), cells, 0.5, 0.01, 100)
         with pytest.raises(ValueError, match="record/term mismatch"):
             simlab.violation_report(records, bell.product_operator(path), 2.0)
         joint = simlab.run_simulated_experiment(IDEAL, 100, seed=0).joint_records
         swapped = bell.product_operator((model.PATH, model.POLARIZATION))
         with pytest.raises(ValueError, match="record/term mismatch"):
             simlab.violation_report(joint, swapped, 4.0)
+
+    def test_table_that_mixes_factors_refused(self):
+        """At N = 1 a run's joint rows and its factor rows measure the same
+        digits: a table of both, each in its term's place, mixes factors and
+        is refused at its first row of another factor.  So is a two-DOF
+        table of joint rows with one row of factor 0."""
+        layout = simlab._layout(self.POL)
+        records = simlab._sample_cells(STATES[1][1], layout, 100, 0)[0]  # the whole pass
+        mixed = take(records, [0, 1, 6, 7])
+        assert mixed.cells.tolist() == [[0, 2, -1], [0, 3, -1], [1, 2, 0], [1, 3, 0]]
+        with self._refused(2, [1, 2, 0]):
+            simlab.violation_report(mixed, bell.canonical_product(1), 2.0)
+        kinds = model.canonical_kinds(2)
+        cells = [[*u, *d, -1] for u, d in term_settings(kinds)]
+        cells[3][-1] = 0
+        message = f"at row 3: expected {kinds} [0, 1, 2, 3, -1], got {kinds} [0, 1, 2, 3, 0]"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            simlab.violation_report(table(kinds, cells), bell.canonical_product(2), 4.0)
+
+    def test_refusal_at_four_dof_names_the_first_row_that_differs(self):
+        """Two swapped joint rows of an N = 4 run: the refusal names row 5,
+        what it measures and its term, in a few hundred characters, where
+        listing both sides' 256 keys took 41,011."""
+        state = model.apply_noise(bell.ideal_state(4), WHITE_09)
+        joint = simlab.run_simulated_experiment(state, 100, seed=0).joint_records
+        order = list(range(256))
+        order[5], order[200] = 200, 5
+        with pytest.raises(ValueError) as refusal:
+            simlab.violation_report(take(joint, order), bell.canonical_product(4), 16.0)
+        message = str(refusal.value)
+        terms = term_settings(joint.kinds)
+        assert message == (
+            f"record/term mismatch at row 5: expected {joint.kinds} {[*sum(terms[5], ()), -1]},"
+            f" got {joint.kinds} {[*sum(terms[200], ()), -1]}"
+        )
+        assert len(message) < 300
 
     @pytest.mark.parametrize("type_name", sorted(NOT_OPERATORS))
     def test_operator_that_is_no_bell_operator_rejected(self, type_name):
@@ -1610,7 +1708,7 @@ class TestViolationReport:
                 simlab.violation_report(given, bad, 4.0)
 
     def test_duplicate_records_rejected(self):
-        with self._refused([self.CHSH_TERMS[0]] * 2):
+        with self._refused(1, [0, 2, -1]):
             simlab.violation_report(self._records((0, 0)), bell.canonical_product(1), bound=2.0)
 
     def test_beta_report_builds_no_label(self, monkeypatch):
@@ -1659,8 +1757,7 @@ class TestAssumptionTest:
         report = simlab.assumption_test(IDEAL, n_events=2000, seed=1)
         first = report.factor_rows[0][0]
         assert _row_pair(first) == _digits("AA")
-        for cell in first.cells:
-            assert cell.E == 1.0  # all mass on matching outcomes
+        assert first.cells.E.tolist() == [1.0] * 4  # all mass on matching outcomes
         assert first.analytic_E == pytest.approx(1.0, abs=1e-12)
         assert first.spread == 0.0
         assert first.predictability == pytest.approx(1.0, abs=1e-12)
@@ -1671,11 +1768,10 @@ class TestAssumptionTest:
         row = report.factor_rows[0][1]
         assert _row_pair(row) == _digits("aa")
         assert row.analytic_E == pytest.approx(-1.0, abs=1e-12)
-        for cell in row.cells:
-            assert cell.E == -1.0
+        assert row.cells.E.tolist() == [-1.0] * 4
 
     def test_row_structure(self):
-        """Each factor's rows are its kind's pairs, each cell a record of that
+        """Each factor's rows are its kind's pairs, each cell a row of that
         factor, the other factor's pair its context."""
         report = simlab.assumption_test(NOISY, n_events=100, seed=2)
         assert [_row_pair(r) for r in report.factor_rows[0]] == [
@@ -1686,8 +1782,8 @@ class TestAssumptionTest:
         ]
         for f, rows in enumerate(report.factor_rows):
             for row in rows:
-                assert {c.cell[-1] for c in row.cells} == {f}
-                assert [_context(c) for c in row.cells] == [
+                assert row.cells.cells[:, -1].tolist() == [f] * 4
+                assert _contexts(row.cells) == [
                     _digits(pair) for pair in ("AB", "Ab", "aB", "ab")
                 ]
 
@@ -1707,10 +1803,10 @@ class TestAssumptionTest:
         assert [_row_pair(r) for r in report.factor_rows[2]] == [
             _digits(pair) for pair in ("AA", "aa", "Bb", "bB")
         ]
-        contexts = [_context(c) for c in report.factor_rows[0][0].cells]
+        contexts = _contexts(report.factor_rows[0][0].cells)
         assert len(contexts) == 16
         assert contexts[:2] == [_digits("AABB"), _digits("AABb")]
-        assert _context(report.factor_rows[2][0].cells[1]) == _digits("AABb")
+        assert _contexts(report.factor_rows[2][0].cells)[1] == _digits("AABb")
         for row in report.rows:
             assert abs(row.analytic_E) == pytest.approx(0.9, abs=1e-12)
 
@@ -1764,18 +1860,33 @@ def _digits(names):
 
 
 def _row_pair(row):
-    """The one (u, d) pair of name digits an assumption row's records
-    measure on their own factor."""
-    pairs = {(c.cell[c.cell[-1]], c.cell[len(c.kinds) + c.cell[-1]]) for c in row.cells}
+    """The one (u, d) pair of name digits an assumption row's cells measure
+    on their own factor."""
+    n = len(row.cells.kinds)
+    pairs = {(cell[cell[-1]], cell[n + cell[-1]]) for cell in row.cells.cells.tolist()}
     assert len(pairs) == 1, pairs
     return pairs.pop()
 
 
-def _context(record):
-    """A factor record's context: photon u's digits on the other factors,
-    then photon d's."""
-    n, f = len(record.kinds), record.cell[-1]
-    return tuple(x for i, x in enumerate(record.cell[:-1]) if i % n != f)
+def _contexts(records):
+    """Each row's context, for a table of factor rows: photon u's digits on
+    the factors other than the row's own, then photon d's."""
+    n = len(records.kinds)
+    return [tuple(x for i, x in enumerate(cell[:-1]) if i % n != cell[-1])
+            for cell in records.cells.tolist()]
+
+
+def _one_row_tables(records):
+    """A table as its one-row ranges, in row order."""
+    return [records[i : i + 1] for i in range(len(records))]
+
+
+def _stacked(tables):
+    """One table of the rows of ``tables``, in order: as a run's pass would
+    hold them."""
+    columns = ("cells", "E", "std_err", "n_events")
+    return simlab.Records(tables[0].kinds, *(np.concatenate([getattr(t, c) for t in tables])
+                                             for c in columns))
 
 
 def _stream_layout():
@@ -1832,11 +1943,12 @@ def _assert_cells_replay(state, n, layout):
         expected.append(simlab.estimate(counts, u, d, factor))
     result = simlab.run_simulated_experiment(state, n_events=events, seed=seed)
     n_terms = 4**n
-    assert list(result.joint_records) == expected[:n_terms]
+    assert _one_row_tables(result.joint_records) == expected[:n_terms]
+    assert result.joint_records == _stacked(expected[:n_terms])
     for f, (rep, op) in enumerate(zip(result.chsh, bell.canonical_product(n).factors)):
-        records = expected[n_terms + 4 * f : n_terms + 4 * f + 4]
+        records = _stacked(expected[n_terms + 4 * f : n_terms + 4 * f + 4])
         assert rep == simlab.violation_report(records, op, 2.0)
-    cells = [c for row in result.assumptions.rows for c in row.cells]
+    cells = [c for row in result.assumptions.rows for c in _one_row_tables(row.cells)]
     n_run = n_terms + 4 * n
     assert len(cells) == len(layout) - n_run
     assert cells == expected[n_run:]

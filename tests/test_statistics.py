@@ -206,7 +206,8 @@ def test_assumption_rows_match_the_dense_oracle(kinds):
         values = exact[i * size : (i + 1) * size]
         assert max(abs(value - row.analytic_E) for value in values) < 1e-12, (i, row.analytic_E)
         _assert_standard_normal(
-            [(cell.E - value) / cell.std_err
-             for report in rows for cell, value in zip(report[i].cells, values, strict=True)],
-            row.cells[0].cell,
+            [(e - value) / std_err for report in rows
+             for e, std_err, value in zip(report[i].cells.E.tolist(),
+                                          report[i].cells.std_err.tolist(), values, strict=True)],
+            row.cells.cells[0].tolist(),
         )
