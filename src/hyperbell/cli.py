@@ -49,7 +49,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import re
 import sys
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
@@ -94,7 +93,9 @@ def _parse_angle(key: str, text: str) -> float:
     """Radians, as a float literal or a pi expression like pi, -pi, pi/2, 0.5pi,
     2*pi; a space may stand only beside pi, * or /, and one * only after a number."""
     try:
-        token = re.sub(" *(pi|[*/]) *", r"\1", _plain(text.strip()).lower())
+        token = _plain(text.strip()).lower()
+        for sep in ("pi", "*", "/") if " " in token else ():  # a space only beside these
+            token = sep.join(part.strip(" ") for part in token.split(sep))
         if "pi" not in token:
             value = float(token)
         else:

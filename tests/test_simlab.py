@@ -1499,7 +1499,8 @@ class TestRecords:
             assert rows.tobytes() == whole[3:7].tobytes()
         assert part[1:2] == joint[4:5] != joint[5:6]
 
-    @pytest.mark.parametrize("index", [0, -1, [0, 1], np.arange(2)], ids=repr)
+    @pytest.mark.parametrize("index", [0, -1, [0, 1], np.arange(2)],
+                             ids=["int", "negative-int", "list", "array"])
     def test_index_other_than_a_row_range_refused(self, index):
         """An integer would give a table whose cell column is one row and
         whose numbers are scalars; a table is not iterated row by row."""
@@ -1572,7 +1573,8 @@ class TestViolationReport:
             for (uf,), (df,) in term_settings(op.kinds):
                 u, d = [0, 0], [2, 2]
                 u[f], d[f] = uf, df
-                es.append(analytic_correlations(simlab.born_distribution(IDEAL, (*u,), (*d,)))[1 + f])
+                probs = simlab.born_distribution(IDEAL, (*u,), (*d,))
+                es.append(analytic_correlations(probs)[1 + f])
                 cells.append((*u, *d, f))
             rep = simlab.violation_report(table(kinds, cells, es, 0.0, 1), op, bound=2.0)
             assert abs(rep.beta_estimate) == pytest.approx(2 * SQRT2, abs=1e-10)
