@@ -1946,7 +1946,6 @@ def _assert_cells_replay(state, n, layout):
     result = simlab.run_simulated_experiment(state, n_events=events, seed=seed)
     n_terms = 4**n
     assert _one_row_tables(result.joint_records) == expected[:n_terms]
-    assert result.joint_records == _stacked(expected[:n_terms])
     for f, (rep, op) in enumerate(zip(result.chsh, bell.canonical_product(n).factors)):
         records = _stacked(expected[n_terms + 4 * f : n_terms + 4 * f + 4])
         assert rep == simlab.violation_report(records, op, 2.0)
