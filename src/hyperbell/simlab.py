@@ -38,7 +38,7 @@ reads the whole pass and ``assumption_test`` its assumption suffix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache, cached_property
 from itertools import product, zip_longest
 
@@ -212,7 +212,7 @@ class Records:
 
     def __eq__(self, other) -> bool:
         return type(other) is Records and all(
-            map(np.array_equal, vars(self).values(), vars(other).values()))
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
 def estimate(counts, u: tuple, d: tuple, factor: int | None = None) -> Records:
